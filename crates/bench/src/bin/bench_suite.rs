@@ -38,7 +38,7 @@ use mheta_apps::{
 use mheta_bench::{experiment_iters, Flags};
 use mheta_dist::{
     gbs_search, genetic_search, portfolio_search, random_search, simulated_annealing,
-    AnnealingConfig, CountingEvaluator, Evaluator, GbsConfig, GenBlock, GeneticConfig,
+    AnnealingConfig, CountingEvaluator, Evaluator, FallibleFn, GbsConfig, GenBlock, GeneticConfig,
     PortfolioConfig, RandomConfig, SpectrumPath,
 };
 use mheta_obs::{latency_value, AuditReport, TraceContext};
@@ -80,9 +80,11 @@ fn measure(bench: &Benchmark, spec: &ClusterSpec, iters: u32, latency_evals: usi
         .max()
         .unwrap_or(0);
 
-    // Per-evaluation latency: time `latency_evals` model evaluations
-    // of the Block distribution (wall-clock, informational).
-    let counter = CountingEvaluator::new(&model);
+    // Per-evaluation latency: time `latency_evals` full (session-less)
+    // model evaluations of the Block distribution (wall-clock,
+    // informational).
+    let full = FallibleFn(|rows: &[usize]| model.try_eval_ns(rows));
+    let counter = CountingEvaluator::new(&full, 1, None);
     for _ in 0..latency_evals {
         counter.eval_ns(blk.rows());
     }
@@ -793,13 +795,15 @@ fn serving_entry(smoke: bool) -> Value {
 
 /// The incremental-evaluation scenario, gated at runtime:
 ///
-/// 1. **Bitwise quality** — delta-enabled GBS and simulated annealing
-///    on the DC preset must find the *bit-identical* best score that
-///    the full-eval baseline finds at the same seed and budget (the
-///    delta engine may only change cost, never results);
-/// 2. **Speedup** — each delta-enabled search must run at least 2x
-///    faster than its full-eval twin (best-of-5 interleaved windows,
-///    so machine drift hits both sides symmetrically).
+/// 1. **Bitwise quality** — GBS and simulated annealing on the DC
+///    preset, scoring through the model's caching session, must find
+///    the *bit-identical* best score that the full-eval reference (the
+///    same model behind a session-less wrapper) finds at the same seed
+///    and budget (the delta engine may only change cost, never
+///    results);
+/// 2. **Speedup** — each search must run at least 2x faster than its
+///    full-eval twin (best-of-5 interleaved windows, so machine drift
+///    hits both sides symmetrically).
 ///
 /// The recorded wall-clock timings are informational in `--check`
 /// mode; only the block's presence is compared against the baseline.
@@ -833,9 +837,13 @@ fn search_delta_entry(smoke: bool) -> Value {
         (best, out.expect("at least one run"))
     };
 
-    let gate = |which: &str, reps: usize, run: &dyn Fn(bool) -> mheta_dist::SearchOutcome| {
-        let (full_secs, full) = time_best(reps, &|| run(false));
-        let (delta_secs, delta) = time_best(reps, &|| run(true));
+    // The full-eval reference: a wrapper with no session of its own,
+    // so every candidate costs one from-scratch `Mheta::predict`.
+    let reference = FallibleFn(|rows: &[usize]| model.try_eval_ns(rows));
+    type Run<'a> = &'a dyn Fn(&dyn Evaluator) -> mheta_dist::SearchOutcome;
+    let gate = |which: &str, reps: usize, run: Run<'_>| {
+        let (full_secs, full) = time_best(reps, &|| run(&reference));
+        let (delta_secs, delta) = time_best(reps, &|| run(&model));
         if delta.score_ns.to_bits() != full.score_ns.to_bits()
             || delta.best.rows() != full.best.rows()
         {
@@ -883,25 +891,23 @@ fn search_delta_entry(smoke: bool) -> Value {
     // probe is a small boundary move against the previous one, which is
     // exactly the workload the delta engine accelerates (the opening
     // anchor sweep stays cold on both sides).
-    let gbs = gate("gbs", 32, &|delta| {
+    let gbs = gate("gbs", 32, &|eval| {
         gbs_search(
             &path,
-            &model,
+            eval,
             GbsConfig {
                 max_evals: budget,
                 tolerance: 1e-5,
-                delta,
                 ..GbsConfig::default()
             },
         )
     });
-    let annealing = gate("annealing", 4, &|delta| {
+    let annealing = gate("annealing", 4, &|eval| {
         simulated_annealing(
             &blk,
-            &model,
+            eval,
             AnnealingConfig {
                 max_evals: budget,
-                delta,
                 ..AnnealingConfig::default()
             },
         )

@@ -151,6 +151,6 @@ fn main() {
     println!("\n'vs Blk' = actual speedup of the found distribution over the Block default.");
     println!(
         "'delta%' = share of evaluations answered incrementally from cached \
-         leaves (random is the full-eval control: always 0)."
+         leaves (random's samples share almost nothing with a base: ~0)."
     );
 }

@@ -24,175 +24,21 @@
 //! — not merely close. The differential suite in
 //! `tests/delta_eval_props.rs` pins this.
 //!
-//! The entry points are [`Move`] (how searches describe local
-//! mutations), [`DeltaModel`] (what a model must expose to be
-//! delta-evaluable), and [`DeltaEvaluator`] (the caching session,
+//! The entry points are [`DeltaModel`] (what a model must expose to be
+//! delta-evaluable) and [`DeltaEvaluator`] (the caching session,
 //! usually obtained through [`Evaluator::delta_session`] and driven by
-//! [`CountingEvaluator`](crate::fitness::CountingEvaluator)).
+//! [`CountingEvaluator`](crate::fitness::CountingEvaluator)). A session
+//! detects what changed by diffing a candidate's rows against its
+//! cached base, so searches hand it plain row vectors.
 //!
 //! [`Mheta::predict_with`]: mheta_core::Mheta::predict_with
-
-use std::thread;
 
 use mheta_core::{Mheta, PredictOptions, RankCost};
 
 use crate::fitness::{EvalError, Evaluator};
-use crate::search::move_rows;
-
-/// A local mutation of a distribution, as emitted by the searches:
-/// the vocabulary that lets the delta evaluator know *which ranks* a
-/// candidate touches without diffing from scratch.
-///
-/// Applying a `Move` via [`Move::apply`] uses exactly the clamping
-/// semantics of the searches' internal `move_rows` helper (one-row
-/// minimum per rank, self-moves rejected), so a search that switches
-/// from direct mutation to `Move` emission visits an identical
-/// candidate sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Move {
-    /// Move up to `amount` rows from rank `from` to rank `to`
-    /// (clamped so `from` keeps at least one row).
-    Shift {
-        /// Rank giving rows away.
-        from: usize,
-        /// Rank receiving rows.
-        to: usize,
-        /// Requested number of rows to move (clamped).
-        amount: usize,
-    },
-    /// Exchange the row counts of ranks `a` and `b`.
-    Swap {
-        /// First rank.
-        a: usize,
-        /// Second rank.
-        b: usize,
-    },
-    /// Set the row counts of the listed ranks to new values
-    /// (`(rank, new_rows)` pairs). The general k-rank form; the total
-    /// must be preserved by the caller (evaluation rejects mismatched
-    /// totals anyway).
-    Redistribute(Vec<(usize, usize)>),
-}
-
-impl Move {
-    /// A boundary shift of `amount` rows from `from` to `to`.
-    #[must_use]
-    pub fn shift(from: usize, to: usize, amount: usize) -> Move {
-        Move::Shift { from, to, amount }
-    }
-
-    /// A swap of the row counts at ranks `a` and `b`.
-    #[must_use]
-    pub fn swap(a: usize, b: usize) -> Move {
-        Move::Swap { a, b }
-    }
-
-    /// Apply this move to `rows` in place. Returns `false` (leaving
-    /// `rows` untouched) when the move is a no-op or invalid: self
-    /// moves, out-of-range ranks, a donor with a single row, or a
-    /// redistribution that changes the total.
-    pub fn apply_to(&self, rows: &mut [usize]) -> bool {
-        match self {
-            Move::Shift { from, to, amount } => {
-                if *from >= rows.len() || *to >= rows.len() {
-                    return false;
-                }
-                move_rows(rows, *from, *to, *amount)
-            }
-            Move::Swap { a, b } => {
-                if *a == *b || *a >= rows.len() || *b >= rows.len() {
-                    return false;
-                }
-                rows.swap(*a, *b);
-                true
-            }
-            Move::Redistribute(pairs) => {
-                if pairs.is_empty() {
-                    return false;
-                }
-                let mut delta = 0i64;
-                for &(rank, new_rows) in pairs {
-                    if rank >= rows.len() || new_rows == 0 {
-                        return false;
-                    }
-                    delta += new_rows as i64 - rows[rank] as i64;
-                }
-                if delta != 0 {
-                    return false;
-                }
-                for &(rank, new_rows) in pairs {
-                    rows[rank] = new_rows;
-                }
-                true
-            }
-        }
-    }
-
-    /// Apply this move to a copy of `rows`; `None` when the move is
-    /// invalid (see [`Move::apply_to`]).
-    #[must_use]
-    pub fn apply(&self, rows: &[usize]) -> Option<Vec<usize>> {
-        let mut out = rows.to_vec();
-        if self.apply_to(&mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// Recover the move between two same-length distributions: the
-    /// smallest descriptor whose [`Move::apply`] on `base` yields
-    /// `cand`. Returns `None` when the shapes differ or the
-    /// distributions are identical.
-    #[must_use]
-    pub fn between(base: &[usize], cand: &[usize]) -> Option<Move> {
-        if base.len() != cand.len() {
-            return None;
-        }
-        let diffs: Vec<(usize, usize)> = base
-            .iter()
-            .zip(cand)
-            .enumerate()
-            .filter(|(_, (b, c))| b != c)
-            .map(|(i, (_, c))| (i, *c))
-            .collect();
-        match diffs.as_slice() {
-            [] => None,
-            &[(i, ci), (j, cj)] => {
-                if ci == base[j] && cj == base[i] {
-                    Some(Move::Swap { a: i, b: j })
-                } else if ci < base[i] {
-                    Some(Move::Shift {
-                        from: i,
-                        to: j,
-                        amount: base[i] - ci,
-                    })
-                } else {
-                    Some(Move::Shift {
-                        from: j,
-                        to: i,
-                        amount: ci - base[i],
-                    })
-                }
-            }
-            _ => Some(Move::Redistribute(diffs)),
-        }
-    }
-
-    /// The ranks whose row counts this move may change.
-    #[must_use]
-    pub fn touched(&self) -> Vec<usize> {
-        match self {
-            Move::Shift { from, to, .. } => vec![*from, *to],
-            Move::Swap { a, b } => vec![*a, *b],
-            Move::Redistribute(pairs) => pairs.iter().map(|&(r, _)| r).collect(),
-        }
-    }
-}
 
 /// What a model must expose to be evaluated incrementally: per-rank
-/// cost leaves and an assembly step, with an overridable dirty
-/// closure for models whose leaves are *not* rank-local.
+/// cost leaves and an assembly step.
 ///
 /// The contract that makes delta evaluation safe:
 ///
@@ -204,22 +50,12 @@ impl Move {
 ///    [`Evaluator::try_eval_ns`] on the same rows. All cross-rank
 ///    coupling must live here (it is re-run in full on every
 ///    evaluation), never inside the leaves.
-/// 3. A model whose leaves secretly couple ranks must widen
-///    [`DeltaModel::dirty_closure`] accordingly — marking every rank
-///    dirty degrades gracefully to full evaluation.
-pub trait DeltaModel: Evaluator + Sync {
+pub trait DeltaModel: Evaluator {
     /// Compute one rank's cost leaves under `rows` rows.
     fn rank_cost(&self, rank: usize, rows: usize) -> Result<RankCost, EvalError>;
 
     /// Assemble the score from per-rank leaves (fresh or cached).
     fn assemble(&self, rows: &[usize], costs: &[&RankCost]) -> Result<f64, EvalError>;
-
-    /// Widen the set of dirty ranks to every rank whose cached leaves
-    /// the changed ranks may have invalidated. The default is the
-    /// identity closure, correct for any model honoring the
-    /// rank-locality contract (MHETA's collectives and pipeline
-    /// coupling live in `assemble`, which is never cached).
-    fn dirty_closure(&self, _dirty: &mut [bool]) {}
 }
 
 impl DeltaModel for Mheta {
@@ -253,7 +89,7 @@ pub struct DeltaStats {
     /// Full evaluations because the candidate's rank count differed
     /// from the cached base.
     pub fallback_shape: u64,
-    /// Full evaluations because the dirty closure covered every rank
+    /// Full evaluations because every rank's row count changed
     /// (nothing reusable — e.g. a random restart).
     pub fallback_all_dirty: u64,
     /// Evaluations that errored; each also poisons the cache so no
@@ -313,19 +149,6 @@ pub trait DeltaSession {
     /// Evaluate `rows`, reusing cached leaves where provably safe.
     fn try_eval_ns(&mut self, rows: &[usize]) -> Result<f64, EvalError>;
 
-    /// Evaluate a batch of candidates, optionally on `threads` scoped
-    /// worker threads. Results are in candidate order and each is
-    /// bitwise-identical to a sequential [`DeltaSession::try_eval_ns`]
-    /// against the same base; the base cache is not advanced.
-    fn eval_batch(
-        &mut self,
-        candidates: &[Vec<usize>],
-        threads: usize,
-    ) -> Vec<Result<f64, EvalError>> {
-        let _ = threads;
-        candidates.iter().map(|c| self.try_eval_ns(c)).collect()
-    }
-
     /// Declare `rows` the new accepted base: future evaluations diff
     /// against it. Cheap when `rows` was the last evaluated candidate
     /// (its fresh leaves are promoted); otherwise the base is rebuilt.
@@ -381,39 +204,29 @@ impl<'a, M: DeltaModel + ?Sized> DeltaEvaluator<'a, M> {
         self.pending = None;
     }
 
-    /// Full evaluation that installs the cache. Does not touch the
-    /// stats counters — callers attribute the reason.
-    fn install(&mut self, rows: &[usize]) -> Result<f64, EvalError> {
-        let mut costs = Vec::with_capacity(rows.len());
-        for (i, &r) in rows.iter().enumerate() {
-            match self.model.rank_cost(i, r) {
-                Ok(c) => costs.push(c),
-                Err(e) => {
-                    self.poison();
-                    self.stats.fallback_error += 1;
-                    return Err(e);
-                }
-            }
-        }
-        let score = {
-            let refs: Vec<&RankCost> = costs.iter().collect();
-            self.model.assemble(rows, &refs)
-        };
-        match score {
-            Ok(score) => {
+    /// Keep what the kernel computed for `rows`: a full evaluation's
+    /// leaves become the new base unconditionally (they were paid for
+    /// anyway), a partial one's wait in the pending slot, and an error
+    /// poisons both.
+    fn keep(&mut self, rows: &[usize], result: &Result<f64, EvalError>, leaves: EvalLeaves) {
+        match (result, leaves) {
+            (Ok(score), EvalLeaves::Full(costs)) => {
                 self.cache = Some(Cache {
                     rows: rows.to_vec(),
                     costs,
-                    score,
+                    score: *score,
                 });
                 self.pending = None;
-                Ok(score)
             }
-            Err(e) => {
-                self.poison();
-                self.stats.fallback_error += 1;
-                Err(e)
+            (Ok(score), EvalLeaves::Fresh(fresh)) => {
+                self.pending = Some(Pending {
+                    rows: rows.to_vec(),
+                    fresh,
+                    score: *score,
+                });
             }
+            (Ok(_), EvalLeaves::None) => {}
+            (Err(_), _) => self.poison(),
         }
     }
 }
@@ -430,11 +243,10 @@ enum EvalLeaves {
 }
 
 /// One stateless delta evaluation against an optional cached base:
-/// the shared kernel of the sequential and batched paths. Returns the
-/// score plus the stats delta to fold in (attribution happens in
-/// candidate order, so batched stats match sequential stats exactly)
-/// and the computed leaves, so the sequential path can install them
-/// without recomputation.
+/// the kernel behind both candidate evaluation and rebasing. Returns
+/// the score, the stats delta for the caller to fold in (a rebase
+/// keeps only the error tally), and the computed leaves, so the
+/// session can install or promote them without recomputation.
 fn eval_against_base<M: DeltaModel + ?Sized>(
     model: &M,
     base: Option<(&[usize], &[RankCost], f64)>,
@@ -479,8 +291,7 @@ fn eval_against_base<M: DeltaModel + ?Sized>(
         return (r, st, l);
     }
     let n = rows.len();
-    let mut dirty: Vec<bool> = (0..n).map(|i| rows[i] != brows[i]).collect();
-    model.dirty_closure(&mut dirty);
+    let dirty: Vec<bool> = (0..n).map(|i| rows[i] != brows[i]).collect();
     let n_dirty = dirty.iter().filter(|&&d| d).count();
     if n_dirty == 0 {
         st.delta_hits += 1;
@@ -537,79 +348,8 @@ impl<M: DeltaModel + ?Sized> DeltaSession for DeltaEvaluator<'_, M> {
             .map(|c| (c.rows.as_slice(), c.costs.as_slice(), c.score));
         let (result, st, leaves) = eval_against_base(self.model, base, rows);
         self.stats.merge(&st);
-        match (&result, leaves) {
-            (Ok(score), EvalLeaves::Full(costs)) => {
-                // A full evaluation's leaves become the new base
-                // unconditionally — they were paid for anyway.
-                self.cache = Some(Cache {
-                    rows: rows.to_vec(),
-                    costs,
-                    score: *score,
-                });
-                self.pending = None;
-            }
-            (Ok(score), EvalLeaves::Fresh(fresh)) => {
-                self.pending = Some(Pending {
-                    rows: rows.to_vec(),
-                    fresh,
-                    score: *score,
-                });
-            }
-            (Ok(_), EvalLeaves::None) => {}
-            (Err(_), _) => self.poison(),
-        }
+        self.keep(rows, &result, leaves);
         result
-    }
-
-    fn eval_batch(
-        &mut self,
-        candidates: &[Vec<usize>],
-        threads: usize,
-    ) -> Vec<Result<f64, EvalError>> {
-        let threads = threads.max(1).min(candidates.len().max(1));
-        if threads <= 1 || candidates.len() <= 1 {
-            return candidates.iter().map(|c| self.try_eval_ns(c)).collect();
-        }
-        let base = self
-            .cache
-            .as_ref()
-            .map(|c| (c.rows.as_slice(), c.costs.as_slice(), c.score));
-        let model = self.model;
-        let chunk = candidates.len().div_ceil(threads);
-        let per_chunk: Vec<Vec<(Result<f64, EvalError>, DeltaStats)>> = thread::scope(|s| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk)
-                .map(|items| {
-                    s.spawn(move || {
-                        items
-                            .iter()
-                            .map(|cand| {
-                                let (r, st, _) = eval_against_base(model, base, cand);
-                                (r, st)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("delta batch worker panicked"))
-                .collect()
-        });
-        // Fold stats and surface results in candidate order — the
-        // batch is observationally identical to a sequential sweep
-        // against the same base.
-        let mut results = Vec::with_capacity(candidates.len());
-        let mut poisoned = false;
-        for (r, st) in per_chunk.into_iter().flatten() {
-            self.stats.merge(&st);
-            poisoned |= r.is_err();
-            results.push(r);
-        }
-        if poisoned {
-            self.poison();
-        }
-        results
     }
 
     fn note_accept(&mut self, rows: &[usize]) {
@@ -626,10 +366,14 @@ impl<M: DeltaModel + ?Sized> DeltaSession for DeltaEvaluator<'_, M> {
             }
         }
         // Not the candidate we just evaluated: rebase outright unless
-        // the base is already there. Errors leave the session cold.
+        // the base is already there — the kernel's cold path, with only
+        // its error tally kept (a rebase answers no candidate). Errors
+        // leave the session cold.
         let already = self.cache.as_ref().is_some_and(|c| c.rows == rows);
         if !already {
-            let _ = self.install(rows);
+            let (result, st, leaves) = eval_against_base(self.model, None, rows);
+            self.stats.fallback_error += st.fallback_error;
+            self.keep(rows, &result, leaves);
         }
     }
 
@@ -641,69 +385,6 @@ impl<M: DeltaModel + ?Sized> DeltaSession for DeltaEvaluator<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn move_apply_matches_move_rows_semantics() {
-        let base = vec![5, 1, 3];
-        // Clamped shift: donor keeps one row.
-        let m = Move::shift(0, 1, 10);
-        assert_eq!(m.apply(&base), Some(vec![1, 5, 3]));
-        // Donor with one row cannot give.
-        assert_eq!(Move::shift(1, 0, 1).apply(&base), None);
-        // Self-move rejected.
-        assert_eq!(Move::shift(2, 2, 1).apply(&base), None);
-        // Out-of-range rejected.
-        assert_eq!(Move::shift(0, 9, 1).apply(&base), None);
-        // Original untouched by failed apply_to.
-        let mut rows = base.clone();
-        assert!(!Move::shift(1, 0, 1).apply_to(&mut rows));
-        assert_eq!(rows, base);
-    }
-
-    #[test]
-    fn move_swap_and_redistribute() {
-        let base = vec![4, 2, 6];
-        assert_eq!(Move::swap(0, 2).apply(&base), Some(vec![6, 2, 4]));
-        assert_eq!(Move::swap(1, 1).apply(&base), None);
-        let m = Move::Redistribute(vec![(0, 1), (1, 5)]);
-        assert_eq!(m.apply(&base), Some(vec![1, 5, 6]));
-        // Total-changing redistribution rejected.
-        let bad = Move::Redistribute(vec![(0, 1)]);
-        assert_eq!(bad.apply(&base), None);
-        // Zero rows rejected.
-        let bad = Move::Redistribute(vec![(0, 0), (1, 6)]);
-        assert_eq!(bad.apply(&base), None);
-    }
-
-    #[test]
-    fn move_between_classifies_and_roundtrips() {
-        let base = vec![8, 4, 4];
-        let shifted = vec![6, 6, 4];
-        let m = Move::between(&base, &shifted).unwrap();
-        assert_eq!(
-            m,
-            Move::Shift {
-                from: 0,
-                to: 1,
-                amount: 2
-            }
-        );
-        assert_eq!(m.apply(&base), Some(shifted));
-
-        let swapped = vec![4, 8, 4];
-        let m = Move::between(&base, &swapped).unwrap();
-        assert_eq!(m, Move::Swap { a: 0, b: 1 });
-        assert_eq!(m.apply(&base), Some(swapped));
-
-        let spread = vec![6, 5, 5];
-        let m = Move::between(&base, &spread).unwrap();
-        assert!(matches!(m, Move::Redistribute(_)));
-        assert_eq!(m.apply(&base), Some(spread));
-        assert_eq!(m.touched(), vec![0, 1, 2]);
-
-        assert_eq!(Move::between(&base, &base), None);
-        assert_eq!(Move::between(&base, &[1, 2]), None);
-    }
 
     #[test]
     fn stats_merge_and_rates() {

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use mheta_core::Mheta;
 
-use crate::delta::{DeltaEvaluator, DeltaSession, DeltaStats, Move};
+use crate::delta::{DeltaEvaluator, DeltaSession, DeltaStats};
 
 /// Log₂-bucketed histogram of per-evaluation *wall-clock* latencies —
 /// the cost axis of the paper's §5.1 claim that one MHETA evaluation
@@ -91,7 +91,8 @@ impl LatencyHistogram {
     }
 
     /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0 ≤ q ≤ 1.0`); 0 when empty.
+    /// (`0.0 ≤ q ≤ 1.0`, the top bucket's bound saturating at
+    /// `u64::MAX`); 0 when empty.
     #[must_use]
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -102,7 +103,11 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << i };
+                return match i {
+                    0 => 0,
+                    64 => u64::MAX,
+                    _ => 1u64 << i,
+                };
             }
         }
         self.max_ns
@@ -356,15 +361,33 @@ pub trait Evaluator {
         self.try_eval_ns(rows).unwrap_or(f64::INFINITY)
     }
 
-    /// Open an incremental-evaluation session over this evaluator, if
-    /// it supports one. A session caches the per-rank cost leaves of
-    /// the last accepted distribution and answers near-miss candidates
-    /// by recomputing only the touched ranks — bitwise-identical to
-    /// [`Evaluator::try_eval_ns`], just cheaper. The default is `None`
-    /// (always evaluate in full); [`Mheta`] and the wrappers that
-    /// preserve score mapping override it.
-    fn delta_session(&self) -> Option<Box<dyn DeltaSession + '_>> {
-        None
+    /// Open an evaluation session over this evaluator — the seam every
+    /// search scores through. A session may cache the per-rank cost
+    /// leaves of the last accepted distribution and answer near-miss
+    /// candidates by recomputing only the touched ranks —
+    /// bitwise-identical to [`Evaluator::try_eval_ns`], just cheaper.
+    /// The default is the degenerate session of an evaluator with no
+    /// incremental support: every evaluation is a plain `try_eval_ns`
+    /// call and the [`DeltaStats`] stay all-zero. [`Mheta`] overrides it
+    /// with a caching [`DeltaEvaluator`].
+    fn delta_session(&self) -> Box<dyn DeltaSession + '_> {
+        Box::new(FullSession(self))
+    }
+}
+
+/// The session of an evaluator with no incremental support (closures,
+/// [`FallibleFn`]): stateless, always evaluating in full.
+struct FullSession<'a, E: Evaluator + ?Sized>(&'a E);
+
+impl<E: Evaluator + ?Sized> DeltaSession for FullSession<'_, E> {
+    fn try_eval_ns(&mut self, rows: &[usize]) -> Result<f64, EvalError> {
+        self.0.try_eval_ns(rows)
+    }
+
+    fn note_accept(&mut self, _rows: &[usize]) {}
+
+    fn stats(&self) -> DeltaStats {
+        DeltaStats::default()
     }
 }
 
@@ -375,8 +398,8 @@ impl Evaluator for Mheta {
             .map_err(|e| EvalError(e.to_string()))
     }
 
-    fn delta_session(&self) -> Option<Box<dyn DeltaSession + '_>> {
-        Some(Box::new(DeltaEvaluator::new(self)))
+    fn delta_session(&self) -> Box<dyn DeltaSession + '_> {
+        Box::new(DeltaEvaluator::new(self))
     }
 }
 
@@ -404,12 +427,16 @@ where
 }
 
 /// Wraps an evaluator and counts calls — the "number of MHETA
-/// evaluations" axis of the search-algorithm comparison — and, when
-/// configured with [`CountingEvaluator::with_retries`], transparently
-/// retries failed evaluations before letting the penalty score
-/// through.
-pub struct CountingEvaluator<'a, E: Evaluator + ?Sized> {
-    inner: &'a E,
+/// evaluations" axis of the search-algorithm comparison — and
+/// transparently retries failed evaluations (up to `attempts` tries)
+/// before letting the penalty score through.
+///
+/// Every attempt — first try or retry — goes through the one
+/// [`DeltaSession`] opened on the wrapped evaluator, which is what
+/// keeps count/latency/ctl at exactly one observation per logical
+/// candidate whether the session answered incrementally or in full.
+pub struct CountingEvaluator<'a> {
+    session: RefCell<Box<dyn DeltaSession + 'a>>,
     count: Cell<usize>,
     failed: Cell<usize>,
     retried: Cell<usize>,
@@ -420,46 +447,20 @@ pub struct CountingEvaluator<'a, E: Evaluator + ?Sized> {
     /// Optional shared portfolio control: every evaluation is published
     /// to it, and the owning search polls [`CountingEvaluator::cancelled`].
     ctl: Option<Arc<SearchCtl>>,
-    /// Open incremental-evaluation session, when delta evaluation is
-    /// enabled and `inner` supports it. Every attempt — first try or
-    /// retry, sequential or batched — routes through this single seam,
-    /// which is what keeps `count`/latency/ctl at exactly one
-    /// observation per logical candidate regardless of path.
-    session: RefCell<Option<Box<dyn DeltaSession + 'a>>>,
 }
 
-impl<'a, E: Evaluator + ?Sized> CountingEvaluator<'a, E> {
-    /// Wrap `inner` with no retries.
-    pub fn new(inner: &'a E) -> Self {
-        Self::with_retries(inner, 1)
-    }
-
-    /// Wrap `inner`, allowing up to `attempts` tries per evaluation
-    /// (clamped to at least one).
-    pub fn with_retries(inner: &'a E, attempts: u32) -> Self {
-        Self::with_control(inner, attempts, None)
-    }
-
-    /// Wrap `inner` with retries plus an optional shared [`SearchCtl`]
-    /// to publish evaluations to (portfolio search).
-    pub fn with_control(inner: &'a E, attempts: u32, ctl: Option<Arc<SearchCtl>>) -> Self {
-        Self::with_options(inner, attempts, ctl, false)
-    }
-
-    /// Full-option constructor: retries, optional shared control, and
-    /// incremental (delta) evaluation. With `delta` true the wrapper
-    /// opens `inner`'s [`Evaluator::delta_session`] (a no-op when the
-    /// evaluator has none) and routes every evaluation through it;
-    /// scores stay bitwise-identical to direct evaluation.
-    pub fn with_options(
+impl<'a> CountingEvaluator<'a> {
+    /// Wrap a session over `inner`, allowing up to `attempts` tries per
+    /// evaluation (clamped to at least one; 1 = fail fast) and
+    /// publishing every evaluation to `ctl` when one is shared
+    /// (portfolio search).
+    pub fn new<E: Evaluator + ?Sized>(
         inner: &'a E,
         attempts: u32,
         ctl: Option<Arc<SearchCtl>>,
-        delta: bool,
     ) -> Self {
-        let session = if delta { inner.delta_session() } else { None };
         CountingEvaluator {
-            inner,
+            session: RefCell::new(inner.delta_session()),
             count: Cell::new(0),
             failed: Cell::new(0),
             retried: Cell::new(0),
@@ -467,7 +468,6 @@ impl<'a, E: Evaluator + ?Sized> CountingEvaluator<'a, E> {
             latency: RefCell::new(LatencyHistogram::default()),
             attempts: attempts.max(1),
             ctl,
-            session: RefCell::new(session),
         }
     }
 
@@ -512,134 +512,27 @@ impl<'a, E: Evaluator + ?Sized> CountingEvaluator<'a, E> {
         self.latency.borrow().clone()
     }
 
-    /// True when an incremental-evaluation session is active.
-    #[must_use]
-    pub fn delta_active(&self) -> bool {
-        self.session.borrow().is_some()
-    }
-
-    /// Snapshot of the delta session's counters (all-zero when no
-    /// session is active — full evaluation only).
+    /// Snapshot of the session's counters (all-zero when the wrapped
+    /// evaluator has no incremental support).
     #[must_use]
     pub fn delta_stats(&self) -> DeltaStats {
-        self.session
-            .borrow()
-            .as_ref()
-            .map(|s| s.stats())
-            .unwrap_or_default()
+        self.session.borrow().stats()
     }
 
-    /// Tell the delta session `rows` is the new accepted base, so
-    /// future candidates diff against it. A no-op without a session.
+    /// Tell the session `rows` is the new accepted base, so future
+    /// candidates diff against it.
     pub fn note_accept(&self, rows: &[usize]) {
-        if let Some(s) = self.session.borrow_mut().as_mut() {
-            s.note_accept(rows);
-        }
-    }
-
-    /// Apply `mv` to `base` and evaluate the result: the move-emission
-    /// entry point for searches. `None` when the move is invalid
-    /// (nothing is evaluated or counted); otherwise the candidate and
-    /// its (retried, counted, published) score.
-    pub fn eval_move(
-        &self,
-        base: &[usize],
-        mv: &Move,
-    ) -> Option<(Vec<usize>, Result<f64, EvalError>)> {
-        let cand = mv.apply(base)?;
-        let result = self.try_eval_ns(&cand);
-        Some((cand, result))
-    }
-
-    /// One raw attempt, through the delta session when active.
-    fn attempt(&self, rows: &[usize]) -> Result<f64, EvalError> {
-        let mut guard = self.session.borrow_mut();
-        match guard.as_mut() {
-            Some(s) => s.try_eval_ns(rows),
-            None => self.inner.try_eval_ns(rows),
-        }
-    }
-
-    /// Fold one finished logical evaluation into the tallies: exactly
-    /// one count, one latency sample, and one [`SearchCtl::observe`],
-    /// regardless of retries or the delta/full path taken. Every
-    /// evaluation seam (sequential or batched) funnels through here —
-    /// the invariant `tests` pin as the double-count fix.
-    fn settle(&self, result: &Result<f64, EvalError>, elapsed_ns: u64) {
-        self.count.set(self.count.get() + 1);
-        self.latency.borrow_mut().record(elapsed_ns);
-        if let Err(e) = result {
-            self.failed.set(self.failed.get() + 1);
-            *self.last_error.borrow_mut() = Some(e.clone());
-        }
-        if let Some(ctl) = &self.ctl {
-            ctl.observe(match result {
-                Ok(score) => *score,
-                Err(_) => f64::INFINITY,
-            });
-        }
-    }
-
-    /// Evaluate a batch of candidates — a search's whole neighborhood
-    /// at once — through the delta session when active, on up to
-    /// `threads` scoped worker threads (the session's model is `Sync`
-    /// by the [`crate::delta::DeltaModel`] contract; without a session
-    /// the batch degrades to a sequential sweep). Results come back in
-    /// candidate order; failures are retried sequentially under the
-    /// same `attempts` budget as single evaluations; counters,
-    /// latency, and [`SearchCtl`] observations are folded in candidate
-    /// order after the join, so a batch is observationally identical
-    /// to the same sequence of [`Evaluator::try_eval_ns`] calls.
-    /// Latency samples are amortized (batch wall-clock ÷ candidates):
-    /// the histogram keeps measuring what one logical candidate cost
-    /// the caller.
-    pub fn eval_batch(
-        &self,
-        candidates: &[Vec<usize>],
-        threads: usize,
-    ) -> Vec<Result<f64, EvalError>> {
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let started = Instant::now();
-        let mut results = {
-            let mut guard = self.session.borrow_mut();
-            match guard.as_mut() {
-                Some(s) => s.eval_batch(candidates, threads),
-                None => candidates
-                    .iter()
-                    .map(|c| self.inner.try_eval_ns(c))
-                    .collect(),
-            }
-        };
-        // Retries stay sequential: they are the rare path, and the
-        // retry loop must observe the session's post-poison state.
-        for (cand, slot) in candidates.iter().zip(results.iter_mut()) {
-            let mut attempt = 1;
-            while slot.is_err() && attempt < self.attempts {
-                if let Err(e) = slot {
-                    self.retried.set(self.retried.get() + 1);
-                    *self.last_error.borrow_mut() = Some(e.clone());
-                }
-                *slot = self.attempt(cand);
-                attempt += 1;
-            }
-        }
-        let total = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let per_candidate = total / candidates.len() as u64;
-        for result in &results {
-            self.settle(result, per_candidate);
-        }
-        results
+        self.session.borrow_mut().note_accept(rows);
     }
 }
 
-impl<E: Evaluator + ?Sized> Evaluator for CountingEvaluator<'_, E> {
+impl Evaluator for CountingEvaluator<'_> {
     fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
         let started = Instant::now();
         let mut attempt = 1;
         let result = loop {
-            match self.attempt(rows) {
+            let tried = self.session.borrow_mut().try_eval_ns(rows);
+            match tried {
                 Ok(score) => break Ok(score),
                 Err(e) if attempt < self.attempts => {
                     self.retried.set(self.retried.get() + 1);
@@ -649,159 +542,21 @@ impl<E: Evaluator + ?Sized> Evaluator for CountingEvaluator<'_, E> {
                 Err(e) => break Err(e),
             }
         };
+        // Settle the logical evaluation: exactly one count, one latency
+        // sample, and one `SearchCtl::observe`, regardless of retries or
+        // the delta/full path the session took — the invariant `tests`
+        // pin as the double-count fix.
         let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.settle(&result, elapsed);
-        result
-    }
-}
-
-/// Cost model for running under a per-iteration crash probability with
-/// checkpoint/restart: the knobs a failure-aware fitness trades off.
-///
-/// Expected per-iteration cost (first-order, at most one crash):
-///
-/// ```text
-/// E[t] = t_iter + ckpt_write / K + p · ((K − 1)/2 · t_iter + restart)
-/// ```
-///
-/// — every iteration pays its share of the amortized checkpoint write,
-/// and with probability `p` a crash forces re-execution of on average
-/// `(K − 1)/2` iterations since the last checkpoint plus the fixed
-/// recovery overhead (detection + rollback + redistribution +
-/// re-prediction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrashCostModel {
-    /// Probability that some rank crashes in any given iteration.
-    pub crash_prob_per_iter: f64,
-    /// Total iterations the application will run.
-    pub iters: u32,
-    /// Virtual cost of one checkpoint write, ns (the slowest rank's).
-    pub checkpoint_write_ns: f64,
-    /// Fixed recovery overhead per crash, ns: detection + rollback +
-    /// redistribution + re-prediction.
-    pub restart_overhead_ns: f64,
-    /// Checkpoint interval K in iterations (≥ 1).
-    pub checkpoint_interval: u32,
-}
-
-impl CrashCostModel {
-    /// Expected per-iteration cost under this model for a crash-free
-    /// iteration time of `t_iter_ns`.
-    #[must_use]
-    pub fn expected_iteration_ns(&self, t_iter_ns: f64) -> f64 {
-        let k = f64::from(self.checkpoint_interval.max(1));
-        let rollback_loss = (k - 1.0) / 2.0 * t_iter_ns;
-        t_iter_ns
-            + self.checkpoint_write_ns / k
-            + self.crash_prob_per_iter * (rollback_loss + self.restart_overhead_ns)
-    }
-
-    /// Expected makespan of the whole run, ns.
-    #[must_use]
-    pub fn expected_makespan_ns(&self, t_iter_ns: f64) -> f64 {
-        self.expected_iteration_ns(t_iter_ns) * f64::from(self.iters)
-    }
-
-    /// The checkpoint interval minimizing the expected per-iteration
-    /// cost: Young's first-order optimum `K* = sqrt(2·ckpt / (p·t))`,
-    /// clamped to `[1, iters]`. Returns `iters` (checkpoint once at
-    /// start) when crashes are impossible or iterations are free.
-    #[must_use]
-    pub fn optimal_interval(&self, t_iter_ns: f64) -> u32 {
-        let denom = self.crash_prob_per_iter * t_iter_ns;
-        if denom <= 0.0 || self.checkpoint_write_ns <= 0.0 {
-            return self.iters.max(1);
+        self.count.set(self.count.get() + 1);
+        self.latency.borrow_mut().record(elapsed);
+        if let Err(e) = &result {
+            self.failed.set(self.failed.get() + 1);
+            *self.last_error.borrow_mut() = Some(e.clone());
         }
-        let k = (2.0 * self.checkpoint_write_ns / denom).sqrt();
-        let k = k.round().clamp(1.0, f64::from(self.iters.max(1)));
-        k as u32
-    }
-
-    /// [`Self::expected_iteration_ns`] minimized over the checkpoint
-    /// interval (i.e. evaluated at [`Self::optimal_interval`]).
-    #[must_use]
-    pub fn best_expected_iteration_ns(&self, t_iter_ns: f64) -> f64 {
-        let tuned = CrashCostModel {
-            checkpoint_interval: self.optimal_interval(t_iter_ns),
-            ..*self
-        };
-        tuned.expected_iteration_ns(t_iter_ns)
-    }
-}
-
-/// Failure-aware fitness: scores a distribution by its *expected*
-/// iteration time under a [`CrashCostModel`] instead of the crash-free
-/// prediction. Because it implements [`Evaluator`], all four search
-/// algorithms optimize it unchanged — a distribution that is marginally
-/// faster crash-free can lose to one whose checkpoint writes amortize
-/// better over the expected rollback loss.
-pub struct FailureAwareEvaluator<'a, E: Evaluator + ?Sized> {
-    inner: &'a E,
-    model: CrashCostModel,
-}
-
-impl<'a, E: Evaluator + ?Sized> FailureAwareEvaluator<'a, E> {
-    /// Wrap `inner` (a crash-free iteration-time evaluator) with a
-    /// crash cost model.
-    pub fn new(inner: &'a E, model: CrashCostModel) -> Self {
-        FailureAwareEvaluator { inner, model }
-    }
-
-    /// The crash cost model in effect.
-    #[must_use]
-    pub fn model(&self) -> CrashCostModel {
-        self.model
-    }
-}
-
-impl<E: Evaluator + ?Sized> Evaluator for FailureAwareEvaluator<'_, E> {
-    fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
-        let t = self.inner.try_eval_ns(rows)?;
-        Ok(self.model.expected_iteration_ns(t))
-    }
-
-    fn delta_session(&self) -> Option<Box<dyn DeltaSession + '_>> {
-        let inner = self.inner.delta_session()?;
-        Some(Box::new(MappedDeltaSession {
-            inner,
-            model: self.model,
-        }))
-    }
-}
-
-/// Delta session of a [`FailureAwareEvaluator`]: the inner session's
-/// crash-free scores mapped through the crash cost model. The map is
-/// deterministic and applied identically on delta and full paths, so
-/// bitwise agreement with the wrapper's `try_eval_ns` is preserved.
-struct MappedDeltaSession<'a> {
-    inner: Box<dyn DeltaSession + 'a>,
-    model: CrashCostModel,
-}
-
-impl DeltaSession for MappedDeltaSession<'_> {
-    fn try_eval_ns(&mut self, rows: &[usize]) -> Result<f64, EvalError> {
-        let t = self.inner.try_eval_ns(rows)?;
-        Ok(self.model.expected_iteration_ns(t))
-    }
-
-    fn eval_batch(
-        &mut self,
-        candidates: &[Vec<usize>],
-        threads: usize,
-    ) -> Vec<Result<f64, EvalError>> {
-        self.inner
-            .eval_batch(candidates, threads)
-            .into_iter()
-            .map(|r| r.map(|t| self.model.expected_iteration_ns(t)))
-            .collect()
-    }
-
-    fn note_accept(&mut self, rows: &[usize]) {
-        self.inner.note_accept(rows);
-    }
-
-    fn stats(&self) -> DeltaStats {
-        self.inner.stats()
+        if let Some(ctl) = &self.ctl {
+            ctl.observe(result.as_ref().map_or(f64::INFINITY, |score| *score));
+        }
+        result
     }
 }
 
@@ -819,7 +574,7 @@ mod tests {
     #[test]
     fn counting_wrapper_counts() {
         let f = |_: &[usize]| 1.0;
-        let c = CountingEvaluator::new(&f);
+        let c = CountingEvaluator::new(&f, 1, None);
         for _ in 0..5 {
             c.eval_ns(&[1]);
         }
@@ -832,7 +587,7 @@ mod tests {
     #[test]
     fn failures_become_infinite_penalty() {
         let f = FallibleFn(|_: &[usize]| Err(EvalError("rank 2 died".into())));
-        let c = CountingEvaluator::new(&f);
+        let c = CountingEvaluator::new(&f, 1, None);
         assert_eq!(c.eval_ns(&[1, 2]), f64::INFINITY);
         assert_eq!(c.failed(), 1);
         assert_eq!(c.retries(), 0);
@@ -851,7 +606,7 @@ mod tests {
                 Ok(rows[0] as f64)
             }
         });
-        let c = CountingEvaluator::with_retries(&f, 2);
+        let c = CountingEvaluator::new(&f, 2, None);
         assert_eq!(c.try_eval_ns(&[9]), Ok(9.0));
         assert_eq!(c.count(), 1, "retry does not spend budget");
         assert_eq!(c.retries(), 1);
@@ -862,7 +617,7 @@ mod tests {
     #[test]
     fn exhausted_retries_count_as_failed() {
         let f = FallibleFn(|_: &[usize]| Err(EvalError("persistent".into())));
-        let c = CountingEvaluator::with_retries(&f, 3);
+        let c = CountingEvaluator::new(&f, 3, None);
         assert!(c.try_eval_ns(&[1]).is_err());
         assert_eq!(c.count(), 1);
         assert_eq!(c.retries(), 2, "two absorbed attempts");
@@ -872,7 +627,7 @@ mod tests {
     #[test]
     fn zero_attempts_clamps_to_one() {
         let f = |_: &[usize]| 4.0;
-        let c = CountingEvaluator::with_retries(&f, 0);
+        let c = CountingEvaluator::new(&f, 0, None);
         assert_eq!(c.eval_ns(&[1]), 4.0);
         assert_eq!(c.count(), 1);
     }
@@ -881,62 +636,6 @@ mod tests {
     fn eval_error_displays_message() {
         let e = EvalError("profile missing".into());
         assert_eq!(e.to_string(), "evaluation failed: profile missing");
-    }
-
-    fn crash_model() -> CrashCostModel {
-        CrashCostModel {
-            crash_prob_per_iter: 0.01,
-            iters: 100,
-            checkpoint_write_ns: 1.0e6,
-            restart_overhead_ns: 5.0e6,
-            checkpoint_interval: 10,
-        }
-    }
-
-    #[test]
-    fn expected_iteration_adds_checkpoint_and_rollback_terms() {
-        let m = crash_model();
-        let t = 1.0e6;
-        let expect = t + 1.0e6 / 10.0 + 0.01 * ((10.0 - 1.0) / 2.0 * t + 5.0e6);
-        assert!((m.expected_iteration_ns(t) - expect).abs() < 1e-6);
-        assert!(
-            m.expected_iteration_ns(t) > t,
-            "failure awareness never makes an iteration cheaper"
-        );
-        assert!((m.expected_makespan_ns(t) - 100.0 * expect).abs() < 1e-3);
-    }
-
-    #[test]
-    fn zero_crash_probability_still_pays_checkpoints() {
-        let m = CrashCostModel {
-            crash_prob_per_iter: 0.0,
-            ..crash_model()
-        };
-        let t = 2.0e6;
-        assert!((m.expected_iteration_ns(t) - (t + 1.0e5)).abs() < 1e-6);
-        // With no crashes the optimum is "checkpoint as rarely as
-        // possible".
-        assert_eq!(m.optimal_interval(t), 100);
-    }
-
-    #[test]
-    fn optimal_interval_follows_youngs_formula() {
-        let m = crash_model();
-        let t = 1.0e6;
-        // K* = sqrt(2 · 1e6 / (0.01 · 1e6)) = sqrt(200) ≈ 14.
-        assert_eq!(m.optimal_interval(t), 14);
-        // The tuned interval beats both extremes.
-        let at = |k: u32| {
-            CrashCostModel {
-                checkpoint_interval: k,
-                ..m
-            }
-            .expected_iteration_ns(t)
-        };
-        let best = m.best_expected_iteration_ns(t);
-        assert!(best <= at(1));
-        assert!(best <= at(100));
-        assert!((best - at(14)).abs() < 1e-9);
     }
 
     #[test]
@@ -1010,7 +709,7 @@ mod tests {
     fn counting_evaluator_publishes_to_ctl() {
         let ctl = Arc::new(SearchCtl::unlimited());
         let f = |rows: &[usize]| rows[0] as f64;
-        let c = CountingEvaluator::with_control(&f, 1, Some(Arc::clone(&ctl)));
+        let c = CountingEvaluator::new(&f, 1, Some(Arc::clone(&ctl)));
         c.eval_ns(&[8]);
         c.eval_ns(&[3]);
         assert_eq!(ctl.best_ns(), 3.0);
@@ -1021,7 +720,7 @@ mod tests {
 
         // Failures publish the penalty score without improving the best.
         let failing = FallibleFn(|_: &[usize]| Err(EvalError("down".into())));
-        let c = CountingEvaluator::with_control(&failing, 1, Some(Arc::clone(&ctl)));
+        let c = CountingEvaluator::new(&failing, 1, Some(Arc::clone(&ctl)));
         let _ = c.try_eval_ns(&[1]);
         assert_eq!(ctl.evals(), 3);
         assert_eq!(ctl.best_ns(), 3.0);
@@ -1030,8 +729,7 @@ mod tests {
     /// Synthetic delta-evaluable model: per-rank leaf cost is
     /// `rows · weight[rank]`, the score is the (fixed-order) sum.
     /// `fail_every` > 0 makes every Nth `rank_cost` call fail, for
-    /// pinning the retry/poison seams. Call tallies use atomics so the
-    /// model stays `Sync` (a `DeltaModel` requirement).
+    /// pinning the retry/poison seams.
     struct SyntheticModel {
         weights: Vec<f64>,
         rank_cost_calls: AtomicUsize,
@@ -1075,8 +773,8 @@ mod tests {
             Ok(total)
         }
 
-        fn delta_session(&self) -> Option<Box<dyn DeltaSession + '_>> {
-            Some(Box::new(DeltaEvaluator::new(self)))
+        fn delta_session(&self) -> Box<dyn DeltaSession + '_> {
+            Box::new(DeltaEvaluator::new(self))
         }
     }
 
@@ -1109,8 +807,7 @@ mod tests {
         // latency sample, and one ctl observation.
         let model = SyntheticModel::new(vec![1.0, 2.0, 3.0, 4.0]);
         let ctl = Arc::new(SearchCtl::unlimited());
-        let c = CountingEvaluator::with_options(&model, 1, Some(Arc::clone(&ctl)), true);
-        assert!(c.delta_active());
+        let c = CountingEvaluator::new(&model, 1, Some(Arc::clone(&ctl)));
 
         let base = [10usize, 10, 10, 10];
         let a = c.try_eval_ns(&base).unwrap();
@@ -1147,7 +844,7 @@ mod tests {
             ..SyntheticModel::new(vec![1.0, 2.0])
         };
         let ctl = Arc::new(SearchCtl::unlimited());
-        let c = CountingEvaluator::with_options(&model, 2, Some(Arc::clone(&ctl)), true);
+        let c = CountingEvaluator::new(&model, 2, Some(Arc::clone(&ctl)));
 
         let base = [8usize, 8];
         assert!(c.try_eval_ns(&base).is_ok());
@@ -1166,57 +863,5 @@ mod tests {
         assert_eq!(d.delta_hits, 0, "the poisoned delta path never answered");
         assert_eq!(d.fallback_cold, 2, "cache was cold again after poisoning");
         assert_eq!(c.last_error().unwrap().0, "injected leaf fault");
-    }
-
-    #[test]
-    fn batched_and_sequential_evaluations_agree_bitwise() {
-        let model = SyntheticModel::new(vec![1.0, 0.5, 2.0, 0.25]);
-        let seq = CountingEvaluator::with_options(&model, 1, None, true);
-        let bat = CountingEvaluator::with_options(&model, 1, None, true);
-        let base = [12usize, 12, 12, 12];
-        // Warm both sessions on the same base.
-        assert!(seq.try_eval_ns(&base).is_ok());
-        assert!(bat.try_eval_ns(&base).is_ok());
-        seq.note_accept(&base);
-        bat.note_accept(&base);
-
-        let cands: Vec<Vec<usize>> = (0..6)
-            .map(|i| {
-                let mut c = base.to_vec();
-                c[i % 4] += i + 1;
-                c[(i + 1) % 4] -= (i + 1).min(11);
-                c
-            })
-            .collect();
-        let sequential: Vec<f64> = cands.iter().map(|c| seq.try_eval_ns(c).unwrap()).collect();
-        let batched = bat.eval_batch(&cands, 3);
-        for (s, b) in sequential.iter().zip(&batched) {
-            assert_eq!(s.to_bits(), b.as_ref().unwrap().to_bits());
-        }
-        assert_eq!(bat.count(), seq.count(), "same logical candidate count");
-        assert_eq!(bat.eval_latency().count, bat.count() as u64);
-        let ds = seq.delta_stats();
-        let db = bat.delta_stats();
-        assert_eq!(db.full_evals, ds.full_evals);
-        assert_eq!(db.delta_hits, ds.delta_hits);
-        assert_eq!(db.terms_reused, ds.terms_reused);
-    }
-
-    #[test]
-    fn failure_aware_evaluator_reorders_candidates() {
-        // Crash-free, layout A is faster; under failure-awareness the
-        // ordering is preserved monotonically (affine map), but the
-        // expected scores separate by the rollback term.
-        let inner = |rows: &[usize]| if rows[0] == 0 { 1.0e6 } else { 1.2e6 };
-        let fa = FailureAwareEvaluator::new(&inner, crash_model());
-        let a = fa.eval_ns(&[0]);
-        let b = fa.eval_ns(&[1]);
-        assert!(a < b);
-        assert!(a > 1.0e6, "expected cost exceeds crash-free cost");
-        assert_eq!(fa.model().checkpoint_interval, 10);
-        // Errors still propagate as penalties through the wrapper.
-        let failing = FallibleFn(|_: &[usize]| Err(EvalError("down".into())));
-        let fa = FailureAwareEvaluator::new(&failing, crash_model());
-        assert_eq!(fa.eval_ns(&[1]), f64::INFINITY);
     }
 }

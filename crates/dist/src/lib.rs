@@ -21,10 +21,9 @@ pub mod search;
 pub mod spectrum;
 
 pub use anchors::{bal, blk, ic, ic_bal, AnchorInputs};
-pub use delta::{DeltaEvaluator, DeltaModel, DeltaSession, DeltaStats, Move};
+pub use delta::{DeltaEvaluator, DeltaModel, DeltaSession, DeltaStats};
 pub use fitness::{
-    CountingEvaluator, CrashCostModel, EvalError, Evaluator, FailureAwareEvaluator, FallibleFn,
-    LatencyHistogram, SearchCtl,
+    CountingEvaluator, EvalError, Evaluator, FallibleFn, LatencyHistogram, SearchCtl,
 };
 pub use genblock::{GenBlock, GenBlockError};
 pub use online::{OnlinePolicy, Replan};

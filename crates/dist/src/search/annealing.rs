@@ -5,10 +5,9 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::delta::Move;
 use crate::fitness::{CountingEvaluator, Evaluator, SearchCtl};
 use crate::genblock::GenBlock;
-use crate::search::{outcome, History, SearchOutcome};
+use crate::search::{move_rows, outcome, History, SearchOutcome};
 
 /// Tuning for [`simulated_annealing`].
 #[derive(Debug, Clone)]
@@ -22,15 +21,11 @@ pub struct AnnealingConfig {
     /// RNG seed.
     pub seed: u64,
     /// Attempts per evaluation (1 = fail fast; see
-    /// [`CountingEvaluator::with_retries`]).
+    /// [`CountingEvaluator::new`]).
     pub eval_retries: u32,
     /// Optional shared portfolio control (incumbent + cancellation);
     /// see [`SearchCtl`].
     pub ctl: Option<Arc<SearchCtl>>,
-    /// Incremental (delta) evaluation of single-boundary perturbations
-    /// against the accepted base. Scores are bitwise-identical either
-    /// way; default on.
-    pub delta: bool,
 }
 
 impl Default for AnnealingConfig {
@@ -42,7 +37,6 @@ impl Default for AnnealingConfig {
             seed: 0xA11EA1,
             eval_retries: 1,
             ctl: None,
-            delta: true,
         }
     }
 }
@@ -53,8 +47,7 @@ pub fn simulated_annealing<E: Evaluator + ?Sized>(
     eval: &E,
     cfg: AnnealingConfig,
 ) -> SearchOutcome {
-    let counter =
-        CountingEvaluator::with_options(eval, cfg.eval_retries, cfg.ctl.clone(), cfg.delta);
+    let counter = CountingEvaluator::new(eval, cfg.eval_retries, cfg.ctl.clone());
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let n = start.len();
@@ -68,18 +61,14 @@ pub fn simulated_annealing<E: Evaluator + ?Sized>(
     let mut temp = (current_score * cfg.initial_temp_frac).max(1.0);
 
     while counter.count() < cfg.max_evals && !counter.cancelled() {
+        let mut cand = current.clone();
         let from = rng.gen_range(0..n);
         let to = rng.gen_range(0..n);
         let amount = rng.gen_range(1..=(total / (4 * n)).max(1));
-        // The perturbation is emitted as a `Move` descriptor so the
-        // delta session knows exactly which two ranks it touches;
-        // `Move::apply` keeps the historical clamping semantics, so
-        // the visited-candidate sequence is unchanged.
-        let mv = Move::shift(from, to, amount);
-        let Some((cand, result)) = counter.eval_move(&current, &mv) else {
+        if !move_rows(&mut cand, from, to, amount) {
             continue;
-        };
-        let score = result.unwrap_or(f64::INFINITY);
+        }
+        let score = counter.eval_ns(&cand);
         history.observe(&counter, score);
         let accept = score <= current_score || {
             let p = (-(score - current_score) / temp).exp();

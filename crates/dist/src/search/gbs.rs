@@ -22,20 +22,11 @@ pub struct GbsConfig {
     /// Stop when the bracket is narrower than this fraction of a leg.
     pub tolerance: f64,
     /// Attempts per evaluation (1 = fail fast; see
-    /// [`CountingEvaluator::with_retries`]).
+    /// [`CountingEvaluator::new`]).
     pub eval_retries: u32,
     /// Optional shared portfolio control (incumbent + cancellation);
     /// see [`SearchCtl`].
     pub ctl: Option<Arc<SearchCtl>>,
-    /// Incremental (delta) evaluation of neighborhood steps against
-    /// the last probed point. Scores are bitwise-identical either way;
-    /// default on.
-    pub delta: bool,
-    /// Scoped worker threads for the opening anchor sweep (1 =
-    /// sequential, the default). Batched anchors settle their
-    /// counters/history after the joint evaluation, so convergence
-    /// points within one batch share an `evals` stamp.
-    pub anchor_threads: usize,
 }
 
 impl Default for GbsConfig {
@@ -45,8 +36,6 @@ impl Default for GbsConfig {
             tolerance: 0.02,
             eval_retries: 1,
             ctl: None,
-            delta: true,
-            anchor_threads: 1,
         }
     }
 }
@@ -57,8 +46,7 @@ pub fn gbs_search<E: Evaluator + ?Sized>(
     eval: &E,
     cfg: GbsConfig,
 ) -> SearchOutcome {
-    let counter =
-        CountingEvaluator::with_options(eval, cfg.eval_retries, cfg.ctl.clone(), cfg.delta);
+    let counter = CountingEvaluator::new(eval, cfg.eval_retries, cfg.ctl.clone());
     let mut history = History::new();
     let legs = path.legs().max(1) as f64;
 
@@ -70,9 +58,9 @@ pub fn gbs_search<E: Evaluator + ?Sized>(
         t: 0.0,
         score: f64::INFINITY,
     };
-    fn consider<E: Evaluator + ?Sized>(
+    fn consider(
         path: &SpectrumPath,
-        counter: &CountingEvaluator<'_, E>,
+        counter: &CountingEvaluator<'_>,
         history: &mut History,
         best: &mut Best,
         t: f64,
@@ -95,31 +83,12 @@ pub fn gbs_search<E: Evaluator + ?Sized>(
         s
     }
 
-    // Score every anchor first — batched on scoped threads when
-    // configured, sequentially otherwise.
-    if cfg.anchor_threads > 1 {
-        let remaining = cfg.max_evals.saturating_sub(counter.count());
-        let take = (path.legs() + 1).min(remaining);
-        if take > 0 && !counter.cancelled() {
-            let ts: Vec<f64> = (0..take).map(|i| i as f64 / legs).collect();
-            let cands: Vec<Vec<usize>> = ts.iter().map(|&t| path.at(t).rows().to_vec()).collect();
-            let results = counter.eval_batch(&cands, cfg.anchor_threads);
-            for (t, r) in ts.iter().zip(results) {
-                let s = r.unwrap_or(f64::INFINITY);
-                history.observe(&counter, s);
-                if s < best.score {
-                    best.score = s;
-                    best.t = *t;
-                }
-            }
+    // Score every anchor first.
+    for i in 0..=path.legs() {
+        if counter.count() >= cfg.max_evals || counter.cancelled() {
+            break;
         }
-    } else {
-        for i in 0..=path.legs() {
-            if counter.count() >= cfg.max_evals || counter.cancelled() {
-                break;
-            }
-            consider(path, &counter, &mut history, &mut best, i as f64 / legs);
-        }
+        consider(path, &counter, &mut history, &mut best, i as f64 / legs);
     }
 
     // Refine around the best anchor with golden-section search on the

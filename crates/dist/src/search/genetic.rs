@@ -9,10 +9,9 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::delta::Move;
 use crate::fitness::{CountingEvaluator, Evaluator, SearchCtl};
 use crate::genblock::GenBlock;
-use crate::search::{outcome, History, SearchOutcome};
+use crate::search::{move_rows, outcome, History, SearchOutcome};
 
 /// Tuning for [`genetic_search`].
 #[derive(Debug, Clone)]
@@ -26,15 +25,11 @@ pub struct GeneticConfig {
     /// RNG seed.
     pub seed: u64,
     /// Attempts per evaluation (1 = fail fast; see
-    /// [`CountingEvaluator::with_retries`]).
+    /// [`CountingEvaluator::new`]).
     pub eval_retries: u32,
     /// Optional shared portfolio control (incumbent + cancellation);
     /// see [`SearchCtl`].
     pub ctl: Option<Arc<SearchCtl>>,
-    /// Incremental (delta) evaluation of children against the last
-    /// evaluated individual. Scores are bitwise-identical either way;
-    /// default on.
-    pub delta: bool,
 }
 
 impl Default for GeneticConfig {
@@ -46,7 +41,6 @@ impl Default for GeneticConfig {
             seed: 0x6E6E6E,
             eval_retries: 1,
             ctl: None,
-            delta: true,
         }
     }
 }
@@ -61,8 +55,7 @@ pub fn genetic_search<E: Evaluator + ?Sized>(
     cfg: GeneticConfig,
 ) -> SearchOutcome {
     assert!(total >= n, "need at least one row per node");
-    let counter =
-        CountingEvaluator::with_options(eval, cfg.eval_retries, cfg.ctl.clone(), cfg.delta);
+    let counter = CountingEvaluator::new(eval, cfg.eval_retries, cfg.ctl.clone());
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
@@ -117,13 +110,11 @@ pub fn genetic_search<E: Evaluator + ?Sized>(
             .collect();
         let mut child = GenBlock::apportion(total, &weights).rows().to_vec();
 
-        // Post-crossover repair mutation, emitted as a `Move` (same
-        // clamping semantics as the historical in-place mutation).
         if rng.gen::<f64>() < cfg.mutation_rate {
             let from = rng.gen_range(0..n);
             let to = rng.gen_range(0..n);
             let amount = rng.gen_range(1..=(total / (4 * n)).max(1));
-            Move::shift(from, to, amount).apply_to(&mut child);
+            move_rows(&mut child, from, to, amount);
         }
 
         let score = counter.eval_ns(&child);

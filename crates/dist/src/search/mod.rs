@@ -19,7 +19,7 @@ pub use portfolio::{portfolio_search, PortfolioConfig, PortfolioOutcome, Strateg
 pub use random::{random_search, RandomConfig};
 
 use crate::delta::DeltaStats;
-use crate::fitness::{CountingEvaluator, EvalError, Evaluator, LatencyHistogram};
+use crate::fitness::{CountingEvaluator, EvalError, LatencyHistogram};
 use crate::genblock::GenBlock;
 
 /// One point on a search's convergence curve, recorded after every
@@ -63,8 +63,8 @@ pub struct SearchOutcome {
     /// Wall-clock latency histogram of the evaluator calls (the
     /// paper's per-evaluation cost axis: p50/p95/p99 in ns).
     pub eval_latency: LatencyHistogram,
-    /// Incremental-evaluation tallies (all zero when delta evaluation
-    /// was off or the evaluator has no delta session).
+    /// Incremental-evaluation tallies (all zero when the evaluator has
+    /// no incremental support).
     pub delta: DeltaStats,
 }
 
@@ -90,11 +90,7 @@ impl History {
 
     /// Record the outcome of one evaluation that just completed on
     /// `counter` with penalty-converted `score`.
-    pub(crate) fn observe<E: Evaluator + ?Sized>(
-        &mut self,
-        counter: &CountingEvaluator<'_, E>,
-        score: f64,
-    ) {
+    pub(crate) fn observe(&mut self, counter: &CountingEvaluator<'_>, score: f64) {
         if score.is_finite() {
             self.best = self.best.min(score);
             self.finite_sum += score;
@@ -118,8 +114,8 @@ impl History {
 /// Assemble a [`SearchOutcome`] from a finished search's counting
 /// evaluator plus the best candidate it found. Shared by all four
 /// search algorithms so the resilience tallies can never drift apart.
-pub(crate) fn outcome<E: Evaluator + ?Sized>(
-    counter: &CountingEvaluator<'_, E>,
+pub(crate) fn outcome(
+    counter: &CountingEvaluator<'_>,
     history: History,
     best: GenBlock,
     score_ns: f64,
@@ -156,11 +152,12 @@ pub(crate) fn move_rows(rows: &mut [usize], from: usize, to: usize, amount: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fitness::Evaluator;
 
     #[test]
     fn history_tracks_best_mean_and_tallies() {
         let f = |rows: &[usize]| rows[0] as f64;
-        let counter = CountingEvaluator::new(&f);
+        let counter = CountingEvaluator::new(&f, 1, None);
         let mut h = History::new();
         for rows in [[4usize], [2], [6]] {
             let s = counter.eval_ns(&rows);
@@ -180,7 +177,7 @@ mod tests {
     fn history_mean_ignores_penalty_scores() {
         let mut h = History::new();
         let f = |_: &[usize]| 1.0;
-        let counter = CountingEvaluator::new(&f);
+        let counter = CountingEvaluator::new(&f, 1, None);
         counter.eval_ns(&[1]);
         h.observe(&counter, f64::INFINITY);
         assert_eq!(h.points[0].best_ns, f64::INFINITY);

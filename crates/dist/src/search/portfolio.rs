@@ -62,7 +62,8 @@ impl Strategy {
 pub struct PortfolioConfig {
     /// Evaluation budget granted to *each* strategy.
     pub max_evals_per_strategy: usize,
-    /// Attempts per evaluation (see `CountingEvaluator::with_retries`).
+    /// Attempts per evaluation (see
+    /// [`CountingEvaluator::new`](crate::fitness::CountingEvaluator::new)).
     pub eval_retries: u32,
     /// Base RNG seed; each stochastic strategy derives its own from it.
     pub seed: u64,
@@ -81,11 +82,6 @@ pub struct PortfolioConfig {
     /// its incumbent-best, so an expired deadline degrades the answer
     /// instead of discarding it.
     pub deadline: Option<std::time::Instant>,
-    /// Incremental (delta) evaluation for GBS, genetic, and annealing.
-    /// Random search always evaluates in full — it is the experiment's
-    /// control arm (its candidates share nothing with an incumbent).
-    /// Scores are bitwise-identical either way; default on.
-    pub delta: bool,
 }
 
 impl Default for PortfolioConfig {
@@ -98,7 +94,6 @@ impl Default for PortfolioConfig {
             stall_evals: 0,
             target_ns: 0.0,
             deadline: None,
-            delta: true,
         }
     }
 }
@@ -132,7 +127,8 @@ pub struct PortfolioOutcome {
     /// Bucket-exact merge of every strategy's evaluation latency.
     pub eval_latency: LatencyHistogram,
     /// Exact sum of every strategy's incremental-evaluation tallies
-    /// (random contributes zeros — it is the full-eval control).
+    /// (random's samples share nothing with a base, so they land in
+    /// `fallback_all_dirty`).
     pub delta: DeltaStats,
     /// Whether a cancellation criterion tripped before all strategies
     /// exhausted their budgets.
@@ -184,7 +180,6 @@ pub fn portfolio_search<E: Evaluator + Sync + ?Sized>(
                     max_evals: cfg.max_evals_per_strategy,
                     eval_retries: cfg.eval_retries,
                     ctl,
-                    delta: cfg.delta,
                     ..GbsConfig::default()
                 },
             ),
@@ -198,7 +193,6 @@ pub fn portfolio_search<E: Evaluator + Sync + ?Sized>(
                     eval_retries: cfg.eval_retries,
                     seed: cfg.seed ^ 0x6E6E,
                     ctl,
-                    delta: cfg.delta,
                     ..GeneticConfig::default()
                 },
             ),
@@ -210,7 +204,6 @@ pub fn portfolio_search<E: Evaluator + Sync + ?Sized>(
                     eval_retries: cfg.eval_retries,
                     seed: cfg.seed ^ 0xA11E,
                     ctl,
-                    delta: cfg.delta,
                     ..AnnealingConfig::default()
                 },
             ),

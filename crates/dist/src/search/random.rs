@@ -18,7 +18,7 @@ pub struct RandomConfig {
     /// RNG seed.
     pub seed: u64,
     /// Attempts per evaluation (1 = fail fast; see
-    /// [`CountingEvaluator::with_retries`]).
+    /// [`CountingEvaluator::new`]).
     pub eval_retries: u32,
     /// Optional shared portfolio control (incumbent + cancellation);
     /// see [`SearchCtl`].
@@ -44,7 +44,7 @@ pub fn random_search<E: Evaluator + ?Sized>(
     cfg: RandomConfig,
 ) -> SearchOutcome {
     assert!(total >= n, "need at least one row per node");
-    let counter = CountingEvaluator::with_control(eval, cfg.eval_retries, cfg.ctl.clone());
+    let counter = CountingEvaluator::new(eval, cfg.eval_retries, cfg.ctl.clone());
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 

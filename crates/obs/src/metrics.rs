@@ -96,86 +96,10 @@ impl RankBreakdown {
     }
 }
 
-/// A power-of-two-bucketed latency histogram (nanoseconds).
-///
-/// Bucket `i` counts samples in `[2^(i-1), 2^i)` ns, with bucket 0
-/// counting zero-valued samples. 65 buckets cover the full `u64`
-/// range, so recording never saturates.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Histogram {
-    /// Per-bucket sample counts.
-    pub buckets: Vec<u64>,
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of all samples, ns.
-    pub sum_ns: u64,
-    /// Smallest sample, ns (0 when empty).
-    pub min_ns: u64,
-    /// Largest sample, ns (0 when empty).
-    pub max_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: vec![0; 65],
-            count: 0,
-            sum_ns: 0,
-            min_ns: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Record one sample.
-    pub fn record(&mut self, ns: u64) {
-        let idx = if ns == 0 {
-            0
-        } else {
-            64 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.sum_ns += ns;
-    }
-
-    /// Mean sample value, ns (0 when empty).
-    #[must_use]
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0 ≤ q ≤ 1.0`); 0 when empty. Quantiles from a log₂
-    /// histogram are bucket-resolution approximations.
-    #[must_use]
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        self.max_ns
-    }
-}
+/// The power-of-two-bucketed latency histogram (nanoseconds) of
+/// [`Metrics::histograms`]: the workspace's one log₂ histogram type,
+/// under the name this crate has always exported it by.
+pub use mheta_dist::LatencyHistogram as Histogram;
 
 /// The metrics registry for one run: per-rank breakdowns, named
 /// counters, and named latency histograms. Keys are sorted (`BTreeMap`)
@@ -555,6 +479,17 @@ mod tests {
         assert!(h.quantile_ns(0.5) >= 2);
         assert!(h.quantile_ns(1.0) >= 1000);
         assert!(h.mean_ns() > 0.0);
+    }
+
+    #[test]
+    fn histogram_saturates_instead_of_overflowing() {
+        let mut h = Histogram::default();
+        h.record(u64::MAX);
+        h.record(u64::MAX);
+        assert_eq!(h.count, 2);
+        assert_eq!(h.sum_ns, u64::MAX, "the sum saturates");
+        assert_eq!(h.quantile_ns(1.0), u64::MAX, "the top bucket's bound");
+        assert!(h.mean_ns().is_finite());
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub fn latency_value(h: &LatencyHistogram) -> Value {
 /// Incremental-evaluation tallies as a JSON value: the
 /// `delta_hits / full_evals / terms_reused / fallback_*` counters a
 /// delta session accumulated, plus the derived hit rate. All zero when
-/// delta evaluation was off or unavailable.
+/// the evaluator has no incremental support.
 #[must_use]
 pub fn delta_value(d: &DeltaStats) -> Value {
     Value::object(vec![
@@ -229,8 +229,8 @@ mod tests {
         assert_eq!(v.get("fallback_cold").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("hit_rate").unwrap().as_f64(), Some(0.75));
 
-        // Random search is the full-eval control arm: its delta block
-        // must be present and all-zero.
+        // A closure evaluator has no incremental support: its delta
+        // block must be present and all-zero.
         let out = outcome();
         let sv = search_value("random", &out);
         let dv = sv.get("delta").unwrap();

@@ -53,10 +53,7 @@ impl SearchParams {
     /// The equivalent portfolio configuration. The deadline is not a
     /// search *parameter* — it is per-request operational state (see
     /// [`crate::planner::Planner::plan_opts`]) and deliberately absent
-    /// from both this struct and the canonical cache key. Likewise the
-    /// delta-evaluation switch: incremental evaluation is
-    /// bitwise-identical to full evaluation, so it cannot change a
-    /// plan and must not split the cache.
+    /// from both this struct and the canonical cache key.
     #[must_use]
     pub fn to_portfolio(&self) -> PortfolioConfig {
         PortfolioConfig {
@@ -67,7 +64,6 @@ impl SearchParams {
             stall_evals: self.stall_evals,
             target_ns: self.target_ns,
             deadline: None,
-            delta: true,
         }
     }
 }

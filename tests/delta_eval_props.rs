@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use mheta::core::RankCost;
-use mheta::dist::{DeltaEvaluator, DeltaModel, DeltaSession, EvalError, Evaluator, Move};
+use mheta::dist::{DeltaEvaluator, DeltaModel, DeltaSession, EvalError, Evaluator};
 use mheta::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -54,30 +54,41 @@ fn random_distribution(rng: &mut SmallRng, total: usize, n: usize) -> Vec<usize>
     GenBlock::apportion(total, &weights).rows().to_vec()
 }
 
-/// A random move in the searches' vocabulary: mostly boundary shifts
-/// (the SA/GBS step), plus swaps and k-rank redistributions (the GA
-/// repair step).
-fn random_move(rng: &mut SmallRng, rows: &[usize]) -> Move {
+/// Apply a random move in the searches' vocabulary to `rows` in place:
+/// mostly boundary shifts (the SA/GBS step, clamped so the donor keeps
+/// one row), plus swaps and 3-rank cycles (the GA repair step). Returns
+/// `false`, leaving `rows` untouched, when the move is a no-op.
+fn random_move(rng: &mut SmallRng, rows: &mut [usize]) -> bool {
     let n = rows.len();
     match rng.gen_range(0u32..10) {
-        0..=6 => Move::shift(
-            rng.gen_range(0..n),
-            rng.gen_range(0..n),
-            rng.gen_range(1..=4),
-        ),
-        7 | 8 => Move::swap(rng.gen_range(0..n), rng.gen_range(0..n)),
+        0..=6 => {
+            let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let amount = rng.gen_range(1..=4usize).min(rows[from] - 1);
+            if from == to || amount == 0 {
+                return false;
+            }
+            rows[from] -= amount;
+            rows[to] += amount;
+        }
+        7 | 8 => {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a == b {
+                return false;
+            }
+            rows.swap(a, b);
+        }
         _ => {
             // A 3-rank cycle that preserves the total and the one-row
             // minimum: each listed rank takes its left neighbor's count.
             let i = rng.gen_range(0..n);
             let (j, k) = ((i + 1) % n, (i + 2) % n);
-            Move::Redistribute(vec![(i, rows[k]), (j, rows[i]), (k, rows[j])])
+            (rows[i], rows[j], rows[k]) = (rows[k], rows[i], rows[j]);
         }
     }
+    true
 }
 
 /// Wraps a model so every Nth `rank_cost` call fails, deterministically.
-/// `Sync` (a `DeltaModel` requirement) via an atomic call counter.
 struct FaultyMheta<'a> {
     inner: &'a Mheta,
     calls: AtomicU64,
@@ -129,10 +140,11 @@ proptest! {
                 // all-dirty / many-dirty paths.
                 random_distribution(&mut rng, *total, n)
             } else {
-                match random_move(&mut rng, &current).apply(&current) {
-                    Some(c) => c,
-                    None => continue,
+                let mut cand = current.clone();
+                if !random_move(&mut rng, &mut cand) {
+                    continue;
                 }
+                cand
             };
             let incremental = session.try_eval_ns(&cand).expect(name);
             let full = model.try_eval_ns(&cand).expect(name);
@@ -170,10 +182,10 @@ proptest! {
         let mut current = random_distribution(&mut rng, *total, n);
         let mut failures = 0usize;
         for _ in 0..32 {
-            let cand = match random_move(&mut rng, &current).apply(&current) {
-                Some(c) => c,
-                None => continue,
-            };
+            let mut cand = current.clone();
+            if !random_move(&mut rng, &mut cand) {
+                continue;
+            }
             match session.try_eval_ns(&cand) {
                 Ok(incremental) => {
                     let full = model.try_eval_ns(&cand).expect(name);
@@ -193,41 +205,6 @@ proptest! {
         let stats = session.stats();
         prop_assert!(failures > 0, "{}: fault injection never fired", name);
         prop_assert_eq!(stats.fallback_error, failures as u64);
-    }
-
-    /// Batched (scoped-thread) evaluation answers bitwise-identically
-    /// to sequential full evaluation, in candidate order.
-    #[test]
-    fn batched_evaluation_matches_full_bitwise(
-        which in 0usize..1000,
-        seed in any::<u64>(),
-        threads in 1usize..5,
-    ) {
-        let (name, model, total) = &models()[which % models().len()];
-        let n = model.arch().len();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut session = DeltaEvaluator::new(model);
-
-        let base = random_distribution(&mut rng, *total, n);
-        session.try_eval_ns(&base).expect(name);
-        session.note_accept(&base);
-
-        let mut cands = Vec::new();
-        while cands.len() < 9 {
-            if let Some(c) = random_move(&mut rng, &base).apply(&base) {
-                cands.push(c);
-            }
-        }
-        let batched = session.eval_batch(&cands, threads);
-        prop_assert_eq!(batched.len(), cands.len());
-        for (cand, res) in cands.iter().zip(&batched) {
-            let incremental = res.as_ref().expect(name);
-            let full = model.try_eval_ns(cand).expect(name);
-            prop_assert_eq!(
-                incremental.to_bits(), full.to_bits(),
-                "{}: batched eval diverged on {:?}", name, cand
-            );
-        }
     }
 }
 

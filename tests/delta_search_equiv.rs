@@ -1,20 +1,64 @@
-//! Search-equivalence regressions for delta evaluation: turning the
-//! incremental evaluator on must not change *anything* a search does —
-//! not the best distribution, not its score bits, and not even the
-//! sequence of candidates visited. A recording evaluator (which
-//! forwards its delta session so both modes log at the same seam) pins
-//! the visited-candidate sequences; the portfolio test additionally
-//! checks that delta evaluation actually engages (`delta_hits > 0`)
-//! while leaving the incumbent unchanged.
+//! Search-equivalence regressions for delta evaluation: scoring through
+//! the model's caching session must not change *anything* a search does
+//! — not the best distribution, not its score bits, and not even the
+//! sequence of candidates visited. The control arm is the *reference*
+//! kept for exactly this purpose: the same model behind a wrapper with
+//! no session of its own, so every candidate is a from-scratch
+//! `Mheta::try_eval_ns`. Recording evaluators log the visited-candidate
+//! sequence at the same seam on both arms; the portfolio test
+//! additionally checks that delta evaluation actually engages
+//! (`delta_hits > 0`) while leaving the incumbent unchanged.
 
 use std::cell::RefCell;
 
 use mheta::dist::{
-    gbs_search, genetic_search, portfolio_search, simulated_annealing, AnnealingConfig,
-    DeltaSession, EvalError, Evaluator, GbsConfig, GenBlock, GeneticConfig, PortfolioConfig,
-    SearchOutcome,
+    gbs_search, genetic_search, portfolio_search, random_search, simulated_annealing,
+    AnnealingConfig, DeltaSession, EvalError, Evaluator, FallibleFn, GbsConfig, GenBlock,
+    GeneticConfig, PortfolioConfig, RandomConfig, SearchOutcome,
 };
 use mheta::prelude::*;
+
+/// The session-less reference arm: logs every candidate and scores it
+/// with a from-scratch `Mheta::try_eval_ns`. It inherits the default
+/// session — stateless, full evaluation, all-zero stats.
+struct Reference<'a> {
+    model: &'a Mheta,
+    log: RefCell<Vec<Vec<usize>>>,
+}
+
+impl<'a> Reference<'a> {
+    fn new(model: &'a Mheta) -> Self {
+        Reference {
+            model,
+            log: RefCell::new(Vec::new()),
+        }
+    }
+}
+
+impl Evaluator for Reference<'_> {
+    fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
+        self.log.borrow_mut().push(rows.to_vec());
+        self.model.try_eval_ns(rows)
+    }
+}
+
+/// The session-backed arm: the same log, but candidates reach the model
+/// through its caching session. Either way, one log entry per logical
+/// candidate, in visit order.
+struct Recorder<'a>(Reference<'a>);
+
+impl Evaluator for Recorder<'_> {
+    fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
+        self.0.try_eval_ns(rows)
+    }
+
+    fn delta_session(&self) -> Box<dyn DeltaSession + '_> {
+        Box::new(RecordingSession {
+            inner: self.0.model.delta_session(),
+            log: &self.0.log,
+        })
+    }
+}
 
 /// Logs every candidate an inner delta session is asked to evaluate.
 struct RecordingSession<'a> {
@@ -28,15 +72,6 @@ impl DeltaSession for RecordingSession<'_> {
         self.inner.try_eval_ns(rows)
     }
 
-    fn eval_batch(
-        &mut self,
-        candidates: &[Vec<usize>],
-        threads: usize,
-    ) -> Vec<Result<f64, EvalError>> {
-        self.log.borrow_mut().extend(candidates.iter().cloned());
-        self.inner.eval_batch(candidates, threads)
-    }
-
     fn note_accept(&mut self, rows: &[usize]) {
         self.inner.note_accept(rows);
     }
@@ -46,41 +81,29 @@ impl DeltaSession for RecordingSession<'_> {
     }
 }
 
-/// An evaluator that records the visited-candidate sequence on both
-/// paths: direct full evaluations land in the log via `try_eval_ns`,
-/// delta evaluations via the forwarded [`RecordingSession`]. Either
-/// way, one log entry per logical candidate, in visit order.
-struct Recorder<'a> {
-    model: &'a Mheta,
-    log: RefCell<Vec<Vec<usize>>>,
-}
-
-impl<'a> Recorder<'a> {
-    fn new(model: &'a Mheta) -> Self {
-        Recorder {
-            model,
-            log: RefCell::new(Vec::new()),
-        }
-    }
-
-    fn visited(&self) -> Vec<Vec<usize>> {
-        self.log.borrow().clone()
-    }
-}
-
-impl Evaluator for Recorder<'_> {
-    fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
-        self.log.borrow_mut().push(rows.to_vec());
-        self.model.try_eval_ns(rows)
-    }
-
-    fn delta_session(&self) -> Option<Box<dyn DeltaSession + '_>> {
-        let inner = self.model.delta_session()?;
-        Some(Box::new(RecordingSession {
-            inner,
-            log: &self.log,
-        }))
-    }
+/// Run `search` on both arms and require indistinguishable outcomes and
+/// identical visited-candidate sequences; returns the session-backed
+/// and reference outcomes for arm-specific assertions.
+fn run_both(
+    model: &Mheta,
+    what: &str,
+    search: impl Fn(&dyn Evaluator) -> SearchOutcome,
+) -> (SearchOutcome, SearchOutcome) {
+    let rec = Recorder(Reference::new(model));
+    let on = search(&rec);
+    let reference = Reference::new(model);
+    let off = search(&reference);
+    assert_equivalent(&on, &off, what);
+    assert_eq!(
+        rec.0.log, reference.log,
+        "{what}: visited-candidate sequences differ"
+    );
+    assert_eq!(
+        off.delta.total(),
+        0,
+        "{what}: the reference tallies nothing"
+    );
+    (on, off)
 }
 
 fn model() -> (Mheta, usize, usize) {
@@ -127,55 +150,36 @@ fn assert_equivalent(on: &SearchOutcome, off: &SearchOutcome, what: &str) {
 
 #[test]
 fn gbs_delta_on_off_equivalent() {
-    let (model, total, _) = model();
-    let inputs = mheta::apps::anchor_inputs(&model);
-    let path = SpectrumPath::new(&inputs);
-    let _ = total;
-    let run = |delta: bool| {
-        let rec = Recorder::new(&model);
-        let out = gbs_search(
+    let (model, _, _) = model();
+    let path = SpectrumPath::new(&mheta::apps::anchor_inputs(&model));
+    let (on, _) = run_both(&model, "gbs", |eval| {
+        gbs_search(
             &path,
-            &rec,
+            eval,
             GbsConfig {
                 max_evals: 48,
-                delta,
                 ..GbsConfig::default()
             },
-        );
-        (out, rec.visited())
-    };
-    let (on, seq_on) = run(true);
-    let (off, seq_off) = run(false);
-    assert_equivalent(&on, &off, "gbs");
-    assert_eq!(seq_on, seq_off, "gbs: visited-candidate sequences differ");
-    assert_eq!(off.delta.total(), 0, "delta off must tally nothing");
+        )
+    });
+    assert!(on.delta.delta_hits > 0, "gbs never hit the delta path");
 }
 
 #[test]
 fn genetic_delta_on_off_equivalent() {
     let (model, total, n) = model();
-    let run = |delta: bool| {
-        let rec = Recorder::new(&model);
-        let out = genetic_search(
+    let (on, _) = run_both(&model, "genetic", |eval| {
+        genetic_search(
             total,
             n,
             &[],
-            &rec,
+            eval,
             GeneticConfig {
                 max_evals: 64,
-                delta,
                 ..GeneticConfig::default()
             },
-        );
-        (out, rec.visited())
-    };
-    let (on, seq_on) = run(true);
-    let (off, seq_off) = run(false);
-    assert_equivalent(&on, &off, "genetic");
-    assert_eq!(
-        seq_on, seq_off,
-        "genetic: visited-candidate sequences differ"
-    );
+        )
+    });
     assert!(on.delta.total() > 0, "delta session never engaged");
 }
 
@@ -183,26 +187,16 @@ fn genetic_delta_on_off_equivalent() {
 fn annealing_delta_on_off_equivalent() {
     let (model, total, n) = model();
     let start = GenBlock::block(total, n);
-    let run = |delta: bool| {
-        let rec = Recorder::new(&model);
-        let out = simulated_annealing(
+    let (on, _) = run_both(&model, "annealing", |eval| {
+        simulated_annealing(
             &start,
-            &rec,
+            eval,
             AnnealingConfig {
                 max_evals: 64,
-                delta,
                 ..AnnealingConfig::default()
             },
-        );
-        (out, rec.visited())
-    };
-    let (on, seq_on) = run(true);
-    let (off, seq_off) = run(false);
-    assert_equivalent(&on, &off, "annealing");
-    assert_eq!(
-        seq_on, seq_off,
-        "annealing: visited-candidate sequences differ"
-    );
+        )
+    });
     // SA perturbs single boundaries against an accepted base: the
     // delta fast path must actually fire.
     assert!(
@@ -211,18 +205,46 @@ fn annealing_delta_on_off_equivalent() {
     );
 }
 
+/// Random search goes through the same seam as the other three: its
+/// samples share (almost) nothing with a base, so the session answers
+/// them in full — every evaluation tallied, none of them changed.
+#[test]
+fn random_search_is_unchanged_by_the_session() {
+    let (model, total, n) = model();
+    let (on, _) = run_both(&model, "random", |eval| {
+        random_search(
+            total,
+            n,
+            eval,
+            RandomConfig {
+                max_evals: 64,
+                ..RandomConfig::default()
+            },
+        )
+    });
+    assert_eq!(
+        on.delta.total(),
+        on.evaluations as u64,
+        "every random sample is tallied by the session"
+    );
+    assert!(
+        on.delta.full_evals > on.delta.delta_hits,
+        "random samples are mostly all-dirty: {:?}",
+        on.delta
+    );
+}
+
 #[test]
 fn portfolio_delta_engages_without_changing_the_incumbent() {
     let (model, _, _) = model();
-    let inputs = mheta::apps::anchor_inputs(&model);
-    let path = SpectrumPath::new(&inputs);
-    let cfg = |delta: bool| PortfolioConfig {
+    let path = SpectrumPath::new(&mheta::apps::anchor_inputs(&model));
+    let cfg = PortfolioConfig {
         max_evals_per_strategy: 40,
-        delta,
         ..PortfolioConfig::default()
     };
-    let on = portfolio_search(&path, &model, cfg(true));
-    let off = portfolio_search(&path, &model, cfg(false));
+    let on = portfolio_search(&path, &model, cfg.clone());
+    let reference = FallibleFn(|rows: &[usize]| model.try_eval_ns(rows));
+    let off = portfolio_search(&path, &reference, cfg);
     assert_eq!(
         on.best.best.rows(),
         off.best.best.rows(),
@@ -234,21 +256,13 @@ fn portfolio_delta_engages_without_changing_the_incumbent() {
         "portfolio incumbent score changed"
     );
     assert_eq!(on.winner, off.winner, "portfolio winner changed");
+    assert_eq!(
+        on.total_evals, off.total_evals,
+        "portfolio evaluation count"
+    );
     assert!(
         on.delta.delta_hits > 0,
         "portfolio never hit the delta path"
     );
-    assert_eq!(off.delta.total(), 0, "delta off must tally nothing");
-    // Random is the full-eval control arm: its run contributes no
-    // delta tallies even when delta is on.
-    let random = on
-        .runs
-        .iter()
-        .find(|r| r.strategy.name() == "random")
-        .expect("random strategy present");
-    assert_eq!(
-        random.outcome.delta.total(),
-        0,
-        "random must stay full-eval"
-    );
+    assert_eq!(off.delta.total(), 0, "the reference tallies nothing");
 }
