@@ -31,15 +31,24 @@
 //! strategy guarantee. Its throughput numbers are wall-clock and
 //! informational in `--check` mode; only the block's presence is
 //! compared against the baseline.
+//!
+//! The `search` block times the distribution-search hot path on
+//! Jacobi@DC: `delta` gates the session's speedup over session-less
+//! full evaluation at runtime, and `kernel` reports what one session
+//! evaluation costs — wall-clock and informational, except its
+//! allocation count, which `--check` requires to be exactly zero.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use mheta_apps::{
     percent_difference, run_adaptive, run_observed, AdaptiveConfig, Benchmark, Jacobi,
 };
-use mheta_bench::{experiment_iters, Flags};
+use mheta_bench::{experiment_iters, kernel_candidates, Flags};
 use mheta_dist::{
     gbs_search, genetic_search, portfolio_search, random_search, simulated_annealing,
-    AnnealingConfig, CountingEvaluator, Evaluator, FallibleFn, GbsConfig, GenBlock, GeneticConfig,
-    PortfolioConfig, RandomConfig, SpectrumPath,
+    AnnealingConfig, CountingEvaluator, DeltaEvaluator, DeltaSession, Evaluator, FallibleFn,
+    GbsConfig, GenBlock, GeneticConfig, PortfolioConfig, RandomConfig, SpectrumPath,
 };
 use mheta_obs::{latency_value, AuditReport, TraceContext};
 use mheta_serve::{
@@ -47,6 +56,40 @@ use mheta_serve::{
 };
 use mheta_sim::{presets, ClusterSpec};
 use serde::Value;
+
+thread_local! {
+    /// Heap allocations (and reallocations) made by this thread: what
+    /// the `search.kernel` block counts around its evaluation loops.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell<u64>` with no destructor, so touching it cannot
+// allocate or re-enter the allocator.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through as given.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// One (architecture, application) measurement.
 struct Entry {
@@ -231,7 +274,7 @@ fn check_against(baseline: &Value, fresh: &Value) -> Vec<String> {
             problems.push("serving: block missing from fresh run".to_string());
         }
     }
-    // Likewise the search.delta block: its >=2x wall-time gate and
+    // Likewise the search.delta block: its wall-time speedup gate and
     // bitwise score identity rerun every time; the baseline comparison
     // only requires the block (its wall-clock timings are
     // informational, like eval_latency).
@@ -254,6 +297,23 @@ fn check_against(baseline: &Value, fresh: &Value) -> Vec<String> {
             .unwrap_or(false);
         if !present {
             problems.push("search.delta: block missing from fresh run".to_string());
+        }
+    }
+    // The search.kernel block: its timings are informational, its
+    // allocation count is not — a warm session evaluates out of its own
+    // slabs, so anything but zero is a regression of the kernel.
+    let kernel = |doc: &Value| {
+        doc.get("search")
+            .and_then(|s| s.get("kernel"))
+            .map(|k| k.get("allocs_per_eval").and_then(Value::as_f64))
+    };
+    if kernel(baseline).is_some() {
+        match kernel(fresh).flatten() {
+            None => problems.push("search.kernel: block missing from fresh run".to_string()),
+            Some(allocs) if allocs > 0.0 => problems.push(format!(
+                "search.kernel: {allocs} heap allocations per session evaluation (must be 0)"
+            )),
+            Some(_) => {}
         }
     }
     problems
@@ -801,24 +861,22 @@ fn serving_entry(smoke: bool) -> Value {
 ///    same model behind a session-less wrapper) finds at the same seed
 ///    and budget (the delta engine may only change cost, never
 ///    results);
-/// 2. **Speedup** — each search must run at least 2x faster than its
-///    full-eval twin (best-of-5 interleaved windows, so machine drift
-///    hits both sides symmetrically).
+/// 2. **Speedup** — each search must run at least 1.5x faster than
+///    its full-eval twin (best-of-5 interleaved windows, so machine
+///    drift hits both sides symmetrically). The bar was 2x under a
+///    measured 2.9-3.0x while `predict()` cost ~8 us; the lowered
+///    kernel cut that reference to ~1.9 us but cannot shrink a search's
+///    fixed per-candidate work (clock reads, history, RNG), so the
+///    measured ratio is now 2.0-2.5x and the bar keeps its old
+///    proportion to it.
 ///
 /// The recorded wall-clock timings are informational in `--check`
 /// mode; only the block's presence is compared against the baseline.
-fn search_delta_entry(smoke: bool) -> Value {
-    let bench = if smoke {
-        Benchmark::Jacobi(Jacobi::small())
-    } else {
-        Benchmark::Jacobi(Jacobi::default())
-    };
-    let spec = presets::dc();
-    let model = mheta_apps::build_model(&bench, &spec, false).expect("model");
-    let path = SpectrumPath::new(&mheta_apps::anchor_inputs(&model));
+fn search_delta_entry(bench: &Benchmark, spec: &ClusterSpec, model: &mheta_core::Mheta) -> Value {
+    let path = SpectrumPath::new(&mheta_apps::anchor_inputs(model));
     let blk = GenBlock::block(bench.total_rows(), spec.len());
     let budget = 512usize;
-    let min_speedup = 2.0;
+    let min_speedup = 1.5;
 
     // Time `reps` back-to-back runs per window; take each side's best
     // of 5 interleaved windows. A single GBS run converges in tens of
@@ -843,7 +901,7 @@ fn search_delta_entry(smoke: bool) -> Value {
     type Run<'a> = &'a dyn Fn(&dyn Evaluator) -> mheta_dist::SearchOutcome;
     let gate = |which: &str, reps: usize, run: Run<'_>| {
         let (full_secs, full) = time_best(reps, &|| run(&reference));
-        let (delta_secs, delta) = time_best(reps, &|| run(&model));
+        let (delta_secs, delta) = time_best(reps, &|| run(model));
         if delta.score_ns.to_bits() != full.score_ns.to_bits()
             || delta.best.rows() != full.best.rows()
         {
@@ -913,17 +971,81 @@ fn search_delta_entry(smoke: bool) -> Value {
         )
     });
 
-    Value::object(vec![(
-        "delta",
-        Value::object(vec![
-            ("arch", Value::Str(spec.name.clone())),
-            ("app", Value::Str(bench.name().to_string())),
-            ("budget", Value::UInt(budget as u64)),
-            ("min_speedup", Value::Float(min_speedup)),
-            ("gbs", gbs),
-            ("annealing", annealing),
-        ]),
-    )])
+    Value::object(vec![
+        ("arch", Value::Str(spec.name.clone())),
+        ("app", Value::Str(bench.name().to_string())),
+        ("budget", Value::UInt(budget as u64)),
+        ("min_speedup", Value::Float(min_speedup)),
+        ("gbs", gbs),
+        ("annealing", annealing),
+    ])
+}
+
+/// What one evaluation through a warm session costs, on the same
+/// model: a *full* evaluation (every rank's row count differs from the
+/// base, so every leaf is recomputed and the result becomes the next
+/// base) and a *delta* evaluation (a one-row shift between two ranks
+/// against an unchanging base: two leaves recomputed, the rest
+/// copied), each the best of five windows; and the heap allocations
+/// the two loops made per evaluation, which must be zero.
+fn search_kernel_entry(bench: &Benchmark, spec: &ClusterSpec, model: &mheta_core::Mheta) -> Value {
+    let (total, n) = (bench.total_rows(), spec.len());
+    let blk = GenBlock::block(total, n).rows().to_vec();
+    let (fulls, deltas) = kernel_candidates(&blk);
+
+    let evals = 20_000usize;
+    let mut session = DeltaEvaluator::new(model);
+    let mut window = |cands: &[Vec<usize>; 2]| {
+        session.note_accept(&blk);
+        let mut best = f64::INFINITY;
+        let mut allocs = 0;
+        for _ in 0..5 {
+            let before = ALLOCATIONS.with(Cell::get);
+            let t = std::time::Instant::now();
+            for i in 0..evals {
+                let score = session.try_eval_ns(&cands[i % 2]);
+                std::hint::black_box(score.expect("a valid distribution"));
+            }
+            best = best.min(t.elapsed().as_secs_f64() / evals as f64);
+            allocs += ALLOCATIONS.with(Cell::get) - before;
+        }
+        (best * 1e9, allocs)
+    };
+    let (full_ns, full_allocs) = window(&fulls);
+    let (delta_ns, delta_allocs) = window(&deltas);
+    let stats = session.stats();
+    assert!(
+        stats.fallback_all_dirty >= 5 * evals as u64 && stats.delta_hits >= 5 * evals as u64,
+        "the two loops took the paths they are named for: {stats:?}"
+    );
+    let allocs_per_eval = (full_allocs + delta_allocs) as f64 / (10 * evals) as f64;
+    println!(
+        "search    {} kernel  full eval {full_ns:>6.0} ns  2-dirty delta {delta_ns:>6.0} ns  \
+         {allocs_per_eval} allocations/eval",
+        spec.name
+    );
+    Value::object(vec![
+        ("arch", Value::Str(spec.name.clone())),
+        ("app", Value::Str(bench.name().to_string())),
+        ("full_eval_ns", Value::Float(full_ns)),
+        ("delta_eval_ns", Value::Float(delta_ns)),
+        ("allocs_per_eval", Value::Float(allocs_per_eval)),
+    ])
+}
+
+/// The `search` block: both scenarios on one Jacobi@DC model.
+fn search_entry(smoke: bool) -> Value {
+    let bench = if smoke {
+        Benchmark::Jacobi(Jacobi::small())
+    } else {
+        Benchmark::Jacobi(Jacobi::default())
+    };
+    let spec = presets::dc();
+    let model = mheta_apps::build_model(&bench, &spec, false).expect("model");
+    Value::object(vec![
+        ("delta", search_delta_entry(&bench, &spec, &model)),
+        ("kernel", search_kernel_entry(&bench, &spec, &model)),
+    ])
 }
 
 fn main() {
@@ -1018,7 +1140,7 @@ fn main() {
 
     let adaptive = adaptive_entry(smoke, &specs);
     let serving = serving_entry(smoke);
-    let search = search_delta_entry(smoke);
+    let search = search_entry(smoke);
     let doc = suite_value(name, &entries, &adaptive, &serving, &search);
     std::fs::write(&out_path, doc.to_json_pretty()).expect("write suite json");
     println!("\nwrote {out_path}");

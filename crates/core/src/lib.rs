@@ -51,8 +51,8 @@ pub use fileio::{load_model, save_model};
 pub use instrument::{build_node_profile, build_profile};
 pub use microbench::{measure_arch, measure_comm, measure_disk};
 pub use model::{
-    Mheta, NodeBreakdown, PredictOptions, Prediction, RankCost, RankTerms, ReductionModel,
-    SectionCost, SectionTerms, StageTerms, TermBreakdown,
+    Mheta, NodeBreakdown, PredictOptions, Prediction, RankTerms, ReductionModel, SectionTerms,
+    StageTerms, TermBreakdown,
 };
 pub use ooc::{plan_node, VarPlan};
 pub use params::{ArchParams, CommParams, DiskParams};

@@ -28,15 +28,16 @@
 //!   is the slowest node.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use mheta_mpi::{model_allreduce, HopCost, Scope};
+use mheta_mpi::{model_allreduce_in_place, HopCost, Scope};
 use mheta_sim::VarId;
 
 use crate::error::ModelError;
-use crate::ooc::{plan_node, VarPlan};
+use crate::ooc::{plan_node, plan_rows, VarPlan};
 use crate::params::ArchParams;
 use crate::profile::InstrumentedProfile;
-use crate::structure::{CommPattern, ProgramStructure, SectionSpec, StageSpec};
+use crate::structure::{CommPattern, ProgramStructure};
 
 /// Per-node cost decomposition of one predicted iteration.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -208,48 +209,6 @@ impl RankTerms {
     }
 }
 
-/// Per-rank cost leaves of one section: everything the clock
-/// propagation needs from this rank, computed from its row count
-/// alone. Cross-rank coupling (neighbor waits, collectives, pipeline
-/// arrivals) enters only at assembly time
-/// ([`Mheta::predict_from_costs`]), never into these leaves — which is
-/// what makes caching them safe under any change to *other* ranks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SectionCost {
-    /// Section id.
-    pub section: u32,
-    /// Per-tile compute + I/O clock advance, in tile order. Pipelined
-    /// sections carry one entry per tile; all other patterns evaluate
-    /// a single tile.
-    pub tile_totals: Vec<f64>,
-    /// Per-stage terms accumulated over the evaluated tiles, in stage
-    /// order — the [`SectionTerms::stages`] leaves of a full
-    /// prediction, cached verbatim.
-    pub stages: Vec<StageTerms>,
-}
-
-/// Cached cost leaves of one rank under one row count: the reusable
-/// half of a prediction. [`Mheta::rank_cost`] is a pure function of
-/// `(rank, rows)`, so a leaf set computed for an earlier distribution
-/// is bitwise-identical to one computed fresh whenever the rank's row
-/// count is unchanged.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankCost {
-    /// The row count these leaves were computed for.
-    pub rows: usize,
-    /// Per-section leaves, in program order.
-    pub sections: Vec<SectionCost>,
-}
-
-impl RankCost {
-    /// Number of cached stage-term leaves (the unit of the delta
-    /// evaluator's `terms_reused` tally).
-    #[must_use]
-    pub fn leaves(&self) -> usize {
-        self.sections.iter().map(|s| s.stages.len()).sum()
-    }
-}
-
 /// The outcome of evaluating one distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
@@ -313,6 +272,296 @@ impl Default for PredictOptions {
     }
 }
 
+/// One disk access of a stage on one rank, with every table lookup
+/// already done.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    /// Write half of Eq. 1/2 (else the read half).
+    write: bool,
+    /// `l_r(v)` or `l_w(v)`: the measured per-element latency, else the
+    /// microbenchmarked disk rate times the element size.
+    ns_per_elem: f64,
+    /// `O_r` or `O_w` of the rank's disk.
+    seek_ns: f64,
+    elems_per_row: f64,
+}
+
+/// One stage of the lowered program.
+#[derive(Debug, Clone)]
+struct StagePlan {
+    id: u32,
+    prefetch: bool,
+    row_fraction: f64,
+    /// This stage's slice of every rank's [`RankPlan::accesses`]:
+    /// distributed reads first, then writes, in declaration order.
+    accesses: Range<usize>,
+}
+
+/// One section of the lowered program.
+#[derive(Debug, Clone)]
+struct SectionPlan {
+    id: u32,
+    comm: CommPattern,
+    /// Tiles the model evaluates: the declared count for pipelined
+    /// sections, one for every other pattern.
+    tiles: usize,
+    stages: Vec<StagePlan>,
+    /// Endpoint overheads and the transfer time of the section's
+    /// closing message (measured payload, else `msg_elems × 8` bytes).
+    hop: HopCost,
+}
+
+/// One rank's coefficients, in the order evaluation consumes them.
+#[derive(Debug, Clone)]
+struct RankPlan {
+    memory_bytes: u64,
+    /// `T_c / W` per (section, tile, stage), cluster-mean fallback
+    /// resolved.
+    compute_ns_per_row: Vec<f64>,
+    accesses: Vec<Access>,
+}
+
+/// The model lowered for evaluation: what a prediction needs from the
+/// profile's hash maps, the variable table, the out-of-core plans and
+/// the message sizes, resolved once into dense tables — each value
+/// obtained from the public accessor that defines it, fallbacks
+/// applied. Evaluation indexes these and nothing else.
+#[derive(Debug, Clone)]
+struct EvalPlan {
+    sections: Vec<SectionPlan>,
+    ranks: Vec<RankPlan>,
+    /// `f64` slots of one rank's leaves: Σ evaluated tiles.
+    leaf_len: usize,
+    /// Stage-term leaves behind one rank's slots: Σ stages.
+    leaf_terms: usize,
+    max_tiles: usize,
+    /// Rows a distribution must sum to (0: unconstrained).
+    total_rows: usize,
+    /// `plan_rows` inputs: overhead = replicated + rows · resident.
+    replicated_bytes: f64,
+    resident_row_bytes: f64,
+    total_row_bytes: f64,
+}
+
+impl EvalPlan {
+    fn lower(
+        structure: &ProgramStructure,
+        arch: &ArchParams,
+        profile: &InstrumentedProfile,
+    ) -> Self {
+        let distributed = |v: VarId| structure.variable(v).filter(|var| var.distributed);
+        let mut access_vars: Vec<(VarId, bool)> = Vec::new();
+        let sections: Vec<SectionPlan> = structure
+            .sections
+            .iter()
+            .map(|section| {
+                let stages = section
+                    .stages
+                    .iter()
+                    .map(|stage| {
+                        let first = access_vars.len();
+                        // Replicated arrays are resident (§3.1), and a
+                        // read-only variable is never written back.
+                        access_vars.extend(
+                            stage
+                                .reads
+                                .iter()
+                                .filter(|v| distributed(**v).is_some())
+                                .map(|&v| (v, false)),
+                        );
+                        access_vars.extend(
+                            stage
+                                .writes
+                                .iter()
+                                .filter(|v| distributed(**v).is_some_and(|var| !var.read_only))
+                                .map(|&v| (v, true)),
+                        );
+                        StagePlan {
+                            id: stage.id,
+                            prefetch: stage.prefetch,
+                            row_fraction: stage.row_fraction,
+                            accesses: first..access_vars.len(),
+                        }
+                    })
+                    .collect();
+                let (tiles, msg_elems) = match section.comm {
+                    CommPattern::None => (1, 0),
+                    CommPattern::NearestNeighbor { msg_elems }
+                    | CommPattern::Reduction { msg_elems } => (1, msg_elems),
+                    CommPattern::Pipelined { msg_elems } => (section.tiles as usize, msg_elems),
+                };
+                let measured = profile.section_send_bytes(section.id);
+                let msg_bytes = if measured > 0 {
+                    measured
+                } else {
+                    (msg_elems * 8) as u64
+                };
+                SectionPlan {
+                    id: section.id,
+                    comm: section.comm,
+                    tiles,
+                    stages,
+                    hop: HopCost {
+                        o_s: arch.comm.o_s,
+                        o_r: arch.comm.o_r,
+                        transfer: arch.comm.transfer_ns(msg_bytes),
+                    },
+                }
+            })
+            .collect();
+
+        let ranks = (0..arch.len())
+            .map(|rank| {
+                let disk = &arch.disks[rank];
+                let mut compute_ns_per_row = Vec::new();
+                for (section, plan) in structure.sections.iter().zip(&sections) {
+                    for tile in 0..plan.tiles as u32 {
+                        compute_ns_per_row.extend(section.stages.iter().map(|stage| {
+                            let scope = Scope {
+                                section: section.id,
+                                tile,
+                                stage: stage.id,
+                            };
+                            profile.compute_ns_per_row(rank, scope)
+                        }));
+                    }
+                }
+                let accesses = access_vars
+                    .iter()
+                    .map(|&(v, write)| {
+                        let var = distributed(v).expect("filtered on it above");
+                        let (measured, rate, seek_ns) = if write {
+                            (
+                                profile.write_ns_per_elem(rank, v),
+                                disk.write_ns_per_byte,
+                                disk.o_write,
+                            )
+                        } else {
+                            (
+                                profile.read_ns_per_elem(rank, v),
+                                disk.read_ns_per_byte,
+                                disk.o_read,
+                            )
+                        };
+                        Access {
+                            write,
+                            ns_per_elem: measured.unwrap_or(rate * var.elem_bytes as f64),
+                            seek_ns,
+                            elems_per_row: var.elems_per_row,
+                        }
+                    })
+                    .collect();
+                RankPlan {
+                    memory_bytes: arch.memory_bytes[rank],
+                    compute_ns_per_row,
+                    accesses,
+                }
+            })
+            .collect();
+
+        EvalPlan {
+            leaf_len: sections.iter().map(|s| s.tiles).sum(),
+            leaf_terms: sections.iter().map(|s| s.stages.len()).sum(),
+            max_tiles: sections.iter().map(|s| s.tiles).max().unwrap_or(0),
+            sections,
+            ranks,
+            total_rows: structure.distribution_rows(),
+            replicated_bytes: structure.replicated_bytes(),
+            resident_row_bytes: structure.resident_row_bytes(),
+            total_row_bytes: structure.footprint_row_bytes().iter().map(|(_, b)| b).sum(),
+        }
+    }
+}
+
+/// Compute + I/O terms of one (rank, tile, stage): §4.2.1's
+/// `T_c' = (T_c / W) · W'` plus Eq. 1 / Eq. 2 per streamed variable.
+/// `chunks` is the rank's `(N_io, OCLA rows)` when its share is out of
+/// core, `None` when it fits (no steady-state I/O).
+fn stage_terms(
+    compute_ns_per_row: f64,
+    rows: f64,
+    stage: &StagePlan,
+    accesses: &[Access],
+    chunks: Option<(f64, f64)>,
+) -> TermBreakdown {
+    let t_c = compute_ns_per_row * rows;
+    let mut terms = TermBreakdown {
+        compute_ns: t_c,
+        ..TermBreakdown::default()
+    };
+    let Some((n_io, ocla_rows)) = chunks else {
+        return terms;
+    };
+    for a in accesses {
+        let ocla_elems = ocla_rows * a.elems_per_row * stage.row_fraction;
+        terms.disk_seek_ns += n_io * a.seek_ns;
+        if a.write {
+            // Eq. 1 / Eq. 2 write half (identical in both): seeks per
+            // pass, latency on the actual elements written.
+            terms.disk_transfer_ns += a.ns_per_elem * ocla_elems;
+            continue;
+        }
+        // Eq. 1 charges N_io x (O_r + L_r) with L_r per ICLA; we
+        // charge the seeks per pass but the latency on the actual
+        // OCLA elements, so the ragged final chunk is not billed as
+        // a full pass (equivalently: L_r uses the mean chunk size).
+        let mean_chunk_elems = ocla_elems / n_io;
+        let big_l_r = a.ns_per_elem * mean_chunk_elems;
+        if stage.prefetch {
+            // Eq. 2 minus its N·T_o computation term (T_c covers it).
+            let t_o = t_c / n_io;
+            let l_e = (big_l_r - t_o).max(0.0);
+            terms.prefetch_exposed_ns += big_l_r + (n_io - 1.0) * l_e;
+            terms.prefetch_masked_ns += (n_io - 1.0) * big_l_r.min(t_o);
+        } else {
+            // Eq. 1, read half.
+            terms.disk_transfer_ns += n_io * big_l_r;
+        }
+    }
+    terms
+}
+
+/// The per-evaluation buffers of the clock propagation, carved out of
+/// one caller-owned block so a search session allocates them once.
+struct Clocks<'a> {
+    clock: &'a mut [f64],
+    after_warmup: &'a mut [f64],
+    ready: &'a mut [f64],
+    after_sends: &'a mut [f64],
+    from_left: &'a mut [f64],
+    from_right: &'a mut [f64],
+    /// Pipeline arrivals from the upstream rank, per tile, and the ones
+    /// being produced for the downstream rank.
+    arrival: &'a mut [f64],
+    next_arrival: &'a mut [f64],
+}
+
+impl<'a> Clocks<'a> {
+    fn carve(block: &'a mut Vec<f64>, ranks: usize, tiles: usize) -> Self {
+        let need = 6 * ranks + 2 * tiles;
+        if block.len() < need {
+            block.resize(need, 0.0);
+        }
+        let (clock, rest) = block.split_at_mut(ranks);
+        let (after_warmup, rest) = rest.split_at_mut(ranks);
+        let (ready, rest) = rest.split_at_mut(ranks);
+        let (after_sends, rest) = rest.split_at_mut(ranks);
+        let (from_left, rest) = rest.split_at_mut(ranks);
+        let (from_right, rest) = rest.split_at_mut(ranks);
+        let (arrival, rest) = rest.split_at_mut(tiles);
+        Clocks {
+            clock,
+            after_warmup,
+            ready,
+            after_sends,
+            from_left,
+            from_right,
+            arrival,
+            next_arrival: &mut rest[..tiles],
+        }
+    }
+}
+
 /// The assembled model: evaluate distributions with [`Mheta::predict`].
 #[derive(Debug, Clone)]
 pub struct Mheta {
@@ -322,10 +571,12 @@ pub struct Mheta {
     /// Bytes per row of each distributed variable (model's view:
     /// averages).
     dist_row_bytes: Vec<(VarId, f64)>,
+    plan: EvalPlan,
 }
 
 impl Mheta {
-    /// Assemble a model; validates the three inputs against each other.
+    /// Assemble a model; validates the three inputs against each other
+    /// and lowers them into the tables evaluation runs from.
     pub fn new(
         structure: ProgramStructure,
         arch: ArchParams,
@@ -337,6 +588,13 @@ impl Mheta {
                 "arch has {} nodes but profile has {}",
                 arch.len(),
                 profile.nodes.len()
+            )));
+        }
+        if arch.disks.len() != arch.len() {
+            return Err(ModelError::Dimension(format!(
+                "arch has {} nodes but {} disks",
+                arch.len(),
+                arch.disks.len()
             )));
         }
         for section in &structure.sections {
@@ -358,11 +616,13 @@ impl Mheta {
             }
         }
         let dist_row_bytes = structure.footprint_row_bytes();
+        let plan = EvalPlan::lower(&structure, &arch, &profile);
         Ok(Mheta {
             structure,
             arch,
             profile,
             dist_row_bytes,
+            plan,
         })
     }
 
@@ -406,173 +666,56 @@ impl Mheta {
     }
 
     /// [`Mheta::predict`] with explicit ablation switches. Computes
-    /// every rank's cost leaves fresh and assembles them — the same
-    /// path a delta evaluation takes with cached leaves, so the two
-    /// agree bitwise by construction.
+    /// every rank's cost leaves and runs the clock propagation with the
+    /// term detail switched on — the same two routines a search session
+    /// scores through, so the two agree bitwise by construction.
     pub fn predict_with(
         &self,
         rows: &[usize],
         opts: PredictOptions,
     ) -> Result<Prediction, ModelError> {
         self.check_rows(rows)?;
-        let costs: Vec<RankCost> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| self.rank_cost(i, r))
-            .collect();
-        let refs: Vec<&RankCost> = costs.iter().collect();
-        self.predict_from_costs(rows, &refs, opts)
-    }
-
-    /// Validate a distribution vector against the model's dimensions.
-    fn check_rows(&self, rows: &[usize]) -> Result<(), ModelError> {
-        let n = self.arch.len();
-        if rows.len() != n {
-            return Err(ModelError::Dimension(format!(
-                "distribution has {} entries for {} nodes",
-                rows.len(),
-                n
-            )));
-        }
-        let total: usize = rows.iter().sum();
-        let expected = self.structure.distribution_rows();
-        if expected != 0 && total != expected {
-            return Err(ModelError::Dimension(format!(
-                "distribution sums to {total} rows, structure has {expected}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Validate a borrowed cost-leaf set against a distribution: one
-    /// entry per rank, computed for exactly that rank's row count, with
-    /// leaves for every section. A stale leaf set (wrong `rows`) is an
-    /// error, never a silent misprediction.
-    fn check_costs(&self, rows: &[usize], costs: &[&RankCost]) -> Result<(), ModelError> {
-        if costs.len() != rows.len() {
-            return Err(ModelError::Dimension(format!(
-                "{} cost entries for {} ranks",
-                costs.len(),
-                rows.len()
-            )));
-        }
-        let sections = self.structure.sections.len();
-        for (i, c) in costs.iter().enumerate() {
-            if c.rows != rows[i] {
-                return Err(ModelError::Dimension(format!(
-                    "rank {i} cost leaves computed for {} rows, distribution has {}",
-                    c.rows, rows[i]
-                )));
-            }
-            if c.sections.len() != sections {
-                return Err(ModelError::Dimension(format!(
-                    "rank {i} cost has {} sections, structure has {sections}",
-                    c.sections.len()
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Compute one rank's cost leaves under `rows` rows: per-section
-    /// tile totals (the clock advances) and per-stage term breakdowns.
-    /// A pure function of `(rank, rows)` — it never looks at any other
-    /// rank — which is the contract that makes leaf reuse across
-    /// distributions bitwise-exact.
-    #[must_use]
-    pub fn rank_cost(&self, rank: usize, rows: usize) -> RankCost {
-        let plans = self.node_plans(rank, rows);
-        let sections = self
-            .structure
-            .sections
-            .iter()
-            .map(|section| {
-                let tiles = match section.comm {
-                    CommPattern::Pipelined { .. } => section.tiles,
-                    _ => 1,
-                };
-                let mut stages: Vec<StageTerms> = section
-                    .stages
+        let width = self.plan.leaf_len;
+        let mut leaves = vec![0.0; rows.len() * width];
+        let mut terms: Vec<RankTerms> = (0..rows.len())
+            .map(|rank| RankTerms {
+                rank,
+                sections: self
+                    .plan
+                    .sections
                     .iter()
-                    .map(|st| StageTerms {
-                        stage: st.id,
-                        terms: TermBreakdown::default(),
+                    .map(|section| SectionTerms {
+                        section: section.id,
+                        stages: section
+                            .stages
+                            .iter()
+                            .map(|stage| StageTerms {
+                                stage: stage.id,
+                                terms: TermBreakdown::default(),
+                            })
+                            .collect(),
+                        comm: TermBreakdown::default(),
                     })
-                    .collect();
-                let mut tile_totals = Vec::with_capacity(tiles as usize);
-                for tile in 0..tiles {
-                    let mut total = 0.0;
-                    for (idx, stage) in section.stages.iter().enumerate() {
-                        let terms = self.stage_time(rank, rows, section, tile, stage, &plans);
-                        total += terms.compute_ns + terms.io_ns();
-                        stages[idx].terms.add(&terms);
-                    }
-                    tile_totals.push(total);
-                }
-                SectionCost {
-                    section: section.id,
-                    tile_totals,
-                    stages,
-                }
+                    .collect(),
             })
             .collect();
-        RankCost { rows, sections }
-    }
-
-    /// Assemble a full prediction from per-rank cost leaves (fresh or
-    /// cached). Runs the same two-pass clock propagation as
-    /// [`Mheta::predict_with`]; given leaves equal to what
-    /// [`Mheta::rank_cost`] returns for `rows`, the result is
-    /// bitwise-identical to a fresh prediction.
-    pub fn predict_from_costs(
-        &self,
-        rows: &[usize],
-        costs: &[&RankCost],
-        opts: PredictOptions,
-    ) -> Result<Prediction, ModelError> {
-        self.check_rows(rows)?;
-        self.check_costs(rows, costs)?;
-        let n = rows.len();
-
-        // Two passes over the section chain: the first develops the
-        // steady-state clock skew between nodes (pipeline fill, bcast
-        // tree asymmetry); the second measures the per-iteration cycle
-        // the remaining iterations actually repeat. A single pass would
-        // fold the one-time skew into every predicted iteration.
-        let mut clock = vec![0.0f64; n];
-        let mut warmup_terms: Vec<RankTerms> = (0..n)
-            .map(|rank| RankTerms {
-                rank,
-                sections: Vec::new(),
-            })
-            .collect();
-        for (idx, section) in self.structure.sections.iter().enumerate() {
-            self.advance_section_cost(
-                idx,
-                section,
-                costs,
-                &mut clock,
-                Some(&mut warmup_terms),
-                opts,
-            );
+        for ((rt, &r), out) in terms
+            .iter_mut()
+            .zip(rows)
+            .zip(leaves.chunks_exact_mut(width))
+        {
+            self.rank_leaves(rt.rank, r, out, Some(&mut rt.sections));
         }
-        let after_warmup = clock.clone();
-        let mut terms: Vec<RankTerms> = (0..n)
-            .map(|rank| RankTerms {
-                rank,
-                sections: Vec::new(),
-            })
-            .collect();
-        for (idx, section) in self.structure.sections.iter().enumerate() {
-            self.advance_section_cost(idx, section, costs, &mut clock, Some(&mut terms), opts);
-        }
+        let mut block = Vec::new();
+        let mut clocks = Clocks::carve(&mut block, rows.len(), self.plan.max_tiles);
+        let iteration_ns = self.propagate(&leaves, &mut clocks, Some(&mut terms), opts);
 
-        let per_node_ns: Vec<f64> = clock
+        let per_node_ns: Vec<f64> = clocks
+            .clock
             .iter()
-            .zip(&after_warmup)
+            .zip(clocks.after_warmup.iter())
             .map(|(c, w)| c - w)
             .collect();
-        let iteration_ns = per_node_ns.iter().copied().fold(0.0, f64::max);
         let breakdown = terms
             .iter()
             .map(|rt| {
@@ -592,172 +735,208 @@ impl Mheta {
         })
     }
 
-    /// The score-only twin of [`Mheta::predict_from_costs`]: the same
-    /// two-pass clock propagation with no term bookkeeping, returning
-    /// just the iteration time. The clock arithmetic never reads the
-    /// accumulated terms, so this is bitwise-identical to
-    /// `predict_from_costs(..).iteration_ns` — it is the delta
-    /// evaluator's hot path.
-    pub fn score_from_costs(
-        &self,
-        rows: &[usize],
-        costs: &[&RankCost],
-        opts: PredictOptions,
-    ) -> Result<f64, ModelError> {
-        self.check_rows(rows)?;
-        self.check_costs(rows, costs)?;
-        let n = rows.len();
-        let mut clock = vec![0.0f64; n];
-        for (idx, section) in self.structure.sections.iter().enumerate() {
-            self.advance_section_cost(idx, section, costs, &mut clock, None, opts);
+    /// Validate a distribution vector against the model's dimensions.
+    fn check_rows(&self, rows: &[usize]) -> Result<(), ModelError> {
+        let n = self.plan.ranks.len();
+        if rows.len() != n {
+            return Err(ModelError::Dimension(format!(
+                "distribution has {} entries for {} nodes",
+                rows.len(),
+                n
+            )));
         }
-        let after_warmup = clock.clone();
-        for (idx, section) in self.structure.sections.iter().enumerate() {
-            self.advance_section_cost(idx, section, costs, &mut clock, None, opts);
+        let total: usize = rows.iter().sum();
+        let expected = self.plan.total_rows;
+        if expected != 0 && total != expected {
+            return Err(ModelError::Dimension(format!(
+                "distribution sums to {total} rows, structure has {expected}"
+            )));
         }
-        Ok(clock
-            .iter()
-            .zip(&after_warmup)
-            .map(|(c, w)| c - w)
-            .fold(0.0, f64::max))
+        Ok(())
     }
 
-    /// Compute + I/O terms of one (node, tile, stage).
-    fn stage_time(
+    /// `f64` slots in one rank's cost leaves (see [`Mheta::rank_cost`]).
+    #[must_use]
+    pub fn leaf_len(&self) -> usize {
+        self.plan.leaf_len
+    }
+
+    /// Stage-term leaves one rank's cost leaves stand for: the unit of
+    /// a delta session's `terms_reused` tally.
+    #[must_use]
+    pub fn leaf_terms(&self) -> usize {
+        self.plan.leaf_terms
+    }
+
+    /// One rank's cost **leaves** under `rows` rows: the compute + I/O
+    /// clock advance of every evaluated tile, sections in program order
+    /// (a pipelined section contributes one slot per tile, every other
+    /// pattern one slot). This is everything the clock propagation
+    /// reads from a rank; cross-rank coupling (neighbor waits,
+    /// collectives, pipeline arrivals) enters only at assembly time
+    /// ([`Mheta::score_from_leaves`]), never into the leaves.
+    ///
+    /// A pure function of `(rank, rows)` — it never looks at any other
+    /// rank — so leaves computed for an earlier distribution are
+    /// bitwise-identical to ones computed fresh whenever the rank's
+    /// row count is unchanged: the contract that makes caching them
+    /// safe under any change to *other* ranks. Search sessions use
+    /// [`Mheta::rank_cost_into`].
+    ///
+    /// # Panics
+    /// Panics if `rank` is not a node of the model.
+    #[must_use]
+    pub fn rank_cost(&self, rank: usize, rows: usize) -> Vec<f64> {
+        let mut leaves = vec![0.0; self.plan.leaf_len];
+        self.rank_leaves(rank, rows, &mut leaves, None);
+        leaves
+    }
+
+    /// [`Mheta::rank_cost`] into a caller-owned slab of
+    /// [`Mheta::leaf_len`] slots: no allocation, no hashing.
+    ///
+    /// # Panics
+    /// Panics if `rank` is not a node of the model or `out` is not
+    /// exactly one rank's slots.
+    pub fn rank_cost_into(&self, rank: usize, rows: usize, out: &mut [f64]) {
+        assert_eq!(out.len(), self.plan.leaf_len, "one slot per evaluated tile");
+        self.rank_leaves(rank, rows, out, None);
+    }
+
+    /// The per-stage cost routine's driver: fill `out` with one rank's
+    /// tile totals and, when `detail` is given (one zeroed entry per
+    /// section), accumulate every stage's terms over its tiles there.
+    fn rank_leaves(
         &self,
         rank: usize,
         rows: usize,
-        section: &SectionSpec,
-        tile: u32,
-        stage: &StageSpec,
-        plans: &HashMap<VarId, VarPlan>,
-    ) -> TermBreakdown {
-        let scope = Scope {
-            section: section.id,
-            tile,
-            stage: stage.id,
+        out: &mut [f64],
+        mut detail: Option<&mut [SectionTerms]>,
+    ) {
+        let plan = &self.plan;
+        let node = &plan.ranks[rank];
+        let chunks = if node.accesses.is_empty() {
+            None
+        } else {
+            let overhead = plan.replicated_bytes + rows as f64 * plan.resident_row_bytes;
+            let p = plan_rows(node.memory_bytes, overhead, rows, plan.total_row_bytes);
+            (!p.in_core && p.n_io != 0).then_some((p.n_io as f64, p.ocla_rows as f64))
         };
-        let t_c = self.profile.compute_ns_per_row(rank, scope) * rows as f64;
-        let disk = &self.arch.disks[rank];
-        let mut terms = TermBreakdown {
-            compute_ns: t_c,
-            ..TermBreakdown::default()
-        };
-
-        for &v in &stage.reads {
-            let Some(var) = self.structure.variable(v) else {
-                continue;
-            };
-            if !var.distributed {
-                continue; // replicated arrays are resident (§3.1).
-            }
-            let plan = plans[&v];
-            if plan.in_core || plan.n_io == 0 {
-                continue;
-            }
-            // Eq. 1 charges N_io x (O_r + L_r) with L_r per ICLA; we
-            // charge the seeks per pass but the latency on the actual
-            // OCLA elements, so the ragged final chunk is not billed as
-            // a full pass (equivalently: L_r uses the mean chunk size).
-            let n_io = plan.n_io as f64;
-            let ocla_elems = plan.ocla_rows as f64 * var.elems_per_row * stage.row_fraction;
-            let mean_chunk_elems = ocla_elems / n_io;
-            let l_r = self
-                .profile
-                .read_ns_per_elem(rank, v)
-                .unwrap_or(disk.read_ns_per_byte * var.elem_bytes as f64);
-            let big_l_r = l_r * mean_chunk_elems;
-            terms.disk_seek_ns += n_io * disk.o_read;
-            if stage.prefetch {
-                // Eq. 2 minus its N·T_o computation term (T_c covers it).
-                let t_o = t_c / n_io;
-                let l_e = (big_l_r - t_o).max(0.0);
-                terms.prefetch_exposed_ns += big_l_r + (n_io - 1.0) * l_e;
-                terms.prefetch_masked_ns += (n_io - 1.0) * big_l_r.min(t_o);
-            } else {
-                // Eq. 1, read half.
-                terms.disk_transfer_ns += n_io * big_l_r;
+        let rows = rows as f64;
+        let mut coefficients = node.compute_ns_per_row.iter();
+        let mut slots = out.iter_mut();
+        for (sec_idx, section) in plan.sections.iter().enumerate() {
+            for _tile in 0..section.tiles {
+                let mut total = 0.0;
+                for (idx, stage) in section.stages.iter().enumerate() {
+                    let cpr = *coefficients.next().expect("one per (section, tile, stage)");
+                    let accesses = &node.accesses[stage.accesses.clone()];
+                    let terms = stage_terms(cpr, rows, stage, accesses, chunks);
+                    total += terms.compute_ns + terms.io_ns();
+                    if let Some(d) = detail.as_deref_mut() {
+                        d[sec_idx].stages[idx].terms.add(&terms);
+                    }
+                }
+                *slots.next().expect("one per evaluated tile") = total;
             }
         }
+    }
 
-        for &v in &stage.writes {
-            let Some(var) = self.structure.variable(v) else {
-                continue;
-            };
-            if !var.distributed || var.read_only {
-                continue;
-            }
-            let plan = plans[&v];
-            if plan.in_core || plan.n_io == 0 {
-                continue;
-            }
-            let ocla_elems = plan.ocla_rows as f64 * var.elems_per_row * stage.row_fraction;
-            let l_w = self
-                .profile
-                .write_ns_per_elem(rank, v)
-                .unwrap_or(disk.write_ns_per_byte * var.elem_bytes as f64);
-            // Eq. 1 / Eq. 2 write half (identical in both): seeks per
-            // pass, latency on the actual elements written.
-            terms.disk_seek_ns += plan.n_io as f64 * disk.o_write;
-            terms.disk_transfer_ns += l_w * ocla_elems;
+    /// Score a distribution from its ranks' cost leaves — `leaves` holds
+    /// [`Mheta::leaf_len`] slots per rank, rank-major, each rank's as
+    /// [`Mheta::rank_cost_into`] fills them for `rows[rank]` — with the
+    /// default [`PredictOptions`]. The clock arithmetic never reads the
+    /// term detail, so the result is bitwise-identical to
+    /// `predict(rows).iteration_ns`. `scratch` is the caller's reusable
+    /// buffer block (any contents; grown on first use): with it, this
+    /// call allocates nothing — it is a search session's hot path.
+    pub fn score_from_leaves(
+        &self,
+        rows: &[usize],
+        leaves: &[f64],
+        scratch: &mut Vec<f64>,
+    ) -> Result<f64, ModelError> {
+        self.check_rows(rows)?;
+        if leaves.len() != rows.len() * self.plan.leaf_len {
+            return Err(ModelError::Dimension(format!(
+                "{} leaf slots for {} ranks of {}",
+                leaves.len(),
+                rows.len(),
+                self.plan.leaf_len
+            )));
         }
+        let mut clocks = Clocks::carve(scratch, rows.len(), self.plan.max_tiles);
+        Ok(self.propagate(leaves, &mut clocks, None, PredictOptions::default()))
+    }
 
-        terms
+    /// The clock propagation: two passes over the section chain. The
+    /// first develops the steady-state clock skew between nodes
+    /// (pipeline fill, bcast tree asymmetry); the second measures the
+    /// per-iteration cycle the remaining iterations actually repeat. A
+    /// single pass would fold the one-time skew into every predicted
+    /// iteration. Leaves `c.clock` and `c.after_warmup` for the caller
+    /// and returns the slowest node's cycle; `detail`, when given,
+    /// receives the measured pass's communication terms.
+    fn propagate(
+        &self,
+        leaves: &[f64],
+        c: &mut Clocks<'_>,
+        mut detail: Option<&mut [RankTerms]>,
+        opts: PredictOptions,
+    ) -> f64 {
+        c.clock.fill(0.0);
+        let mut first_slot = 0;
+        for section in &self.plan.sections {
+            self.advance_section(section, first_slot, leaves, c, None, opts);
+            first_slot += section.tiles;
+        }
+        c.after_warmup.copy_from_slice(c.clock);
+        let mut first_slot = 0;
+        for (idx, section) in self.plan.sections.iter().enumerate() {
+            let sink = detail.as_deref_mut().map(|d| (d, idx));
+            self.advance_section(section, first_slot, leaves, c, sink, opts);
+            first_slot += section.tiles;
+        }
+        c.clock
+            .iter()
+            .zip(c.after_warmup.iter())
+            .map(|(end, start)| end - start)
+            .fold(0.0, f64::max)
     }
 
     /// Advance all per-node clocks across one parallel section,
     /// including its closing communication, reading per-rank stage
-    /// work from precomputed cost leaves. When `detail` is `Some`,
-    /// each rank grows one [`SectionTerms`] entry (stage terms cloned
-    /// from the leaves, comm terms attributed here). The clock
-    /// arithmetic is identical either way — `detail` feeds only the
-    /// breakdown, never the clocks.
+    /// work from the cost leaves (`first_slot` is the section's first
+    /// slot within a rank's leaves). When `detail` is `Some((terms,
+    /// idx))`, the comm terms are attributed to each rank's section
+    /// entry `idx`. The clock arithmetic is identical either way —
+    /// `detail` feeds only the breakdown, never the clocks.
     ///
     /// Cross-rank coupling lives entirely in this pass: neighbor
     /// arrivals, collective trees, and pipeline recurrences all read
     /// every rank's clock. That is the conservative "dirty closure" —
     /// comm is never reused from a cache, so leaf reuse can never
     /// leak a stale wait or collective term.
-    fn advance_section_cost(
+    fn advance_section(
         &self,
-        sec_idx: usize,
-        section: &SectionSpec,
-        costs: &[&RankCost],
-        clock: &mut [f64],
-        mut detail: Option<&mut [RankTerms]>,
+        section: &SectionPlan,
+        first_slot: usize,
+        leaves: &[f64],
+        c: &mut Clocks<'_>,
+        mut detail: Option<(&mut [RankTerms], usize)>,
         opts: PredictOptions,
     ) {
-        let n = clock.len();
-        let comm = &self.arch.comm;
-        let msg_bytes = |elems: usize| {
-            let measured = self.profile.section_send_bytes(section.id);
-            if measured > 0 {
-                measured
-            } else {
-                (elems * 8) as u64
-            }
-        };
-        if let Some(d) = detail.as_deref_mut() {
-            for (i, rt) in d.iter_mut().enumerate() {
-                rt.sections.push(SectionTerms {
-                    section: section.id,
-                    stages: costs[i].sections[sec_idx].stages.clone(),
-                    comm: TermBreakdown::default(),
-                });
-            }
-        }
+        let n = c.clock.len();
+        let width = self.plan.leaf_len;
+        let hop = section.hop;
         // Per-rank stage work for one tile, straight from the leaves.
-        macro_rules! tile_total {
-            ($i:expr, $t:expr) => {
-                costs[$i].sections[sec_idx].tile_totals[$t as usize]
-            };
-        }
-        // Attribute a comm term to rank i's current section entry
+        let tile_total = |i: usize, tile: usize| leaves[i * width + first_slot + tile];
+        // Attribute a comm term to rank i's entry for this section
         // (no-op in the score-only path).
         macro_rules! comm_of {
             ($i:expr, $field:ident, $val:expr) => {
-                if let Some(d) = detail.as_deref_mut() {
-                    d[$i].sections.last_mut().unwrap().comm.$field += $val;
+                if let Some((d, idx)) = detail.as_mut() {
+                    d[$i].sections[*idx].comm.$field += $val;
                 }
             };
         }
@@ -765,115 +944,114 @@ impl Mheta {
         match section.comm {
             CommPattern::None => {
                 for i in 0..n {
-                    clock[i] += tile_total!(i, 0);
+                    c.clock[i] += tile_total(i, 0);
                 }
             }
-            CommPattern::NearestNeighbor { msg_elems } => {
-                let x = comm.transfer_ns(msg_bytes(msg_elems));
+            CommPattern::NearestNeighbor { .. } => {
+                let x = hop.transfer;
                 // Phase 1: stages, then posts (left first, then right).
-                let mut ready = vec![0.0f64; n];
-                let mut after_sends = vec![0.0f64; n];
-                let mut arrival_from_left = vec![f64::NEG_INFINITY; n];
-                let mut arrival_from_right = vec![f64::NEG_INFINITY; n];
+                c.from_left.fill(f64::NEG_INFINITY);
+                c.from_right.fill(f64::NEG_INFINITY);
                 for i in 0..n {
-                    ready[i] = clock[i] + tile_total!(i, 0);
-                    let mut t = ready[i];
+                    c.ready[i] = c.clock[i] + tile_total(i, 0);
+                    let mut t = c.ready[i];
                     if i > 0 {
-                        t += comm.o_s;
-                        comm_of!(i, comm_overhead_ns, comm.o_s);
-                        arrival_from_right[i - 1] = t + x;
+                        t += hop.o_s;
+                        comm_of!(i, comm_overhead_ns, hop.o_s);
+                        c.from_right[i - 1] = t + x;
                     }
                     if i + 1 < n {
-                        t += comm.o_s;
-                        comm_of!(i, comm_overhead_ns, comm.o_s);
-                        arrival_from_left[i + 1] = t + x;
+                        t += hop.o_s;
+                        comm_of!(i, comm_overhead_ns, hop.o_s);
+                        c.from_left[i + 1] = t + x;
                     }
-                    after_sends[i] = t;
+                    c.after_sends[i] = t;
                 }
                 // Phase 2: receives in the same order (left, then right).
                 // Eq. 5's T_C splits into endpoint overheads (o_s/o_r)
                 // and the Eq. 3 blocked time, attributed separately.
                 for i in 0..n {
-                    let mut t = after_sends[i];
+                    let mut t = c.after_sends[i];
                     if i > 0 {
                         if opts.model_waits {
-                            let waited = arrival_from_left[i] - t;
+                            let waited = c.from_left[i] - t;
                             if waited > 0.0 {
                                 comm_of!(i, neighbor_wait_ns, waited);
                             }
-                            t = t.max(arrival_from_left[i]);
+                            t = t.max(c.from_left[i]);
                         }
-                        t += comm.o_r;
-                        comm_of!(i, comm_overhead_ns, comm.o_r);
+                        t += hop.o_r;
+                        comm_of!(i, comm_overhead_ns, hop.o_r);
                     }
                     if i + 1 < n {
                         if opts.model_waits {
-                            let waited = arrival_from_right[i] - t;
+                            let waited = c.from_right[i] - t;
                             if waited > 0.0 {
                                 comm_of!(i, neighbor_wait_ns, waited);
                             }
-                            t = t.max(arrival_from_right[i]);
+                            t = t.max(c.from_right[i]);
                         }
-                        t += comm.o_r;
-                        comm_of!(i, comm_overhead_ns, comm.o_r);
+                        t += hop.o_r;
+                        comm_of!(i, comm_overhead_ns, hop.o_r);
                     }
-                    clock[i] = t;
+                    c.clock[i] = t;
                 }
             }
-            CommPattern::Reduction { msg_elems } => {
-                let x = comm.transfer_ns(msg_bytes(msg_elems));
-                let mut ready = vec![0.0f64; n];
+            CommPattern::Reduction { .. } => {
                 for i in 0..n {
-                    ready[i] = clock[i] + tile_total!(i, 0);
+                    c.ready[i] = c.clock[i] + tile_total(i, 0);
                 }
-                let cost = HopCost {
-                    o_s: comm.o_s,
-                    o_r: comm.o_r,
-                    transfer: x,
-                };
-                let done = match (opts.model_waits, opts.reduction) {
-                    (true, ReductionModel::Tree) => model_allreduce(&ready, cost),
-                    (true, ReductionModel::Flat) => flat_allreduce(&ready, cost),
+                // `after_sends` is free here: the collectives' scratch.
+                match (opts.model_waits, opts.reduction) {
+                    (true, ReductionModel::Tree) => {
+                        c.clock.copy_from_slice(c.ready);
+                        model_allreduce_in_place(c.clock, c.after_sends, hop);
+                    }
+                    (true, ReductionModel::Flat) => {
+                        c.clock.copy_from_slice(c.ready);
+                        flat_allreduce(c.clock, hop);
+                    }
                     (false, _) => {
                         // No-wait ablation: every node pays only its own
                         // role's critical path from a synchronized start.
-                        let base = model_allreduce(&vec![0.0; n], cost);
-                        ready.iter().zip(&base).map(|(r, b)| r + b).collect()
+                        c.clock.fill(0.0);
+                        model_allreduce_in_place(c.clock, c.after_sends, hop);
+                        for (done, ready) in c.clock.iter_mut().zip(c.ready.iter()) {
+                            *done += ready;
+                        }
                     }
-                };
-                for i in 0..n {
-                    comm_of!(i, collective_ns, done[i] - ready[i]);
                 }
-                clock.copy_from_slice(&done);
-            }
-            CommPattern::Pipelined { msg_elems } => {
-                let x = comm.transfer_ns(msg_bytes(msg_elems));
-                let tiles = section.tiles;
-                let mut arrival = vec![f64::NEG_INFINITY; tiles as usize];
                 for i in 0..n {
-                    let mut next_arrival = vec![f64::NEG_INFINITY; tiles as usize];
-                    let mut t = clock[i];
-                    for tile in 0..tiles {
+                    comm_of!(i, collective_ns, c.clock[i] - c.ready[i]);
+                }
+            }
+            CommPattern::Pipelined { .. } => {
+                let x = hop.transfer;
+                c.arrival.fill(f64::NEG_INFINITY);
+                for i in 0..n {
+                    c.next_arrival.fill(f64::NEG_INFINITY);
+                    let mut t = c.clock[i];
+                    for tile in 0..section.tiles {
                         if i > 0 {
                             if opts.model_waits {
-                                let waited = arrival[tile as usize] - t;
+                                let waited = c.arrival[tile] - t;
                                 if waited > 0.0 {
                                     comm_of!(i, neighbor_wait_ns, waited);
                                 }
-                                t = t.max(arrival[tile as usize]);
+                                t = t.max(c.arrival[tile]);
                             }
-                            t += comm.o_r;
-                            comm_of!(i, comm_overhead_ns, comm.o_r);
+                            t += hop.o_r;
+                            comm_of!(i, comm_overhead_ns, hop.o_r);
                         }
-                        t += tile_total!(i, tile);
+                        t += tile_total(i, tile);
                         if i + 1 < n {
-                            t += comm.o_s;
-                            comm_of!(i, comm_overhead_ns, comm.o_s);
-                            next_arrival[tile as usize] = t + x;
+                            t += hop.o_s;
+                            comm_of!(i, comm_overhead_ns, hop.o_s);
+                            c.next_arrival[tile] = t + x;
                         }
                     }
-                    clock[i] = t;
-                    arrival = next_arrival;
+                    c.clock[i] = t;
+                    std::mem::swap(&mut c.arrival, &mut c.next_arrival);
                 }
             }
         }
@@ -883,12 +1061,12 @@ impl Mheta {
 /// Flat (serialized) allreduce model for the [`ReductionModel::Flat`]
 /// ablation: every non-root sends to rank 0, which receives them in
 /// rank order, then sends the result back to each in rank order.
-fn flat_allreduce(ready: &[f64], cost: HopCost) -> Vec<f64> {
-    let n = ready.len();
+/// `clock` holds the ready times on entry, the finish times on return.
+fn flat_allreduce(clock: &mut [f64], cost: HopCost) {
+    let n = clock.len();
     if n <= 1 {
-        return ready.to_vec();
+        return;
     }
-    let mut clock = ready.to_vec();
     // Gather to root.
     let mut root = clock[0];
     for c in clock.iter_mut().skip(1) {
@@ -903,7 +1081,6 @@ fn flat_allreduce(ready: &[f64], cost: HopCost) -> Vec<f64> {
         let arrival = clock[0] + cost.transfer;
         clock[i] = clock[i].max(arrival) + cost.o_r;
     }
-    clock
 }
 
 #[cfg(test)]
@@ -911,7 +1088,7 @@ mod tests {
     use super::*;
     use crate::params::{CommParams, DiskParams};
     use crate::profile::NodeProfile;
-    use crate::structure::Variable;
+    use crate::structure::{SectionSpec, StageSpec, Variable};
 
     fn arch(n: usize, memory: u64) -> ArchParams {
         ArchParams {
@@ -1378,6 +1555,60 @@ mod tests {
             (t0.neighbor_wait_ns - 2_000.0).abs() < 1e-9,
             "fast node absorbs the imbalance: {t0:?}"
         );
+    }
+
+    #[test]
+    fn lowering_resolves_the_cluster_mean_for_a_rank_without_its_own_rate() {
+        // Rank 1 never timed the stage (no entry), rank 2 timed garbage:
+        // both take the mean of the ranks that have a finite figure.
+        let s = one_section(90, CommPattern::None, false, true);
+        let mut prof = profile_uniform(3, 30, 100.0, 1.0, 1.0);
+        prof.nodes[1].compute_ns_per_row.clear();
+        for p in prof.nodes[2].compute_ns_per_row.values_mut() {
+            *p = f64::NAN;
+        }
+        let m = Mheta::new(s, arch(3, 1 << 20), prof).unwrap();
+        for rank in 0..3 {
+            assert_eq!(m.plan.ranks[rank].compute_ns_per_row, vec![100.0]);
+            assert_eq!(m.rank_cost(rank, 7), vec![700.0]);
+        }
+    }
+
+    #[test]
+    fn lowering_sizes_an_unmeasured_message_from_its_element_count() {
+        let s = one_section(40, CommPattern::Reduction { msg_elems: 5 }, false, true);
+        let mut prof = profile_uniform(2, 20, 100.0, 1.0, 1.0);
+        // No measured payload: 5 elements x 8 bytes, alpha 100, beta 1.
+        let m = Mheta::new(s.clone(), arch(2, 1 << 20), prof.clone()).unwrap();
+        assert_eq!(m.plan.sections[0].hop.transfer, 100.0 + 40.0);
+        // A measured payload (the largest any rank sent) wins.
+        prof.nodes[0].section_send_bytes.insert(0, 64);
+        prof.nodes[1].section_send_bytes.insert(0, 48);
+        let m = Mheta::new(s, arch(2, 1 << 20), prof).unwrap();
+        assert_eq!(m.plan.sections[0].hop.transfer, 100.0 + 64.0);
+    }
+
+    #[test]
+    fn leaves_score_to_the_predicted_iteration_time() {
+        // The session's path by hand: per-rank leaves into one slab,
+        // assembled with a reused scratch block.
+        let s = one_section(100, CommPattern::Reduction { msg_elems: 1 }, false, false);
+        let m = Mheta::new(s, arch(4, 2_000), profile_uniform(4, 25, 50.0, 8.0, 4.0)).unwrap();
+        let mut scratch = Vec::new();
+        for rows in [[25usize, 25, 25, 25], [40, 10, 30, 20]] {
+            let mut leaves = vec![0.0; 4 * m.leaf_len()];
+            for (rank, out) in leaves.chunks_exact_mut(m.leaf_len()).enumerate() {
+                m.rank_cost_into(rank, rows[rank], out);
+            }
+            let score = m.score_from_leaves(&rows, &leaves, &mut scratch).unwrap();
+            assert_eq!(
+                score.to_bits(),
+                m.predict(&rows).unwrap().iteration_ns.to_bits()
+            );
+        }
+        assert!(m
+            .score_from_leaves(&[25; 4], &[0.0; 3], &mut scratch)
+            .is_err());
     }
 
     #[test]

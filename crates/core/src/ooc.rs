@@ -65,38 +65,38 @@ pub fn plan_node(
     row_bytes: &[(VarId, f64)],
 ) -> HashMap<VarId, VarPlan> {
     let total_row_bytes: f64 = row_bytes.iter().map(|(_, b)| b).sum();
-    if my_rows == 0 || row_bytes.is_empty() {
-        return row_bytes
-            .iter()
-            .map(|&(v, _)| (v, VarPlan::in_core(0)))
-            .collect();
+    let plan = plan_rows(memory_bytes, overhead_bytes, my_rows, total_row_bytes);
+    row_bytes.iter().map(|&(v, _)| (v, plan)).collect()
+}
+
+/// The one plan every distributed variable of a node shares, from the
+/// summed row footprint alone — [`plan_node`] without the per-variable
+/// map, for callers (the evaluation kernel) that resolved the
+/// variables once and only need the chunking per candidate.
+#[must_use]
+pub fn plan_rows(
+    memory_bytes: u64,
+    overhead_bytes: f64,
+    my_rows: usize,
+    total_row_bytes: f64,
+) -> VarPlan {
+    if my_rows == 0 {
+        return VarPlan::in_core(0);
     }
     let needed = overhead_bytes + my_rows as f64 * total_row_bytes;
     if needed <= memory_bytes as f64 {
-        return row_bytes
-            .iter()
-            .map(|&(v, _)| (v, VarPlan::in_core(my_rows)))
-            .collect();
+        return VarPlan::in_core(my_rows);
     }
     let avail = (memory_bytes as f64 - overhead_bytes).max(0.0);
     let icla_rows = ((avail / total_row_bytes).floor() as usize)
         .max(1)
         .min(my_rows);
-    let n_io = (my_rows as u64).div_ceil(icla_rows as u64);
-    row_bytes
-        .iter()
-        .map(|&(v, _)| {
-            (
-                v,
-                VarPlan {
-                    in_core: false,
-                    icla_rows,
-                    n_io,
-                    ocla_rows: my_rows,
-                },
-            )
-        })
-        .collect()
+    VarPlan {
+        in_core: false,
+        icla_rows,
+        n_io: (my_rows as u64).div_ceil(icla_rows as u64),
+        ocla_rows: my_rows,
+    }
 }
 
 #[cfg(test)]

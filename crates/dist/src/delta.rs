@@ -5,66 +5,105 @@
 //! differs from the incumbent by a single boundary row. This module
 //! exploits the model's structure to make those evaluations cheap:
 //!
-//! * A rank's per-section stage work (its [`RankCost`] **leaves**) is a
-//!   pure function of that rank's row count — [`Mheta::rank_cost`]
-//!   never reads any other rank. Leaves cached from the last accepted
-//!   distribution can therefore be reused verbatim for every rank a
-//!   candidate did not touch.
+//! * A rank's per-section stage work (its cost **leaves**, see
+//!   [`Mheta::rank_cost`]) is a pure function of that rank's row count
+//!   — [`Mheta::rank_cost_into`] never reads any other rank. Leaves cached from the last accepted distribution can
+//!   therefore be reused verbatim for every rank a candidate did not
+//!   touch.
 //! * All cross-rank coupling — neighbor waits, collectives, pipeline
 //!   recurrences — lives in the clock-propagation pass
-//!   ([`Mheta::score_from_costs`]), which is cheap and **always re-run
+//!   ([`Mheta::score_from_leaves`]), which is cheap and **always re-run
 //!   in full**. This is the conservative *dirty closure*: collectives
 //!   and pipeline stages conceptually dirty all ranks, and we honor
 //!   that by never caching any communication term. Reuse is taken only
 //!   for the provably rank-local leaves.
 //!
-//! Because full evaluation ([`Mheta::predict_with`]) is itself built
-//! from the same `rank_cost` + assembly path, an incremental
-//! evaluation is **bitwise-identical** (`f64::to_bits`) to a full one
-//! — not merely close. The differential suite in
-//! `tests/delta_eval_props.rs` pins this.
+//! Because full evaluation ([`Mheta::predict_with`]) runs the same two
+//! routines, an incremental evaluation is **bitwise-identical**
+//! (`f64::to_bits`) to a full one — not merely close. The differential
+//! suite in `tests/delta_eval_props.rs` pins this.
 //!
 //! The entry points are [`DeltaModel`] (what a model must expose to be
 //! delta-evaluable) and [`DeltaEvaluator`] (the caching session,
 //! usually obtained through [`Evaluator::delta_session`] and driven by
 //! [`CountingEvaluator`](crate::fitness::CountingEvaluator)). A session
 //! detects what changed by diffing a candidate's rows against its
-//! cached base, so searches hand it plain row vectors.
+//! cached base, so searches hand it plain row vectors. It owns every
+//! buffer an evaluation touches — two leaf slabs and the model's
+//! scratch block, sized by the first candidate — so once warm it
+//! evaluates without allocating (`tests/eval_no_alloc.rs`).
 //!
 //! [`Mheta::predict_with`]: mheta_core::Mheta::predict_with
 
-use mheta_core::{Mheta, PredictOptions, RankCost};
+use mheta_core::Mheta;
 
 use crate::fitness::{EvalError, Evaluator};
 
 /// What a model must expose to be evaluated incrementally: per-rank
-/// cost leaves and an assembly step.
+/// cost leaves, written into slabs the session owns, and an assembly
+/// step over a whole slab.
 ///
 /// The contract that makes delta evaluation safe:
 ///
-/// 1. `rank_cost(rank, rows)` must be a pure function of its
-///    arguments — bitwise-reproducible and independent of every other
+/// 1. `rank_cost(rank, rows, out)` must be a pure function of `(rank,
+///    rows)` — bitwise-reproducible and independent of every other
 ///    rank's row count.
-/// 2. `assemble(rows, costs)` given leaves equal to fresh
+/// 2. `assemble(rows, leaves, ..)` given leaves equal to fresh
 ///    `rank_cost` outputs must return a score bitwise-identical to
 ///    [`Evaluator::try_eval_ns`] on the same rows. All cross-rank
 ///    coupling must live here (it is re-run in full on every
 ///    evaluation), never inside the leaves.
 pub trait DeltaModel: Evaluator {
-    /// Compute one rank's cost leaves under `rows` rows.
-    fn rank_cost(&self, rank: usize, rows: usize) -> Result<RankCost, EvalError>;
+    /// `f64` slots one rank's cost leaves occupy in a slab.
+    fn leaf_len(&self) -> usize;
 
-    /// Assemble the score from per-rank leaves (fresh or cached).
-    fn assemble(&self, rows: &[usize], costs: &[&RankCost]) -> Result<f64, EvalError>;
+    /// Cost terms one rank's leaves stand for — what a reused rank adds
+    /// to [`DeltaStats::terms_reused`].
+    fn leaf_terms(&self) -> usize;
+
+    /// Compute one rank's cost leaves under `rows` rows into `out`
+    /// (exactly [`DeltaModel::leaf_len`] slots).
+    fn rank_cost(&self, rank: usize, rows: usize, out: &mut [f64]) -> Result<(), EvalError>;
+
+    /// Assemble the score from every rank's leaves (fresh or cached),
+    /// rank-major in `leaves`. `scratch` is the session's reusable
+    /// buffer block: the model may grow it once and must not rely on
+    /// its contents.
+    fn assemble(
+        &self,
+        rows: &[usize],
+        leaves: &[f64],
+        scratch: &mut Vec<f64>,
+    ) -> Result<f64, EvalError>;
 }
 
 impl DeltaModel for Mheta {
-    fn rank_cost(&self, rank: usize, rows: usize) -> Result<RankCost, EvalError> {
-        Ok(Mheta::rank_cost(self, rank, rows))
+    fn leaf_len(&self) -> usize {
+        Mheta::leaf_len(self)
     }
 
-    fn assemble(&self, rows: &[usize], costs: &[&RankCost]) -> Result<f64, EvalError> {
-        self.score_from_costs(rows, costs, PredictOptions::default())
+    fn leaf_terms(&self) -> usize {
+        Mheta::leaf_terms(self)
+    }
+
+    fn rank_cost(&self, rank: usize, rows: usize, out: &mut [f64]) -> Result<(), EvalError> {
+        if rank >= self.arch().len() {
+            return Err(EvalError(format!(
+                "rank {rank} of a {}-node model",
+                self.arch().len()
+            )));
+        }
+        self.rank_cost_into(rank, rows, out);
+        Ok(())
+    }
+
+    fn assemble(
+        &self,
+        rows: &[usize],
+        leaves: &[f64],
+        scratch: &mut Vec<f64>,
+    ) -> Result<f64, EvalError> {
+        self.score_from_leaves(rows, leaves, scratch)
             .map_err(|e| EvalError(e.to_string()))
     }
 }
@@ -158,222 +197,156 @@ pub trait DeltaSession {
     fn stats(&self) -> DeltaStats;
 }
 
-/// Cached leaves of the accepted base distribution.
-struct Cache {
+/// One distribution's rows, every rank's cost leaves (rank-major,
+/// [`DeltaModel::leaf_len`] slots each) and the score they assemble to.
+#[derive(Default)]
+struct Slab {
     rows: Vec<usize>,
-    costs: Vec<RankCost>,
-    score: f64,
-}
-
-/// Fresh leaves of the most recently delta-evaluated candidate,
-/// promotable by `note_accept` without recomputation.
-struct Pending {
-    rows: Vec<usize>,
-    fresh: Vec<(usize, RankCost)>,
+    leaves: Vec<f64>,
     score: f64,
 }
 
 /// The caching incremental evaluator over any [`DeltaModel`].
 ///
-/// Holds the leaves of the last accepted distribution plus a
-/// *pending* slot for the last evaluated candidate. Any evaluation
-/// error poisons both — the next evaluation starts cold rather than
-/// risk assembling stale leaves.
+/// Holds two slabs: the last accepted distribution (`base`) and the
+/// last evaluated candidate (`cand`), whose untouched ranks are copied
+/// from the base and whose dirty ranks are computed fresh — so making a
+/// candidate the base, by promotion or after a full evaluation, is a
+/// swap of the two. Any evaluation error poisons both: the next
+/// evaluation starts cold rather than risk assembling stale leaves.
 pub struct DeltaEvaluator<'a, M: DeltaModel + ?Sized> {
     model: &'a M,
-    cache: Option<Cache>,
-    pending: Option<Pending>,
+    base: Slab,
+    cand: Slab,
+    /// `base` holds an accepted distribution.
+    warm: bool,
+    /// `cand` holds a successfully delta-evaluated candidate that
+    /// `note_accept` may promote without recomputation.
+    pending: bool,
+    scratch: Vec<f64>,
     stats: DeltaStats,
 }
 
 impl<'a, M: DeltaModel + ?Sized> DeltaEvaluator<'a, M> {
     /// A cold session over `model` (the first evaluation is a full
-    /// one and installs the cache).
+    /// one and installs the base).
     pub fn new(model: &'a M) -> Self {
         DeltaEvaluator {
             model,
-            cache: None,
-            pending: None,
+            base: Slab::default(),
+            cand: Slab::default(),
+            warm: false,
+            pending: false,
+            scratch: Vec::new(),
             stats: DeltaStats::default(),
         }
     }
 
-    /// Drop all cached state; the next evaluation starts cold.
-    fn poison(&mut self) {
-        self.cache = None;
-        self.pending = None;
-    }
-
-    /// Keep what the kernel computed for `rows`: a full evaluation's
-    /// leaves become the new base unconditionally (they were paid for
-    /// anyway), a partial one's wait in the pending slot, and an error
-    /// poisons both.
-    fn keep(&mut self, rows: &[usize], result: &Result<f64, EvalError>, leaves: EvalLeaves) {
-        match (result, leaves) {
-            (Ok(score), EvalLeaves::Full(costs)) => {
-                self.cache = Some(Cache {
-                    rows: rows.to_vec(),
-                    costs,
-                    score: *score,
-                });
-                self.pending = None;
-            }
-            (Ok(score), EvalLeaves::Fresh(fresh)) => {
-                self.pending = Some(Pending {
-                    rows: rows.to_vec(),
-                    fresh,
-                    score: *score,
-                });
-            }
-            (Ok(_), EvalLeaves::None) => {}
-            (Err(_), _) => self.poison(),
-        }
-    }
-}
-
-/// What one stateless evaluation produced besides its score: the
-/// leaves the caller may install or promote.
-enum EvalLeaves {
-    /// Nothing to keep (memo hit or error).
-    None,
-    /// A partial evaluation's fresh leaves for the dirty ranks.
-    Fresh(Vec<(usize, RankCost)>),
-    /// A full evaluation's complete leaf set.
-    Full(Vec<RankCost>),
-}
-
-/// One stateless delta evaluation against an optional cached base:
-/// the kernel behind both candidate evaluation and rebasing. Returns
-/// the score, the stats delta for the caller to fold in (a rebase
-/// keeps only the error tally), and the computed leaves, so the
-/// session can install or promote them without recomputation.
-fn eval_against_base<M: DeltaModel + ?Sized>(
-    model: &M,
-    base: Option<(&[usize], &[RankCost], f64)>,
-    rows: &[usize],
-) -> (Result<f64, EvalError>, DeltaStats, EvalLeaves) {
-    let mut st = DeltaStats::default();
-    let full = |st: &mut DeltaStats| -> (Result<f64, EvalError>, EvalLeaves) {
-        let mut costs = Vec::with_capacity(rows.len());
+    /// Fill the candidate slab for `rows` — ranks unchanged from the
+    /// base copied when `reuse`, every other rank computed — and
+    /// assemble its score.
+    fn fill(&mut self, rows: &[usize], reuse: bool) -> Result<f64, EvalError> {
+        let width = self.model.leaf_len();
+        self.cand.rows.clear();
+        self.cand.rows.extend_from_slice(rows);
+        self.cand.leaves.resize(rows.len() * width, 0.0);
         for (i, &r) in rows.iter().enumerate() {
-            match model.rank_cost(i, r) {
-                Ok(c) => costs.push(c),
-                Err(e) => {
-                    st.fallback_error += 1;
-                    return (Err(e), EvalLeaves::None);
-                }
+            let slots = i * width..(i + 1) * width;
+            if reuse && r == self.base.rows[i] {
+                self.cand.leaves[slots.clone()].copy_from_slice(&self.base.leaves[slots]);
+            } else {
+                self.model.rank_cost(i, r, &mut self.cand.leaves[slots])?;
             }
         }
-        let score = {
-            let refs: Vec<&RankCost> = costs.iter().collect();
-            model.assemble(rows, &refs)
-        };
-        match score {
-            Ok(score) => {
-                st.full_evals += 1;
-                (Ok(score), EvalLeaves::Full(costs))
-            }
-            Err(e) => {
-                st.fallback_error += 1;
-                (Err(e), EvalLeaves::None)
-            }
-        }
-    };
+        self.model
+            .assemble(rows, &self.cand.leaves, &mut self.scratch)
+    }
 
-    let Some((brows, bcosts, bscore)) = base else {
-        st.fallback_cold += 1;
-        let (r, l) = full(&mut st);
-        return (r, st, l);
-    };
-    if brows.len() != rows.len() {
-        st.fallback_shape += 1;
-        let (r, l) = full(&mut st);
-        return (r, st, l);
-    }
-    let n = rows.len();
-    let dirty: Vec<bool> = (0..n).map(|i| rows[i] != brows[i]).collect();
-    let n_dirty = dirty.iter().filter(|&&d| d).count();
-    if n_dirty == 0 {
-        st.delta_hits += 1;
-        st.terms_reused += bcosts.iter().map(|c| c.leaves() as u64).sum::<u64>();
-        return (Ok(bscore), st, EvalLeaves::None);
-    }
-    if n_dirty == n {
-        st.fallback_all_dirty += 1;
-        let (r, l) = full(&mut st);
-        return (r, st, l);
-    }
-    let mut fresh: Vec<(usize, RankCost)> = Vec::with_capacity(n_dirty);
-    for (i, &d) in dirty.iter().enumerate() {
-        if d {
-            match model.rank_cost(i, rows[i]) {
-                Ok(c) => fresh.push((i, c)),
-                Err(e) => {
-                    st.fallback_error += 1;
-                    return (Err(e), st, EvalLeaves::None);
-                }
+    /// One evaluation against the cached base, or from scratch when
+    /// `cold` — the kernel behind both candidate evaluation and
+    /// rebasing. Returns the score and the stats delta for the caller
+    /// to fold in (a rebase keeps only the error tally). A full
+    /// evaluation's leaves become the new base unconditionally (they
+    /// were paid for anyway), a partial one's wait in the candidate
+    /// slab, and an error poisons both.
+    fn eval(&mut self, rows: &[usize], cold: bool) -> (Result<f64, EvalError>, DeltaStats) {
+        let mut st = DeltaStats::default();
+        let n = rows.len();
+        let terms = self.model.leaf_terms() as u64;
+        let mut clean = 0;
+        if cold || !self.warm {
+            st.fallback_cold += 1;
+        } else if self.base.rows.len() != n {
+            st.fallback_shape += 1;
+        } else {
+            clean = rows
+                .iter()
+                .zip(&self.base.rows)
+                .filter(|(a, b)| a == b)
+                .count() as u64;
+            if clean == n as u64 {
+                st.delta_hits += 1;
+                st.terms_reused += clean * terms;
+                return (Ok(self.base.score), st);
+            }
+            if clean == 0 {
+                st.fallback_all_dirty += 1;
             }
         }
+        let result = self.fill(rows, clean > 0);
+        match result {
+            Ok(score) => {
+                self.cand.score = score;
+                if clean > 0 {
+                    st.delta_hits += 1;
+                    st.terms_reused += clean * terms;
+                    self.pending = true;
+                } else {
+                    st.full_evals += 1;
+                    self.install();
+                }
+            }
+            Err(_) => {
+                st.fallback_error += 1;
+                self.warm = false;
+                self.pending = false;
+            }
+        }
+        (result, st)
     }
-    let score = {
-        let mut refs: Vec<&RankCost> = bcosts.iter().collect();
-        for (i, c) in &fresh {
-            refs[*i] = c;
-        }
-        model.assemble(rows, &refs)
-    };
-    match score {
-        Ok(score) => {
-            st.delta_hits += 1;
-            st.terms_reused += dirty
-                .iter()
-                .enumerate()
-                .filter(|&(_, &d)| !d)
-                .map(|(i, _)| bcosts[i].leaves() as u64)
-                .sum::<u64>();
-            (Ok(score), st, EvalLeaves::Fresh(fresh))
-        }
-        Err(e) => {
-            st.fallback_error += 1;
-            (Err(e), st, EvalLeaves::None)
-        }
+
+    /// Make the candidate slab the base. The old base becomes the next
+    /// candidate's buffer, so it is sized here too and later
+    /// evaluations of this shape never allocate.
+    fn install(&mut self) {
+        std::mem::swap(&mut self.base, &mut self.cand);
+        self.cand.rows.clear();
+        self.cand.rows.reserve(self.base.rows.len());
+        self.cand.leaves.resize(self.base.leaves.len(), 0.0);
+        self.warm = true;
+        self.pending = false;
     }
 }
 
 impl<M: DeltaModel + ?Sized> DeltaSession for DeltaEvaluator<'_, M> {
     fn try_eval_ns(&mut self, rows: &[usize]) -> Result<f64, EvalError> {
-        let base = self
-            .cache
-            .as_ref()
-            .map(|c| (c.rows.as_slice(), c.costs.as_slice(), c.score));
-        let (result, st, leaves) = eval_against_base(self.model, base, rows);
+        let (result, st) = self.eval(rows, false);
         self.stats.merge(&st);
-        self.keep(rows, &result, leaves);
         result
     }
 
     fn note_accept(&mut self, rows: &[usize]) {
-        if let Some(p) = self.pending.take() {
-            if p.rows == rows {
-                if let Some(cache) = self.cache.as_mut() {
-                    for (i, c) in p.fresh {
-                        cache.costs[i] = c;
-                    }
-                    cache.rows = p.rows;
-                    cache.score = p.score;
-                    return;
-                }
-            }
-        }
-        // Not the candidate we just evaluated: rebase outright unless
-        // the base is already there — the kernel's cold path, with only
-        // its error tally kept (a rebase answers no candidate). Errors
-        // leave the session cold.
-        let already = self.cache.as_ref().is_some_and(|c| c.rows == rows);
-        if !already {
-            let (result, st, leaves) = eval_against_base(self.model, None, rows);
+        let promote = self.pending && self.cand.rows == rows;
+        self.pending = false;
+        if promote {
+            self.install();
+        } else if !(self.warm && self.base.rows == rows) {
+            // Not the candidate we just evaluated, and not the base
+            // already: rebase outright — the kernel's cold path, with
+            // only its error tally kept (a rebase answers no
+            // candidate). Errors leave the session cold.
+            let (_, st) = self.eval(rows, true);
             self.stats.fallback_error += st.fallback_error;
-            self.keep(rows, &result, leaves);
         }
     }
 

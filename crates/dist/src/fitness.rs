@@ -745,22 +745,8 @@ mod tests {
             }
         }
 
-        fn leaf(&self, rank: usize, rows: usize) -> mheta_core::RankCost {
-            let ns = rows as f64 * self.weights[rank];
-            mheta_core::RankCost {
-                rows,
-                sections: vec![mheta_core::SectionCost {
-                    section: 0,
-                    tile_totals: vec![ns],
-                    stages: vec![mheta_core::StageTerms {
-                        stage: 0,
-                        terms: mheta_core::TermBreakdown {
-                            compute_ns: ns,
-                            ..Default::default()
-                        },
-                    }],
-                }],
-            }
+        fn leaf(&self, rank: usize, rows: usize) -> f64 {
+            rows as f64 * self.weights[rank]
         }
     }
 
@@ -768,7 +754,7 @@ mod tests {
         fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
             let mut total = 0.0;
             for (i, &r) in rows.iter().enumerate() {
-                total += self.leaf(i, r).sections[0].tile_totals[0];
+                total += self.leaf(i, r);
             }
             Ok(total)
         }
@@ -779,22 +765,32 @@ mod tests {
     }
 
     impl crate::delta::DeltaModel for SyntheticModel {
-        fn rank_cost(&self, rank: usize, rows: usize) -> Result<mheta_core::RankCost, EvalError> {
+        fn leaf_len(&self) -> usize {
+            1
+        }
+
+        fn leaf_terms(&self) -> usize {
+            1
+        }
+
+        fn rank_cost(&self, rank: usize, rows: usize, out: &mut [f64]) -> Result<(), EvalError> {
             let n = self.rank_cost_calls.fetch_add(1, Ordering::Relaxed) + 1;
             if self.fail_every > 0 && n.is_multiple_of(self.fail_every) {
                 return Err(EvalError("injected leaf fault".into()));
             }
-            Ok(self.leaf(rank, rows))
+            out[0] = self.leaf(rank, rows);
+            Ok(())
         }
 
         fn assemble(
             &self,
             _rows: &[usize],
-            costs: &[&mheta_core::RankCost],
+            leaves: &[f64],
+            _scratch: &mut Vec<f64>,
         ) -> Result<f64, EvalError> {
             let mut total = 0.0;
-            for c in costs {
-                total += c.sections[0].tile_totals[0];
+            for leaf in leaves {
+                total += leaf;
             }
             Ok(total)
         }

@@ -132,34 +132,54 @@ impl GenBlock {
     /// negative.
     #[must_use]
     pub fn apportion(total: usize, weights: &[f64]) -> Self {
+        let mut rows = Vec::new();
+        Apportion::default().rows_into(total, weights, &mut rows);
+        GenBlock { rows }
+    }
+}
+
+/// [`GenBlock::apportion`] with its working buffers kept between calls,
+/// for the searches that apportion once per candidate.
+#[derive(Debug, Default)]
+pub(crate) struct Apportion {
+    quotas: Vec<f64>,
+    order: Vec<usize>,
+}
+
+impl Apportion {
+    /// Overwrite `rows` with the apportionment of `total` over
+    /// `weights`; same result and panics as [`GenBlock::apportion`].
+    pub(crate) fn rows_into(&mut self, total: usize, weights: &[f64], rows: &mut Vec<usize>) {
         let n = weights.len();
         assert!(n > 0 && total >= n, "need at least one row per node");
         let wsum: f64 = weights.iter().map(|w| w.max(0.0)).sum();
         assert!(wsum > 0.0, "weights must not all be zero");
         // Reserve one row per node, apportion the rest by weight.
         let spare = total - n;
-        let quotas: Vec<f64> = weights
-            .iter()
-            .map(|w| w.max(0.0) / wsum * spare as f64)
-            .collect();
-        let mut rows: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
+        let quotas = &mut self.quotas;
+        quotas.clear();
+        quotas.extend(weights.iter().map(|w| w.max(0.0) / wsum * spare as f64));
+        rows.clear();
+        rows.extend(quotas.iter().map(|q| q.floor() as usize));
         let assigned: usize = rows.iter().sum();
-        // Hand out remainders to the largest fractional parts.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
+        // Hand out remainders to the largest fractional parts. The
+        // index tie-break makes the order total, so the (allocation-
+        // free) unstable sort cannot reorder anything.
+        self.order.clear();
+        self.order.extend(0..n);
+        self.order.sort_unstable_by(|&a, &b| {
             let fa = quotas[a] - quotas[a].floor();
             let fb = quotas[b] - quotas[b].floor();
             fb.partial_cmp(&fa)
                 .expect("quotas are finite")
                 .then(a.cmp(&b))
         });
-        for &i in order.iter().take(spare - assigned) {
+        for &i in self.order.iter().take(spare - assigned) {
             rows[i] += 1;
         }
-        for r in &mut rows {
+        for r in rows.iter_mut() {
             *r += 1; // the reserved row
         }
-        GenBlock { rows }
     }
 }
 

@@ -10,7 +10,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fitness::{CountingEvaluator, Evaluator, SearchCtl};
-use crate::genblock::GenBlock;
+use crate::genblock::{Apportion, GenBlock};
 use crate::search::{move_rows, outcome, History, SearchOutcome};
 
 /// Tuning for [`genetic_search`].
@@ -59,10 +59,11 @@ pub fn genetic_search<E: Evaluator + ?Sized>(
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
-    let random_individual = |rng: &mut SmallRng| {
-        let weights: Vec<f64> = (0..n).map(|_| -rng.gen::<f64>().max(1e-12).ln()).collect();
-        GenBlock::apportion(total, &weights)
-    };
+    // One set of buffers for every candidate: after the population is
+    // seeded, the loop allocates nothing.
+    let mut weights = Vec::with_capacity(n);
+    let mut apportion = Apportion::default();
+    let mut child = Vec::with_capacity(n);
 
     let mut pop: Vec<(Vec<usize>, f64)> = Vec::with_capacity(cfg.population);
     for s in seeds.iter().take(cfg.population) {
@@ -74,10 +75,12 @@ pub fn genetic_search<E: Evaluator + ?Sized>(
     // Always seed at least one individual, even under cancellation,
     // so there is a best to return.
     while pop.len() < cfg.population && (pop.is_empty() || !counter.cancelled()) {
-        let g = random_individual(&mut rng);
-        let score = counter.eval_ns(g.rows());
+        weights.clear();
+        weights.extend((0..n).map(|_| -rng.gen::<f64>().max(1e-12).ln()));
+        apportion.rows_into(total, &weights, &mut child);
+        let score = counter.eval_ns(&child);
         history.observe(&counter, score);
-        pop.push((g.rows().to_vec(), score));
+        pop.push((child.clone(), score));
     }
 
     let mut best = pop
@@ -102,13 +105,15 @@ pub fn genetic_search<E: Evaluator + ?Sized>(
 
         // Blend crossover: per-node weights from a random mix.
         let mix: f64 = rng.gen();
-        let weights: Vec<f64> = pop[pa]
-            .0
-            .iter()
-            .zip(&pop[pb].0)
-            .map(|(&x, &y)| mix * x as f64 + (1.0 - mix) * y as f64)
-            .collect();
-        let mut child = GenBlock::apportion(total, &weights).rows().to_vec();
+        weights.clear();
+        weights.extend(
+            pop[pa]
+                .0
+                .iter()
+                .zip(&pop[pb].0)
+                .map(|(&x, &y)| mix * x as f64 + (1.0 - mix) * y as f64),
+        );
+        apportion.rows_into(total, &weights, &mut child);
 
         if rng.gen::<f64>() < cfg.mutation_rate {
             let from = rng.gen_range(0..n);
@@ -128,9 +133,11 @@ pub fn genetic_search<E: Evaluator + ?Sized>(
             counter.note_accept(&child);
         }
         if score < best.1 {
-            best = (child.clone(), score);
+            best.0.clone_from(&child);
+            best.1 = score;
         }
-        // Replace the worst individual (elitism by construction).
+        // Replace the worst individual (elitism by construction); its
+        // storage becomes the next child's.
         let worst = pop
             .iter()
             .enumerate()
@@ -138,7 +145,8 @@ pub fn genetic_search<E: Evaluator + ?Sized>(
             .map(|(i, _)| i)
             .expect("population nonempty");
         if score < pop[worst].1 {
-            pop[worst] = (child, score);
+            std::mem::swap(&mut pop[worst].0, &mut child);
+            pop[worst].1 = score;
         }
     }
 

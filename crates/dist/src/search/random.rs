@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fitness::{CountingEvaluator, Evaluator, SearchCtl};
-use crate::genblock::GenBlock;
+use crate::genblock::{Apportion, GenBlock};
 use crate::search::{outcome, History, SearchOutcome};
 
 /// Tuning for [`random_search`].
@@ -49,22 +49,33 @@ pub fn random_search<E: Evaluator + ?Sized>(
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
     // Always include Blk as the first sample: it is the obvious default.
-    let mut best = GenBlock::block(total, n);
-    let mut best_score = counter.eval_ns(best.rows());
+    let mut best = GenBlock::block(total, n).rows().to_vec();
+    let mut best_score = counter.eval_ns(&best);
     history.observe(&counter, best_score);
 
+    // One set of buffers for every sample: the loop allocates only
+    // when a sample becomes the new best.
+    let mut weights = Vec::with_capacity(n);
+    let mut apportion = Apportion::default();
+    let mut rows = Vec::with_capacity(n);
     while counter.count() < cfg.max_evals && !counter.cancelled() {
-        let weights: Vec<f64> = (0..n).map(|_| -rng.gen::<f64>().max(1e-12).ln()).collect();
-        let g = GenBlock::apportion(total, &weights);
-        let score = counter.eval_ns(g.rows());
+        weights.clear();
+        weights.extend((0..n).map(|_| -rng.gen::<f64>().max(1e-12).ln()));
+        apportion.rows_into(total, &weights, &mut rows);
+        let score = counter.eval_ns(&rows);
         history.observe(&counter, score);
         if score < best_score {
             best_score = score;
-            best = g;
+            best.clone_from(&rows);
         }
     }
 
-    outcome(&counter, history, best, best_score)
+    outcome(
+        &counter,
+        history,
+        GenBlock::new(best).expect("apportionment keeps a row per node"),
+        best_score,
+    )
 }
 
 #[cfg(test)]

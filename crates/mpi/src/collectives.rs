@@ -402,10 +402,19 @@ pub struct HopCost {
 /// (after its send, for non-roots; after the last receive, for root).
 #[must_use]
 pub fn model_reduce(ready: &[f64], cost: HopCost) -> Vec<f64> {
-    let size = ready.len();
     let mut clock = ready.to_vec();
+    model_reduce_in_place(&mut clock, &mut vec![0.0; ready.len()], cost);
+    clock
+}
+
+/// [`model_reduce`] on caller-owned buffers: `clock` holds the ready
+/// times on entry and the post-reduction clocks on return; `arrival`
+/// is scratch of the same length (contents ignored).
+fn model_reduce_in_place(clock: &mut [f64], arrival: &mut [f64], cost: HopCost) {
+    let size = clock.len();
+    assert_eq!(arrival.len(), size, "one arrival slot per node");
     // Arrival time of each non-root's single send to its parent.
-    let mut arrival = vec![0.0f64; size];
+    arrival.fill(0.0);
     // Children have numerically larger ranks, so process descending.
     for r in (0..size).rev() {
         let lowbit = if r == 0 {
@@ -426,16 +435,23 @@ pub fn model_reduce(ready: &[f64], cost: HopCost) -> Vec<f64> {
             arrival[r] = clock[r] + cost.transfer;
         }
     }
-    clock
 }
 
 /// Replay the binomial broadcast-from-0 schedule over per-node ready
 /// times. Returns each node's clock after its receives and forwards.
 #[must_use]
 pub fn model_bcast(ready: &[f64], cost: HopCost) -> Vec<f64> {
-    let size = ready.len();
     let mut clock = ready.to_vec();
-    let mut arrival = vec![f64::NEG_INFINITY; size];
+    model_bcast_in_place(&mut clock, &mut vec![0.0; ready.len()], cost);
+    clock
+}
+
+/// [`model_bcast`] on caller-owned buffers; same contract as
+/// [`model_reduce_in_place`].
+fn model_bcast_in_place(clock: &mut [f64], arrival: &mut [f64], cost: HopCost) {
+    let size = clock.len();
+    assert_eq!(arrival.len(), size, "one arrival slot per node");
+    arrival.fill(f64::NEG_INFINITY);
     // Parents have numerically smaller ranks, so process ascending.
     for r in 0..size {
         if r != 0 {
@@ -456,14 +472,27 @@ pub fn model_bcast(ready: &[f64], cost: HopCost) -> Vec<f64> {
             m >>= 1;
         }
     }
-    clock
 }
 
 /// Replay reduce + broadcast (the allreduce used for global reductions
 /// in the benchmark applications).
 #[must_use]
 pub fn model_allreduce(ready: &[f64], cost: HopCost) -> Vec<f64> {
-    model_bcast(&model_reduce(ready, cost), cost)
+    let mut clock = ready.to_vec();
+    model_allreduce_in_place(&mut clock, &mut vec![0.0; ready.len()], cost);
+    clock
+}
+
+/// [`model_allreduce`] without the allocations, for callers that
+/// evaluate it per search candidate: `clock` holds the ready times on
+/// entry and the post-allreduce clocks on return; `arrival` is
+/// caller-owned scratch of the same length (contents ignored).
+///
+/// # Panics
+/// Panics if the two slices differ in length.
+pub fn model_allreduce_in_place(clock: &mut [f64], arrival: &mut [f64], cost: HopCost) {
+    model_reduce_in_place(clock, arrival, cost);
+    model_bcast_in_place(clock, arrival, cost);
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! histograms and span ring sit behind plain mutexes that are touched
 //! once per request.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -122,8 +123,9 @@ impl RequestSpan {
     }
 }
 
-/// At most this many spans are retained for trace export; older
-/// requests keep counting in the histograms but drop off the track.
+/// At most this many spans are retained for trace export: a ring of
+/// the newest. Older requests keep counting in the histograms but drop
+/// off the track.
 const SPAN_CAP: usize = 4096;
 
 #[derive(Debug, Default)]
@@ -153,7 +155,7 @@ pub struct ServiceMetrics {
     delta_fallbacks: AtomicU64,
     delta_fallback_errors: AtomicU64,
     stages: Mutex<Stages>,
-    spans: Mutex<Vec<RequestSpan>>,
+    spans: Mutex<VecDeque<RequestSpan>>,
     spans_dropped: AtomicU64,
 }
 
@@ -185,7 +187,7 @@ impl ServiceMetrics {
             delta_fallbacks: AtomicU64::new(0),
             delta_fallback_errors: AtomicU64::new(0),
             stages: Mutex::new(Stages::default()),
-            spans: Mutex::new(Vec::new()),
+            spans: Mutex::new(VecDeque::new()),
             spans_dropped: AtomicU64::new(0),
         }
     }
@@ -225,11 +227,11 @@ impl ServiceMetrics {
             stages.total.record(span.total_ns);
         }
         let mut spans = self.spans.lock().expect("span lock poisoned");
-        if spans.len() < SPAN_CAP {
-            spans.push(span);
-        } else {
+        if spans.len() == SPAN_CAP {
+            spans.pop_front();
             self.spans_dropped.fetch_add(1, Ordering::Relaxed);
         }
+        spans.push_back(span);
     }
 
     /// Count one portfolio search actually starting (coalesced and
@@ -357,8 +359,9 @@ impl ServiceMetrics {
         self.delta_fallback_errors.load(Ordering::Relaxed)
     }
 
-    /// Spans dropped from the bounded trace ring (requests past the
-    /// first `SPAN_CAP` keep counting, but lose their span).
+    /// Spans evicted from the bounded trace ring (only the newest
+    /// `SPAN_CAP` requests keep their span; every request keeps
+    /// counting).
     #[must_use]
     pub fn spans_dropped(&self) -> u64 {
         self.spans_dropped.load(Ordering::Relaxed)
@@ -425,7 +428,8 @@ impl ServiceMetrics {
     /// The retained request spans, in completion order.
     #[must_use]
     pub fn spans(&self) -> Vec<RequestSpan> {
-        self.spans.lock().expect("span lock poisoned").clone()
+        let spans = self.spans.lock().expect("span lock poisoned");
+        spans.iter().cloned().collect()
     }
 
     /// Chrome trace-event JSON of the request track: one "requests"
@@ -584,6 +588,23 @@ mod tests {
         assert_eq!(m.coalesced(), 1);
         assert_eq!(m.shed(), 1);
         assert_eq!(m.failures(), 1);
+    }
+
+    #[test]
+    fn span_ring_keeps_the_newest_requests() {
+        // Spans are told apart by their start time, 0, 1, 2, ...
+        let m = ServiceMetrics::new();
+        let recorded = SPAN_CAP as u64 + 10;
+        for start in 0..recorded {
+            m.record_request(span(RequestSource::Cache, start, 1, 0));
+        }
+        let kept = m.spans();
+        assert_eq!(kept.len(), SPAN_CAP, "same capacity as before");
+        assert_eq!(m.spans_dropped(), 10, "one eviction per span past the cap");
+        assert_eq!(m.requests(), recorded, "every request still counts");
+        let starts: Vec<u64> = kept.iter().map(|s| s.start_ns).collect();
+        let newest: Vec<u64> = (10..recorded).collect();
+        assert_eq!(starts, newest, "the oldest ten went; completion order kept");
     }
 
     #[test]

@@ -343,17 +343,19 @@ pub fn handle(planner: &Planner, op: &WireOp) -> (Value, bool) {
                 Some(t) => t.child(),
                 None => TraceContext::root(),
             };
-            let key = crate::request::fnv1a64(req.canonical_json().as_bytes());
             let deadline = deadline_ms.map(Duration::from_millis);
             let resp = match planner.plan_opts(req, ctx, deadline) {
                 Ok(reply) => plan_response(&reply),
                 Err(e) => {
+                    // Only a shed needs the request key (for its log
+                    // line), so only a shed pays to canonicalise and
+                    // hash the request a second time.
                     match &e {
                         PlanError::Overloaded { retry_after_ms } => {
-                            log_shed(planner, "overloaded", key, &ctx, *retry_after_ms);
+                            log_shed(planner, "overloaded", req.key(), &ctx, *retry_after_ms);
                         }
                         PlanError::CircuitOpen { retry_after_ms } => {
-                            log_shed(planner, "circuit_open", key, &ctx, *retry_after_ms);
+                            log_shed(planner, "circuit_open", req.key(), &ctx, *retry_after_ms);
                         }
                         _ => {}
                     }

@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use mheta::core::RankCost;
 use mheta::dist::{DeltaEvaluator, DeltaModel, DeltaSession, EvalError, Evaluator};
 use mheta::prelude::*;
 use proptest::prelude::*;
@@ -102,16 +101,29 @@ impl Evaluator for FaultyMheta<'_> {
 }
 
 impl DeltaModel for FaultyMheta<'_> {
-    fn rank_cost(&self, rank: usize, rows: usize) -> Result<RankCost, EvalError> {
+    fn leaf_len(&self) -> usize {
+        DeltaModel::leaf_len(self.inner)
+    }
+
+    fn leaf_terms(&self) -> usize {
+        DeltaModel::leaf_terms(self.inner)
+    }
+
+    fn rank_cost(&self, rank: usize, rows: usize, out: &mut [f64]) -> Result<(), EvalError> {
         let n = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
         if self.fail_every > 0 && n.is_multiple_of(self.fail_every) {
             return Err(EvalError("injected leaf fault".into()));
         }
-        DeltaModel::rank_cost(self.inner, rank, rows)
+        DeltaModel::rank_cost(self.inner, rank, rows, out)
     }
 
-    fn assemble(&self, rows: &[usize], costs: &[&RankCost]) -> Result<f64, EvalError> {
-        self.inner.assemble(rows, costs)
+    fn assemble(
+        &self,
+        rows: &[usize],
+        leaves: &[f64],
+        scratch: &mut Vec<f64>,
+    ) -> Result<f64, EvalError> {
+        self.inner.assemble(rows, leaves, scratch)
     }
 }
 
