@@ -30,6 +30,7 @@
 //! "gone"), and post-crash redistribution apportions by
 //! slowdown-corrected effective weights instead of nominal CPU powers.
 
+use mheta_core::ProgramStructure;
 use mheta_dist::{rows_moved, transfer_plan_rows, GenBlock, OnlinePolicy};
 use mheta_mpi::{
     agree_mask, allreduce, barrier, ft_allreduce_among, Comm, DetectorConfig, HealthState,
@@ -255,6 +256,8 @@ pub struct AdaptiveJacobi {
 impl AdaptiveJacobi {
     /// Run the adaptive driver on one rank.
     ///
+    /// `structure` is the application's [`Jacobi::structure`] (no
+    /// prefetch), built once by the caller for the whole run;
     /// `layout0` is the initial per-rank row layout — zero entries are
     /// idle hot spares; `weights` are the nominal per-rank CPU powers
     /// (the healthy baseline the effective weights correct); `store` is
@@ -265,6 +268,7 @@ impl AdaptiveJacobi {
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
+        structure: &ProgramStructure,
         layout0: &[usize],
         iters: u32,
         weights: &[f64],
@@ -274,7 +278,15 @@ impl AdaptiveJacobi {
             t0_ns: 0,
             spans: Vec::new(),
         };
-        match self.run_inner(comm, layout0, iters, weights, store, &mut scratch) {
+        match self.run_inner(
+            comm,
+            structure,
+            layout0,
+            iters,
+            weights,
+            store,
+            &mut scratch,
+        ) {
             Err(SimError::Crashed { at_ns, .. }) => Ok(AdaptiveOutcome {
                 result: RankResult {
                     t0_ns: scratch.t0_ns.min(at_ns),
@@ -294,10 +306,11 @@ impl AdaptiveJacobi {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
+    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
     fn run_inner<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
+        structure: &ProgramStructure,
         layout0: &[usize],
         iters: u32,
         weights: &[f64],
@@ -327,7 +340,6 @@ impl AdaptiveJacobi {
             )));
         }
         let k_interval = self.cfg.checkpoint_interval.max(1);
-        let structure = self.app.structure(false);
 
         let mut layout: Vec<usize> = layout0.to_vec();
         let mut members: Vec<usize> = (0..n).collect();
@@ -353,7 +365,7 @@ impl AdaptiveJacobi {
                 }
                 comm.ctx().disk.store(VAR_U, init);
             }
-            let plans = rank_plans(comm, &structure, m0, 0.0, &[]);
+            let plans = rank_plans(comm, structure, m0, 0.0, &[]);
             if !plans[&VAR_U].in_core {
                 return Err(SimError::InvalidConfig(format!(
                     "adaptive jacobi driver requires the local share to fit in memory \
@@ -1056,6 +1068,7 @@ mod tests {
         };
         let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
         let store = new_checkpoint_store();
+        let structure = driver.app.structure(false);
         run_app(
             spec,
             RunOptions {
@@ -1063,7 +1076,7 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| driver.run(comm, layout0, iters, &weights, &store),
+            |comm| driver.run(comm, &structure, layout0, iters, &weights, &store),
         )
         .unwrap()
         .results
@@ -1077,6 +1090,7 @@ mod tests {
         let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
         let store = new_checkpoint_store();
         let driver = ResilientJacobi { app };
+        let structure = driver.app.structure(false);
         run_app(
             &spec,
             RunOptions {
@@ -1084,7 +1098,7 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| driver.run(comm, &dist, iters, 4, &weights, &store),
+            |comm| driver.run(comm, &structure, &dist, iters, 4, &weights, &store),
         )
         .unwrap()
         .results[0]
@@ -1283,6 +1297,7 @@ mod tests {
         let plain = {
             let app = Cg::small();
             let dist = GenBlock::block(96, 4);
+            let structure = app.structure();
             run_app(
                 &quiet(4),
                 RunOptions {
@@ -1290,7 +1305,7 @@ mod tests {
                     mode: ExecMode::Normal,
                 },
                 |_| NullRecorder,
-                |comm| app.run(comm, &dist, 28),
+                |comm| app.run(comm, &structure, &dist, 28),
             )
             .unwrap()
             .results[0]

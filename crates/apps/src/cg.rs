@@ -94,12 +94,25 @@ impl Cg {
         entries
     }
 
-    /// Exact average interleaved elements per row (2 per nonzero),
-    /// scanning the full pattern once.
+    /// Exact average interleaved elements per row (2 per nonzero).
+    ///
+    /// Counts the pattern instead of materialising it: the diagonal is
+    /// always present and each unordered pair `a < b <= a + band` that
+    /// the fill hash keeps appears in both of its rows, so the nonzeros
+    /// number `n + 2·#pairs` — the same integer `row` would sum to, and
+    /// therefore the same `f64`.
     #[must_use]
     pub fn avg_elems_per_row(&self) -> f64 {
-        let total: usize = (0..self.n).map(|r| 2 * self.row(r).len()).sum();
-        total as f64 / self.n as f64
+        #[cfg(test)]
+        scan_count::bump(self.seed);
+        let mut pairs = 0usize;
+        for a in 0..self.n {
+            let hi = a.saturating_add(self.band).min(self.n - 1);
+            for b in a + 1..=hi {
+                pairs += usize::from(hash01(self.seed, a as u64, b as u64) < self.fill);
+            }
+        }
+        (2 * (self.n + 2 * pairs)) as f64 / self.n as f64
     }
 
     /// The MHETA program structure.
@@ -135,10 +148,12 @@ impl Cg {
         }
     }
 
-    /// Run the benchmark on one rank.
+    /// Run the benchmark on one rank. `structure` is this instance's
+    /// [`Cg::structure`], built once by the caller for the whole run.
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
+        structure: &ProgramStructure,
         dist: &GenBlock,
         iters: u32,
     ) -> SimResult<RankResult> {
@@ -146,7 +161,6 @@ impl Cg {
         let m = dist.rows()[rank];
         let offset = dist.offsets()[rank];
         let n = self.n;
-        let structure = self.structure();
 
         // ---- setup: my matrix rows, interleaved on disk -------------
         let mut flat: Vec<f64> = Vec::new();
@@ -163,7 +177,7 @@ impl Cg {
             offsets.push(flat.len());
         }
         let total_elems = flat.len();
-        comm.ctx().disk.store(VAR_A, flat.clone());
+        comm.ctx().disk.store(VAR_A, flat);
 
         // The application plans with the same average-based heuristic
         // the model uses (the paper's emulation caps the ICLA *budget*;
@@ -171,7 +185,7 @@ impl Cg {
         // (§5.4, limitation 3) therefore shows up where it hurts: the
         // actual per-chunk I/O and compute below scale with the real
         // nonuniform row populations, while the model scales averages.
-        let plans = rank_plans(comm, &structure, m, 8.0, &[]);
+        let plans = rank_plans(comm, structure, m, 8.0, &[]);
         let plan = plans[&VAR_A];
         // In-core nodes keep the whole share resident; one compulsory
         // read before the measured loop.
@@ -180,7 +194,6 @@ impl Cg {
             comm.file_read(VAR_A, 0, &mut buf)?;
             Some(buf)
         } else {
-            drop(flat);
             None
         };
 
@@ -337,11 +350,32 @@ impl Cg {
     }
 }
 
+/// Test-only tally of pattern scans per data seed, summed over every
+/// thread: the harness tests use it to pin "one scan per run", so a
+/// rank body that quietly rebuilds the structure fails a test. Keyed by
+/// seed so that tests running in parallel do not see each other.
+#[cfg(test)]
+pub(crate) mod scan_count {
+    use std::collections::BTreeMap;
+    use std::sync::Mutex;
+
+    static SCANS: Mutex<BTreeMap<u64, usize>> = Mutex::new(BTreeMap::new());
+
+    pub(crate) fn bump(seed: u64) {
+        *SCANS.lock().unwrap().entry(seed).or_insert(0) += 1;
+    }
+
+    pub(crate) fn read(seed: u64) -> usize {
+        SCANS.lock().unwrap().get(&seed).copied().unwrap_or(0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mheta_mpi::{run_app, ExecMode, NullRecorder, RunOptions};
     use mheta_sim::ClusterSpec;
+    use proptest::prelude::*;
 
     fn quiet(n: usize) -> ClusterSpec {
         let mut s = ClusterSpec::homogeneous(n);
@@ -351,6 +385,7 @@ mod tests {
 
     fn run_cg(spec: &ClusterSpec, dist: GenBlock, iters: u32) -> Vec<RankResult> {
         let app = Cg::small();
+        let structure = app.structure();
         run_app(
             spec,
             RunOptions {
@@ -358,7 +393,7 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| app.run(comm, &dist, iters),
+            |comm| app.run(comm, &structure, &dist, iters),
         )
         .unwrap()
         .results
@@ -435,5 +470,24 @@ mod tests {
     fn structure_validates() {
         Cg::small().structure().validate().unwrap();
         assert!(Cg::small().avg_elems_per_row() > 2.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The counting scan is the materialising one, bit for bit — the
+        /// figure feeds cache keys, snapshots and every model golden.
+        #[test]
+        fn counted_average_equals_materialised_rows(
+            n in prop_oneof![Just(1usize), 2usize..80],
+            band in prop_oneof![Just(0usize), 1usize..24, 80usize..200],
+            fill in prop_oneof![Just(0.0f64), Just(1.0f64), 0.0f64..1.0],
+            seed in any::<u64>(),
+        ) {
+            let cg = Cg { n, band, fill, seed };
+            let total: usize = (0..n).map(|r| 2 * cg.row(r).len()).sum();
+            let materialised = total as f64 / n as f64;
+            prop_assert_eq!(cg.avg_elems_per_row().to_bits(), materialised.to_bits());
+        }
     }
 }

@@ -89,10 +89,17 @@ impl Benchmark {
         }
     }
 
-    /// Rows of the distribution axis.
+    /// Rows of the distribution axis: the extent of the application's
+    /// distributed variables, read off the variant.
     #[must_use]
     pub fn total_rows(&self) -> usize {
-        self.structure(false).distribution_rows()
+        match self {
+            Benchmark::Jacobi(a) => a.rows,
+            Benchmark::Cg(a) => a.n,
+            Benchmark::Rna(a) => a.rows,
+            Benchmark::Lanczos(a) => a.n,
+            Benchmark::Multigrid(a) => a.rows,
+        }
     }
 
     /// Iteration counts used in the paper's accuracy experiments
@@ -118,16 +125,17 @@ impl Benchmark {
     fn dispatch<R: mheta_mpi::Recorder>(
         &self,
         comm: &mut mheta_mpi::Comm<'_, R>,
+        structure: &ProgramStructure,
         dist: &GenBlock,
         iters: u32,
         prefetch: bool,
     ) -> SimResult<RankResult> {
         match self {
-            Benchmark::Jacobi(a) => a.run(comm, dist, iters, prefetch),
-            Benchmark::Cg(a) => a.run(comm, dist, iters),
-            Benchmark::Rna(a) => a.run(comm, dist, iters),
-            Benchmark::Lanczos(a) => a.run(comm, dist, iters),
-            Benchmark::Multigrid(a) => a.run(comm, dist, iters),
+            Benchmark::Jacobi(a) => a.run(comm, structure, dist, iters, prefetch),
+            Benchmark::Cg(a) => a.run(comm, structure, dist, iters),
+            Benchmark::Rna(a) => a.run(comm, structure, dist, iters),
+            Benchmark::Lanczos(a) => a.run(comm, structure, dist, iters),
+            Benchmark::Multigrid(a) => a.run(comm, structure, dist, iters),
         }
     }
 }
@@ -169,6 +177,7 @@ pub fn run_measured(
     iters: u32,
     prefetch: bool,
 ) -> SimResult<Measured> {
+    let structure = bench.structure(prefetch);
     let run = run_app(
         spec,
         RunOptions {
@@ -176,7 +185,7 @@ pub fn run_measured(
             mode: ExecMode::Normal,
         },
         |_| NullRecorder,
-        |comm| bench.dispatch(comm, dist, iters, prefetch),
+        |comm| bench.dispatch(comm, &structure, dist, iters, prefetch),
     )?;
     Ok(measured_from(&run.results))
 }
@@ -211,6 +220,7 @@ pub fn run_observed(
     iters: u32,
     prefetch: bool,
 ) -> SimResult<Observed> {
+    let structure = bench.structure(prefetch);
     let run = run_app(
         spec,
         RunOptions {
@@ -218,7 +228,7 @@ pub fn run_observed(
             mode: ExecMode::Normal,
         },
         |_| VecRecorder::default(),
-        |comm| bench.dispatch(comm, dist, iters, prefetch),
+        |comm| bench.dispatch(comm, &structure, dist, iters, prefetch),
     )?;
     Ok(Observed {
         measured: measured_from(&run.results),
@@ -236,6 +246,16 @@ pub fn run_instrumented(
     dist: &GenBlock,
     prefetch: bool,
 ) -> SimResult<Vec<VecRecorder>> {
+    instrumented(bench, &bench.structure(prefetch), spec, dist, prefetch)
+}
+
+fn instrumented(
+    bench: &Benchmark,
+    structure: &ProgramStructure,
+    spec: &ClusterSpec,
+    dist: &GenBlock,
+    prefetch: bool,
+) -> SimResult<Vec<VecRecorder>> {
     let run = run_app(
         spec,
         RunOptions {
@@ -243,7 +263,7 @@ pub fn run_instrumented(
             mode: ExecMode::Instrument { force_ooc: true },
         },
         |_| VecRecorder::default(),
-        |comm| bench.dispatch(comm, dist, 1, prefetch),
+        |comm| bench.dispatch(comm, structure, dist, 1, prefetch),
     )?;
     Ok(run.recorders)
 }
@@ -252,10 +272,11 @@ pub fn run_instrumented(
 /// plus one instrumented iteration under the Block distribution.
 pub fn build_model(bench: &Benchmark, spec: &ClusterSpec, prefetch: bool) -> SimResult<Mheta> {
     let arch = measure_arch(spec)?;
+    let structure = bench.structure(prefetch);
     let blk = GenBlock::block(bench.total_rows(), spec.len());
-    let recorders = run_instrumented(bench, spec, &blk, prefetch)?;
+    let recorders = instrumented(bench, &structure, spec, &blk, prefetch)?;
     let profile = build_profile(&arch, &recorders, blk.rows());
-    Mheta::new(bench.structure(prefetch), arch, profile)
+    Mheta::new(structure, arch, profile)
         .map_err(|e| mheta_sim::SimError::InvalidConfig(e.to_string()))
 }
 
@@ -332,6 +353,7 @@ pub fn run_resilient(
     let weights: Vec<f64> = spec.nodes.iter().map(|n| n.cpu_power).collect();
     let store = new_checkpoint_store();
     let driver = ResilientJacobi { app: app.clone() };
+    let structure = app.structure(false);
     let run = run_app(
         spec,
         RunOptions {
@@ -339,7 +361,7 @@ pub fn run_resilient(
             mode: ExecMode::Normal,
         },
         |_| VecRecorder::default(),
-        |comm| driver.run(comm, dist, iters, interval, &weights, &store),
+        |comm| driver.run(comm, &structure, dist, iters, interval, &weights, &store),
     )?;
     let survivors: Vec<&ResilientOutcome> = run.results.iter().filter(|o| o.alive).collect();
     if survivors.is_empty() {
@@ -402,6 +424,7 @@ pub fn run_adaptive(
         app: app.clone(),
         cfg,
     };
+    let structure = app.structure(false);
     let run = run_app(
         spec,
         RunOptions {
@@ -409,7 +432,7 @@ pub fn run_adaptive(
             mode: ExecMode::Normal,
         },
         |_| VecRecorder::default(),
-        |comm| driver.run(comm, layout0, iters, &weights, &store),
+        |comm| driver.run(comm, &structure, layout0, iters, &weights, &store),
     )?;
     let survivors: Vec<&AdaptiveOutcome> = run.results.iter().filter(|o| o.alive).collect();
     if survivors.is_empty() {
@@ -570,6 +593,7 @@ pub fn percent_difference(predicted: f64, actual: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cg::scan_count;
     use mheta_sim::ClusterSpec;
 
     fn quiet(n: usize) -> ClusterSpec {
@@ -620,6 +644,57 @@ mod tests {
                 "{}: predicted {predicted}s actual {actual}s diff {diff:.2}%",
                 bench.name()
             );
+        }
+    }
+
+    #[test]
+    fn total_rows_is_the_structures_distribution_axis() {
+        let mut all = Benchmark::paper_four();
+        all.extend(Benchmark::small_four());
+        all.push(Benchmark::Multigrid(Multigrid::default()));
+        all.push(Benchmark::Multigrid(Multigrid::small()));
+        for bench in all {
+            assert_eq!(
+                bench.total_rows(),
+                bench.structure(false).distribution_rows(),
+                "{}",
+                bench.name()
+            );
+        }
+    }
+
+    /// A run builds its `ProgramStructure` once and the rank bodies
+    /// borrow it: CG's pattern scan, the one expensive part of any
+    /// structure, happens exactly once per harness call. Each entry
+    /// point gets a `Cg::small()` with a seed of its own, because the
+    /// tally is per seed and other tests scan concurrently.
+    #[test]
+    fn each_entry_point_builds_the_structure_once() {
+        type Entry = fn(&Benchmark, &ClusterSpec, &GenBlock);
+        let entries: [(&str, u64, Entry); 4] = [
+            ("run_measured", 0x0A11, |bench, spec, blk| {
+                run_measured(bench, spec, blk, 2, false).unwrap();
+            }),
+            ("run_observed", 0x0A12, |bench, spec, blk| {
+                run_observed(bench, spec, blk, 2, false).unwrap();
+            }),
+            ("run_instrumented", 0x0A13, |bench, spec, blk| {
+                run_instrumented(bench, spec, blk, false).unwrap();
+            }),
+            ("build_model", 0x0A14, |bench, spec, _| {
+                build_model(bench, spec, false).unwrap();
+            }),
+        ];
+        let spec = quiet(4);
+        for (name, seed, entry) in entries {
+            let bench = Benchmark::Cg(Cg {
+                seed,
+                ..Cg::small()
+            });
+            let blk = GenBlock::block(bench.total_rows(), 4);
+            assert_eq!(scan_count::read(seed), 0, "total_rows built a structure");
+            entry(&bench, &spec, &blk);
+            assert_eq!(scan_count::read(seed), 1, "{name}");
         }
     }
 

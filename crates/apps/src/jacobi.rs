@@ -121,10 +121,12 @@ impl Jacobi {
         (new, res)
     }
 
-    /// Run the benchmark on one rank.
+    /// Run the benchmark on one rank. `structure` is this instance's
+    /// [`Jacobi::structure`], built once by the caller for the whole run.
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
+        structure: &ProgramStructure,
         dist: &GenBlock,
         iters: u32,
         prefetch: bool,
@@ -134,7 +136,6 @@ impl Jacobi {
         let cols = self.cols;
         let m = dist.rows()[rank];
         let offset = dist.offsets()[rank];
-        let structure = self.structure(prefetch);
 
         // ---- setup: place this rank's share on its local disk -------
         comm.ctx().disk.create(VAR_U, m * cols);
@@ -148,7 +149,7 @@ impl Jacobi {
 
         // All resident buffers are declared in the structure; no
         // extras remain, so model and application plans agree exactly.
-        let plans = rank_plans(comm, &structure, m, 0.0, &[]);
+        let plans = rank_plans(comm, structure, m, 0.0, &[]);
         let plan = plans[&VAR_U];
 
         let mut first_row = self.initial_row(offset, cols);
@@ -415,6 +416,7 @@ mod tests {
         prefetch: bool,
     ) -> Vec<RankResult> {
         let app = Jacobi::small();
+        let structure = app.structure(prefetch);
         run_app(
             spec,
             RunOptions {
@@ -422,7 +424,7 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| app.run(comm, &dist, iters, prefetch),
+            |comm| app.run(comm, &structure, &dist, iters, prefetch),
         )
         .unwrap()
         .results

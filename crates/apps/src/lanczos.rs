@@ -97,10 +97,12 @@ impl Lanczos {
         }
     }
 
-    /// Run the benchmark on one rank.
+    /// Run the benchmark on one rank. `structure` is this instance's
+    /// [`Lanczos::structure`], built once by the caller for the whole run.
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
+        structure: &ProgramStructure,
         dist: &GenBlock,
         iters: u32,
     ) -> SimResult<RankResult> {
@@ -108,7 +110,6 @@ impl Lanczos {
         let m = dist.rows()[rank];
         let offset = dist.offsets()[rank];
         let n = self.n;
-        let structure = self.structure();
 
         // ---- setup: my dense rows on disk -----------------------------
         {
@@ -122,7 +123,7 @@ impl Lanczos {
         }
 
         // All resident data is declared in the structure.
-        let plans = rank_plans(comm, &structure, m, 0.0, &[]);
+        let plans = rank_plans(comm, structure, m, 0.0, &[]);
         let plan = plans[&VAR_A];
         let core: Option<Vec<f64>> = if plan.in_core {
             let mut buf = vec![0.0; m * n];
@@ -253,6 +254,7 @@ mod tests {
 
     fn run_lanczos(spec: &ClusterSpec, dist: GenBlock, iters: u32) -> Vec<RankResult> {
         let app = Lanczos::small();
+        let structure = app.structure();
         run_app(
             spec,
             RunOptions {
@@ -260,7 +262,7 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| app.run(comm, &dist, iters),
+            |comm| app.run(comm, &structure, &dist, iters),
         )
         .unwrap()
         .results

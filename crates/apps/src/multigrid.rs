@@ -135,10 +135,12 @@ impl Multigrid {
         }
     }
 
-    /// Run the benchmark on one rank.
+    /// Run the benchmark on one rank. `structure` is this instance's
+    /// [`Multigrid::structure`], built once by the caller for the whole run.
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
+        structure: &ProgramStructure,
         dist: &GenBlock,
         iters: u32,
     ) -> SimResult<RankResult> {
@@ -148,7 +150,6 @@ impl Multigrid {
         let offset = dist.offsets()[rank];
         let cols = self.cols;
         let ccols = self.ccols();
-        let structure = self.structure();
 
         // ---- setup ----------------------------------------------------
         comm.ctx().disk.create(VAR_FINE, m * cols);
@@ -164,7 +165,7 @@ impl Multigrid {
         }
 
         // All resident data is declared in the structure.
-        let plans = rank_plans(comm, &structure, m, 0.0, &[]);
+        let plans = rank_plans(comm, structure, m, 0.0, &[]);
         let fine_plan = plans[&VAR_FINE];
         let icla = fine_plan.icla_rows;
 
@@ -394,6 +395,7 @@ mod tests {
 
     fn run_mg(spec: &ClusterSpec, dist: GenBlock, iters: u32) -> Vec<RankResult> {
         let app = Multigrid::small();
+        let structure = app.structure();
         run_app(
             spec,
             RunOptions {
@@ -401,7 +403,7 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| app.run(comm, &dist, iters),
+            |comm| app.run(comm, &structure, &dist, iters),
         )
         .unwrap()
         .results

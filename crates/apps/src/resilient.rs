@@ -42,6 +42,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use mheta_core::ProgramStructure;
 use mheta_dist::{transfer_plan_rows, GenBlock};
 use mheta_mpi::{agree_mask, ft_allreduce_among, Comm, Recorder, ReduceOp};
 use mheta_sim::{RecoveryKind, RecoverySpan, SimError, SimResult, VarId};
@@ -141,12 +142,17 @@ impl ResilientJacobi {
     /// `spec.nodes[i].cpu_power`); `store` is the shared reliable
     /// checkpoint storage from [`new_checkpoint_store`].
     ///
+    /// `structure` is the application's [`Jacobi::structure`] (no
+    /// prefetch), built once by the caller for the whole run.
+    ///
     /// A scheduled crash of this rank is absorbed: the rank returns a
     /// dead [`ResilientOutcome`] instead of an error, so cluster-wide
     /// runs complete normally.
+    #[allow(clippy::too_many_arguments)]
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
+        structure: &ProgramStructure,
         dist: &GenBlock,
         iters: u32,
         interval: u32,
@@ -157,7 +163,16 @@ impl ResilientJacobi {
             t0_ns: 0,
             spans: Vec::new(),
         };
-        match self.run_inner(comm, dist, iters, interval, weights, store, &mut scratch) {
+        match self.run_inner(
+            comm,
+            structure,
+            dist,
+            iters,
+            interval,
+            weights,
+            store,
+            &mut scratch,
+        ) {
             Err(SimError::Crashed { at_ns, .. }) => Ok(ResilientOutcome {
                 result: RankResult {
                     t0_ns: scratch.t0_ns.min(at_ns),
@@ -179,6 +194,7 @@ impl ResilientJacobi {
     fn run_inner<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
+        structure: &ProgramStructure,
         dist: &GenBlock,
         iters: u32,
         interval: u32,
@@ -202,7 +218,6 @@ impl ResilientJacobi {
         let cols = self.app.cols;
         let total_rows = self.app.rows;
         let k_interval = interval.max(1);
-        let structure = self.app.structure(false);
 
         let mut layout: Vec<usize> = dist.rows().to_vec();
         let mut members: Vec<usize> = (0..n).collect();
@@ -222,7 +237,7 @@ impl ResilientJacobi {
             }
             comm.ctx().disk.store(VAR_U, init);
         }
-        let plans = rank_plans(comm, &structure, m0, 0.0, &[]);
+        let plans = rank_plans(comm, structure, m0, 0.0, &[]);
         if !plans[&VAR_U].in_core {
             return Err(SimError::InvalidConfig(format!(
                 "resilient jacobi driver requires the local share to fit in memory \
@@ -540,6 +555,7 @@ mod tests {
         let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
         let store = new_checkpoint_store();
         let driver = ResilientJacobi { app };
+        let structure = driver.app.structure(false);
         run_app(
             spec,
             RunOptions {
@@ -547,7 +563,7 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| driver.run(comm, &dist, iters, interval, &weights, &store),
+            |comm| driver.run(comm, &structure, &dist, iters, interval, &weights, &store),
         )
         .unwrap()
         .results
@@ -561,6 +577,7 @@ mod tests {
         // the identical value sequence.
         let app = Jacobi::small();
         let dist = GenBlock::block(app.rows, 4);
+        let structure = app.structure(false);
         let plain = run_app(
             &spec,
             RunOptions {
@@ -568,7 +585,7 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| app.run(comm, &dist, 6, false),
+            |comm| app.run(comm, &structure, &dist, 6, false),
         )
         .unwrap()
         .results;

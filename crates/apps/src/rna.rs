@@ -116,10 +116,12 @@ impl Rna {
         t * m * self.tile_cols() + local_row * self.tile_cols()
     }
 
-    /// Run the benchmark on one rank.
+    /// Run the benchmark on one rank. `structure` is this instance's
+    /// [`Rna::structure`], built once by the caller for the whole run.
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
+        structure: &ProgramStructure,
         dist: &GenBlock,
         iters: u32,
     ) -> SimResult<RankResult> {
@@ -129,13 +131,12 @@ impl Rna {
         let offset = dist.offsets()[rank];
         let tc = self.tile_cols();
         let tiles = self.tiles;
-        let structure = self.structure();
 
         // ---- setup: zero-initialized matrix, tile-major ---------------
         comm.ctx().disk.create(VAR_DP, m * self.cols);
 
         // All resident data is declared in the structure.
-        let plans = rank_plans(comm, &structure, m, 0.0, &[]);
+        let plans = rank_plans(comm, structure, m, 0.0, &[]);
         let plan = plans[&VAR_DP];
         let mut core: Option<Vec<f64>> = if plan.in_core {
             let mut buf = vec![0.0; m * self.cols];
@@ -233,14 +234,15 @@ impl Rna {
         let do_rows = |comm: &mut Comm<'_, R>,
                        old: &mut [f64],
                        rows: std::ops::Range<usize>,
-                       above: &mut Vec<f64>,
+                       above: &mut [f64],
                        corner: &mut f64,
                        left_carry: &mut [f64],
                        sum: &mut f64| {
             let base = rows.start;
             for i in rows {
-                let old_row = &mut old[(i - base) * tc..(i - base + 1) * tc];
-                let mut new_row = vec![0.0; tc];
+                // Each cell reads its old value and the row above once,
+                // before either is overwritten, so both update in place.
+                let row = &mut old[(i - base) * tc..(i - base + 1) * tc];
                 let mut left = left_carry[i]; // dp(i, col0 - 1), new
                 let mut diag = *corner;
                 for c in 0..tc {
@@ -249,16 +251,15 @@ impl Rna {
                     // Contraction: 0.5 on the wavefront, GAMMA on the
                     // previous iteration; sup-norm convergence factor
                     // GAMMA / (1 - 0.5) = 0.5 per iteration.
-                    let v = 0.5 * wave + GAMMA * old_row[c] + self.score(offset + i, col0 + c);
+                    let v = 0.5 * wave + GAMMA * row[c] + self.score(offset + i, col0 + c);
                     diag = up;
                     left = v;
-                    new_row[c] = v;
+                    row[c] = v;
+                    above[c] = v;
                     *sum += v;
                 }
                 *corner = left_carry[i];
-                left_carry[i] = new_row[tc - 1];
-                old_row.copy_from_slice(&new_row);
-                *above = new_row;
+                left_carry[i] = left;
             }
             let count = old.len() / tc;
             comm.compute((count * tc) as f64, (2 * old.len() * 8) as u64);
@@ -324,6 +325,7 @@ mod tests {
 
     fn run_rna(spec: &ClusterSpec, dist: GenBlock, iters: u32) -> Vec<RankResult> {
         let app = Rna::small();
+        let structure = app.structure();
         run_app(
             spec,
             RunOptions {
@@ -331,7 +333,7 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| app.run(comm, &dist, iters),
+            |comm| app.run(comm, &structure, &dist, iters),
         )
         .unwrap()
         .results

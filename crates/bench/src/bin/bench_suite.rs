@@ -7,17 +7,20 @@
 //! ```
 //!
 //! Writes `BENCH_<name>.json` (schema `mheta-bench/v1`) in the current
-//! directory — run from the repo root. Modes:
+//! directory — run from the repo root. Modes (any other argument is
+//! rejected with a usage line and exit status 2):
 //!
 //! * default — the paper's four applications across all four Table 1
 //!   presets (DC, IO, HY1, HY2) at reduced iteration counts;
 //! * `--smoke` — small app instances on IO and HY1 only: the CI
 //!   regression gate (~seconds of wall time);
-//! * `--check [path]` — before overwriting, read the committed
-//!   baseline (`path`, default the output file itself), rerun the
-//!   suite, and fail (exit 1) if any deterministic field drifted more
-//!   than the tolerance: predicted/actual seconds and makespan ±10%
-//!   relative, accuracy (`pct_diff`) worse by more than 2 points.
+//! * `--check [path]` — read the committed baseline (`path`, default
+//!   `BENCH_<name>.json`), rerun the suite, write the fresh document
+//!   to `target/bench/BENCH_<name>.json` (the baseline is never
+//!   touched, so a failed gate still fails when rerun), and fail
+//!   (exit 1) if any deterministic field drifted more than the
+//!   tolerance: predicted/actual seconds and makespan ±10% relative,
+//!   accuracy (`pct_diff`) worse by more than 2 points.
 //!
 //! The per-evaluation latency block is wall-clock (the paper's §5.1
 //! "~5.4 ms per evaluation" claim, measured here in the emulator at
@@ -44,7 +47,7 @@ use std::cell::Cell;
 use mheta_apps::{
     percent_difference, run_adaptive, run_observed, AdaptiveConfig, Benchmark, Jacobi,
 };
-use mheta_bench::{experiment_iters, kernel_candidates, Flags};
+use mheta_bench::{experiment_iters, kernel_candidates};
 use mheta_dist::{
     gbs_search, genetic_search, portfolio_search, random_search, simulated_annealing,
     AnnealingConfig, CountingEvaluator, DeltaEvaluator, DeltaSession, Evaluator, FallibleFn,
@@ -1048,31 +1051,78 @@ fn search_entry(smoke: bool) -> Value {
     ])
 }
 
+const USAGE: &str = "usage: bench_suite [--smoke] [--check [BASELINE.json]]";
+
+/// The suite's command line.
+#[derive(Debug, Default, PartialEq)]
+struct Cli {
+    smoke: bool,
+    /// `Some(None)` checks against the committed `BENCH_<name>.json`.
+    check: Option<Option<String>>,
+}
+
+impl Cli {
+    /// Unknown arguments are an error: a mistyped `--smoke` must not
+    /// run the full suite and rewrite `BENCH_full.json`.
+    fn parse(args: impl Iterator<Item = String>) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut args = args.peekable();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => cli.smoke = true,
+                "--check" => cli.check = Some(args.next_if(|v| !v.starts_with("--"))),
+                other => return Err(format!("unknown argument `{other}`")),
+            }
+        }
+        Ok(cli)
+    }
+
+    fn name(&self) -> &'static str {
+        if self.smoke {
+            "smoke"
+        } else {
+            "full"
+        }
+    }
+
+    /// The committed baseline document of this mode.
+    fn committed_path(&self) -> String {
+        format!("BENCH_{}.json", self.name())
+    }
+
+    /// Where the fresh document goes: over the committed file, except
+    /// under `--check`, which must leave what it compares against alone.
+    fn out_path(&self) -> String {
+        match self.check {
+            Some(_) => format!("target/bench/{}", self.committed_path()),
+            None => self.committed_path(),
+        }
+    }
+}
+
 fn main() {
-    let flags = Flags::from_env();
-    let smoke = flags.has("--smoke");
-    let (name, specs, benches, latency_evals) = if smoke {
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("bench_suite: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let smoke = cli.smoke;
+    let name = cli.name();
+    let (specs, benches, latency_evals) = if smoke {
         (
-            "smoke",
             vec![presets::io(), presets::hy1()],
             Benchmark::small_four(),
             50,
         )
     } else {
         (
-            "full",
             vec![presets::dc(), presets::io(), presets::hy1(), presets::hy2()],
             Benchmark::paper_four(),
             200,
         )
     };
-    let out_path = format!("BENCH_{name}.json");
-    let baseline = if flags.has("--check") {
-        let path = flags
-            .value("--check")
-            .filter(|v| !v.starts_with("--"))
-            .unwrap_or(&out_path)
-            .to_string();
+    let out_path = cli.out_path();
+    let baseline = if let Some(given) = &cli.check {
+        let path = given.clone().unwrap_or_else(|| cli.committed_path());
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -1142,6 +1192,9 @@ fn main() {
     let serving = serving_entry(smoke);
     let search = search_entry(smoke);
     let doc = suite_value(name, &entries, &adaptive, &serving, &search);
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create output directory");
+    }
     std::fs::write(&out_path, doc.to_json_pretty()).expect("write suite json");
     println!("\nwrote {out_path}");
 
@@ -1159,5 +1212,38 @@ fn main() {
             }
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        assert!(parse(&["--smok"]).is_err());
+        assert!(parse(&["--smoke", "--chekc"]).is_err());
+        assert!(parse(&["BENCH_smoke.json"]).is_err());
+        assert_eq!(parse(&[]).unwrap(), Cli::default());
+        let cli = parse(&["--check", "--smoke"]).unwrap();
+        assert!(cli.smoke);
+        assert_eq!(cli.check, Some(None));
+        let cli = parse(&["--check", "old.json"]).unwrap();
+        assert_eq!(cli.check, Some(Some("old.json".into())));
+    }
+
+    #[test]
+    fn check_never_writes_over_a_committed_baseline() {
+        for args in [&["--smoke", "--check"][..], &["--check", "BENCH_full.json"]] {
+            let cli = parse(args).unwrap();
+            assert!(cli.out_path().starts_with("target/bench/"));
+            assert_ne!(cli.out_path(), cli.committed_path());
+        }
+        assert_eq!(parse(&["--smoke"]).unwrap().out_path(), "BENCH_smoke.json");
+        assert_eq!(parse(&[]).unwrap().out_path(), "BENCH_full.json");
     }
 }

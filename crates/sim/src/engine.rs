@@ -84,7 +84,9 @@ impl KernelState {
 pub struct SimKernel {
     spec: ClusterSpec,
     state: Mutex<KernelState>,
-    cvar: Condvar,
+    /// One per rank, all over `state`: a rank parks only on its own, so
+    /// a send wakes the one rank it can unblock instead of all of them.
+    cvars: Vec<Condvar>,
 }
 
 impl SimKernel {
@@ -98,8 +100,16 @@ impl SimKernel {
                 active: n,
                 ..KernelState::default()
             }),
-            cvar: Condvar::new(),
+            cvars: (0..n).map(|_| Condvar::new()).collect(),
         }))
+    }
+
+    /// Wake every parked rank: for state changes any wait may depend
+    /// on (a death, a declared deadlock, a rank finishing).
+    fn wake_all(&self) {
+        for cvar in &self.cvars {
+            cvar.notify_one();
+        }
     }
 
     /// The cluster configuration this kernel simulates.
@@ -514,7 +524,7 @@ impl RankCtx {
             let mut st = self.kernel.state.lock();
             st.dead.insert(self.rank, at);
         }
-        self.kernel.cvar.notify_all();
+        self.kernel.wake_all();
         SimError::Crashed {
             rank: self.rank,
             at_ns: at.as_nanos(),
@@ -626,7 +636,7 @@ impl RankCtx {
         } else {
             self.now + transfer
         };
-        {
+        let dest_parked_on_this = {
             let mut st = self.kernel.state.lock();
             // Sends to a crashed peer succeed as silent no-ops: the
             // sender still pays its local overhead (the NIC does not
@@ -643,8 +653,11 @@ impl RankCtx {
                         bytes,
                     });
             }
+            st.waiting.get(&to) == Some(&(self.rank, tag))
+        };
+        if dest_parked_on_this {
+            self.kernel.cvars[to].notify_one();
         }
-        self.kernel.cvar.notify_all();
         self.record(start, EventKind::Send { to, tag, bytes });
         Ok(())
     }
@@ -701,13 +714,11 @@ impl RankCtx {
                     SimKernel::declare_deadlock(&mut st, detail.clone());
                     st.blocked -= 1;
                     st.waiting.remove(&self.rank);
-                    self.kernel.cvar.notify_all();
+                    self.kernel.wake_all();
                     return Err(SimError::Deadlock { detail });
                 }
                 let waited_ms = self.kernel.spec.wait_timeout_ms;
-                let timed_out = self
-                    .kernel
-                    .cvar
+                let timed_out = self.kernel.cvars[self.rank]
                     .wait_for(&mut st, Duration::from_millis(waited_ms))
                     .timed_out();
                 st.blocked -= 1;
@@ -720,7 +731,7 @@ impl RankCtx {
                     // Poison the kernel so peers unblock instead of
                     // waiting on a rank that is about to exit.
                     SimKernel::declare_deadlock(&mut st, detail.clone());
-                    self.kernel.cvar.notify_all();
+                    self.kernel.wake_all();
                     return Err(SimError::Timeout {
                         rank: self.rank,
                         waited_ms,
@@ -781,7 +792,7 @@ impl RankCtx {
             SimKernel::declare_deadlock(&mut st, detail);
         }
         drop(st);
-        self.kernel.cvar.notify_all();
+        self.kernel.wake_all();
     }
 }
 

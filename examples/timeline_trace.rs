@@ -22,6 +22,7 @@ fn main() {
         seed: 0x52,
     };
     let dist = GenBlock::block(rna.rows, 6);
+    let structure = rna.structure();
     let run = run_app(
         &spec,
         RunOptions {
@@ -29,7 +30,7 @@ fn main() {
             mode: ExecMode::Normal,
         },
         |_| NullRecorder,
-        |comm| rna.run(comm, &dist, 1),
+        |comm| rna.run(comm, &structure, &dist, 1),
     )
     .expect("rna run");
     println!("RNA wavefront, one iteration, 8 tiles over 6 ranks:");
@@ -43,6 +44,7 @@ fn main() {
     spec.nodes[3].memory_bytes = 3 * 1024;
     let jacobi = Jacobi::small();
     let dist = GenBlock::block(jacobi.rows, 4);
+    let structure = jacobi.structure(false);
     let run = run_app(
         &spec,
         RunOptions {
@@ -50,7 +52,7 @@ fn main() {
             mode: ExecMode::Normal,
         },
         |_| NullRecorder,
-        |comm| jacobi.run(comm, &dist, 2, false),
+        |comm| jacobi.run(comm, &structure, &dist, 2, false),
     )
     .expect("jacobi run");
     println!("\nJacobi, two iterations; ranks 2-3 are memory-starved (out of core):");

@@ -25,6 +25,7 @@ fn jacobi_ooc_issues_exactly_n_io_reads_and_writes_per_iteration() {
     spec.nodes[0].memory_bytes = 3 * 1024; // force OOC
     let app = Jacobi::small();
     let dist = GenBlock::block(app.rows, 2);
+    let structure = app.structure(false);
     let iters = 3u32;
     let run = run_app(
         &spec,
@@ -33,12 +34,11 @@ fn jacobi_ooc_issues_exactly_n_io_reads_and_writes_per_iteration() {
             mode: ExecMode::Normal,
         },
         |_| mheta::mpi::VecRecorder::default(),
-        |comm| app.run(comm, &dist, iters, false),
+        |comm| app.run(comm, &structure, &dist, iters, false),
     )
     .unwrap();
 
     // Recompute the expected plan exactly as the app does.
-    let structure = app.structure(false);
     let m = dist.rows()[0];
     let plans = mheta::core::plan_node(
         spec.nodes[0].memory_bytes,
@@ -70,6 +70,7 @@ fn jacobi_prefetch_issues_cover_all_but_first_chunk() {
     spec.nodes[0].memory_bytes = 3 * 1024;
     let app = Jacobi::small();
     let dist = GenBlock::block(app.rows, 2);
+    let structure = app.structure(true);
     let run = run_app(
         &spec,
         RunOptions {
@@ -77,7 +78,7 @@ fn jacobi_prefetch_issues_cover_all_but_first_chunk() {
             mode: ExecMode::Normal,
         },
         |_| mheta::mpi::VecRecorder::default(),
-        |comm| app.run(comm, &dist, 2, true),
+        |comm| app.run(comm, &structure, &dist, 2, true),
     )
     .unwrap();
     let rec = &run.recorders[0];
@@ -105,6 +106,7 @@ fn rna_receives_before_stages_and_sends_after() {
     let spec = quiet(3);
     let app = Rna::small();
     let dist = GenBlock::block(app.rows, 3);
+    let structure = app.structure();
     let run = run_app(
         &spec,
         RunOptions {
@@ -112,7 +114,7 @@ fn rna_receives_before_stages_and_sends_after() {
             mode: ExecMode::Normal,
         },
         |_| mheta::mpi::VecRecorder::default(),
-        |comm| app.run(comm, &dist, 1),
+        |comm| app.run(comm, &structure, &dist, 1),
     )
     .unwrap();
     // Middle rank: per tile, the recv must precede the stage enter and
@@ -153,6 +155,7 @@ fn instrumented_run_forces_io_on_in_core_nodes() {
     let spec = quiet(2);
     let app = Cg::small();
     let dist = GenBlock::block(app.n, 2);
+    let structure = app.structure();
 
     let normal = run_app(
         &spec,
@@ -161,7 +164,7 @@ fn instrumented_run_forces_io_on_in_core_nodes() {
             mode: ExecMode::Normal,
         },
         |_| mheta::mpi::VecRecorder::default(),
-        |comm| app.run(comm, &dist, 2),
+        |comm| app.run(comm, &structure, &dist, 2),
     )
     .unwrap();
     let instrumented = run_app(
@@ -171,7 +174,7 @@ fn instrumented_run_forces_io_on_in_core_nodes() {
             mode: ExecMode::Instrument { force_ooc: true },
         },
         |_| mheta::mpi::VecRecorder::default(),
-        |comm| app.run(comm, &dist, 1),
+        |comm| app.run(comm, &structure, &dist, 1),
     )
     .unwrap();
 
@@ -207,6 +210,7 @@ fn lanczos_reduction_messages_match_binomial_tree() {
     let spec = quiet(4);
     let app = Lanczos::small();
     let dist = GenBlock::block(app.n, 4);
+    let structure = app.structure();
     let iters = 2u32;
     let run = run_app(
         &spec,
@@ -215,7 +219,7 @@ fn lanczos_reduction_messages_match_binomial_tree() {
             mode: ExecMode::Normal,
         },
         |_| NullRecorder,
-        |comm| app.run(comm, &dist, iters),
+        |comm| app.run(comm, &structure, &dist, iters),
     )
     .unwrap();
     // With n = 4 ranks, a reduce is 3 messages and a bcast 3 more;
@@ -239,6 +243,7 @@ fn multigrid_streams_both_variables_when_starved() {
     spec.nodes[1].memory_bytes = 1024;
     let app = Multigrid::small();
     let dist = GenBlock::block(app.rows, 2);
+    let structure = app.structure();
     let run = run_app(
         &spec,
         RunOptions {
@@ -246,7 +251,7 @@ fn multigrid_streams_both_variables_when_starved() {
             mode: ExecMode::Normal,
         },
         |_| mheta::mpi::VecRecorder::default(),
-        |comm| app.run(comm, &dist, 1),
+        |comm| app.run(comm, &structure, &dist, 1),
     )
     .unwrap();
     let rec = &run.recorders[1];

@@ -174,14 +174,10 @@ mod crash_determinism {
 fn tracing_does_not_change_virtual_time() {
     use mheta::mpi::{run_app, ExecMode, NullRecorder, RunOptions};
     let spec = hybrid(9);
-    let bench = Benchmark::Rna(Rna::small());
-    let dist = GenBlock::block(bench.total_rows(), 4);
+    let rna = Rna::small();
+    let structure = rna.structure();
+    let dist = GenBlock::block(rna.rows, 4);
     let run_with = |tracing: bool| {
-        let dist = dist.clone();
-        let bench = match &bench {
-            Benchmark::Rna(r) => r.clone(),
-            _ => unreachable!(),
-        };
         run_app(
             &spec,
             RunOptions {
@@ -189,7 +185,7 @@ fn tracing_does_not_change_virtual_time() {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            move |comm| bench.run(comm, &dist, 2),
+            |comm| rna.run(comm, &structure, &dist, 2),
         )
         .unwrap()
         .makespan()
