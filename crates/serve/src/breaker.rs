@@ -175,61 +175,57 @@ impl CircuitBreaker {
     }
 
     /// Report an admitted search's success. Closes the shard (from any
-    /// state) and resets its failure count.
-    pub fn on_success(&self, key: u64) {
+    /// state) and resets its failure count. Returns whether *this* call
+    /// closed a tripped shard — the caller that sees `true` owns the
+    /// `breaker.close` event, however many requests race on the shard.
+    pub fn on_success(&self, key: u64) -> bool {
         if self.cfg.failure_threshold == 0 {
-            return;
+            return false;
         }
         let mut shard = self.shard(key).lock().expect("breaker shard poisoned");
-        if !matches!(
-            *shard,
-            Shard::Closed {
-                consecutive_failures: 0
-            }
-        ) {
-            if matches!(*shard, Shard::Open { .. } | Shard::HalfOpen { .. }) {
-                self.closes.fetch_add(1, Ordering::Relaxed);
-            }
-            *shard = Shard::Closed {
-                consecutive_failures: 0,
-            };
+        let closed = matches!(*shard, Shard::Open { .. } | Shard::HalfOpen { .. });
+        if closed {
+            self.closes.fetch_add(1, Ordering::Relaxed);
         }
+        *shard = Shard::Closed {
+            consecutive_failures: 0,
+        };
+        closed
     }
 
     /// Report an admitted search's failure at `now_ns`. Counts toward
     /// the trip threshold when closed; re-opens immediately when the
     /// half-open probe fails; extends the window when already open
-    /// (a straggler admitted before the trip).
-    pub fn on_failure(&self, key: u64, now_ns: u64) {
+    /// (a straggler admitted before the trip). Returns whether *this*
+    /// call tripped the shard open (the `breaker.open` event's owner).
+    pub fn on_failure(&self, key: u64, now_ns: u64) -> bool {
         if self.cfg.failure_threshold == 0 {
-            return;
+            return false;
         }
         let until_ns = now_ns.saturating_add(self.open_ns());
         let mut shard = self.shard(key).lock().expect("breaker shard poisoned");
-        match *shard {
+        let (next, tripped) = match *shard {
             Shard::Closed {
                 consecutive_failures,
-            } => {
-                let n = consecutive_failures + 1;
-                if n >= self.cfg.failure_threshold {
-                    *shard = Shard::Open { until_ns };
-                    self.trips.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    *shard = Shard::Closed {
-                        consecutive_failures: n,
-                    };
-                }
-            }
-            Shard::HalfOpen { .. } => {
-                *shard = Shard::Open { until_ns };
-                self.trips.fetch_add(1, Ordering::Relaxed);
-            }
-            Shard::Open { until_ns: old } => {
-                *shard = Shard::Open {
+            } if consecutive_failures + 1 < self.cfg.failure_threshold => (
+                Shard::Closed {
+                    consecutive_failures: consecutive_failures + 1,
+                },
+                false,
+            ),
+            Shard::Closed { .. } | Shard::HalfOpen { .. } => (Shard::Open { until_ns }, true),
+            Shard::Open { until_ns: old } => (
+                Shard::Open {
                     until_ns: old.max(until_ns),
-                };
-            }
+                },
+                false,
+            ),
+        };
+        *shard = next;
+        if tripped {
+            self.trips.fetch_add(1, Ordering::Relaxed);
         }
+        tripped
     }
 
     /// Report that an admitted request ended without a search verdict:
@@ -397,6 +393,20 @@ mod tests {
         b.on_failure(0, after);
         assert_eq!(b.state(0, after + 99 * MS), BreakerState::Open);
         assert_eq!(b.trips(), 2);
+    }
+
+    #[test]
+    fn each_transition_is_reported_by_the_call_that_made_it() {
+        let b = breaker();
+        assert!(!b.on_failure(0, 0));
+        assert!(!b.on_failure(0, MS));
+        assert!(b.on_failure(0, 2 * MS), "the third failure trips");
+        assert!(!b.on_failure(0, 3 * MS), "a straggler only extends");
+        assert_eq!(b.admit(0, 200 * MS), Ok(()), "probe admitted");
+        assert!(b.on_failure(0, 200 * MS), "a failed probe re-trips");
+        assert!(b.on_success(0), "closing a tripped shard");
+        assert!(!b.on_success(0), "nothing left to close");
+        assert_eq!((b.trips(), b.closes()), (2, 1));
     }
 
     #[test]

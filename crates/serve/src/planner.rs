@@ -18,28 +18,34 @@
 //!          portfolio search ── cache insert ── publish ─▶ reply (fresh)
 //! ```
 //!
-//! Every path publishes to the flight before returning, so followers
-//! can never hang — a shed or failed leader sheds/fails its followers
-//! too. Every path records a [`RequestSpan`] so the request track and
-//! stage histograms cover shed and failed requests as well.
+//! ## One lifecycle, two guards
+//!
+//! The pipeline is one linear function (`Planner::serve`); what a
+//! request owes on the way out is discharged once, by a value — never
+//! by each exit remembering:
+//!
+//! * `Request` (identity + outcome): the path only *sets* the outcome;
+//!   `Drop` emits the one [`RequestSpan`] and the degraded /
+//!   deadline-exceeded counters, for shed and failed requests too.
+//! * `Lead` (flight + breaker admission): `finish` does cache-fill →
+//!   publish → breaker verdict → recorder events; `Drop` publishes an
+//!   error and releases the probe slot if `finish` never ran. Followers
+//!   never hang — a shed or failed leader sheds/fails them too — and a
+//!   half-open probe cannot leak.
 //!
 //! ## Deadlines
 //!
 //! [`Planner::plan_opts`] accepts an optional end-to-end budget. The
-//! deadline is computed once at arrival and threaded through every
-//! stage: a coalesced follower gives up its wait when it expires
-//! ([`crate::singleflight::Flight::wait_until`]), a queued job that
-//! dequeues past it never starts searching, and a running search
-//! converts it into `SearchCtl` cooperative cancellation. A search the
-//! deadline interrupts still returns its best incumbent, flagged
-//! [`PlanReply::degraded`]; [`PlanError::DeadlineExceeded`] is reserved
-//! for the case where no incumbent exists at all. Degraded plans are
-//! never cached — they are partial-budget answers and would poison the
-//! key for future full-budget requests. They are also never silently
-//! handed to a caller that did not opt in: a deadline-free follower
-//! coalesced onto a flight whose leader degraded re-enters the
-//! pipeline (cache probe, then a fresh flight) instead of inheriting
-//! the partial answer.
+//! deadline is computed once at arrival, rides on the `Request`, and
+//! bounds every stage: a follower's wait
+//! ([`crate::singleflight::Flight::wait_until`]), the dequeue (an
+//! expired job never starts searching), and the search itself
+//! (`SearchCtl` cooperative cancellation). An interrupted search still
+//! returns its best incumbent, flagged [`PlanReply::degraded`];
+//! [`PlanError::DeadlineExceeded`] is reserved for the case where no
+//! incumbent exists at all. A degraded plan is never cached
+//! (`Lead::finish`) and never handed to a follower that set no
+//! deadline of its own (`Planner::follow`); the reasons sit there.
 //!
 //! ## Circuit breaker
 //!
@@ -80,8 +86,8 @@ use mheta_obs::{
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cache::PlanCache;
 use crate::executor::Executor;
-use crate::request::PlanRequest;
-use crate::singleflight::{Entry, SingleFlight};
+use crate::request::{fnv1a64, PlanRequest};
+use crate::singleflight::{Entry, Flight, SingleFlight};
 
 /// A finished distribution plan: the service's product.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,6 +150,20 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+impl PlanError {
+    /// The backoff a *shed* carries (admission refused the request:
+    /// queue full, breaker open); `None` for a genuine failure. The
+    /// one place that says which errors are sheds.
+    #[must_use]
+    pub fn retry_after_ms(&self) -> Option<u64> {
+        match self {
+            PlanError::Overloaded { retry_after_ms }
+            | PlanError::CircuitOpen { retry_after_ms } => Some(*retry_after_ms),
+            PlanError::Search(_) | PlanError::DeadlineExceeded { .. } => None,
+        }
+    }
+}
 
 /// A successful reply: the plan plus provenance.
 #[derive(Debug, Clone)]
@@ -217,23 +237,22 @@ impl Default for PlannerConfig {
 /// it (on the error paths too).
 #[derive(Clone)]
 struct FlightOutput {
-    /// The plan, the search-stage duration, and the degraded flag —
-    /// or the error. Deadlined followers inherit degradation (bounded
-    /// latency is what they asked for); deadline-free followers of a
-    /// degraded flight retry instead of accepting the partial answer.
-    result: Result<(Plan, u64, bool), PlanError>,
+    /// The plan and its degraded flag — or the error. Deadlined
+    /// followers inherit degradation (bounded latency is what they
+    /// asked for); deadline-free followers of a degraded flight retry
+    /// instead of accepting the partial answer.
+    result: Result<(Plan, bool), PlanError>,
     /// The leader's trace ID (never 0).
     leader_trace_id: u64,
 }
 
-/// What the search worker reports back to the leader thread.
-struct SearchReport {
-    result: Result<(Plan, SearchAux), PlanError>,
-    /// When the search stage started, on the metrics clock.
-    started_ns: u64,
-    /// How long the search stage ran.
-    search_ns: u64,
-}
+/// How a request ends: `(plan, how produced, degraded)`, or the error.
+type Outcome = Result<(Plan, RequestSource, bool), PlanError>;
+type SearchResult = Result<(Plan, SearchAux), PlanError>;
+
+/// What a worker runs for an admitted request: [`run_search`], except
+/// in the lifecycle tests, which script it.
+type SearchFn = dyn Fn(&PlanRequest, Option<Instant>, u64) -> SearchResult + Send + Sync;
 
 /// Observability side-channel of one portfolio run.
 struct SearchAux {
@@ -259,6 +278,223 @@ pub struct Planner {
     breaker: CircuitBreaker,
     metrics: Arc<ServiceMetrics>,
     recorder: Option<Arc<FlightRecorder>>,
+    search: Arc<SearchFn>,
+}
+
+/// One request, from arrival to its terminal span (module header). Every
+/// exit — unwinding included — is accounted for once, in `Drop`.
+struct Request<'p> {
+    planner: &'p Planner,
+    ctx: TraceContext,
+    label: String,
+    /// The canonical request text (the flight key) and its FNV-1a hash.
+    canon: String,
+    key: u64,
+    /// Arrival, on the metrics clock.
+    t0: u64,
+    deadline_at: Option<Instant>,
+    budget_ms: u64,
+    /// `Failed` until [`Request::settle`]: a path that never got there
+    /// did not serve its caller.
+    source: RequestSource,
+    /// The leader this request waited on (0 = none).
+    link_trace_id: u64,
+    degraded: bool,
+    deadline_exceeded: bool,
+    /// `(started_ns, search_ns)` of this request's own job, if one ran.
+    ran: Option<(u64, u64)>,
+    strategies: Vec<StrategySpan>,
+}
+
+impl Request<'_> {
+    /// Record one event under this request's trace; `key` leads.
+    fn rec(&self, kind: &'static str, mut detail: Vec<(&str, Value)>) {
+        detail.insert(0, ("key", Value::Str(id_hex(self.key))));
+        self.planner.rec(Some(&self.ctx), kind, detail);
+    }
+
+    /// Note how the request ended and build its reply; `Drop` accounts.
+    fn settle(mut self, outcome: Outcome) -> Result<PlanReply, PlanError> {
+        match outcome {
+            Ok((plan, source, degraded)) => {
+                (self.source, self.degraded) = (source, degraded);
+                Ok(PlanReply {
+                    plan,
+                    source,
+                    key: self.key,
+                    trace: self.ctx,
+                    degraded,
+                })
+            }
+            Err(e) => {
+                if e.retry_after_ms().is_some() {
+                    self.source = RequestSource::Shed;
+                }
+                self.deadline_exceeded = matches!(e, PlanError::DeadlineExceeded { .. });
+                Err(e)
+            }
+        }
+    }
+}
+
+impl Drop for Request<'_> {
+    fn drop(&mut self) {
+        let metrics = &self.planner.metrics;
+        if self.degraded {
+            metrics.on_degraded();
+        }
+        if self.deadline_exceeded {
+            metrics.on_deadline_exceeded();
+        }
+        let total_ns = metrics.now_ns().saturating_sub(self.t0);
+        // One rule: queued until the job started, or — with no job (hit,
+        // follower, refused leader) — for the request's whole life.
+        let (queued_ns, search_ns) = match self.ran {
+            Some((started_ns, search_ns)) => {
+                // Strategy offsets are relative to the portfolio launch;
+                // rebase them onto the metrics clock.
+                for s in &mut self.strategies {
+                    s.start_ns += started_ns;
+                }
+                (started_ns.saturating_sub(self.t0), search_ns)
+            }
+            None => (total_ns, 0),
+        };
+        metrics.record_request(RequestSpan {
+            label: std::mem::take(&mut self.label),
+            source: self.source,
+            trace_id: self.ctx.trace_id,
+            span_id: self.ctx.span_id,
+            parent_span_id: self.ctx.parent_span_id,
+            link_trace_id: self.link_trace_id,
+            start_ns: self.t0,
+            queued_ns,
+            search_ns,
+            total_ns,
+            strategies: std::mem::take(&mut self.strategies),
+        });
+    }
+}
+
+/// A request responsible for a search (module header). Its two debts —
+/// followers hang until the flight is published, a half-open shard
+/// fast-fails until its probe reports — cannot be skipped by any exit.
+struct Lead<'a, 'p> {
+    rq: &'a mut Request<'p>,
+    /// What the followers wait on (`None`: coalescing off, or published).
+    flight: Option<Arc<Flight<FlightOutput>>>,
+    /// A breaker admission is held and has had no verdict yet.
+    admitted: bool,
+}
+
+impl Lead<'_, '_> {
+    /// Publish to the followers and retire the flight, once.
+    fn publish(&mut self, result: Result<(Plan, bool), PlanError>) {
+        if let Some(flight) = self.flight.take() {
+            let output = FlightOutput {
+                result,
+                leader_trace_id: self.rq.ctx.trace_id,
+            };
+            let flights = &self.rq.planner.flights;
+            flights.complete(&self.rq.canon, &flight, output);
+        }
+    }
+
+    /// Tell the breaker how the admitted request ended, once. Only
+    /// genuine search outcomes count as health: a deadline expiry, a
+    /// shed, or an unfinished leader (`None`) says nothing about the
+    /// shard — but the probe slot, if held, must still be released.
+    fn verdict<T>(&mut self, result: Option<&Result<T, PlanError>>) {
+        if !std::mem::take(&mut self.admitted) {
+            return;
+        }
+        let (rq, planner) = (&*self.rq, self.rq.planner);
+        match result {
+            Some(Ok(_)) => {
+                if planner.breaker.on_success(rq.key) {
+                    rq.rec("breaker.close", vec![]);
+                }
+            }
+            Some(Err(PlanError::Search(_))) => {
+                let now_ns = planner.metrics.now_ns();
+                if planner.breaker.on_failure(rq.key, now_ns) {
+                    let open_ms = Value::UInt(planner.cfg.breaker_open_ms);
+                    rq.rec("breaker.open", vec![("open_ms", open_ms)]);
+                }
+            }
+            Some(Err(_)) | None => planner.breaker.on_abandoned(rq.key),
+        }
+    }
+
+    /// The one way a leader ends: cache-fill → flight publish → breaker
+    /// verdict → recorder events. `ran`: `None` = refused before the queue.
+    fn finish(mut self, result: SearchResult, ran: Option<(u64, u64)>) -> Outcome {
+        let planner = self.rq.planner;
+        if let Ok((plan, aux)) = &result {
+            planner.metrics.on_delta(&aux.delta);
+            // Degraded plans are partial-budget incumbents; caching them
+            // would poison the key for future full-budget requests.
+            if planner.cfg.cache_enabled && !aux.degraded {
+                let (key, canon) = (self.rq.key, &self.rq.canon);
+                planner.cache.insert(key, canon, plan.clone());
+            }
+        }
+        self.publish(match &result {
+            Ok((plan, aux)) => Ok((plan.clone(), aux.degraded)),
+            Err(e) => Err(e.clone()),
+        });
+        self.verdict(Some(&result));
+
+        let rq = &mut *self.rq;
+        rq.ran = ran;
+        let budget_ms = ("budget_ms", Value::UInt(rq.budget_ms));
+        let (plan, aux) = match result {
+            Ok(found) => found,
+            Err(e) => {
+                let (kind, rest) = match &e {
+                    PlanError::Search(_) => {
+                        ("search.fail", vec![("error", Value::Str(e.to_string()))])
+                    }
+                    PlanError::DeadlineExceeded { .. } => (
+                        "deadline.exceeded",
+                        vec![budget_ms, ("stage", Value::Str("search".into()))],
+                    ),
+                    PlanError::CircuitOpen { retry_after_ms } => (
+                        "breaker.fastfail",
+                        vec![("retry_after_ms", Value::UInt(*retry_after_ms))],
+                    ),
+                    PlanError::Overloaded { retry_after_ms } => {
+                        let depth = Value::UInt(planner.executor.queue_depth() as u64);
+                        let retry = Value::UInt(*retry_after_ms);
+                        let rest = vec![("queue_depth", depth), ("retry_after_ms", retry)];
+                        ("request.shed", rest)
+                    }
+                };
+                rq.rec(kind, rest);
+                return Err(e);
+            }
+        };
+        let total_evals = ("total_evals", Value::UInt(plan.total_evals as u64));
+        if aux.cancelled {
+            rq.rec("search.cancelled", vec![]);
+        }
+        if aux.degraded {
+            rq.rec("deadline.degraded", vec![budget_ms, total_evals.clone()]);
+        }
+        let winner = ("winner", Value::Str(plan.winner.name().to_string()));
+        rq.rec("search.done", vec![winner, total_evals]);
+        rq.strategies = aux.strategies;
+        Ok((plan, RequestSource::Fresh, aux.degraded))
+    }
+}
+
+impl Drop for Lead<'_, '_> {
+    /// No-ops after `finish`; otherwise the leader is unwinding: fail
+    /// the followers rather than strand them, release the probe slot.
+    fn drop(&mut self) {
+        self.publish(Err(PlanError::Search("leader abandoned its flight".into())));
+        self.verdict::<()>(None);
+    }
 }
 
 impl Planner {
@@ -283,15 +519,15 @@ impl Planner {
                     cfg.recorder_stripes,
                 ))
             }),
+            search: Arc::new(run_search),
             cfg,
         }
     }
 
-    /// Record one flight-recorder event (no-op when the recorder is
-    /// disabled).
-    fn rec(&self, ctx: &TraceContext, kind: &'static str, detail: Vec<(&str, Value)>) {
+    /// Record one flight-recorder event, when the recorder is on.
+    fn rec(&self, ctx: Option<&TraceContext>, kind: &'static str, detail: Vec<(&str, Value)>) {
         if let Some(r) = &self.recorder {
-            r.record_kv(Some(ctx), kind, detail);
+            r.record_kv(ctx, kind, detail);
         }
     }
 
@@ -326,517 +562,171 @@ impl Planner {
     ) -> Result<PlanReply, PlanError> {
         let t0 = self.metrics.now_ns();
         let deadline_at = deadline.map(|d| Instant::now() + d);
-        let budget_ms = deadline.map_or(0, |d| d.as_millis() as u64);
         let canon = req.canonical_json();
-        let key = crate::request::fnv1a64(canon.as_bytes());
-        let label = req.label();
+        let mut rq = Request {
+            planner: self,
+            ctx,
+            label: req.label(),
+            key: fnv1a64(canon.as_bytes()),
+            canon,
+            t0,
+            deadline_at,
+            budget_ms: deadline.map_or(0, |d| d.as_millis() as u64),
+            source: RequestSource::Failed,
+            link_trace_id: 0,
+            degraded: false,
+            deadline_exceeded: false,
+            ran: None,
+            strategies: Vec::new(),
+        };
+        let outcome = self.serve(&mut rq, req);
+        rq.settle(outcome)
+    }
 
+    /// The one path: probe → follow-or-lead loop → admit → submit →
+    /// await → finish. `rq` and the [`Lead`] do the accounting, on drop.
+    fn serve(&self, rq: &mut Request<'_>, req: &PlanRequest) -> Outcome {
+        let hit = self.probe(rq);
+        // One event on the serving fast path: `cache.hit` doubles as
+        // the arrival record for cache-served requests (same trace,
+        // timestamp, and key a separate received event would carry).
+        let arrival = if hit.is_some() {
+            "cache.hit"
+        } else {
+            "request.received"
+        };
+        let label = ("label", Value::Str(rq.label.clone()));
+        let key = ("key", Value::Str(id_hex(rq.key)));
+        self.rec(Some(&rq.ctx), arrival, vec![label, key]);
+        if let Some(plan) = hit {
+            return Ok((plan, RequestSource::Cache, false));
+        }
         if self.cfg.cache_enabled {
-            if let Some(plan) = self.cache.get(key, &canon) {
-                // One event on the serving fast path: `cache.hit`
-                // doubles as the arrival record for cache-served
-                // requests (same trace, timestamp, and key a separate
-                // received event would carry).
-                self.rec(
-                    &ctx,
-                    "cache.hit",
-                    vec![
-                        ("label", Value::Str(label.clone())),
-                        ("key", Value::Str(id_hex(key))),
-                    ],
-                );
-                self.record(&label, RequestSource::Cache, &ctx, 0, t0, 0, Vec::new());
-                return Ok(PlanReply {
-                    plan,
-                    source: RequestSource::Cache,
-                    key,
-                    trace: ctx,
-                    degraded: false,
-                });
+            rq.rec("cache.miss", vec![]);
+        }
+
+        let flight = loop {
+            if !self.cfg.coalesce_enabled {
+                break None;
             }
-        }
-
-        self.rec(
-            &ctx,
-            "request.received",
-            vec![
-                ("label", Value::Str(label.clone())),
-                ("key", Value::Str(id_hex(key))),
-            ],
-        );
-        if self.cfg.cache_enabled {
-            self.rec(&ctx, "cache.miss", vec![("key", Value::Str(id_hex(key)))]);
-        }
-
-        if self.cfg.coalesce_enabled {
-            loop {
-                match self.flights.enter(&canon) {
-                    Entry::Follower(flight) => {
-                        let Some(out) = flight.wait_until(deadline_at) else {
-                            // Our own deadline expired while the leader was
-                            // still searching. Give up quietly; the leader
-                            // keeps working for the rest of the coalition.
-                            self.metrics.on_deadline_exceeded();
-                            self.rec(
-                                &ctx,
-                                "deadline.exceeded",
-                                vec![
-                                    ("key", Value::Str(id_hex(key))),
-                                    ("budget_ms", Value::UInt(budget_ms)),
-                                    ("stage", Value::Str("coalesced".into())),
-                                ],
-                            );
-                            self.record(&label, RequestSource::Failed, &ctx, 0, t0, 0, Vec::new());
-                            return Err(PlanError::DeadlineExceeded { budget_ms });
-                        };
-                        self.rec(
-                            &ctx,
-                            "coalesce.follow",
-                            vec![
-                                ("key", Value::Str(id_hex(key))),
-                                ("leader_trace_id", Value::Str(id_hex(out.leader_trace_id))),
-                            ],
-                        );
-                        match out.result {
-                            Ok((plan, _, degraded)) => {
-                                if degraded && deadline_at.is_none() {
-                                    // This caller asked for the full-budget
-                                    // answer; the leader's own deadline cut
-                                    // the search short. Inheriting the
-                                    // incumbent would silently hand a
-                                    // partial-budget plan to a request that
-                                    // never opted into one — go around
-                                    // again instead (cache first: a
-                                    // full-budget leader may have finished
-                                    // while we waited; otherwise re-enter
-                                    // the flight, leading it ourselves if
-                                    // nobody else is searching).
-                                    self.rec(
-                                        &ctx,
-                                        "coalesce.degraded_retry",
-                                        vec![
-                                            ("key", Value::Str(id_hex(key))),
-                                            (
-                                                "leader_trace_id",
-                                                Value::Str(id_hex(out.leader_trace_id)),
-                                            ),
-                                        ],
-                                    );
-                                    if self.cfg.cache_enabled {
-                                        if let Some(plan) = self.cache.get(key, &canon) {
-                                            self.record(
-                                                &label,
-                                                RequestSource::Cache,
-                                                &ctx,
-                                                out.leader_trace_id,
-                                                t0,
-                                                0,
-                                                Vec::new(),
-                                            );
-                                            return Ok(PlanReply {
-                                                plan,
-                                                source: RequestSource::Cache,
-                                                key,
-                                                trace: ctx,
-                                                degraded: false,
-                                            });
-                                        }
-                                    }
-                                    continue;
-                                }
-                                if degraded {
-                                    self.metrics.on_degraded();
-                                }
-                                self.record(
-                                    &label,
-                                    RequestSource::Coalesced,
-                                    &ctx,
-                                    out.leader_trace_id,
-                                    t0,
-                                    0,
-                                    Vec::new(),
-                                );
-                                return Ok(PlanReply {
-                                    plan,
-                                    source: RequestSource::Coalesced,
-                                    key,
-                                    trace: ctx,
-                                    degraded,
-                                });
-                            }
-                            Err(e) => {
-                                let source = match e {
-                                    PlanError::Overloaded { .. }
-                                    | PlanError::CircuitOpen { .. } => RequestSource::Shed,
-                                    PlanError::Search(_) | PlanError::DeadlineExceeded { .. } => {
-                                        RequestSource::Failed
-                                    }
-                                };
-                                self.record(
-                                    &label,
-                                    source,
-                                    &ctx,
-                                    out.leader_trace_id,
-                                    t0,
-                                    0,
-                                    Vec::new(),
-                                );
-                                return Err(e);
-                            }
-                        }
-                    }
-                    Entry::Leader(flight) => {
-                        return self.lead(
-                            req,
-                            key,
-                            &canon,
-                            Some(flight),
-                            t0,
-                            &label,
-                            ctx,
-                            deadline_at,
-                            budget_ms,
-                        )
+            match self.flights.enter(&rq.canon) {
+                Entry::Leader(flight) => break Some(flight),
+                Entry::Follower(flight) => {
+                    if let Some(outcome) = self.follow(rq, &flight) {
+                        return outcome;
                     }
                 }
             }
-        } else {
-            self.lead(
-                req,
-                key,
-                &canon,
-                None,
-                t0,
-                &label,
-                ctx,
-                deadline_at,
-                budget_ms,
-            )
-        }
-    }
+        };
+        let mut lead = Lead {
+            rq,
+            flight,
+            admitted: false,
+        };
 
-    /// Leader path: breaker, admit, search, cache, publish.
-    #[allow(clippy::too_many_arguments)]
-    fn lead(
-        &self,
-        req: &PlanRequest,
-        key: u64,
-        canon: &str,
-        flight: Option<Arc<crate::singleflight::Flight<FlightOutput>>>,
-        t0: u64,
-        label: &str,
-        ctx: TraceContext,
-        deadline_at: Option<Instant>,
-        budget_ms: u64,
-    ) -> Result<PlanReply, PlanError> {
-        if let Err(retry_after_ms) = self.breaker.admit(key, self.metrics.now_ns()) {
-            let err = PlanError::CircuitOpen { retry_after_ms };
-            self.rec(
-                &ctx,
-                "breaker.fastfail",
-                vec![
-                    ("key", Value::Str(id_hex(key))),
-                    ("retry_after_ms", Value::UInt(retry_after_ms)),
-                ],
-            );
-            // Publish the fast-fail to followers FIRST: they must
-            // never hang on a flight whose leader was never admitted.
-            if let Some(f) = &flight {
-                self.flights.complete(
-                    canon,
-                    f,
-                    FlightOutput {
-                        result: Err(err.clone()),
-                        leader_trace_id: ctx.trace_id,
-                    },
-                );
-            }
-            self.record(label, RequestSource::Shed, &ctx, 0, t0, 0, Vec::new());
-            return Err(err);
+        if let Err(retry_after_ms) = self.breaker.admit(lead.rq.key, self.metrics.now_ns()) {
+            return lead.finish(Err(PlanError::CircuitOpen { retry_after_ms }), None);
         }
+        lead.admitted = true;
 
-        let (tx, rx) = mpsc::channel::<SearchReport>();
-        let job_req = req.clone();
-        let job_metrics = Arc::clone(&self.metrics);
+        let (tx, rx) = mpsc::channel();
+        let (job_req, search) = (req.clone(), Arc::clone(&self.search));
+        let metrics = Arc::clone(&self.metrics);
+        let (deadline_at, budget_ms) = (lead.rq.deadline_at, lead.rq.budget_ms);
         let job = move || {
-            let started_ns = job_metrics.now_ns();
+            let started_ns = metrics.now_ns();
             // Expired while queued: don't burn a worker on a search
             // whose client already gave up. No incumbent exists yet,
             // so this is a true DeadlineExceeded, not a degraded plan.
             if deadline_at.is_some_and(|d| Instant::now() >= d) {
-                let _ = tx.send(SearchReport {
-                    result: Err(PlanError::DeadlineExceeded { budget_ms }),
-                    started_ns,
-                    search_ns: 0,
-                });
+                let expired = Err(PlanError::DeadlineExceeded { budget_ms });
+                let _ = tx.send((expired, (started_ns, 0)));
                 return;
             }
-            job_metrics.on_search_started();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_search(&job_req, deadline_at, budget_ms)
-            }))
-            .unwrap_or_else(|_| Err(PlanError::Search("search worker panicked".into())));
-            let search_ns = job_metrics.now_ns().saturating_sub(started_ns);
-            let _ = tx.send(SearchReport {
-                result,
-                started_ns,
-                search_ns,
-            });
+            metrics.on_search_started();
+            let searched = catch_unwind(AssertUnwindSafe(|| {
+                search(&job_req, deadline_at, budget_ms)
+            }));
+            let result = searched
+                .unwrap_or_else(|_| Err(PlanError::Search("search worker panicked".into())));
+            let search_ns = metrics.now_ns().saturating_sub(started_ns);
+            let _ = tx.send((result, (started_ns, search_ns)));
         };
-
         if self.executor.try_submit(job).is_err() {
-            // The breaker admitted us but no search will run: if we
-            // held the half-open probe slot, give it back so the next
-            // request can probe instead of fast-failing forever.
-            self.breaker.on_abandoned(key);
-            let err = PlanError::Overloaded {
-                retry_after_ms: self.cfg.retry_after_ms,
-            };
-            self.rec(
-                &ctx,
-                "request.shed",
-                vec![
-                    ("key", Value::Str(id_hex(key))),
-                    (
-                        "queue_depth",
-                        Value::UInt(self.executor.queue_depth() as u64),
-                    ),
-                    ("retry_after_ms", Value::UInt(self.cfg.retry_after_ms)),
-                ],
-            );
-            // Publish the shed to followers FIRST: they must never
-            // hang on a flight whose leader was never admitted.
-            if let Some(f) = &flight {
-                self.flights.complete(
-                    canon,
-                    f,
-                    FlightOutput {
-                        result: Err(err.clone()),
-                        leader_trace_id: ctx.trace_id,
-                    },
-                );
-            }
-            self.record(label, RequestSource::Shed, &ctx, 0, t0, 0, Vec::new());
-            return Err(err);
+            let retry_after_ms = self.cfg.retry_after_ms;
+            return lead.finish(Err(PlanError::Overloaded { retry_after_ms }), None);
         }
 
-        let report = rx.recv().expect("worker always replies");
-        let flight_result = match &report.result {
-            Ok((plan, aux)) => Ok((plan.clone(), report.search_ns, aux.degraded)),
-            Err(e) => Err(e.clone()),
-        };
-        if let Ok((plan, aux)) = &report.result {
-            self.metrics.on_delta(&aux.delta);
-            // Degraded plans are partial-budget incumbents; caching
-            // them would poison the key for future full-budget
-            // requests.
-            if self.cfg.cache_enabled && !aux.degraded {
-                self.cache.insert(key, canon, plan.clone());
-            }
-        }
-        if let Some(f) = &flight {
-            self.flights.complete(
-                canon,
-                f,
-                FlightOutput {
-                    result: flight_result,
-                    leader_trace_id: ctx.trace_id,
-                },
-            );
-        }
-
-        // Breaker health: only genuine search outcomes count. A
-        // deadline expiry says nothing about whether the shard's
-        // requests can succeed.
-        match &report.result {
-            Ok(_) => {
-                let closes_before = self.breaker.closes();
-                self.breaker.on_success(key);
-                if self.breaker.closes() > closes_before {
-                    self.rec(
-                        &ctx,
-                        "breaker.close",
-                        vec![("key", Value::Str(id_hex(key)))],
-                    );
-                }
-            }
-            Err(PlanError::Search(_)) => {
-                let trips_before = self.breaker.trips();
-                self.breaker.on_failure(key, self.metrics.now_ns());
-                if self.breaker.trips() > trips_before {
-                    self.rec(
-                        &ctx,
-                        "breaker.open",
-                        vec![
-                            ("key", Value::Str(id_hex(key))),
-                            ("open_ms", Value::UInt(self.cfg.breaker_open_ms)),
-                        ],
-                    );
-                }
-            }
-            Err(_) => {
-                // Neither a success nor a search failure (deadline
-                // expired before or during the search): no verdict on
-                // shard health, but the probe slot — if this request
-                // held it — must be released.
-                self.breaker.on_abandoned(key);
-            }
-        }
-
-        match report.result {
-            Ok((plan, aux)) => {
-                if aux.cancelled {
-                    self.rec(
-                        &ctx,
-                        "search.cancelled",
-                        vec![("key", Value::Str(id_hex(key)))],
-                    );
-                }
-                if aux.degraded {
-                    self.metrics.on_degraded();
-                    self.rec(
-                        &ctx,
-                        "deadline.degraded",
-                        vec![
-                            ("key", Value::Str(id_hex(key))),
-                            ("budget_ms", Value::UInt(budget_ms)),
-                            ("total_evals", Value::UInt(plan.total_evals as u64)),
-                        ],
-                    );
-                }
-                self.rec(
-                    &ctx,
-                    "search.done",
-                    vec![
-                        ("key", Value::Str(id_hex(key))),
-                        ("winner", Value::Str(plan.winner.name().to_string())),
-                        ("total_evals", Value::UInt(plan.total_evals as u64)),
-                    ],
-                );
-                // Strategy offsets are relative to the portfolio
-                // launch; rebase them onto the metrics clock.
-                let strategies = aux
-                    .strategies
-                    .into_iter()
-                    .map(|s| StrategySpan {
-                        name: s.name,
-                        start_ns: report.started_ns + s.start_ns,
-                        dur_ns: s.dur_ns,
-                    })
-                    .collect();
-                let span = RequestSpan {
-                    label: label.to_string(),
-                    source: RequestSource::Fresh,
-                    trace_id: ctx.trace_id,
-                    span_id: ctx.span_id,
-                    parent_span_id: ctx.parent_span_id,
-                    link_trace_id: 0,
-                    start_ns: t0,
-                    queued_ns: report.started_ns.saturating_sub(t0),
-                    search_ns: report.search_ns,
-                    total_ns: self.metrics.now_ns().saturating_sub(t0),
-                    strategies,
-                };
-                self.metrics.record_request(span);
-                Ok(PlanReply {
-                    plan,
-                    source: RequestSource::Fresh,
-                    key,
-                    trace: ctx,
-                    degraded: aux.degraded,
-                })
-            }
-            Err(e) => {
-                if matches!(e, PlanError::DeadlineExceeded { .. }) {
-                    self.metrics.on_deadline_exceeded();
-                    self.rec(
-                        &ctx,
-                        "deadline.exceeded",
-                        vec![
-                            ("key", Value::Str(id_hex(key))),
-                            ("budget_ms", Value::UInt(budget_ms)),
-                            ("stage", Value::Str("search".into())),
-                        ],
-                    );
-                } else {
-                    self.rec(
-                        &ctx,
-                        "search.fail",
-                        vec![
-                            ("key", Value::Str(id_hex(key))),
-                            ("error", Value::Str(e.to_string())),
-                        ],
-                    );
-                }
-                self.record(
-                    label,
-                    RequestSource::Failed,
-                    &ctx,
-                    0,
-                    t0,
-                    report.search_ns,
-                    Vec::new(),
-                );
-                Err(e)
-            }
-        }
+        let (result, ran) = rx.recv().expect("worker always replies");
+        lead.finish(result, Some(ran))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &self,
-        label: &str,
-        source: RequestSource,
-        ctx: &TraceContext,
-        link_trace_id: u64,
-        t0: u64,
-        search_ns: u64,
-        strategies: Vec<StrategySpan>,
-    ) {
-        let total_ns = self.metrics.now_ns().saturating_sub(t0);
-        self.metrics.record_request(RequestSpan {
-            label: label.to_string(),
-            source,
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            parent_span_id: ctx.parent_span_id,
-            link_trace_id,
-            start_ns: t0,
-            queued_ns: total_ns.saturating_sub(search_ns),
-            search_ns,
-            total_ns,
-            strategies,
-        });
+    /// The cached plan for `rq`, when the cache is on and has it.
+    fn probe(&self, rq: &Request<'_>) -> Option<Plan> {
+        if !self.cfg.cache_enabled {
+            return None;
+        }
+        self.cache.get(rq.key, &rq.canon)
+    }
+
+    /// Wait on another request's flight and inherit what its leader
+    /// published. `None` means go around the follow-or-lead loop again.
+    fn follow(&self, rq: &mut Request<'_>, flight: &Flight<FlightOutput>) -> Option<Outcome> {
+        let budget_ms = rq.budget_ms;
+        let Some(out) = flight.wait_until(rq.deadline_at) else {
+            // Our own deadline expired while the leader was still
+            // searching. Give up quietly; the leader keeps working for
+            // the rest of the coalition.
+            let stage = ("stage", Value::Str("coalesced".into()));
+            let budget = ("budget_ms", Value::UInt(budget_ms));
+            rq.rec("deadline.exceeded", vec![budget, stage]);
+            return Some(Err(PlanError::DeadlineExceeded { budget_ms }));
+        };
+        rq.link_trace_id = out.leader_trace_id;
+        let leader = ("leader_trace_id", Value::Str(id_hex(out.leader_trace_id)));
+        rq.rec("coalesce.follow", vec![leader.clone()]);
+        match out.result {
+            Ok((_, true)) if rq.deadline_at.is_none() => {
+                // This caller asked for the full-budget answer; the
+                // leader's own deadline cut the search short.
+                // Inheriting the incumbent would silently hand a
+                // partial-budget plan to a request that never opted
+                // into one — go around again instead (cache first: a
+                // full-budget leader may have finished while we
+                // waited; otherwise re-enter the flight, leading it
+                // ourselves if nobody else is searching).
+                rq.rec("coalesce.degraded_retry", vec![leader]);
+                let plan = self.probe(rq)?;
+                Some(Ok((plan, RequestSource::Cache, false)))
+            }
+            Ok((plan, degraded)) => Some(Ok((plan, RequestSource::Coalesced, degraded))),
+            Err(e) => Some(Err(e)),
+        }
     }
 
     /// Drop every cached plan; returns how many were invalidated.
     pub fn invalidate_cache(&self) -> usize {
         let n = self.cache.invalidate_all();
         self.metrics.on_cache_invalidations(n as u64);
-        if let Some(r) = &self.recorder {
-            r.record_kv(
-                None,
-                "cache.invalidate",
-                vec![("entries", Value::UInt(n as u64))],
-            );
-        }
+        self.rec(
+            None,
+            "cache.invalidate",
+            vec![("entries", Value::UInt(n as u64))],
+        );
         n
+    }
+
+    /// Record a snapshot event: `n` entries saved to / loaded from `path`.
+    fn rec_snapshot(&self, kind: &'static str, n: usize, path: &Path) {
+        let path = ("path", Value::Str(path.display().to_string()));
+        self.rec(None, kind, vec![("entries", Value::UInt(n as u64)), path]);
     }
 
     /// Snapshot the plan cache to `path` (`mheta-plancache/v1`,
     /// atomic tmp + rename). Returns how many entries were saved.
     pub fn save_snapshot(&self, path: &Path) -> std::io::Result<usize> {
         let n = crate::snapshot::save(&self.cache, path)?;
-        if let Some(r) = &self.recorder {
-            r.record_kv(
-                None,
-                "snapshot.save",
-                vec![
-                    ("entries", Value::UInt(n as u64)),
-                    ("path", Value::Str(path.display().to_string())),
-                ],
-            );
-        }
+        self.rec_snapshot("snapshot.save", n, path);
         Ok(n)
     }
 
@@ -847,16 +737,7 @@ impl Planner {
     pub fn load_snapshot(&self, path: &Path) -> Result<usize, crate::snapshot::SnapshotError> {
         let entries = crate::snapshot::load(path)?;
         let n = crate::snapshot::restore(&self.cache, entries);
-        if let Some(r) = &self.recorder {
-            r.record_kv(
-                None,
-                "snapshot.load",
-                vec![
-                    ("entries", Value::UInt(n as u64)),
-                    ("path", Value::Str(path.display().to_string())),
-                ],
-            );
-        }
+        self.rec_snapshot("snapshot.load", n, path);
         Ok(n)
     }
 
@@ -1043,11 +924,7 @@ impl Planner {
 /// Build the MHETA model for the request and run the portfolio search,
 /// with the request deadline (if any) as a cooperative cancellation
 /// criterion.
-fn run_search(
-    req: &PlanRequest,
-    deadline: Option<Instant>,
-    budget_ms: u64,
-) -> Result<(Plan, SearchAux), PlanError> {
+fn run_search(req: &PlanRequest, deadline: Option<Instant>, budget_ms: u64) -> SearchResult {
     let model = build_model(&req.bench, &req.spec, req.prefetch)
         .map_err(|e| PlanError::Search(e.to_string()))?;
     let inputs = anchor_inputs(&model);
@@ -1088,4 +965,451 @@ fn run_search(
             delta: out.delta,
         },
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    //! Lifecycle conservation laws. `run_search` is swapped for a
+    //! scripted stub (the `search` field is the seam), every
+    //! interleaving is forced by a channel or by counting the holders
+    //! of a flight — no sleeps — and after each script `Rig::settled`
+    //! checks what must hold however a request left the pipeline.
+    //!
+    //! Mutation-checked: deleting any one obligation fails a law —
+    //! `Request::drop`'s `record_request` ("one terminal record per
+    //! request", every script), its `on_degraded` / `on_deadline_exceeded`
+    //! (the counter laws); `Lead::finish`'s cache-fill (the repeat misses),
+    //! publish (followers end `Failed`, not `Coalesced`), verdict (no
+    //! trip, no close), events (the recorder law); `Lead::drop`'s publish
+    //! (stranded follower) and verdict, and `verdict`'s `on_abandoned`
+    //! ("phantom probe in flight").
+
+    use super::*;
+    use crate::request::{benchmark_by_name, SearchParams};
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
+
+    /// How one scripted search ends.
+    #[derive(Clone, Copy)]
+    enum End {
+        Ok,
+        Fail,
+        Panic,
+        Degraded,
+    }
+    use End::{Degraded, Fail, Ok as Found, Panic};
+
+    /// One scripted search: how it ends, and whether it first blocks
+    /// until the test releases it.
+    #[derive(Clone, Copy)]
+    struct Step {
+        end: End,
+        gated: bool,
+    }
+
+    fn now(end: End) -> Step {
+        Step { end, gated: false }
+    }
+
+    fn gated(end: End) -> Step {
+        Step { end, gated: true }
+    }
+
+    /// The full-budget plan evaluates twice as much as the degraded one,
+    /// which is how the cache law tells them apart.
+    const FULL_EVALS: usize = 2;
+
+    struct Rig {
+        planner: Planner,
+        /// One message lets one gated search finish.
+        release: mpsc::Sender<()>,
+        calls: AtomicU64,
+        degraded_replies: AtomicU64,
+        deadline_errors: AtomicU64,
+    }
+
+    fn request(seed: u64) -> PlanRequest {
+        PlanRequest {
+            bench: benchmark_by_name("jacobi", "small").unwrap(),
+            prefetch: false,
+            spec: mheta_sim::presets::dc(),
+            search: SearchParams {
+                seed,
+                ..SearchParams::default()
+            },
+        }
+    }
+
+    /// A planner whose searches follow `steps`, one per search started,
+    /// plus the channel that reports each search as it starts.
+    fn rig(cfg: PlannerConfig, steps: &[Step]) -> (Rig, mpsc::Receiver<()>) {
+        let steps = Mutex::new(steps.iter().copied().collect::<VecDeque<_>>());
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let release_rx = Mutex::new(release_rx);
+        let search = move |_: &PlanRequest, _: Option<Instant>, _: u64| -> SearchResult {
+            let step = steps.lock().unwrap().pop_front();
+            let step = step.expect("the script has a step for every search");
+            entered_tx.send(()).unwrap();
+            if step.gated {
+                release_rx.lock().unwrap().recv().unwrap();
+            }
+            let found = |degraded: bool| {
+                let plan = Plan {
+                    rows: vec![3, 2, 1],
+                    predicted_ns: 1.0,
+                    winner: Strategy::Gbs,
+                    total_evals: if degraded { 1 } else { FULL_EVALS },
+                };
+                let aux = SearchAux {
+                    strategies: Vec::new(),
+                    cancelled: degraded,
+                    degraded,
+                    delta: DeltaStats::default(),
+                };
+                Ok((plan, aux))
+            };
+            match step.end {
+                Found => found(false),
+                Degraded => found(true),
+                Fail => Err(PlanError::Search("scripted failure".into())),
+                Panic => panic!("scripted panic"),
+            }
+        };
+        let planner = Planner {
+            search: Arc::new(search),
+            // One shard: every key shares the breaker.
+            ..Planner::new(PlannerConfig {
+                cache_shards: 1,
+                ..cfg
+            })
+        };
+        let rig = Rig {
+            planner,
+            release,
+            calls: AtomicU64::new(0),
+            degraded_replies: AtomicU64::new(0),
+            deadline_errors: AtomicU64::new(0),
+        };
+        (rig, entered)
+    }
+
+    impl Rig {
+        fn call(&self, seed: u64, deadline: Option<Duration>) -> Result<PlanReply, PlanError> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            let ctx = TraceContext::root();
+            let out = self.planner.plan_opts(&request(seed), ctx, deadline);
+            match &out {
+                Ok(reply) if reply.degraded => &self.degraded_replies,
+                Err(PlanError::DeadlineExceeded { .. }) => &self.deadline_errors,
+                _ => return out,
+            }
+            .fetch_add(1, Ordering::SeqCst);
+            out
+        }
+
+        /// Block until `n` requests (the leader included) hold the
+        /// flight for `seed`. Call only while its leader is gated: a
+        /// holder has already taken its place in the flight, so whatever
+        /// the leader publishes next reaches it.
+        fn flight_holds(&self, seed: u64, n: usize) {
+            let canon = request(seed).canonical_json();
+            let Entry::Follower(flight) = self.planner.flights.enter(&canon) else {
+                panic!("no flight to join for seed {seed}")
+            };
+            // The registry and this probe hold one reference each.
+            while Arc::strong_count(&flight) < n + 2 {
+                std::thread::yield_now();
+            }
+        }
+
+        fn cached(&self, seed: u64) -> Option<Plan> {
+            let req = request(seed);
+            self.planner.cache.get(req.key(), &req.canonical_json())
+        }
+
+        fn kinds(&self) -> Vec<String> {
+            let dump = self.planner.flight_dump();
+            let events = dump.get("events").unwrap().as_array().unwrap();
+            let kind = |e: &Value| e.get("kind").unwrap().as_str().unwrap().to_string();
+            let mut kinds: Vec<String> = events.iter().map(kind).collect();
+            kinds.sort();
+            kinds
+        }
+
+        /// The conservation laws. `sources` is how the script's
+        /// requests must have been accounted, `kinds` the recorder
+        /// events they must have left (both as multisets).
+        fn settled(&self, sources: &[RequestSource], kinds: &[&str]) {
+            let planner = &self.planner;
+            let (m, spans) = (planner.metrics(), planner.metrics().spans());
+            let calls = self.calls.load(Ordering::SeqCst);
+
+            // Exactly one terminal span per request, of the right kind.
+            assert_eq!(m.requests(), calls, "one terminal record per request");
+            let names = |s: &[RequestSource]| {
+                let mut names: Vec<_> = s.iter().map(|s| s.name()).collect();
+                names.sort_unstable();
+                names
+            };
+            let got: Vec<_> = spans.iter().map(|s| s.source).collect();
+            assert_eq!(names(&got), names(sources));
+            let fresh = got.iter().filter(|&&s| s == RequestSource::Fresh).count() as u64;
+            assert_eq!(
+                m.requests(),
+                m.cache_hits() + m.coalesced() + m.shed() + m.failures() + fresh
+            );
+            // Every coalesced request links a leader, and every link
+            // names another request of this run.
+            for s in &spans {
+                let coalesced = s.source == RequestSource::Coalesced;
+                assert!(!coalesced || s.link_trace_id != 0, "unlinked follower");
+                let leader = |l: &&RequestSpan| l.trace_id == s.link_trace_id;
+                let linked = spans.iter().find(leader).map(|l| l.span_id);
+                assert!(s.link_trace_id == 0 || linked.is_some_and(|id| id != s.span_id));
+            }
+            // The outcome counters count replies, nothing else.
+            let degraded = self.degraded_replies.load(Ordering::SeqCst);
+            assert_eq!(m.degraded(), degraded, "degraded counter");
+            let expired = self.deadline_errors.load(Ordering::SeqCst);
+            assert_eq!(m.deadline_exceeded(), expired, "deadline counter");
+            let mut want: Vec<_> = kinds.iter().map(|k| k.to_string()).collect();
+            want.sort();
+            assert_eq!(self.kinds(), want, "recorder events");
+
+            // Nothing is left in flight, queued, or half-probed: once
+            // any open window has run out the shard admits a probe.
+            assert_eq!(
+                planner.flights.in_flight(),
+                0,
+                "a flight outlived its leader"
+            );
+            assert_eq!(planner.queue_depth(), 0);
+            let probe = planner.breaker.admit(0, u64::MAX);
+            assert_eq!(probe, Ok(()), "phantom probe in flight");
+            planner.breaker.on_abandoned(0);
+            // Only full-budget plans are ever cached.
+            for seed in 0..8 {
+                let evals = self.cached(seed).map(|p| p.total_evals);
+                assert!(
+                    evals.is_none_or(|n| n == FULL_EVALS),
+                    "degraded plan cached"
+                );
+            }
+        }
+    }
+
+    use RequestSource::{Cache, Coalesced, Failed, Fresh, Shed};
+
+    #[test]
+    fn a_miss_leads_and_the_repeat_hits() {
+        let (rig, _entered) = rig(PlannerConfig::default(), &[now(Found)]);
+        assert_eq!(rig.call(1, None).unwrap().source, Fresh);
+        assert_eq!(rig.call(1, None).unwrap().source, Cache);
+        assert!(rig.cached(1).is_some());
+        let kinds = ["request.received", "cache.miss", "search.done", "cache.hit"];
+        rig.settled(&[Fresh, Cache], &kinds);
+    }
+
+    #[test]
+    fn followers_share_the_leaders_outcome() {
+        for (end, leader, follower) in [(Found, Fresh, Coalesced), (Fail, Failed, Failed)] {
+            let (rig, entered) = rig(PlannerConfig::default(), &[gated(end)]);
+            let outcomes: Vec<_> = std::thread::scope(|s| {
+                let calls: Vec<_> = (0..3).map(|_| s.spawn(|| rig.call(1, None))).collect();
+                entered.recv().unwrap();
+                rig.flight_holds(1, 3);
+                rig.release.send(()).unwrap();
+                calls.into_iter().map(|c| c.join().unwrap()).collect()
+            });
+            let ok = outcomes.iter().filter(|o| o.is_ok()).count();
+            assert_eq!(ok, if leader == Fresh { 3 } else { 0 });
+            assert_eq!(rig.planner.metrics().searches(), 1);
+            let done = if leader == Fresh {
+                "search.done"
+            } else {
+                "search.fail"
+            };
+            let kinds = [
+                ["request.received", "cache.miss"].repeat(3),
+                vec![done, "coalesce.follow", "coalesce.follow"],
+            ]
+            .concat();
+            rig.settled(&[leader, follower, follower], &kinds);
+            let spans = rig.planner.metrics().spans();
+            let linked = spans.iter().filter(|s| s.link_trace_id != 0).count();
+            assert_eq!(linked, 2, "both followers link the leader, failed or not");
+        }
+    }
+
+    #[test]
+    fn a_followers_own_deadline_does_not_disturb_the_leader() {
+        let (rig, entered) = rig(PlannerConfig::default(), &[gated(Found)]);
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| rig.call(1, None));
+            entered.recv().unwrap();
+            let err = rig.call(1, Some(Duration::from_millis(5))).unwrap_err();
+            assert_eq!(err, PlanError::DeadlineExceeded { budget_ms: 5 });
+            rig.release.send(()).unwrap();
+            assert_eq!(leader.join().unwrap().unwrap().source, Fresh);
+        });
+        let kinds = [
+            ["request.received", "cache.miss"].repeat(2),
+            vec!["deadline.exceeded", "search.done"],
+        ]
+        .concat();
+        rig.settled(&[Fresh, Failed], &kinds);
+    }
+
+    #[test]
+    fn degraded_plans_reach_only_callers_with_a_deadline() {
+        let minute = Some(Duration::from_secs(60));
+        let steps = [gated(Degraded), now(Found)];
+        let (rig, entered) = rig(PlannerConfig::default(), &steps);
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| rig.call(1, minute));
+            entered.recv().unwrap();
+            let bounded = s.spawn(|| rig.call(1, minute));
+            let unbounded = s.spawn(|| rig.call(1, None));
+            rig.flight_holds(1, 3);
+            rig.release.send(()).unwrap();
+            let leader = leader.join().unwrap().unwrap();
+            assert!(leader.degraded && leader.source == Fresh);
+            // Bounded latency is what the deadlined follower asked for.
+            let bounded = bounded.join().unwrap().unwrap();
+            assert!(bounded.degraded && bounded.source == Coalesced);
+            // The deadline-free one goes around again and leads the
+            // full-budget search itself.
+            let unbounded = unbounded.join().unwrap().unwrap();
+            assert!(!unbounded.degraded && unbounded.source == Fresh);
+            assert_eq!(unbounded.plan.total_evals, FULL_EVALS);
+        });
+        assert_eq!(rig.cached(1).map(|p| p.total_evals), Some(FULL_EVALS));
+        let kinds = [
+            ["request.received", "cache.miss", "search.done"].repeat(2),
+            vec!["request.received", "cache.miss"],
+            vec!["search.cancelled", "deadline.degraded"],
+            vec![
+                "coalesce.follow",
+                "coalesce.follow",
+                "coalesce.degraded_retry",
+            ],
+        ]
+        .concat();
+        rig.settled(&[Fresh, Coalesced, Fresh], &kinds);
+    }
+
+    #[test]
+    fn search_failures_trip_the_breaker_and_a_probe_closes_it() {
+        let cfg = PlannerConfig {
+            breaker_threshold: 2,
+            breaker_open_ms: 60_000,
+            cache_enabled: false,
+            ..PlannerConfig::default()
+        };
+        let (rig, _entered) = rig(cfg, &[now(Fail), now(Panic), now(Found)]);
+        assert!(matches!(rig.call(1, None), Err(PlanError::Search(_))));
+        let err = rig.call(2, None).unwrap_err();
+        assert_eq!(err, PlanError::Search("search worker panicked".into()));
+        let err = rig.call(3, None).unwrap_err();
+        assert!(matches!(err, PlanError::CircuitOpen { .. }), "{err}");
+        let events = [
+            ["request.received", "search.fail"].repeat(2),
+            vec!["breaker.open", "request.received", "breaker.fastfail"],
+        ]
+        .concat();
+        // `settled` probes the shard once its window is over and gives
+        // the slot back; the next request is that probe, and succeeds.
+        rig.settled(&[Failed, Failed, Shed], &events);
+        assert_eq!(rig.call(4, None).unwrap().source, Fresh);
+        assert_eq!(rig.planner.breaker().closes(), 1);
+        let events = [
+            events,
+            vec!["request.received", "breaker.close", "search.done"],
+        ]
+        .concat();
+        rig.settled(&[Failed, Failed, Shed, Fresh], &events);
+    }
+
+    #[test]
+    fn a_probe_with_no_verdict_gives_its_slot_back() {
+        // Shed on a full queue, then expired in the queue: neither says
+        // anything about the shard, both must release the probe slot.
+        for (queue_capacity, deadline) in [(0, None), (4, Some(Duration::ZERO))] {
+            let cfg = PlannerConfig {
+                breaker_threshold: 1,
+                breaker_open_ms: 0,
+                queue_capacity,
+                ..PlannerConfig::default()
+            };
+            let (rig, _entered) = rig(cfg, &[]);
+            rig.planner.breaker.on_failure(0, 0);
+            let err = rig.call(1, deadline).unwrap_err();
+            assert_eq!(rig.planner.breaker().probes(), 1, "it was the probe");
+            assert_eq!(rig.planner.metrics().searches(), 0);
+            let (source, event) = match err {
+                PlanError::Overloaded { .. } => (Shed, "request.shed"),
+                PlanError::DeadlineExceeded { .. } => (Failed, "deadline.exceeded"),
+                other => panic!("unexpected {other}"),
+            };
+            rig.settled(&[source], &["request.received", "cache.miss", event]);
+        }
+    }
+
+    #[test]
+    fn a_leader_that_never_finishes_still_pays_its_debts() {
+        let cfg = PlannerConfig {
+            breaker_threshold: 1,
+            breaker_open_ms: 0,
+            ..PlannerConfig::default()
+        };
+        let (rig, _entered) = rig(cfg, &[]);
+        let planner = &rig.planner;
+        planner.breaker.on_failure(0, 0);
+        let follower = std::thread::scope(|s| {
+            let req = request(1);
+            let canon = req.canonical_json();
+            let Entry::Leader(flight) = planner.flights.enter(&canon) else {
+                panic!("first entrant leads")
+            };
+            // Bounded, so a follower left stranded fails the test
+            // instead of hanging it.
+            let follower = s.spawn(|| rig.call(1, Some(Duration::from_secs(5))));
+            rig.flight_holds(1, 2);
+            // A request that became the leader and the half-open probe,
+            // and then unwound before `finish`.
+            rig.calls.fetch_add(1, Ordering::SeqCst);
+            let mut rq = Request {
+                planner,
+                ctx: TraceContext::root(),
+                label: req.label(),
+                key: req.key(),
+                canon,
+                t0: planner.metrics.now_ns(),
+                deadline_at: None,
+                budget_ms: 0,
+                source: Failed,
+                link_trace_id: 0,
+                degraded: false,
+                deadline_exceeded: false,
+                ran: None,
+                strategies: Vec::new(),
+            };
+            assert_eq!(planner.breaker.admit(rq.key, u64::MAX), Ok(()));
+            drop(Lead {
+                rq: &mut rq,
+                flight: Some(flight),
+                admitted: true,
+            });
+            drop(rq);
+            follower.join().unwrap()
+        });
+        assert!(
+            matches!(follower, Err(PlanError::Search(_))),
+            "{follower:?}"
+        );
+        let kinds = ["request.received", "cache.miss", "coalesce.follow"];
+        rig.settled(&[Failed, Failed], &kinds);
+    }
 }

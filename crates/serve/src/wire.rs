@@ -3,7 +3,10 @@
 //! One request per line, one response per line; both sides are plain
 //! JSON rendered and parsed by the shared `mheta_obs::json` machinery
 //! (there is no second JSON implementation, and thus no second
-//! escaping routine, anywhere in the workspace).
+//! escaping routine, anywhere in the workspace). Input is bounded
+//! before it is believed: a line is at most [`MAX_LINE_BYTES`] and must
+//! be UTF-8 (else one `bad_request` reply and the connection closes),
+//! and the parser refuses nesting deeper than 128.
 //!
 //! Requests:
 //!
@@ -59,7 +62,7 @@
 //! under `"prometheus"`; `dump` returns the flight-recorder document
 //! (`mheta-flight/v1`) under `"flight"`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -211,28 +214,28 @@ pub fn plan_response(reply: &PlanReply) -> Value {
     ])
 }
 
+/// The wire's name for each planning error, in replies and shed logs.
+fn error_kind(err: &PlanError) -> &'static str {
+    match err {
+        PlanError::Overloaded { .. } => "overloaded",
+        PlanError::Search(_) => "search",
+        PlanError::DeadlineExceeded { .. } => "deadline",
+        PlanError::CircuitOpen { .. } => "circuit_open",
+    }
+}
+
 /// Render a planning error. `trace` identifies the failed request in
 /// the daemon's telemetry (omitted when no request context exists).
 #[must_use]
 pub fn error_response(err: &PlanError, trace: Option<&TraceContext>) -> Value {
-    let error = match err {
-        PlanError::Overloaded { retry_after_ms } => Value::object(vec![
-            ("kind", Value::Str("overloaded".into())),
-            ("retry_after_ms", Value::UInt(*retry_after_ms)),
-        ]),
-        PlanError::Search(msg) => Value::object(vec![
-            ("kind", Value::Str("search".into())),
-            ("message", Value::Str(msg.clone())),
-        ]),
-        PlanError::DeadlineExceeded { budget_ms } => Value::object(vec![
-            ("kind", Value::Str("deadline".into())),
-            ("budget_ms", Value::UInt(*budget_ms)),
-        ]),
-        PlanError::CircuitOpen { retry_after_ms } => Value::object(vec![
-            ("kind", Value::Str("circuit_open".into())),
-            ("retry_after_ms", Value::UInt(*retry_after_ms)),
-        ]),
+    let detail = match err {
+        PlanError::Overloaded { retry_after_ms } | PlanError::CircuitOpen { retry_after_ms } => {
+            ("retry_after_ms", Value::UInt(*retry_after_ms))
+        }
+        PlanError::Search(msg) => ("message", Value::Str(msg.clone())),
+        PlanError::DeadlineExceeded { budget_ms } => ("budget_ms", Value::UInt(*budget_ms)),
     };
+    let error = Value::object(vec![("kind", Value::Str(error_kind(err).into())), detail]);
     let mut fields = vec![("ok", Value::Bool(false)), ("error", error)];
     if let Some(t) = trace {
         fields.push(("trace_id", Value::Str(t.trace_hex())));
@@ -350,14 +353,8 @@ pub fn handle(planner: &Planner, op: &WireOp) -> (Value, bool) {
                     // Only a shed needs the request key (for its log
                     // line), so only a shed pays to canonicalise and
                     // hash the request a second time.
-                    match &e {
-                        PlanError::Overloaded { retry_after_ms } => {
-                            log_shed(planner, "overloaded", req.key(), &ctx, *retry_after_ms);
-                        }
-                        PlanError::CircuitOpen { retry_after_ms } => {
-                            log_shed(planner, "circuit_open", req.key(), &ctx, *retry_after_ms);
-                        }
-                        _ => {}
+                    if let Some(retry_after_ms) = e.retry_after_ms() {
+                        log_shed(planner, error_kind(&e), req.key(), &ctx, retry_after_ms);
                     }
                     error_response(&e, Some(&ctx))
                 }
@@ -431,12 +428,21 @@ impl Lifecycle {
         self.inflight.load(Ordering::SeqCst)
     }
 
-    fn enter_plan(&self) {
+    /// Count one plan request in flight until the returned guard drops
+    /// — however the handler leaves, a panic included, so a drain never
+    /// waits on a request that is gone.
+    fn enter_plan(&self) -> PlanInFlight<'_> {
         self.inflight.fetch_add(1, Ordering::SeqCst);
+        PlanInFlight(self)
     }
+}
 
-    fn exit_plan(&self) {
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
+/// One in-flight plan request on a [`Lifecycle`]'s counter.
+struct PlanInFlight<'a>(&'a Lifecycle);
+
+impl Drop for PlanInFlight<'_> {
+    fn drop(&mut self) {
+        self.0.inflight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -449,6 +455,11 @@ fn log_lifecycle_event(planner: &Planner, event: &'static str, detail: Vec<(&str
     }
 }
 
+/// Longest request line the daemon reads, bytes (newline excluded). A
+/// plan request is a few hundred bytes; without a cap a client that
+/// never sends `\n` grows a buffer for as long as it keeps writing.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 fn handle_connection(
     stream: TcpStream,
     planner: &Planner,
@@ -459,10 +470,16 @@ fn handle_connection(
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap, so "too long" and "exactly at the cap,
+        // newline next" are told apart without reading further.
+        let mut capped = (&mut reader).take(MAX_LINE_BYTES as u64 + 1);
+        match capped.read_until(b'\n', &mut buf) {
+            Ok(0) => return,
+            Ok(_) => {}
             Err(e) => {
                 // A read timeout is a clean disconnect of a half-open
                 // client, not a fault: one event, no panic.
@@ -478,18 +495,40 @@ fn handle_connection(
                 }
                 return;
             }
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        }
+        let line = if buf.len() > MAX_LINE_BYTES {
+            Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"))
+        } else {
+            std::str::from_utf8(&buf).map_err(|e| format!("request line is not UTF-8: {e}"))
+        };
+        let line = match line {
+            Ok(line) => line,
+            Err(msg) => {
+                // A line that cannot be a request gets one reply and the
+                // connection closes: past the cap there is no telling
+                // where the next request starts, and bytes that are not
+                // text are not JSON. One write: closing on unread input
+                // resets the connection, and a reset discards whatever
+                // part of the reply is still queued behind Nagle.
+                let reply = bad_request_response(&msg).to_json() + "\n";
+                let _ = writer.write_all(reply.as_bytes());
+                return;
+            }
         };
         if line.trim().is_empty() {
             continue;
         }
-        let (response, stop) = match parse_request(&line) {
+        let (response, stop) = match parse_request(line) {
             Ok(op @ WireOp::Plan(..)) => {
                 // Increment BEFORE checking the drain flag: the drain
                 // loop sets the flag first and reads the counter
                 // second, so every plan is either counted or shed —
                 // never silently raced past the drain.
-                lifecycle.enter_plan();
-                let out = if lifecycle.is_draining() {
+                let _in_flight = lifecycle.enter_plan();
+                if lifecycle.is_draining() {
                     log_lifecycle_event(
                         planner,
                         "request.shed.draining",
@@ -498,9 +537,7 @@ fn handle_connection(
                     (draining_response(cfg.drain_retry_after_ms), false)
                 } else {
                     handle(planner, &op)
-                };
-                lifecycle.exit_plan();
-                out
+                }
             }
             Ok(op) => handle(planner, &op),
             Err(msg) => (bad_request_response(&msg), false),
@@ -631,6 +668,16 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        // 200,000 levels would need ~100x a connection thread's stack;
+        // before the parser's depth limit this line aborted the daemon.
+        for open in ["[", "{\"op\":"] {
+            let err = parse_request(&open.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting too deep"), "{err}");
+        }
+    }
+
+    #[test]
     fn parses_a_full_plan_request() {
         let op = parse_request(
             r#"{"op":"plan","app":{"name":"jacobi","size":"small"},"arch":"DC",
@@ -748,14 +795,12 @@ mod tests {
         let l = Lifecycle::new();
         assert!(!l.is_draining());
         assert_eq!(l.in_flight(), 0);
-        l.enter_plan();
-        l.enter_plan();
+        let (a, b) = (l.enter_plan(), l.enter_plan());
         assert_eq!(l.in_flight(), 2);
         l.begin_drain();
         l.begin_drain();
         assert!(l.is_draining());
-        l.exit_plan();
-        l.exit_plan();
+        drop((a, b));
         assert_eq!(l.in_flight(), 0);
     }
 }

@@ -164,7 +164,10 @@ proptest! {
                     };
                     prop_assert_eq!(admitted, model_admits);
                     if admitted {
-                        breaker.on_success(0);
+                        // The call reports its own transition: it closed
+                        // the shard iff the shard was not closed before.
+                        let closed = breaker.on_success(0);
+                        prop_assert_eq!(closed, !matches!(model, Model::Closed { .. }));
                         model = Model::Closed { fails: 0 };
                     }
                 }
@@ -180,13 +183,17 @@ proptest! {
                     };
                     prop_assert_eq!(admitted, model_admits);
                     if admitted {
-                        breaker.on_failure(0, now);
+                        let tripped = breaker.on_failure(0, now);
                         model = match model {
                             Model::Closed { fails } if fails + 1 >= threshold =>
                                 Model::Open { until: now + open_ms * 1_000_000 },
                             Model::Closed { fails } => Model::Closed { fails: fails + 1 },
                             _ => Model::Open { until: now + open_ms * 1_000_000 },
                         };
+                        // An admitted request is never inside a running
+                        // open window, so landing in `Open` is a trip,
+                        // and it is this call's.
+                        prop_assert_eq!(tripped, matches!(model, Model::Open { .. }));
                     }
                 }
                 2 => {
