@@ -999,19 +999,7 @@ impl AdaptiveCg {
         m: usize,
         charge_read: bool,
     ) -> SimResult<(Vec<f64>, Vec<usize>, Vec<f64>)> {
-        let mut flat: Vec<f64> = Vec::new();
-        let mut offsets = Vec::with_capacity(m + 1);
-        let mut b_local = Vec::with_capacity(m);
-        offsets.push(0);
-        for i in 0..m {
-            let row = self.app.row(offset + i);
-            b_local.push(row.iter().map(|e| e.1).sum::<f64>());
-            for (c, v) in row {
-                flat.push(c as f64);
-                flat.push(v);
-            }
-            offsets.push(flat.len());
-        }
+        let (flat, offsets, b_local) = self.app.share(offset, m);
         if !flat.is_empty() {
             comm.ctx().disk.store(VAR_A, flat.clone());
             if charge_read {

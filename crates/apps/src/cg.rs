@@ -73,25 +73,76 @@ impl Cg {
     /// positive definite.
     #[must_use]
     pub fn row(&self, r: usize) -> Vec<(usize, f64)> {
+        let mut flat = Vec::new();
+        self.emit_row(r, &mut flat);
+        flat.chunks_exact(2)
+            .map(|e| (e[0] as usize, e[1]))
+            .collect()
+    }
+
+    /// Append row `r` to `flat` as interleaved `[col, val]` pairs in
+    /// column order and return the sum of its values, folded in that
+    /// order.
+    ///
+    /// Two passes, neither of which sorts or allocates. The first writes
+    /// every in-band column at the tail and advances the tail only past
+    /// the columns the fill hash keeps — as arithmetic, not a branch,
+    /// because the fill test is a coin flip that a branch predictor
+    /// loses. The second gives each kept column its value and the
+    /// diagonal the sum of their magnitudes, accumulated in column order.
+    fn emit_row(&self, r: usize, flat: &mut Vec<f64>) -> f64 {
         let lo = r.saturating_sub(self.band);
         let hi = (r + self.band).min(self.n - 1);
-        let mut entries = Vec::new();
+        let start = flat.len();
+        flat.resize(start + 2 * (hi - lo + 1), 0.0);
+        let mut end = start;
+        let mut candidate = |c: usize, kept: bool| {
+            flat[end] = c as f64;
+            end += 2 * usize::from(kept);
+        };
+        for c in lo..r {
+            candidate(c, hash01(self.seed, c as u64, r as u64) < self.fill);
+        }
+        candidate(r, true);
+        for c in r + 1..=hi {
+            candidate(c, hash01(self.seed, r as u64, c as u64) < self.fill);
+        }
+        flat.truncate(end);
+
         let mut offdiag_sum = 0.0;
-        for c in lo..=hi {
+        let mut diag_slot = start + 1;
+        for k in (start..end).step_by(2) {
+            let c = flat[k] as usize;
             if c == r {
+                diag_slot = k + 1;
                 continue;
             }
-            let (a, b) = (r.min(c) as u64, r.max(c) as u64);
-            if hash01(self.seed, a, b) < self.fill {
-                let v = -hash01(self.seed ^ 0x57, a, b);
-                entries.push((c, v));
-                offdiag_sum += v.abs();
-            }
+            let v = -hash01(self.seed ^ 0x57, r.min(c) as u64, r.max(c) as u64);
+            flat[k + 1] = v;
+            offdiag_sum += v.abs();
         }
-        let diag = offdiag_sum + 1.0 + hash01(self.seed ^ 0x99, r as u64, r as u64);
-        entries.push((r, diag));
-        entries.sort_unstable_by_key(|e| e.0);
-        entries
+        flat[diag_slot] = offdiag_sum + 1.0 + hash01(self.seed ^ 0x99, r as u64, r as u64);
+        flat[start..].chunks_exact(2).map(|e| e[1]).sum()
+    }
+
+    /// Rows `[offset, offset + m)` as a rank holds them: the interleaved
+    /// data, the per-row element offsets into it, and `b = A·1`
+    /// restricted to the share.
+    pub(crate) fn share(&self, offset: usize, m: usize) -> (Vec<f64>, Vec<usize>, Vec<f64>) {
+        // Sized from the pattern's expected density plus the widest row
+        // `emit_row` may stage, so the data is written once in place
+        // instead of being regrown and moved.
+        let window = self.band.saturating_mul(2).saturating_add(1).min(self.n);
+        let expected = 2.0 * (1.0 + self.fill * (window - 1) as f64);
+        let mut flat = Vec::with_capacity((m as f64 * expected) as usize + 2 * window);
+        let mut offsets = Vec::with_capacity(m + 1);
+        let mut b_local = Vec::with_capacity(m);
+        offsets.push(0);
+        for r in offset..offset + m {
+            b_local.push(self.emit_row(r, &mut flat));
+            offsets.push(flat.len());
+        }
+        (flat, offsets, b_local)
     }
 
     /// Exact average interleaved elements per row (2 per nonzero).
@@ -163,19 +214,7 @@ impl Cg {
         let n = self.n;
 
         // ---- setup: my matrix rows, interleaved on disk -------------
-        let mut flat: Vec<f64> = Vec::new();
-        let mut offsets = Vec::with_capacity(m + 1); // element offsets
-        let mut b_local = Vec::with_capacity(m);
-        offsets.push(0);
-        for i in 0..m {
-            let row = self.row(offset + i);
-            b_local.push(row.iter().map(|e| e.1).sum::<f64>());
-            for (c, v) in row {
-                flat.push(c as f64);
-                flat.push(v);
-            }
-            offsets.push(flat.len());
-        }
+        let (flat, offsets, b_local) = self.share(offset, m);
         let total_elems = flat.len();
         comm.ctx().disk.store(VAR_A, flat);
 
@@ -399,6 +438,32 @@ mod tests {
         .results
     }
 
+    /// A row by the definition — collect the kept columns, append the
+    /// diagonal, sort — as the reference for `emit_row`: the entries and
+    /// the sum `b = A·1` takes from them.
+    fn reference_row(cg: &Cg, r: usize) -> (Vec<(usize, f64)>, f64) {
+        let lo = r.saturating_sub(cg.band);
+        let hi = (r + cg.band).min(cg.n - 1);
+        let mut entries = Vec::new();
+        let mut offdiag_sum = 0.0;
+        for c in lo..=hi {
+            if c == r {
+                continue;
+            }
+            let (a, b) = (r.min(c) as u64, r.max(c) as u64);
+            if hash01(cg.seed, a, b) < cg.fill {
+                let v = -hash01(cg.seed ^ 0x57, a, b);
+                entries.push((c, v));
+                offdiag_sum += v.abs();
+            }
+        }
+        let diag = offdiag_sum + 1.0 + hash01(cg.seed ^ 0x99, r as u64, r as u64);
+        entries.push((r, diag));
+        entries.sort_unstable_by_key(|e| e.0);
+        let sum = entries.iter().map(|e| e.1).sum::<f64>();
+        (entries, sum)
+    }
+
     #[test]
     fn matrix_is_symmetric() {
         let cg = Cg::small();
@@ -474,6 +539,43 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The streamed rows are the collected-and-sorted ones, bit for
+        /// bit: entries, diagonal, row sums, and the offsets between
+        /// them, for a share anywhere in the matrix — its first and last
+        /// rows included.
+        #[test]
+        fn streamed_share_equals_collected_rows(
+            n in prop_oneof![Just(1usize), 2usize..80],
+            band in prop_oneof![Just(0usize), 1usize..24, 80usize..200],
+            fill in prop_oneof![Just(0.0f64), Just(1.0f64), 0.0f64..1.0],
+            seed in any::<u64>(),
+            first in any::<usize>(),
+            len in any::<usize>(),
+        ) {
+            let cg = Cg { n, band, fill, seed };
+            let offset = first % n;
+            let m = 1 + len % (n - offset);
+            for (offset, m) in [(0, n), (offset, m)] {
+                let (flat, offsets, b_local) = cg.share(offset, m);
+                prop_assert_eq!(offsets.len(), m + 1);
+                prop_assert_eq!(offsets[m], flat.len());
+                for i in 0..m {
+                    let (entries, sum) = reference_row(&cg, offset + i);
+                    let want: Vec<u64> = entries
+                        .iter()
+                        .flat_map(|&(c, v)| [(c as f64).to_bits(), v.to_bits()])
+                        .collect();
+                    let got: Vec<u64> = flat[offsets[i]..offsets[i + 1]]
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    prop_assert_eq!(got, want, "row {}", offset + i);
+                    prop_assert_eq!(b_local[i].to_bits(), sum.to_bits(), "row {} sum", offset + i);
+                    prop_assert_eq!(cg.row(offset + i), entries);
+                }
+            }
+        }
 
         /// The counting scan is the materialising one, bit for bit — the
         /// figure feeds cache keys, snapshots and every model golden.

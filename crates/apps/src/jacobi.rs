@@ -99,26 +99,39 @@ impl Jacobi {
         }
     }
 
-    pub(crate) fn initial_row(&self, global_row: usize, cols: usize) -> Vec<f64> {
-        (0..cols)
-            .map(|c| hash01(self.seed, global_row as u64, c as u64))
-            .collect()
+    pub(crate) fn initial_row(
+        &self,
+        global_row: usize,
+        cols: usize,
+    ) -> impl Iterator<Item = f64> + '_ {
+        (0..cols).map(move |c| hash01(self.seed, global_row as u64, c as u64))
     }
 
-    /// Five-point update of one row given its old neighbors. Returns
-    /// the new row and its contribution to the residual.
-    pub(crate) fn stencil_row(above: &[f64], mid: &[f64], below: &[f64]) -> (Vec<f64>, f64) {
+    /// Five-point update of one row given its old neighbors, written
+    /// into `new`. Returns the row's contribution to the residual. The
+    /// edge columns, whose missing neighbor reads as zero, are peeled
+    /// off so that the interior loop has no branch.
+    fn stencil_into(above: &[f64], mid: &[f64], below: &[f64], new: &mut [f64]) -> f64 {
         let cols = mid.len();
-        let mut new = vec![0.0; cols];
+        let (above, below, new) = (&above[..cols], &below[..cols], &mut new[..cols]);
         let mut res = 0.0;
-        for c in 0..cols {
-            let left = if c > 0 { mid[c - 1] } else { 0.0 };
-            let right = if c + 1 < cols { mid[c + 1] } else { 0.0 };
+        let mut cell = |c: usize, left: f64, right: f64| {
             let v = 0.25 * (above[c] + below[c] + left + right);
             res += (v - mid[c]).abs();
             new[c] = v;
+        };
+        match cols {
+            0 => {}
+            1 => cell(0, 0.0, 0.0),
+            _ => {
+                cell(0, 0.0, mid[1]);
+                for c in 1..cols - 1 {
+                    cell(c, mid[c - 1], mid[c + 1]);
+                }
+                cell(cols - 1, mid[cols - 2], 0.0);
+            }
         }
-        (new, res)
+        res
     }
 
     /// Run the benchmark on one rank. `structure` is this instance's
@@ -139,21 +152,18 @@ impl Jacobi {
 
         // ---- setup: place this rank's share on its local disk -------
         comm.ctx().disk.create(VAR_U, m * cols);
-        {
-            let mut init = Vec::with_capacity(m * cols);
-            for r in 0..m {
-                init.extend(self.initial_row(offset + r, cols));
-            }
-            comm.ctx().disk.store(VAR_U, init);
+        let mut init = Vec::with_capacity(m * cols);
+        for r in 0..m {
+            init.extend(self.initial_row(offset + r, cols));
         }
+        let mut first_row = init[..cols].to_vec();
+        let mut last_row = init[(m - 1) * cols..].to_vec();
+        comm.ctx().disk.store(VAR_U, init);
 
         // All resident buffers are declared in the structure; no
         // extras remain, so model and application plans agree exactly.
         let plans = rank_plans(comm, structure, m, 0.0, &[]);
         let plan = plans[&VAR_U];
-
-        let mut first_row = self.initial_row(offset, cols);
-        let mut last_row = self.initial_row(offset + m - 1, cols);
 
         // In-core nodes load their share once (compulsory read, before
         // the measured loop) and iterate from memory.
@@ -257,9 +267,7 @@ impl Jacobi {
                 &u[(r + 1) * cols..(r + 2) * cols]
             };
             let mid = &u[r * cols..(r + 1) * cols];
-            let (row, dr) = Self::stencil_row(above, mid, below);
-            new[r * cols..(r + 1) * cols].copy_from_slice(&row);
-            res += dr;
+            res += Self::stencil_into(above, mid, below, &mut new[r * cols..(r + 1) * cols]);
         }
         comm.compute((m * cols) as f64, (2 * u.len() * 8) as u64);
         u.copy_from_slice(&new);
@@ -288,8 +296,8 @@ impl Jacobi {
             ws_bytes,
             res: 0.0,
             two_back: top_halo.to_vec(),
-            one_back: Vec::new(),
-            pending_new: Vec::new(),
+            one_back: vec![0.0; cols],
+            pending_new: Vec::with_capacity((icla_rows + 1) * cols),
             flush_from: 0,
             first_new: Vec::new(),
             last_new: Vec::new(),
@@ -325,9 +333,7 @@ impl Jacobi {
         }
 
         // The final row uses the bottom halo.
-        let (new_row, dr) = Self::stencil_row(&state.two_back, &state.one_back, bottom_halo);
-        state.pending_new.extend_from_slice(&new_row);
-        state.res += dr;
+        state.stencil_next(bottom_halo);
         comm.compute(cols as f64, ws_bytes);
         state.flush(comm)?;
         debug_assert_eq!(state.flush_from, m);
@@ -353,6 +359,19 @@ struct SweepState {
 }
 
 impl SweepState {
+    /// Compute the new row whose old neighbors are the window and
+    /// `below`, straight into the tail of `pending_new`.
+    fn stencil_next(&mut self, below: &[f64]) {
+        let at = self.pending_new.len();
+        self.pending_new.resize(at + self.cols, 0.0);
+        self.res += Jacobi::stencil_into(
+            &self.two_back,
+            &self.one_back,
+            below,
+            &mut self.pending_new[at..],
+        );
+    }
+
     fn process_chunk<R: Recorder>(
         &mut self,
         comm: &mut Comm<'_, R>,
@@ -368,13 +387,11 @@ impl SweepState {
             if r > 0 {
                 // Compute new[r-1]: above = old[r-2], mid = old[r-1],
                 // below = old[r].
-                let (new_row, dr) = Jacobi::stencil_row(&self.two_back, &self.one_back, row);
-                self.pending_new.extend_from_slice(&new_row);
-                self.res += dr;
+                self.stencil_next(row);
                 computed_rows += 1;
-                self.two_back = std::mem::take(&mut self.one_back);
+                std::mem::swap(&mut self.two_back, &mut self.one_back);
             }
-            self.one_back = row.to_vec();
+            self.one_back.copy_from_slice(row);
         }
         if computed_rows > 0 {
             comm.compute((computed_rows * cols) as f64, self.ws_bytes);
@@ -428,6 +445,56 @@ mod tests {
         )
         .unwrap()
         .results
+    }
+
+    /// The stencil as the module docs state it — a fresh row, one
+    /// branch per edge test — as the reference for `stencil_into`.
+    fn reference_stencil_row(above: &[f64], mid: &[f64], below: &[f64]) -> (Vec<f64>, f64) {
+        let cols = mid.len();
+        let mut new = vec![0.0; cols];
+        let mut res = 0.0;
+        for c in 0..cols {
+            let left = if c > 0 { mid[c - 1] } else { 0.0 };
+            let right = if c + 1 < cols { mid[c + 1] } else { 0.0 };
+            let v = 0.25 * (above[c] + below[c] + left + right);
+            res += (v - mid[c]).abs();
+            new[c] = v;
+        }
+        (new, res)
+    }
+
+    #[test]
+    fn in_place_stencil_matches_the_reference_bitwise() {
+        for cols in [1, 2, 3, 16] {
+            for seed in 0..8u64 {
+                // Signed values, so that a dropped `+ 0.0` at an edge
+                // (which turns -0.0 into 0.0) would show.
+                let row = |k: u64| -> Vec<f64> {
+                    (0..cols).map(|c| hash01(seed, k, c as u64) - 0.5).collect()
+                };
+                let (above, mid, below) = (row(0), row(1), row(2));
+                let (want, want_res) = reference_stencil_row(&above, &mid, &below);
+                let mut got = vec![f64::NAN; cols];
+                let got_res = Jacobi::stencil_into(&above, &mid, &below, &mut got);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "cols {cols} seed {seed}");
+                assert_eq!(
+                    got_res.to_bits(),
+                    want_res.to_bits(),
+                    "cols {cols} seed {seed}"
+                );
+            }
+        }
+        // All-negative-zero neighbors: the edge cells' literal `+ 0.0`
+        // must survive.
+        let z = [-0.0f64; 3];
+        let mut got = [f64::NAN; 3];
+        Jacobi::stencil_into(&z, &z, &z, &mut got);
+        let want = reference_stencil_row(&z, &z, &z).0;
+        assert_eq!(
+            got.map(f64::to_bits).to_vec(),
+            want.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use mheta_core::{CommPattern, ProgramStructure, SectionSpec, StageSpec, Variable};
 use mheta_dist::GenBlock;
 use mheta_mpi::{allreduce, barrier, Comm, Recorder, ReduceOp};
-use mheta_sim::{SimResult, VarId};
+use mheta_sim::{SimError, SimResult, VarId};
 
 use crate::app::{chunks, hash01, rank_plans, RankResult};
 
@@ -72,8 +72,9 @@ impl Multigrid {
         }
     }
 
+    /// Coarse-grid columns. [`Multigrid::run`] rejects column counts
+    /// that are not a multiple of four, in every build profile.
     fn ccols(&self) -> usize {
-        debug_assert_eq!(self.cols % 4, 0);
         self.cols / 4
     }
 
@@ -144,6 +145,12 @@ impl Multigrid {
         dist: &GenBlock,
         iters: u32,
     ) -> SimResult<RankResult> {
+        if !self.cols.is_multiple_of(4) {
+            return Err(SimError::InvalidConfig(format!(
+                "multigrid: {} columns are not a multiple of 4",
+                self.cols
+            )));
+        }
         let rank = comm.rank();
         let n = comm.size();
         let m = dist.rows()[rank];
@@ -407,6 +414,30 @@ mod tests {
         )
         .unwrap()
         .results
+    }
+
+    /// A column count the 4:1 coarsening does not divide is refused in
+    /// every build profile, not only where `debug_assert` is compiled.
+    #[test]
+    fn rejects_columns_that_are_not_a_multiple_of_four() {
+        for cols in [17, 18, 19] {
+            let app = Multigrid {
+                cols,
+                ..Multigrid::small()
+            };
+            let structure = app.structure();
+            let dist = GenBlock::block(48, 4);
+            let run = run_app(
+                &quiet(4),
+                RunOptions::default(),
+                |_| NullRecorder,
+                |comm| app.run(comm, &structure, &dist, 1),
+            );
+            assert!(
+                matches!(run, Err(SimError::InvalidConfig(_))),
+                "cols {cols}"
+            );
+        }
     }
 
     #[test]

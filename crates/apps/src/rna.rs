@@ -21,7 +21,7 @@
 use mheta_core::{CommPattern, ProgramStructure, SectionSpec, StageSpec, Variable};
 use mheta_dist::GenBlock;
 use mheta_mpi::{allreduce, barrier, Comm, Recorder, ReduceOp};
-use mheta_sim::{SimResult, VarId};
+use mheta_sim::{SimError, SimResult, VarId};
 
 use crate::app::{chunks, hash01, rank_plans, RankResult};
 
@@ -71,13 +71,35 @@ impl Rna {
         }
     }
 
+    /// Columns per tile. [`Rna::run`] rejects shapes whose tiles do not
+    /// divide the columns, in every build profile.
     fn tile_cols(&self) -> usize {
-        debug_assert_eq!(self.cols % self.tiles, 0);
         self.cols / self.tiles
     }
 
+    /// The iteration-invariant score of cell `(r, c)`: the reference
+    /// that [`Rna::score_table`] is tested against.
+    #[cfg(test)]
     fn score(&self, r: usize, c: usize) -> f64 {
         (hash01(self.seed, r as u64, c as u64) * 4.0).floor() / 8.0
+    }
+
+    /// Score indices of rows `[offset, offset + m)`, one byte per cell,
+    /// tile-major like the disk image (see [`Rna::slice_offset`]). A
+    /// cell's score is `f64::from(k) / 8.0`: the hash lies in `[0, 1)`,
+    /// so truncating `hash · 4` is its floor, and `k` is in `0..4`.
+    fn score_table(&self, offset: usize, m: usize) -> Vec<u8> {
+        let tc = self.tile_cols();
+        let mut table = Vec::with_capacity(m * self.cols);
+        for t in 0..self.tiles {
+            for r in offset..offset + m {
+                table.extend(
+                    (t * tc..(t + 1) * tc)
+                        .map(|c| (hash01(self.seed, r as u64, c as u64) * 4.0) as u8),
+                );
+            }
+        }
+        table
     }
 
     /// The MHETA program structure.
@@ -125,6 +147,12 @@ impl Rna {
         dist: &GenBlock,
         iters: u32,
     ) -> SimResult<RankResult> {
+        if self.tiles == 0 || !self.cols.is_multiple_of(self.tiles) {
+            return Err(SimError::InvalidConfig(format!(
+                "rna: {} tiles do not divide {} columns",
+                self.tiles, self.cols
+            )));
+        }
         let rank = comm.rank();
         let n = comm.size();
         let m = dist.rows()[rank];
@@ -134,6 +162,8 @@ impl Rna {
 
         // ---- setup: zero-initialized matrix, tile-major ---------------
         comm.ctx().disk.create(VAR_DP, m * self.cols);
+        // Every cell's score, hashed once; the iterations only read it.
+        let scores = self.score_table(offset, m);
 
         // All resident data is declared in the structure.
         let plans = rank_plans(comm, structure, m, 0.0, &[]);
@@ -176,10 +206,10 @@ impl Rna {
                     core.as_deref_mut(),
                     plan.icla_rows,
                     m,
-                    offset,
                     t,
                     &upstream,
                     &mut left_carry,
+                    &scores[self.slice_offset(m, t, 0)..][..m * tc],
                 )?;
                 local_sum += tile_sum;
                 comm.end_stage(0);
@@ -207,7 +237,8 @@ impl Rna {
         })
     }
 
-    /// Process one tile's rows. Returns the boundary message for the
+    /// Process one tile's rows; `scores` is the tile's slice of
+    /// [`Rna::score_table`]. Returns the boundary message for the
     /// downstream rank (`[corner, last row of the tile...]`) and the
     /// tile's score sum.
     #[allow(clippy::too_many_arguments)]
@@ -217,10 +248,10 @@ impl Rna {
         core: Option<&mut [f64]>,
         icla_rows: usize,
         m: usize,
-        offset: usize,
         t: usize,
         upstream: &[f64],
         left_carry: &mut [f64],
+        scores: &[u8],
     ) -> SimResult<(Vec<f64>, f64)> {
         let tc = self.tile_cols();
         let col0 = t * tc;
@@ -231,60 +262,55 @@ impl Rna {
         let mut corner = upstream[0];
         let mut out_msg = vec![0.0; tc + 1];
 
+        // `old` holds the rows' slices of this tile `stride` apart,
+        // the first at its start.
         let do_rows = |comm: &mut Comm<'_, R>,
                        old: &mut [f64],
+                       stride: usize,
                        rows: std::ops::Range<usize>,
                        above: &mut [f64],
                        corner: &mut f64,
                        left_carry: &mut [f64],
                        sum: &mut f64| {
-            let base = rows.start;
+            let (base, cells) = (rows.start, rows.len() * tc);
             for i in rows {
                 // Each cell reads its old value and the row above once,
                 // before either is overwritten, so both update in place.
-                let row = &mut old[(i - base) * tc..(i - base + 1) * tc];
+                let row = &mut old[(i - base) * stride..][..tc];
+                let score = &scores[i * tc..(i + 1) * tc];
                 let mut left = left_carry[i]; // dp(i, col0 - 1), new
                 let mut diag = *corner;
-                for c in 0..tc {
-                    let up = above[c];
+                for ((cell, up_slot), &k) in row.iter_mut().zip(above.iter_mut()).zip(score) {
+                    let up = *up_slot;
                     let wave = up.max(left).max(diag);
                     // Contraction: 0.5 on the wavefront, GAMMA on the
                     // previous iteration; sup-norm convergence factor
                     // GAMMA / (1 - 0.5) = 0.5 per iteration.
-                    let v = 0.5 * wave + GAMMA * row[c] + self.score(offset + i, col0 + c);
+                    let v = 0.5 * wave + GAMMA * *cell + f64::from(k) / 8.0;
                     diag = up;
                     left = v;
-                    row[c] = v;
-                    above[c] = v;
+                    *cell = v;
+                    *up_slot = v;
                     *sum += v;
                 }
                 *corner = left_carry[i];
                 left_carry[i] = left;
             }
-            let count = old.len() / tc;
-            comm.compute((count * tc) as f64, (2 * old.len() * 8) as u64);
+            comm.compute(cells as f64, (2 * cells * 8) as u64);
         };
 
         if let Some(u) = core {
             // In-core: the slice lives in the row-major memory image.
-            let mut slice = vec![0.0; m * tc];
-            for i in 0..m {
-                slice[i * tc..(i + 1) * tc]
-                    .copy_from_slice(&u[i * self.cols + col0..i * self.cols + col0 + tc]);
-            }
             do_rows(
                 comm,
-                &mut slice,
+                &mut u[col0..],
+                self.cols,
                 0..m,
                 &mut above,
                 &mut corner,
                 left_carry,
                 &mut sum,
             );
-            for i in 0..m {
-                u[i * self.cols + col0..i * self.cols + col0 + tc]
-                    .copy_from_slice(&slice[i * tc..(i + 1) * tc]);
-            }
         } else {
             let mut buf = vec![0.0; icla_rows * tc];
             for (s, l) in chunks(m, icla_rows) {
@@ -293,6 +319,7 @@ impl Rna {
                 do_rows(
                     comm,
                     &mut buf[..l * tc],
+                    tc,
                     s..s + l,
                     &mut above,
                     &mut corner,
@@ -384,5 +411,65 @@ mod tests {
     fn structure_validates() {
         Rna::default().structure().validate().unwrap();
         Rna::small().structure().validate().unwrap();
+    }
+
+    /// A shape whose tiles do not divide the columns is refused in
+    /// every build profile: guarded by a `debug_assert` alone, a release
+    /// build runs `cols: 30` as the `cols: 28` problem.
+    #[test]
+    fn rejects_tiles_that_do_not_divide_the_columns() {
+        for (cols, tiles) in [(30, 4), (31, 4), (32, 0)] {
+            let app = Rna {
+                rows: 48,
+                cols,
+                tiles,
+                seed: 0x52,
+            };
+            // Refused before the structure is read, so any will do
+            // (building this shape's own divides by its zero tiles).
+            let structure = Rna::small().structure();
+            let dist = GenBlock::block(48, 4);
+            let run = run_app(
+                &quiet(4),
+                RunOptions::default(),
+                |_| NullRecorder,
+                |comm| app.run(comm, &structure, &dist, 1),
+            );
+            assert!(
+                matches!(run, Err(SimError::InvalidConfig(_))),
+                "cols {cols}, tiles {tiles}"
+            );
+        }
+    }
+
+    /// The table is the per-cell reference, cell for cell, at the
+    /// tile-major position `process_tile` reads it from.
+    #[test]
+    fn score_table_matches_the_reference_score() {
+        for seed in [0x52, 0, 7, u64::MAX] {
+            let app = Rna {
+                rows: 40,
+                cols: 12,
+                tiles: 3,
+                seed,
+            };
+            let tc = app.tile_cols();
+            for (offset, m) in [(0, 40), (13, 9), (39, 1)] {
+                let table = app.score_table(offset, m);
+                assert_eq!(table.len(), m * app.cols);
+                for t in 0..app.tiles {
+                    for i in 0..m {
+                        for c in 0..tc {
+                            let k = table[app.slice_offset(m, t, i) + c];
+                            assert_eq!(
+                                (f64::from(k) / 8.0).to_bits(),
+                                app.score(offset + i, t * tc + c).to_bits(),
+                                "seed {seed:#x} offset {offset} tile {t} row {i} col {c}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
