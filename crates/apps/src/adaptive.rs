@@ -1,12 +1,57 @@
-//! Adaptive drivers: mid-run GEN_BLOCK rebalancing on top of the
+//! Fault-tolerant drivers: checkpoint/restart with survivor
+//! redistribution, and mid-run GEN_BLOCK rebalancing on top of the
 //! phi-accrual failure detector and the online re-search policy.
 //!
-//! The crash-resilient driver ([`crate::resilient`]) answers "a rank
-//! died"; this module answers the harder questions of "a rank slowed
-//! down" and "a rank came back". Each iteration every member appends a
-//! **progress report** — its per-row sweep compute time, which is
-//! invariant under GEN_BLOCK rebalancing (rows move, per-row speed does
-//! not) — to a fault-tolerant max-allreduce, so all members see the
+//! # The crash-tolerant Jacobi loop
+//!
+//! One loop runs the same in-core stencil as [`crate::jacobi`] and
+//! tolerates crash-stop rank failures:
+//!
+//! 1. **Checkpoint** — every `K` iterations (including iteration 0)
+//!    each rank writes its local block to a versioned checkpoint file
+//!    ([`VAR_CKPT`], a real `file_write` at disk cost) and deposits the
+//!    blob in a host-side reliable store standing in for a parallel
+//!    checkpoint filesystem that survives node loss.
+//! 2. **Detect + agree** — halo receives and the residual reduction use
+//!    the fault-tolerant collectives, so a dead peer resolves as a
+//!    typed observation instead of a hang; an extra
+//!    [`mheta_mpi::agree_mask`] round at every iteration boundary ORs
+//!    all observations over the binomial tree so survivors converge on
+//!    the dead-set.
+//! 3. **Rollback** — survivors restore their block from the newest
+//!    checkpoint no later than any dead rank's last one (a crash
+//!    between a checkpoint and its detection can leave the crasher one
+//!    interval behind).
+//! 4. **Redistribute** — the dead rank's rows are re-spread over the
+//!    survivors with [`mheta_dist::transfer_plan_rows`]: survivor
+//!    blocks travel as messages, the dead rank's block is fetched from
+//!    reliable checkpoint storage at local-disk cost ([`VAR_FETCH`]).
+//! 5. **Re-predict** — the leader charges the cost of re-running the
+//!    MHETA predictor on the shrunken cluster; the host-side model
+//!    rebuild lives in [`crate::harness::repredict_after_crash`].
+//!
+//! Replayed iterations recompute bit-identical values, so the final
+//! residual matches a crash-free run. Halo and transfer tags carry a
+//! redistribution epoch: a rank that aborted an exchange early may
+//! leave a live neighbor's message undelivered, and the epoch bump
+//! orphans such stale messages instead of letting a replayed receive
+//! consume them.
+//!
+//! Scope: one crash per iteration converges deterministically;
+//! staggered crashes in different iterations are fully supported. A
+//! crash landing inside the agreement round itself, or a crash during
+//! another rank's recovery, can leave survivor views divergent and
+//! surfaces as a typed error rather than a silent hang.
+//!
+//! # The replica
+//!
+//! That loop answers "a rank died" ([`crate::harness::run_resilient`]
+//! runs it as is). Run with a **replica** ([`AdaptiveJacobi`]) it also
+//! answers the harder questions of "a rank slowed down" and "a rank
+//! came back". Each iteration every member appends a **progress
+//! report** — its per-row sweep compute time, which is invariant under
+//! GEN_BLOCK rebalancing (rows move, per-row speed does not) — to a
+//! second fault-tolerant max-allreduce, so all members see the
 //! identical sample vector. Every member feeds that vector into an
 //! identical [`PhiAccrualDetector`] replica and, when the detector
 //! confirms a `Degraded` or `Rejoined` transition (or the observed
@@ -23,12 +68,15 @@
 //! a share. Members with zero rows skip the halo exchange and sweep
 //! entirely but keep participating in the collectives.
 //!
-//! Crash-stop failures still take the checkpoint/rollback path of the
-//! resilient driver — a rebalance moves *live* state and needs no
-//! rollback, while a crash loses state and does. The two compose: the
-//! detector marks agreed-dead members (disambiguating "slow" from
-//! "gone"), and post-crash redistribution apportions by
-//! slowdown-corrected effective weights instead of nominal CPU powers.
+//! A rebalance moves *live* state and needs no rollback, while a crash
+//! loses state and does. The two compose: the detector marks
+//! agreed-dead members (disambiguating "slow" from "gone"), and
+//! post-crash redistribution apportions by slowdown-corrected effective
+//! weights instead of nominal CPU powers.
+
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 use mheta_core::ProgramStructure;
 use mheta_dist::{rows_moved, transfer_plan_rows, GenBlock, OnlinePolicy};
@@ -36,14 +84,26 @@ use mheta_mpi::{
     agree_mask, allreduce, barrier, ft_allreduce_among, Comm, DetectorConfig, HealthState,
     PhiAccrualDetector, Recorder, ReduceOp, SuspicionSample, Transition,
 };
-use mheta_sim::{RecoveryKind, RecoverySpan, SimError, SimResult};
+use mheta_sim::{RecoveryKind, RecoverySpan, SimError, SimResult, VarId};
 
 use crate::app::{rank_plans, RankResult};
 use crate::cg::{Cg, VAR_A};
 use crate::jacobi::{Jacobi, VAR_U};
-use crate::resilient::{
-    dead_block, Checkpoint, CheckpointStore, REPREDICTION_WORK_UNITS, VAR_CKPT, VAR_FETCH,
-};
+
+/// Variable ID of the versioned checkpoint file.
+pub const VAR_CKPT: VarId = 0x71;
+/// Variable ID of the scratch file used to charge the disk cost of
+/// fetching a dead rank's block from reliable checkpoint storage.
+pub const VAR_FETCH: VarId = 0x72;
+
+/// Application work units the leader charges for re-running the MHETA
+/// predictor on the shrunken cluster after a crash.
+pub const REPREDICTION_WORK_UNITS: f64 = 2_000.0;
+
+/// Application work units each member charges per evaluation-function
+/// call of a replan — the "milliseconds, not minutes" cost that makes
+/// online re-search affordable in the first place.
+pub const REPLAN_WORK_UNITS_PER_EVAL: f64 = 25.0;
 
 const TAG_BASE: u32 = 0x100;
 
@@ -57,10 +117,39 @@ fn tag_redist(epoch: u32) -> u32 {
     TAG_BASE + 4 * epoch + 2
 }
 
-/// Application work units each member charges per evaluation-function
-/// call of a replan — the "milliseconds, not minutes" cost that makes
-/// online re-search affordable in the first place.
-pub const REPLAN_WORK_UNITS_PER_EVAL: f64 = 25.0;
+fn now<R: Recorder>(comm: &Comm<'_, R>) -> u64 {
+    comm.ctx_ref().now().as_nanos()
+}
+
+/// Record the recovery span that began at `start_ns` and ends now;
+/// returns the end, where the next phase's span begins.
+fn close_span<R: Recorder>(
+    spans: &mut Vec<RecoverySpan>,
+    comm: &Comm<'_, R>,
+    kind: RecoveryKind,
+    start_ns: u64,
+) -> u64 {
+    let end_ns = now(comm);
+    spans.push(RecoverySpan {
+        start_ns,
+        end_ns,
+        kind,
+    });
+    end_ns
+}
+
+/// Reject a layout or weight vector that does not cover the `n` ranks,
+/// or a layout that does not distribute exactly `total` rows.
+fn check_layout(n: usize, layout0: &[usize], weights: &[f64], total: usize) -> SimResult<()> {
+    let rows: usize = layout0.iter().sum();
+    if layout0.len() != n || weights.len() != n || rows != total {
+        return Err(SimError::InvalidConfig(format!(
+            "layout {layout0:?} and {} weights do not distribute {total} rows over {n} ranks",
+            weights.len()
+        )));
+    }
+    Ok(())
+}
 
 /// Everything configurable about the adaptive loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +158,10 @@ pub struct AdaptiveConfig {
     pub detector: DetectorConfig,
     /// Online re-search policy (drift gate, eval budget, hysteresis).
     pub policy: OnlinePolicy,
-    /// Checkpoint interval `K` (clamped to at least 1).
+    /// Checkpoint interval `K` (clamped to at least 1). What
+    /// [`AdaptiveJacobi::run`] checkpoints by; under
+    /// [`crate::harness::run_adaptive`] a non-zero
+    /// `FaultSpec::checkpoint_interval` on the cluster spec wins.
     pub checkpoint_interval: u32,
 }
 
@@ -102,8 +194,8 @@ pub struct RebalanceEvent {
     pub evals: u32,
 }
 
-/// What one rank reports after an adaptive run.
-#[derive(Debug, Clone)]
+/// What one rank reports after a fault-tolerant run.
+#[derive(Debug, Clone, Default)]
 pub struct AdaptiveOutcome {
     /// Loop timing and final check value. For a crashed rank `t1_ns` is
     /// the death time and `check` is NaN.
@@ -115,6 +207,10 @@ pub struct AdaptiveOutcome {
     pub spans: Vec<RecoverySpan>,
     /// Every rank this rank knows died, sorted.
     pub dead: Vec<usize>,
+    /// The last rollback target, if any recovery happened.
+    pub rollback_iteration: Option<u32>,
+    /// Virtual time the last recovery finished (0 when none happened).
+    pub resume_ns: u64,
     /// Every committed mid-run rebalance, in order.
     pub rebalances: Vec<RebalanceEvent>,
     /// The detector replica's state-machine transitions.
@@ -127,10 +223,64 @@ pub struct AdaptiveOutcome {
     pub final_rows: Vec<usize>,
 }
 
-/// Scratch shared between the driver body and the crash absorber.
-struct Scratch {
-    t0_ns: u64,
-    spans: Vec<RecoverySpan>,
+/// One rank's checkpoint: enough to restart the iteration it was taken
+/// at, including the full cluster layout of that moment (rollback after
+/// a later recovery must restore the layout too).
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    /// Iteration the checkpoint was taken at (state *before* the
+    /// iteration's sweep).
+    pub iteration: u32,
+    /// Per-rank row layout at checkpoint time (zero rows = dead).
+    pub layout: Vec<usize>,
+    /// The rank's local block, row-major.
+    pub data: Vec<f64>,
+}
+
+/// Reliable checkpoint storage shared by all ranks, keyed by rank with
+/// the full version history (survivors may need a checkpoint older than
+/// their latest). Stands in for a parallel filesystem that survives
+/// node loss; the virtual-time cost of touching it is charged through
+/// [`VAR_CKPT`]/[`VAR_FETCH`] disk operations.
+pub type CheckpointStore = Arc<Mutex<HashMap<usize, Vec<Checkpoint>>>>;
+
+/// A fresh, empty checkpoint store.
+#[must_use]
+pub fn new_checkpoint_store() -> CheckpointStore {
+    Arc::new(Mutex::new(HashMap::new()))
+}
+
+/// A dead rank's full block at the rollback target, from reliable
+/// checkpoint storage — or synthesized from the deterministic
+/// initializer when the rank died before its first checkpoint (only
+/// possible at target 0, where the checkpoint state *is* the initial
+/// state).
+fn dead_block(
+    store: &CheckpointStore,
+    app: &Jacobi,
+    dead: usize,
+    target: u32,
+    layout_old: &[usize],
+) -> Vec<f64> {
+    let guard = store.lock().expect("checkpoint store");
+    if let Some(c) = guard
+        .get(&dead)
+        .and_then(|h| h.iter().rev().find(|c| c.iteration == target))
+    {
+        return c.data.clone();
+    }
+    debug_assert_eq!(
+        target, 0,
+        "missing checkpoint must mean pre-first-checkpoint"
+    );
+    initial_block(app, layout_old, dead)
+}
+
+/// Rank `rank`'s block of the initial grid under `layout`.
+fn initial_block(app: &Jacobi, layout: &[usize], rank: usize) -> Vec<f64> {
+    let first: usize = layout[..rank].iter().sum();
+    let rows = first..first + layout[rank];
+    rows.flat_map(|r| app.initial_row(r, app.cols)).collect()
 }
 
 /// Per-member per-row compute-time estimates, maintained from the
@@ -145,106 +295,207 @@ fn prow_estimates(latest: &[f64], weights: &[f64]) -> Vec<f64> {
         .map(|(&p, &w)| p * w)
         .collect();
     norms.sort_by(f64::total_cmp);
-    let median_norm = if norms.is_empty() {
-        1.0
-    } else {
-        norms[norms.len() / 2]
-    };
+    let median_norm = norms.get(norms.len() / 2).copied().unwrap_or(1.0);
     latest
         .iter()
         .zip(weights)
-        .map(|(&p, &w)| {
-            if p > 0.0 {
-                p
-            } else if w > 0.0 {
-                median_norm / w
-            } else {
-                f64::INFINITY
-            }
+        .map(|(&p, &w)| match (p > 0.0, w > 0.0) {
+            (true, _) => p,
+            (false, true) => median_norm / w,
+            (false, false) => f64::INFINITY,
         })
         .collect()
 }
 
-/// Deterministic replan shared by both adaptive drivers: decide whether
-/// the detector's current view warrants a re-search, run it, and return
-/// the committed full-cluster layout (or `None`). All inputs are
-/// replica-identical across members, so the decision is too.
-#[allow(clippy::too_many_arguments)]
-fn consider_rebalance<R: Recorder>(
-    comm: &mut Comm<'_, R>,
-    cfg: &AdaptiveConfig,
-    det: &PhiAccrualDetector,
-    members: &[usize],
-    layout: &[usize],
-    weights: &[f64],
-    latest_prow: &[f64],
-    confirm_now: bool,
-    last_adapt_it: &mut Option<u32>,
-    it: u32,
-) -> Option<(Vec<usize>, f64, u32)> {
-    // Only *confirmed* slowdowns count toward the drift gate: acting on
-    // a first suspect sample would rebalance (and reset baselines)
-    // before the detector can confirm, letting transient blips move
-    // data. Suspected members still shape crash-recovery weights.
-    let drift = members
-        .iter()
-        .filter(|&&r| det.state(r) == HealthState::Degraded)
-        .map(|&r| det.slow_ratio(r))
-        .fold(1.0, f64::max);
-    let cooled = last_adapt_it.is_none_or(|last| {
-        it.checked_sub(last)
-            .is_some_and(|d| d >= cfg.policy.cooldown_iters)
-    });
-    if !(confirm_now || cfg.policy.should_consider(drift)) || !cooled {
-        return None;
-    }
-    *last_adapt_it = Some(it);
-
-    // Member-indexed inputs: current rows, observed per-row times, and
-    // effective weights (per-row *speed*, the reciprocal of per-row
-    // time — a 4x-degraded member has a quarter of its healthy weight).
-    let prow_all = prow_estimates(latest_prow, weights);
-    let cur: Vec<usize> = members.iter().map(|&r| layout[r]).collect();
-    let prow: Vec<f64> = members.iter().map(|&r| prow_all[r]).collect();
-    let eff: Vec<f64> = prow
-        .iter()
-        .map(|&p| {
-            if p > 0.0 && p.is_finite() {
-                1.0 / p
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let mut eval = |rows: &[usize]| {
-        rows.iter()
-            .zip(&prow)
-            .map(|(&r, &p)| r as f64 * p)
-            .fold(0.0, f64::max)
-    };
-    let replan = cfg.policy.replan(&cur, &eff, &mut eval);
-    // Every member pays for the evaluations it just ran — the model is
-    // cheap, but it is not free.
-    comm.compute(
-        f64::from(replan.evals) * REPLAN_WORK_UNITS_PER_EVAL,
-        u64::MAX,
-    );
-    if !cfg.policy.should_commit(&replan) {
-        return None;
-    }
-    let mut new_layout = vec![0usize; layout.len()];
-    for (i, &r) in members.iter().enumerate() {
-        new_layout[r] = replan.rows[i];
-    }
-    if new_layout == layout {
-        return None;
-    }
-    Some((new_layout, replan.gain(), replan.evals))
+/// One member's replica of the adaptation state. Everything it is fed
+/// is identical across members, so every replica reaches the same
+/// decision at the same iteration boundary without communicating.
+pub(crate) struct Replica {
+    policy: OnlinePolicy,
+    det: PhiAccrualDetector,
+    /// Nominal per-rank CPU powers: the healthy baseline the observed
+    /// per-row times correct.
+    weights: Vec<f64>,
+    latest_prow: Vec<f64>,
+    rebalances: Vec<RebalanceEvent>,
+    last_adapt_it: Option<u32>,
 }
 
-/// The adaptive wrapper around [`Jacobi`]: everything
-/// [`crate::resilient::ResilientJacobi`] does, plus slowdown detection,
-/// mid-run rebalancing, node rejoin, and hot-spare enlistment.
+impl Replica {
+    pub(crate) fn new(cfg: &AdaptiveConfig, weights: &[f64]) -> Self {
+        Replica {
+            policy: cfg.policy,
+            det: PhiAccrualDetector::new(weights.len(), cfg.detector),
+            weights: weights.to_vec(),
+            latest_prow: vec![0.0; weights.len()],
+            rebalances: Vec::new(),
+            last_adapt_it: None,
+        }
+    }
+
+    /// Feed a crash-free iteration's heartbeat vector to the detector,
+    /// decide whether its view warrants a re-search, and run it. Returns
+    /// the rebalance to execute, if any — drafted: [`Replica::commit`]
+    /// fills in `at_ns` and `rows_moved` once the rows have moved.
+    fn observe<R: Recorder>(
+        &mut self,
+        comm: &mut Comm<'_, R>,
+        it: u32,
+        hb: &[f64],
+        members: &[usize],
+        layout: &[usize],
+    ) -> Option<RebalanceEvent> {
+        let transitions = self.det.observe(it, now(comm), hb);
+        for (slot, &p) in self.latest_prow.iter_mut().zip(hb) {
+            if p > 0.0 {
+                *slot = p;
+            }
+        }
+        let confirm_now = transitions
+            .iter()
+            .any(|t| matches!(t.to, HealthState::Degraded | HealthState::Rejoined));
+        // Only *confirmed* slowdowns count toward the drift gate: acting on
+        // a first suspect sample would rebalance (and reset baselines)
+        // before the detector can confirm, letting transient blips move
+        // data. Suspected members still shape crash-recovery weights.
+        let drift = members
+            .iter()
+            .filter(|&&r| self.det.state(r) == HealthState::Degraded)
+            .map(|&r| self.det.slow_ratio(r))
+            .fold(1.0, f64::max);
+        let cooled = self.last_adapt_it.is_none_or(|last| {
+            it.checked_sub(last)
+                .is_some_and(|d| d >= self.policy.cooldown_iters)
+        });
+        if !(confirm_now || self.policy.should_consider(drift)) || !cooled {
+            return None;
+        }
+        self.last_adapt_it = Some(it);
+
+        // Member-indexed inputs: current rows, observed per-row times, and
+        // effective weights (per-row *speed*, the reciprocal of per-row
+        // time — a 4x-degraded member has a quarter of its healthy weight).
+        let prow_all = prow_estimates(&self.latest_prow, &self.weights);
+        let cur: Vec<usize> = members.iter().map(|&r| layout[r]).collect();
+        let prow: Vec<f64> = members.iter().map(|&r| prow_all[r]).collect();
+        let eff: Vec<f64> = prow
+            .iter()
+            .map(|&p| {
+                if p > 0.0 && p.is_finite() {
+                    1.0 / p
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mut eval = |rows: &[usize]| {
+            rows.iter()
+                .zip(&prow)
+                .map(|(&r, &p)| r as f64 * p)
+                .fold(0.0, f64::max)
+        };
+        let replan = self.policy.replan(&cur, &eff, &mut eval);
+        // Every member pays for the evaluations it just ran — the model is
+        // cheap, but it is not free.
+        comm.compute(
+            f64::from(replan.evals) * REPLAN_WORK_UNITS_PER_EVAL,
+            u64::MAX,
+        );
+        if !self.policy.should_commit(&replan) {
+            return None;
+        }
+        let mut to_rows = vec![0usize; layout.len()];
+        for (&r, &rows) in members.iter().zip(&replan.rows) {
+            to_rows[r] = rows;
+        }
+        (to_rows != layout).then(|| RebalanceEvent {
+            iteration: it,
+            at_ns: 0,
+            from_rows: layout.to_vec(),
+            to_rows,
+            rows_moved: 0,
+            predicted_gain: replan.gain(),
+            evals: replan.evals,
+        })
+    }
+
+    /// Record a rebalance that began at `at_ns` and moved `rows_moved`
+    /// rows. Shares changed, so the healthy baselines are stale.
+    fn commit(&mut self, mut ev: RebalanceEvent, at_ns: u64, rows_moved: usize) {
+        (ev.at_ns, ev.rows_moved) = (at_ns, rows_moved);
+        self.rebalances.push(ev);
+        self.det.reset_baselines();
+    }
+
+    /// A crash recovery: `newly_dead` missed the heartbeat of iteration
+    /// `it`, at `at_ns` — crash-stop disambiguated from a slowdown — and
+    /// the survivors resume at iteration `resume_it` under new shares.
+    fn on_recovery(&mut self, newly_dead: &[usize], it: u32, at_ns: u64, resume_it: u32) {
+        for &d in newly_dead {
+            self.det.mark_dead(d, it, at_ns);
+        }
+        self.det.reset_baselines();
+        self.last_adapt_it = Some(resume_it);
+    }
+
+    /// Write the adaptation history into the holder's outcome.
+    fn report_into(self, out: &mut AdaptiveOutcome) {
+        out.rebalances = self.rebalances;
+        out.transitions = self.det.transitions().to_vec();
+        out.suspicion = self.det.timeline().to_vec();
+        out.detection_latencies_ns = self.det.detection_latencies_ns().to_vec();
+    }
+}
+
+/// Execute the transfer plan that turns layout `old` into `new` on this
+/// rank, under message tag `tag`, and return the rows that changed
+/// owner cluster-wide. The application says what a row is: `pack`
+/// renders a range of this rank's old rows as a message, `place` writes
+/// a message into a range of its new rows (rows that stay take the same
+/// route, without the message). `stored` reads a range of a *dead*
+/// owner's old rows from reliable checkpoint storage (`None` for a live
+/// owner, whose rows arrive as a message); the fetch is charged as a
+/// local disk read of the same volume through [`VAR_FETCH`].
+fn move_rows<R: Recorder>(
+    comm: &mut Comm<'_, R>,
+    old: &[usize],
+    new: &[usize],
+    tag: u32,
+    pack: impl Fn(Range<usize>) -> Vec<f64>,
+    mut place: impl FnMut(Range<usize>, &[f64]),
+    stored: &dyn Fn(usize, Range<usize>) -> Option<Vec<f64>>,
+) -> SimResult<usize> {
+    let rank = comm.rank();
+    let plan = transfer_plan_rows(old, new);
+    // A transfer's rows, local to `owner`'s block under `layout`.
+    let local = |layout: &[usize], owner: usize, start: usize, rows: usize| {
+        let lo = start - layout[..owner].iter().sum::<usize>();
+        lo..lo + rows
+    };
+    for t in plan.iter().filter(|t| t.from == rank && t.to != rank) {
+        comm.send_f64s(t.to, tag, &pack(local(old, rank, t.global_start, t.rows)))?;
+    }
+    for t in plan.iter().filter(|t| t.to == rank) {
+        let theirs = local(old, t.from, t.global_start, t.rows);
+        let data = if t.from == rank {
+            pack(theirs)
+        } else if let Some(want) = stored(t.from, theirs) {
+            let mut buf = vec![0.0; want.len()];
+            comm.ctx().disk.store(VAR_FETCH, want);
+            comm.file_read(VAR_FETCH, 0, &mut buf)?;
+            comm.ctx().disk.remove(VAR_FETCH);
+            buf
+        } else {
+            comm.recv_f64s(t.from, tag)?
+        };
+        place(local(new, rank, t.global_start, t.rows), &data);
+    }
+    Ok(rows_moved(&plan))
+}
+
+/// The adaptive wrapper around [`Jacobi`]: the crash-tolerant loop run
+/// with a replica — checkpoint/restart plus slowdown detection, mid-run
+/// rebalancing, node rejoin, and hot-spare enlistment.
 #[derive(Debug, Clone)]
 pub struct AdaptiveJacobi {
     /// The underlying stencil application.
@@ -263,8 +514,9 @@ impl AdaptiveJacobi {
     /// (the healthy baseline the effective weights correct); `store` is
     /// the shared reliable checkpoint storage.
     ///
-    /// A scheduled crash of this rank is absorbed into a dead
-    /// [`AdaptiveOutcome`], exactly like the resilient driver.
+    /// A scheduled crash of this rank is absorbed: the rank returns a
+    /// dead [`AdaptiveOutcome`] instead of an error, so cluster-wide
+    /// runs complete normally.
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
@@ -274,472 +526,373 @@ impl AdaptiveJacobi {
         weights: &[f64],
         store: &CheckpointStore,
     ) -> SimResult<AdaptiveOutcome> {
-        let mut scratch = Scratch {
-            t0_ns: 0,
-            spans: Vec::new(),
-        };
-        match self.run_inner(
-            comm,
+        JacobiLoop {
+            app: &self.app,
             structure,
             layout0,
             iters,
+            interval: self.cfg.checkpoint_interval,
             weights,
             store,
-            &mut scratch,
-        ) {
-            Err(SimError::Crashed { at_ns, .. }) => Ok(AdaptiveOutcome {
-                result: RankResult {
-                    t0_ns: scratch.t0_ns.min(at_ns),
-                    t1_ns: at_ns,
-                    check: f64::NAN,
-                },
-                alive: false,
-                spans: scratch.spans,
-                dead: vec![comm.rank()],
-                rebalances: Vec::new(),
-                transitions: Vec::new(),
-                suspicion: Vec::new(),
-                detection_latencies_ns: Vec::new(),
-                final_rows: vec![0; comm.size()],
-            }),
-            other => other,
         }
+        .run(comm, Some(Replica::new(&self.cfg, weights)))
     }
+}
 
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn run_inner<R: Recorder>(
+/// What every rank of one run of the crash-tolerant Jacobi loop is
+/// given (see [`AdaptiveJacobi::run`]; `interval` is the checkpoint
+/// interval `K`, clamped to at least 1).
+pub(crate) struct JacobiLoop<'a> {
+    pub app: &'a Jacobi,
+    pub structure: &'a ProgramStructure,
+    pub layout0: &'a [usize],
+    pub iters: u32,
+    pub interval: u32,
+    pub weights: &'a [f64],
+    pub store: &'a CheckpointStore,
+}
+
+impl JacobiLoop<'_> {
+    /// Run the loop on one rank. Without a `replica` it is plain
+    /// checkpoint/restart: no heartbeat collective, nominal weights in
+    /// the post-crash apportionment, no detector and no rebalancing.
+    pub(crate) fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
-        structure: &ProgramStructure,
-        layout0: &[usize],
-        iters: u32,
-        weights: &[f64],
-        store: &CheckpointStore,
-        scratch: &mut Scratch,
+        replica: Option<Replica>,
     ) -> SimResult<AdaptiveOutcome> {
-        let rank = comm.rank();
         let n = comm.size();
         if n > 64 {
             return Err(SimError::InvalidConfig(format!(
-                "adaptive driver supports at most 64 ranks, cluster has {n}"
+                "fault-tolerant driver supports at most 64 ranks, cluster has {n}"
             )));
         }
-        if layout0.len() != n || weights.len() != n {
-            return Err(SimError::InvalidConfig(format!(
-                "adaptive driver got layout of {} and {} weights for {n} ranks",
-                layout0.len(),
-                weights.len()
-            )));
-        }
-        let cols = self.app.cols;
-        let total_rows = self.app.rows;
-        if layout0.iter().sum::<usize>() != total_rows {
-            return Err(SimError::InvalidConfig(format!(
-                "layout distributes {} of {total_rows} rows",
-                layout0.iter().sum::<usize>()
-            )));
-        }
-        let k_interval = self.cfg.checkpoint_interval.max(1);
-
-        let mut layout: Vec<usize> = layout0.to_vec();
-        let mut members: Vec<usize> = (0..n).collect();
-        let mut known_dead: Vec<usize> = Vec::new();
-        let mut epoch: u32 = 0;
-
-        let mut det = PhiAccrualDetector::new(n, self.cfg.detector);
-        let mut latest_prow = vec![0.0f64; n];
-        let mut rebalances: Vec<RebalanceEvent> = Vec::new();
-        let mut last_adapt_it: Option<u32> = None;
-
-        // ---- setup (zero-row tolerant) ------------------------------
-        let m0 = layout[rank];
-        let offset0: usize = layout[..rank].iter().sum();
-        let mut u = Vec::new();
-        let mut ckpt_disk_len = 0usize;
-        if m0 > 0 {
-            comm.ctx().disk.create(VAR_U, m0 * cols);
-            {
-                let mut init = Vec::with_capacity(m0 * cols);
-                for r in 0..m0 {
-                    init.extend(self.app.initial_row(offset0 + r, cols));
+        check_layout(n, self.layout0, self.weights, self.app.rows)?;
+        let mut run = JacobiRun {
+            job: self,
+            rank: comm.rank(),
+            replica,
+            layout: self.layout0.to_vec(),
+            members: (0..n).collect(),
+            epoch: 0,
+            u: Vec::new(),
+            observed: 0,
+            out: AdaptiveOutcome::default(),
+        };
+        match run.drive(comm) {
+            Ok(()) => {
+                run.out.final_rows = run.layout;
+                if let Some(rep) = run.replica {
+                    rep.report_into(&mut run.out);
                 }
-                comm.ctx().disk.store(VAR_U, init);
+                Ok(run.out)
             }
-            let plans = rank_plans(comm, structure, m0, 0.0, &[]);
+            // A scheduled crash of this rank is absorbed: it reports
+            // itself dead, so cluster-wide runs complete normally.
+            Err(SimError::Crashed { at_ns, .. }) => Ok(AdaptiveOutcome {
+                result: RankResult {
+                    t0_ns: run.out.result.t0_ns.min(at_ns),
+                    t1_ns: at_ns,
+                    check: f64::NAN,
+                },
+                spans: run.out.spans,
+                dead: vec![run.rank],
+                final_rows: vec![0; n],
+                ..AdaptiveOutcome::default()
+            }),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// The state of one rank's run of the crash-tolerant loop; its methods
+/// are the loop's phases.
+struct JacobiRun<'a> {
+    job: &'a JacobiLoop<'a>,
+    rank: usize,
+    replica: Option<Replica>,
+    /// Current per-rank rows; zero for the dead and for idle spares.
+    layout: Vec<usize>,
+    /// Live ranks, ascending.
+    members: Vec<usize>,
+    /// Redistributions so far; halo and transfer tags carry it.
+    epoch: u32,
+    /// This rank's block, row-major.
+    u: Vec<f64>,
+    /// Mask of the deaths this rank has observed since the last
+    /// agreement round — those seen while a recovery synchronized
+    /// included, which is why it outlives an iteration.
+    observed: u64,
+    /// The outcome so far: loop start, residual, spans, dead set, last
+    /// recovery.
+    out: AdaptiveOutcome,
+}
+
+impl JacobiRun<'_> {
+    /// Set up, then iterate to `iters`.
+    fn drive<R: Recorder>(&mut self, comm: &mut Comm<'_, R>) -> SimResult<()> {
+        self.set_up(comm)?;
+        let mut it = 0u32;
+        while it < self.job.iters {
+            comm.begin_iteration_ft(it)?;
+            if it.is_multiple_of(self.job.interval.max(1)) {
+                self.checkpoint(comm, it)?;
+            }
+            let (local_res, sweep_ns) = self.stencil(comm)?;
+            let (sum, hb, agreed) = self.agree(comm, local_res, sweep_ns)?;
+            comm.end_iteration(it);
+
+            let newly_dead: Vec<usize> = self
+                .members
+                .iter()
+                .copied()
+                .filter(|&r| agreed & (1u64 << r) != 0)
+                .collect();
+            if !newly_dead.is_empty() {
+                it = self.recover(comm, &newly_dead, it)?;
+                continue;
+            }
+            let rebalance = self
+                .replica
+                .as_mut()
+                .and_then(|rep| rep.observe(comm, it, &hb, &self.members, &self.layout));
+            if let Some(ev) = rebalance {
+                // Live state moves: no rollback.
+                let start = now(comm);
+                let moved = self.transfer(comm, ev.to_rows.clone(), None)?;
+                close_span(&mut self.out.spans, comm, RecoveryKind::Rebalance, start);
+                if let Some(rep) = &mut self.replica {
+                    rep.commit(ev, start, moved);
+                }
+            }
+            self.out.result.check = sum;
+            it += 1;
+        }
+        self.out.result.t1_ns = now(comm);
+        self.out.alive = true;
+        Ok(())
+    }
+
+    /// Load this rank's share in core (zero-row tolerant) and
+    /// synchronize on the loop start.
+    fn set_up<R: Recorder>(&mut self, comm: &mut Comm<'_, R>) -> SimResult<()> {
+        let (app, rank) = (self.job.app, self.rank);
+        let (m0, cols) = (self.layout[rank], app.cols);
+        if m0 > 0 {
+            let init = initial_block(app, &self.layout, rank);
+            comm.ctx().disk.store(VAR_U, init);
+            let plans = rank_plans(comm, self.job.structure, m0, 0.0, &[]);
             if !plans[&VAR_U].in_core {
                 return Err(SimError::InvalidConfig(format!(
-                    "adaptive jacobi driver requires the local share to fit in memory \
+                    "fault-tolerant jacobi driver requires the local share to fit in memory \
                      (rank {rank}: {m0} rows x {cols} cols do not)"
                 )));
             }
-            u = vec![0.0; m0 * cols];
-            comm.file_read(VAR_U, 0, &mut u)?;
-            comm.ctx().disk.create(VAR_CKPT, m0 * cols);
-            ckpt_disk_len = m0 * cols;
+            self.u = vec![0.0; m0 * cols];
+            comm.file_read(VAR_U, 0, &mut self.u)?;
         }
-        let mut first_row = if u.is_empty() {
-            Vec::new()
-        } else {
-            u[..cols].to_vec()
-        };
-        let mut last_row = if u.is_empty() {
-            Vec::new()
-        } else {
-            u[u.len() - cols..].to_vec()
-        };
-
-        let mut pending_observed = ft_allreduce_among(comm, &members, ReduceOp::Sum, &mut [0.0])?;
-        let t0 = comm.ctx_ref().now().as_nanos();
-        scratch.t0_ns = t0;
-        let mut residual = 0.0;
-
-        let mut it = 0u32;
-        while it < iters {
-            comm.begin_iteration_ft(it)?;
-
-            // ---- checkpoint every K iterations ----------------------
-            if it.is_multiple_of(k_interval) {
-                let cs = comm.ctx_ref().now().as_nanos();
-                if !u.is_empty() {
-                    if ckpt_disk_len != u.len() {
-                        if ckpt_disk_len > 0 {
-                            comm.ctx().disk.remove(VAR_CKPT);
-                        }
-                        comm.ctx().disk.create(VAR_CKPT, u.len());
-                        ckpt_disk_len = u.len();
-                    }
-                    comm.file_write(VAR_CKPT, 0, &u)?;
-                }
-                store
-                    .lock()
-                    .expect("checkpoint store")
-                    .entry(rank)
-                    .or_default()
-                    .push(Checkpoint {
-                        iteration: it,
-                        layout: layout.clone(),
-                        data: u.clone(),
-                    });
-                scratch.spans.push(RecoverySpan {
-                    start_ns: cs,
-                    end_ns: comm.ctx_ref().now().as_nanos(),
-                    kind: RecoveryKind::Checkpoint,
-                });
-            }
-
-            let mut observed: u64 = pending_observed;
-            pending_observed = 0;
-            let m = layout[rank];
-
-            // ---- section 0: exchange boundary rows among members that
-            // actually hold rows (spares sit this out) ----------------
-            comm.begin_section(0);
-            let active: Vec<usize> = members.iter().copied().filter(|&r| layout[r] > 0).collect();
-            let zero = vec![0.0; cols];
-            let (mut top_halo, mut bottom_halo) = (zero.clone(), zero.clone());
-            if m > 0 {
-                let ai = active
-                    .iter()
-                    .position(|&r| r == rank)
-                    .expect("rank with rows must be active");
-                let up = (ai > 0).then(|| active[ai - 1]);
-                let down = (ai + 1 < active.len()).then(|| active[ai + 1]);
-                if let Some(p) = up {
-                    comm.send_f64s(p, tag_up(epoch), &first_row)?;
-                }
-                if let Some(p) = down {
-                    comm.send_f64s(p, tag_down(epoch), &last_row)?;
-                }
-                if let Some(p) = up {
-                    match comm.recv_f64s(p, tag_down(epoch)) {
-                        Ok(v) => top_halo = v,
-                        Err(SimError::PeerDead { peer, .. }) => observed |= 1u64 << peer,
-                        Err(e) => return Err(e),
-                    }
-                }
-                if let Some(p) = down {
-                    match comm.recv_f64s(p, tag_up(epoch)) {
-                        Ok(v) => bottom_halo = v,
-                        Err(SimError::PeerDead { peer, .. }) => observed |= 1u64 << peer,
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            comm.end_section(0);
-
-            // ---- section 1: the sweep, timed for the progress report -
-            comm.begin_section(1);
-            comm.begin_stage(0);
-            let sweep_start = comm.ctx_ref().now().as_nanos();
-            let local_res = if observed == 0 && m > 0 {
-                let res = self
-                    .app
-                    .sweep_in_core(comm, &mut u, &top_halo, &bottom_halo);
-                first_row.copy_from_slice(&u[..cols]);
-                last_row.copy_from_slice(&u[u.len() - cols..]);
-                res
-            } else {
-                0.0
-            };
-            let sweep_ns = comm.ctx_ref().now().as_nanos() - sweep_start;
-            comm.end_stage(0);
-            comm.end_section(1);
-
-            // ---- section 2: residual + heartbeat + agreement --------
-            comm.begin_section(2);
-            let mut acc = [local_res];
-            observed |= ft_allreduce_among(comm, &members, ReduceOp::Sum, &mut acc)?;
-            // Progress reports: each member fills its own slot with its
-            // per-row sweep time; max-allreduce merges the vectors.
-            let mut hb = vec![0.0f64; n];
-            if m > 0 && observed == 0 {
-                hb[rank] = sweep_ns as f64 / m as f64;
-            }
-            observed |= ft_allreduce_among(comm, &members, ReduceOp::Max, &mut hb)?;
-            let agreed = agree_mask(comm, &members, observed)?;
-            comm.end_section(2);
-            comm.end_iteration(it);
-            let now = comm.ctx_ref().now().as_nanos();
-
-            if agreed != 0 {
-                let newly_dead: Vec<usize> = members
-                    .iter()
-                    .copied()
-                    .filter(|&r| agreed & (1u64 << r) != 0)
-                    .collect();
-                if !newly_dead.is_empty() {
-                    // ---- crash-stop disambiguated: missed heartbeat -
-                    for d in &newly_dead {
-                        det.mark_dead(*d, it, now);
-                    }
-                    // ---- rollback ----------------------------------
-                    let rb_start = now;
-                    members.retain(|r| !newly_dead.contains(r));
-                    for d in &newly_dead {
-                        known_dead.push(*d);
-                    }
-                    known_dead.sort_unstable();
-                    let (target, ckpt) = {
-                        let guard = store.lock().expect("checkpoint store");
-                        let my_hist = guard.get(&rank).expect("own checkpoint history");
-                        let my_last = my_hist.last().expect("own checkpoint").iteration;
-                        let target = newly_dead.iter().fold(my_last, |t, d| {
-                            t.min(
-                                guard
-                                    .get(d)
-                                    .and_then(|h| h.last())
-                                    .map_or(0, |c| c.iteration),
-                            )
-                        });
-                        let ckpt = my_hist
-                            .iter()
-                            .rev()
-                            .find(|c| c.iteration == target)
-                            .expect("checkpoint at rollback target")
-                            .clone();
-                        (target, ckpt)
-                    };
-                    let layout_old = ckpt.layout.clone();
-                    if ckpt.data.is_empty() {
-                        u = Vec::new();
-                    } else {
-                        if ckpt_disk_len != ckpt.data.len() {
-                            if ckpt_disk_len > 0 {
-                                comm.ctx().disk.remove(VAR_CKPT);
-                            }
-                            comm.ctx().disk.create(VAR_CKPT, ckpt.data.len());
-                            ckpt_disk_len = ckpt.data.len();
-                        }
-                        comm.ctx().disk.store(VAR_CKPT, ckpt.data.clone());
-                        u = vec![0.0; ckpt.data.len()];
-                        comm.file_read(VAR_CKPT, 0, &mut u)?;
-                    }
-                    it = target;
-                    let rb_end = comm.ctx_ref().now().as_nanos();
-                    scratch.spans.push(RecoverySpan {
-                        start_ns: rb_start,
-                        end_ns: rb_end,
-                        kind: RecoveryKind::Rollback,
-                    });
-
-                    // ---- redistribution by *effective* weights ------
-                    // Apportion over the survivors with each weight
-                    // corrected by the detector's slowdown estimate, so
-                    // a degraded survivor is not handed a healthy
-                    // node's share. Spares get >= 1 row: crash recovery
-                    // enlists them automatically.
-                    let survivor_weights: Vec<f64> = members
-                        .iter()
-                        .map(|&r| weights[r] / det.slow_ratio(r))
-                        .collect();
-                    let gb = GenBlock::apportion(total_rows, &survivor_weights);
-                    let mut new_layout = vec![0usize; n];
-                    for (i, &r) in members.iter().enumerate() {
-                        new_layout[r] = gb.rows()[i];
-                    }
-                    self.apply_transfers(
-                        comm,
-                        &layout_old,
-                        &new_layout,
-                        &mut u,
-                        epoch,
-                        Some((store, &known_dead, target)),
-                    )?;
-                    layout = new_layout;
-                    if !u.is_empty() {
-                        first_row = u[..cols].to_vec();
-                        last_row = u[u.len() - cols..].to_vec();
-                    }
-                    let rd_end = comm.ctx_ref().now().as_nanos();
-                    scratch.spans.push(RecoverySpan {
-                        start_ns: rb_end,
-                        end_ns: rd_end,
-                        kind: RecoveryKind::Redistribution,
-                    });
-
-                    // ---- re-prediction ------------------------------
-                    if rank == members[0] {
-                        comm.compute(REPREDICTION_WORK_UNITS, u64::MAX);
-                    }
-                    pending_observed |=
-                        ft_allreduce_among(comm, &members, ReduceOp::Sum, &mut [0.0])?;
-                    let rp_end = comm.ctx_ref().now().as_nanos();
-                    scratch.spans.push(RecoverySpan {
-                        start_ns: rd_end,
-                        end_ns: rp_end,
-                        kind: RecoveryKind::Reprediction,
-                    });
-                    epoch += 1;
-                    // Shares changed: healthy baselines are stale.
-                    det.reset_baselines();
-                    last_adapt_it = Some(it);
-                    continue;
-                }
-            }
-
-            // ---- crash-free boundary: feed the detector replica -----
-            let transitions = det.observe(it, now, &hb);
-            for (r, &p) in hb.iter().enumerate() {
-                if p > 0.0 {
-                    latest_prow[r] = p;
-                }
-            }
-            let confirm_now = transitions
-                .iter()
-                .any(|t| matches!(t.to, HealthState::Degraded | HealthState::Rejoined));
-            if let Some((new_layout, gain, evals)) = consider_rebalance(
-                comm,
-                &self.cfg,
-                &det,
-                &members,
-                &layout,
-                weights,
-                &latest_prow,
-                confirm_now,
-                &mut last_adapt_it,
-                it,
-            ) {
-                let rb_start = comm.ctx_ref().now().as_nanos();
-                self.apply_transfers(comm, &layout, &new_layout, &mut u, epoch, None)?;
-                let moved = rows_moved(&transfer_plan_rows(&layout, &new_layout));
-                rebalances.push(RebalanceEvent {
-                    iteration: it,
-                    at_ns: rb_start,
-                    from_rows: layout.clone(),
-                    to_rows: new_layout.clone(),
-                    rows_moved: moved,
-                    predicted_gain: gain,
-                    evals,
-                });
-                layout = new_layout;
-                if !u.is_empty() {
-                    first_row = u[..cols].to_vec();
-                    last_row = u[u.len() - cols..].to_vec();
-                }
-                scratch.spans.push(RecoverySpan {
-                    start_ns: rb_start,
-                    end_ns: comm.ctx_ref().now().as_nanos(),
-                    kind: RecoveryKind::Rebalance,
-                });
-                epoch += 1;
-                det.reset_baselines();
-            }
-
-            residual = acc[0];
-            it += 1;
-        }
-
-        Ok(AdaptiveOutcome {
-            result: RankResult {
-                t0_ns: t0,
-                t1_ns: comm.ctx_ref().now().as_nanos(),
-                check: residual,
-            },
-            alive: true,
-            spans: std::mem::take(&mut scratch.spans),
-            dead: known_dead,
-            rebalances,
-            transitions: det.transitions().to_vec(),
-            suspicion: det.timeline().to_vec(),
-            detection_latencies_ns: det.detection_latencies_ns().to_vec(),
-            final_rows: layout,
-        })
+        // Fault-tolerant barrier: a rank that dies during setup must not
+        // hang the others before the loop even starts.
+        self.observed = ft_allreduce_among(comm, &self.members, ReduceOp::Sum, &mut [0.0])?;
+        self.out.result.t0_ns = now(comm);
+        Ok(())
     }
 
-    /// Execute a transfer plan from `layout_old` to `new_layout`,
-    /// replacing `u` with this rank's new block. When `crash` is set,
-    /// blocks owned by known-dead ranks are fetched from reliable
-    /// checkpoint storage at local-disk cost; a live-state rebalance
-    /// passes `None` and every block travels as a message.
-    fn apply_transfers<R: Recorder>(
-        &self,
-        comm: &mut Comm<'_, R>,
-        layout_old: &[usize],
-        new_layout: &[usize],
-        u: &mut Vec<f64>,
-        epoch: u32,
-        crash: Option<(&CheckpointStore, &[usize], u32)>,
-    ) -> SimResult<()> {
-        let rank = comm.rank();
-        let cols = self.app.cols;
-        let plan = transfer_plan_rows(layout_old, new_layout);
-        let my_old_off: usize = layout_old[..rank].iter().sum();
-        let my_new_off: usize = new_layout[..rank].iter().sum();
-        for t in &plan {
-            if t.from == rank && t.to != rank {
-                let s = (t.global_start - my_old_off) * cols;
-                comm.send_f64s(t.to, tag_redist(epoch), &u[s..s + t.rows * cols])?;
-            }
+    fn checkpoint<R: Recorder>(&mut self, comm: &mut Comm<'_, R>, it: u32) -> SimResult<()> {
+        let start = now(comm);
+        if !self.u.is_empty() {
+            // (Re)created at the block's current length: shares change.
+            comm.ctx().disk.create(VAR_CKPT, self.u.len());
+            comm.file_write(VAR_CKPT, 0, &self.u)?;
         }
-        let mut nu = vec![0.0; new_layout[rank] * cols];
-        for t in &plan {
-            if t.to != rank {
-                continue;
-            }
-            let dst = (t.global_start - my_new_off) * cols;
-            let data: Vec<f64> = if t.from == rank {
-                let s = (t.global_start - my_old_off) * cols;
-                u[s..s + t.rows * cols].to_vec()
-            } else if let Some((store, _, target)) =
-                crash.filter(|(_, dead, _)| dead.contains(&t.from))
-            {
-                let blob = dead_block(store, &self.app, t.from, target, layout_old, cols);
-                let dead_off: usize = layout_old[..t.from].iter().sum();
-                let s = (t.global_start - dead_off) * cols;
-                let want = blob[s..s + t.rows * cols].to_vec();
-                comm.ctx().disk.create(VAR_FETCH, want.len());
-                comm.ctx().disk.store(VAR_FETCH, want);
-                let mut buf = vec![0.0; t.rows * cols];
-                comm.file_read(VAR_FETCH, 0, &mut buf)?;
-                comm.ctx().disk.remove(VAR_FETCH);
-                buf
-            } else {
-                comm.recv_f64s(t.from, tag_redist(epoch))?
-            };
-            nu[dst..dst + t.rows * cols].copy_from_slice(&data);
-        }
-        *u = nu;
+        let ckpt = Checkpoint {
+            iteration: it,
+            layout: self.layout.clone(),
+            data: self.u.clone(),
+        };
+        let mut store = self.job.store.lock().expect("checkpoint store");
+        store.entry(self.rank).or_default().push(ckpt);
+        close_span(&mut self.out.spans, comm, RecoveryKind::Checkpoint, start);
         Ok(())
+    }
+
+    /// Sections 0 and 1, the stencil: exchange boundary rows among the
+    /// members that hold rows (spares sit this out), then sweep, timed
+    /// for the progress report. A dead neighbor is observed, its halo
+    /// reads as zero and the sweep is skipped: the iteration is rolled
+    /// back anyway. Returns the local residual and the sweep's duration.
+    fn stencil<R: Recorder>(&mut self, comm: &mut Comm<'_, R>) -> SimResult<(f64, u64)> {
+        comm.begin_section(0);
+        let cols = self.job.app.cols;
+        let (mut top_halo, mut bottom_halo) = (vec![0.0; cols], vec![0.0; cols]);
+        if !self.u.is_empty() {
+            // The nearest members on either side that hold rows.
+            let holders = || self.members.iter().copied().filter(|&r| self.layout[r] > 0);
+            let up = holders().rfind(|&r| r < self.rank);
+            let down = holders().find(|&r| r > self.rank);
+            let (t_up, t_down) = (tag_up(self.epoch), tag_down(self.epoch));
+            if let Some(p) = up {
+                comm.send_f64s(p, t_up, &self.u[..cols])?;
+            }
+            if let Some(p) = down {
+                comm.send_f64s(p, t_down, &self.u[self.u.len() - cols..])?;
+            }
+            for (from, tag, halo) in [(up, t_down, &mut top_halo), (down, t_up, &mut bottom_halo)] {
+                match from.map(|p| comm.recv_f64s(p, tag)) {
+                    None => {}
+                    Some(Ok(v)) => *halo = v,
+                    Some(Err(SimError::PeerDead { peer, .. })) => self.observed |= 1u64 << peer,
+                    Some(Err(e)) => return Err(e),
+                }
+            }
+        }
+        comm.end_section(0);
+
+        comm.begin_section(1);
+        comm.begin_stage(0);
+        let start = now(comm);
+        let mut local_res = 0.0;
+        if self.observed == 0 && !self.u.is_empty() {
+            let app = self.job.app;
+            local_res = app.sweep_in_core(comm, &mut self.u, &top_halo, &bottom_halo);
+        }
+        let sweep_ns = now(comm) - start;
+        comm.end_stage(0);
+        comm.end_section(1);
+        Ok((local_res, sweep_ns))
+    }
+
+    /// Section 2: the residual sum, the heartbeat exchange (which only a
+    /// run with a replica pays for) and dead-set agreement. Returns the
+    /// residual, the merged heartbeats and the agreed mask of deaths.
+    fn agree<R: Recorder>(
+        &mut self,
+        comm: &mut Comm<'_, R>,
+        local_res: f64,
+        sweep_ns: u64,
+    ) -> SimResult<(f64, Vec<f64>, u64)> {
+        comm.begin_section(2);
+        let mut acc = [local_res];
+        self.observed |= ft_allreduce_among(comm, &self.members, ReduceOp::Sum, &mut acc)?;
+        let mut hb = Vec::new();
+        if self.replica.is_some() {
+            // Progress reports: each member fills its own slot with its
+            // per-row sweep time; max-allreduce merges the vectors.
+            hb = vec![0.0f64; self.layout.len()];
+            let m = self.layout[self.rank];
+            if m > 0 && self.observed == 0 {
+                hb[self.rank] = sweep_ns as f64 / m as f64;
+            }
+            self.observed |= ft_allreduce_among(comm, &self.members, ReduceOp::Max, &mut hb)?;
+        }
+        let agreed = agree_mask(comm, &self.members, std::mem::take(&mut self.observed))?;
+        comm.end_section(2);
+        Ok((acc[0], hb, agreed))
+    }
+
+    /// Crash-stop recovery after iteration `it`: roll back, redistribute
+    /// the dead ranks' rows over the survivors, re-predict. Returns the
+    /// iteration to resume from.
+    fn recover<R: Recorder>(
+        &mut self,
+        comm: &mut Comm<'_, R>,
+        newly_dead: &[usize],
+        it: u32,
+    ) -> SimResult<u32> {
+        let detected_ns = now(comm);
+        // Where the phase under way began: each span ends where the next begins.
+        let mut at = detected_ns;
+        self.members.retain(|r| !newly_dead.contains(r));
+        self.out.dead.extend_from_slice(newly_dead);
+        self.out.dead.sort_unstable();
+
+        // Roll back to the newest checkpoint every rank — including the
+        // dead — has a version of: block and cluster layout, at real
+        // disk-read cost.
+        let ckpt = {
+            let guard = self.job.store.lock().expect("checkpoint store");
+            let mine = guard.get(&self.rank).expect("own checkpoint history");
+            let my_last = mine.last().expect("own checkpoint").iteration;
+            let target = newly_dead.iter().fold(my_last, |t, d| {
+                let theirs = guard.get(d).and_then(|h| h.last());
+                t.min(theirs.map_or(0, |c| c.iteration))
+            });
+            mine.iter()
+                .rev()
+                .find(|c| c.iteration == target)
+                .expect("checkpoint at rollback target")
+                .clone()
+        };
+        let target = ckpt.iteration;
+        self.u = vec![0.0; ckpt.data.len()];
+        if !ckpt.data.is_empty() {
+            comm.ctx().disk.store(VAR_CKPT, ckpt.data);
+            comm.file_read(VAR_CKPT, 0, &mut self.u)?;
+        }
+        self.layout = ckpt.layout;
+        self.out.rollback_iteration = Some(target);
+        at = close_span(&mut self.out.spans, comm, RecoveryKind::Rollback, at);
+
+        // Apportion over the survivors by CPU power — with a replica,
+        // each power corrected by the detector's slowdown estimate, so a
+        // degraded survivor is not handed a healthy node's share. Spares
+        // get >= 1 row: crash recovery enlists them automatically.
+        let det = self.replica.as_ref().map(|rep| &rep.det);
+        let slow = |r| det.map_or(1.0, |d| d.slow_ratio(r));
+        let (members, weights) = (&self.members, self.job.weights);
+        let effective: Vec<f64> = members.iter().map(|&r| weights[r] / slow(r)).collect();
+        let gb = GenBlock::apportion(self.job.app.rows, &effective);
+        let mut new_layout = vec![0usize; self.layout.len()];
+        for (&r, &rows) in self.members.iter().zip(gb.rows()) {
+            new_layout[r] = rows;
+        }
+        self.transfer(comm, new_layout, Some(target))?;
+        at = close_span(&mut self.out.spans, comm, RecoveryKind::Redistribution, at);
+
+        // The leader re-runs the MHETA predictor for the shrunken
+        // cluster; everyone synchronizes on it.
+        if self.rank == self.members[0] {
+            comm.compute(REPREDICTION_WORK_UNITS, u64::MAX);
+        }
+        self.observed |= ft_allreduce_among(comm, &self.members, ReduceOp::Sum, &mut [0.0])?;
+        self.out.resume_ns = close_span(&mut self.out.spans, comm, RecoveryKind::Reprediction, at);
+        if let Some(rep) = &mut self.replica {
+            rep.on_recovery(newly_dead, it, detected_ns, target);
+        }
+        Ok(target)
+    }
+
+    /// Move this rank's block to layout `new` under the current epoch,
+    /// then bump it; returns the rows moved. With a `rollback_target`,
+    /// rows whose old owner is dead come from its checkpoint at that
+    /// iteration; a live-state rebalance passes `None` and every row
+    /// travels as a message.
+    fn transfer<R: Recorder>(
+        &mut self,
+        comm: &mut Comm<'_, R>,
+        new: Vec<usize>,
+        rollback_target: Option<u32>,
+    ) -> SimResult<usize> {
+        let (app, store, dead) = (self.job.app, self.job.store, &self.out.dead);
+        let elems = |rows: Range<usize>| rows.start * app.cols..rows.end * app.cols;
+        let old = std::mem::replace(&mut self.layout, new);
+        let old_u = std::mem::take(&mut self.u);
+        let mut new_u = vec![0.0; self.layout[self.rank] * app.cols];
+        let moved = move_rows(
+            comm,
+            &old,
+            &self.layout,
+            tag_redist(self.epoch),
+            |rows| old_u[elems(rows)].to_vec(),
+            |rows, data| new_u[elems(rows)].copy_from_slice(data),
+            &|from, rows| {
+                let target = rollback_target.filter(|_| dead.contains(&from))?;
+                Some(dead_block(store, app, from, target, &old)[elems(rows)].to_vec())
+            },
+        )?;
+        self.u = new_u;
+        self.epoch += 1;
+        Ok(moved)
     }
 }
 
@@ -764,7 +917,6 @@ pub struct AdaptiveCg {
 impl AdaptiveCg {
     /// Run the adaptive CG driver on one rank. `layout0` may contain
     /// zero-row idle spares; `weights` are nominal CPU powers.
-    #[allow(clippy::too_many_lines)]
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
@@ -772,274 +924,225 @@ impl AdaptiveCg {
         iters: u32,
         weights: &[f64],
     ) -> SimResult<AdaptiveOutcome> {
-        let rank = comm.rank();
-        let nr = comm.size();
-        let n = self.app.n;
-        if layout0.len() != nr || weights.len() != nr {
-            return Err(SimError::InvalidConfig(format!(
-                "adaptive cg got layout of {} and {} weights for {nr} ranks",
-                layout0.len(),
-                weights.len()
-            )));
-        }
-        if layout0.iter().sum::<usize>() != n {
-            return Err(SimError::InvalidConfig(format!(
-                "layout distributes {} of {n} rows",
-                layout0.iter().sum::<usize>()
-            )));
-        }
-        let members: Vec<usize> = (0..nr).collect();
-        let mut layout = layout0.to_vec();
-        let mut det = PhiAccrualDetector::new(nr, self.cfg.detector);
-        let mut latest_prow = vec![0.0f64; nr];
-        let mut rebalances: Vec<RebalanceEvent> = Vec::new();
-        let mut last_adapt_it: Option<u32> = None;
-        let mut spans: Vec<RecoverySpan> = Vec::new();
-
-        // ---- setup: my matrix share, in core ------------------------
-        let mut m = layout[rank];
-        let mut offset: usize = layout[..rank].iter().sum();
-        let (mut flat, mut offsets, b_local) = self.build_share(comm, offset, m, true)?;
-        let mut x = vec![0.0; m];
-        let mut rr = b_local;
-        let mut q = vec![0.0; m];
-        let mut p_full = vec![0.0; n];
-        p_full[offset..offset + m].copy_from_slice(&rr);
-        allreduce(comm, ReduceOp::Sum, &mut p_full)?;
-        let mut rz = {
-            let mut acc = [rr.iter().map(|v| v * v).sum::<f64>()];
-            allreduce(comm, ReduceOp::Sum, &mut acc)?;
-            acc[0]
-        };
-
+        check_layout(comm.size(), layout0, weights, self.app.n)?;
+        let members: Vec<usize> = (0..comm.size()).collect();
+        let mut replica = Replica::new(&self.cfg, weights);
+        let mut spans = Vec::new();
+        let mut run = CgRun::set_up(&self.app, comm, layout0)?;
         barrier(comm)?;
-        let t0 = comm.ctx_ref().now().as_nanos();
+        let t0_ns = now(comm);
 
         for it in 0..iters {
-            comm.begin_iteration(it);
-
-            // ---- section 0: q = A p and p.q, timed ------------------
-            comm.begin_section(0);
-            comm.begin_stage(0);
-            let mv_start = comm.ctx_ref().now().as_nanos();
-            if m > 0 {
-                self.matvec_in_core(comm, &flat, &offsets, m, &p_full, &mut q);
-            }
-            let mv_ns = comm.ctx_ref().now().as_nanos() - mv_start;
-            comm.end_stage(0);
-            let pq = {
-                let mut acc = [(0..m).map(|i| p_full[offset + i] * q[i]).sum::<f64>()];
-                allreduce(comm, ReduceOp::Sum, &mut acc)?;
-                acc[0]
-            };
-            comm.end_section(0);
-            let alpha = rz / pq;
-
-            // ---- section 1: update x, r; new residual norm ----------
-            comm.begin_section(1);
-            comm.begin_stage(0);
-            let mut rz_local = 0.0;
-            for i in 0..m {
-                x[i] += alpha * p_full[offset + i];
-                rr[i] -= alpha * q[i];
-                rz_local += rr[i] * rr[i];
-            }
-            if m > 0 {
-                comm.compute(3.0 * m as f64, (3 * m * 8) as u64);
-            }
-            comm.end_stage(0);
-            let rz_new = {
-                let mut acc = [rz_local];
-                allreduce(comm, ReduceOp::Sum, &mut acc)?;
-                acc[0]
-            };
-            comm.end_section(1);
-            let beta = rz_new / rz;
-            rz = rz_new;
-
-            // ---- section 2: p = r + beta p; reassemble; heartbeat ---
-            comm.begin_section(2);
-            comm.begin_stage(0);
-            let p_old: Vec<f64> = p_full[offset..offset + m].to_vec();
-            for slot in p_full.iter_mut() {
-                *slot = 0.0;
-            }
-            for i in 0..m {
-                p_full[offset + i] = rr[i] + beta * p_old[i];
-            }
-            if m > 0 {
-                comm.compute(m as f64, (m * 8) as u64);
-            }
-            comm.end_stage(0);
-            allreduce(comm, ReduceOp::Sum, &mut p_full)?;
-            let mut hb = vec![0.0f64; nr];
-            if m > 0 {
-                hb[rank] = mv_ns as f64 / m as f64;
-            }
-            allreduce(comm, ReduceOp::Max, &mut hb)?;
-            comm.end_section(2);
-            comm.end_iteration(it);
-            let now = comm.ctx_ref().now().as_nanos();
-
-            // ---- detector replica + rebalance -----------------------
-            let transitions = det.observe(it, now, &hb);
-            for (r, &p) in hb.iter().enumerate() {
-                if p > 0.0 {
-                    latest_prow[r] = p;
-                }
-            }
-            let confirm_now = transitions
-                .iter()
-                .any(|t| matches!(t.to, HealthState::Degraded | HealthState::Rejoined));
-            if let Some((new_layout, gain, evals)) = consider_rebalance(
-                comm,
-                &self.cfg,
-                &det,
-                &members,
-                &layout,
-                weights,
-                &latest_prow,
-                confirm_now,
-                &mut last_adapt_it,
-                it,
-            ) {
-                let rb_start = comm.ctx_ref().now().as_nanos();
-                let plan = transfer_plan_rows(&layout, &new_layout);
-                let my_new_off: usize = new_layout[..rank].iter().sum();
-                // Live solver state travels as [x rows | r rows].
-                for t in &plan {
-                    if t.from == rank && t.to != rank {
-                        let s = t.global_start - offset;
-                        let mut msg = x[s..s + t.rows].to_vec();
-                        msg.extend_from_slice(&rr[s..s + t.rows]);
-                        comm.send_f64s(t.to, tag_redist(it), &msg)?;
-                    }
-                }
-                let m_new = new_layout[rank];
-                let mut nx = vec![0.0; m_new];
-                let mut nrr = vec![0.0; m_new];
-                for t in &plan {
-                    if t.to != rank {
-                        continue;
-                    }
-                    let dst = t.global_start - my_new_off;
-                    if t.from == rank {
-                        let s = t.global_start - offset;
-                        nx[dst..dst + t.rows].copy_from_slice(&x[s..s + t.rows]);
-                        nrr[dst..dst + t.rows].copy_from_slice(&rr[s..s + t.rows]);
-                    } else {
-                        let msg = comm.recv_f64s(t.from, tag_redist(it))?;
-                        nx[dst..dst + t.rows].copy_from_slice(&msg[..t.rows]);
-                        nrr[dst..dst + t.rows].copy_from_slice(&msg[t.rows..]);
-                    }
-                }
-                let moved = rows_moved(&plan);
-                rebalances.push(RebalanceEvent {
-                    iteration: it,
-                    at_ns: rb_start,
-                    from_rows: layout.clone(),
-                    to_rows: new_layout.clone(),
-                    rows_moved: moved,
-                    predicted_gain: gain,
-                    evals,
-                });
-                layout = new_layout;
-                m = m_new;
-                offset = layout[..rank].iter().sum();
-                x = nx;
-                rr = nrr;
-                q = vec![0.0; m];
-                // Rebuild the matrix share for the new interval; the
-                // pattern is hash-defined, so regeneration is local,
-                // but the compulsory read of the new share is charged.
-                comm.ctx().disk.remove(VAR_A);
-                let (nf, no, _) = self.build_share(comm, offset, m, true)?;
-                flat = nf;
-                offsets = no;
-                spans.push(RecoverySpan {
-                    start_ns: rb_start,
-                    end_ns: comm.ctx_ref().now().as_nanos(),
-                    kind: RecoveryKind::Rebalance,
-                });
-                det.reset_baselines();
+            let hb = run.iterate(comm, it)?;
+            if let Some(ev) = replica.observe(comm, it, &hb, &members, &run.layout) {
+                let start = now(comm);
+                // The iteration stands in for an epoch: at most one
+                // rebalance commits per boundary.
+                let moved = run.rebalance(comm, ev.to_rows.clone(), tag_redist(it))?;
+                close_span(&mut spans, comm, RecoveryKind::Rebalance, start);
+                replica.commit(ev, start, moved);
             }
         }
-        let t1 = comm.ctx_ref().now().as_nanos();
+        let t1_ns = now(comm);
 
         // Untimed verification: distance of x from the all-ones vector.
-        let mut err = [(0..m).map(|i| (x[i] - 1.0) * (x[i] - 1.0)).sum::<f64>()];
+        let mut err = [run.x.iter().map(|x| (x - 1.0) * (x - 1.0)).sum::<f64>()];
         allreduce(comm, ReduceOp::Sum, &mut err)?;
-
-        Ok(AdaptiveOutcome {
+        let mut out = AdaptiveOutcome {
             result: RankResult {
-                t0_ns: t0,
-                t1_ns: t1,
+                t0_ns,
+                t1_ns,
                 check: err[0].sqrt(),
             },
             alive: true,
             spans,
-            dead: Vec::new(),
-            rebalances,
-            transitions: det.transitions().to_vec(),
-            suspicion: det.timeline().to_vec(),
-            detection_latencies_ns: det.detection_latencies_ns().to_vec(),
-            final_rows: layout,
+            final_rows: run.layout,
+            ..AdaptiveOutcome::default()
+        };
+        replica.report_into(&mut out);
+        Ok(out)
+    }
+}
+
+/// One rank's live CG state: its matrix share in core and the solver
+/// vectors over it.
+struct CgRun<'a> {
+    app: &'a Cg,
+    layout: Vec<usize>,
+    /// Global index of this rank's first row.
+    offset: usize,
+    /// The share's interleaved `[col, val]` data and per-row offsets.
+    flat: Vec<f64>,
+    offsets: Vec<usize>,
+    x: Vec<f64>,
+    rr: Vec<f64>,
+    q: Vec<f64>,
+    /// The full search direction, reassembled every iteration.
+    p_full: Vec<f64>,
+    rz: f64,
+}
+
+impl<'a> CgRun<'a> {
+    /// Build this rank's share and the initial solver state (`x = 0`,
+    /// `r = p = b`).
+    fn set_up<R: Recorder>(
+        app: &'a Cg,
+        comm: &mut Comm<'_, R>,
+        layout0: &[usize],
+    ) -> SimResult<Self> {
+        let m = layout0[comm.rank()];
+        let offset: usize = layout0[..comm.rank()].iter().sum();
+        let (flat, offsets, rr) = build_share(app, comm, offset, m)?;
+        let mut p_full = vec![0.0; app.n];
+        p_full[offset..offset + m].copy_from_slice(&rr);
+        allreduce(comm, ReduceOp::Sum, &mut p_full)?;
+        let mut rz = [rr.iter().map(|v| v * v).sum::<f64>()];
+        allreduce(comm, ReduceOp::Sum, &mut rz)?;
+        Ok(CgRun {
+            app,
+            layout: layout0.to_vec(),
+            offset,
+            flat,
+            offsets,
+            x: vec![0.0; m],
+            rr,
+            q: vec![0.0; m],
+            p_full,
+            rz: rz[0],
         })
     }
 
-    /// Generate rows `[offset, offset + m)` of the matrix, store them on
-    /// the local disk under [`VAR_A`], and (when `charge_read`) pay the
-    /// compulsory read that brings the share in core. Returns the
-    /// interleaved data, the per-row element offsets, and `b = A·1`
-    /// restricted to the share.
-    fn build_share<R: Recorder>(
-        &self,
-        comm: &mut Comm<'_, R>,
-        offset: usize,
-        m: usize,
-        charge_read: bool,
-    ) -> SimResult<(Vec<f64>, Vec<usize>, Vec<f64>)> {
-        let (flat, offsets, b_local) = self.app.share(offset, m);
-        if !flat.is_empty() {
-            comm.ctx().disk.store(VAR_A, flat.clone());
-            if charge_read {
-                let mut buf = vec![0.0; flat.len()];
-                comm.file_read(VAR_A, 0, &mut buf)?;
+    /// Iteration `it`, the plain CG body; returns the merged heartbeat
+    /// vector (each member's per-row matvec time).
+    fn iterate<R: Recorder>(&mut self, comm: &mut Comm<'_, R>, it: u32) -> SimResult<Vec<f64>> {
+        let (m, offset) = (self.x.len(), self.offset);
+        comm.begin_iteration(it);
+
+        // ---- section 0: q = A p and p.q, timed ----------------------
+        comm.begin_section(0);
+        comm.begin_stage(0);
+        let mv_start = now(comm);
+        if m > 0 {
+            let mut nnz = 0usize;
+            for i in 0..m {
+                let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
+                let mut acc = 0.0;
+                for e in self.flat[lo..hi].chunks_exact(2) {
+                    acc += e[1] * self.p_full[e[0] as usize];
+                }
+                self.q[i] = acc;
+                nnz += (hi - lo) / 2;
             }
+            comm.compute(nnz as f64, (self.flat.len() * 8) as u64);
         }
-        Ok((flat, offsets, b_local))
+        let mv_ns = now(comm) - mv_start;
+        comm.end_stage(0);
+        let mut pq = [(0..m)
+            .map(|i| self.p_full[offset + i] * self.q[i])
+            .sum::<f64>()];
+        allreduce(comm, ReduceOp::Sum, &mut pq)?;
+        comm.end_section(0);
+        let alpha = self.rz / pq[0];
+
+        // ---- section 1: update x, r; new residual norm --------------
+        comm.begin_section(1);
+        comm.begin_stage(0);
+        let mut rz_new = [0.0];
+        for i in 0..m {
+            self.x[i] += alpha * self.p_full[offset + i];
+            self.rr[i] -= alpha * self.q[i];
+            rz_new[0] += self.rr[i] * self.rr[i];
+        }
+        if m > 0 {
+            comm.compute(3.0 * m as f64, (3 * m * 8) as u64);
+        }
+        comm.end_stage(0);
+        allreduce(comm, ReduceOp::Sum, &mut rz_new)?;
+        comm.end_section(1);
+        let beta = rz_new[0] / self.rz;
+        self.rz = rz_new[0];
+
+        // ---- section 2: p = r + beta p; reassemble; heartbeat -------
+        comm.begin_section(2);
+        comm.begin_stage(0);
+        let p_old: Vec<f64> = self.p_full[offset..offset + m].to_vec();
+        self.p_full.fill(0.0);
+        for (i, p_old) in p_old.iter().enumerate() {
+            self.p_full[offset + i] = self.rr[i] + beta * p_old;
+        }
+        if m > 0 {
+            comm.compute(m as f64, (m * 8) as u64);
+        }
+        comm.end_stage(0);
+        allreduce(comm, ReduceOp::Sum, &mut self.p_full)?;
+        let mut hb = vec![0.0f64; self.layout.len()];
+        if m > 0 {
+            hb[comm.rank()] = mv_ns as f64 / m as f64;
+        }
+        allreduce(comm, ReduceOp::Max, &mut hb)?;
+        comm.end_section(2);
+        comm.end_iteration(it);
+        Ok(hb)
     }
 
-    fn matvec_in_core<R: Recorder>(
-        &self,
+    /// Move to layout `new`: the live solver state travels as
+    /// `[x rows | r rows]`, then the matrix share is rebuilt for the new
+    /// interval. Returns the rows moved.
+    fn rebalance<R: Recorder>(
+        &mut self,
         comm: &mut Comm<'_, R>,
-        flat: &[f64],
-        offsets: &[usize],
-        rows: usize,
-        p_full: &[f64],
-        q: &mut [f64],
-    ) {
-        let mut nnz = 0usize;
-        for i in 0..rows {
-            let (lo, hi) = (offsets[i], offsets[i + 1]);
-            let mut acc = 0.0;
-            let mut k = lo;
-            while k < hi {
-                let c = flat[k] as usize;
-                acc += flat[k + 1] * p_full[c];
-                k += 2;
-            }
-            q[i] = acc;
-            nnz += (hi - lo) / 2;
-        }
-        comm.compute(nnz as f64, (flat.len() * 8) as u64);
+        new: Vec<usize>,
+        tag: u32,
+    ) -> SimResult<usize> {
+        let m = new[comm.rank()];
+        let (x, rr) = (std::mem::take(&mut self.x), std::mem::take(&mut self.rr));
+        let (mut nx, mut nrr) = (vec![0.0; m], vec![0.0; m]);
+        let moved = move_rows(
+            comm,
+            &self.layout,
+            &new,
+            tag,
+            |rows| [&x[rows.clone()], &rr[rows]].concat(),
+            |rows, msg| {
+                let (xs, rs) = msg.split_at(rows.len());
+                nx[rows.clone()].copy_from_slice(xs);
+                nrr[rows].copy_from_slice(rs);
+            },
+            &|_, _| None,
+        )?;
+        (self.x, self.rr, self.q) = (nx, nrr, vec![0.0; m]);
+        self.offset = new[..comm.rank()].iter().sum();
+        self.layout = new;
+        // The pattern is hash-defined, so regeneration is local, but the
+        // compulsory read of the new share is charged.
+        comm.ctx().disk.remove(VAR_A);
+        (self.flat, self.offsets, _) = build_share(self.app, comm, self.offset, m)?;
+        Ok(moved)
     }
+}
+
+/// Generate rows `[offset, offset + m)` of the matrix, store them on
+/// the local disk under [`VAR_A`], and pay the compulsory read that
+/// brings the share in core. Returns the interleaved data, the per-row
+/// element offsets, and `b = A·1` restricted to the share.
+fn build_share<R: Recorder>(
+    app: &Cg,
+    comm: &mut Comm<'_, R>,
+    offset: usize,
+    m: usize,
+) -> SimResult<(Vec<f64>, Vec<usize>, Vec<f64>)> {
+    let (flat, offsets, b_local) = app.share(offset, m);
+    if !flat.is_empty() {
+        comm.ctx().disk.store(VAR_A, flat.clone());
+        let mut buf = vec![0.0; flat.len()];
+        comm.file_read(VAR_A, 0, &mut buf)?;
+    }
+    Ok((flat, offsets, b_local))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilient::new_checkpoint_store;
     use mheta_mpi::{run_app, ExecMode, NullRecorder, RunOptions};
     use mheta_sim::{ClusterSpec, CrashSpec, DegradeSpec, RecoverSpec};
 
@@ -1070,28 +1173,38 @@ mod tests {
         .results
     }
 
-    fn resilient_residual(n: usize, iters: u32) -> f64 {
-        use crate::resilient::ResilientJacobi;
-        let spec = quiet(n);
+    /// The loop without a replica — what `run_resilient` runs — on
+    /// `Jacobi::small()` under Block.
+    fn run_resilient_raw(spec: &ClusterSpec, iters: u32, interval: u32) -> Vec<AdaptiveOutcome> {
         let app = Jacobi::small();
-        let dist = GenBlock::block(app.rows, n);
+        let dist = GenBlock::block(app.rows, spec.len());
         let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
         let store = new_checkpoint_store();
-        let driver = ResilientJacobi { app };
-        let structure = driver.app.structure(false);
+        let structure = app.structure(false);
+        let job = JacobiLoop {
+            app: &app,
+            structure: &structure,
+            layout0: dist.rows(),
+            iters,
+            interval,
+            weights: &weights,
+            store: &store,
+        };
         run_app(
-            &spec,
+            spec,
             RunOptions {
                 tracing: false,
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| driver.run(comm, &structure, &dist, iters, 4, &weights, &store),
+            |comm| job.run(comm, None),
         )
         .unwrap()
-        .results[0]
-            .result
-            .check
+        .results
+    }
+
+    fn resilient_residual(n: usize, iters: u32) -> f64 {
+        run_resilient_raw(&quiet(n), iters, 4)[0].result.check
     }
 
     #[test]
@@ -1338,6 +1451,157 @@ mod tests {
             assert!(o.rebalances.is_empty());
             assert!(o.transitions.is_empty());
             assert_eq!(o.final_rows, vec![32, 32, 32]);
+        }
+    }
+
+    #[test]
+    fn matches_plain_jacobi_without_crashes() {
+        let spec = quiet(4);
+        let outcomes = run_resilient_raw(&spec, 6, 3);
+        // Same residual as the plain driver: replay-free run computes
+        // the identical value sequence.
+        let app = Jacobi::small();
+        let dist = GenBlock::block(app.rows, 4);
+        let structure = app.structure(false);
+        let plain = run_app(
+            &spec,
+            RunOptions {
+                tracing: false,
+                mode: ExecMode::Normal,
+            },
+            |_| NullRecorder,
+            |comm| app.run(comm, &structure, &dist, 6, false),
+        )
+        .unwrap()
+        .results;
+        for o in &outcomes {
+            assert!(o.alive);
+            assert_eq!(o.result.check, plain[0].check);
+            assert!(o.rollback_iteration.is_none());
+            assert!(o.spans.iter().all(|s| s.kind == RecoveryKind::Checkpoint));
+        }
+    }
+
+    #[test]
+    fn crash_recovers_and_residual_matches_crash_free_run() {
+        let crash_free = {
+            let spec = quiet(4);
+            run_resilient_raw(&spec, 8, 3)[0].result.check
+        };
+        let mut spec = quiet(4);
+        spec.faults.crashes = vec![CrashSpec::at_iteration(2, 5)];
+        spec.faults.checkpoint_interval = 3;
+        let outcomes = run_resilient_raw(&spec, 8, 3);
+        assert!(!outcomes[2].alive);
+        for (r, o) in outcomes.iter().enumerate() {
+            if r == 2 {
+                continue;
+            }
+            assert!(o.alive, "rank {r} should survive");
+            assert_eq!(o.dead, vec![2]);
+            assert_eq!(o.rollback_iteration, Some(3));
+            assert_eq!(o.final_rows[2], 0);
+            // Replayed values are identical; only the shrunken
+            // reduction tree reassociates the final sum.
+            let rel = (o.result.check - crash_free).abs() / crash_free.max(1e-30);
+            assert!(
+                rel < 1e-12,
+                "rank {r}: replayed residual {} vs crash-free {crash_free}",
+                o.result.check
+            );
+            for kind in [
+                RecoveryKind::Rollback,
+                RecoveryKind::Redistribution,
+                RecoveryKind::Reprediction,
+            ] {
+                assert!(
+                    o.spans.iter().any(|s| s.kind == kind && s.len_ns() > 0),
+                    "rank {r} missing {kind:?} span"
+                );
+            }
+        }
+        let total: usize = outcomes[0].final_rows.iter().sum();
+        assert_eq!(total, Jacobi::small().rows);
+    }
+
+    #[test]
+    fn crash_before_first_checkpoint_restarts_from_initial_state() {
+        let crash_free = {
+            let spec = quiet(4);
+            run_resilient_raw(&spec, 4, 2)[0].result.check
+        };
+        // Rank 1 dies at iteration 0, before writing any checkpoint:
+        // its block is resynthesized from the deterministic initializer.
+        let mut spec = quiet(4);
+        spec.faults.crashes = vec![CrashSpec::at_iteration(1, 0)];
+        spec.faults.checkpoint_interval = 2;
+        let outcomes = run_resilient_raw(&spec, 4, 2);
+        assert!(!outcomes[1].alive);
+        for (r, o) in outcomes.iter().enumerate() {
+            if r == 1 {
+                continue;
+            }
+            assert!(o.alive);
+            assert_eq!(o.rollback_iteration, Some(0));
+            let rel = (o.result.check - crash_free).abs() / crash_free.max(1e-30);
+            assert!(rel < 1e-12, "rank {r}: {} vs {crash_free}", o.result.check);
+        }
+    }
+
+    #[test]
+    fn two_staggered_crashes_both_recover() {
+        let crash_free = {
+            let spec = quiet(5);
+            run_resilient_raw(&spec, 10, 2)[0].result.check
+        };
+        let mut spec = quiet(5);
+        spec.faults.crashes = vec![CrashSpec::at_iteration(1, 3), CrashSpec::at_iteration(4, 7)];
+        spec.faults.checkpoint_interval = 2;
+        let outcomes = run_resilient_raw(&spec, 10, 2);
+        assert!(!outcomes[1].alive && !outcomes[4].alive);
+        for (r, o) in outcomes.iter().enumerate() {
+            if r == 1 || r == 4 {
+                continue;
+            }
+            assert!(o.alive, "rank {r}");
+            assert_eq!(o.dead, vec![1, 4]);
+            assert_eq!(o.final_rows[1], 0);
+            assert_eq!(o.final_rows[4], 0);
+            let rel = (o.result.check - crash_free).abs() / crash_free.max(1e-30);
+            assert!(rel < 1e-12, "rank {r}: {} vs {crash_free}", o.result.check);
+        }
+    }
+
+    #[test]
+    fn heterogeneous_redistribution_follows_cpu_power() {
+        let mut spec = quiet(4);
+        spec.nodes[3].cpu_power = 3.0;
+        spec.faults.crashes = vec![CrashSpec::at_iteration(0, 2)];
+        spec.faults.checkpoint_interval = 2;
+        let outcomes = run_resilient_raw(&spec, 6, 2);
+        let survivor = &outcomes[1];
+        assert!(survivor.alive);
+        assert_eq!(survivor.final_rows[0], 0);
+        // The power-3 node must end with the largest share.
+        let max = survivor.final_rows.iter().copied().max().unwrap();
+        assert_eq!(survivor.final_rows[3], max);
+    }
+
+    #[test]
+    fn deterministic_across_reruns() {
+        let go = || {
+            let mut spec = quiet(4);
+            spec.faults.crashes = vec![CrashSpec::at_iteration(2, 4)];
+            spec.faults.checkpoint_interval = 3;
+            run_resilient_raw(&spec, 8, 3)
+        };
+        let a = go();
+        let b = go();
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.result.t0_ns, y.result.t0_ns);
+            assert_eq!(x.result.t1_ns, y.result.t1_ns);
+            assert_eq!(x.spans, y.spans);
+            assert_eq!(x.final_rows, y.final_rows);
         }
     }
 }

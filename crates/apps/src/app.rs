@@ -15,7 +15,7 @@ use mheta_sim::VarId;
 use std::collections::HashMap;
 
 /// What each rank reports after running a benchmark.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RankResult {
     /// Virtual time when the measured iteration loop began (after
     /// setup, compulsory loads, and the synchronizing barrier).

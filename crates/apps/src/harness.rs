@@ -15,15 +15,16 @@
 use mheta_core::{build_profile, measure_arch, Mheta, Prediction, ProgramStructure};
 use mheta_dist::{AnchorInputs, GenBlock};
 use mheta_mpi::{run_app, ExecMode, HookEvent, NullRecorder, RunOptions, Scope, VecRecorder};
-use mheta_sim::{ClusterSpec, FaultSpec, RankTrace, RecoveryKind, SimError, SimResult};
+use mheta_sim::{
+    ClusterSpec, FaultSpec, RankTrace, RecoveryKind, RecoverySpan, SimError, SimResult,
+};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveJacobi, AdaptiveOutcome};
+use crate::adaptive::{new_checkpoint_store, AdaptiveConfig, AdaptiveOutcome, JacobiLoop, Replica};
 use crate::app::RankResult;
 use crate::cg::Cg;
 use crate::jacobi::Jacobi;
 use crate::lanczos::Lanczos;
 use crate::multigrid::Multigrid;
-use crate::resilient::{new_checkpoint_store, ResilientJacobi, ResilientOutcome};
 use crate::rna::Rna;
 
 /// One of the benchmark applications, dispatchable without generics.
@@ -152,16 +153,9 @@ pub struct Measured {
 }
 
 fn measured_from(results: &[RankResult]) -> Measured {
-    let t0 = results
-        .iter()
-        .map(|r| r.t0_ns)
-        .max()
-        .expect("nonempty cluster");
-    let t1 = results
-        .iter()
-        .map(|r| r.t1_ns)
-        .max()
-        .expect("nonempty cluster");
+    let latest =
+        |at: fn(&RankResult) -> u64| results.iter().map(at).max().expect("nonempty cluster");
+    let (t0, t1) = (latest(|r| r.t0_ns), latest(|r| r.t1_ns));
     Measured {
         secs: (t1 - t0) as f64 / 1e9,
         per_rank_secs: results.iter().map(RankResult::secs).collect(),
@@ -321,15 +315,17 @@ pub fn anchor_inputs(model: &Mheta) -> AnchorInputs {
     }
 }
 
-// ---- crash-stop resilience ----------------------------------------------
+// ---- fault tolerance ------------------------------------------------------
 
-/// Everything a resilient (checkpoint/restart) run produces.
+/// Everything a fault-tolerant run ([`run_resilient`], [`run_adaptive`])
+/// produces.
 #[derive(Debug)]
-pub struct ResilientRun {
-    /// Per-rank outcomes (dead ranks included, marked `alive: false`).
-    pub outcomes: Vec<ResilientOutcome>,
-    /// Per-rank operational traces (tracing is always on: resilient
-    /// runs exist to be audited).
+pub struct AdaptiveRun {
+    /// Per-rank outcomes (crashed ranks included, marked `alive:
+    /// false`).
+    pub outcomes: Vec<AdaptiveOutcome>,
+    /// Per-rank operational traces (tracing is always on: these runs
+    /// exist to be audited).
     pub traces: Vec<RankTrace>,
     /// Per-rank hook-event streams.
     pub hooks: Vec<Vec<HookEvent>>,
@@ -340,20 +336,34 @@ pub struct ResilientRun {
     pub windows: Vec<(u64, u64)>,
 }
 
-/// Run the resilient Jacobi driver cluster-wide. The checkpoint
-/// interval comes from `spec.faults.checkpoint_interval` (clamped to at
-/// least 1) and redistribution weights from the nodes' CPU powers.
-pub fn run_resilient(
+/// Run the crash-tolerant Jacobi loop cluster-wide, apportioning by the
+/// nodes' CPU powers — with a detector replica on every rank when
+/// `adapt` is set, as plain checkpoint/restart otherwise.
+fn run_fault_tolerant(
     app: &Jacobi,
     spec: &ClusterSpec,
-    dist: &GenBlock,
+    layout0: &[usize],
     iters: u32,
-) -> SimResult<ResilientRun> {
-    let interval = spec.faults.checkpoint_interval.max(1);
+    adapt: Option<&AdaptiveConfig>,
+) -> SimResult<AdaptiveRun> {
+    // One home for K: the spec names it; a spec that does not (0) leaves
+    // it to the adaptive configuration.
+    let interval = match (spec.faults.checkpoint_interval, adapt) {
+        (0, Some(cfg)) => cfg.checkpoint_interval,
+        (k, _) => k,
+    };
     let weights: Vec<f64> = spec.nodes.iter().map(|n| n.cpu_power).collect();
     let store = new_checkpoint_store();
-    let driver = ResilientJacobi { app: app.clone() };
     let structure = app.structure(false);
+    let job = JacobiLoop {
+        app,
+        structure: &structure,
+        layout0,
+        iters,
+        interval,
+        weights: &weights,
+        store: &store,
+    };
     let run = run_app(
         spec,
         RunOptions {
@@ -361,22 +371,24 @@ pub fn run_resilient(
             mode: ExecMode::Normal,
         },
         |_| VecRecorder::default(),
-        |comm| driver.run(comm, &structure, dist, iters, interval, &weights, &store),
+        |comm| job.run(comm, adapt.map(|cfg| Replica::new(cfg, &weights))),
     )?;
-    let survivors: Vec<&ResilientOutcome> = run.results.iter().filter(|o| o.alive).collect();
+    let survivors: Vec<RankResult> = run
+        .results
+        .iter()
+        .filter(|o| o.alive)
+        .map(|o| o.result)
+        .collect();
     if survivors.is_empty() {
         return Err(SimError::InvalidConfig(
-            "resilient run left no survivors".into(),
+            "fault-tolerant run left no survivors".into(),
         ));
     }
-    let t0 = survivors.iter().map(|o| o.result.t0_ns).max().unwrap_or(0);
-    let t1 = survivors.iter().map(|o| o.result.t1_ns).max().unwrap_or(0);
-    let measured = Measured {
-        secs: (t1 - t0) as f64 / 1e9,
-        per_rank_secs: run.results.iter().map(|o| o.result.secs()).collect(),
-        check: survivors[0].result.check,
-    };
-    Ok(ResilientRun {
+    Ok(AdaptiveRun {
+        measured: Measured {
+            per_rank_secs: run.results.iter().map(|o| o.result.secs()).collect(),
+            ..measured_from(&survivors)
+        },
         windows: run
             .results
             .iter()
@@ -385,32 +397,30 @@ pub fn run_resilient(
         outcomes: run.results,
         traces: run.traces,
         hooks: run.recorders.into_iter().map(|r| r.events).collect(),
-        measured,
     })
 }
 
-/// Everything an adaptive (detector + mid-run rebalancing) run
-/// produces.
-#[derive(Debug)]
-pub struct AdaptiveRun {
-    /// Per-rank outcomes (crashed ranks included, marked `alive:
-    /// false`).
-    pub outcomes: Vec<AdaptiveOutcome>,
-    /// Per-rank operational traces (tracing is always on: adaptive
-    /// runs exist to be audited).
-    pub traces: Vec<RankTrace>,
-    /// Per-rank hook-event streams.
-    pub hooks: Vec<Vec<HookEvent>>,
-    /// Makespan over the surviving ranks' loop windows.
-    pub measured: Measured,
-    /// Per-rank `(t0_ns, t1_ns)` loop windows.
-    pub windows: Vec<(u64, u64)>,
+/// Run the crash-tolerant Jacobi loop cluster-wide as plain
+/// checkpoint/restart (no detector, no heartbeat exchange). The
+/// checkpoint interval comes from `spec.faults.checkpoint_interval`
+/// (clamped to at least 1) and redistribution weights from the nodes'
+/// CPU powers.
+pub fn run_resilient(
+    app: &Jacobi,
+    spec: &ClusterSpec,
+    dist: &GenBlock,
+    iters: u32,
+) -> SimResult<AdaptiveRun> {
+    run_fault_tolerant(app, spec, dist.rows(), iters, None)
 }
 
-/// Run the adaptive Jacobi driver cluster-wide: phi-accrual detection,
-/// slowdown-vs-crash disambiguation, and mid-run GEN_BLOCK rebalancing.
-/// `layout0` may contain zero-row hot spares; rebalancing weights come
-/// from the nodes' CPU powers.
+/// Run the adaptive Jacobi driver cluster-wide: the same loop plus
+/// phi-accrual detection, slowdown-vs-crash disambiguation, and mid-run
+/// GEN_BLOCK rebalancing. `layout0` may contain zero-row hot spares;
+/// rebalancing weights come from the nodes' CPU powers. The checkpoint
+/// interval is `spec.faults.checkpoint_interval` when that is non-zero
+/// (as [`run_resilient`] reads it) and `cfg.checkpoint_interval`
+/// otherwise.
 pub fn run_adaptive(
     app: &Jacobi,
     spec: &ClusterSpec,
@@ -418,49 +428,10 @@ pub fn run_adaptive(
     iters: u32,
     cfg: AdaptiveConfig,
 ) -> SimResult<AdaptiveRun> {
-    let weights: Vec<f64> = spec.nodes.iter().map(|n| n.cpu_power).collect();
-    let store = new_checkpoint_store();
-    let driver = AdaptiveJacobi {
-        app: app.clone(),
-        cfg,
-    };
-    let structure = app.structure(false);
-    let run = run_app(
-        spec,
-        RunOptions {
-            tracing: true,
-            mode: ExecMode::Normal,
-        },
-        |_| VecRecorder::default(),
-        |comm| driver.run(comm, &structure, layout0, iters, &weights, &store),
-    )?;
-    let survivors: Vec<&AdaptiveOutcome> = run.results.iter().filter(|o| o.alive).collect();
-    if survivors.is_empty() {
-        return Err(SimError::InvalidConfig(
-            "adaptive run left no survivors".into(),
-        ));
-    }
-    let t0 = survivors.iter().map(|o| o.result.t0_ns).max().unwrap_or(0);
-    let t1 = survivors.iter().map(|o| o.result.t1_ns).max().unwrap_or(0);
-    let measured = Measured {
-        secs: (t1 - t0) as f64 / 1e9,
-        per_rank_secs: run.results.iter().map(|o| o.result.secs()).collect(),
-        check: survivors[0].result.check,
-    };
-    Ok(AdaptiveRun {
-        windows: run
-            .results
-            .iter()
-            .map(|o| (o.result.t0_ns, o.result.t1_ns))
-            .collect(),
-        outcomes: run.results,
-        traces: run.traces,
-        hooks: run.recorders.into_iter().map(|r| r.events).collect(),
-        measured,
-    })
+    run_fault_tolerant(app, spec, layout0, iters, Some(&cfg))
 }
 
-/// Summary of a resilient run's recovery, for comparing against the
+/// Summary of a fault-tolerant run's recovery, for comparing against the
 /// model's post-failure forecast. `None` when no crash happened.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
@@ -481,11 +452,11 @@ pub struct RecoveryReport {
     pub recovery_ns: [f64; 4],
 }
 
-/// Extract a [`RecoveryReport`] from a resilient run, or `None` if no
-/// recovery happened.
+/// Extract a [`RecoveryReport`] from a fault-tolerant run, or `None` if
+/// no recovery happened.
 #[must_use]
-pub fn recovery_report(run: &ResilientRun, iters: u32) -> Option<RecoveryReport> {
-    let survivors: Vec<&ResilientOutcome> = run.outcomes.iter().filter(|o| o.alive).collect();
+pub fn recovery_report(run: &AdaptiveRun, iters: u32) -> Option<RecoveryReport> {
+    let survivors: Vec<&AdaptiveOutcome> = run.outcomes.iter().filter(|o| o.alive).collect();
     let rollback_iteration = survivors
         .iter()
         .filter_map(|o| o.rollback_iteration)
@@ -507,36 +478,24 @@ pub fn recovery_report(run: &ResilientRun, iters: u32) -> Option<RecoveryReport>
         .map(|o| o.result.t1_ns.saturating_sub(o.resume_ns))
         .max()
         .unwrap_or(0);
-    let post_ckpt_ns = survivors
-        .iter()
-        .map(|o| {
-            o.spans
-                .iter()
-                .filter(|s| s.kind == RecoveryKind::Checkpoint && s.start_ns >= o.resume_ns)
-                .map(|s| s.len_ns())
-                .sum::<u64>()
-        })
-        .max()
-        .unwrap_or(0);
+    // Max over survivors of a rank's total time in the spans `keep` passes.
+    let max_span_ns = |keep: &dyn Fn(&AdaptiveOutcome, &RecoverySpan) -> bool| {
+        let rank_ns = |o: &&AdaptiveOutcome| -> u64 {
+            let kept = o.spans.iter().filter(|s| keep(o, s));
+            kept.map(RecoverySpan::len_ns).sum()
+        };
+        survivors.iter().map(rank_ns).max().unwrap_or(0)
+    };
+    let post_ckpt_ns =
+        max_span_ns(&|o, s| s.kind == RecoveryKind::Checkpoint && s.start_ns >= o.resume_ns);
     let actual_post_ns = makespan_ns.saturating_sub(post_ckpt_ns) as f64;
-    let mut recovery_ns = [0.0f64; 4];
-    for (slot, kind) in recovery_ns.iter_mut().zip([
+    let recovery_ns = [
         RecoveryKind::Checkpoint,
         RecoveryKind::Rollback,
         RecoveryKind::Redistribution,
         RecoveryKind::Reprediction,
-    ]) {
-        *slot = survivors
-            .iter()
-            .map(|o| {
-                o.spans
-                    .iter()
-                    .filter(|s| s.kind == kind)
-                    .map(|s| s.len_ns())
-                    .sum::<u64>() as f64
-            })
-            .fold(0.0, f64::max);
-    }
+    ]
+    .map(|kind| max_span_ns(&|_, s| s.kind == kind) as f64);
     Some(RecoveryReport {
         dead,
         rollback_iteration,
@@ -552,7 +511,7 @@ pub fn recovery_report(run: &ResilientRun, iters: u32) -> Option<RecoveryReport>
 /// iteration, exactly the normal §5.1 workflow on the smaller machine)
 /// and predict the post-recovery layout. `final_rows` is the full
 /// per-rank layout with zeros at dead ranks, as
-/// [`ResilientOutcome::final_rows`] reports it.
+/// [`AdaptiveOutcome::final_rows`] reports it.
 pub fn repredict_after_crash(
     app: &Jacobi,
     spec: &ClusterSpec,
@@ -696,6 +655,39 @@ mod tests {
             entry(&bench, &spec, &blk);
             assert_eq!(scan_count::read(seed), 1, "{name}");
         }
+    }
+
+    /// One home for K: `with_crash` puts the checkpoint interval on the
+    /// spec, and both entry points checkpoint by it (`run_adaptive` used
+    /// to read its configuration only: 4 spans here, not 14); a spec that
+    /// names none leaves it to the configuration.
+    #[test]
+    fn both_entry_points_checkpoint_by_the_specs_interval() {
+        let app = Jacobi::small();
+        let dist = GenBlock::block(app.rows, 4);
+        let checkpoints = |run: AdaptiveRun| {
+            let survivor = run.outcomes.iter().find(|o| o.alive).expect("a survivor");
+            let kinds = survivor.spans.iter().map(|s| s.kind);
+            kinds.filter(|&k| k == RecoveryKind::Checkpoint).count()
+        };
+        let spec = mheta_sim::presets::with_crash(ClusterSpec::homogeneous(4), 2, 9, 1);
+        let cfg = AdaptiveConfig::default();
+        assert_eq!(
+            checkpoints(run_resilient(&app, &spec, &dist, 12).unwrap()),
+            14
+        );
+        assert_eq!(
+            checkpoints(run_adaptive(&app, &spec, dist.rows(), 12, cfg).unwrap()),
+            14
+        );
+        let cfg = AdaptiveConfig {
+            checkpoint_interval: 5,
+            ..cfg
+        };
+        assert_eq!(
+            checkpoints(run_adaptive(&app, &quiet(4), dist.rows(), 12, cfg).unwrap()),
+            3
+        );
     }
 
     #[test]

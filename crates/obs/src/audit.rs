@@ -171,7 +171,7 @@ impl AuditReport {
     }
 
     /// [`AuditReport::audit`] for a fault-tolerant run: `spans[i]` is
-    /// rank *i*'s recovery-span list (`ResilientOutcome::spans` in
+    /// rank *i*'s recovery-span list (`AdaptiveOutcome::spans` in
     /// `mheta-apps`). Window time inside a span is attributed wholesale
     /// to the span's term (`checkpoint` / `rollback` /
     /// `redistribution` / `reprediction`); events overlapping a span

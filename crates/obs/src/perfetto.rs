@@ -280,7 +280,7 @@ pub fn perfetto_trace(traces: &[RankTrace], hooks: &[Vec<HookEvent>]) -> Value {
 }
 
 /// [`perfetto_trace`] for a fault-tolerant run: `spans[rank]` is that
-/// rank's recovery-span list (`ResilientOutcome::spans` in
+/// rank's recovery-span list (`AdaptiveOutcome::spans` in
 /// `mheta-apps`). Each rank with at least one span gets a dedicated
 /// `tid 2` "recovery" track whose slices (checkpoint / rollback /
 /// redistribution / reprediction) partition its recovery time exactly;

@@ -299,9 +299,12 @@ pub struct FaultSpec {
     /// detector and rebalance the GEN_BLOCK distribution mid-run.
     #[cfg_attr(feature = "serde", serde(default))]
     pub degrades: Vec<DegradeSpec>,
-    /// Checkpoint interval K in iterations for crash-aware drivers.
-    /// 0 disables checkpointing, which is invalid once any crash is
-    /// scheduled (there would be nothing to roll back to).
+    /// Checkpoint interval K in iterations for the crash-aware drivers
+    /// (`mheta_apps::run_resilient` and `run_adaptive`). 0 names no
+    /// interval — `run_adaptive` then checkpoints by its
+    /// `AdaptiveConfig::checkpoint_interval`, `run_resilient` every
+    /// iteration — and is invalid once any crash is scheduled: a crash
+    /// plan must say what there is to roll back to.
     #[cfg_attr(feature = "serde", serde(default))]
     pub checkpoint_interval: u32,
     /// Virtual time between a rank's death and a survivor's blocking

@@ -62,7 +62,7 @@ pub mod prelude {
         anchor_inputs, build_model, percent_difference, recovery_report, repredict_after_crash,
         run_adaptive, run_instrumented, run_measured, run_observed, run_resilient, AdaptiveCg,
         AdaptiveConfig, AdaptiveJacobi, AdaptiveRun, Benchmark, Cg, Jacobi, Lanczos, Multigrid,
-        Observed, RecoveryReport, ResilientJacobi, ResilientRun, Rna,
+        Observed, RecoveryReport, Rna,
     };
     pub use mheta_core::{Mheta, Prediction, ProgramStructure};
     pub use mheta_dist::{AnchorInputs, GenBlock, SpectrumPath};

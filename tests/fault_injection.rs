@@ -449,6 +449,30 @@ mod crash_stop {
         assert_eq!(survivor.final_rows.iter().sum::<usize>(), app.rows);
     }
 
+    /// A distribution for the wrong number of ranks is a configuration
+    /// error, not an out-of-bounds panic inside a rank thread.
+    #[test]
+    fn distribution_over_the_wrong_node_count_is_rejected() {
+        let app = Jacobi::small();
+        let spec = crashy(31, vec![], 4);
+        let err = run_resilient(&app, &spec, &GenBlock::block(app.rows, 3), 4).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+    }
+
+    /// A distribution of fewer rows than the grid has must not silently
+    /// solve a smaller problem (and die on the first crash's transfer
+    /// plan): it is rejected up front, crash or no crash.
+    #[test]
+    fn distribution_of_the_wrong_row_total_is_rejected() {
+        let app = Jacobi::small();
+        let short = GenBlock::block(app.rows - 8, 4);
+        for crashes in [vec![], vec![CrashSpec::at_iteration(2, 2)]] {
+            let spec = crashy(37, crashes, 2);
+            let err = run_resilient(&app, &spec, &short, 4).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+        }
+    }
+
     #[test]
     fn post_failure_reprediction_tracks_the_simulated_post_failure_makespan() {
         // The paper-default grid: at toy sizes the fixed per-iteration

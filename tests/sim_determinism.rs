@@ -119,25 +119,30 @@ mod trace_invariants {
 
 mod crash_determinism {
     use super::*;
-    use mheta::apps::run_resilient;
+    use mheta::apps::{run_adaptive, run_resilient, AdaptiveConfig};
+    use mheta::sim::DegradeSpec;
     use proptest::prelude::*;
 
     proptest! {
-        // Each case runs two full resilient 4-rank recoveries.
+        // Each case runs two full 4-rank recoveries.
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// Identical seeds and crash plans reproduce the entire
         /// post-recovery run bitwise: traces, recovery spans, rollback
-        /// decisions, redistributed layouts, and the final residual.
+        /// decisions, redistributed layouts, and the final residual —
+        /// whoever the victim is (rank 0 is the tree root and the
+        /// re-predictor), and with or without a detector replica (the
+        /// adaptive run also degrades a rank, so that replans happen).
         #[test]
         fn crash_recovery_is_bit_deterministic(
             seed in 0u64..1_000_000,
-            victim in 1usize..4,
+            victim in 0usize..4,
             at_iteration in 0u32..10,
             interval in 1u32..4,
+            adaptive in any::<bool>(),
         ) {
             // hybrid()'s memory-starved node 3 would (correctly) be
-            // rejected by the in-core resilient driver; keep the CPU
+            // rejected by the in-core driver; keep the CPU
             // heterogeneity and noise, drop the starvation.
             let mut spec = hybrid(seed);
             spec.nodes[3].memory_bytes = 512 * 1024;
@@ -152,8 +157,17 @@ mod crash_determinism {
             };
             let app = Jacobi::small();
             let dist = GenBlock::block(app.rows, 4);
-            let a = run_resilient(&app, &spec, &dist, 10).unwrap();
-            let b = run_resilient(&app, &spec, &dist, 10).unwrap();
+            let go = || {
+                if adaptive {
+                    let mut spec = spec.clone();
+                    spec.faults.degrades.push(DegradeSpec::at_iteration((victim + 1) % 4, 4, 4.0));
+                    run_adaptive(&app, &spec, dist.rows(), 10, AdaptiveConfig::default())
+                } else {
+                    run_resilient(&app, &spec, &dist, 10)
+                }
+                .unwrap()
+            };
+            let (a, b) = (go(), go());
             for (ta, tb) in a.traces.iter().zip(&b.traces) {
                 prop_assert!(ta.events == tb.events, "rank {} trace diverged", ta.rank);
                 prop_assert_eq!(ta.finish, tb.finish);
@@ -162,6 +176,8 @@ mod crash_determinism {
                 prop_assert_eq!(&oa.spans, &ob.spans);
                 prop_assert_eq!(&oa.dead, &ob.dead);
                 prop_assert_eq!(oa.rollback_iteration, ob.rollback_iteration);
+                prop_assert_eq!(&oa.rebalances, &ob.rebalances);
+                prop_assert_eq!(&oa.transitions, &ob.transitions);
                 prop_assert_eq!(&oa.final_rows, &ob.final_rows);
                 prop_assert_eq!(oa.result.check.to_bits(), ob.result.check.to_bits());
             }
