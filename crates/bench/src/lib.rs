@@ -13,31 +13,6 @@ use mheta_apps::{anchor_inputs, build_model, percent_difference, run_measured, B
 use mheta_dist::SpectrumPath;
 use mheta_sim::{ClusterSpec, SimResult};
 
-/// Candidate pairs for timing one evaluation through a warm session
-/// whose base is `base` (an even number of ranks, each with more than
-/// one row), shared by `bench_suite`'s `search.kernel` block and the
-/// `model_eval` criterion bench. Alternating the first pair makes every
-/// evaluation *full*: the two differ from `base` and from each other on
-/// every rank. Alternating the second, without accepting, makes every
-/// evaluation a *two-dirty delta*: one row moved between ranks 0 and 1.
-#[must_use]
-pub fn kernel_candidates(base: &[usize]) -> ([Vec<usize>; 2], [Vec<usize>; 2]) {
-    let shifted = |ranks: usize, up_first: bool| {
-        let mut rows = base.to_vec();
-        for pair in rows[..ranks].chunks_exact_mut(2) {
-            let (up, down) = if up_first { (0, 1) } else { (1, 0) };
-            pair[up] += 1;
-            pair[down] -= 1;
-        }
-        rows
-    };
-    let n = base.len();
-    (
-        [shifted(n, true), shifted(n, false)],
-        [shifted(2, true), shifted(2, false)],
-    )
-}
-
 /// One evaluated distribution along the canonical spectrum.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {

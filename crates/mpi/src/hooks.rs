@@ -17,9 +17,7 @@
 //! it as stage duration minus the I/O time inside the stage (§4.1.1),
 //! and the profile builder in `mheta-core` does the same.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mheta_sim::{SimDur, SimTime, VarId};
 
@@ -173,6 +171,15 @@ impl Recorder for VecRecorder {
     }
 }
 
+type EventLog = Mutex<Vec<(usize, HookEvent)>>;
+
+/// Lock a shared log, recovering a poisoned lock: a rank that panics
+/// while recording must not take its siblings' recorders down with it
+/// (the simulator reports the panic through its own channel).
+fn lock(log: &EventLog) -> MutexGuard<'_, Vec<(usize, HookEvent)>> {
+    log.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A thread-safe hook-event sink shared by every rank of a run —
 /// the lock-guarded alternative to collecting one [`VecRecorder`] per
 /// rank and merging afterwards.
@@ -185,7 +192,7 @@ impl Recorder for VecRecorder {
 /// which restores the per-rank program order.
 #[derive(Debug, Default, Clone)]
 pub struct SharedEventLog {
-    inner: Arc<Mutex<Vec<(usize, HookEvent)>>>,
+    inner: Arc<EventLog>,
 }
 
 impl SharedEventLog {
@@ -207,19 +214,19 @@ impl SharedEventLog {
     /// Number of events recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        lock(&self.inner).len()
     }
 
     /// True when no events have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        lock(&self.inner).is_empty()
     }
 
     /// Drain the log in arrival order (nondeterministic across ranks).
     #[must_use]
     pub fn take(&self) -> Vec<(usize, HookEvent)> {
-        std::mem::take(&mut *self.inner.lock())
+        std::mem::take(&mut *lock(&self.inner))
     }
 
     /// Drain the log into deterministic per-rank event sequences.
@@ -241,12 +248,12 @@ impl SharedEventLog {
 #[derive(Debug, Clone)]
 pub struct SharedVecRecorder {
     rank: usize,
-    log: Arc<Mutex<Vec<(usize, HookEvent)>>>,
+    log: Arc<EventLog>,
 }
 
 impl Recorder for SharedVecRecorder {
     fn record(&mut self, ev: &HookEvent) {
-        self.log.lock().push((self.rank, ev.clone()));
+        lock(&self.log).push((self.rank, ev.clone()));
     }
 }
 

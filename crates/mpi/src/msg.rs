@@ -5,16 +5,14 @@
 //! kept deliberately dumb: little-endian `f64`s, no framing, since both
 //! endpoints agree on types by construction.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 /// Encode a slice of `f64` into a payload.
 #[must_use]
 pub fn encode_f64s(data: &[f64]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(data.len() * 8);
+    let mut buf = Vec::with_capacity(data.len() * 8);
     for &x in data {
-        buf.put_f64_le(x);
+        buf.extend_from_slice(&x.to_le_bytes());
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decode a payload produced by [`encode_f64s`].
@@ -30,12 +28,10 @@ pub fn decode_f64s(payload: &[u8]) -> Vec<f64> {
         "payload of {} bytes is not a whole number of f64s",
         payload.len()
     );
-    let mut buf = payload;
-    let mut out = Vec::with_capacity(payload.len() / 8);
-    while buf.has_remaining() {
-        out.push(buf.get_f64_le());
-    }
-    out
+    payload
+        .chunks_exact(8)
+        .map(|chunk| f64::from_le_bytes(chunk.try_into().expect("chunks of 8")))
+        .collect()
 }
 
 /// Encode a single scalar.
@@ -76,8 +72,11 @@ mod tests {
 
     #[test]
     fn nan_payload_survives_transport() {
-        let d = decode_f64(&encode_f64(f64::NAN));
-        assert!(d.is_nan());
+        for nan in [f64::NAN, f64::from_bits(0x7ff8_dead_beef_0001)] {
+            let d = decode_f64(&encode_f64(nan));
+            assert!(d.is_nan());
+            assert_eq!(d.to_bits(), nan.to_bits());
+        }
     }
 
     #[test]

@@ -53,9 +53,17 @@ fn doomed_request(seed: u64) -> PlanRequest {
 fn mid_search_deadline_returns_the_incumbent_flagged_degraded() {
     let planner = Planner::new(PlannerConfig::default());
     let req = huge_request(17);
+    let start = std::time::Instant::now();
     let reply = planner
         .plan_opts(&req, TraceContext::root(), Some(Duration::from_millis(30)))
         .expect("an incumbent exists by the time the deadline fires");
+    // 4 x 1,000,000 evaluations would take seconds; the deadline, not
+    // the budget, ends the search (generous for a loaded debug build).
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "reply took {:?} against a 30 ms deadline",
+        start.elapsed()
+    );
     assert!(reply.degraded, "deadline interrupted the full budget");
     assert_eq!(reply.source.name(), "fresh");
     assert!(!reply.plan.rows.is_empty());

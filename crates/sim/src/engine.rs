@@ -25,10 +25,8 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::config::ClusterSpec;
 use crate::disk::{DiskStore, MemTracker, VarId};
@@ -102,6 +100,15 @@ impl SimKernel {
             }),
             cvars: (0..n).map(|_| Condvar::new()).collect(),
         }))
+    }
+
+    /// Lock the kernel state, recovering a poisoned lock. A rank body
+    /// that panics while holding the lock — or whose `RankCtx::drop`
+    /// takes it while the panic unwinds — must not cascade poisoning
+    /// into its siblings (or abort the process with a second panic in
+    /// that destructor): `run_cluster` reports the panic itself.
+    fn lock(&self) -> MutexGuard<'_, KernelState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Wake every parked rank: for state changes any wait may depend
@@ -521,7 +528,7 @@ impl RankCtx {
             },
         );
         {
-            let mut st = self.kernel.state.lock();
+            let mut st = self.kernel.lock();
             st.dead.insert(self.rank, at);
         }
         self.kernel.wake_all();
@@ -585,7 +592,7 @@ impl RankCtx {
     /// deterministic).
     #[must_use]
     pub fn is_dead(&self, peer: usize) -> bool {
-        self.kernel.state.lock().dead.contains_key(&peer)
+        self.kernel.lock().dead.contains_key(&peer)
     }
 
     /// Snapshot of all crash-stopped ranks and their virtual death
@@ -596,7 +603,7 @@ impl RankCtx {
     /// whose completion is host-ordered after the crash.
     #[must_use]
     pub fn dead_ranks(&self) -> Vec<(usize, SimTime)> {
-        let st = self.kernel.state.lock();
+        let st = self.kernel.lock();
         let mut v: Vec<(usize, SimTime)> = st.dead.iter().map(|(&r, &t)| (r, t)).collect();
         v.sort_unstable_by_key(|&(r, _)| r);
         v
@@ -637,7 +644,7 @@ impl RankCtx {
             self.now + transfer
         };
         let dest_parked_on_this = {
-            let mut st = self.kernel.state.lock();
+            let mut st = self.kernel.lock();
             // Sends to a crashed peer succeed as silent no-ops: the
             // sender still pays its local overhead (the NIC does not
             // know the peer is gone) but nothing is enqueued, so
@@ -674,7 +681,7 @@ impl RankCtx {
         }
         let start = self.now;
         let msg = {
-            let mut st = self.kernel.state.lock();
+            let mut st = self.kernel.lock();
             loop {
                 if let Some(q) = st.mailboxes.get_mut(&(from, self.rank, tag)) {
                     if let Some(m) = q.pop_front() {
@@ -718,9 +725,11 @@ impl RankCtx {
                     return Err(SimError::Deadlock { detail });
                 }
                 let waited_ms = self.kernel.spec.wait_timeout_ms;
-                let timed_out = self.kernel.cvars[self.rank]
-                    .wait_for(&mut st, Duration::from_millis(waited_ms))
-                    .timed_out();
+                let (guard, wait) = self.kernel.cvars[self.rank]
+                    .wait_timeout(st, Duration::from_millis(waited_ms))
+                    .unwrap_or_else(PoisonError::into_inner);
+                st = guard;
+                let timed_out = wait.timed_out();
                 st.blocked -= 1;
                 st.waiting.remove(&self.rank);
                 if timed_out {
@@ -760,7 +769,7 @@ impl RankCtx {
     /// posted (regardless of its virtual arrival time)?
     #[must_use]
     pub fn probe(&self, from: usize, tag: u32) -> bool {
-        let st = self.kernel.state.lock();
+        let st = self.kernel.lock();
         st.mailboxes
             .get(&(from, self.rank, tag))
             .is_some_and(|q| !q.is_empty())
@@ -782,7 +791,7 @@ impl RankCtx {
             return;
         }
         self.finished = true;
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.lock();
         st.active -= 1;
         if st.active > 0 && st.blocked == st.active && !st.any_satisfiable() {
             let detail = format!(
@@ -1350,6 +1359,54 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn panicking_rank_is_reported_and_its_blocked_sibling_released() {
+        let mut spec = quiet_spec(2);
+        spec.wait_timeout_ms = 60_000;
+        let sibling = Mutex::new(None);
+        let start = std::time::Instant::now();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_cluster(&spec, false, |ctx| {
+                if ctx.rank() == 0 {
+                    *sibling.lock().unwrap() = ctx.recv(1, 0).err();
+                } else {
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("boom");
+                }
+                Ok(())
+            })
+        }))
+        .expect_err("run_cluster re-raises the rank's panic");
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the unwinding rank released its sibling, not the backstop"
+        );
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("simulated rank 1 panicked: boom")
+        );
+        let err = sibling.into_inner().unwrap();
+        assert!(matches!(err, Some(SimError::Deadlock { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn poisoned_kernel_lock_is_recovered() {
+        let kernel = SimKernel::new(quiet_spec(2)).unwrap();
+        let poisoner = Arc::clone(&kernel);
+        let _ = std::thread::spawn(move || {
+            let _held = poisoner.state.lock().unwrap();
+            panic!("poison the kernel lock");
+        })
+        .join();
+        assert!(kernel.state.is_poisoned());
+        // Every lock site still works, `RankCtx::drop` included.
+        let mut a = kernel.rank_ctx(0, false).unwrap();
+        let mut b = kernel.rank_ctx(1, false).unwrap();
+        a.send(1, 0, vec![7]).unwrap();
+        assert!(b.probe(0, 0) && !a.is_dead(1) && a.dead_ranks().is_empty());
+        assert_eq!(b.recv(0, 0).unwrap(), vec![7]);
     }
 
     #[test]
