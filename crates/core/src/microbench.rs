@@ -5,8 +5,13 @@
 //!
 //! The measured values carry the simulator's noise, which is the point:
 //! MHETA's inputs are imperfect in the same way real measurements are.
+//!
+//! No rank of a probe ever waits — rank 0 only sends, rank 1 receives
+//! only what rank 0 has posted, the disk probes never communicate — so
+//! the probes run in rank order on the caller's thread
+//! ([`run_in_rank_order`]): a model build spawns no thread for them.
 
-use mheta_sim::{run_cluster, ClusterSpec, SimResult};
+use mheta_sim::{run_in_rank_order, ClusterSpec, SimResult};
 
 use crate::params::{ArchParams, CommParams, DiskParams};
 
@@ -34,7 +39,7 @@ pub fn measure_comm(spec: &ClusterSpec) -> SimResult<CommParams> {
             beta: 0.0,
         });
     }
-    let run = run_cluster(spec, false, |ctx| {
+    let run = run_in_rank_order(spec, false, |ctx| {
         let mut o_s_sum = 0.0;
         let mut o_r_sum = 0.0;
         let mut post_sum = [0.0f64; 2]; // rank 0: clock after each send
@@ -93,7 +98,7 @@ pub fn measure_comm(spec: &ClusterSpec) -> SimResult<CommParams> {
 
 /// Measure each node's disk parameters with two-size read/write probes.
 pub fn measure_disk(spec: &ClusterSpec) -> SimResult<Vec<DiskParams>> {
-    let run = run_cluster(spec, false, |ctx| {
+    let run = run_in_rank_order(spec, false, |ctx| {
         let mut read = [0.0f64; 2];
         let mut write = [0.0f64; 2];
         let mut buf = vec![0.0f64; LARGE_ELEMS];
@@ -229,6 +234,20 @@ mod tests {
         let m = measure_comm(&quiet(1)).unwrap();
         assert_eq!(m.o_s, 0.0);
         assert_eq!(m.alpha, 0.0);
+    }
+
+    /// The probes drive `RankCtx` directly; a crash schedule is the
+    /// MPI layer's to consult, so rank 0 "dead at time zero" measures
+    /// as a healthy rank 0 (`tests/golden/arch_bits.json` holds the
+    /// bits, recorded when the probes still ran on threads).
+    #[test]
+    fn a_scheduled_crash_is_not_the_probes_to_fire() {
+        let healthy = ClusterSpec::homogeneous(3);
+        let mut doomed = healthy.clone();
+        doomed.faults.crashes = vec![mheta_sim::CrashSpec::at_time(0, 0)];
+        doomed.faults.checkpoint_interval = 1;
+        assert_eq!(measure_comm(&doomed), measure_comm(&healthy));
+        assert_eq!(measure_disk(&doomed), measure_disk(&healthy));
     }
 
     #[test]

@@ -22,9 +22,16 @@
 //! Deadlock of the *simulated* program (every live rank blocked in a
 //! receive) is detected and surfaced as [`SimError::Deadlock`] rather
 //! than hanging the host process.
+//!
+//! There are two ways to run a program over a cluster, with one result
+//! type: [`run_cluster`] gives every rank its own OS thread and runs any
+//! program; [`run_in_rank_order`] runs the ranks one after another on
+//! the caller's thread, for programs in which no rank ever has to wait
+//! for a rank that has not run yet.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -49,6 +56,9 @@ struct InFlight {
 #[derive(Debug, Default)]
 struct KernelState {
     mailboxes: HashMap<(usize, usize, u32), VecDeque<InFlight>>,
+    /// Ranks that have been handed their context; `active` counts each
+    /// of them down once, so a rank gets exactly one.
+    issued: Vec<bool>,
     /// Ranks that have not yet called `finish`.
     active: usize,
     /// Ranks currently parked in `recv`.
@@ -84,21 +94,35 @@ pub struct SimKernel {
     state: Mutex<KernelState>,
     /// One per rank, all over `state`: a rank parks only on its own, so
     /// a send wakes the one rank it can unblock instead of all of them.
+    /// Empty when `rank_ordered`: nobody parks.
     cvars: Vec<Condvar>,
+    /// The ranks run to completion one after another on one thread
+    /// ([`run_in_rank_order`]). While one runs no other can send, so a
+    /// receive with nothing to take and a live peer can never be
+    /// satisfied: it is a deadlock at once, not a wait.
+    rank_ordered: bool,
 }
 
 impl SimKernel {
-    /// Build a kernel for `spec`; validates the configuration.
+    /// Build a kernel for `spec`, one OS thread per rank; validates the
+    /// configuration.
     pub fn new(spec: ClusterSpec) -> SimResult<Arc<Self>> {
+        Self::build(spec, false)
+    }
+
+    fn build(spec: ClusterSpec, rank_ordered: bool) -> SimResult<Arc<Self>> {
         spec.validate()?;
         let n = spec.len();
+        let parking = if rank_ordered { 0 } else { n };
         Ok(Arc::new(SimKernel {
             spec,
             state: Mutex::new(KernelState {
+                issued: vec![false; n],
                 active: n,
                 ..KernelState::default()
             }),
-            cvars: (0..n).map(|_| Condvar::new()).collect(),
+            cvars: (0..parking).map(|_| Condvar::new()).collect(),
+            rank_ordered,
         }))
     }
 
@@ -125,14 +149,20 @@ impl SimKernel {
         &self.spec
     }
 
-    /// Create the execution context for `rank`. Call exactly once per
-    /// rank, from the thread that will run it.
+    /// Create the execution context for `rank`, from the thread that
+    /// will run it. A rank has one context for the life of the kernel:
+    /// a second request is [`SimError::InvalidConfig`].
     pub fn rank_ctx(self: &Arc<Self>, rank: usize, tracing: bool) -> SimResult<RankCtx> {
         if rank >= self.spec.len() {
             return Err(SimError::InvalidRank {
                 rank,
                 size: self.spec.len(),
             });
+        }
+        if std::mem::replace(&mut self.lock().issued[rank], true) {
+            return Err(SimError::InvalidConfig(format!(
+                "rank {rank} already has its execution context"
+            )));
         }
         Ok(RankCtx {
             rank,
@@ -671,7 +701,9 @@ impl RankCtx {
 
     /// Receive the next message from rank `from` with `tag`. Blocks the
     /// host thread until the matching send has been posted; advances the
-    /// virtual clock to `max(clock, arrival) + o_r`.
+    /// virtual clock to `max(clock, arrival) + o_r`. Under
+    /// [`run_in_rank_order`] nothing can be posted while this rank runs,
+    /// so a receive that would block is [`SimError::Deadlock`] instead.
     pub fn recv(&mut self, from: usize, tag: u32) -> SimResult<Payload> {
         if from >= self.size() {
             return Err(SimError::InvalidRank {
@@ -710,6 +742,15 @@ impl RankCtx {
                 }
                 if let Some(d) = &st.deadlocked {
                     return Err(SimError::Deadlock { detail: d.clone() });
+                }
+                if self.kernel.rank_ordered {
+                    return Err(SimError::Deadlock {
+                        detail: format!(
+                            "rank {} waiting on ({from}, tag {tag}) in a rank-ordered run: \
+                             nothing is posted and no other rank can run to send it",
+                            self.rank
+                        ),
+                    });
                 }
                 st.blocked += 1;
                 st.waiting.insert(self.rank, (from, tag));
@@ -834,8 +875,18 @@ impl<T> ClusterRun<T> {
     }
 }
 
+/// What one rank's body left behind: its value and trace, its error, or
+/// the payload of its panic.
+type RankOutcome<T> = std::thread::Result<SimResult<(T, RankTrace)>>;
+
 /// Run `f` once per rank, each on its own thread, against a fresh kernel
 /// for `spec`. Returns per-rank results and traces.
+///
+/// Any program may run this way: a receive parks its thread until the
+/// matching send is posted. A program in which every receive takes what
+/// a lower rank (or the receiver itself) has already sent needs no
+/// threads; [`run_in_rank_order`] runs it to the same results, traces
+/// and errors on the caller's thread.
 ///
 /// Panics in rank bodies are converted to a panic of the caller with the
 /// offending rank identified; simulated deadlocks surface as `Err`.
@@ -845,62 +896,84 @@ where
     F: Fn(&mut RankCtx) -> SimResult<T> + Sync,
 {
     let kernel = SimKernel::new(spec.clone())?;
-    let n = spec.len();
-    let mut slots: Vec<Option<SimResult<(T, RankTrace)>>> = (0..n).map(|_| None).collect();
-
-    scoped_fanout(&kernel, tracing, &f, &mut slots)?;
-
-    let mut results = Vec::with_capacity(n);
-    let mut traces = Vec::with_capacity(n);
-    for (rank, slot) in slots.into_iter().enumerate() {
-        let (value, trace) = slot.unwrap_or_else(|| panic!("rank {rank} produced no result"))?;
-        results.push(value);
-        traces.push(trace);
-    }
-    Ok(ClusterRun { results, traces })
+    let f = &f;
+    let outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..spec.len())
+            .map(|rank| {
+                let kernel = &kernel;
+                scope.spawn(move || run_rank(kernel, rank, tracing, f))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    collect_run(outcomes)
 }
 
-// std::thread::scope-based fan-out; kept separate so `run_cluster` reads
-// as policy and this as mechanism.
-fn scoped_fanout<T, F>(
+/// Run `f` once per rank on the caller's thread, rank 0 to completion,
+/// then rank 1, and so on, against a fresh kernel for `spec`: what
+/// [`run_cluster`] does, without its threads, for **rank-ordered**
+/// programs — those in which a rank receives only what a lower rank, or
+/// the rank itself, has already sent (sends may go anywhere).
+///
+/// For such a program results, virtual clocks, noise streams, injected
+/// faults ([`SimError::PeerDead`] once a crashed peer's delivered
+/// messages are drained included), traces, errors and the re-raised
+/// panic are [`run_cluster`]'s to the bit. For any other program the
+/// receive that would have had to wait fails at once with
+/// [`SimError::Deadlock`] naming the rank, source and tag: with one rank
+/// running at a time nobody could ever send what it waits for, which is
+/// the exact condition — no host clock is consulted and
+/// [`ClusterSpec::wait_timeout_ms`] is never read.
+pub fn run_in_rank_order<T, F>(spec: &ClusterSpec, tracing: bool, f: F) -> SimResult<ClusterRun<T>>
+where
+    F: Fn(&mut RankCtx) -> SimResult<T>,
+{
+    let kernel = SimKernel::build(spec.clone(), true)?;
+    let outcomes = (0..spec.len())
+        .map(|rank| {
+            // As a rank's thread would: a panicking body drops its
+            // context, later ranks still run, the panic is re-raised.
+            catch_unwind(AssertUnwindSafe(|| run_rank(&kernel, rank, tracing, &f)))
+        })
+        .collect();
+    collect_run(outcomes)
+}
+
+fn run_rank<T, F>(
     kernel: &Arc<SimKernel>,
+    rank: usize,
     tracing: bool,
     f: &F,
-    slots: &mut [Option<SimResult<(T, RankTrace)>>],
-) -> SimResult<()>
+) -> SimResult<(T, RankTrace)>
 where
-    T: Send,
-    F: Fn(&mut RankCtx) -> SimResult<T> + Sync,
+    F: Fn(&mut RankCtx) -> SimResult<T>,
 {
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(slots.len());
-        for (rank, slot) in slots.iter_mut().enumerate() {
-            let kernel = Arc::clone(kernel);
-            handles.push((
-                rank,
-                scope.spawn(move || {
-                    let mut ctx = kernel.rank_ctx(rank, tracing)?;
-                    let value = f(&mut ctx)?;
-                    Ok::<_, SimError>((value, ctx.finish()))
-                }),
-                slot,
-            ));
-        }
-        for (rank, handle, slot) in handles {
-            match handle.join() {
-                Ok(res) => *slot = Some(res),
-                Err(p) => {
-                    let msg = p
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic>".into());
-                    panic!("simulated rank {rank} panicked: {msg}");
-                }
-            }
-        }
-    });
-    Ok(())
+    let mut ctx = kernel.rank_ctx(rank, tracing)?;
+    let value = f(&mut ctx)?;
+    Ok((value, ctx.finish()))
+}
+
+/// Assemble the run in rank order: the lowest panicked rank's panic is
+/// re-raised with the rank named, else the lowest failed rank's error is
+/// the run's.
+fn collect_run<T>(outcomes: Vec<RankOutcome<T>>) -> SimResult<ClusterRun<T>> {
+    let settled: Vec<SimResult<(T, RankTrace)>> = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(rank, outcome)| {
+            outcome.unwrap_or_else(|p| {
+                let msg = p
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<non-string panic>".into());
+                panic!("simulated rank {rank} panicked: {msg}");
+            })
+        })
+        .collect();
+    let ranks = settled.into_iter().collect::<SimResult<Vec<_>>>()?;
+    let (results, traces) = ranks.into_iter().unzip();
+    Ok(ClusterRun { results, traces })
 }
 
 #[cfg(test)]
@@ -1605,6 +1678,354 @@ mod tests {
         .unwrap();
         for t in &run.traces {
             assert!(t.is_monotone(), "rank {} trace not monotone", t.rank);
+        }
+    }
+
+    #[test]
+    fn a_rank_gets_one_context() {
+        let kernel = SimKernel::new(quiet_spec(2)).unwrap();
+        let first = kernel.rank_ctx(0, false).unwrap();
+        for _ in 0..2 {
+            // Each extra context used to count `active` down again when
+            // dropped: an underflow panic in debug, a liveness count of
+            // `usize::MAX` in release.
+            let again = kernel.rank_ctx(0, false).map(|_| ());
+            assert!(
+                matches!(&again, Err(SimError::InvalidConfig(m)) if m.contains("rank 0")),
+                "{again:?}"
+            );
+        }
+        drop(first);
+        assert_eq!(kernel.lock().active, 1, "rank 1 is still to run");
+        kernel.rank_ctx(1, false).unwrap();
+        assert!(kernel.rank_ctx(2, false).is_err());
+    }
+
+    #[test]
+    fn rank_ordered_receive_from_a_later_rank_is_an_immediate_deadlock() {
+        let mut spec = quiet_spec(2);
+        spec.wait_timeout_ms = 60_000;
+        let start = std::time::Instant::now();
+        let err = run_in_rank_order(&spec, false, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.recv(1, 7)?;
+            } else {
+                ctx.send(0, 7, vec![1])?;
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the backstop was not waited out"
+        );
+        let SimError::Deadlock { detail } = &err else {
+            panic!("expected a deadlock, got {err:?}");
+        };
+        assert!(
+            detail.contains("rank 0") && detail.contains("(1, tag 7)"),
+            "{detail}"
+        );
+    }
+
+    /// Run `f` both ways and hold the rank-ordered run to the threaded
+    /// one: results, every trace event and finish time, or the error.
+    fn both_ways<T, F>(spec: &ClusterSpec, f: F) -> SimResult<ClusterRun<T>>
+    where
+        T: Send + PartialEq + std::fmt::Debug,
+        F: Fn(&mut RankCtx) -> SimResult<T> + Sync,
+    {
+        let threaded = run_cluster(spec, true, &f);
+        let ordered = run_in_rank_order(spec, true, &f);
+        match (&threaded, &ordered) {
+            (Ok(t), Ok(o)) => {
+                assert_eq!(t.results, o.results);
+                for (t, o) in t.traces.iter().zip(&o.traces) {
+                    assert_eq!((t.rank, t.finish), (o.rank, o.finish));
+                    assert_eq!(t.events, o.events, "rank {}", t.rank);
+                }
+                assert_eq!(t.traces.len(), o.traces.len());
+            }
+            (Err(t), Err(o)) => assert_eq!(t, o),
+            _ => panic!("threaded {threaded:?}, rank-ordered {ordered:?}"),
+        }
+        ordered
+    }
+
+    #[test]
+    fn rank_ordered_crash_delivers_then_reports_the_dead_peer() {
+        use crate::fault::CrashSpec;
+        let mut spec = ClusterSpec::homogeneous(3);
+        spec.faults.crashes = vec![CrashSpec::at_time(0, 0)];
+        spec.faults.checkpoint_interval = 1;
+        let delay = spec.faults.crash_detect_delay_ns;
+        let run = both_ways(&spec, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.compute(300.0, u64::MAX);
+                ctx.send(2, 4, vec![9; 64])?;
+                let died = ctx.crash_check_time().unwrap_err();
+                return Ok(vec![format!("{died}")]);
+            }
+            let mut log = Vec::new();
+            if ctx.rank() == 2 {
+                log.push(format!("{:?}", ctx.recv(0, 4)));
+            }
+            log.push(format!("{:?}", ctx.recv(0, 4)));
+            Ok(log)
+        })
+        .unwrap();
+        let death = run.traces[0].finish.as_nanos();
+        for (rank, log) in run.results.iter().enumerate().skip(1) {
+            let at_ns = death + delay;
+            let dead = format!(
+                "{:?}",
+                Err::<Payload, _>(SimError::PeerDead {
+                    rank,
+                    peer: 0,
+                    at_ns
+                })
+            );
+            assert_eq!(log.last(), Some(&dead), "rank {rank}: {log:?}");
+        }
+        assert_eq!(run.results[2].len(), 2, "the posted message came first");
+    }
+
+    #[test]
+    fn rank_ordered_errors_and_panics_are_the_threaded_ones() {
+        let spec = quiet_spec(3);
+        // The lowest failed rank's error is the run's, either way.
+        let err = both_ways(&spec, |ctx| match ctx.rank() {
+            0 => Ok(()),
+            r => Err(SimError::InvalidConfig(format!("rank {r} gives up"))),
+        })
+        .unwrap_err();
+        assert_eq!(err, SimError::InvalidConfig("rank 1 gives up".into()));
+
+        // A panic outranks a lower rank's error, and names its rank.
+        type Run =
+            fn(&ClusterSpec, bool, fn(&mut RankCtx) -> SimResult<()>) -> SimResult<ClusterRun<()>>;
+        let entry_points: [Run; 2] = [run_cluster, run_in_rank_order];
+        for run in entry_points {
+            let panic = std::panic::catch_unwind(|| {
+                run(&quiet_spec(3), false, |ctx| match ctx.rank() {
+                    0 => Err(SimError::InvalidConfig("not reported".into())),
+                    1 => panic!("boom"),
+                    _ => Ok(()),
+                })
+            })
+            .expect_err("the rank's panic is re-raised");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some("simulated rank 1 panicked: boom")
+            );
+        }
+    }
+
+    mod rank_ordered_programs {
+        //! Differential check of [`run_in_rank_order`] against
+        //! [`run_cluster`], the reference: random programs in which every
+        //! receive takes what a lower rank or the receiver itself already
+        //! sent, over noisy, faulty clusters with tracing on.
+
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Compute {
+                work: f64,
+                ws: u64,
+            },
+            Create {
+                var: VarId,
+                len: usize,
+            },
+            Read {
+                var: VarId,
+                offset: usize,
+                len: usize,
+            },
+            Write {
+                var: VarId,
+                offset: usize,
+                len: usize,
+            },
+            Issue {
+                var: VarId,
+                offset: usize,
+                len: usize,
+            },
+            Wait,
+            Send {
+                to: usize,
+                tag: u32,
+                bytes: usize,
+            },
+            Recv {
+                from: usize,
+                tag: u32,
+            },
+            CrashCheck,
+        }
+
+        /// Turn raw draws into a rank-ordered program. A receive is
+        /// matched against what is posted when its rank gets there — or,
+        /// with nothing posted, aimed at a lower rank known to be dead
+        /// ([`SimError::PeerDead`] both ways), or dropped. `crasher` dies
+        /// at its first crash check, so its program ends there.
+        fn program(raw: &[Vec<(u8, u32, u32, u32)>], crasher: Option<usize>) -> Vec<Vec<Op>> {
+            let n = raw.len();
+            let mut posted: HashMap<(usize, usize, u32), usize> = HashMap::new();
+            let mut dead = None;
+            let mut ranks = Vec::new();
+            for (rank, draws) in raw.iter().enumerate() {
+                let mut ops = Vec::new();
+                for &(kind, a, b, c) in draws {
+                    let (var, offset, len) = (a % 3, b as usize % 48, c as usize % 48 + 1);
+                    ops.push(match kind % 10 {
+                        0 | 1 => Op::Compute {
+                            work: f64::from(a % 5_000),
+                            ws: u64::from(b) * 64,
+                        },
+                        2 => Op::Create { var, len: len + 16 },
+                        3 => Op::Read { var, offset, len },
+                        4 => Op::Write { var, offset, len },
+                        5 => Op::Issue { var, offset, len },
+                        6 => Op::Wait,
+                        7 => {
+                            let (to, tag) = (a as usize % n, b % 3);
+                            *posted.entry((rank, to, tag)).or_default() += 1;
+                            Op::Send {
+                                to,
+                                tag,
+                                bytes: c as usize % 4096,
+                            }
+                        }
+                        8 => {
+                            let mut ready: Vec<_> = posted
+                                .iter()
+                                .filter(|&(&(_, to, _), &count)| to == rank && count > 0)
+                                .map(|(&key, _)| key)
+                                .collect();
+                            ready.sort_unstable();
+                            if let Some(&key) = ready.get(a as usize % ready.len().max(1)) {
+                                *posted.get_mut(&key).expect("listed above") -= 1;
+                                Op::Recv {
+                                    from: key.0,
+                                    tag: key.2,
+                                }
+                            } else if let Some(from) = dead.filter(|&d| d < rank) {
+                                Op::Recv { from, tag: b % 3 }
+                            } else {
+                                continue;
+                            }
+                        }
+                        _ if crasher == Some(rank) => {
+                            dead = crasher;
+                            ops.push(Op::CrashCheck);
+                            break;
+                        }
+                        _ => Op::CrashCheck,
+                    });
+                }
+                ranks.push(ops);
+            }
+            ranks
+        }
+
+        /// Execute one rank's ops, logging what each returned and the
+        /// clock after it; errors are logged, not propagated, so the
+        /// rest of the program still runs.
+        fn execute(ctx: &mut RankCtx, ops: &[Op]) -> SimResult<Vec<String>> {
+            let mut log = Vec::with_capacity(ops.len());
+            let mut issued = Vec::new();
+            let mut buf = vec![0.0; 64];
+            // Variables 0 and 1 always exist; 2 only once an op creates it.
+            ctx.disk.create(0, 64);
+            ctx.disk.create(1, 64);
+            for op in ops {
+                let outcome = match *op {
+                    Op::Compute { work, ws } => format!("{:?}", ctx.compute(work, ws)),
+                    Op::Create { var, len } => {
+                        ctx.disk.create(var, len);
+                        String::new()
+                    }
+                    Op::Read { var, offset, len } => {
+                        format!(
+                            "{:?} {:?}",
+                            ctx.disk_read(var, offset, &mut buf[..len]),
+                            buf[0]
+                        )
+                    }
+                    Op::Write { var, offset, len } => {
+                        buf[..len].fill(offset as f64 + 0.5);
+                        format!("{:?}", ctx.disk_write(var, offset, &buf[..len]))
+                    }
+                    Op::Issue { var, offset, len } => match ctx.prefetch_issue(var, offset, len) {
+                        Ok(p) => {
+                            issued.push(p);
+                            String::new()
+                        }
+                        Err(e) => format!("{e:?}"),
+                    },
+                    Op::Wait => match issued.pop() {
+                        Some(p) => format!("{:?}", ctx.prefetch_wait(p)),
+                        None => String::new(),
+                    },
+                    Op::Send { to, tag, bytes } => {
+                        format!("{:?}", ctx.send(to, tag, vec![tag as u8; bytes]))
+                    }
+                    Op::Recv { from, tag } => format!("{:?}", ctx.recv(from, tag)),
+                    Op::CrashCheck => format!("{:?}", ctx.crash_check_time()),
+                };
+                log.push(format!("{outcome} @{:?}", ctx.now()));
+            }
+            Ok(log)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn run_in_rank_order_matches_run_cluster(
+                raw in proptest::collection::vec(
+                    proptest::collection::vec(
+                        (any::<u8>(), any::<u32>(), any::<u32>(), any::<u32>()),
+                        0..40,
+                    ),
+                    1..5,
+                ),
+                seed in any::<u64>(),
+                amplitude in 0.0f64..0.08,
+                faulty in any::<bool>(),
+                crash in (any::<bool>(), any::<usize>()),
+            ) {
+                let n = raw.len();
+                let mut spec = ClusterSpec::homogeneous(n);
+                spec.seed = seed;
+                spec.noise.amplitude = amplitude;
+                spec.wait_timeout_ms = 10_000;
+                for (i, node) in spec.nodes.iter_mut().enumerate() {
+                    node.cpu_power = 1.0 + i as f64 * 0.5;
+                }
+                if faulty {
+                    spec.faults.msg_resend_rate = 0.3;
+                    spec.faults.disk_read_fault_rate = 0.2;
+                    spec.faults.disk_write_fault_rate = 0.2;
+                    spec.faults.slowdown_rate = 0.3;
+                    spec.faults.slowdown_period_ns = 1.0e5;
+                }
+                // Any rank but the last may be scheduled to die (somebody
+                // has to be there to notice).
+                let crasher = (n > 1 && crash.0).then(|| crash.1 % (n - 1));
+                if let Some(rank) = crasher {
+                    spec.faults.crashes = vec![crate::fault::CrashSpec::at_time(rank, 0)];
+                    spec.faults.checkpoint_interval = 1;
+                }
+                let ranks = program(&raw, crasher);
+                let run = both_ways(&spec, |ctx| execute(ctx, &ranks[ctx.rank()]));
+                prop_assert!(run.is_ok(), "a rank-ordered program runs clean: {:?}", run.err());
+            }
         }
     }
 }

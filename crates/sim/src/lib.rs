@@ -12,6 +12,9 @@
 //! rendezvous through a shared kernel that reconciles clocks, so the
 //! simulated makespan of a message-passing program is exact with
 //! respect to the cost model, independent of host scheduling.
+//! A program in which no rank ever waits for a later one needs no
+//! threads at all: [`run_in_rank_order`] runs it, to the same bits, on
+//! the caller's thread.
 //!
 //! The crate deliberately includes effects MHETA does *not* model —
 //! per-operation noise, a cache-tier computation speedup — because the
@@ -55,7 +58,9 @@ pub mod trace;
 
 pub use config::{ClusterSpec, NetSpec, NodeSpec, NoiseSpec};
 pub use disk::{DiskStore, MemTracker, VarId};
-pub use engine::{run_cluster, ClusterRun, Payload, Prefetch, RankCtx, SimKernel};
+pub use engine::{
+    run_cluster, run_in_rank_order, ClusterRun, Payload, Prefetch, RankCtx, SimKernel,
+};
 pub use error::{SimError, SimResult};
 pub use fault::{CrashSpec, DegradeSpec, FaultKind, FaultPlan, FaultSpec, RankFaults, RecoverSpec};
 pub use time::{SimDur, SimTime};

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use mheta::core::{measure_arch, measure_comm, measure_disk, CommParams, DiskParams};
+use mheta::core::{measure_arch, measure_comm, measure_disk, ArchParams, CommParams, DiskParams};
 use mheta::obs::json::{from_str, Value};
 use mheta::prelude::*;
 use mheta::sim::SimResult;
@@ -106,21 +106,15 @@ fn readings() -> BTreeMap<String, String> {
             let line = format!("comm: {} | disks: {}", comm_line(&comm), disk_line(&disks));
             // `measure_arch` is those two and the spec's memory sizes,
             // failing with whichever fails first.
-            match (measure_arch(&spec), comm, disks) {
-                (Ok(arch), Ok(comm), Ok(disks)) => {
-                    assert_eq!(arch.name, spec.name, "{label}");
-                    assert_eq!(comm_line(&Ok(arch.comm)), comm_line(&Ok(comm)), "{label}");
-                    assert_eq!(disk_line(&Ok(arch.disks)), disk_line(&Ok(disks)), "{label}");
-                    let memory: Vec<u64> = spec.nodes.iter().map(|n| n.memory_bytes).collect();
-                    assert_eq!(arch.memory_bytes, memory, "{label}");
-                }
-                (Err(arch), Err(first), _) | (Err(arch), Ok(_), Err(first)) => {
-                    assert_eq!(arch, first, "{label}");
-                }
-                (arch, comm, disks) => panic!(
-                    "{label}: measure_arch {arch:?} disagrees with its parts {comm:?}, {disks:?}"
-                ),
-            }
+            let assembled = comm.and_then(|comm| {
+                Ok(ArchParams {
+                    name: spec.name.clone(),
+                    comm,
+                    disks: disks?,
+                    memory_bytes: spec.nodes.iter().map(|n| n.memory_bytes).collect(),
+                })
+            });
+            assert_eq!(measure_arch(&spec), assembled, "{label}");
             (label, line)
         })
         .collect()
