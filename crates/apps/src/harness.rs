@@ -254,7 +254,7 @@ fn instrumented(
         spec,
         RunOptions {
             tracing: false,
-            mode: ExecMode::Instrument { force_ooc: true },
+            mode: ExecMode::Instrument,
         },
         |_| VecRecorder::default(),
         |comm| bench.dispatch(comm, structure, dist, 1, prefetch),
@@ -539,12 +539,18 @@ pub fn repredict_after_crash(
 }
 
 /// Percentage difference as the paper computes it (§5.2.1): absolute
-/// difference divided by the *minimum* of predicted and actual.
+/// difference divided by the *minimum* of predicted and actual. A time
+/// of zero (or less) against a positive one is infinitely wrong, not
+/// perfect; only two equal times differ by 0 %.
 #[must_use]
 pub fn percent_difference(predicted: f64, actual: f64) -> f64 {
     let denom = predicted.min(actual);
     if denom <= 0.0 {
-        return 0.0;
+        return if predicted == actual {
+            0.0
+        } else {
+            f64::INFINITY
+        };
     }
     100.0 * (predicted - actual).abs() / denom
 }
@@ -566,6 +572,15 @@ mod tests {
         assert!((percent_difference(110.0, 100.0) - 10.0).abs() < 1e-12);
         assert!((percent_difference(100.0, 110.0) - 10.0).abs() < 1e-12);
         assert_eq!(percent_difference(0.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn a_zero_or_nan_prediction_is_not_a_perfect_one() {
+        assert_eq!(percent_difference(0.0, 5.0), f64::INFINITY);
+        assert_eq!(percent_difference(5.0, 0.0), f64::INFINITY);
+        assert_eq!(percent_difference(-1.0, 5.0), f64::INFINITY);
+        assert!(percent_difference(f64::NAN, 5.0).is_nan());
+        assert!(percent_difference(5.0, f64::NAN).is_nan());
     }
 
     #[test]

@@ -27,7 +27,6 @@ use mheta_sim::presets;
 fn main() {
     let flags = Flags::from_env();
     let budget = flags.usize_or("--budget", 64);
-    let paper_iters = flags.has("--paper-iters");
     let telemetry_dir = flags.value("--telemetry").map(str::to_string);
     if let Some(dir) = &telemetry_dir {
         std::fs::create_dir_all(dir).expect("create telemetry dir");
@@ -50,7 +49,7 @@ fn main() {
 
     for spec in [presets::io(), presets::hy1(), presets::hy2()] {
         for bench in select_apps(&flags) {
-            let iters = experiment_iters(&bench, paper_iters);
+            let iters = experiment_iters(&bench);
             let model = build_model(&bench, &spec, false)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), spec.name));
             let inp = anchor_inputs(&model);

@@ -1,25 +1,24 @@
 //! # mheta-bench — the experiment harness
 //!
-//! Shared plumbing for the binaries that regenerate every table and
-//! figure of the paper's evaluation (see DESIGN.md's experiment index):
-//! canonical spectrum sweeps comparing MHETA predictions with simulated
-//! actual times, aggregation across emulated architectures, and plain
-//! text rendering of the paper's tables and line plots.
+//! Shared plumbing for `bench_suite`, whose one deterministic document
+//! holds every table and figure of the paper's evaluation (see
+//! DESIGN.md's experiment index), and for `search_compare`: the
+//! canonical spectrum sweep comparing MHETA predictions with simulated
+//! actual times, min/avg/max aggregation, and a tiny flag parser.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use mheta_apps::{anchor_inputs, build_model, percent_difference, run_measured, Benchmark};
+use mheta_apps::{anchor_inputs, percent_difference, run_measured, Benchmark};
+use mheta_core::{Mheta, PredictOptions};
 use mheta_dist::SpectrumPath;
-use mheta_sim::{ClusterSpec, SimResult};
+use mheta_sim::{ClusterSpec, SimError, SimResult};
 
 /// One evaluated distribution along the canonical spectrum.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Canonical label ("Blk", "I-C", …).
     pub label: String,
-    /// Position in `[0, 1]` on the canonical four-leg axis.
-    pub frac: f64,
     /// MHETA's predicted application time, seconds.
     pub pred_secs: f64,
     /// The simulator's actual application time, seconds.
@@ -54,49 +53,62 @@ pub fn canonical_labels(steps_per_leg: usize) -> Vec<(String, f64)> {
     out
 }
 
-/// Reduced iteration counts that keep experiment wall time sensible;
-/// `paper` selects the counts of §5.1 (100/10/5/10).
+/// Reduced iteration counts (10/6/4/4 against §5.1's 100/10/5/10) that
+/// keep experiment wall time sensible; predictions and actuals both
+/// scale with the count, so the accuracy structure does not change.
 #[must_use]
-pub fn experiment_iters(bench: &Benchmark, paper: bool) -> u32 {
-    if paper {
-        bench.paper_iters()
-    } else {
-        match bench.name() {
-            "Jacobi" => 10,
-            "CG" => 6,
-            _ => 4,
-        }
+pub fn experiment_iters(bench: &Benchmark) -> u32 {
+    match bench.name() {
+        "Jacobi" => 10,
+        "CG" => 6,
+        _ => 4,
     }
 }
 
-/// Build the model for `bench` on `spec`, then sweep the canonical
-/// spectrum: predicted and actual times at each canonical point.
+/// `model`'s predicted application times at each canonical point,
+/// under the ablation switches `opts`.
+pub fn canonical_predictions(
+    model: &Mheta,
+    steps_per_leg: usize,
+    iters: u32,
+    opts: PredictOptions,
+) -> SimResult<Vec<f64>> {
+    let path = SpectrumPath::full(&anchor_inputs(model));
+    canonical_labels(steps_per_leg)
+        .iter()
+        .map(|(_, frac)| {
+            model
+                .predict_with(path.at(*frac).rows(), opts)
+                .map(|p| p.app_secs(iters))
+                .map_err(|e| SimError::InvalidConfig(e.to_string()))
+        })
+        .collect()
+}
+
+/// Sweep the canonical spectrum with `model` (built for `bench` on
+/// `spec`): predicted and actual times at each canonical point.
 pub fn canonical_sweep(
+    model: &Mheta,
     bench: &Benchmark,
     spec: &ClusterSpec,
     steps_per_leg: usize,
     iters: u32,
     prefetch: bool,
 ) -> SimResult<Vec<SweepPoint>> {
-    let model = build_model(bench, spec, prefetch)?;
-    let inp = anchor_inputs(&model);
-    let path = SpectrumPath::full(&inp);
-    let mut out = Vec::new();
-    for (label, frac) in canonical_labels(steps_per_leg) {
-        let dist = path.at(frac);
-        let pred_secs = model
-            .predict(dist.rows())
-            .map_err(|e| mheta_sim::SimError::InvalidConfig(e.to_string()))?
-            .app_secs(iters);
-        let act_secs = run_measured(bench, spec, &dist, iters, prefetch)?.secs;
-        out.push(SweepPoint {
-            label,
-            frac,
-            pred_secs,
-            act_secs,
-        });
-    }
-    Ok(out)
+    let path = SpectrumPath::full(&anchor_inputs(model));
+    let predicted = canonical_predictions(model, steps_per_leg, iters, PredictOptions::default())?;
+    canonical_labels(steps_per_leg)
+        .into_iter()
+        .zip(predicted)
+        .map(|((label, frac), pred_secs)| {
+            let act_secs = run_measured(bench, spec, &path.at(frac), iters, prefetch)?.secs;
+            Ok(SweepPoint {
+                label,
+                pred_secs,
+                act_secs,
+            })
+        })
+        .collect()
 }
 
 /// Min/avg/max summary of a set of values.
@@ -131,17 +143,7 @@ impl Stats {
     }
 }
 
-/// Render a labeled horizontal bar (for the plain text "figures").
-#[must_use]
-pub fn bar(value: f64, scale_max: f64, width: usize) -> String {
-    if scale_max <= 0.0 {
-        return String::new();
-    }
-    let filled = ((value / scale_max) * width as f64).round() as usize;
-    "#".repeat(filled.min(width))
-}
-
-/// Tiny flag parser: `--name value` and boolean `--name` switches.
+/// Tiny flag parser: `--name value` pairs.
 #[derive(Debug, Default)]
 pub struct Flags {
     args: Vec<String>,
@@ -160,12 +162,6 @@ impl Flags {
     #[must_use]
     pub fn from_vec(args: Vec<String>) -> Flags {
         Flags { args }
-    }
-
-    /// True when `--name` is present.
-    #[must_use]
-    pub fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
     }
 
     /// The value following `--name`, if any.
@@ -203,85 +199,6 @@ pub fn select_apps(flags: &Flags) -> Vec<Benchmark> {
     }
 }
 
-/// Rendering of the Figure 10 / Figure 11 predicted-vs-actual series.
-pub mod figures {
-    use super::{bar, canonical_sweep, experiment_iters, select_apps, Flags};
-
-    /// Run the predicted-vs-actual sweep for each configuration and
-    /// render the two-line plain text series (Figures 10 and 11).
-    pub fn run_configs(
-        configs: &[mheta_sim::ClusterSpec],
-        flags: &Flags,
-        steps: usize,
-        paper_iters: bool,
-    ) {
-        for spec in configs {
-            println!("\n=== Configuration {} ===", spec.name);
-            for bench in select_apps(flags) {
-                let iters = experiment_iters(&bench, paper_iters);
-                let points = canonical_sweep(&bench, spec, steps, iters, false)
-                    .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), spec.name));
-                let max_t = points
-                    .iter()
-                    .flat_map(|p| [p.pred_secs, p.act_secs])
-                    .fold(0.0f64, f64::max);
-                let best_pred = points
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.pred_secs.total_cmp(&b.1.pred_secs))
-                    .map(|(i, _)| i)
-                    .expect("points nonempty");
-                let best_act = points
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.act_secs.total_cmp(&b.1.act_secs))
-                    .map(|(i, _)| i)
-                    .expect("points nonempty");
-
-                println!(
-                    "\n{} on {} ({} iterations): predicted (P) vs actual (A), seconds",
-                    bench.name(),
-                    spec.name,
-                    iters
-                );
-                for (i, p) in points.iter().enumerate() {
-                    let mark = match (i == best_pred, i == best_act) {
-                        (true, true) => " (BEST)",
-                        (true, false) => " [P-best]",
-                        (false, true) => " [A-best]",
-                        _ => "",
-                    };
-                    println!(
-                        "  {:<16} P {:>7.2}s |{:<30}|{}",
-                        p.label,
-                        p.pred_secs,
-                        bar(p.pred_secs, max_t, 30),
-                        mark
-                    );
-                    println!(
-                        "  {:<16} A {:>7.2}s |{:<30}| diff {:.1}%",
-                        "",
-                        p.act_secs,
-                        bar(p.act_secs, max_t, 30),
-                        p.percent_difference()
-                    );
-                }
-                if best_pred == best_act {
-                    println!("  model picks the true best distribution (solid circle)");
-                } else {
-                    println!(
-                        "  model best '{}' vs actual best '{}' (dashed circle: actual at model's pick {:.2}s vs true best {:.2}s)",
-                        points[best_pred].label,
-                        points[best_act].label,
-                        points[best_pred].act_secs,
-                        points[best_act].act_secs
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,18 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn bar_scales() {
-        assert_eq!(bar(5.0, 10.0, 10), "#####");
-        assert_eq!(bar(20.0, 10.0, 10), "##########");
-        assert_eq!(bar(1.0, 0.0, 10), "");
-    }
-
-    #[test]
     fn flags_parse() {
-        let f = Flags::from_vec(vec!["--steps".into(), "5".into(), "--prefetch".into()]);
-        assert!(f.has("--prefetch"));
-        assert!(!f.has("--paper-iters"));
-        assert_eq!(f.usize_or("--steps", 3), 5);
+        let f = Flags::from_vec(vec!["--budget".into(), "5".into(), "--apps".into()]);
+        assert_eq!(f.value("--budget"), Some("5"));
+        assert_eq!(f.value("--apps"), None);
+        assert_eq!(f.usize_or("--budget", 3), 5);
         assert_eq!(f.usize_or("--missing", 7), 7);
     }
 
@@ -340,7 +250,8 @@ mod tests {
         let mut spec = mheta_sim::ClusterSpec::homogeneous(2);
         spec.noise.amplitude = 0.0;
         let bench = Benchmark::Jacobi(Jacobi::small());
-        let pts = canonical_sweep(&bench, &spec, 1, 2, false).unwrap();
+        let model = mheta_apps::build_model(&bench, &spec, false).unwrap();
+        let pts = canonical_sweep(&model, &bench, &spec, 1, 2, false).unwrap();
         assert_eq!(pts.len(), 5);
         for p in &pts {
             assert!(p.pred_secs > 0.0 && p.act_secs > 0.0);

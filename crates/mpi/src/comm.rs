@@ -81,13 +81,10 @@ pub enum ExecMode {
     #[default]
     Normal,
     /// The instrumented iteration of §4.1.1: prefetch issues become
-    /// blocking reads and waits become no-ops (Figure 5), and — when
-    /// `force_ooc` is set — applications treat every distributed
-    /// variable as out of core so I/O costs exist for all of them.
-    Instrument {
-        /// Force all distributed variables through the out-of-core path.
-        force_ooc: bool,
-    },
+    /// blocking reads and waits become no-ops (Figure 5), and
+    /// applications treat every distributed variable as out of core so
+    /// I/O costs exist for all of them.
+    Instrument,
 }
 
 /// A pending asynchronous read issued through [`Comm::prefetch`].
@@ -199,7 +196,7 @@ impl<'a, R: Recorder> Comm<'a, R> {
     /// of core (instrumented iteration, §4.1.1).
     #[must_use]
     pub fn force_ooc(&self) -> bool {
-        matches!(self.mode, ExecMode::Instrument { force_ooc: true })
+        self.mode == ExecMode::Instrument
     }
 
     /// Direct access to the underlying rank context (clock, disk,
@@ -428,7 +425,7 @@ impl<'a, R: Recorder> Comm<'a, R> {
                     ctx.prefetch_issue(var, offset, len)
                 })?)
             }
-            ExecMode::Instrument { .. } => {
+            ExecMode::Instrument => {
                 let mut buf = vec![0.0; len];
                 self.io_with_retry(OpKind::PrefetchIssue, var, |ctx| {
                     ctx.disk_read(var, offset, &mut buf)
@@ -539,7 +536,7 @@ mod tests {
         let run = run_cluster(&spec, false, |ctx| {
             ctx.disk.create(7, 64);
             let mut rec = VecRecorder::default();
-            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Instrument { force_ooc: true });
+            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Instrument);
             let before = comm.ctx_ref().now();
             let tok = comm.prefetch(7, 0, 64)?;
             let after_issue = comm.ctx_ref().now();
@@ -586,7 +583,7 @@ mod tests {
             let comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
             assert!(!comm.force_ooc());
             let _ = comm;
-            let comm = Comm::new(ctx, &mut rec, ExecMode::Instrument { force_ooc: true });
+            let comm = Comm::new(ctx, &mut rec, ExecMode::Instrument);
             assert!(comm.force_ooc());
             Ok(())
         })

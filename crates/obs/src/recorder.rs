@@ -88,6 +88,11 @@ impl std::fmt::Debug for FlightRecorder {
 }
 
 impl FlightRecorder {
+    /// The service's ring capacity unless sized otherwise, events.
+    pub const DEFAULT_CAPACITY: usize = 1024;
+    /// The service's lock-stripe count.
+    pub const DEFAULT_STRIPES: usize = 8;
+
     /// A recorder retaining (at least) `capacity` events across
     /// `stripes` lock-striped banks. Capacity is rounded up to a
     /// multiple of the stripe count (both clamped to at least 1);
@@ -108,13 +113,6 @@ impl FlightRecorder {
             dropped: AtomicU64::new(0),
             retained: AtomicU64::new(0),
         }
-    }
-
-    /// A recorder with the default service geometry: 1024 events over
-    /// 8 stripes.
-    #[must_use]
-    pub fn with_default_capacity() -> Self {
-        FlightRecorder::new(1024, 8)
     }
 
     /// Total events the ring retains.

@@ -19,8 +19,8 @@
 //!       [--write-timeout-ms N]
 //! ```
 //!
-//! The flight recorder is always on (`--recorder-capacity 0` disables
-//! it). On panic the daemon dumps the recorder's last events as JSON
+//! The flight recorder is always on (`--recorder-capacity` sizes its
+//! ring). On panic the daemon dumps the recorder's last events as JSON
 //! to stderr before dying, so a crash leaves a black box behind.
 //!
 //! Lifecycle events (`drain.begin`, `drain.end`, `snapshot.load`,
@@ -238,15 +238,13 @@ fn main() -> ExitCode {
     // Black box: any panic (accept loop or connection thread) dumps
     // the flight recorder to stderr before the default hook prints the
     // backtrace.
-    if let Some(recorder) = planner.recorder() {
-        let recorder = Arc::clone(recorder);
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            eprintln!("pland: panic — dumping flight recorder");
-            eprintln!("{}", recorder.dump_json());
-            default_hook(info);
-        }));
-    }
+    let recorder = Arc::clone(planner.recorder());
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        eprintln!("pland: panic — dumping flight recorder");
+        eprintln!("{}", recorder.dump_json());
+        default_hook(info);
+    }));
 
     let lifecycle = Arc::new(Lifecycle::new());
 

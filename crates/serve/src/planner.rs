@@ -200,12 +200,9 @@ pub struct PlannerConfig {
     pub coalesce_enabled: bool,
     /// Backoff suggested to shed clients, milliseconds.
     pub retry_after_ms: u64,
-    /// Flight-recorder ring capacity (events); 0 disables the recorder
-    /// entirely (used by the bench overhead A/B — production keeps the
-    /// default, always-on).
+    /// Flight-recorder ring capacity (events); the recorder is always
+    /// on and keeps at least one event per lock stripe.
     pub recorder_capacity: usize,
-    /// Flight-recorder lock stripes.
-    pub recorder_stripes: usize,
     /// Consecutive search failures (per cache-key shard) that trip the
     /// circuit breaker; 0 disables the breaker.
     pub breaker_threshold: u32,
@@ -224,8 +221,7 @@ impl Default for PlannerConfig {
             cache_enabled: true,
             coalesce_enabled: true,
             retry_after_ms: 50,
-            recorder_capacity: 1024,
-            recorder_stripes: 8,
+            recorder_capacity: FlightRecorder::DEFAULT_CAPACITY,
             breaker_threshold: 5,
             breaker_open_ms: 1000,
         }
@@ -277,7 +273,7 @@ pub struct Planner {
     executor: Executor,
     breaker: CircuitBreaker,
     metrics: Arc<ServiceMetrics>,
-    recorder: Option<Arc<FlightRecorder>>,
+    recorder: Arc<FlightRecorder>,
     search: Arc<SearchFn>,
 }
 
@@ -513,22 +509,18 @@ impl Planner {
                 },
             ),
             metrics: Arc::new(ServiceMetrics::new()),
-            recorder: (cfg.recorder_capacity > 0).then(|| {
-                Arc::new(FlightRecorder::new(
-                    cfg.recorder_capacity,
-                    cfg.recorder_stripes,
-                ))
-            }),
+            recorder: Arc::new(FlightRecorder::new(
+                cfg.recorder_capacity,
+                FlightRecorder::DEFAULT_STRIPES,
+            )),
             search: Arc::new(run_search),
             cfg,
         }
     }
 
-    /// Record one flight-recorder event, when the recorder is on.
+    /// Record one flight-recorder event.
     fn rec(&self, ctx: Option<&TraceContext>, kind: &'static str, detail: Vec<(&str, Value)>) {
-        if let Some(r) = &self.recorder {
-            r.record_kv(ctx, kind, detail);
-        }
+        self.recorder.record_kv(ctx, kind, detail);
     }
 
     /// Plan `req` under a freshly minted root trace, with no deadline.
@@ -760,10 +752,10 @@ impl Planner {
         &self.breaker
     }
 
-    /// The always-on flight recorder (`None` only when configured off).
+    /// The always-on flight recorder.
     #[must_use]
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
+    pub fn recorder(&self) -> &Arc<FlightRecorder> {
+        &self.recorder
     }
 
     /// Jobs currently waiting in the executor queue.
@@ -772,21 +764,10 @@ impl Planner {
         self.executor.queue_depth()
     }
 
-    /// The flight-recorder dump document (`mheta-flight/v1`); an empty
-    /// zero-capacity dump when the recorder is disabled.
+    /// The flight-recorder dump document (`mheta-flight/v1`).
     #[must_use]
     pub fn flight_dump(&self) -> Value {
-        match &self.recorder {
-            Some(r) => r.dump_value(),
-            None => Value::object(vec![
-                ("schema", Value::Str("mheta-flight/v1".into())),
-                ("capacity", Value::UInt(0)),
-                ("written", Value::UInt(0)),
-                ("dropped", Value::UInt(0)),
-                ("retained", Value::UInt(0)),
-                ("events", Value::Array(Vec::new())),
-            ]),
-        }
+        self.recorder.dump_value()
     }
 
     /// The full Prometheus text-format exposition for this planner:
@@ -863,26 +844,24 @@ impl Planner {
             &[],
             self.breaker.tripped_shards(self.metrics.now_ns()) as f64,
         );
-        if let Some(r) = &self.recorder {
-            p.counter(
-                "mheta_serve_flight_written_total",
-                "Flight-recorder events written.",
-                &[],
-                r.written(),
-            );
-            p.counter(
-                "mheta_serve_flight_dropped_total",
-                "Flight-recorder events dropped from the ring.",
-                &[],
-                r.dropped(),
-            );
-            p.gauge(
-                "mheta_serve_flight_retained",
-                "Flight-recorder events currently retained.",
-                &[],
-                r.retained() as f64,
-            );
-        }
+        p.counter(
+            "mheta_serve_flight_written_total",
+            "Flight-recorder events written.",
+            &[],
+            self.recorder.written(),
+        );
+        p.counter(
+            "mheta_serve_flight_dropped_total",
+            "Flight-recorder events dropped from the ring.",
+            &[],
+            self.recorder.dropped(),
+        );
+        p.gauge(
+            "mheta_serve_flight_retained",
+            "Flight-recorder events currently retained.",
+            &[],
+            self.recorder.retained() as f64,
+        );
         out.push_str(&p.finish());
         out
     }
@@ -892,15 +871,13 @@ impl Planner {
     /// flight-recorder occupancy.
     #[must_use]
     pub fn stats(&self) -> Value {
-        let recorder = match &self.recorder {
-            Some(r) => Value::object(vec![
-                ("capacity", Value::UInt(r.capacity() as u64)),
-                ("written", Value::UInt(r.written())),
-                ("dropped", Value::UInt(r.dropped())),
-                ("retained", Value::UInt(r.retained())),
-            ]),
-            None => Value::Null,
-        };
+        let r = &self.recorder;
+        let recorder = Value::object(vec![
+            ("capacity", Value::UInt(r.capacity() as u64)),
+            ("written", Value::UInt(r.written())),
+            ("dropped", Value::UInt(r.dropped())),
+            ("retained", Value::UInt(r.retained())),
+        ]);
         Value::object(vec![
             ("service", self.metrics.snapshot()),
             ("cache", self.cache.stats()),

@@ -450,9 +450,7 @@ fn log_lifecycle_event(planner: &Planner, event: &'static str, detail: Vec<(&str
     let mut fields = vec![("event", Value::Str(event.to_string()))];
     fields.extend(detail.iter().map(|(k, v)| (*k, v.clone())));
     eprintln!("{}", Value::object(fields).to_json());
-    if let Some(r) = planner.recorder() {
-        r.record_kv(None, event, detail);
-    }
+    planner.recorder().record_kv(None, event, detail);
 }
 
 /// Longest request line the daemon reads, bytes (newline excluded). A

@@ -171,7 +171,7 @@ fn instrumented_run_forces_io_on_in_core_nodes() {
         &spec,
         RunOptions {
             tracing: false,
-            mode: ExecMode::Instrument { force_ooc: true },
+            mode: ExecMode::Instrument,
         },
         |_| mheta::mpi::VecRecorder::default(),
         |comm| app.run(comm, &structure, &dist, 1),
