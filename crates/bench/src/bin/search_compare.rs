@@ -13,7 +13,8 @@
 //!
 //! Pass `--telemetry <dir>` to also write each (configuration,
 //! application) pair's convergence curves as JSON and CSV (see
-//! `mheta_obs::telemetry`).
+//! `mheta_obs::telemetry`). Everything printed and written is a pure
+//! function of the flags: two runs `cmp` equal.
 
 use mheta_apps::{anchor_inputs, build_model, run_measured};
 use mheta_bench::{experiment_iters, select_apps, Flags};
@@ -34,17 +35,8 @@ fn main() {
 
     println!("Distribution search comparison (budget {budget} MHETA evaluations)");
     println!(
-        "{:<5} {:<8} {:<9} {:>6} {:>10} {:>10} {:>8} {:>9} {:>9} {:>7}",
-        "arch",
-        "app",
-        "search",
-        "evals",
-        "pred(s)",
-        "actual(s)",
-        "vs Blk",
-        "p50(us)",
-        "p95(us)",
-        "delta%"
+        "{:<5} {:<8} {:<9} {:>6} {:>10} {:>10} {:>8} {:>7}",
+        "arch", "app", "search", "evals", "pred(s)", "actual(s)", "vs Blk", "delta%"
     );
 
     for spec in [presets::io(), presets::hy1(), presets::hy2()] {
@@ -132,7 +124,7 @@ fn main() {
                     .expect("search-result run")
                     .secs;
                 println!(
-                    "{:<5} {:<8} {:<9} {:>6} {:>9.2}s {:>9.2}s {:>7.2}x {:>9.1} {:>9.1} {:>6.0}%",
+                    "{:<5} {:<8} {:<9} {:>6} {:>9.2}s {:>9.2}s {:>7.2}x {:>6.0}%",
                     spec.name,
                     bench.name(),
                     name,
@@ -140,8 +132,6 @@ fn main() {
                     outcome.score_ns * f64::from(iters) / 1e9,
                     act,
                     blk_act / act,
-                    outcome.eval_latency.p50_ns() as f64 / 1e3,
-                    outcome.eval_latency.p95_ns() as f64 / 1e3,
                     outcome.delta.hit_rate() * 100.0,
                 );
             }

@@ -26,12 +26,12 @@
 //! The entry points are [`DeltaModel`] (what a model must expose to be
 //! delta-evaluable) and [`DeltaEvaluator`] (the caching session,
 //! usually obtained through [`Evaluator::delta_session`] and driven by
-//! [`CountingEvaluator`](crate::fitness::CountingEvaluator)). A session
-//! detects what changed by diffing a candidate's rows against its
-//! cached base, so searches hand it plain row vectors. It owns every
-//! buffer an evaluation touches — two leaf slabs and the model's
-//! scratch block, sized by the first candidate — so once warm it
-//! evaluates without allocating (`tests/eval_no_alloc.rs`).
+//! the searches). A session detects what changed by diffing a
+//! candidate's rows against its cached base, so searches hand it plain
+//! row vectors. It owns every buffer an evaluation touches — two leaf
+//! slabs and the model's scratch block, sized by the first candidate —
+//! so once warm it evaluates without allocating
+//! (`tests/eval_no_alloc.rs`).
 //!
 //! [`Mheta::predict_with`]: mheta_core::Mheta::predict_with
 

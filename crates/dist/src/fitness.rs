@@ -10,205 +10,66 @@
 //! the search must not abort. [`Evaluator::try_eval_ns`] surfaces the
 //! error; the provided [`Evaluator::eval_ns`] converts it into an
 //! infinite penalty score so every search simply never selects the
-//! failed candidate. [`CountingEvaluator`] additionally retries failed
-//! evaluations and keeps failure/retry tallies for [`SearchOutcome`].
+//! failed candidate. Every search additionally retries failed
+//! evaluations (`eval_retries` in its config) and keeps failure/retry
+//! tallies for its [`SearchOutcome`].
 //!
 //! [`SearchOutcome`]: crate::search::SearchOutcome
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use mheta_core::Mheta;
 
 use crate::delta::{DeltaEvaluator, DeltaSession, DeltaStats};
 
-/// Log₂-bucketed histogram of per-evaluation *wall-clock* latencies —
-/// the cost axis of the paper's §5.1 claim that one MHETA evaluation
-/// takes milliseconds where a measured run takes minutes.
-///
-/// Bucket `i` counts samples in `[2^(i-1), 2^i)` ns, with bucket 0
-/// counting zero-valued samples; 65 buckets cover the full `u64`
-/// range. Quantiles are bucket-resolution approximations (upper bucket
-/// bound), which is plenty for an order-of-magnitude latency claim.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
-pub struct LatencyHistogram {
-    /// Per-bucket sample counts (65 buckets).
-    pub buckets: Vec<u64>,
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of all samples, ns.
-    pub sum_ns: u64,
-    /// Smallest sample, ns (0 when empty).
-    pub min_ns: u64,
-    /// Largest sample, ns (0 when empty).
-    pub max_ns: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; 65],
-            count: 0,
-            sum_ns: 0,
-            min_ns: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Record one sample.
-    pub fn record(&mut self, ns: u64) {
-        let idx = if ns == 0 {
-            0
-        } else {
-            64 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
-    }
-
-    /// Mean sample, ns (0 when empty).
-    #[must_use]
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0 ≤ q ≤ 1.0`, the top bucket's bound saturating at
-    /// `u64::MAX`); 0 when empty.
-    #[must_use]
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return match i {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => 1u64 << i,
-                };
-            }
-        }
-        self.max_ns
-    }
-
-    /// Median latency, ns.
-    #[must_use]
-    pub fn p50_ns(&self) -> u64 {
-        self.quantile_ns(0.50)
-    }
-
-    /// 95th-percentile latency, ns.
-    #[must_use]
-    pub fn p95_ns(&self) -> u64 {
-        self.quantile_ns(0.95)
-    }
-
-    /// 99th-percentile latency, ns.
-    #[must_use]
-    pub fn p99_ns(&self) -> u64 {
-        self.quantile_ns(0.99)
-    }
-
-    /// Fold `other` into `self`, bucket-wise. Because the buckets are
-    /// plain counts, merging per-worker histograms is *exact*: the
-    /// merged histogram is bitwise-identical to one histogram that had
-    /// recorded every sample itself, so quantiles over a portfolio of
-    /// concurrent searches aggregate without approximation.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        if self.count == 0 {
-            self.min_ns = other.min_ns;
-            self.max_ns = other.max_ns;
-        } else {
-            self.min_ns = self.min_ns.min(other.min_ns);
-            self.max_ns = self.max_ns.max(other.max_ns);
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-    }
-}
-
-/// Shared control block for concurrent (portfolio) searches: an atomic
-/// incumbent-best score, a cross-worker evaluation tally, and a
+/// Control block of one portfolio search: the incumbent-best score,
+/// the evaluation tally across the strategies run so far, and a
 /// cooperative cancellation flag.
 ///
-/// Every search wired to the same `SearchCtl` (via the `ctl` field of
-/// its config) publishes each evaluation through [`SearchCtl::observe`]
-/// and polls [`SearchCtl::is_cancelled`] between evaluations. The
-/// control block cancels all attached searches once any of its
-/// criteria is met:
+/// The portfolio runs its strategies one after another on the caller's
+/// thread, each scoring through a [`CountingEvaluator`] that borrows
+/// the same `SearchCtl`: every evaluation is published through
+/// [`SearchCtl::observe`], and the running search polls
+/// [`SearchCtl::is_cancelled`] between evaluations. The incumbent is
+/// read by the stall and target tests only, never by a strategy. The
+/// control block cancels the search once any of its criteria is met:
 ///
 /// * **budget** — the *combined* evaluation count reaches
 ///   `max_total_evals`;
-/// * **convergence** — no search improved the incumbent for
-///   `stall_evals` combined evaluations;
+/// * **convergence** — the incumbent did not improve for `stall_evals`
+///   combined evaluations;
 /// * **target** — the incumbent reached `target_ns`;
 /// * **deadline** — the wall clock passed a configured [`Instant`]
 ///   (see [`SearchCtl::with_deadline`]). Deadline trips are flagged
 ///   separately ([`SearchCtl::deadline_hit`]) so a caller can tell a
 ///   time-bounded *degraded* result from an ordinary early stop.
 ///
-/// All state is atomic; `observe` is lock-free and safe from any number
-/// of worker threads. Scores are nonnegative nanoseconds, so the
-/// incumbent is maintained by a CAS-min on the raw IEEE-754 bits
-/// (order-preserving for nonnegative floats, `INFINITY` included).
+/// The first three count evaluations, so what they cut off is a pure
+/// function of the search's inputs; only the deadline reads a clock.
 #[derive(Debug)]
-pub struct SearchCtl {
-    best_bits: AtomicU64,
-    evals: AtomicUsize,
-    last_improve: AtomicUsize,
-    cancelled: AtomicBool,
-    deadline_hit: AtomicBool,
+pub(crate) struct SearchCtl {
+    best_ns: Cell<f64>,
+    evals: Cell<usize>,
+    last_improve: Cell<usize>,
+    cancelled: Cell<bool>,
+    deadline_hit: Cell<bool>,
     max_total_evals: usize,
     stall_evals: usize,
     target_ns: f64,
     deadline: Option<Instant>,
 }
 
-impl Default for SearchCtl {
-    fn default() -> Self {
-        SearchCtl::unlimited()
-    }
-}
-
 impl SearchCtl {
-    /// A control block with every cancellation criterion disabled:
-    /// pure incumbent sharing and manual [`SearchCtl::cancel`].
-    #[must_use]
-    pub fn unlimited() -> Self {
+    /// A control block with every cancellation criterion disabled.
+    pub(crate) fn unlimited() -> Self {
         SearchCtl {
-            best_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            evals: AtomicUsize::new(0),
-            last_improve: AtomicUsize::new(0),
-            cancelled: AtomicBool::new(false),
-            deadline_hit: AtomicBool::new(false),
+            best_ns: Cell::new(f64::INFINITY),
+            evals: Cell::new(0),
+            last_improve: Cell::new(0),
+            cancelled: Cell::new(false),
+            deadline_hit: Cell::new(false),
             max_total_evals: 0,
             stall_evals: 0,
             target_ns: 0.0,
@@ -216,73 +77,54 @@ impl SearchCtl {
         }
     }
 
-    /// Cancel all attached searches once the combined evaluation count
-    /// reaches `max_total_evals` (0 disables the criterion).
-    #[must_use]
-    pub fn with_budget(mut self, max_total_evals: usize) -> Self {
+    /// Cancel once the combined evaluation count reaches
+    /// `max_total_evals` (0 disables the criterion).
+    pub(crate) fn with_budget(mut self, max_total_evals: usize) -> Self {
         self.max_total_evals = max_total_evals;
         self
     }
 
     /// Cancel once `stall_evals` combined evaluations pass without an
     /// incumbent improvement (0 disables the criterion).
-    #[must_use]
-    pub fn with_stall(mut self, stall_evals: usize) -> Self {
+    pub(crate) fn with_stall(mut self, stall_evals: usize) -> Self {
         self.stall_evals = stall_evals;
         self
     }
 
     /// Cancel once the incumbent is at or below `target_ns`
     /// (nonpositive disables the criterion).
-    #[must_use]
-    pub fn with_target_ns(mut self, target_ns: f64) -> Self {
+    pub(crate) fn with_target_ns(mut self, target_ns: f64) -> Self {
         self.target_ns = target_ns;
         self
     }
 
-    /// Cancel once the wall clock reaches `deadline`. The criterion is
+    /// Cancel once the wall clock reaches `deadline` (`None` disables
+    /// the criterion, and with it every clock read). The criterion is
     /// polled on every [`SearchCtl::observe`] (evaluations are the unit
     /// of cooperative cancellation), so an expired deadline stops the
-    /// attached searches after at most one in-flight evaluation each —
-    /// the incumbent found so far stays available through
-    /// [`SearchCtl::best_ns`].
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
+    /// running search after at most one more evaluation — the incumbent
+    /// found so far stays available through [`SearchCtl::best_ns`].
+    pub(crate) fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
+        self.deadline = deadline;
         self
     }
 
     /// Publish one completed evaluation's score (failed evaluations
     /// publish their `INFINITY` penalty). Updates the incumbent and
     /// trips cancellation when a criterion is met.
-    pub fn observe(&self, score_ns: f64) {
-        let n = self.evals.fetch_add(1, Ordering::Relaxed) + 1;
-        let bits = score_ns.max(0.0).to_bits();
-        let mut cur = self.best_bits.load(Ordering::Relaxed);
-        let mut improved = false;
-        while bits < cur {
-            match self.best_bits.compare_exchange_weak(
-                cur,
-                bits,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    improved = true;
-                    break;
-                }
-                Err(seen) => cur = seen,
-            }
-        }
-        if improved {
-            self.last_improve.store(n, Ordering::Relaxed);
+    pub(crate) fn observe(&self, score_ns: f64) {
+        let n = self.evals.get() + 1;
+        self.evals.set(n);
+        // A NaN score compares false here: like a failed evaluation's
+        // `INFINITY`, it is never an incumbent.
+        if score_ns < self.best_ns.get() {
+            self.best_ns.set(score_ns);
+            self.last_improve.set(n);
         }
         if self.max_total_evals > 0 && n >= self.max_total_evals {
             self.cancel();
         }
-        if self.stall_evals > 0
-            && n.saturating_sub(self.last_improve.load(Ordering::Relaxed)) >= self.stall_evals
-        {
+        if self.stall_evals > 0 && n - self.last_improve.get() >= self.stall_evals {
             self.cancel();
         }
         if self.target_ns > 0.0 && self.best_ns() <= self.target_ns {
@@ -292,46 +134,42 @@ impl SearchCtl {
     }
 
     /// Trip cancellation if a configured deadline has passed. Called
-    /// from [`SearchCtl::observe`]; long-running searches may also poll
-    /// it directly between coarser phases.
-    pub fn poll_deadline(&self) {
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                self.deadline_hit.store(true, Ordering::Relaxed);
-                self.cancel();
-            }
+    /// from [`SearchCtl::observe`], and once by the portfolio before
+    /// its first evaluation.
+    pub(crate) fn poll_deadline(&self) {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.deadline_hit.set(true);
+            self.cancel();
         }
     }
 
     /// True once the deadline criterion (and not merely another
-    /// criterion or a manual [`SearchCtl::cancel`]) has tripped.
-    #[must_use]
-    pub fn deadline_hit(&self) -> bool {
-        self.deadline_hit.load(Ordering::Relaxed)
+    /// criterion) has tripped.
+    pub(crate) fn deadline_hit(&self) -> bool {
+        self.deadline_hit.get()
     }
 
-    /// Request cooperative cancellation of every attached search.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
+    /// Request cooperative cancellation of the running search and of
+    /// every strategy still to run.
+    pub(crate) fn cancel(&self) {
+        self.cancelled.set(true);
     }
 
     /// True once cancellation has been requested.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.cancelled.get()
     }
 
-    /// The incumbent-best score across all attached searches
+    /// The incumbent-best score across the strategies run so far
     /// (`INFINITY` until the first finite observation).
-    #[must_use]
-    pub fn best_ns(&self) -> f64 {
-        f64::from_bits(self.best_bits.load(Ordering::Relaxed))
+    pub(crate) fn best_ns(&self) -> f64 {
+        self.best_ns.get()
     }
 
-    /// Combined evaluations observed across all attached searches.
-    #[must_use]
-    pub fn evals(&self) -> usize {
-        self.evals.load(Ordering::Relaxed)
+    /// Combined evaluations observed so far.
+    #[cfg(test)]
+    pub(crate) fn evals(&self) -> usize {
+        self.evals.get()
     }
 }
 
@@ -433,31 +271,32 @@ where
 ///
 /// Every attempt — first try or retry — goes through the one
 /// [`DeltaSession`] opened on the wrapped evaluator, which is what
-/// keeps count/latency/ctl at exactly one observation per logical
-/// candidate whether the session answered incrementally or in full.
-pub struct CountingEvaluator<'a> {
+/// keeps the count and the control block at exactly one observation
+/// per logical candidate whether the session answered incrementally or
+/// in full.
+pub(crate) struct CountingEvaluator<'a> {
     session: RefCell<Box<dyn DeltaSession + 'a>>,
     count: Cell<usize>,
     failed: Cell<usize>,
     retried: Cell<usize>,
     last_error: RefCell<Option<EvalError>>,
-    latency: RefCell<LatencyHistogram>,
     /// Attempts per logical evaluation (1 = no retry).
     attempts: u32,
-    /// Optional shared portfolio control: every evaluation is published
-    /// to it, and the owning search polls [`CountingEvaluator::cancelled`].
-    ctl: Option<Arc<SearchCtl>>,
+    /// The portfolio's control block, when a portfolio is running this
+    /// search: every evaluation is published to it, and the search
+    /// polls [`CountingEvaluator::cancelled`].
+    ctl: Option<&'a SearchCtl>,
 }
 
 impl<'a> CountingEvaluator<'a> {
     /// Wrap a session over `inner`, allowing up to `attempts` tries per
     /// evaluation (clamped to at least one; 1 = fail fast) and
-    /// publishing every evaluation to `ctl` when one is shared
+    /// publishing every evaluation to `ctl` when there is one
     /// (portfolio search).
-    pub fn new<E: Evaluator + ?Sized>(
+    pub(crate) fn new<E: Evaluator + ?Sized>(
         inner: &'a E,
         attempts: u32,
-        ctl: Option<Arc<SearchCtl>>,
+        ctl: Option<&'a SearchCtl>,
     ) -> Self {
         CountingEvaluator {
             session: RefCell::new(inner.delta_session()),
@@ -465,70 +304,54 @@ impl<'a> CountingEvaluator<'a> {
             failed: Cell::new(0),
             retried: Cell::new(0),
             last_error: RefCell::new(None),
-            latency: RefCell::new(LatencyHistogram::default()),
             attempts: attempts.max(1),
             ctl,
         }
     }
 
-    /// True when an attached [`SearchCtl`] has requested cancellation;
-    /// searches poll this between evaluations and stop early, keeping
-    /// their best-so-far outcome.
-    #[must_use]
-    pub fn cancelled(&self) -> bool {
-        self.ctl.as_ref().is_some_and(|c| c.is_cancelled())
+    /// True when the portfolio's [`SearchCtl`] has requested
+    /// cancellation; searches poll this between evaluations and stop
+    /// early, keeping their best-so-far outcome.
+    pub(crate) fn cancelled(&self) -> bool {
+        self.ctl.is_some_and(SearchCtl::is_cancelled)
     }
 
     /// Logical evaluations performed so far (retries of the same
     /// candidate count once — they spend wall-clock, not budget).
-    #[must_use]
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.count.get()
     }
 
     /// Evaluations that still failed after all retry attempts.
-    #[must_use]
-    pub fn failed(&self) -> usize {
+    pub(crate) fn failed(&self) -> usize {
         self.failed.get()
     }
 
     /// Failed attempts that were absorbed by a retry.
-    #[must_use]
-    pub fn retries(&self) -> usize {
+    pub(crate) fn retries(&self) -> usize {
         self.retried.get()
     }
 
     /// The most recent failure observed, if any.
-    #[must_use]
-    pub fn last_error(&self) -> Option<EvalError> {
+    pub(crate) fn last_error(&self) -> Option<EvalError> {
         self.last_error.borrow().clone()
-    }
-
-    /// Wall-clock latency histogram of the logical evaluations so far
-    /// (a retried evaluation's attempts are timed as one sample — they
-    /// spend the caller's wall-clock together).
-    #[must_use]
-    pub fn eval_latency(&self) -> LatencyHistogram {
-        self.latency.borrow().clone()
     }
 
     /// Snapshot of the session's counters (all-zero when the wrapped
     /// evaluator has no incremental support).
-    #[must_use]
-    pub fn delta_stats(&self) -> DeltaStats {
+    pub(crate) fn delta_stats(&self) -> DeltaStats {
         self.session.borrow().stats()
     }
 
     /// Tell the session `rows` is the new accepted base, so future
     /// candidates diff against it.
-    pub fn note_accept(&self, rows: &[usize]) {
+    pub(crate) fn note_accept(&self, rows: &[usize]) {
         self.session.borrow_mut().note_accept(rows);
     }
 }
 
 impl Evaluator for CountingEvaluator<'_> {
     fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
-        let started = Instant::now();
         let mut attempt = 1;
         let result = loop {
             let tried = self.session.borrow_mut().try_eval_ns(rows);
@@ -542,18 +365,16 @@ impl Evaluator for CountingEvaluator<'_> {
                 Err(e) => break Err(e),
             }
         };
-        // Settle the logical evaluation: exactly one count, one latency
-        // sample, and one `SearchCtl::observe`, regardless of retries or
-        // the delta/full path the session took — the invariant `tests`
-        // pin as the double-count fix.
-        let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        // Settle the logical evaluation: exactly one count and one
+        // `SearchCtl::observe`, regardless of retries or the delta/full
+        // path the session took — the invariant `tests` pin as the
+        // double-count fix.
         self.count.set(self.count.get() + 1);
-        self.latency.borrow_mut().record(elapsed);
         if let Err(e) = &result {
             self.failed.set(self.failed.get() + 1);
             *self.last_error.borrow_mut() = Some(e.clone());
         }
-        if let Some(ctl) = &self.ctl {
+        if let Some(ctl) = self.ctl {
             ctl.observe(result.as_ref().map_or(f64::INFINITY, |score| *score));
         }
         result
@@ -639,44 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_histograms_match_recording_into_one() {
-        // Split one sample stream across three per-worker histograms,
-        // merge, and require bitwise equality with a single histogram
-        // that recorded every sample — quantiles included.
-        let samples: Vec<u64> = (0..200u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9) % 1_000_000)
-            .collect();
-        let mut whole = LatencyHistogram::default();
-        let mut parts = [
-            LatencyHistogram::default(),
-            LatencyHistogram::default(),
-            LatencyHistogram::default(),
-        ];
-        for (i, &s) in samples.iter().enumerate() {
-            whole.record(s);
-            parts[i % 3].record(s);
-        }
-        let mut merged = LatencyHistogram::default();
-        for p in &parts {
-            merged.merge(p);
-        }
-        assert_eq!(merged, whole, "bucket-wise sum is exact");
-        for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(merged.quantile_ns(q), whole.quantile_ns(q), "q = {q}");
-        }
-        assert_eq!(merged.mean_ns(), whole.mean_ns());
-
-        // Merging an empty histogram is the identity; merging into an
-        // empty histogram copies.
-        let before = merged.clone();
-        merged.merge(&LatencyHistogram::default());
-        assert_eq!(merged, before);
-        let mut empty = LatencyHistogram::default();
-        empty.merge(&whole);
-        assert_eq!(empty, whole);
-    }
-
-    #[test]
     fn search_ctl_tracks_incumbent_and_budget() {
         let ctl = SearchCtl::unlimited().with_budget(3);
         ctl.observe(10.0);
@@ -706,10 +489,27 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_score_is_a_failed_observation_not_a_perfect_one() {
+        let ctl = SearchCtl::unlimited().with_target_ns(1.0);
+        ctl.observe(f64::NAN);
+        assert!(!ctl.is_cancelled(), "NaN is not a reached target");
+        assert_eq!(ctl.best_ns(), f64::INFINITY, "nor an incumbent");
+        assert_eq!(ctl.evals(), 1, "but it is an evaluation spent");
+
+        // Nor does it reset the stall counter.
+        let ctl = SearchCtl::unlimited().with_stall(2);
+        ctl.observe(5.0);
+        ctl.observe(f64::NAN);
+        assert!(!ctl.is_cancelled());
+        ctl.observe(6.0);
+        assert!(ctl.is_cancelled(), "two evals without improvement");
+    }
+
+    #[test]
     fn counting_evaluator_publishes_to_ctl() {
-        let ctl = Arc::new(SearchCtl::unlimited());
+        let ctl = SearchCtl::unlimited();
         let f = |rows: &[usize]| rows[0] as f64;
-        let c = CountingEvaluator::new(&f, 1, Some(Arc::clone(&ctl)));
+        let c = CountingEvaluator::new(&f, 1, Some(&ctl));
         c.eval_ns(&[8]);
         c.eval_ns(&[3]);
         assert_eq!(ctl.best_ns(), 3.0);
@@ -720,7 +520,7 @@ mod tests {
 
         // Failures publish the penalty score without improving the best.
         let failing = FallibleFn(|_: &[usize]| Err(EvalError("down".into())));
-        let c = CountingEvaluator::new(&failing, 1, Some(Arc::clone(&ctl)));
+        let c = CountingEvaluator::new(&failing, 1, Some(&ctl));
         let _ = c.try_eval_ns(&[1]);
         assert_eq!(ctl.evals(), 3);
         assert_eq!(ctl.best_ns(), 3.0);
@@ -732,7 +532,7 @@ mod tests {
     /// pinning the retry/poison seams.
     struct SyntheticModel {
         weights: Vec<f64>,
-        rank_cost_calls: AtomicUsize,
+        rank_cost_calls: Cell<usize>,
         fail_every: usize,
     }
 
@@ -740,7 +540,7 @@ mod tests {
         fn new(weights: Vec<f64>) -> Self {
             SyntheticModel {
                 weights,
-                rank_cost_calls: AtomicUsize::new(0),
+                rank_cost_calls: Cell::new(0),
                 fail_every: 0,
             }
         }
@@ -774,7 +574,8 @@ mod tests {
         }
 
         fn rank_cost(&self, rank: usize, rows: usize, out: &mut [f64]) -> Result<(), EvalError> {
-            let n = self.rank_cost_calls.fetch_add(1, Ordering::Relaxed) + 1;
+            let n = self.rank_cost_calls.get() + 1;
+            self.rank_cost_calls.set(n);
             if self.fail_every > 0 && n.is_multiple_of(self.fail_every) {
                 return Err(EvalError("injected leaf fault".into()));
             }
@@ -799,11 +600,11 @@ mod tests {
     #[test]
     fn delta_paths_count_once_per_logical_candidate() {
         // The double-count seam fix, pinned: cold full evals, delta
-        // fast paths, and memo hits each settle exactly one count, one
-        // latency sample, and one ctl observation.
+        // fast paths, and memo hits each settle exactly one count and
+        // one ctl observation.
         let model = SyntheticModel::new(vec![1.0, 2.0, 3.0, 4.0]);
-        let ctl = Arc::new(SearchCtl::unlimited());
-        let c = CountingEvaluator::new(&model, 1, Some(Arc::clone(&ctl)));
+        let ctl = SearchCtl::unlimited();
+        let c = CountingEvaluator::new(&model, 1, Some(&ctl));
 
         let base = [10usize, 10, 10, 10];
         let a = c.try_eval_ns(&base).unwrap();
@@ -816,14 +617,13 @@ mod tests {
         assert_eq!(b2.to_bits(), b.to_bits());
 
         assert_eq!(c.count(), 3, "three logical candidates");
-        assert_eq!(c.eval_latency().count, 3, "one latency sample each");
         assert_eq!(ctl.evals(), 3, "one ctl observation each");
         let d = c.delta_stats();
         assert_eq!(d.full_evals, 1, "only the cold start was full");
         assert_eq!(d.delta_hits, 2, "partial reuse + memo hit");
         assert_eq!(d.fallback_cold, 1);
         // Cold: 4 rank_cost calls; shifted: 2 dirty ranks; memo: 0.
-        assert_eq!(model.rank_cost_calls.load(Ordering::Relaxed), 6);
+        assert_eq!(model.rank_cost_calls.get(), 6);
         // Partial eval reused 2 of 4 leaves; memo hit reused all 4.
         assert_eq!(d.terms_reused, 2 + 4);
     }
@@ -833,14 +633,14 @@ mod tests {
         // rank_cost fails on its 3rd call: the cold eval of a 2-rank
         // distribution survives, the next candidate's first attempt
         // dies mid-leaf (poisoning the cache), and the retry — now
-        // cold again — succeeds. Still exactly one count, one latency
-        // sample, and one ctl observation per logical candidate.
+        // cold again — succeeds. Still exactly one count and one ctl
+        // observation per logical candidate.
         let model = SyntheticModel {
             fail_every: 3,
             ..SyntheticModel::new(vec![1.0, 2.0])
         };
-        let ctl = Arc::new(SearchCtl::unlimited());
-        let c = CountingEvaluator::new(&model, 2, Some(Arc::clone(&ctl)));
+        let ctl = SearchCtl::unlimited();
+        let c = CountingEvaluator::new(&model, 2, Some(&ctl));
 
         let base = [8usize, 8];
         assert!(c.try_eval_ns(&base).is_ok());
@@ -851,7 +651,6 @@ mod tests {
         assert_eq!(c.count(), 2, "retry spends no budget");
         assert_eq!(c.retries(), 1);
         assert_eq!(c.failed(), 0);
-        assert_eq!(c.eval_latency().count, 2);
         assert_eq!(ctl.evals(), 2);
         let d = c.delta_stats();
         assert_eq!(d.fallback_error, 1, "the poisoned attempt");

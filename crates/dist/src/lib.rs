@@ -22,9 +22,7 @@ pub mod spectrum;
 
 pub use anchors::{bal, blk, ic, ic_bal, AnchorInputs};
 pub use delta::{DeltaEvaluator, DeltaModel, DeltaSession, DeltaStats};
-pub use fitness::{
-    CountingEvaluator, EvalError, Evaluator, FallibleFn, LatencyHistogram, SearchCtl,
-};
+pub use fitness::{EvalError, Evaluator, FallibleFn};
 pub use genblock::{GenBlock, GenBlockError};
 pub use online::{OnlinePolicy, Replan};
 pub use redistribution::{

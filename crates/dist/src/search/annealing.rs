@@ -1,7 +1,5 @@
 //! Simulated annealing over raw `GEN_BLOCK` vectors.
 
-use std::sync::Arc;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,12 +18,9 @@ pub struct AnnealingConfig {
     pub cooling: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Attempts per evaluation (1 = fail fast; see
-    /// [`CountingEvaluator::new`]).
+    /// Attempts per evaluation before a failure's infinite penalty
+    /// score goes through (clamped to at least one; 1 = fail fast).
     pub eval_retries: u32,
-    /// Optional shared portfolio control (incumbent + cancellation);
-    /// see [`SearchCtl`].
-    pub ctl: Option<Arc<SearchCtl>>,
 }
 
 impl Default for AnnealingConfig {
@@ -36,7 +31,6 @@ impl Default for AnnealingConfig {
             cooling: 0.97,
             seed: 0xA11EA1,
             eval_retries: 1,
-            ctl: None,
         }
     }
 }
@@ -47,7 +41,18 @@ pub fn simulated_annealing<E: Evaluator + ?Sized>(
     eval: &E,
     cfg: AnnealingConfig,
 ) -> SearchOutcome {
-    let counter = CountingEvaluator::new(eval, cfg.eval_retries, cfg.ctl.clone());
+    run(start, eval, &cfg, None)
+}
+
+/// [`simulated_annealing`], publishing every evaluation to the
+/// portfolio's control block when one is running it.
+pub(crate) fn run<E: Evaluator + ?Sized>(
+    start: &GenBlock,
+    eval: &E,
+    cfg: &AnnealingConfig,
+    ctl: Option<&SearchCtl>,
+) -> SearchOutcome {
+    let counter = CountingEvaluator::new(eval, cfg.eval_retries, ctl);
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let n = start.len();

@@ -8,8 +8,6 @@
 //! (golden-section refinement) inside the legs adjacent to the best
 //! anchor.
 
-use std::sync::Arc;
-
 use crate::fitness::{CountingEvaluator, Evaluator, SearchCtl};
 use crate::search::{outcome, History, SearchOutcome};
 use crate::spectrum::SpectrumPath;
@@ -21,12 +19,9 @@ pub struct GbsConfig {
     pub max_evals: usize,
     /// Stop when the bracket is narrower than this fraction of a leg.
     pub tolerance: f64,
-    /// Attempts per evaluation (1 = fail fast; see
-    /// [`CountingEvaluator::new`]).
+    /// Attempts per evaluation before a failure's infinite penalty
+    /// score goes through (clamped to at least one; 1 = fail fast).
     pub eval_retries: u32,
-    /// Optional shared portfolio control (incumbent + cancellation);
-    /// see [`SearchCtl`].
-    pub ctl: Option<Arc<SearchCtl>>,
 }
 
 impl Default for GbsConfig {
@@ -35,7 +30,6 @@ impl Default for GbsConfig {
             max_evals: 64,
             tolerance: 0.02,
             eval_retries: 1,
-            ctl: None,
         }
     }
 }
@@ -46,7 +40,18 @@ pub fn gbs_search<E: Evaluator + ?Sized>(
     eval: &E,
     cfg: GbsConfig,
 ) -> SearchOutcome {
-    let counter = CountingEvaluator::new(eval, cfg.eval_retries, cfg.ctl.clone());
+    run(path, eval, &cfg, None)
+}
+
+/// [`gbs_search`], publishing every evaluation to the portfolio's
+/// control block when one is running it.
+pub(crate) fn run<E: Evaluator + ?Sized>(
+    path: &SpectrumPath,
+    eval: &E,
+    cfg: &GbsConfig,
+    ctl: Option<&SearchCtl>,
+) -> SearchOutcome {
+    let counter = CountingEvaluator::new(eval, cfg.eval_retries, ctl);
     let mut history = History::new();
     let legs = path.legs().max(1) as f64;
 

@@ -4,8 +4,6 @@
 //! row counts and re-apportions to restore the exact total; mutation
 //! moves rows between nodes. Tournament selection with elitism.
 
-use std::sync::Arc;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,12 +22,9 @@ pub struct GeneticConfig {
     pub mutation_rate: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Attempts per evaluation (1 = fail fast; see
-    /// [`CountingEvaluator::new`]).
+    /// Attempts per evaluation before a failure's infinite penalty
+    /// score goes through (clamped to at least one; 1 = fail fast).
     pub eval_retries: u32,
-    /// Optional shared portfolio control (incumbent + cancellation);
-    /// see [`SearchCtl`].
-    pub ctl: Option<Arc<SearchCtl>>,
 }
 
 impl Default for GeneticConfig {
@@ -40,7 +35,6 @@ impl Default for GeneticConfig {
             mutation_rate: 0.4,
             seed: 0x6E6E6E,
             eval_retries: 1,
-            ctl: None,
         }
     }
 }
@@ -54,8 +48,21 @@ pub fn genetic_search<E: Evaluator + ?Sized>(
     eval: &E,
     cfg: GeneticConfig,
 ) -> SearchOutcome {
+    run(total, n, seeds, eval, &cfg, None)
+}
+
+/// [`genetic_search`], publishing every evaluation to the portfolio's
+/// control block when one is running it.
+pub(crate) fn run<E: Evaluator + ?Sized>(
+    total: usize,
+    n: usize,
+    seeds: &[GenBlock],
+    eval: &E,
+    cfg: &GeneticConfig,
+    ctl: Option<&SearchCtl>,
+) -> SearchOutcome {
     assert!(total >= n, "need at least one row per node");
-    let counter = CountingEvaluator::new(eval, cfg.eval_retries, cfg.ctl.clone());
+    let counter = CountingEvaluator::new(eval, cfg.eval_retries, ctl);
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 

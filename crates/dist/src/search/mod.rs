@@ -19,7 +19,7 @@ pub use portfolio::{portfolio_search, PortfolioConfig, PortfolioOutcome, Strateg
 pub use random::{random_search, RandomConfig};
 
 use crate::delta::DeltaStats;
-use crate::fitness::{CountingEvaluator, EvalError, LatencyHistogram};
+use crate::fitness::{CountingEvaluator, EvalError};
 use crate::genblock::GenBlock;
 
 /// One point on a search's convergence curve, recorded after every
@@ -60,9 +60,6 @@ pub struct SearchOutcome {
     pub last_failure: Option<EvalError>,
     /// Convergence curve: one [`IterPoint`] per evaluation, in order.
     pub history: Vec<IterPoint>,
-    /// Wall-clock latency histogram of the evaluator calls (the
-    /// paper's per-evaluation cost axis: p50/p95/p99 in ns).
-    pub eval_latency: LatencyHistogram,
     /// Incremental-evaluation tallies (all zero when the evaluator has
     /// no incremental support).
     pub delta: DeltaStats,
@@ -128,7 +125,6 @@ pub(crate) fn outcome(
         retried_evals: counter.retries(),
         last_failure: counter.last_error(),
         history: history.points,
-        eval_latency: counter.eval_latency(),
         delta: counter.delta_stats(),
     }
 }

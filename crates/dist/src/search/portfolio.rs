@@ -1,25 +1,33 @@
-//! Portfolio search: all four strategies racing on worker threads.
+//! Portfolio search: all four strategies, one after another on the
+//! caller's thread.
 //!
-//! Each strategy gets the same per-strategy evaluation budget and a
-//! shared [`SearchCtl`] through which every evaluation publishes its
-//! score. The control block maintains the atomic incumbent-best across
-//! the whole portfolio and — when a budget, stall, or target criterion
-//! is configured — cancels the straggler strategies cooperatively.
+//! Each strategy gets the same per-strategy evaluation budget and
+//! scores through the portfolio's control block (`SearchCtl`), to which
+//! every evaluation publishes its score. The control block keeps the
+//! incumbent-best across the whole portfolio and — when a budget,
+//! stall, or target criterion is configured — cancels the running
+//! strategy and the ones still to run. GBS spends first, then genetic,
+//! annealing and random ([`Strategy::ALL`] order), so a search cut
+//! short is GBS first — the strategy that finds the best-known point
+//! soonest — plus what fit of the others; a strategy reached after the
+//! cut still scores its starting candidates.
 //!
 //! With every cancellation criterion disabled (the default), each
 //! strategy runs to its own budget exactly as it would standalone, so
-//! the portfolio result is deterministic and never worse than the best
-//! single strategy at the same per-strategy budget.
+//! the portfolio result is never worse than the best single strategy
+//! at the same per-strategy budget. An evaluation costs about a
+//! microsecond, which is why there are no threads here: spawning four
+//! costs more than they save, and one thread makes the result under
+//! the evaluation-counting criteria a pure function of the request.
 
-use std::sync::Arc;
-use std::thread;
+use std::time::Instant;
 
 use crate::delta::DeltaStats;
-use crate::fitness::{Evaluator, LatencyHistogram, SearchCtl};
+use crate::fitness::{Evaluator, SearchCtl};
 use crate::genblock::GenBlock;
 use crate::search::{
-    gbs_search, genetic_search, random_search, simulated_annealing, AnnealingConfig, GbsConfig,
-    GeneticConfig, RandomConfig, SearchOutcome,
+    annealing, gbs, genetic, random, AnnealingConfig, GbsConfig, GeneticConfig, RandomConfig,
+    SearchOutcome,
 };
 use crate::spectrum::SpectrumPath;
 
@@ -62,13 +70,13 @@ impl Strategy {
 pub struct PortfolioConfig {
     /// Evaluation budget granted to *each* strategy.
     pub max_evals_per_strategy: usize,
-    /// Attempts per evaluation (see
-    /// [`CountingEvaluator::new`](crate::fitness::CountingEvaluator::new)).
+    /// Attempts per evaluation before a failure's infinite penalty
+    /// score goes through (clamped to at least one; 1 = fail fast).
     pub eval_retries: u32,
     /// Base RNG seed; each stochastic strategy derives its own from it.
     pub seed: u64,
     /// Cancel everything once the *combined* evaluation count reaches
-    /// this (0 disables; disabling keeps the portfolio deterministic).
+    /// this (0 disables).
     pub max_total_evals: usize,
     /// Cancel once this many combined evaluations pass without an
     /// incumbent improvement (0 disables).
@@ -77,11 +85,11 @@ pub struct PortfolioConfig {
     /// disables).
     pub target_ns: f64,
     /// Cancel once the wall clock reaches this instant (`None`
-    /// disables; a set deadline makes results timing-dependent, like
-    /// the other cancellation criteria). The portfolio still returns
-    /// its incumbent-best, so an expired deadline degrades the answer
-    /// instead of discarding it.
-    pub deadline: Option<std::time::Instant>,
+    /// disables). The only criterion that makes a result
+    /// timing-dependent: the other three count evaluations. The
+    /// portfolio still returns its incumbent-best, so an expired
+    /// deadline degrades the answer instead of discarding it.
+    pub deadline: Option<Instant>,
 }
 
 impl Default for PortfolioConfig {
@@ -105,10 +113,11 @@ pub struct StrategyRun {
     pub strategy: Strategy,
     /// Its full standalone outcome (possibly truncated by cancellation).
     pub outcome: SearchOutcome,
-    /// When this strategy's thread started, wall-clock ns after the
-    /// portfolio launched (observability only; not deterministic).
+    /// When this strategy started, wall-clock ns after the portfolio
+    /// launched — where the previous one ended (observability only;
+    /// not deterministic).
     pub started_ns: u64,
-    /// How long the thread ran, wall-clock ns.
+    /// How long it ran, wall-clock ns.
     pub elapsed_ns: u64,
 }
 
@@ -124,8 +133,6 @@ pub struct PortfolioOutcome {
     pub runs: Vec<StrategyRun>,
     /// Combined evaluator calls across all strategies.
     pub total_evals: usize,
-    /// Bucket-exact merge of every strategy's evaluation latency.
-    pub eval_latency: LatencyHistogram,
     /// Exact sum of every strategy's incremental-evaluation tallies
     /// (random's samples share nothing with a base, so they land in
     /// `fallback_all_dirty`).
@@ -138,10 +145,10 @@ pub struct PortfolioOutcome {
     pub deadline_hit: bool,
 }
 
-/// Run GBS, genetic, annealing, and random search concurrently over
-/// `path` against `eval`, sharing an incumbent-best through a
-/// [`SearchCtl`] and cancelling stragglers per `cfg`.
-pub fn portfolio_search<E: Evaluator + Sync + ?Sized>(
+/// Run GBS, genetic, annealing, and random search over `path` against
+/// `eval`, in that order on the caller's thread, tracking the
+/// incumbent-best across them and cutting the search short per `cfg`.
+pub fn portfolio_search<E: Evaluator + ?Sized>(
     path: &SpectrumPath,
     eval: &E,
     cfg: PortfolioConfig,
@@ -151,113 +158,89 @@ pub fn portfolio_search<E: Evaluator + Sync + ?Sized>(
     let n = blk.rows().len();
     let seeds: Vec<GenBlock> = path.anchors().iter().map(|(_, g)| g.clone()).collect();
 
-    let mut ctl = SearchCtl::unlimited();
-    if cfg.max_total_evals > 0 {
-        ctl = ctl.with_budget(cfg.max_total_evals);
-    }
-    if cfg.stall_evals > 0 {
-        ctl = ctl.with_stall(cfg.stall_evals);
-    }
-    if cfg.target_ns > 0.0 {
-        ctl = ctl.with_target_ns(cfg.target_ns);
-    }
-    if let Some(deadline) = cfg.deadline {
-        ctl = ctl.with_deadline(deadline);
-    }
-    let ctl = Arc::new(ctl);
+    let ctl = SearchCtl::unlimited()
+        .with_budget(cfg.max_total_evals)
+        .with_stall(cfg.stall_evals)
+        .with_target_ns(cfg.target_ns)
+        .with_deadline(cfg.deadline);
     // An already-expired deadline cancels before the first evaluation:
-    // each strategy still contributes its cheap starting candidate, so
+    // each strategy still contributes its cheap starting candidates, so
     // even a zero-budget call returns a usable (if degraded) incumbent.
     ctl.poll_deadline();
 
+    let (max_evals, eval_retries) = (cfg.max_evals_per_strategy, cfg.eval_retries);
     let run = |strategy: Strategy| -> SearchOutcome {
-        let ctl = Some(Arc::clone(&ctl));
+        let ctl = Some(&ctl);
         match strategy {
-            Strategy::Gbs => gbs_search(
+            Strategy::Gbs => gbs::run(
                 path,
                 eval,
-                GbsConfig {
-                    max_evals: cfg.max_evals_per_strategy,
-                    eval_retries: cfg.eval_retries,
-                    ctl,
+                &GbsConfig {
+                    max_evals,
+                    eval_retries,
                     ..GbsConfig::default()
                 },
+                ctl,
             ),
-            Strategy::Genetic => genetic_search(
+            Strategy::Genetic => genetic::run(
                 total,
                 n,
                 &seeds,
                 eval,
-                GeneticConfig {
-                    max_evals: cfg.max_evals_per_strategy,
-                    eval_retries: cfg.eval_retries,
+                &GeneticConfig {
+                    max_evals,
+                    eval_retries,
                     seed: cfg.seed ^ 0x6E6E,
-                    ctl,
                     ..GeneticConfig::default()
                 },
+                ctl,
             ),
-            Strategy::Annealing => simulated_annealing(
+            Strategy::Annealing => annealing::run(
                 &blk,
                 eval,
-                AnnealingConfig {
-                    max_evals: cfg.max_evals_per_strategy,
-                    eval_retries: cfg.eval_retries,
+                &AnnealingConfig {
+                    max_evals,
+                    eval_retries,
                     seed: cfg.seed ^ 0xA11E,
-                    ctl,
                     ..AnnealingConfig::default()
                 },
+                ctl,
             ),
-            Strategy::Random => random_search(
+            Strategy::Random => random::run(
                 total,
                 n,
                 eval,
-                RandomConfig {
-                    max_evals: cfg.max_evals_per_strategy,
-                    eval_retries: cfg.eval_retries,
+                &RandomConfig {
+                    max_evals,
+                    eval_retries,
                     seed: cfg.seed ^ 0x7A9D,
-                    ctl,
                 },
+                ctl,
             ),
         }
     };
 
-    // Wall-clock span of each strategy thread, for the serving layer's
-    // trace export. Purely observational: nothing downstream of the
-    // outcome depends on these.
-    let t0 = std::time::Instant::now();
-    let outcomes: Vec<(SearchOutcome, u64, u64)> = thread::scope(|scope| {
-        let handles: Vec<_> = Strategy::ALL
-            .iter()
-            .map(|&s| {
-                scope.spawn(move || {
-                    let started_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    let out = run(s);
-                    let ended_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    (out, started_ns, ended_ns.saturating_sub(started_ns))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    });
-
+    // Wall-clock span of each strategy, for the serving layer's trace
+    // export. Purely observational: nothing downstream of the outcome
+    // depends on these.
+    let t0 = Instant::now();
+    let mut now_ns = 0;
     let runs: Vec<StrategyRun> = Strategy::ALL
         .iter()
-        .zip(outcomes)
-        .map(
-            |(&strategy, (outcome, started_ns, elapsed_ns))| StrategyRun {
+        .map(|&strategy| {
+            let started_ns = now_ns;
+            let outcome = run(strategy);
+            now_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            StrategyRun {
                 strategy,
                 outcome,
                 started_ns,
-                elapsed_ns,
-            },
-        )
+                elapsed_ns: now_ns - started_ns,
+            }
+        })
         .collect();
 
-    // Strict `<` keeps the earliest strategy on ties, so the winner is
-    // deterministic regardless of thread scheduling.
+    // Strict `<` keeps the earliest strategy on ties.
     let mut winner = 0;
     for (i, r) in runs.iter().enumerate().skip(1) {
         if r.outcome.score_ns < runs[winner].outcome.score_ns {
@@ -265,11 +248,9 @@ pub fn portfolio_search<E: Evaluator + Sync + ?Sized>(
         }
     }
 
-    let mut eval_latency = LatencyHistogram::default();
     let mut total_evals = 0;
     let mut delta = DeltaStats::default();
     for r in &runs {
-        eval_latency.merge(&r.outcome.eval_latency);
         total_evals += r.outcome.evaluations;
         delta.merge(&r.outcome.delta);
     }
@@ -279,7 +260,6 @@ pub fn portfolio_search<E: Evaluator + Sync + ?Sized>(
         best: runs[winner].outcome.clone(),
         runs,
         total_evals,
-        eval_latency,
         delta,
         cancelled: ctl.is_cancelled(),
         deadline_hit: ctl.deadline_hit(),
@@ -290,6 +270,7 @@ pub fn portfolio_search<E: Evaluator + Sync + ?Sized>(
 mod tests {
     use super::*;
     use crate::anchors::AnchorInputs;
+    use crate::search::{gbs_search, genetic_search, random_search, simulated_annealing};
 
     fn path() -> SpectrumPath {
         SpectrumPath::new(&AnchorInputs {
@@ -300,7 +281,7 @@ mod tests {
     }
 
     /// Smooth landscape with a unique minimum away from `Blk`.
-    fn quadratic(target: Vec<usize>) -> impl Fn(&[usize]) -> f64 + Sync {
+    fn quadratic(target: Vec<usize>) -> impl Fn(&[usize]) -> f64 {
         move |rows: &[usize]| {
             rows.iter()
                 .zip(&target)
@@ -412,8 +393,8 @@ mod tests {
             },
         );
         assert!(out.cancelled);
-        // Each of the four workers may overshoot by at most the one
-        // evaluation in flight when the flag trips.
+        // Each strategy reached after the cut still scores its cheap
+        // starting candidates.
         assert!(
             out.total_evals <= 64 + 2 * Strategy::ALL.len(),
             "total {}",
@@ -423,10 +404,66 @@ mod tests {
     }
 
     #[test]
-    fn merged_latency_counts_every_evaluation() {
+    fn a_portfolio_under_any_evaluation_criterion_is_a_pure_function() {
         let p = path();
         let f = quadratic(vec![120, 60, 44, 32]);
-        let out = portfolio_search(&p, &f, PortfolioConfig::default());
-        assert_eq!(out.eval_latency.count, out.total_evals as u64);
+        let base = PortfolioConfig {
+            max_evals_per_strategy: 200,
+            ..PortfolioConfig::default()
+        };
+        let cases = [
+            PortfolioConfig {
+                max_total_evals: 100,
+                ..base.clone()
+            },
+            PortfolioConfig {
+                stall_evals: 12,
+                ..base.clone()
+            },
+            PortfolioConfig {
+                target_ns: 40.0,
+                ..base.clone()
+            },
+            PortfolioConfig {
+                deadline: Some(Instant::now()),
+                ..base
+            },
+        ];
+        /// Every history point of a run, by bit pattern.
+        fn bits(o: &SearchOutcome) -> Vec<(usize, u64, u64)> {
+            o.history
+                .iter()
+                .map(|h| (h.evals, h.best_ns.to_bits(), h.mean_ns.to_bits()))
+                .collect()
+        }
+        for cfg in cases {
+            let first = portfolio_search(&p, &f, cfg.clone());
+            assert!(first.cancelled, "{cfg:?} never tripped");
+            let order: Vec<Strategy> = first.runs.iter().map(|r| r.strategy).collect();
+            assert_eq!(order, Strategy::ALL);
+            for pair in first.runs.windows(2) {
+                assert_eq!(
+                    pair[1].started_ns,
+                    pair[0].started_ns + pair[0].elapsed_ns,
+                    "the strategies run back to back"
+                );
+            }
+            for _ in 1..16 {
+                let again = portfolio_search(&p, &f, cfg.clone());
+                assert_eq!(again.winner, first.winner, "{cfg:?}");
+                assert_eq!(again.best.best, first.best.best, "{cfg:?}");
+                assert_eq!(
+                    again.best.score_ns.to_bits(),
+                    first.best.score_ns.to_bits(),
+                    "{cfg:?}"
+                );
+                assert_eq!(again.total_evals, first.total_evals, "{cfg:?}");
+                assert_eq!(again.cancelled, first.cancelled, "{cfg:?}");
+                for (a, b) in again.runs.iter().zip(&first.runs) {
+                    assert_eq!(a.outcome.evaluations, b.outcome.evaluations, "{cfg:?}");
+                    assert_eq!(bits(&a.outcome), bits(&b.outcome), "{cfg:?}");
+                }
+            }
+        }
     }
 }

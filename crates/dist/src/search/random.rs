@@ -1,8 +1,6 @@
 //! Random search baseline: sample distributions from a Dirichlet-like
 //! prior (exponential weights, apportioned) and keep the best.
 
-use std::sync::Arc;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,12 +15,9 @@ pub struct RandomConfig {
     pub max_evals: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Attempts per evaluation (1 = fail fast; see
-    /// [`CountingEvaluator::new`]).
+    /// Attempts per evaluation before a failure's infinite penalty
+    /// score goes through (clamped to at least one; 1 = fail fast).
     pub eval_retries: u32,
-    /// Optional shared portfolio control (incumbent + cancellation);
-    /// see [`SearchCtl`].
-    pub ctl: Option<Arc<SearchCtl>>,
 }
 
 impl Default for RandomConfig {
@@ -31,7 +26,6 @@ impl Default for RandomConfig {
             max_evals: 200,
             seed: 0x7A9D0,
             eval_retries: 1,
-            ctl: None,
         }
     }
 }
@@ -43,8 +37,20 @@ pub fn random_search<E: Evaluator + ?Sized>(
     eval: &E,
     cfg: RandomConfig,
 ) -> SearchOutcome {
+    run(total, n, eval, &cfg, None)
+}
+
+/// [`random_search`], publishing every evaluation to the portfolio's
+/// control block when one is running it.
+pub(crate) fn run<E: Evaluator + ?Sized>(
+    total: usize,
+    n: usize,
+    eval: &E,
+    cfg: &RandomConfig,
+    ctl: Option<&SearchCtl>,
+) -> SearchOutcome {
     assert!(total >= n, "need at least one row per node");
-    let counter = CountingEvaluator::new(eval, cfg.eval_retries, cfg.ctl.clone());
+    let counter = CountingEvaluator::new(eval, cfg.eval_retries, ctl);
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 

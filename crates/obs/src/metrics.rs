@@ -96,10 +96,134 @@ impl RankBreakdown {
     }
 }
 
-/// The power-of-two-bucketed latency histogram (nanoseconds) of
-/// [`Metrics::histograms`]: the workspace's one log₂ histogram type,
-/// under the name this crate has always exported it by.
-pub use mheta_dist::LatencyHistogram as Histogram;
+/// The workspace's one log₂-bucketed latency histogram (nanoseconds):
+/// the type of [`Metrics::histograms`] (virtual time) and of the
+/// serving layer's per-stage latencies (wall clock).
+///
+/// Bucket `i` counts samples in `[2^(i-1), 2^i)` ns, with bucket 0
+/// counting zero-valued samples; 65 buckets cover the full `u64`
+/// range. Quantiles are bucket-resolution approximations (upper bucket
+/// bound), which is plenty for an order-of-magnitude latency claim.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Histogram {
+    /// Per-bucket sample counts (65 buckets).
+    pub buckets: Vec<u64>,
+    /// Number of samples.
+    pub count: u64,
+    /// Sum of all samples, ns.
+    pub sum_ns: u64,
+    /// Smallest sample, ns (0 when empty).
+    pub min_ns: u64,
+    /// Largest sample, ns (0 when empty).
+    pub max_ns: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: vec![0; 65],
+            count: 0,
+            sum_ns: 0,
+            min_ns: 0,
+            max_ns: 0,
+        }
+    }
+}
+
+impl Histogram {
+    /// Record one sample.
+    pub fn record(&mut self, ns: u64) {
+        let idx = if ns == 0 {
+            0
+        } else {
+            64 - ns.leading_zeros() as usize
+        };
+        self.buckets[idx] += 1;
+        if self.count == 0 {
+            self.min_ns = ns;
+            self.max_ns = ns;
+        } else {
+            self.min_ns = self.min_ns.min(ns);
+            self.max_ns = self.max_ns.max(ns);
+        }
+        self.count += 1;
+        self.sum_ns = self.sum_ns.saturating_add(ns);
+    }
+
+    /// Mean sample, ns (0 when empty).
+    #[must_use]
+    pub fn mean_ns(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_ns as f64 / self.count as f64
+        }
+    }
+
+    /// Upper bound of the bucket containing the `q`-quantile
+    /// (`0.0 ≤ q ≤ 1.0`, the top bucket's bound saturating at
+    /// `u64::MAX`); 0 when empty.
+    #[must_use]
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return match i {
+                    0 => 0,
+                    64 => u64::MAX,
+                    _ => 1u64 << i,
+                };
+            }
+        }
+        self.max_ns
+    }
+
+    /// Median latency, ns.
+    #[must_use]
+    pub fn p50_ns(&self) -> u64 {
+        self.quantile_ns(0.50)
+    }
+
+    /// 95th-percentile latency, ns.
+    #[must_use]
+    pub fn p95_ns(&self) -> u64 {
+        self.quantile_ns(0.95)
+    }
+
+    /// 99th-percentile latency, ns.
+    #[must_use]
+    pub fn p99_ns(&self) -> u64 {
+        self.quantile_ns(0.99)
+    }
+
+    /// Fold `other` into `self`, bucket-wise. Because the buckets are
+    /// plain counts, merging per-worker histograms is *exact*: the
+    /// merged histogram is bitwise-identical to one histogram that had
+    /// recorded every sample itself, so quantiles aggregate without
+    /// approximation.
+    pub fn merge(&mut self, other: &Histogram) {
+        if other.count == 0 {
+            return;
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        if self.count == 0 {
+            self.min_ns = other.min_ns;
+            self.max_ns = other.max_ns;
+        } else {
+            self.min_ns = self.min_ns.min(other.min_ns);
+            self.max_ns = self.max_ns.max(other.max_ns);
+        }
+        self.count += other.count;
+        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
+    }
+}
 
 /// The metrics registry for one run: per-rank breakdowns, named
 /// counters, and named latency histograms. Keys are sorted (`BTreeMap`)
@@ -490,6 +614,44 @@ mod tests {
         assert_eq!(h.sum_ns, u64::MAX, "the sum saturates");
         assert_eq!(h.quantile_ns(1.0), u64::MAX, "the top bucket's bound");
         assert!(h.mean_ns().is_finite());
+    }
+
+    #[test]
+    fn merged_histograms_match_recording_into_one() {
+        // Split one sample stream across three per-worker histograms,
+        // merge, and require bitwise equality with a single histogram
+        // that recorded every sample — quantiles included.
+        let samples: Vec<u64> = (0..200u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9) % 1_000_000)
+            .collect();
+        let mut whole = Histogram::default();
+        let mut parts = [
+            Histogram::default(),
+            Histogram::default(),
+            Histogram::default(),
+        ];
+        for (i, &s) in samples.iter().enumerate() {
+            whole.record(s);
+            parts[i % 3].record(s);
+        }
+        let mut merged = Histogram::default();
+        for p in &parts {
+            merged.merge(p);
+        }
+        assert_eq!(merged, whole, "bucket-wise sum is exact");
+        for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
+            assert_eq!(merged.quantile_ns(q), whole.quantile_ns(q), "q = {q}");
+        }
+        assert_eq!(merged.mean_ns(), whole.mean_ns());
+
+        // Merging an empty histogram is the identity; merging into an
+        // empty histogram copies.
+        let before = merged.clone();
+        merged.merge(&Histogram::default());
+        assert_eq!(merged, before);
+        let mut empty = Histogram::default();
+        empty.merge(&whole);
+        assert_eq!(empty, whole);
     }
 
     #[test]

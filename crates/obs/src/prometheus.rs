@@ -8,10 +8,10 @@
 //! * counters keep their registry name, sanitized
 //!   (`events.disk_read` → `mheta_events_disk_read_total`);
 //! * per-rank time buckets and memory peaks become labeled gauges;
-//! * the log₂ [`Histogram`]s / `LatencyHistogram`s become cumulative
-//!   `le`-bucketed Prometheus histograms in **seconds** (bucket `i`'s
-//!   upper bound is `2^i` ns), each with the mandatory `_sum` and
-//!   `_count` series and a terminal `le="+Inf"` bucket.
+//! * the log₂ [`Histogram`]s become cumulative `le`-bucketed
+//!   Prometheus histograms in **seconds** (bucket `i`'s upper bound is
+//!   `2^i` ns), each with the mandatory `_sum` and `_count` series and
+//!   a terminal `le="+Inf"` bucket.
 //!
 //! The naming scheme (see DESIGN.md §12): every series starts with
 //! `mheta_`, serving-layer series with `mheta_serve_`; durations are
@@ -22,9 +22,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use mheta_dist::LatencyHistogram;
-
-use crate::metrics::Metrics;
+use crate::metrics::{Histogram, Metrics};
 use crate::service::ServiceMetrics;
 
 /// Incremental builder for one exposition document. Emits `# HELP` /
@@ -295,13 +293,13 @@ pub fn service_text(m: &ServiceMetrics) -> String {
     p.finish()
 }
 
-/// Append one `LatencyHistogram` as a labeled Prometheus histogram.
+/// Append one `Histogram` as a labeled Prometheus histogram.
 pub fn latency_histogram(
     p: &mut PromText,
     name: &str,
     help: &str,
     labels: &[(&str, &str)],
-    h: &LatencyHistogram,
+    h: &Histogram,
 ) {
     p.histogram_log2(name, help, labels, &h.buckets, h.count, h.sum_ns);
 }
@@ -347,7 +345,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_and_complete() {
-        let mut h = LatencyHistogram::default();
+        let mut h = Histogram::default();
         for ns in [0u64, 1, 3, 3, 900, 5_000_000] {
             h.record(ns);
         }

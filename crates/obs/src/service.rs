@@ -3,7 +3,7 @@
 //! The planning service (`mheta-serve`) drives a [`ServiceMetrics`]
 //! registry: lock-free atomic counters for the request-mix tallies
 //! (cache hits, coalesced waits, searches, sheds), per-stage
-//! [`LatencyHistogram`]s (queued / search / total), and a bounded ring
+//! [`Histogram`]s (queued / search / total), and a bounded ring
 //! of [`RequestSpan`]s that exports as a Perfetto request track via
 //! [`ServiceMetrics::perfetto_json`].
 //!
@@ -16,9 +16,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use mheta_dist::{DeltaStats, LatencyHistogram};
+use mheta_dist::DeltaStats;
 
 use crate::json::Value;
+use crate::metrics::Histogram;
 use crate::telemetry::latency_value;
 
 /// How a planning request was ultimately answered.
@@ -50,13 +51,14 @@ impl RequestSource {
     }
 }
 
-/// One strategy thread's contribution to a request's search stage, on
-/// the owning [`ServiceMetrics`] clock.
+/// One portfolio strategy's contribution to a request's search stage,
+/// on the owning [`ServiceMetrics`] clock. The strategies run one after
+/// another on the search's thread, so these never overlap.
 #[derive(Debug, Clone)]
 pub struct StrategySpan {
     /// Strategy name (`"gbs"`, `"genetic"`, `"annealing"`, `"random"`).
     pub name: &'static str,
-    /// When the strategy thread started, ns since metrics creation.
+    /// When the strategy started, ns since metrics creation.
     pub start_ns: u64,
     /// How long it ran.
     pub dur_ns: u64,
@@ -130,9 +132,9 @@ const SPAN_CAP: usize = 4096;
 
 #[derive(Debug, Default)]
 struct Stages {
-    queued: LatencyHistogram,
-    search: LatencyHistogram,
-    total: LatencyHistogram,
+    queued: Histogram,
+    search: Histogram,
+    total: Histogram,
 }
 
 /// Thread-safe metrics registry for one planning service instance.
@@ -370,7 +372,7 @@ impl ServiceMetrics {
     /// Clones of the three stage histograms, labeled — the Prometheus
     /// renderer's view (`queued` / `search` / `total`).
     #[must_use]
-    pub fn stage_histograms(&self) -> [(&'static str, LatencyHistogram); 3] {
+    pub fn stage_histograms(&self) -> [(&'static str, Histogram); 3] {
         let stages = self.stages.lock().expect("stage lock poisoned");
         [
             ("queued", stages.queued.clone()),

@@ -12,14 +12,13 @@
 use std::fmt::Write as _;
 
 use crate::json::{Serialize, Value};
-use mheta_dist::{DeltaStats, LatencyHistogram, SearchOutcome};
+use crate::metrics::Histogram;
+use mheta_dist::{DeltaStats, SearchOutcome};
 
 /// A latency histogram as a JSON value: count, mean, and the
-/// p50/p95/p99 quantiles, in ns. Wall-clock derived, so this part of
-/// the telemetry document varies run to run (everything else is
-/// deterministic for a fixed seed).
+/// p50/p95/p99 quantiles, in ns.
 #[must_use]
-pub fn latency_value(h: &LatencyHistogram) -> Value {
+pub fn latency_value(h: &Histogram) -> Value {
     Value::object(vec![
         ("count", Value::UInt(h.count)),
         ("mean_ns", Value::Float(h.mean_ns())),
@@ -50,7 +49,8 @@ pub fn delta_value(d: &DeltaStats) -> Value {
 
 /// One search's outcome as a JSON value: best distribution, score,
 /// evaluation/failure/retry tallies, delta-evaluation tallies, and the
-/// full convergence curve.
+/// full convergence curve — a pure function of the search's inputs, so
+/// two runs render byte-identical documents.
 #[must_use]
 pub fn search_value(name: &str, out: &SearchOutcome) -> Value {
     Value::object(vec![
@@ -76,7 +76,6 @@ pub fn search_value(name: &str, out: &SearchOutcome) -> Value {
                 None => Value::Null,
             },
         ),
-        ("eval_latency", latency_value(&out.eval_latency)),
         ("delta", delta_value(&out.delta)),
         ("history", out.history.to_value()),
     ])
@@ -169,46 +168,29 @@ mod tests {
         assert!(lines[1].starts_with("random,1,"));
     }
 
-    /// Remove the wall-clock-derived `eval_latency` blocks so the rest
-    /// of the document can be compared for determinism.
-    fn strip_latency(v: Value) -> Value {
-        match v {
-            Value::Object(pairs) => Value::Object(
-                pairs
-                    .into_iter()
-                    .filter(|(k, _)| k != "eval_latency")
-                    .map(|(k, v)| (k, strip_latency(v)))
-                    .collect(),
-            ),
-            Value::Array(items) => Value::Array(items.into_iter().map(strip_latency).collect()),
-            other => other,
-        }
-    }
-
     #[test]
-    fn json_is_deterministic_apart_from_wall_clock_latency() {
-        let a = outcome();
-        let b = outcome();
-        let parse = |out: &SearchOutcome| {
-            strip_latency(crate::json::from_str(&searches_json(&[("random", out)])).unwrap())
-                .to_json()
-        };
-        assert_eq!(parse(&a), parse(&b), "seeded searches export identically");
+    fn json_is_deterministic() {
+        let (a, b) = (outcome(), outcome());
+        assert_eq!(
+            searches_json(&[("random", &a)]),
+            searches_json(&[("random", &b)]),
+            "seeded searches export identically"
+        );
     }
 
     #[test]
     fn latency_block_reports_percentiles() {
-        let out = outcome();
-        let v = search_value("random", &out);
-        let lat = v.get("eval_latency").unwrap();
-        assert_eq!(
-            lat.get("count").unwrap().as_u64(),
-            Some(out.evaluations as u64)
-        );
+        let mut h = Histogram::default();
+        for ns in [3, 40, 500, 6_000, 70_000] {
+            h.record(ns);
+        }
+        let lat = latency_value(&h);
+        assert_eq!(lat.get("count").unwrap().as_u64(), Some(5));
         let p50 = lat.get("p50_ns").unwrap().as_u64().unwrap();
         let p95 = lat.get("p95_ns").unwrap().as_u64().unwrap();
         let p99 = lat.get("p99_ns").unwrap().as_u64().unwrap();
         assert!(p50 <= p95 && p95 <= p99, "quantiles are ordered");
+        assert_eq!(lat.get("max_ns").unwrap().as_u64(), Some(70_000));
         assert!(lat.get("mean_ns").unwrap().as_f64().is_some());
     }
 

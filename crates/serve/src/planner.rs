@@ -39,9 +39,12 @@
 //! deadline is computed once at arrival, rides on the `Request`, and
 //! bounds every stage: a follower's wait
 //! ([`crate::singleflight::Flight::wait_until`]), the dequeue (an
-//! expired job never starts searching), and the search itself
-//! (`SearchCtl` cooperative cancellation). An interrupted search still
-//! returns its best incumbent, flagged [`PlanReply::degraded`];
+//! expired job never starts searching), and the search itself (the
+//! portfolio polls it after every evaluation). The portfolio runs its
+//! strategies in order on the worker's thread, so an interrupted search
+//! still returns its best incumbent — of GBS first, then as much of
+//! genetic, annealing and random as fit — flagged
+//! [`PlanReply::degraded`];
 //! [`PlanError::DeadlineExceeded`] is reserved for the case where no
 //! incumbent exists at all. A degraded plan is never cached
 //! (`Lead::finish`) and never handed to a follower that set no
@@ -60,7 +63,7 @@
 //! Every request carries a [`TraceContext`] ([`Planner::plan`] mints a
 //! root; [`Planner::plan_traced`] accepts one propagated over the
 //! wire). The context is stamped on the request's [`RequestSpan`]
-//! (including per-strategy sub-spans from the portfolio threads), on
+//! (including one sub-span per portfolio strategy, back to back), on
 //! every [`FlightRecorder`] event the request emits, and on the wire
 //! reply — so one `trace_id` connects the client call, the span track,
 //! the flight-recorder dump, and the Perfetto flame. Coalesced
@@ -185,7 +188,8 @@ pub struct PlanReply {
 /// Planner tuning.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Search worker threads.
+    /// Search worker threads — and, since a search runs on its
+    /// worker's thread alone, the number of threads ever searching.
     pub workers: usize,
     /// Bounded executor queue depth; 0 sheds every admission (useful
     /// for deterministic overload tests).
@@ -252,8 +256,7 @@ type SearchFn = dyn Fn(&PlanRequest, Option<Instant>, u64) -> SearchResult + Sen
 
 /// Observability side-channel of one portfolio run.
 struct SearchAux {
-    /// Per-strategy thread spans, offsets relative to the portfolio
-    /// launch.
+    /// Per-strategy spans, offsets relative to the portfolio launch.
     strategies: Vec<StrategySpan>,
     /// Whether a cancellation criterion tripped.
     cancelled: bool,

@@ -16,7 +16,9 @@ use mheta_sim::ClusterSpec;
 /// Portfolio-search parameters of a planning request. A strict subset
 /// of [`PortfolioConfig`] — everything that affects the result, and
 /// nothing that does not — so the canonical hash covers exactly the
-/// semantic search inputs.
+/// semantic search inputs, and a plan is a pure function of them: the
+/// cache stores what a recomputation would produce, whichever of them
+/// are set.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SearchParams {
     /// Evaluation budget granted to each of the four strategies.
@@ -25,9 +27,7 @@ pub struct SearchParams {
     pub eval_retries: u32,
     /// Base RNG seed for the stochastic strategies.
     pub seed: u64,
-    /// Combined-budget cancellation (0 disables; nonzero values make
-    /// results timing-dependent, so cached plans only claim bitwise
-    /// reproducibility when this is 0).
+    /// Combined-budget cancellation (0 disables).
     pub max_total_evals: usize,
     /// Stall-convergence cancellation (0 disables).
     pub stall_evals: usize,

@@ -102,6 +102,70 @@ fn cache_hit_is_bitwise_identical_to_a_fresh_search() {
     );
 }
 
+/// The same holds with an evaluation-counting cancellation criterion
+/// set: the portfolio runs on one thread, so what the cache stores is
+/// what any recomputation produces.
+#[test]
+fn a_cached_plan_is_what_a_recomputation_produces_under_every_search_parameter() {
+    let roomy = SearchParams {
+        max_evals_per_strategy: 400,
+        ..small_request(42).search
+    };
+    let unbounded = Planner::new(PlannerConfig::default())
+        .plan(&PlanRequest {
+            search: roomy.clone(),
+            ..small_request(42)
+        })
+        .unwrap()
+        .plan;
+    let criteria = [
+        SearchParams {
+            max_total_evals: 100,
+            ..roomy.clone()
+        },
+        SearchParams {
+            stall_evals: 40,
+            ..roomy.clone()
+        },
+        SearchParams {
+            target_ns: unbounded.predicted_ns * 1.02,
+            ..roomy
+        },
+    ];
+    for search in criteria {
+        let req = PlanRequest {
+            search,
+            ..small_request(42)
+        };
+        let planner = Planner::new(PlannerConfig::default());
+        let first = planner.plan(&req).unwrap();
+        assert!(
+            first.plan.total_evals < unbounded.total_evals,
+            "{:?} cut nothing short",
+            req.search
+        );
+        assert_eq!(planner.invalidate_cache(), 1);
+        let again = planner.plan(&req).unwrap();
+        let elsewhere = Planner::new(PlannerConfig::default()).plan(&req).unwrap();
+        for other in [&again, &elsewhere] {
+            assert_eq!(other.source.name(), "fresh");
+            assert_eq!(other.plan.rows, first.plan.rows, "{:?}", req.search);
+            assert_eq!(
+                other.plan.predicted_ns.to_bits(),
+                first.plan.predicted_ns.to_bits(),
+                "{:?}",
+                req.search
+            );
+            assert_eq!(other.plan.winner, first.plan.winner, "{:?}", req.search);
+            assert_eq!(
+                other.plan.total_evals, first.plan.total_evals,
+                "{:?}",
+                req.search
+            );
+        }
+    }
+}
+
 #[test]
 fn invalidation_forces_a_fresh_search() {
     let planner = Planner::new(PlannerConfig::default());

@@ -7,7 +7,9 @@
 //! `Mheta::try_eval_ns`. Recording evaluators log the visited-candidate
 //! sequence at the same seam on both arms; the portfolio test
 //! additionally checks that delta evaluation actually engages
-//! (`delta_hits > 0`) while leaving the incumbent unchanged.
+//! (`delta_hits > 0`) while leaving the incumbent unchanged. The last
+//! test pins the portfolio itself: with no cancellation criterion set it
+//! is its four strategies run alone, to the bit.
 
 use std::cell::RefCell;
 
@@ -265,4 +267,73 @@ fn portfolio_delta_engages_without_changing_the_incumbent() {
         "portfolio never hit the delta path"
     );
     assert_eq!(off.delta.total(), 0, "the reference tallies nothing");
+}
+
+/// With every criterion off the portfolio adds nothing to and takes
+/// nothing from its strategies: each run equals the standalone search at
+/// the seed the portfolio derives for it.
+#[test]
+fn the_portfolio_is_its_four_strategies_run_alone() {
+    let (model, total, n) = model();
+    let path = SpectrumPath::new(&mheta::apps::anchor_inputs(&model));
+    let cfg = PortfolioConfig {
+        max_evals_per_strategy: 96,
+        ..PortfolioConfig::default()
+    };
+    let budget = cfg.max_evals_per_strategy;
+    let out = portfolio_search(&path, &model, cfg.clone());
+    assert!(!out.cancelled);
+
+    let blk = path.at(0.0);
+    let seeds: Vec<GenBlock> = path.anchors().iter().map(|(_, g)| g.clone()).collect();
+    let alone = [
+        gbs_search(
+            &path,
+            &model,
+            GbsConfig {
+                max_evals: budget,
+                ..GbsConfig::default()
+            },
+        ),
+        genetic_search(
+            total,
+            n,
+            &seeds,
+            &model,
+            GeneticConfig {
+                max_evals: budget,
+                seed: cfg.seed ^ 0x6E6E,
+                ..GeneticConfig::default()
+            },
+        ),
+        simulated_annealing(
+            &blk,
+            &model,
+            AnnealingConfig {
+                max_evals: budget,
+                seed: cfg.seed ^ 0xA11E,
+                ..AnnealingConfig::default()
+            },
+        ),
+        random_search(
+            total,
+            n,
+            &model,
+            RandomConfig {
+                max_evals: budget,
+                seed: cfg.seed ^ 0x7A9D,
+                ..RandomConfig::default()
+            },
+        ),
+    ];
+    assert_eq!(out.runs.len(), alone.len());
+    for (run, single) in out.runs.iter().zip(&alone) {
+        let what = run.strategy.name();
+        assert_equivalent(&run.outcome, single, what);
+        assert_eq!(run.outcome.delta, single.delta, "{what}: delta tallies");
+    }
+    assert_eq!(
+        out.total_evals,
+        alone.iter().map(|s| s.evaluations).sum::<usize>()
+    );
 }
