@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use mheta_mpi::{model_allreduce_in_place, HopCost, Scope};
+use mheta_mpi::{clock_max, model_allreduce_in_place, HopCost, Scope};
 use mheta_sim::VarId;
 
 use crate::error::ModelError;
@@ -521,6 +521,40 @@ fn stage_terms(
     terms
 }
 
+/// Where the clock propagation charges a section's communication
+/// terms. It is the only thing the two users of
+/// [`Mheta::advance_section`] pass differently: scoring charges nowhere
+/// ([`NoTerms`]), `predict` charges every rank's terms (`[RankTerms]`).
+/// The one routine is monomorphised per sink, so the score path carries
+/// no per-term test and the two agree bitwise by construction — a sink
+/// is written to, never read by the clocks. Every charge defaults to
+/// nothing.
+trait CommSink {
+    /// Endpoint overhead (`o_s` or `o_r`) of `rank` in `section`.
+    fn overhead(&mut self, _rank: usize, _section: usize, _ns: f64) {}
+    /// Time `rank` blocked on a neighbor or pipeline message.
+    fn wait(&mut self, _rank: usize, _section: usize, _ns: f64) {}
+    /// Collective time of `rank`, overheads and waits included.
+    fn collective(&mut self, _rank: usize, _section: usize, _ns: f64) {}
+}
+
+/// The score path's sink: its instance computes no term at all.
+struct NoTerms;
+
+impl CommSink for NoTerms {}
+
+impl CommSink for [RankTerms] {
+    fn overhead(&mut self, rank: usize, section: usize, ns: f64) {
+        self[rank].sections[section].comm.comm_overhead_ns += ns;
+    }
+    fn wait(&mut self, rank: usize, section: usize, ns: f64) {
+        self[rank].sections[section].comm.neighbor_wait_ns += ns;
+    }
+    fn collective(&mut self, rank: usize, section: usize, ns: f64) {
+        self[rank].sections[section].comm.collective_ns += ns;
+    }
+}
+
 /// The per-evaluation buffers of the clock propagation, carved out of
 /// one caller-owned block so a search session allocates them once.
 struct Clocks<'a> {
@@ -708,7 +742,7 @@ impl Mheta {
         }
         let mut block = Vec::new();
         let mut clocks = Clocks::carve(&mut block, rows.len(), self.plan.max_tiles);
-        let iteration_ns = self.propagate(&leaves, &mut clocks, Some(&mut terms), opts);
+        let iteration_ns = self.propagate(&leaves, &mut clocks, terms.as_mut_slice(), opts);
 
         let per_node_ns: Vec<f64> = clocks
             .clock
@@ -849,7 +883,8 @@ impl Mheta {
     /// term detail, so the result is bitwise-identical to
     /// `predict(rows).iteration_ns`. `scratch` is the caller's reusable
     /// buffer block (any contents; grown on first use): with it, this
-    /// call allocates nothing — it is a search session's hot path.
+    /// call allocates nothing — it is a search session's hot path. A
+    /// NaN or +∞ leaf scores non-finite, never as a finite time.
     pub fn score_from_leaves(
         &self,
         rows: &[usize],
@@ -866,7 +901,7 @@ impl Mheta {
             )));
         }
         let mut clocks = Clocks::carve(scratch, rows.len(), self.plan.max_tiles);
-        Ok(self.propagate(leaves, &mut clocks, None, PredictOptions::default()))
+        Ok(self.propagate(leaves, &mut clocks, &mut NoTerms, PredictOptions::default()))
     }
 
     /// The clock propagation: two passes over the section chain. The
@@ -875,71 +910,70 @@ impl Mheta {
     /// per-iteration cycle the remaining iterations actually repeat. A
     /// single pass would fold the one-time skew into every predicted
     /// iteration. Leaves `c.clock` and `c.after_warmup` for the caller
-    /// and returns the slowest node's cycle; `detail`, when given,
-    /// receives the measured pass's communication terms.
-    fn propagate(
+    /// and returns the slowest node's cycle; `sink` receives the
+    /// measured pass's communication terms.
+    ///
+    /// A NaN cycle wins the final fold, so a non-finite leaf never
+    /// scores finite: [`clock_max`] keeps a rank's own NaN clock NaN,
+    /// and an infinite one becomes NaN in `end − start`.
+    fn propagate<S: CommSink + ?Sized>(
         &self,
         leaves: &[f64],
         c: &mut Clocks<'_>,
-        mut detail: Option<&mut [RankTerms]>,
+        sink: &mut S,
         opts: PredictOptions,
     ) -> f64 {
         c.clock.fill(0.0);
         let mut first_slot = 0;
-        for section in &self.plan.sections {
-            self.advance_section(section, first_slot, leaves, c, None, opts);
+        for (idx, section) in self.plan.sections.iter().enumerate() {
+            self.advance_section(idx, first_slot, leaves, c, &mut NoTerms, opts);
             first_slot += section.tiles;
         }
         c.after_warmup.copy_from_slice(c.clock);
         let mut first_slot = 0;
         for (idx, section) in self.plan.sections.iter().enumerate() {
-            let sink = detail.as_deref_mut().map(|d| (d, idx));
-            self.advance_section(section, first_slot, leaves, c, sink, opts);
+            self.advance_section(idx, first_slot, leaves, c, sink, opts);
             first_slot += section.tiles;
         }
         c.clock
             .iter()
             .zip(c.after_warmup.iter())
             .map(|(end, start)| end - start)
-            .fold(0.0, f64::max)
+            .fold(0.0, |slowest, cycle| {
+                if cycle > slowest || cycle.is_nan() {
+                    cycle
+                } else {
+                    slowest
+                }
+            })
     }
 
-    /// Advance all per-node clocks across one parallel section,
-    /// including its closing communication, reading per-rank stage
-    /// work from the cost leaves (`first_slot` is the section's first
-    /// slot within a rank's leaves). When `detail` is `Some((terms,
-    /// idx))`, the comm terms are attributed to each rank's section
-    /// entry `idx`. The clock arithmetic is identical either way —
-    /// `detail` feeds only the breakdown, never the clocks.
+    /// Advance all per-node clocks across section `idx`, including its
+    /// closing communication, reading per-rank stage work from the cost
+    /// leaves (`first_slot` is the section's first slot within a rank's
+    /// leaves) and charging the comm terms to `sink`, which the clock
+    /// arithmetic never reads. Every clock `max` is a [`clock_max`].
     ///
     /// Cross-rank coupling lives entirely in this pass: neighbor
     /// arrivals, collective trees, and pipeline recurrences all read
     /// every rank's clock. That is the conservative "dirty closure" —
     /// comm is never reused from a cache, so leaf reuse can never
     /// leak a stale wait or collective term.
-    fn advance_section(
+    fn advance_section<S: CommSink + ?Sized>(
         &self,
-        section: &SectionPlan,
+        idx: usize,
         first_slot: usize,
         leaves: &[f64],
         c: &mut Clocks<'_>,
-        mut detail: Option<(&mut [RankTerms], usize)>,
+        sink: &mut S,
         opts: PredictOptions,
     ) {
+        let section = &self.plan.sections[idx];
         let n = c.clock.len();
         let width = self.plan.leaf_len;
         let hop = section.hop;
         // Per-rank stage work for one tile, straight from the leaves.
         let tile_total = |i: usize, tile: usize| leaves[i * width + first_slot + tile];
-        // Attribute a comm term to rank i's entry for this section
-        // (no-op in the score-only path).
-        macro_rules! comm_of {
-            ($i:expr, $field:ident, $val:expr) => {
-                if let Some((d, idx)) = detail.as_mut() {
-                    d[$i].sections[*idx].comm.$field += $val;
-                }
-            };
-        }
 
         match section.comm {
             CommPattern::None => {
@@ -950,19 +984,19 @@ impl Mheta {
             CommPattern::NearestNeighbor { .. } => {
                 let x = hop.transfer;
                 // Phase 1: stages, then posts (left first, then right).
-                c.from_left.fill(f64::NEG_INFINITY);
-                c.from_right.fill(f64::NEG_INFINITY);
+                // Rank i writes `from_right[i - 1]` and `from_left[i + 1]`
+                // here: every slot phase 2 reads.
                 for i in 0..n {
                     c.ready[i] = c.clock[i] + tile_total(i, 0);
                     let mut t = c.ready[i];
                     if i > 0 {
                         t += hop.o_s;
-                        comm_of!(i, comm_overhead_ns, hop.o_s);
+                        sink.overhead(i, idx, hop.o_s);
                         c.from_right[i - 1] = t + x;
                     }
                     if i + 1 < n {
                         t += hop.o_s;
-                        comm_of!(i, comm_overhead_ns, hop.o_s);
+                        sink.overhead(i, idx, hop.o_s);
                         c.from_left[i + 1] = t + x;
                     }
                     c.after_sends[i] = t;
@@ -976,41 +1010,40 @@ impl Mheta {
                         if opts.model_waits {
                             let waited = c.from_left[i] - t;
                             if waited > 0.0 {
-                                comm_of!(i, neighbor_wait_ns, waited);
+                                sink.wait(i, idx, waited);
                             }
-                            t = t.max(c.from_left[i]);
+                            t = clock_max(t, c.from_left[i]);
                         }
                         t += hop.o_r;
-                        comm_of!(i, comm_overhead_ns, hop.o_r);
+                        sink.overhead(i, idx, hop.o_r);
                     }
                     if i + 1 < n {
                         if opts.model_waits {
                             let waited = c.from_right[i] - t;
                             if waited > 0.0 {
-                                comm_of!(i, neighbor_wait_ns, waited);
+                                sink.wait(i, idx, waited);
                             }
-                            t = t.max(c.from_right[i]);
+                            t = clock_max(t, c.from_right[i]);
                         }
                         t += hop.o_r;
-                        comm_of!(i, comm_overhead_ns, hop.o_r);
+                        sink.overhead(i, idx, hop.o_r);
                     }
                     c.clock[i] = t;
                 }
             }
             CommPattern::Reduction { .. } => {
+                // The collective starts from the ready times; `ready`
+                // keeps them for the collective term and the ablation.
                 for i in 0..n {
-                    c.ready[i] = c.clock[i] + tile_total(i, 0);
+                    c.clock[i] += tile_total(i, 0);
+                    c.ready[i] = c.clock[i];
                 }
                 // `after_sends` is free here: the collectives' scratch.
                 match (opts.model_waits, opts.reduction) {
                     (true, ReductionModel::Tree) => {
-                        c.clock.copy_from_slice(c.ready);
                         model_allreduce_in_place(c.clock, c.after_sends, hop);
                     }
-                    (true, ReductionModel::Flat) => {
-                        c.clock.copy_from_slice(c.ready);
-                        flat_allreduce(c.clock, hop);
-                    }
+                    (true, ReductionModel::Flat) => flat_allreduce(c.clock, hop),
                     (false, _) => {
                         // No-wait ablation: every node pays only its own
                         // role's critical path from a synchronized start.
@@ -1022,31 +1055,32 @@ impl Mheta {
                     }
                 }
                 for i in 0..n {
-                    comm_of!(i, collective_ns, c.clock[i] - c.ready[i]);
+                    sink.collective(i, idx, c.clock[i] - c.ready[i]);
                 }
             }
             CommPattern::Pipelined { .. } => {
                 let x = hop.transfer;
-                c.arrival.fill(f64::NEG_INFINITY);
+                // Rank i - 1 wrote every tile's `arrival` rank i reads:
+                // it sent each tile downstream into `next_arrival`, and
+                // the two swap after each rank. Rank 0 reads none.
                 for i in 0..n {
-                    c.next_arrival.fill(f64::NEG_INFINITY);
                     let mut t = c.clock[i];
                     for tile in 0..section.tiles {
                         if i > 0 {
                             if opts.model_waits {
                                 let waited = c.arrival[tile] - t;
                                 if waited > 0.0 {
-                                    comm_of!(i, neighbor_wait_ns, waited);
+                                    sink.wait(i, idx, waited);
                                 }
-                                t = t.max(c.arrival[tile]);
+                                t = clock_max(t, c.arrival[tile]);
                             }
                             t += hop.o_r;
-                            comm_of!(i, comm_overhead_ns, hop.o_r);
+                            sink.overhead(i, idx, hop.o_r);
                         }
                         t += tile_total(i, tile);
                         if i + 1 < n {
                             t += hop.o_s;
-                            comm_of!(i, comm_overhead_ns, hop.o_s);
+                            sink.overhead(i, idx, hop.o_s);
                             c.next_arrival[tile] = t + x;
                         }
                     }
@@ -1072,14 +1106,14 @@ fn flat_allreduce(clock: &mut [f64], cost: HopCost) {
     for c in clock.iter_mut().skip(1) {
         *c += cost.o_s;
         let arrival = *c + cost.transfer;
-        root = root.max(arrival) + cost.o_r;
+        root = clock_max(root, arrival) + cost.o_r;
     }
     clock[0] = root;
     // Serial broadcast back.
     for i in 1..n {
         clock[0] += cost.o_s;
         let arrival = clock[0] + cost.transfer;
-        clock[i] = clock[i].max(arrival) + cost.o_r;
+        clock[i] = clock_max(clock[i], arrival) + cost.o_r;
     }
 }
 

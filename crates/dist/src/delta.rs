@@ -37,7 +37,7 @@
 
 use mheta_core::Mheta;
 
-use crate::fitness::{EvalError, Evaluator};
+use crate::fitness::{finite_score, EvalError, Evaluator};
 
 /// What a model must expose to be evaluated incrementally: per-rank
 /// cost leaves, written into slabs the session owns, and an assembly
@@ -103,8 +103,10 @@ impl DeltaModel for Mheta {
         leaves: &[f64],
         scratch: &mut Vec<f64>,
     ) -> Result<f64, EvalError> {
-        self.score_from_leaves(rows, leaves, scratch)
-            .map_err(|e| EvalError(e.to_string()))
+        let score = self
+            .score_from_leaves(rows, leaves, scratch)
+            .map_err(|e| EvalError(e.to_string()))?;
+        finite_score(score)
     }
 }
 

@@ -229,11 +229,24 @@ impl<E: Evaluator + ?Sized> DeltaSession for FullSession<'_, E> {
     }
 }
 
+/// A model's score, or the error a non-finite one is: a NaN or infinite
+/// prediction comes from a non-finite model input, not from the
+/// distribution, and must never compete with a real time.
+pub(crate) fn finite_score(ns: f64) -> Result<f64, EvalError> {
+    if ns.is_finite() {
+        Ok(ns)
+    } else {
+        Err(EvalError(format!("non-finite predicted time {ns}")))
+    }
+}
+
 impl Evaluator for Mheta {
+    /// [`Mheta::predict`]'s iteration time; a non-finite one is an
+    /// [`EvalError`], exactly as a session's
+    /// [`DeltaModel::assemble`](crate::DeltaModel::assemble) reports it.
     fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
-        self.predict(rows)
-            .map(|p| p.iteration_ns)
-            .map_err(|e| EvalError(e.to_string()))
+        let prediction = self.predict(rows).map_err(|e| EvalError(e.to_string()))?;
+        finite_score(prediction.iteration_ns)
     }
 
     fn delta_session(&self) -> Box<dyn DeltaSession + '_> {

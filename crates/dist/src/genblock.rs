@@ -142,7 +142,7 @@ impl GenBlock {
 /// for the searches that apportion once per candidate.
 #[derive(Debug, Default)]
 pub(crate) struct Apportion {
-    quotas: Vec<f64>,
+    fractions: Vec<f64>,
     order: Vec<usize>,
 }
 
@@ -154,27 +154,41 @@ impl Apportion {
         assert!(n > 0 && total >= n, "need at least one row per node");
         let wsum: f64 = weights.iter().map(|w| w.max(0.0)).sum();
         assert!(wsum > 0.0, "weights must not all be zero");
-        // Reserve one row per node, apportion the rest by weight.
+        // Reserve one row per node, apportion the rest by weight: each
+        // quota's whole part now, its fractional part for the
+        // remainders. A quota is ≥ 0 and finite, so truncation is
+        // `floor`.
         let spare = total - n;
-        let quotas = &mut self.quotas;
-        quotas.clear();
-        quotas.extend(weights.iter().map(|w| w.max(0.0) / wsum * spare as f64));
+        let fractions = &mut self.fractions;
+        fractions.clear();
+        fractions.reserve(n);
         rows.clear();
-        rows.extend(quotas.iter().map(|q| q.floor() as usize));
+        rows.reserve(n);
+        for w in weights {
+            let quota = w.max(0.0) / wsum * spare as f64;
+            assert!(quota.is_finite(), "quotas are finite");
+            let whole = quota as usize;
+            rows.push(whole);
+            fractions.push(quota - whole as f64);
+        }
         let assigned: usize = rows.iter().sum();
-        // Hand out remainders to the largest fractional parts. The
-        // index tie-break makes the order total, so the (allocation-
-        // free) unstable sort cannot reorder anything.
-        self.order.clear();
-        self.order.extend(0..n);
-        self.order.sort_unstable_by(|&a, &b| {
-            let fa = quotas[a] - quotas[a].floor();
-            let fb = quotas[b] - quotas[b].floor();
-            fb.partial_cmp(&fa)
-                .expect("quotas are finite")
-                .then(a.cmp(&b))
-        });
-        for &i in self.order.iter().take(spare - assigned) {
+        // Hand out remainders to the largest fractional parts, ties to
+        // the lower index: an insertion sort over the precomputed
+        // fractions, which moves an index only past a strictly smaller
+        // fraction. Node counts are small, so this beats a comparison
+        // sort that would recompute both fractions per comparison.
+        let order = &mut self.order;
+        order.clear();
+        order.extend(0..n);
+        for i in 1..n {
+            let mut at = i;
+            while at > 0 && fractions[order[at - 1]] < fractions[i] {
+                order[at] = order[at - 1];
+                at -= 1;
+            }
+            order[at] = i;
+        }
+        for &i in order.iter().take(spare - assigned) {
             rows[i] += 1;
         }
         for r in rows.iter_mut() {
@@ -199,6 +213,94 @@ impl fmt::Display for GenBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The apportionment as a comparison sort over freshly floored
+    /// quotas: the reference [`Apportion::rows_into`] must match.
+    fn sorted_reference(total: usize, weights: &[f64]) -> Vec<usize> {
+        let n = weights.len();
+        assert!(n > 0 && total >= n, "need at least one row per node");
+        let wsum: f64 = weights.iter().map(|w| w.max(0.0)).sum();
+        assert!(wsum > 0.0, "weights must not all be zero");
+        let spare = total - n;
+        let quotas: Vec<f64> = weights
+            .iter()
+            .map(|w| w.max(0.0) / wsum * spare as f64)
+            .collect();
+        let mut rows: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
+        let assigned: usize = rows.iter().sum();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let fa = quotas[a] - quotas[a].floor();
+            let fb = quotas[b] - quotas[b].floor();
+            fb.partial_cmp(&fa)
+                .expect("quotas are finite")
+                .then(a.cmp(&b))
+        });
+        for &i in order.iter().take(spare - assigned) {
+            rows[i] += 1;
+        }
+        rows.iter().map(|r| r + 1).collect()
+    }
+
+    /// Weights as the searches draw them (exponential) and uniform, with
+    /// exact fractional ties (small integers repeat), zeros and negatives
+    /// (both weigh nothing), over 1 to 16 nodes.
+    fn weights() -> impl Strategy<Value = Vec<f64>> {
+        let weight = prop_oneof![
+            (1e-12..1.0f64).prop_map(|u: f64| -u.ln()),
+            0.0..1e3f64,
+            (1u32..5).prop_map(f64::from),
+            (1u32..5).prop_map(f64::from),
+            Just(0.0),
+            Just(-1.0),
+        ];
+        proptest::collection::vec(weight, 1..=16)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn apportion_matches_the_sorted_reference(
+            weights in weights(),
+            extra in 0usize..100_000,
+        ) {
+            let total = weights.len() + extra;
+            let reference = std::panic::catch_unwind(|| sorted_reference(total, &weights));
+            let mut rows = Vec::new();
+            let ours = std::panic::catch_unwind(move || {
+                Apportion::default().rows_into(total, &weights, &mut rows);
+                rows
+            });
+            match (reference, ours) {
+                (Ok(want), Ok(got)) => prop_assert_eq!(got, want),
+                (Err(_), Err(_)) => {}
+                (want, got) => prop_assert!(false, "reference {:?}, rows_into {:?}", want, got),
+            }
+        }
+    }
+
+    #[test]
+    fn apportion_panics_where_the_reference_does() {
+        let cases: [(usize, &[f64]); 5] = [
+            (2, &[1.0, 1.0, 1.0]),
+            (10, &[0.0, 0.0]),
+            (10, &[-1.0, f64::NAN]),
+            (10, &[f64::INFINITY, 1.0]),
+            (10, &[f64::INFINITY, f64::INFINITY, 2.0]),
+        ];
+        for (total, weights) in cases {
+            let reference = std::panic::catch_unwind(|| sorted_reference(total, weights));
+            let ours = std::panic::catch_unwind(|| GenBlock::apportion(total, weights));
+            assert!(reference.is_err(), "{total} over {weights:?}: reference");
+            assert!(ours.is_err(), "{total} over {weights:?}: rows_into");
+        }
+        // One node has nothing to compare, so the sort let a NaN quota
+        // through and handed out 2 of 10 rows; the assert does not.
+        assert_eq!(sorted_reference(10, &[f64::INFINITY]), vec![2]);
+        assert!(std::panic::catch_unwind(|| GenBlock::apportion(10, &[f64::INFINITY])).is_err());
+    }
 
     #[test]
     fn block_splits_evenly_with_remainder_up_front() {

@@ -397,6 +397,28 @@ pub struct HopCost {
     pub transfer: f64,
 }
 
+/// The later of a node's own clock `own` and a message's arrival
+/// `arrival`: one compare-select, `arrival` only when it is strictly
+/// later. Every analytical schedule here and the MHETA clock
+/// propagation take their `max` through it.
+///
+/// For the clocks a model produces — they start at +0.0 and only add
+/// non-negative terms, so neither NaN nor −0.0 occurs — this is
+/// bit-for-bit `f64::max`, without the NaN handling `f64::max` lowers
+/// to on baseline x86-64. Where the two differ it keeps a node's own
+/// NaN clock NaN (`f64::max` would replace it with the arrival), so a
+/// non-finite cost never heals into a finite time at the next
+/// receive.
+#[inline]
+#[must_use]
+pub fn clock_max(own: f64, arrival: f64) -> f64 {
+    if arrival > own {
+        arrival
+    } else {
+        own
+    }
+}
+
 /// Replay the binomial reduce-to-0 schedule over per-node ready times.
 /// Returns each node's clock after its role in the reduction completes
 /// (after its send, for non-roots; after the last receive, for root).
@@ -413,9 +435,10 @@ pub fn model_reduce(ready: &[f64], cost: HopCost) -> Vec<f64> {
 fn model_reduce_in_place(clock: &mut [f64], arrival: &mut [f64], cost: HopCost) {
     let size = clock.len();
     assert_eq!(arrival.len(), size, "one arrival slot per node");
-    // Arrival time of each non-root's single send to its parent.
-    arrival.fill(0.0);
-    // Children have numerically larger ranks, so process descending.
+    // `arrival[child]` is the arrival time of a non-root's single send
+    // to its parent, written by the child itself: children have
+    // numerically larger ranks, so the descending loop visits every
+    // child before its parent reads the slot.
     for r in (0..size).rev() {
         let lowbit = if r == 0 {
             size.next_power_of_two()
@@ -426,7 +449,7 @@ fn model_reduce_in_place(clock: &mut [f64], arrival: &mut [f64], cost: HopCost) 
         while mask < lowbit && mask < size {
             let child = r | mask;
             if child < size && child != r {
-                clock[r] = (clock[r]).max(arrival[child]) + cost.o_r;
+                clock[r] = clock_max(clock[r], arrival[child]) + cost.o_r;
             }
             mask <<= 1;
         }
@@ -451,11 +474,12 @@ pub fn model_bcast(ready: &[f64], cost: HopCost) -> Vec<f64> {
 fn model_bcast_in_place(clock: &mut [f64], arrival: &mut [f64], cost: HopCost) {
     let size = clock.len();
     assert_eq!(arrival.len(), size, "one arrival slot per node");
-    arrival.fill(f64::NEG_INFINITY);
-    // Parents have numerically smaller ranks, so process ascending.
+    // Every non-root's `arrival` slot is written by its parent, which
+    // has a numerically smaller rank: the ascending loop sends before
+    // it receives.
     for r in 0..size {
         if r != 0 {
-            clock[r] = clock[r].max(arrival[r]) + cost.o_r;
+            clock[r] = clock_max(clock[r], arrival[r]) + cost.o_r;
         }
         let level = if r == 0 {
             size.next_power_of_two()

@@ -24,9 +24,9 @@ pub mod msg;
 pub mod runner;
 
 pub use collectives::{
-    agree_dead_set, agree_mask, allreduce, barrier, bcast, ft_allreduce, ft_allreduce_among,
-    model_allreduce, model_allreduce_in_place, model_bcast, model_reduce, reduce, HopCost,
-    ReduceOp, TAG_AGREE, TAG_BCAST, TAG_COLLECTIVE_BASE, TAG_REDUCE,
+    agree_dead_set, agree_mask, allreduce, barrier, bcast, clock_max, ft_allreduce,
+    ft_allreduce_among, model_allreduce, model_allreduce_in_place, model_bcast, model_reduce,
+    reduce, HopCost, ReduceOp, TAG_AGREE, TAG_BCAST, TAG_COLLECTIVE_BASE, TAG_REDUCE,
 };
 pub use comm::{Comm, ExecMode, PrefetchToken, RetryPolicy};
 pub use detector::{DetectorConfig, HealthState, PhiAccrualDetector, SuspicionSample, Transition};

@@ -4,7 +4,8 @@
 //! **bitwise-identical** (`f64::to_bits`) to a from-scratch
 //! `try_eval_ns` — including under injected leaf faults, where an
 //! `EvalError` must poison the session's cache and never leak stale
-//! terms into a later answer.
+//! terms into a later answer, and under non-finite leaves, which must
+//! fail the evaluation rather than score.
 //!
 //! Case count follows `PROPTEST_CASES` (default 256); CI's `delta-diff`
 //! job runs this suite at 256 cases.
@@ -12,7 +13,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use mheta::dist::{DeltaEvaluator, DeltaModel, DeltaSession, EvalError, Evaluator};
+use mheta::dist::{
+    random_search, DeltaEvaluator, DeltaModel, DeltaSession, EvalError, Evaluator, RandomConfig,
+};
 use mheta::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -124,6 +127,121 @@ impl DeltaModel for FaultyMheta<'_> {
         scratch: &mut Vec<f64>,
     ) -> Result<f64, EvalError> {
         self.inner.assemble(rows, leaves, scratch)
+    }
+}
+
+/// Wraps a model so one rank's first cost leaf is `value`.
+struct PoisonedLeaf<'a> {
+    inner: &'a Mheta,
+    rank: usize,
+    value: f64,
+}
+
+impl Evaluator for PoisonedLeaf<'_> {
+    fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
+        DeltaEvaluator::new(self).try_eval_ns(rows)
+    }
+
+    fn delta_session(&self) -> Box<dyn DeltaSession + '_> {
+        Box::new(DeltaEvaluator::new(self))
+    }
+}
+
+impl DeltaModel for PoisonedLeaf<'_> {
+    fn leaf_len(&self) -> usize {
+        DeltaModel::leaf_len(self.inner)
+    }
+
+    fn leaf_terms(&self) -> usize {
+        DeltaModel::leaf_terms(self.inner)
+    }
+
+    fn rank_cost(&self, rank: usize, rows: usize, out: &mut [f64]) -> Result<(), EvalError> {
+        DeltaModel::rank_cost(self.inner, rank, rows, out)?;
+        if rank == self.rank {
+            out[0] = self.value;
+        }
+        Ok(())
+    }
+
+    fn assemble(
+        &self,
+        rows: &[usize],
+        leaves: &[f64],
+        scratch: &mut Vec<f64>,
+    ) -> Result<f64, EvalError> {
+        self.inner.assemble(rows, leaves, scratch)
+    }
+}
+
+/// A NaN or +∞ cost leaf must never become a finite score — a search
+/// would keep it, and a `max` that drops NaN turns `∞ − ∞` into a
+/// perfect 0: `score_from_leaves` returns it non-finite, and a session,
+/// a search and `Mheta`'s own `try_eval_ns` all report it as a failed
+/// evaluation. One paper-size model per communication pattern, the
+/// leaf on the first, middle and last rank.
+#[test]
+fn a_non_finite_leaf_never_scores_finite() {
+    let spec = presets::hy1();
+    let n = spec.len();
+    let cases = [
+        ("nearest-neighbour", Benchmark::Jacobi(Jacobi::default())),
+        ("reduction", Benchmark::Cg(Cg::default())),
+        ("pipelined", Benchmark::Rna(Rna::default())),
+    ];
+    for (pattern, bench) in cases {
+        let model = build_model(&bench, &spec, false).expect(pattern);
+        let total = bench.total_rows();
+        let rows = GenBlock::block(total, n).rows().to_vec();
+        let width = model.leaf_len();
+        let mut clean = vec![0.0; n * width];
+        for (rank, out) in clean.chunks_exact_mut(width).enumerate() {
+            model.rank_cost_into(rank, rows[rank], out);
+        }
+        for rank in [0, n / 2, n - 1] {
+            for value in [f64::NAN, f64::INFINITY] {
+                let what = format!("{pattern}: {value} on rank {rank}");
+                let mut leaves = clean.clone();
+                leaves[rank * width] = value;
+                let score = model
+                    .score_from_leaves(&rows, &leaves, &mut Vec::new())
+                    .expect(&what);
+                assert!(!score.is_finite(), "{what}: score_from_leaves gave {score}");
+
+                let poisoned = PoisonedLeaf {
+                    inner: &model,
+                    rank,
+                    value,
+                };
+                let mut session = DeltaEvaluator::new(&poisoned);
+                let scored = session.try_eval_ns(&rows);
+                assert!(scored.is_err(), "{what}: a session scored {scored:?}");
+                assert_eq!(session.stats().fallback_error, 1, "{what}");
+                let cfg = RandomConfig {
+                    max_evals: 8,
+                    ..RandomConfig::default()
+                };
+                let out = random_search(total, n, &poisoned, cfg);
+                assert_eq!(out.failed_evals, out.evaluations, "{what}: a search");
+                assert_eq!(out.score_ns, f64::INFINITY, "{what}: a search");
+
+                // The same leaf from a model input: a non-finite seek
+                // cost on a rank with no memory, so its share streams.
+                let mut arch = model.arch().clone();
+                arch.memory_bytes[rank] = 0;
+                arch.disks[rank].o_read = value;
+                arch.disks[rank].o_write = value;
+                let broken = Mheta::new(model.structure().clone(), arch, model.profile().clone())
+                    .expect(&what);
+                let full = broken.try_eval_ns(&rows);
+                assert!(full.is_err(), "{what}: try_eval_ns gave {full:?}");
+                let cold = DeltaEvaluator::new(&broken).try_eval_ns(&rows);
+                assert!(
+                    cold.is_err(),
+                    "{what}: a session over the model gave {cold:?}"
+                );
+            }
+        }
     }
 }
 
