@@ -263,15 +263,23 @@ fn instrumented(
 }
 
 /// Assemble the full MHETA model for `bench` on `spec`: microbenchmarks
-/// plus one instrumented iteration under the Block distribution.
+/// plus one instrumented iteration under the Block distribution. A
+/// cluster with more nodes than the application has rows has no
+/// `GEN_BLOCK` distribution at all: [`SimError::InvalidConfig`].
 pub fn build_model(bench: &Benchmark, spec: &ClusterSpec, prefetch: bool) -> SimResult<Mheta> {
+    let rows = bench.total_rows();
+    if spec.len() > rows {
+        return Err(SimError::InvalidConfig(format!(
+            "{} nodes for {rows} rows: every node needs at least one row",
+            spec.len()
+        )));
+    }
     let arch = measure_arch(spec)?;
     let structure = bench.structure(prefetch);
-    let blk = GenBlock::block(bench.total_rows(), spec.len());
+    let blk = GenBlock::block(rows, spec.len());
     let recorders = instrumented(bench, &structure, spec, &blk, prefetch)?;
     let profile = build_profile(&arch, &recorders, blk.rows());
-    Mheta::new(structure, arch, profile)
-        .map_err(|e| mheta_sim::SimError::InvalidConfig(e.to_string()))
+    Mheta::new(structure, arch, profile).map_err(|e| SimError::InvalidConfig(e.to_string()))
 }
 
 /// Derive the anchor-distribution inputs from an assembled model: the
@@ -598,6 +606,18 @@ mod tests {
         assert!(
             diff < 5.0,
             "jacobi blk: predicted {predicted}s actual {actual}s diff {diff}%"
+        );
+    }
+
+    #[test]
+    fn more_nodes_than_rows_is_an_invalid_config_not_a_panic() {
+        let bench = Benchmark::Jacobi(Jacobi::small());
+        let rows = bench.total_rows();
+        let built = std::panic::catch_unwind(|| build_model(&bench, &quiet(rows + 1), false));
+        let err = built.expect("build_model panicked").unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidConfig(m) if m.contains("at least one row")),
+            "{err}"
         );
     }
 

@@ -64,8 +64,12 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
     let mut best = current.clone();
     let mut best_score = current_score;
     let mut temp = (current_score * cfg.initial_temp_frac).max(1.0);
+    // With one node, or one row on every node, `move_rows` refuses every
+    // draw and no draw counts an evaluation. `n` and `total` never
+    // change, so one check up front keeps the loop from spinning.
+    let movable = n > 1 && total > n;
 
-    while counter.count() < cfg.max_evals && !counter.cancelled() {
+    while movable && counter.count() < cfg.max_evals && !counter.cancelled() {
         let mut cand = current.clone();
         let from = rng.gen_range(0..n);
         let to = rng.gen_range(0..n);
@@ -157,6 +161,27 @@ mod tests {
         let b = simulated_annealing(&start, &f, AnnealingConfig::default());
         assert_eq!(a.best, b.best);
         assert_eq!(a.score_ns, b.score_ns);
+    }
+
+    #[test]
+    fn returns_when_no_row_can_move() {
+        // Every node at its last row, and a single node: no draw is a
+        // legal move. The search runs on a spawned thread so that a
+        // hang fails the test instead of stalling the suite.
+        for start in [GenBlock::block(4, 4), GenBlock::block(64, 1)] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let rows = start.rows().to_vec();
+            let search = std::thread::spawn(move || {
+                let f = |rows: &[usize]| rows[0] as f64;
+                let _ = tx.send(simulated_annealing(&start, &f, AnnealingConfig::default()));
+            });
+            let out = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("annealing from {rows:?} did not return"));
+            search.join().unwrap();
+            assert_eq!(out.best.rows(), rows.as_slice());
+            assert_eq!(out.evaluations, 1, "the start is scored once");
+        }
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!
 //! With `--max-retries N` (default 0: single-shot), planctl retries
 //! transient failures: connection refused/reset (the daemon is
-//! restarting) and the structured `overloaded`, `draining`, and
-//! `circuit_open` sheds. Each retry backs off exponentially from 50 ms
+//! restarting) and the structured `overloaded` and `draining` sheds. A
+//! `search` failure is not retried: the daemon caches the ones that are
+//! pure functions of the request, so a retry would get the same answer.
+//! Each retry backs off exponentially from 50 ms
 //! with ±25% jitter, floored at the server's `retry_after_ms` hint
 //! when one was given; `--timeout-ms` caps the total time spent
 //! including backoffs (0 = no cap). Retries reuse the same request
@@ -185,7 +187,7 @@ fn retryable_shed(response: &Value) -> Option<(&str, Option<u64>)> {
     let error = response.get("error")?;
     let kind = error.get("kind").and_then(Value::as_str)?;
     match kind {
-        "overloaded" | "draining" | "circuit_open" => {
+        "overloaded" | "draining" => {
             Some((kind, error.get("retry_after_ms").and_then(Value::as_u64)))
         }
         _ => None,

@@ -13,7 +13,6 @@
 //! pland [--addr HOST:PORT] [--workers N] [--queue N]
 //!       [--cache-capacity N] [--no-cache] [--no-coalesce]
 //!       [--recorder-capacity N]
-//!       [--breaker-threshold N] [--breaker-open-ms N]
 //!       [--snapshot PATH] [--snapshot-interval-ms N]
 //!       [--drain-deadline-ms N] [--read-timeout-ms N]
 //!       [--write-timeout-ms N]
@@ -116,16 +115,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--recorder-capacity: {e}"))?;
             }
-            "--breaker-threshold" => {
-                args.cfg.breaker_threshold = value("--breaker-threshold")?
-                    .parse()
-                    .map_err(|e| format!("--breaker-threshold: {e}"))?;
-            }
-            "--breaker-open-ms" => {
-                args.cfg.breaker_open_ms = value("--breaker-open-ms")?
-                    .parse()
-                    .map_err(|e| format!("--breaker-open-ms: {e}"))?;
-            }
             "--snapshot" => args.snapshot = Some(PathBuf::from(value("--snapshot")?)),
             "--snapshot-interval-ms" => {
                 args.snapshot_interval_ms = value("--snapshot-interval-ms")?
@@ -153,8 +142,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "pland [--addr HOST:PORT] [--workers N] [--queue N] \
                      [--cache-capacity N] [--no-cache] [--no-coalesce] \
-                     [--recorder-capacity N] [--breaker-threshold N] \
-                     [--breaker-open-ms N] [--snapshot PATH] \
+                     [--recorder-capacity N] [--snapshot PATH] \
                      [--snapshot-interval-ms N] [--drain-deadline-ms N] \
                      [--read-timeout-ms N] [--write-timeout-ms N]"
                 );

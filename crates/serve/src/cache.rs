@@ -5,6 +5,11 @@
 //! itself is stored alongside and compared on every probe, so a hash
 //! collision degrades to a miss instead of serving the wrong plan.
 //!
+//! An entry is an `Answer`: the request's plan, or the message of a
+//! search failure that every recomputation would repeat (DESIGN.md
+//! §13). Both share one LRU, one invalidation and one set of counters;
+//! only plans are exported to a snapshot.
+//!
 //! The map is striped into `shards` independent `Mutex`-protected
 //! shards selected by the key's high bits, so concurrent requests for
 //! different keys rarely contend. Each shard runs its own exact LRU
@@ -18,10 +23,14 @@ use mheta_obs::json::Value;
 
 use crate::planner::Plan;
 
+/// What the cache holds for one request: its plan, or the message of
+/// the deterministic search failure every recomputation would repeat.
+pub(crate) type Answer = Result<Plan, String>;
+
 struct Entry {
     key: u64,
     canon: String,
-    plan: Plan,
+    answer: Answer,
     last_used: u64,
 }
 
@@ -30,7 +39,8 @@ struct Shard {
     tick: u64,
 }
 
-/// Lock-striped LRU cache of finished plans.
+/// Lock-striped LRU cache of finished plans and deterministic search
+/// failures.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
@@ -74,10 +84,17 @@ impl PlanCache {
         &self.shards[idx]
     }
 
-    /// Probe for `key`; `canon` disambiguates hash collisions. Bumps
-    /// the hit/miss counters and the entry's recency on hit.
+    /// Probe for the plan of `key`; `canon` disambiguates hash
+    /// collisions. A stored failure is not a plan: `None`.
     #[must_use]
     pub fn get(&self, key: u64, canon: &str) -> Option<Plan> {
+        self.answer(key, canon)?.ok()
+    }
+
+    /// Probe for whatever is stored for `key`, plan or failure. Bumps
+    /// the hit/miss counters and the entry's recency on hit.
+    #[must_use]
+    pub(crate) fn answer(&self, key: u64, canon: &str) -> Option<Answer> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
@@ -87,9 +104,9 @@ impl PlanCache {
             .find(|e| e.key == key && e.canon == canon)
         {
             e.last_used = tick;
-            let plan = e.plan.clone();
+            let answer = e.answer.clone();
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(plan);
+            return Some(answer);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
@@ -98,6 +115,16 @@ impl PlanCache {
     /// Insert (or refresh) the plan for `key`, evicting the shard's
     /// least-recently-used entry if it is full.
     pub fn insert(&self, key: u64, canon: &str, plan: Plan) {
+        self.store(key, canon, Ok(plan));
+    }
+
+    /// Insert (or refresh) the deterministic search failure for `key`,
+    /// exactly as [`PlanCache::insert`] does a plan.
+    pub(crate) fn insert_failure(&self, key: u64, canon: &str, message: String) {
+        self.store(key, canon, Err(message));
+    }
+
+    fn store(&self, key: u64, canon: &str, answer: Answer) {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
@@ -106,7 +133,7 @@ impl PlanCache {
             .iter_mut()
             .find(|e| e.key == key && e.canon == canon)
         {
-            e.plan = plan;
+            e.answer = answer;
             e.last_used = tick;
             return;
         }
@@ -124,14 +151,14 @@ impl PlanCache {
         shard.entries.push(Entry {
             key,
             canon: canon.to_string(),
-            plan,
+            answer,
             last_used: tick,
         });
         self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drop every cached plan (e.g. after a model change); returns how
-    /// many entries were invalidated.
+    /// Drop every cached plan and failure (e.g. after a model change);
+    /// returns how many entries were invalidated.
     pub fn invalidate_all(&self) -> usize {
         let mut dropped = 0;
         for shard in &self.shards {
@@ -157,10 +184,10 @@ impl PlanCache {
         dropped > 0
     }
 
-    /// Export every entry as `(key, canonical JSON, plan)`,
+    /// Export every plan as `(key, canonical JSON, plan)`,
     /// least-recently-used first within each shard — so re-`insert`ing
     /// the export in order (see [`crate::snapshot`]) reproduces each
-    /// shard's recency ordering.
+    /// shard's recency ordering. Stored failures are left out.
     #[must_use]
     pub fn export(&self) -> Vec<(u64, String, Plan)> {
         let mut out = Vec::new();
@@ -168,16 +195,15 @@ impl PlanCache {
             let shard = shard.lock().expect("cache shard poisoned");
             let mut entries: Vec<&Entry> = shard.entries.iter().collect();
             entries.sort_by_key(|e| e.last_used);
-            out.extend(
-                entries
-                    .into_iter()
-                    .map(|e| (e.key, e.canon.clone(), e.plan.clone())),
-            );
+            out.extend(entries.into_iter().filter_map(|e| {
+                let plan = e.answer.as_ref().ok()?;
+                Some((e.key, e.canon.clone(), plan.clone()))
+            }));
         }
         out
     }
 
-    /// Entries currently cached.
+    /// Entries currently cached, plans and failures.
     #[must_use]
     pub fn len(&self) -> usize {
         self.shards
@@ -186,7 +212,7 @@ impl PlanCache {
             .sum()
     }
 
-    /// True when no plans are cached.
+    /// True when nothing is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -298,5 +324,21 @@ mod tests {
         c.insert(5, "k", plan(9.0));
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(5, "k").unwrap().predicted_ns, 9.0);
+    }
+
+    #[test]
+    fn a_failure_is_an_entry_but_neither_a_plan_nor_exported() {
+        let c = PlanCache::new(1, 2);
+        c.insert(1, "k1", plan(1.0));
+        c.insert_failure(2, "k2", "no model".into());
+        assert_eq!(c.answer(2, "k2"), Some(Err("no model".into())));
+        assert!(c.get(2, "k2").is_none());
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.export().len(), 1, "the snapshot holds plans only");
+        // One LRU for both: a third entry evicts the stalest, key 1.
+        c.insert(3, "k3", plan(3.0));
+        assert!(c.get(1, "k1").is_none());
+        assert!(c.invalidate(2, "k2"));
+        assert!(c.answer(2, "k2").is_none());
     }
 }

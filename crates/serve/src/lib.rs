@@ -8,16 +8,15 @@
 //! * [`request`] — [`PlanRequest`] and its canonical stable content
 //!   hash (FNV-1a over a canonical JSON rendering of cluster config,
 //!   program structure, and search parameters);
-//! * [`cache`] — a sharded, lock-striped LRU plan cache with hit /
-//!   miss / eviction counters and explicit invalidation;
+//! * [`cache`] — a sharded, lock-striped LRU cache of plans and of
+//!   deterministic search failures, with hit / miss / eviction counters
+//!   and explicit invalidation: a request whose search must fail is
+//!   answered from the cache like one whose search succeeded;
 //! * [`singleflight`] — concurrent identical requests coalesce onto
 //!   one search; followers share the leader's published result;
 //! * [`executor`] — a fixed thread pool over a bounded queue; a full
 //!   queue sheds the request with a structured retry-after error
 //!   instead of ever blocking admission;
-//! * [`breaker`] — a per-cache-key-shard circuit breaker: consecutive
-//!   search failures trip it open and further requests there shed
-//!   fast until a half-open probe succeeds;
 //! * [`snapshot`] — crash-safe plan-cache persistence (the checksummed
 //!   `mheta-plancache/v1` file) for warm restarts;
 //! * [`planner`] — the in-process front end wiring the above around
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod breaker;
 pub mod cache;
 pub mod executor;
 pub mod planner;
@@ -49,7 +47,6 @@ pub mod singleflight;
 pub mod snapshot;
 pub mod wire;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::PlanCache;
 pub use executor::{Executor, QueueFull};
 pub use planner::{Plan, PlanError, PlanReply, Planner, PlannerConfig};

@@ -3,19 +3,17 @@
 //! [`Planner::plan`] takes a request through the full lifecycle:
 //!
 //! ```text
-//! request ── cache probe ──hit──────────────────────────▶ reply (cache)
-//!               │ miss
+//! request ── cache probe ──hit──────────────────────────▶ reply (cache):
+//!               │ miss                                    plan or Err(Search)
 //!               ▼
 //!          single-flight ──follower── wait ─────────────▶ reply (coalesced)
 //!               │ leader
-//!               ▼
-//!          circuit breaker ──open── fast-fail ──────────▶ Err(CircuitOpen)
-//!               │ admitted
 //!               ▼
 //!          executor.try_submit ──queue full── shed ─────▶ Err(Overloaded)
 //!               │ admitted
 //!               ▼
 //!          portfolio search ── cache insert ── publish ─▶ reply (fresh)
+//!                                                         or Err(Search)
 //! ```
 //!
 //! ## One lifecycle, two guards
@@ -27,11 +25,9 @@
 //! * `Request` (identity + outcome): the path only *sets* the outcome;
 //!   `Drop` emits the one [`RequestSpan`] and the degraded /
 //!   deadline-exceeded counters, for shed and failed requests too.
-//! * `Lead` (flight + breaker admission): `finish` does cache-fill →
-//!   publish → breaker verdict → recorder events; `Drop` publishes an
-//!   error and releases the probe slot if `finish` never ran. Followers
-//!   never hang — a shed or failed leader sheds/fails them too — and a
-//!   half-open probe cannot leak.
+//! * `Lead` (the flight): `finish` does cache-fill → publish → recorder
+//!   events; `Drop` publishes an error if `finish` never ran. Followers
+//!   never hang — a shed or failed leader sheds/fails them too.
 //!
 //! ## Deadlines
 //!
@@ -50,13 +46,17 @@
 //! (`Lead::finish`) and never handed to a follower that set no
 //! deadline of its own (`Planner::follow`); the reasons sit there.
 //!
-//! ## Circuit breaker
+//! ## Failures are cached answers
 //!
-//! Consecutive search failures on one cache-key shard trip a
-//! [`CircuitBreaker`]: further requests there shed fast with
-//! [`PlanError::CircuitOpen`] until a half-open probe succeeds. Only
-//! genuine search failures count — sheds and deadline expiries say
-//! nothing about the shard's health.
+//! A plan is a pure function of its canonical request, and so is a
+//! search failure that `run_search` returns: a model that cannot be
+//! built, or candidates that never score finite, fail the same way every
+//! time. `Lead::finish` stores such a failure in the [`PlanCache`]
+//! beside the plans, and a later request for the key gets it straight
+//! back from the probe — the original message, span source `cache`, no
+//! flight and no search. Nothing else is stored: a panicking worker, an
+//! abandoned flight, a shed, a deadline expiry and the simulator's
+//! wall-clock `SimError::Timeout` say nothing about the next attempt.
 //!
 //! ## Telemetry
 //!
@@ -85,9 +85,9 @@ use mheta_obs::trace::id_hex;
 use mheta_obs::{
     FlightRecorder, RequestSource, RequestSpan, ServiceMetrics, StrategySpan, TraceContext,
 };
+use mheta_sim::SimError;
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::cache::PlanCache;
+use crate::cache::{Answer, PlanCache};
 use crate::executor::Executor;
 use crate::request::{fnv1a64, PlanRequest};
 use crate::singleflight::{Entry, Flight, SingleFlight};
@@ -114,7 +114,9 @@ pub enum PlanError {
         /// Suggested client backoff, milliseconds.
         retry_after_ms: u64,
     },
-    /// Model construction or the search itself failed.
+    /// Model construction or the search itself failed. When the failure
+    /// is a pure function of the request, the cache answers every later
+    /// request for it with the same message.
     Search(String),
     /// The request's end-to-end deadline expired before any usable
     /// incumbent plan existed. (A deadline that expires *mid-search*
@@ -122,13 +124,6 @@ pub enum PlanError {
     DeadlineExceeded {
         /// The budget the request arrived with, milliseconds.
         budget_ms: u64,
-    },
-    /// The circuit breaker for this request's cache-key shard is open
-    /// after consecutive search failures there; the request was shed
-    /// fast without queueing. Retry after the suggested backoff.
-    CircuitOpen {
-        /// Suggested client backoff, milliseconds.
-        retry_after_ms: u64,
     },
 }
 
@@ -145,9 +140,6 @@ impl fmt::Display for PlanError {
                     "deadline exceeded: {budget_ms} ms budget, no incumbent plan"
                 )
             }
-            PlanError::CircuitOpen { retry_after_ms } => {
-                write!(f, "circuit open; retry after {retry_after_ms} ms")
-            }
         }
     }
 }
@@ -156,13 +148,12 @@ impl std::error::Error for PlanError {}
 
 impl PlanError {
     /// The backoff a *shed* carries (admission refused the request:
-    /// queue full, breaker open); `None` for a genuine failure. The
-    /// one place that says which errors are sheds.
+    /// queue full); `None` for a genuine failure. The one place that
+    /// says which errors are sheds.
     #[must_use]
     pub fn retry_after_ms(&self) -> Option<u64> {
         match self {
-            PlanError::Overloaded { retry_after_ms }
-            | PlanError::CircuitOpen { retry_after_ms } => Some(*retry_after_ms),
+            PlanError::Overloaded { retry_after_ms } => Some(*retry_after_ms),
             PlanError::Search(_) | PlanError::DeadlineExceeded { .. } => None,
         }
     }
@@ -207,12 +198,6 @@ pub struct PlannerConfig {
     /// Flight-recorder ring capacity (events); the recorder is always
     /// on and keeps at least one event per lock stripe.
     pub recorder_capacity: usize,
-    /// Consecutive search failures (per cache-key shard) that trip the
-    /// circuit breaker; 0 disables the breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker shard stays open before admitting a
-    /// probe, milliseconds.
-    pub breaker_open_ms: u64,
 }
 
 impl Default for PlannerConfig {
@@ -226,8 +211,6 @@ impl Default for PlannerConfig {
             coalesce_enabled: true,
             retry_after_ms: 50,
             recorder_capacity: FlightRecorder::DEFAULT_CAPACITY,
-            breaker_threshold: 5,
-            breaker_open_ms: 1000,
         }
     }
 }
@@ -248,7 +231,26 @@ struct FlightOutput {
 
 /// How a request ends: `(plan, how produced, degraded)`, or the error.
 type Outcome = Result<(Plan, RequestSource, bool), PlanError>;
-type SearchResult = Result<(Plan, SearchAux), PlanError>;
+type SearchResult = Result<(Plan, SearchAux), Failure>;
+
+/// How a leader's search ended without a plan (module header).
+enum Failure {
+    /// A pure function of the request: every recomputation fails with
+    /// this message, so `Lead::finish` caches it.
+    Pure(String),
+    /// Says nothing about the next attempt: a shed, a deadline expiry,
+    /// a panicking worker, a wall-clock timeout in the simulator.
+    Impure(PlanError),
+}
+
+impl From<Failure> for PlanError {
+    fn from(failure: Failure) -> Self {
+        match failure {
+            Failure::Pure(msg) => PlanError::Search(msg),
+            Failure::Impure(e) => e,
+        }
+    }
+}
 
 /// What a worker runs for an admitted request: [`run_search`], except
 /// in the lifecycle tests, which script it.
@@ -274,7 +276,6 @@ pub struct Planner {
     cache: PlanCache,
     flights: SingleFlight<FlightOutput>,
     executor: Executor,
-    breaker: CircuitBreaker,
     metrics: Arc<ServiceMetrics>,
     recorder: Arc<FlightRecorder>,
     search: Arc<SearchFn>,
@@ -312,8 +313,18 @@ impl Request<'_> {
         self.planner.rec(Some(&self.ctx), kind, detail);
     }
 
+    /// A cached answer as this request's outcome: the plan, or the
+    /// stored failure, which the cache served too.
+    fn hit(&mut self, answer: Answer) -> Outcome {
+        self.source = RequestSource::Cache;
+        let plan = answer.map_err(PlanError::Search)?;
+        Ok((plan, RequestSource::Cache, false))
+    }
+
     /// Note how the request ended and build its reply; `Drop` accounts.
-    fn settle(mut self, outcome: Outcome) -> Result<PlanReply, PlanError> {
+    /// An error comes back with how it was answered: `Shed`, `Failed`,
+    /// or `Cache` for a stored failure.
+    fn settle(mut self, outcome: Outcome) -> Result<PlanReply, (PlanError, RequestSource)> {
         match outcome {
             Ok((plan, source, degraded)) => {
                 (self.source, self.degraded) = (source, degraded);
@@ -330,7 +341,7 @@ impl Request<'_> {
                     self.source = RequestSource::Shed;
                 }
                 self.deadline_exceeded = matches!(e, PlanError::DeadlineExceeded { .. });
-                Err(e)
+                Err((e, self.source))
             }
         }
     }
@@ -375,15 +386,13 @@ impl Drop for Request<'_> {
     }
 }
 
-/// A request responsible for a search (module header). Its two debts —
-/// followers hang until the flight is published, a half-open shard
-/// fast-fails until its probe reports — cannot be skipped by any exit.
+/// A request responsible for a search (module header). Its debt —
+/// followers hang until the flight is published — cannot be skipped by
+/// any exit.
 struct Lead<'a, 'p> {
     rq: &'a mut Request<'p>,
     /// What the followers wait on (`None`: coalescing off, or published).
     flight: Option<Arc<Flight<FlightOutput>>>,
-    /// A breaker admission is held and has had no verdict yet.
-    admitted: bool,
 }
 
 impl Lead<'_, '_> {
@@ -399,50 +408,28 @@ impl Lead<'_, '_> {
         }
     }
 
-    /// Tell the breaker how the admitted request ended, once. Only
-    /// genuine search outcomes count as health: a deadline expiry, a
-    /// shed, or an unfinished leader (`None`) says nothing about the
-    /// shard — but the probe slot, if held, must still be released.
-    fn verdict<T>(&mut self, result: Option<&Result<T, PlanError>>) {
-        if !std::mem::take(&mut self.admitted) {
-            return;
-        }
-        let (rq, planner) = (&*self.rq, self.rq.planner);
-        match result {
-            Some(Ok(_)) => {
-                if planner.breaker.on_success(rq.key) {
-                    rq.rec("breaker.close", vec![]);
-                }
-            }
-            Some(Err(PlanError::Search(_))) => {
-                let now_ns = planner.metrics.now_ns();
-                if planner.breaker.on_failure(rq.key, now_ns) {
-                    let open_ms = Value::UInt(planner.cfg.breaker_open_ms);
-                    rq.rec("breaker.open", vec![("open_ms", open_ms)]);
-                }
-            }
-            Some(Err(_)) | None => planner.breaker.on_abandoned(rq.key),
-        }
-    }
-
-    /// The one way a leader ends: cache-fill → flight publish → breaker
-    /// verdict → recorder events. `ran`: `None` = refused before the queue.
+    /// The one way a leader ends: cache-fill → flight publish →
+    /// recorder events. `ran`: `None` = refused before the queue.
     fn finish(mut self, result: SearchResult, ran: Option<(u64, u64)>) -> Outcome {
         let planner = self.rq.planner;
-        if let Ok((plan, aux)) = &result {
+        let (key, canon, cache) = (self.rq.key, &self.rq.canon, &planner.cache);
+        if let Ok((_, aux)) = &result {
             planner.metrics.on_delta(&aux.delta);
-            // Degraded plans are partial-budget incumbents; caching them
-            // would poison the key for future full-budget requests.
-            if planner.cfg.cache_enabled && !aux.degraded {
-                let (key, canon) = (self.rq.key, &self.rq.canon);
-                planner.cache.insert(key, canon, plan.clone());
+        }
+        if planner.cfg.cache_enabled {
+            match &result {
+                // Degraded plans are partial-budget incumbents; caching
+                // them would poison the key for full-budget requests.
+                Ok((plan, aux)) if !aux.degraded => cache.insert(key, canon, plan.clone()),
+                Err(Failure::Pure(msg)) => cache.insert_failure(key, canon, msg.clone()),
+                _ => {}
             }
         }
+        let result = result.map_err(PlanError::from);
         self.publish(match &result {
             Ok((plan, aux)) => Ok((plan.clone(), aux.degraded)),
             Err(e) => Err(e.clone()),
         });
-        self.verdict(Some(&result));
 
         let rq = &mut *self.rq;
         rq.ran = ran;
@@ -457,10 +444,6 @@ impl Lead<'_, '_> {
                     PlanError::DeadlineExceeded { .. } => (
                         "deadline.exceeded",
                         vec![budget_ms, ("stage", Value::Str("search".into()))],
-                    ),
-                    PlanError::CircuitOpen { retry_after_ms } => (
-                        "breaker.fastfail",
-                        vec![("retry_after_ms", Value::UInt(*retry_after_ms))],
                     ),
                     PlanError::Overloaded { retry_after_ms } => {
                         let depth = Value::UInt(planner.executor.queue_depth() as u64);
@@ -489,10 +472,9 @@ impl Lead<'_, '_> {
 
 impl Drop for Lead<'_, '_> {
     /// No-ops after `finish`; otherwise the leader is unwinding: fail
-    /// the followers rather than strand them, release the probe slot.
+    /// the followers rather than strand them.
     fn drop(&mut self) {
         self.publish(Err(PlanError::Search("leader abandoned its flight".into())));
-        self.verdict::<()>(None);
     }
 }
 
@@ -504,13 +486,6 @@ impl Planner {
             cache: PlanCache::new(cfg.cache_shards, cfg.cache_capacity),
             flights: SingleFlight::new(),
             executor: Executor::new(cfg.workers, cfg.queue_capacity),
-            breaker: CircuitBreaker::new(
-                cfg.cache_shards,
-                BreakerConfig {
-                    failure_threshold: cfg.breaker_threshold,
-                    open_ms: cfg.breaker_open_ms,
-                },
-            ),
             metrics: Arc::new(ServiceMetrics::new()),
             recorder: Arc::new(FlightRecorder::new(
                 cfg.recorder_capacity,
@@ -543,18 +518,29 @@ impl Planner {
     }
 
     /// Plan `req` under `ctx` with an optional end-to-end `deadline`
-    /// budget, going through cache → single-flight → breaker →
-    /// admission → portfolio search. Never blocks on a full queue:
-    /// overload is a structured [`PlanError::Overloaded`]. The deadline
-    /// is operational state, not request content — it does not affect
-    /// the cache key, and two requests differing only in deadline still
-    /// coalesce.
+    /// budget, going through cache → single-flight → admission →
+    /// portfolio search. Never blocks on a full queue: overload is a
+    /// structured [`PlanError::Overloaded`]. The deadline is operational
+    /// state, not request content — it does not affect the cache key,
+    /// and two requests differing only in deadline still coalesce.
     pub fn plan_opts(
         &self,
         req: &PlanRequest,
         ctx: TraceContext,
         deadline: Option<Duration>,
     ) -> Result<PlanReply, PlanError> {
+        self.answer(req, ctx, deadline).map_err(|(e, _)| e)
+    }
+
+    /// [`Planner::plan_opts`], saying also how a request without a plan
+    /// was answered: `Cache` when its failure was stored, `Shed`, or
+    /// `Failed` (the wire reply carries it as `source`).
+    pub(crate) fn answer(
+        &self,
+        req: &PlanRequest,
+        ctx: TraceContext,
+        deadline: Option<Duration>,
+    ) -> Result<PlanReply, (PlanError, RequestSource)> {
         let t0 = self.metrics.now_ns();
         let deadline_at = deadline.map(|d| Instant::now() + d);
         let canon = req.canonical_json();
@@ -578,8 +564,8 @@ impl Planner {
         rq.settle(outcome)
     }
 
-    /// The one path: probe → follow-or-lead loop → admit → submit →
-    /// await → finish. `rq` and the [`Lead`] do the accounting, on drop.
+    /// The one path: probe → follow-or-lead loop → submit → await →
+    /// finish. `rq` and the [`Lead`] do the accounting, on drop.
     fn serve(&self, rq: &mut Request<'_>, req: &PlanRequest) -> Outcome {
         let hit = self.probe(rq);
         // One event on the serving fast path: `cache.hit` doubles as
@@ -593,8 +579,8 @@ impl Planner {
         let label = ("label", Value::Str(rq.label.clone()));
         let key = ("key", Value::Str(id_hex(rq.key)));
         self.rec(Some(&rq.ctx), arrival, vec![label, key]);
-        if let Some(plan) = hit {
-            return Ok((plan, RequestSource::Cache, false));
+        if let Some(answer) = hit {
+            return rq.hit(answer);
         }
         if self.cfg.cache_enabled {
             rq.rec("cache.miss", vec![]);
@@ -613,16 +599,7 @@ impl Planner {
                 }
             }
         };
-        let mut lead = Lead {
-            rq,
-            flight,
-            admitted: false,
-        };
-
-        if let Err(retry_after_ms) = self.breaker.admit(lead.rq.key, self.metrics.now_ns()) {
-            return lead.finish(Err(PlanError::CircuitOpen { retry_after_ms }), None);
-        }
-        lead.admitted = true;
+        let lead = Lead { rq, flight };
 
         let (tx, rx) = mpsc::channel();
         let (job_req, search) = (req.clone(), Arc::clone(&self.search));
@@ -634,34 +611,39 @@ impl Planner {
             // whose client already gave up. No incumbent exists yet,
             // so this is a true DeadlineExceeded, not a degraded plan.
             if deadline_at.is_some_and(|d| Instant::now() >= d) {
-                let expired = Err(PlanError::DeadlineExceeded { budget_ms });
-                let _ = tx.send((expired, (started_ns, 0)));
+                let expired = PlanError::DeadlineExceeded { budget_ms };
+                let _ = tx.send((Err(Failure::Impure(expired)), (started_ns, 0)));
                 return;
             }
             metrics.on_search_started();
             let searched = catch_unwind(AssertUnwindSafe(|| {
                 search(&job_req, deadline_at, budget_ms)
             }));
-            let result = searched
-                .unwrap_or_else(|_| Err(PlanError::Search("search worker panicked".into())));
+            let result = searched.unwrap_or_else(|_| {
+                let panicked = PlanError::Search("search worker panicked".into());
+                Err(Failure::Impure(panicked))
+            });
             let search_ns = metrics.now_ns().saturating_sub(started_ns);
             let _ = tx.send((result, (started_ns, search_ns)));
         };
         if self.executor.try_submit(job).is_err() {
-            let retry_after_ms = self.cfg.retry_after_ms;
-            return lead.finish(Err(PlanError::Overloaded { retry_after_ms }), None);
+            let shed = PlanError::Overloaded {
+                retry_after_ms: self.cfg.retry_after_ms,
+            };
+            return lead.finish(Err(Failure::Impure(shed)), None);
         }
 
         let (result, ran) = rx.recv().expect("worker always replies");
         lead.finish(result, Some(ran))
     }
 
-    /// The cached plan for `rq`, when the cache is on and has it.
-    fn probe(&self, rq: &Request<'_>) -> Option<Plan> {
+    /// The cached plan or failure for `rq`, when the cache is on and
+    /// has one.
+    fn probe(&self, rq: &Request<'_>) -> Option<Answer> {
         if !self.cfg.cache_enabled {
             return None;
         }
-        self.cache.get(rq.key, &rq.canon)
+        self.cache.answer(rq.key, &rq.canon)
     }
 
     /// Wait on another request's flight and inherit what its leader
@@ -691,15 +673,16 @@ impl Planner {
                 // waited; otherwise re-enter the flight, leading it
                 // ourselves if nobody else is searching).
                 rq.rec("coalesce.degraded_retry", vec![leader]);
-                let plan = self.probe(rq)?;
-                Some(Ok((plan, RequestSource::Cache, false)))
+                let answer = self.probe(rq)?;
+                Some(rq.hit(answer))
             }
             Ok((plan, degraded)) => Some(Ok((plan, RequestSource::Coalesced, degraded))),
             Err(e) => Some(Err(e)),
         }
     }
 
-    /// Drop every cached plan; returns how many were invalidated.
+    /// Drop every cached plan and failure; returns how many were
+    /// invalidated.
     pub fn invalidate_cache(&self) -> usize {
         let n = self.cache.invalidate_all();
         self.metrics.on_cache_invalidations(n as u64);
@@ -749,12 +732,6 @@ impl Planner {
         &self.cache
     }
 
-    /// The circuit breaker (state inspection and counters).
-    #[must_use]
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
     /// The always-on flight recorder.
     #[must_use]
     pub fn recorder(&self) -> &Arc<FlightRecorder> {
@@ -775,7 +752,7 @@ impl Planner {
 
     /// The full Prometheus text-format exposition for this planner:
     /// the service registry (request/stage series) plus cache,
-    /// executor, breaker, and flight-recorder series. See DESIGN.md
+    /// executor, and flight-recorder series. See DESIGN.md
     /// §12 for the naming scheme.
     #[must_use]
     pub fn prometheus(&self) -> String {
@@ -801,7 +778,7 @@ impl Planner {
         );
         p.gauge(
             "mheta_serve_cache_entries",
-            "Plans currently cached.",
+            "Plans and search failures currently cached.",
             &[],
             self.cache.len() as f64,
         );
@@ -822,30 +799,6 @@ impl Planner {
             "Jobs currently queued.",
             &[],
             self.executor.queue_depth() as f64,
-        );
-        p.counter(
-            "mheta_serve_breaker_trips_total",
-            "Circuit-breaker shard trips (closed to open).",
-            &[],
-            self.breaker.trips(),
-        );
-        p.counter(
-            "mheta_serve_breaker_closes_total",
-            "Circuit-breaker shard recoveries (back to closed).",
-            &[],
-            self.breaker.closes(),
-        );
-        p.counter(
-            "mheta_serve_breaker_fast_fails_total",
-            "Requests shed fast by an open breaker shard.",
-            &[],
-            self.breaker.fast_fails(),
-        );
-        p.gauge(
-            "mheta_serve_breaker_tripped_shards",
-            "Breaker shards currently shedding (open window running) or mid-probe.",
-            &[],
-            self.breaker.tripped_shards(self.metrics.now_ns()) as f64,
         );
         p.counter(
             "mheta_serve_flight_written_total",
@@ -870,8 +823,8 @@ impl Planner {
     }
 
     /// Full service statistics: request counters and stage latencies,
-    /// cache counters, executor admission tallies, breaker state, and
-    /// flight-recorder occupancy.
+    /// cache counters, executor admission tallies, and flight-recorder
+    /// occupancy.
     #[must_use]
     pub fn stats(&self) -> Value {
         let r = &self.recorder;
@@ -895,7 +848,6 @@ impl Planner {
                     ),
                 ]),
             ),
-            ("breaker", self.breaker.stats(self.metrics.now_ns())),
             ("recorder", recorder),
         ])
     }
@@ -905,8 +857,11 @@ impl Planner {
 /// with the request deadline (if any) as a cooperative cancellation
 /// criterion.
 fn run_search(req: &PlanRequest, deadline: Option<Instant>, budget_ms: u64) -> SearchResult {
-    let model = build_model(&req.bench, &req.spec, req.prefetch)
-        .map_err(|e| PlanError::Search(e.to_string()))?;
+    let model = build_model(&req.bench, &req.spec, req.prefetch).map_err(|e| match e {
+        // The simulator's one wall-clock error: the next build may pass.
+        SimError::Timeout { .. } => Failure::Impure(PlanError::Search(e.to_string())),
+        _ => Failure::Pure(e.to_string()),
+    })?;
     let inputs = anchor_inputs(&model);
     let path = SpectrumPath::new(&inputs);
     let mut cfg = req.search.to_portfolio();
@@ -916,9 +871,9 @@ fn run_search(req: &PlanRequest, deadline: Option<Instant>, budget_ms: u64) -> S
         // The deadline fired before ANY candidate finished evaluating:
         // nothing to degrade to.
         if out.deadline_hit {
-            return Err(PlanError::DeadlineExceeded { budget_ms });
+            return Err(Failure::Impure(PlanError::DeadlineExceeded { budget_ms }));
         }
-        return Err(PlanError::Search(
+        return Err(Failure::Pure(
             "no candidate evaluated to a finite score".into(),
         ));
     }
@@ -959,10 +914,10 @@ mod tests {
     //! `Request::drop`'s `record_request` ("one terminal record per
     //! request", every script), its `on_degraded` / `on_deadline_exceeded`
     //! (the counter laws); `Lead::finish`'s cache-fill (the repeat misses),
-    //! publish (followers end `Failed`, not `Coalesced`), verdict (no
-    //! trip, no close), events (the recorder law); `Lead::drop`'s publish
-    //! (stranded follower) and verdict, and `verdict`'s `on_abandoned`
-    //! ("phantom probe in flight").
+    //! its failure fill (the repeated `Fail` searches again), publish
+    //! (followers end `Failed`, not `Coalesced`), events (the recorder
+    //! law); `Lead::drop`'s publish (stranded follower). Storing an
+    //! impure `Search` error too fails the panic script.
 
     use super::*;
     use crate::request::{benchmark_by_name, SearchParams};
@@ -999,6 +954,9 @@ mod tests {
     /// The full-budget plan evaluates twice as much as the degraded one,
     /// which is how the cache law tells them apart.
     const FULL_EVALS: usize = 2;
+
+    /// What a scripted `Fail` returns: the one error the cache may hold.
+    const SCRIPTED_FAILURE: &str = "scripted failure";
 
     struct Rig {
         planner: Planner,
@@ -1053,17 +1011,13 @@ mod tests {
             match step.end {
                 Found => found(false),
                 Degraded => found(true),
-                Fail => Err(PlanError::Search("scripted failure".into())),
+                Fail => Err(Failure::Pure(SCRIPTED_FAILURE.into())),
                 Panic => panic!("scripted panic"),
             }
         };
         let planner = Planner {
             search: Arc::new(search),
-            // One shard: every key shares the breaker.
-            ..Planner::new(PlannerConfig {
-                cache_shards: 1,
-                ..cfg
-            })
+            ..Planner::new(cfg)
         };
         let rig = Rig {
             planner,
@@ -1104,9 +1058,9 @@ mod tests {
             }
         }
 
-        fn cached(&self, seed: u64) -> Option<Plan> {
+        fn cached(&self, seed: u64) -> Option<Answer> {
             let req = request(seed);
-            self.planner.cache.get(req.key(), &req.canonical_json())
+            self.planner.cache.answer(req.key(), &req.canonical_json())
         }
 
         fn kinds(&self) -> Vec<String> {
@@ -1158,24 +1112,24 @@ mod tests {
             want.sort();
             assert_eq!(self.kinds(), want, "recorder events");
 
-            // Nothing is left in flight, queued, or half-probed: once
-            // any open window has run out the shard admits a probe.
+            // Nothing is left in flight or queued.
             assert_eq!(
                 planner.flights.in_flight(),
                 0,
                 "a flight outlived its leader"
             );
             assert_eq!(planner.queue_depth(), 0);
-            let probe = planner.breaker.admit(0, u64::MAX);
-            assert_eq!(probe, Ok(()), "phantom probe in flight");
-            planner.breaker.on_abandoned(0);
-            // Only full-budget plans are ever cached.
+            // The cache holds full-budget plans and the scripted failure,
+            // nothing else: no degraded plan, no panic, no abandoned
+            // flight.
             for seed in 0..8 {
-                let evals = self.cached(seed).map(|p| p.total_evals);
-                assert!(
-                    evals.is_none_or(|n| n == FULL_EVALS),
-                    "degraded plan cached"
-                );
+                match self.cached(seed) {
+                    None => {}
+                    Some(Ok(plan)) => {
+                        assert_eq!(plan.total_evals, FULL_EVALS, "degraded plan cached")
+                    }
+                    Some(Err(msg)) => assert_eq!(msg, SCRIPTED_FAILURE, "impure failure cached"),
+                }
             }
         }
     }
@@ -1187,7 +1141,7 @@ mod tests {
         let (rig, _entered) = rig(PlannerConfig::default(), &[now(Found)]);
         assert_eq!(rig.call(1, None).unwrap().source, Fresh);
         assert_eq!(rig.call(1, None).unwrap().source, Cache);
-        assert!(rig.cached(1).is_some());
+        assert!(rig.cached(1).is_some_and(|a| a.is_ok()));
         let kinds = ["request.received", "cache.miss", "search.done", "cache.hit"];
         rig.settled(&[Fresh, Cache], &kinds);
     }
@@ -1265,7 +1219,8 @@ mod tests {
             assert!(!unbounded.degraded && unbounded.source == Fresh);
             assert_eq!(unbounded.plan.total_evals, FULL_EVALS);
         });
-        assert_eq!(rig.cached(1).map(|p| p.total_evals), Some(FULL_EVALS));
+        let cached = rig.cached(1).map(|a| a.map(|p| p.total_evals));
+        assert_eq!(cached, Some(Ok(FULL_EVALS)));
         let kinds = [
             ["request.received", "cache.miss", "search.done"].repeat(2),
             vec!["request.received", "cache.miss"],
@@ -1281,72 +1236,56 @@ mod tests {
     }
 
     #[test]
-    fn search_failures_trip_the_breaker_and_a_probe_closes_it() {
-        let cfg = PlannerConfig {
-            breaker_threshold: 2,
-            breaker_open_ms: 60_000,
-            cache_enabled: false,
-            ..PlannerConfig::default()
-        };
-        let (rig, _entered) = rig(cfg, &[now(Fail), now(Panic), now(Found)]);
-        assert!(matches!(rig.call(1, None), Err(PlanError::Search(_))));
-        let err = rig.call(2, None).unwrap_err();
-        assert_eq!(err, PlanError::Search("search worker panicked".into()));
-        let err = rig.call(3, None).unwrap_err();
-        assert!(matches!(err, PlanError::CircuitOpen { .. }), "{err}");
-        let events = [
-            ["request.received", "search.fail"].repeat(2),
-            vec!["breaker.open", "request.received", "breaker.fastfail"],
+    fn a_search_failure_is_a_cached_answer_and_a_panic_is_not() {
+        let steps = [now(Fail), now(Panic), now(Found)];
+        let (rig, _entered) = rig(PlannerConfig::default(), &steps);
+        let failed = Err(PlanError::Search(SCRIPTED_FAILURE.into()));
+        assert_eq!(rig.call(1, None).map(|r| r.plan), failed);
+        // The repeat is the same answer, from the cache, with no search.
+        assert_eq!(rig.call(1, None).map(|r| r.plan), failed);
+        assert_eq!(rig.planner.metrics().searches(), 1);
+        let panicked = PlanError::Search("search worker panicked".into());
+        assert_eq!(rig.call(2, None).unwrap_err(), panicked);
+        // A panic says nothing about the next attempt: it searches.
+        assert_eq!(rig.call(2, None).unwrap().source, Fresh);
+        assert_eq!(rig.planner.metrics().searches(), 3);
+        let kinds = [
+            ["request.received", "cache.miss", "search.fail"].repeat(2),
+            vec!["cache.hit", "request.received", "cache.miss", "search.done"],
         ]
         .concat();
-        // `settled` probes the shard once its window is over and gives
-        // the slot back; the next request is that probe, and succeeds.
-        rig.settled(&[Failed, Failed, Shed], &events);
-        assert_eq!(rig.call(4, None).unwrap().source, Fresh);
-        assert_eq!(rig.planner.breaker().closes(), 1);
-        let events = [
-            events,
-            vec!["request.received", "breaker.close", "search.done"],
-        ]
-        .concat();
-        rig.settled(&[Failed, Failed, Shed, Fresh], &events);
+        rig.settled(&[Failed, Cache, Failed, Fresh], &kinds);
     }
 
     #[test]
     fn a_probe_with_no_verdict_gives_its_slot_back() {
-        // Shed on a full queue, then expired in the queue: neither says
-        // anything about the shard, both must release the probe slot.
+        // Shed on a full queue, then expired in the queue: neither ran a
+        // search, so neither is an answer — the key's slot stays empty
+        // and its repeat goes through admission again.
         for (queue_capacity, deadline) in [(0, None), (4, Some(Duration::ZERO))] {
             let cfg = PlannerConfig {
-                breaker_threshold: 1,
-                breaker_open_ms: 0,
                 queue_capacity,
                 ..PlannerConfig::default()
             };
             let (rig, _entered) = rig(cfg, &[]);
-            rig.planner.breaker.on_failure(0, 0);
             let err = rig.call(1, deadline).unwrap_err();
-            assert_eq!(rig.planner.breaker().probes(), 1, "it was the probe");
+            assert!(rig.cached(1).is_none(), "{err} was cached");
+            assert_eq!(rig.call(1, deadline).unwrap_err(), err);
             assert_eq!(rig.planner.metrics().searches(), 0);
             let (source, event) = match err {
                 PlanError::Overloaded { .. } => (Shed, "request.shed"),
                 PlanError::DeadlineExceeded { .. } => (Failed, "deadline.exceeded"),
                 other => panic!("unexpected {other}"),
             };
-            rig.settled(&[source], &["request.received", "cache.miss", event]);
+            let kinds = ["request.received", "cache.miss", event].repeat(2);
+            rig.settled(&[source, source], &kinds);
         }
     }
 
     #[test]
     fn a_leader_that_never_finishes_still_pays_its_debts() {
-        let cfg = PlannerConfig {
-            breaker_threshold: 1,
-            breaker_open_ms: 0,
-            ..PlannerConfig::default()
-        };
-        let (rig, _entered) = rig(cfg, &[]);
+        let (rig, _entered) = rig(PlannerConfig::default(), &[]);
         let planner = &rig.planner;
-        planner.breaker.on_failure(0, 0);
         let follower = std::thread::scope(|s| {
             let req = request(1);
             let canon = req.canonical_json();
@@ -1357,8 +1296,8 @@ mod tests {
             // instead of hanging it.
             let follower = s.spawn(|| rig.call(1, Some(Duration::from_secs(5))));
             rig.flight_holds(1, 2);
-            // A request that became the leader and the half-open probe,
-            // and then unwound before `finish`.
+            // A request that became the leader, and then unwound before
+            // `finish`.
             rig.calls.fetch_add(1, Ordering::SeqCst);
             let mut rq = Request {
                 planner,
@@ -1376,11 +1315,9 @@ mod tests {
                 ran: None,
                 strategies: Vec::new(),
             };
-            assert_eq!(planner.breaker.admit(rq.key, u64::MAX), Ok(()));
             drop(Lead {
                 rq: &mut rq,
                 flight: Some(flight),
-                admitted: true,
             });
             drop(rq);
             follower.join().unwrap()
@@ -1389,6 +1326,8 @@ mod tests {
             matches!(follower, Err(PlanError::Search(_))),
             "{follower:?}"
         );
+        // The abandoned flight is not an answer.
+        assert!(rig.cached(1).is_none());
         let kinds = ["request.received", "cache.miss", "coalesce.follow"];
         rig.settled(&[Failed, Failed], &kinds);
     }

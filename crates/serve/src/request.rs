@@ -170,9 +170,14 @@ pub fn benchmark_by_name(name: &str, size: &str) -> Option<Benchmark> {
     })
 }
 
+/// Largest `n` of a `HOM<n>` cluster name. The spec is built before
+/// anything else looks at it, at ~72 B per node, so an unbounded `n`
+/// from the wire is an allocation of the client's choosing.
+pub const MAX_HOM_NODES: usize = 1024;
+
 /// Look up a cluster preset by wire name (case-insensitive): the Table
 /// 1 architectures `DC`, `IO`, `HY1`, `HY2`, or `HOM<n>` for a
-/// homogeneous `n`-node cluster.
+/// homogeneous `n`-node cluster, `1 <= n <=` [`MAX_HOM_NODES`].
 #[must_use]
 pub fn cluster_by_name(name: &str) -> Option<ClusterSpec> {
     match name.to_ascii_uppercase().as_str() {
@@ -182,11 +187,9 @@ pub fn cluster_by_name(name: &str) -> Option<ClusterSpec> {
         "HY2" => Some(mheta_sim::presets::hy2()),
         other => {
             let n: usize = other.strip_prefix("HOM")?.parse().ok()?;
-            if n == 0 {
-                None
-            } else {
-                Some(ClusterSpec::homogeneous(n))
-            }
+            (1..=MAX_HOM_NODES)
+                .contains(&n)
+                .then(|| ClusterSpec::homogeneous(n))
         }
     }
 }
@@ -256,5 +259,15 @@ mod tests {
         assert!(cluster_by_name("ZZ").is_none());
         assert_eq!(strategy_by_name("gbs"), Some(Strategy::Gbs));
         assert_eq!(strategy_by_name("nope"), None);
+    }
+
+    #[test]
+    fn hom_is_bounded_before_anything_is_built() {
+        let max = cluster_by_name(&format!("HOM{MAX_HOM_NODES}")).unwrap();
+        assert_eq!(max.len(), MAX_HOM_NODES);
+        // Past the bound nothing is allocated, however large the ask.
+        for n in [MAX_HOM_NODES + 1, 1_000_000_000, usize::MAX] {
+            assert!(cluster_by_name(&format!("hom{n}")).is_none(), "HOM{n}");
+        }
     }
 }

@@ -32,6 +32,10 @@
 //!   754 bits, never as a decimal float, so save → load is the
 //!   identity on every plan (the round-trip proptests pin this).
 //!
+//! Only plans are saved. A cached search failure (DESIGN.md §13) is
+//! left out: a restarted daemon pays one model build per doomed key and
+//! caches the failure again, and the format stays the one it was.
+//!
 //! Every rejection is a value, not a panic: the daemon logs it and
 //! cold-starts. A snapshot can degrade startup latency, never
 //! correctness — the cache's canon-string comparison still guards
@@ -355,6 +359,15 @@ mod tests {
             parse(&tampered).unwrap_err(),
             SnapshotError::Checksum { .. }
         ));
+    }
+
+    #[test]
+    fn a_cached_failure_is_not_saved() {
+        let c = populated();
+        c.insert_failure(0x5555, "{}", "no model".into());
+        let entries = parse(&snapshot_value(&c).to_json()).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert!(entries.iter().all(|(key, ..)| *key != 0x5555));
     }
 
     #[test]

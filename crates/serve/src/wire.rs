@@ -23,7 +23,8 @@
 //! ```
 //!
 //! `arch` is a preset name (`DC`, `IO`, `HY1`, `HY2`) or `HOM<n>` for
-//! a homogeneous `n`-node cluster. The optional `search` object takes
+//! a homogeneous `n`-node cluster, `1 <= n <=`
+//! [`crate::request::MAX_HOM_NODES`]. The optional `search` object takes
 //! `evals` (per-strategy budget), `retries`, `seed`, `total_evals`,
 //! `stall`, and `target_ns`. The optional `deadline_ms` is the
 //! request's end-to-end budget: when it expires mid-search the reply
@@ -35,15 +36,18 @@
 //! correlate its call with the daemon's span log, flight-recorder
 //! dump, and Perfetto export.
 //!
-//! A successful plan reply carries `"source"` — `"fresh"`, `"cache"`,
-//! or `"coalesced"` — so clients (and the CI smoke test) can verify
-//! cache behavior. Shed requests get structured errors the client can
-//! act on: `{"ok":false,"error":{"kind":"overloaded","retry_after_ms":N}}`
-//! when the queue is full, `{"kind":"circuit_open","retry_after_ms":N}`
-//! when the breaker for that request's shard is open, and
-//! `{"kind":"draining","retry_after_ms":N}` while the daemon drains
-//! toward shutdown. Every shed also logs a structured event to stderr
-//! — sheds are never silent.
+//! A plan reply carries `"source"` — `"fresh"`, `"cache"`, or
+//! `"coalesced"` on success; `"failed"`, `"shed"`, or `"cache"` on an
+//! error — so clients (and the CI smoke test) can verify cache
+//! behavior. A search failure that is a pure function of the request
+//! (`{"kind":"search","message":...}`: a model that cannot be built,
+//! candidates that never score finite) is cached beside the plans, so
+//! its repeat comes back `"source":"cache"` with the original message
+//! and costs no search. Shed requests get structured errors the client
+//! can act on: `{"ok":false,"error":{"kind":"overloaded","retry_after_ms":N}}`
+//! when the queue is full, and `{"kind":"draining","retry_after_ms":N}`
+//! while the daemon drains toward shutdown. Every shed also logs a
+//! structured event to stderr — sheds are never silent.
 //!
 //! ## Lifecycle
 //!
@@ -70,10 +74,12 @@ use std::time::{Duration, Instant};
 
 use mheta_obs::json::{self, from_str, opt_f64_field, opt_u64_field, str_field, Value};
 use mheta_obs::trace::{id_hex, parse_id};
-use mheta_obs::TraceContext;
+use mheta_obs::{RequestSource, TraceContext};
 
 use crate::planner::{PlanError, PlanReply, Planner};
-use crate::request::{benchmark_by_name, cluster_by_name, PlanRequest, SearchParams};
+use crate::request::{
+    benchmark_by_name, cluster_by_name, PlanRequest, SearchParams, MAX_HOM_NODES,
+};
 
 /// One parsed request line.
 #[derive(Debug, Clone)]
@@ -82,7 +88,7 @@ pub enum WireOp {
     /// client-propagated trace context and an end-to-end deadline
     /// budget (milliseconds).
     Plan(Box<PlanRequest>, Option<TraceContext>, Option<u64>),
-    /// Report service, cache, executor, and breaker statistics.
+    /// Report service, cache, executor, and flight-recorder statistics.
     Stats,
     /// Render the Prometheus text-format exposition.
     Metrics,
@@ -144,8 +150,9 @@ fn parse_plan(v: &Value) -> Result<PlanRequest, String> {
         .ok_or_else(|| format!("unknown app `{name}` (size `{size}`)"))?;
 
     let arch = str_field(v, "arch").map_err(|e| e.to_string())?;
-    let spec = cluster_by_name(arch)
-        .ok_or_else(|| format!("unknown arch `{arch}` (want DC, IO, HY1, HY2, or HOM<n>)"))?;
+    let spec = cluster_by_name(arch).ok_or_else(|| {
+        format!("unknown arch `{arch}` (want DC, IO, HY1, HY2, or HOM<n> with 1 <= n <= {MAX_HOM_NODES})")
+    })?;
 
     let prefetch = match v.get("prefetch") {
         None | Some(Value::Null) => false,
@@ -220,23 +227,32 @@ fn error_kind(err: &PlanError) -> &'static str {
         PlanError::Overloaded { .. } => "overloaded",
         PlanError::Search(_) => "search",
         PlanError::DeadlineExceeded { .. } => "deadline",
-        PlanError::CircuitOpen { .. } => "circuit_open",
     }
 }
 
-/// Render a planning error. `trace` identifies the failed request in
-/// the daemon's telemetry (omitted when no request context exists).
+/// Render a planning error and how it was answered (`source`: a
+/// stored search failure is served from the cache). `trace` identifies
+/// the failed request in the daemon's telemetry (omitted when no
+/// request context exists).
 #[must_use]
-pub fn error_response(err: &PlanError, trace: Option<&TraceContext>) -> Value {
+pub fn error_response(
+    err: &PlanError,
+    source: RequestSource,
+    trace: Option<&TraceContext>,
+) -> Value {
     let detail = match err {
-        PlanError::Overloaded { retry_after_ms } | PlanError::CircuitOpen { retry_after_ms } => {
+        PlanError::Overloaded { retry_after_ms } => {
             ("retry_after_ms", Value::UInt(*retry_after_ms))
         }
         PlanError::Search(msg) => ("message", Value::Str(msg.clone())),
         PlanError::DeadlineExceeded { budget_ms } => ("budget_ms", Value::UInt(*budget_ms)),
     };
     let error = Value::object(vec![("kind", Value::Str(error_kind(err).into())), detail]);
-    let mut fields = vec![("ok", Value::Bool(false)), ("error", error)];
+    let mut fields = vec![
+        ("ok", Value::Bool(false)),
+        ("source", Value::Str(source.name().to_string())),
+        ("error", error),
+    ];
     if let Some(t) = trace {
         fields.push(("trace_id", Value::Str(t.trace_hex())));
     }
@@ -347,16 +363,16 @@ pub fn handle(planner: &Planner, op: &WireOp) -> (Value, bool) {
                 None => TraceContext::root(),
             };
             let deadline = deadline_ms.map(Duration::from_millis);
-            let resp = match planner.plan_opts(req, ctx, deadline) {
+            let resp = match planner.answer(req, ctx, deadline) {
                 Ok(reply) => plan_response(&reply),
-                Err(e) => {
+                Err((e, source)) => {
                     // Only a shed needs the request key (for its log
                     // line), so only a shed pays to canonicalise and
                     // hash the request a second time.
                     if let Some(retry_after_ms) = e.retry_after_ms() {
                         log_shed(planner, error_kind(&e), req.key(), &ctx, retry_after_ms);
                     }
-                    error_response(&e, Some(&ctx))
+                    error_response(&e, source, Some(&ctx))
                 }
             };
             (resp, false)
@@ -748,10 +764,12 @@ mod tests {
     #[test]
     fn shed_error_renders_structured_retry_after() {
         let ctx = TraceContext::root();
-        let v = error_response(&PlanError::Overloaded { retry_after_ms: 50 }, Some(&ctx));
+        let overloaded = PlanError::Overloaded { retry_after_ms: 50 };
+        let v = error_response(&overloaded, RequestSource::Shed, Some(&ctx));
         let json = v.to_json();
         let back = from_str(&json).unwrap();
         assert_eq!(back.get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(back.get("source").unwrap().as_str(), Some("shed"));
         let error = back.get("error").unwrap();
         assert_eq!(error.get("kind").unwrap().as_str(), Some("overloaded"));
         assert_eq!(error.get("retry_after_ms").unwrap().as_u64(), Some(50));
@@ -763,22 +781,21 @@ mod tests {
 
     #[test]
     fn lifecycle_errors_render_structured_kinds() {
-        let v = error_response(&PlanError::DeadlineExceeded { budget_ms: 250 }, None);
+        let expired = PlanError::DeadlineExceeded { budget_ms: 250 };
+        let v = error_response(&expired, RequestSource::Failed, None);
         let back = from_str(&v.to_json()).unwrap();
         let error = back.get("error").unwrap();
         assert_eq!(error.get("kind").unwrap().as_str(), Some("deadline"));
         assert_eq!(error.get("budget_ms").unwrap().as_u64(), Some(250));
 
-        let v = error_response(
-            &PlanError::CircuitOpen {
-                retry_after_ms: 900,
-            },
-            None,
-        );
+        // A stored search failure: the original message, from the cache.
+        let failed = PlanError::Search("no model".into());
+        let v = error_response(&failed, RequestSource::Cache, None);
         let back = from_str(&v.to_json()).unwrap();
+        assert_eq!(back.get("source").unwrap().as_str(), Some("cache"));
         let error = back.get("error").unwrap();
-        assert_eq!(error.get("kind").unwrap().as_str(), Some("circuit_open"));
-        assert_eq!(error.get("retry_after_ms").unwrap().as_u64(), Some(900));
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("search"));
+        assert_eq!(error.get("message").unwrap().as_str(), Some("no model"));
 
         let v = draining_response(200);
         let back = from_str(&v.to_json()).unwrap();

@@ -31,6 +31,7 @@ fn cases() -> Vec<Case> {
         r#"{"op":"plan","app":7,"arch":"DC"}"#,
         r#"{"op":"plan","app":{"name":["jacobi"]},"arch":"DC"}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":5}"#,
+        r#"{"op":"plan","app":{"name":"jacobi"},"arch":"HOM1025"}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","prefetch":"yes"}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","deadline_ms":"soon"}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","search":{"evals":-1}}"#,

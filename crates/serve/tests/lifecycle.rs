@@ -1,6 +1,6 @@
 //! Request-lifecycle hardening, end to end: deadlines (degraded
-//! incumbents vs true expiry), the per-shard circuit breaker, graceful
-//! drain over the wire, and crash-safe snapshot warm starts.
+//! incumbents vs true expiry), cached search failures, graceful drain
+//! over the wire, and crash-safe snapshot warm starts.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -8,10 +8,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mheta_obs::json::{from_str, Value};
-use mheta_obs::TraceContext;
+use mheta_obs::{RequestSource, TraceContext};
 use mheta_serve::{
-    benchmark_by_name, snapshot, wire, BreakerState, Lifecycle, PlanError, PlanRequest, Planner,
-    PlannerConfig, SearchParams, ServeConfig,
+    benchmark_by_name, snapshot, wire, Lifecycle, PlanError, PlanRequest, Planner, PlannerConfig,
+    SearchParams, ServeConfig,
 };
 use mheta_sim::presets;
 
@@ -110,121 +110,42 @@ fn deadline_does_not_change_the_cache_key() {
 }
 
 #[test]
-fn consecutive_search_failures_trip_the_breaker_and_shed_fast() {
-    let planner = Planner::new(PlannerConfig {
-        breaker_threshold: 3,
-        breaker_open_ms: 60_000,
-        cache_shards: 1, // one shard: every key shares the breaker
-        cache_enabled: false,
-        coalesce_enabled: false,
-        ..PlannerConfig::default()
-    });
-    let req = doomed_request(1);
-    for i in 0..3 {
-        let err = planner.plan(&req).unwrap_err();
-        assert!(
-            matches!(err, PlanError::Search(_)),
-            "attempt {i} fails the search itself: {err}"
-        );
-    }
-    assert_eq!(planner.breaker().trips(), 1);
-    // The fourth request sheds fast — no search, structured backoff.
-    let searches_before = planner.metrics().searches();
-    let err = planner.plan(&req).unwrap_err();
-    let PlanError::CircuitOpen { retry_after_ms } = err else {
-        panic!("expected CircuitOpen, got {err}");
+fn a_doomed_request_searches_once_and_sheds_nobody() {
+    let planner = Planner::new(PlannerConfig::default());
+    let doomed = doomed_request(1);
+    // A healthy request in the doomed key's cache shard (the stripe is
+    // picked by the key's high bits over the default 8 shards).
+    let shard = |req: &PlanRequest| (req.key() >> 32) % 8;
+    let healthy = (2..)
+        .map(small_request)
+        .find(|req| shard(req) == shard(&doomed))
+        .unwrap();
+    let doomed_replies: Vec<_> = (0..5).map(|_| planner.plan(&doomed)).collect();
+    let searches = planner.metrics().searches();
+    let sixth = planner.plan(&healthy);
+
+    // A failure says nothing about the other keys of its shard.
+    assert_eq!(sixth.map(|r| r.source), Ok(RequestSource::Fresh));
+    assert_eq!(searches, 1, "the doomed key searched more than once");
+    let Err(PlanError::Search(first)) = &doomed_replies[0] else {
+        panic!("the doomed request did not fail its search")
     };
-    assert!(retry_after_ms > 0 && retry_after_ms <= 60_000);
-    assert_eq!(planner.metrics().searches(), searches_before);
-    assert_eq!(planner.breaker().fast_fails(), 1);
-    // Shard granularity: a healthy request on the same (only) shard is
-    // shed by association while the breaker is open.
-    let err = planner.plan(&small_request(2)).unwrap_err();
-    assert!(matches!(err, PlanError::CircuitOpen { .. }), "{err}");
-}
-
-#[test]
-fn half_open_probe_success_closes_the_breaker() {
-    let planner = Planner::new(PlannerConfig {
-        breaker_threshold: 2,
-        breaker_open_ms: 0, // the window expires immediately: next admit probes
-        cache_shards: 1,
-        cache_enabled: false,
-        coalesce_enabled: false,
-        ..PlannerConfig::default()
-    });
-    let bad = doomed_request(3);
-    for _ in 0..2 {
-        let _ = planner.plan(&bad).unwrap_err();
+    for (i, reply) in doomed_replies.iter().enumerate().skip(1) {
+        let reply = reply.as_ref().map(|r| &r.plan);
+        assert_eq!(reply, Err(&PlanError::Search(first.clone())), "reply {i}");
     }
-    assert_eq!(planner.breaker().trips(), 1);
-    // The next request is the half-open probe; it is healthy, so it
-    // runs and closes the breaker.
-    let reply = planner.plan(&small_request(4)).unwrap();
-    assert_eq!(reply.source.name(), "fresh");
-    assert_eq!(planner.breaker().closes(), 1);
-    assert_eq!(
-        planner.breaker().state(0, planner.metrics().now_ns()),
-        BreakerState::Closed
-    );
-    assert_eq!(planner.breaker().probes(), 1);
-}
+    let sources: Vec<_> = planner.metrics().spans().iter().map(|s| s.source).collect();
+    let want = [RequestSource::Failed]
+        .into_iter()
+        .chain([RequestSource::Cache; 4])
+        .chain([RequestSource::Fresh]);
+    assert_eq!(sources, want.collect::<Vec<_>>());
 
-#[test]
-fn shed_probe_releases_the_breaker_slot() {
-    let planner = Planner::new(PlannerConfig {
-        breaker_threshold: 1,
-        breaker_open_ms: 0, // the window expires immediately: next admit probes
-        queue_capacity: 0,  // every admission sheds
-        cache_shards: 1,
-        cache_enabled: false,
-        coalesce_enabled: false,
-        ..PlannerConfig::default()
-    });
-    // Trip the only shard directly; the zero window has already expired.
-    planner.breaker().on_failure(0, planner.metrics().now_ns());
-    // The next request is admitted as the half-open probe, then shed on
-    // the full queue before any search runs. The probe slot must be
-    // released: without it the shard would answer CircuitOpen forever.
-    let err = planner.plan(&small_request(41)).unwrap_err();
-    assert!(matches!(err, PlanError::Overloaded { .. }), "{err}");
-    let err = planner.plan(&small_request(42)).unwrap_err();
-    assert!(
-        matches!(err, PlanError::Overloaded { .. }),
-        "probe slot leaked: {err}"
-    );
-}
-
-#[test]
-fn deadline_expired_probe_releases_the_breaker_slot() {
-    let planner = Planner::new(PlannerConfig {
-        breaker_threshold: 1,
-        breaker_open_ms: 0,
-        cache_shards: 1,
-        cache_enabled: false,
-        coalesce_enabled: false,
-        ..PlannerConfig::default()
-    });
-    planner.breaker().on_failure(0, planner.metrics().now_ns());
-    // The probe's zero budget expires while queued: it ends with
-    // DeadlineExceeded — no verdict on shard health, but the slot must
-    // come back.
-    let err = planner
-        .plan_opts(
-            &small_request(43),
-            TraceContext::root(),
-            Some(Duration::ZERO),
-        )
-        .unwrap_err();
-    assert_eq!(err, PlanError::DeadlineExceeded { budget_ms: 0 });
-    // The shard recovers through the next (healthy) probe instead of
-    // fast-failing until restart.
-    let reply = planner.plan(&small_request(44)).unwrap();
-    assert_eq!(reply.source.name(), "fresh");
-    assert_eq!(
-        planner.breaker().state(0, planner.metrics().now_ns()),
-        BreakerState::Closed
-    );
+    // Invalidation drops the failure like any plan: the next attempt
+    // searches again.
+    assert_eq!(planner.invalidate_cache(), 2);
+    assert!(planner.plan(&doomed).is_err());
+    assert_eq!(planner.metrics().searches(), 3);
 }
 
 #[test]

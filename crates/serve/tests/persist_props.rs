@@ -1,13 +1,11 @@
 //! Property tests for the crash-safety story: the `mheta-plancache/v1`
 //! snapshot format round-trips bitwise and rejects every corrupted
 //! variant as a *value* (cold start, never a crash, never a wrong
-//! plan), and the circuit breaker matches a reference state machine
-//! under arbitrary event interleavings.
+//! plan).
 
 use std::collections::BTreeMap;
 
 use mheta_dist::Strategy as PortfolioStrategy;
-use mheta_serve::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use mheta_serve::snapshot::{self, SnapshotError};
 use mheta_serve::{Plan, PlanCache};
 use proptest::prelude::*;
@@ -130,104 +128,6 @@ proptest! {
                 // emits no optional whitespace, so reaching here is a bug.
                 prop_assert!(false, "corrupted snapshot accepted");
             }
-        }
-    }
-
-    /// The breaker tracks a reference state machine under arbitrary
-    /// sequences of successes, failures, abandons (a request admitted
-    /// but ending with no search verdict), and clock advances.
-    #[test]
-    fn breaker_matches_reference_model(
-        threshold in 1u32..5,
-        open_ms in 1u64..50,
-        events in proptest::collection::vec(0u8..4, 1..120),
-    ) {
-        let breaker = CircuitBreaker::new(1, BreakerConfig { failure_threshold: threshold, open_ms });
-
-        // Reference model.
-        #[derive(Clone, Copy, Debug, PartialEq)]
-        enum Model { Closed { fails: u32 }, Open { until: u64 }, HalfOpen { probing: bool } }
-        let mut model = Model::Closed { fails: 0 };
-        let mut now: u64 = 0;
-
-        for ev in events {
-            match ev {
-                0 => {
-                    // A request arrives: admit, then succeed if admitted.
-                    let admitted = breaker.admit(0, now).is_ok();
-                    let model_admits = match model {
-                        Model::Closed { .. } => true,
-                        Model::Open { until } if now >= until => { model = Model::HalfOpen { probing: true }; true }
-                        Model::Open { .. } => false,
-                        Model::HalfOpen { probing: false } => { model = Model::HalfOpen { probing: true }; true }
-                        Model::HalfOpen { probing: true } => false,
-                    };
-                    prop_assert_eq!(admitted, model_admits);
-                    if admitted {
-                        // The call reports its own transition: it closed
-                        // the shard iff the shard was not closed before.
-                        let closed = breaker.on_success(0);
-                        prop_assert_eq!(closed, !matches!(model, Model::Closed { .. }));
-                        model = Model::Closed { fails: 0 };
-                    }
-                }
-                1 => {
-                    // A request arrives: admit, then fail if admitted.
-                    let admitted = breaker.admit(0, now).is_ok();
-                    let model_admits = match model {
-                        Model::Closed { .. } => true,
-                        Model::Open { until } if now >= until => { model = Model::HalfOpen { probing: true }; true }
-                        Model::Open { .. } => false,
-                        Model::HalfOpen { probing: false } => { model = Model::HalfOpen { probing: true }; true }
-                        Model::HalfOpen { probing: true } => false,
-                    };
-                    prop_assert_eq!(admitted, model_admits);
-                    if admitted {
-                        let tripped = breaker.on_failure(0, now);
-                        model = match model {
-                            Model::Closed { fails } if fails + 1 >= threshold =>
-                                Model::Open { until: now + open_ms * 1_000_000 },
-                            Model::Closed { fails } => Model::Closed { fails: fails + 1 },
-                            _ => Model::Open { until: now + open_ms * 1_000_000 },
-                        };
-                        // An admitted request is never inside a running
-                        // open window, so landing in `Open` is a trip,
-                        // and it is this call's.
-                        prop_assert_eq!(tripped, matches!(model, Model::Open { .. }));
-                    }
-                }
-                2 => {
-                    // A request arrives: admit, then abandon if admitted
-                    // (shed on a full queue / deadline expired — no
-                    // search verdict, but the probe slot is released).
-                    let admitted = breaker.admit(0, now).is_ok();
-                    let model_admits = match model {
-                        Model::Closed { .. } => true,
-                        Model::Open { until } if now >= until => { model = Model::HalfOpen { probing: true }; true }
-                        Model::Open { .. } => false,
-                        Model::HalfOpen { probing: false } => { model = Model::HalfOpen { probing: true }; true }
-                        Model::HalfOpen { probing: true } => false,
-                    };
-                    prop_assert_eq!(admitted, model_admits);
-                    if admitted {
-                        breaker.on_abandoned(0);
-                        if let Model::HalfOpen { probing: true } = model {
-                            model = Model::HalfOpen { probing: false };
-                        }
-                    }
-                }
-                _ => {
-                    // The clock advances past any open window.
-                    now += open_ms * 1_000_000 + 1;
-                }
-            }
-            let expect = match model {
-                Model::Closed { .. } => BreakerState::Closed,
-                Model::Open { until } if now >= until => BreakerState::HalfOpen,
-                Model::Open { .. } => BreakerState::Open,
-                Model::HalfOpen { .. } => BreakerState::HalfOpen,
-            };
-            prop_assert_eq!(breaker.state(0, now), expect);
         }
     }
 }
