@@ -87,7 +87,7 @@ use mheta_mpi::{
 use mheta_sim::{RecoveryKind, RecoverySpan, SimError, SimResult, VarId};
 
 use crate::app::{rank_plans, RankResult};
-use crate::cg::{Cg, VAR_A};
+use crate::cg::{spmv, Cg, VAR_A};
 use crate::jacobi::{Jacobi, VAR_U};
 
 /// Variable ID of the versioned checkpoint file.
@@ -1023,16 +1023,7 @@ impl<'a> CgRun<'a> {
         comm.begin_stage(0);
         let mv_start = now(comm);
         if m > 0 {
-            let mut nnz = 0usize;
-            for i in 0..m {
-                let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
-                let mut acc = 0.0;
-                for e in self.flat[lo..hi].chunks_exact(2) {
-                    acc += e[1] * self.p_full[e[0] as usize];
-                }
-                self.q[i] = acc;
-                nnz += (hi - lo) / 2;
-            }
+            let nnz = spmv(&self.flat, &self.offsets, &self.p_full, &mut self.q);
             comm.compute(nnz as f64, (self.flat.len() * 8) as u64);
         }
         let mv_ns = now(comm) - mv_start;

@@ -260,15 +260,16 @@ impl Cg {
             comm.begin_section(0);
             comm.begin_stage(0);
             if let Some(a) = core.as_ref() {
-                self.matvec(comm, a, &offsets, 0, m, &p_full, &mut q);
+                let nnz = spmv(a, &offsets, &p_full, &mut q);
+                comm.compute(nnz as f64, (a.len() * 8) as u64);
             } else {
                 let mut buf = vec![0.0; 0];
                 for (s, l) in chunks(m, plan.icla_rows) {
                     let elems = offsets[s + l] - offsets[s];
                     buf.resize(elems, 0.0);
                     comm.file_read(VAR_A, offsets[s], &mut buf)?;
-                    // Re-base offsets for the chunk view.
-                    self.matvec_chunk(comm, &buf, &offsets[s..=s + l], s, &p_full, &mut q);
+                    let nnz = spmv(&buf, &offsets[s..=s + l], &p_full, &mut q[s..s + l]);
+                    comm.compute(nnz as f64, (buf.len() * 8) as u64);
                 }
             }
             comm.end_stage(0);
@@ -330,63 +331,42 @@ impl Cg {
             check: err[0].sqrt(),
         })
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn matvec<R: Recorder>(
-        &self,
-        comm: &mut Comm<'_, R>,
-        flat: &[f64],
-        offsets: &[usize],
-        first_row: usize,
-        rows: usize,
-        p_full: &[f64],
-        q: &mut [f64],
-    ) {
-        let base = offsets[first_row];
-        let mut nnz = 0usize;
-        for i in 0..rows {
-            let lo = offsets[first_row + i] - base;
-            let hi = offsets[first_row + i + 1] - base;
-            let mut acc = 0.0;
-            let mut k = lo;
-            while k < hi {
-                let c = flat[k] as usize;
-                acc += flat[k + 1] * p_full[c];
-                k += 2;
+/// The sparse mat-vec `q = A p` over `q.len()` rows of interleaved
+/// `[col, val]` data: row `i` is `flat[offsets[i]..offsets[i + 1]]`,
+/// offsets taken relative to `offsets[0]`, so a chunk's window of the
+/// share's offsets serves as well as the whole. Returns the nonzeros.
+///
+/// Each row is folded in column order from 0.0. Four rows' chains run
+/// side by side: a joint loop over the shortest of them, then each
+/// row's tail; the rows left over run alone. Bit for bit the same as
+/// one row at a time.
+pub(crate) fn spmv(flat: &[f64], offsets: &[usize], p: &[f64], q: &mut [f64]) -> usize {
+    let base = offsets[0];
+    let row = |i: usize| &flat[offsets[i] - base..offsets[i + 1] - base];
+    let term = |e: &[f64]| e[1] * p[e[0] as usize];
+    let done = q.len() / 4 * 4;
+    for (g, out) in q.chunks_exact_mut(4).enumerate() {
+        let rows: [&[f64]; 4] = std::array::from_fn(|k| row(4 * g + k));
+        let joint = rows.iter().map(|r| r.len()).min().unwrap_or(0);
+        let mut acc = [0.0; 4];
+        for j in (0..joint).step_by(2) {
+            for k in 0..4 {
+                acc[k] += term(&rows[k][j..j + 2]);
             }
-            q[first_row + i] = acc;
-            nnz += (hi - lo) / 2;
         }
-        comm.compute(nnz as f64, ((offsets[rows] - base) * 8) as u64);
-    }
-
-    fn matvec_chunk<R: Recorder>(
-        &self,
-        comm: &mut Comm<'_, R>,
-        buf: &[f64],
-        chunk_offsets: &[usize],
-        first_row: usize,
-        p_full: &[f64],
-        q: &mut [f64],
-    ) {
-        let base = chunk_offsets[0];
-        let rows = chunk_offsets.len() - 1;
-        let mut nnz = 0usize;
-        for i in 0..rows {
-            let lo = chunk_offsets[i] - base;
-            let hi = chunk_offsets[i + 1] - base;
-            let mut acc = 0.0;
-            let mut k = lo;
-            while k < hi {
-                let c = buf[k] as usize;
-                acc += buf[k + 1] * p_full[c];
-                k += 2;
+        for k in 0..4 {
+            for e in rows[k][joint..].chunks_exact(2) {
+                acc[k] += term(e);
             }
-            q[first_row + i] = acc;
-            nnz += (hi - lo) / 2;
         }
-        comm.compute(nnz as f64, (buf.len() * 8) as u64);
+        out.copy_from_slice(&acc);
     }
+    for (i, out) in q.iter_mut().enumerate().skip(done) {
+        *out = row(i).chunks_exact(2).fold(0.0, |acc, e| acc + term(e));
+    }
+    (offsets[q.len()] - base) / 2
 }
 
 /// Test-only tally of pattern scans per data seed, summed over every
@@ -535,6 +515,60 @@ mod tests {
     fn structure_validates() {
         Cg::small().structure().validate().unwrap();
         assert!(Cg::small().avg_elems_per_row() > 2.0);
+    }
+
+    /// The mat-vec one row at a time, as `Cg::run` and `AdaptiveCg` ran
+    /// it before rows went abreast: the reference for `spmv`.
+    fn reference_spmv(flat: &[f64], offsets: &[usize], p: &[f64], q: &mut [f64]) -> usize {
+        let base = offsets[0];
+        let mut nnz = 0;
+        for (i, out) in q.iter_mut().enumerate() {
+            let (lo, hi) = (offsets[i] - base, offsets[i + 1] - base);
+            let mut acc = 0.0;
+            let mut k = lo;
+            while k < hi {
+                acc += flat[k + 1] * p[flat[k] as usize];
+                k += 2;
+            }
+            *out = acc;
+            nnz += (hi - lo) / 2;
+        }
+        nnz
+    }
+
+    /// `spmv` is the row-at-a-time mat-vec bit for bit, over every
+    /// window of rows of lengths 0, 1, 2, 5 and 9 in a rotating mix,
+    /// so that groups of four have empty, single-entry and unequal rows
+    /// and windows start at non-zero offsets.
+    #[test]
+    fn spmv_matches_the_row_at_a_time_reference() {
+        let p: Vec<f64> = (0..16).map(|c| hash01(3, 0, c) - 0.5).collect();
+        let lens = [0usize, 1, 9, 2, 5, 1, 0, 9, 9, 2, 1, 5, 0];
+        let mut flat = Vec::new();
+        let mut offsets = vec![0];
+        for (r, &len) in lens.iter().enumerate() {
+            for k in 0..len {
+                flat.push(((r * 7 + k * 3) % 16) as f64);
+                flat.push(hash01(3, r as u64 + 1, k as u64) - 0.5);
+            }
+            offsets.push(flat.len());
+        }
+        for first in 0..lens.len() {
+            for rows in 0..=lens.len() - first {
+                let window = &offsets[first..=first + rows];
+                let data = &flat[window[0]..window[rows]];
+                let mut want = vec![f64::NAN; rows];
+                let mut got = vec![f64::NAN; rows];
+                let nnz = spmv(data, window, &p, &mut got);
+                assert_eq!(nnz, reference_spmv(data, window, &p, &mut want));
+                assert_eq!(
+                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "rows {first}..{}",
+                    first + rows
+                );
+            }
+        }
     }
 
     proptest! {

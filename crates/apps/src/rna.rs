@@ -262,70 +262,33 @@ impl Rna {
         let mut corner = upstream[0];
         let mut out_msg = vec![0.0; tc + 1];
 
-        // `old` holds the rows' slices of this tile `stride` apart,
-        // the first at its start.
-        let do_rows = |comm: &mut Comm<'_, R>,
-                       old: &mut [f64],
-                       stride: usize,
-                       rows: std::ops::Range<usize>,
-                       above: &mut [f64],
-                       corner: &mut f64,
-                       left_carry: &mut [f64],
-                       sum: &mut f64| {
-            let (base, cells) = (rows.start, rows.len() * tc);
-            for i in rows {
-                // Each cell reads its old value and the row above once,
-                // before either is overwritten, so both update in place.
-                let row = &mut old[(i - base) * stride..][..tc];
-                let score = &scores[i * tc..(i + 1) * tc];
-                let mut left = left_carry[i]; // dp(i, col0 - 1), new
-                let mut diag = *corner;
-                for ((cell, up_slot), &k) in row.iter_mut().zip(above.iter_mut()).zip(score) {
-                    let up = *up_slot;
-                    let wave = up.max(left).max(diag);
-                    // Contraction: 0.5 on the wavefront, GAMMA on the
-                    // previous iteration; sup-norm convergence factor
-                    // GAMMA / (1 - 0.5) = 0.5 per iteration.
-                    let v = 0.5 * wave + GAMMA * *cell + f64::from(k) / 8.0;
-                    diag = up;
-                    left = v;
-                    *cell = v;
-                    *up_slot = v;
-                    *sum += v;
-                }
-                *corner = left_carry[i];
-                left_carry[i] = left;
-            }
-            comm.compute(cells as f64, (2 * cells * 8) as u64);
-        };
-
         if let Some(u) = core {
             // In-core: the slice lives in the row-major memory image.
-            do_rows(
-                comm,
+            tile_rows(
                 &mut u[col0..],
                 self.cols,
-                0..m,
+                scores,
                 &mut above,
                 &mut corner,
                 left_carry,
                 &mut sum,
             );
+            comm.compute((m * tc) as f64, (2 * m * tc * 8) as u64);
         } else {
             let mut buf = vec![0.0; icla_rows * tc];
             for (s, l) in chunks(m, icla_rows) {
                 let disk_off = self.slice_offset(m, t, s);
                 comm.file_read(VAR_DP, disk_off, &mut buf[..l * tc])?;
-                do_rows(
-                    comm,
+                tile_rows(
                     &mut buf[..l * tc],
                     tc,
-                    s..s + l,
+                    &scores[s * tc..(s + l) * tc],
                     &mut above,
                     &mut corner,
-                    left_carry,
+                    &mut left_carry[s..s + l],
                     &mut sum,
                 );
+                comm.compute((l * tc) as f64, (2 * l * tc * 8) as u64);
                 comm.file_write(VAR_DP, disk_off, &buf[..l * tc])?;
             }
         }
@@ -336,6 +299,113 @@ impl Rna {
         out_msg[1..].copy_from_slice(&above);
         Ok((out_msg, sum))
     }
+}
+
+/// Rows of a tile that the wavefront runs abreast (see [`tile_rows`]).
+const ABREAST: usize = 4;
+
+/// The wavefront over one tile's rows, in place. `left_carry` has one
+/// entry per row, `old` holds the rows' slices `stride` apart (the first
+/// at its start), `scores` their score indices back to back, `above`
+/// the new row above the first and `corner` that row's left neighbour.
+/// On return `above`, `corner` and `left_carry` describe the last row,
+/// and `sum` has gained every new cell in row-major order.
+///
+/// A row depends on the row above only through cells that row has
+/// already passed, so [`ABREAST`] rows run one column apart and their
+/// dependent chains overlap (see [`wavefront`]). The rows left over, and
+/// every row of a tile narrower than that, run one at a time. Each cell
+/// keeps its operands, and the sum is folded afterwards from the stored
+/// cells in the row-at-a-time order, so every bit is the same.
+fn tile_rows(
+    old: &mut [f64],
+    stride: usize,
+    scores: &[u8],
+    above: &mut [f64],
+    corner: &mut f64,
+    left_carry: &mut [f64],
+    sum: &mut f64,
+) {
+    let (tc, rows) = (above.len(), left_carry.len());
+    let abreast = if tc >= ABREAST {
+        rows / ABREAST * ABREAST
+    } else {
+        0
+    };
+    for first in (0..abreast).step_by(ABREAST) {
+        wavefront::<ABREAST>(old, stride, scores, first, above, corner, left_carry);
+    }
+    for first in abreast..rows {
+        wavefront::<1>(old, stride, scores, first, above, corner, left_carry);
+    }
+    for i in 0..rows {
+        for &v in &old[i * stride..][..tc] {
+            *sum += v;
+        }
+    }
+}
+
+/// Rows `first..first + K` of [`tile_rows`]' arguments, row `first + q`
+/// running `q` columns behind row `first`. At step `s` row `q` updates
+/// column `s - q`: it reads `above[s - q]`, which row `q - 1` wrote one
+/// step earlier, and its `diag` is the `up` it read one step earlier.
+/// Needs `K <= above.len()` unless `K` is 1.
+fn wavefront<const K: usize>(
+    old: &mut [f64],
+    stride: usize,
+    scores: &[u8],
+    first: usize,
+    above: &mut [f64],
+    corner: &mut f64,
+    left_carry: &mut [f64],
+) {
+    let tc = above.len();
+    let mut rest = &mut old[first * stride..];
+    let mut rows: [&mut [f64]; K] = std::array::from_fn(|_| {
+        let all = std::mem::take(&mut rest);
+        let (row, tail) = all.split_at_mut(stride.min(all.len()));
+        rest = tail;
+        &mut row[..tc]
+    });
+    let score: [&[u8]; K] = std::array::from_fn(|q| &scores[(first + q) * tc..][..tc]);
+    // dp(r, c - 1) and dp(r - 1, c - 1), new values, per row.
+    let mut left: [f64; K] = std::array::from_fn(|q| left_carry[first + q]);
+    let mut diag: [f64; K] = std::array::from_fn(|q| {
+        if q == 0 {
+            *corner
+        } else {
+            left_carry[first + q - 1]
+        }
+    });
+    let mut cell = |q: usize, c: usize| {
+        let up = above[c];
+        let wave = up.max(left[q]).max(diag[q]);
+        // Contraction: 0.5 on the wavefront, GAMMA on the previous
+        // iteration; sup-norm convergence factor GAMMA / (1 - 0.5) =
+        // 0.5 per iteration.
+        let v = 0.5 * wave + GAMMA * rows[q][c] + f64::from(score[q][c]) / 8.0;
+        diag[q] = up;
+        left[q] = v;
+        rows[q][c] = v;
+        above[c] = v;
+    };
+    for s in 0..K - 1 {
+        for q in 0..=s {
+            cell(q, s - q);
+        }
+    }
+    for s in K - 1..tc {
+        for q in 0..K {
+            cell(q, s - q);
+        }
+    }
+    for s in tc..tc + K - 1 {
+        for q in s + 1 - tc..K {
+            cell(q, s - q);
+        }
+    }
+    *corner = left_carry[first + K - 1];
+    left_carry[first..first + K].copy_from_slice(&left);
 }
 
 #[cfg(test)]
@@ -439,6 +509,110 @@ mod tests {
                 matches!(run, Err(SimError::InvalidConfig(_))),
                 "cols {cols}, tiles {tiles}"
             );
+        }
+    }
+
+    /// The wavefront one row at a time, as `process_tile` ran it before
+    /// rows went abreast: the reference for `tile_rows`, same arguments.
+    fn reference_tile_rows(
+        old: &mut [f64],
+        stride: usize,
+        scores: &[u8],
+        above: &mut [f64],
+        corner: &mut f64,
+        left_carry: &mut [f64],
+        sum: &mut f64,
+    ) {
+        let tc = above.len();
+        for i in 0..left_carry.len() {
+            let row = &mut old[i * stride..][..tc];
+            let score = &scores[i * tc..(i + 1) * tc];
+            let mut left = left_carry[i];
+            let mut diag = *corner;
+            for ((cell, up_slot), &k) in row.iter_mut().zip(above.iter_mut()).zip(score) {
+                let up = *up_slot;
+                let wave = up.max(left).max(diag);
+                let v = 0.5 * wave + GAMMA * *cell + f64::from(k) / 8.0;
+                diag = up;
+                left = v;
+                *cell = v;
+                *up_slot = v;
+                *sum += v;
+            }
+            *corner = left_carry[i];
+            left_carry[i] = left;
+        }
+    }
+
+    type TileRows = fn(&mut [f64], usize, &[u8], &mut [f64], &mut f64, &mut [f64], &mut f64);
+
+    /// One tile as `process_tile` runs it, in core (`icla_rows` `None`:
+    /// tile 1 of 3 in the row-major image) or in chunks of `icla_rows`
+    /// rows of the tile-major disk image; returns every cell of the
+    /// image, the sum, the carries and the downstream message.
+    fn run_tile(
+        kernel: TileRows,
+        rows: usize,
+        tc: usize,
+        icla_rows: Option<usize>,
+    ) -> (Vec<f64>, f64, Vec<f64>, Vec<f64>) {
+        // Full-mantissa values of both signs, so that a sum folded in
+        // another order, or a `max` given other operands, shows.
+        let value = |k: u64, i: usize| hash01(0x7a, k, i as u64) - 0.5;
+        let cols = if icla_rows.is_some() { tc } else { 3 * tc };
+        let mut image: Vec<f64> = (0..rows * cols).map(|i| value(1, i)).collect();
+        let scores: Vec<u8> = (0..rows * tc).map(|i| (i * 7 % 4) as u8).collect();
+        let mut above: Vec<f64> = (0..tc).map(|i| value(2, i)).collect();
+        let mut left_carry: Vec<f64> = (0..rows).map(|i| value(3, i)).collect();
+        let mut corner = value(4, 0);
+        let mut sum = value(5, 0);
+        match icla_rows {
+            None => kernel(
+                &mut image[tc..],
+                cols,
+                &scores,
+                &mut above,
+                &mut corner,
+                &mut left_carry,
+                &mut sum,
+            ),
+            Some(icla_rows) => {
+                for (s, l) in chunks(rows, icla_rows) {
+                    kernel(
+                        &mut image[s * tc..(s + l) * tc],
+                        tc,
+                        &scores[s * tc..(s + l) * tc],
+                        &mut above,
+                        &mut corner,
+                        &mut left_carry[s..s + l],
+                        &mut sum,
+                    );
+                }
+            }
+        }
+        let msg = [&[corner], &above[..]].concat();
+        (image, sum, left_carry, msg)
+    }
+
+    /// Rows abreast are the row-at-a-time wavefront bit for bit: every
+    /// cell, the sum, the carries, the corner and the message, for row
+    /// counts around multiples of `ABREAST`, tiles narrower and wider
+    /// than it, in core and in chunks that do not align with it.
+    #[test]
+    fn tile_rows_match_the_row_at_a_time_reference() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows in 1..=2 * ABREAST + 1 {
+            for tc in [1, ABREAST - 1, ABREAST, ABREAST + 1, 2 * ABREAST + 3] {
+                for icla_rows in [None, Some(1), Some(3), Some(ABREAST + 1), Some(rows)] {
+                    let want = run_tile(reference_tile_rows, rows, tc, icla_rows);
+                    let got = run_tile(tile_rows, rows, tc, icla_rows);
+                    let at = format!("rows {rows} tile {tc} icla {icla_rows:?}");
+                    assert_eq!(bits(&got.0), bits(&want.0), "cells, {at}");
+                    assert_eq!(got.1.to_bits(), want.1.to_bits(), "sum, {at}");
+                    assert_eq!(bits(&got.2), bits(&want.2), "left carry, {at}");
+                    assert_eq!(bits(&got.3), bits(&want.3), "corner and message, {at}");
+                }
+            }
         }
     }
 
