@@ -9,6 +9,8 @@ pub enum ModelError {
     Structure(String),
     /// Inputs disagree on dimensions (node counts, row totals, …).
     Dimension(String),
+    /// An MHETA file could not be read back (see [`crate::fileio`]).
+    File(String),
 }
 
 impl fmt::Display for ModelError {
@@ -16,6 +18,7 @@ impl fmt::Display for ModelError {
         match self {
             ModelError::Structure(s) => write!(f, "invalid program structure: {s}"),
             ModelError::Dimension(s) => write!(f, "dimension mismatch: {s}"),
+            ModelError::File(s) => write!(f, "invalid MHETA file: {s}"),
         }
     }
 }

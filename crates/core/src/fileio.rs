@@ -1,21 +1,22 @@
-//! The "internal MHETA file" (§4.1, Figure 3).
+//! The "internal MHETA file" (§4.1, Figure 3): the program structure,
+//! microbenchmark results and instrumented measurements MHETA reads
+//! before evaluating distributions, as one indented JSON document
+//! `{"schema": "mheta-model/v1", "structure": …, "arch": …, "profile": …}`.
 //!
-//! The paper's runtime stores the program structure, microbenchmark
-//! results, and instrumented measurements in a file that MHETA reads
-//! before evaluating distributions. This module provides that
-//! persistence: a human-readable, line-oriented text format with exact
-//! `f64` round-tripping (values are stored in hexadecimal float form
-//! alongside a decimal rendering for readability).
-//!
-//! The format is deliberately simple — `section.key = value` lines —
-//! so profiles can be inspected and diffed. A full model (structure +
-//! architecture parameters + instrumented profile) round-trips through
-//! [`save_model`]/[`load_model`].
+//! `structure` and `arch` are the `Serialize` derives, the rendering the
+//! serving cache key hashes. The profile's hash maps are `[key, value]`
+//! pairs sorted by key: the JSON stand-in keys objects by string only,
+//! and hash order must never reach the file. Floats are written in their
+//! shortest round-trip form, so a model reloads bit for bit and
+//! `save_model(&load_model(text)?)` is `text` again. JSON has no NaN or
+//! ±∞: a model built from non-finite inputs saves `null` there, which
+//! [`load_model`] refuses, naming the field.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 
 use mheta_mpi::Scope;
+use serde::{Serialize, Value};
 
 use crate::error::ModelError;
 use crate::model::Mheta;
@@ -23,612 +24,369 @@ use crate::params::{ArchParams, CommParams, DiskParams};
 use crate::profile::{InstrumentedProfile, NodeProfile};
 use crate::structure::{CommPattern, ProgramStructure, SectionSpec, StageSpec, Variable};
 
-/// Serialize an `f64` exactly (bit pattern as hex) for the file.
-fn f64_out(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
+type Result<T> = std::result::Result<T, ModelError>;
+type Reader<T> = fn(Field) -> Result<T>;
 
-fn f64_in(s: &str) -> Result<f64, ModelError> {
-    u64::from_str_radix(s.trim(), 16)
-        .map(f64::from_bits)
-        .map_err(|e| ModelError::Dimension(format!("bad f64 field '{s}': {e}")))
-}
-
-fn usize_in(s: &str) -> Result<usize, ModelError> {
-    s.trim()
-        .parse()
-        .map_err(|e| ModelError::Dimension(format!("bad integer field '{s}': {e}")))
-}
-
-/// Attach the file section and 1-based line number to a parse error, so
-/// a truncated or hand-edited model file points at the offending line.
-fn at_line(section: &str, lineno: usize, err: ModelError) -> ModelError {
-    match err {
-        ModelError::Dimension(msg) => {
-            ModelError::Dimension(format!("[{section}] line {lineno}: {msg}"))
-        }
-        other => other,
-    }
-}
-
-/// Write a [`ProgramStructure`] in the MHETA file format.
-#[must_use]
-pub fn structure_to_string(s: &ProgramStructure) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "[structure]");
-    let _ = writeln!(out, "name = {}", s.name);
-    for v in &s.variables {
-        let _ = writeln!(
-            out,
-            "var = {} {} {} {} {} {} {} # {}",
-            v.id,
-            v.elem_bytes,
-            u8::from(v.read_only),
-            u8::from(v.distributed),
-            u8::from(v.resident),
-            v.total_rows,
-            f64_out(v.elems_per_row),
-            v.name
-        );
-    }
-    for sec in &s.sections {
-        let comm = match sec.comm {
-            CommPattern::None => "none 0".to_string(),
-            CommPattern::NearestNeighbor { msg_elems } => format!("nn {msg_elems}"),
-            CommPattern::Pipelined { msg_elems } => format!("pipe {msg_elems}"),
-            CommPattern::Reduction { msg_elems } => format!("reduce {msg_elems}"),
-        };
-        let _ = writeln!(out, "section = {} {} {}", sec.id, sec.tiles, comm);
-        for st in &sec.stages {
-            let reads: Vec<String> = st.reads.iter().map(u32::to_string).collect();
-            let writes: Vec<String> = st.writes.iter().map(u32::to_string).collect();
-            let _ = writeln!(
-                out,
-                "stage = {} {} {} r:{} w:{}",
-                st.id,
-                u8::from(st.prefetch),
-                f64_out(st.row_fraction),
-                reads.join(","),
-                writes.join(",")
-            );
-        }
-    }
-    out
-}
-
-fn parse_ids(s: &str) -> Result<Vec<u32>, ModelError> {
-    if s.is_empty() {
-        return Ok(vec![]);
-    }
-    s.split(',')
-        .map(|t| {
-            t.parse()
-                .map_err(|e| ModelError::Dimension(format!("bad variable id '{t}': {e}")))
-        })
-        .collect()
-}
-
-/// Parse one `key = rest` line of the `[structure]` section into `s`.
-fn structure_line(
-    s: &mut ProgramStructure,
-    key: &str,
-    rest: &str,
-    line: &str,
-) -> Result<(), ModelError> {
-    match key {
-        "name" => s.name = rest.to_string(),
-        "var" => {
-            let (fields, name) = match rest.split_once('#') {
-                Some((f, n)) => (f.trim(), n.trim().to_string()),
-                None => (rest, String::new()),
-            };
-            let t: Vec<&str> = fields.split_whitespace().collect();
-            if t.len() != 7 {
-                return Err(ModelError::Dimension(format!(
-                    "bad var line '{line}': expected 7 fields, got {}",
-                    t.len()
-                )));
-            }
-            s.variables.push(Variable {
-                id: usize_in(t[0])? as u32,
-                name,
-                elem_bytes: usize_in(t[1])? as u64,
-                read_only: t[2] == "1",
-                distributed: t[3] == "1",
-                resident: t[4] == "1",
-                total_rows: usize_in(t[5])?,
-                elems_per_row: f64_in(t[6])?,
-            });
-        }
-        "section" => {
-            let t: Vec<&str> = rest.split_whitespace().collect();
-            if t.len() != 4 {
-                return Err(ModelError::Dimension(format!(
-                    "bad section line '{line}': expected 4 fields, got {}",
-                    t.len()
-                )));
-            }
-            let msg_elems = usize_in(t[3])?;
-            let comm = match t[2] {
-                "none" => CommPattern::None,
-                "nn" => CommPattern::NearestNeighbor { msg_elems },
-                "pipe" => CommPattern::Pipelined { msg_elems },
-                "reduce" => CommPattern::Reduction { msg_elems },
-                other => {
-                    return Err(ModelError::Dimension(format!(
-                        "unknown comm pattern '{other}'"
-                    )))
-                }
-            };
-            s.sections.push(SectionSpec {
-                id: usize_in(t[0])? as u32,
-                tiles: usize_in(t[1])? as u32,
-                stages: vec![],
-                comm,
-            });
-        }
-        "stage" => {
-            let t: Vec<&str> = rest.split_whitespace().collect();
-            if t.len() != 5 {
-                return Err(ModelError::Dimension(format!(
-                    "bad stage line '{line}': expected 5 fields, got {}",
-                    t.len()
-                )));
-            }
-            let reads = parse_ids(t[3].trim_start_matches("r:"))?;
-            let writes = parse_ids(t[4].trim_start_matches("w:"))?;
-            let stage = StageSpec {
-                id: usize_in(t[0])? as u32,
-                reads,
-                writes,
-                prefetch: t[1] == "1",
-                row_fraction: f64_in(t[2])?,
-            };
-            s.sections
-                .last_mut()
-                .ok_or_else(|| ModelError::Dimension("stage line before any section".into()))?
-                .stages
-                .push(stage);
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-/// Parse a [`ProgramStructure`] from the MHETA file format.
-pub fn structure_from_str(text: &str) -> Result<ProgramStructure, ModelError> {
-    let mut s = ProgramStructure {
-        name: String::new(),
-        sections: vec![],
-        variables: vec![],
-    };
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        let Some((key, rest)) = line.split_once('=') else {
-            continue;
-        };
-        structure_line(&mut s, key.trim(), rest.trim(), line)
-            .map_err(|e| at_line("structure", idx + 1, e))?;
-    }
-    s.validate().map_err(ModelError::Structure)?;
-    Ok(s)
-}
-
-/// Write [`ArchParams`] in the MHETA file format.
-#[must_use]
-pub fn arch_to_string(a: &ArchParams) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "[arch]");
-    let _ = writeln!(out, "name = {}", a.name);
-    let _ = writeln!(
-        out,
-        "comm = {} {} {} {}",
-        f64_out(a.comm.o_s),
-        f64_out(a.comm.o_r),
-        f64_out(a.comm.alpha),
-        f64_out(a.comm.beta)
-    );
-    for (i, d) in a.disks.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "disk = {} {} {} {} {} {}",
-            i,
-            f64_out(d.o_read),
-            f64_out(d.o_write),
-            f64_out(d.read_ns_per_byte),
-            f64_out(d.write_ns_per_byte),
-            a.memory_bytes[i]
-        );
-    }
-    out
-}
-
-/// Parse one `key = rest` line of the `[arch]` section into the
-/// accumulator tuple `(name, comm, disks, memory)`.
-fn arch_line(
-    acc: (
-        &mut String,
-        &mut Option<CommParams>,
-        &mut Vec<DiskParams>,
-        &mut Vec<u64>,
-    ),
-    key: &str,
-    rest: &str,
-    line: &str,
-) -> Result<(), ModelError> {
-    let (name, comm, disks, memory) = acc;
-    match key {
-        "name" => *name = rest.to_string(),
-        "comm" => {
-            let t: Vec<&str> = rest.split_whitespace().collect();
-            if t.len() != 4 {
-                return Err(ModelError::Dimension(format!(
-                    "bad comm line '{line}': expected 4 fields, got {}",
-                    t.len()
-                )));
-            }
-            *comm = Some(CommParams {
-                o_s: f64_in(t[0])?,
-                o_r: f64_in(t[1])?,
-                alpha: f64_in(t[2])?,
-                beta: f64_in(t[3])?,
-            });
-        }
-        "disk" => {
-            let t: Vec<&str> = rest.split_whitespace().collect();
-            if t.len() != 6 {
-                return Err(ModelError::Dimension(format!(
-                    "bad disk line '{line}': expected 6 fields, got {}",
-                    t.len()
-                )));
-            }
-            disks.push(DiskParams {
-                o_read: f64_in(t[1])?,
-                o_write: f64_in(t[2])?,
-                read_ns_per_byte: f64_in(t[3])?,
-                write_ns_per_byte: f64_in(t[4])?,
-            });
-            memory.push(usize_in(t[5])? as u64);
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-/// Parse [`ArchParams`] from the MHETA file format.
-pub fn arch_from_str(text: &str) -> Result<ArchParams, ModelError> {
-    let mut name = String::new();
-    let mut comm = None;
-    let mut disks = Vec::new();
-    let mut memory = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        let Some((key, rest)) = line.split_once('=') else {
-            continue;
-        };
-        let (key, rest) = (key.trim(), rest.trim());
-        arch_line(
-            (&mut name, &mut comm, &mut disks, &mut memory),
-            key,
-            rest,
-            line,
-        )
-        .map_err(|e| at_line("arch", idx + 1, e))?;
-    }
-    Ok(ArchParams {
-        name,
-        comm: comm.ok_or_else(|| ModelError::Dimension("missing comm line".into()))?,
-        disks,
-        memory_bytes: memory,
-    })
-}
-
-/// Write an [`InstrumentedProfile`] in the MHETA file format.
-#[must_use]
-pub fn profile_to_string(p: &InstrumentedProfile) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "[profile]");
-    let rows: Vec<String> = p.rows.iter().map(usize::to_string).collect();
-    let _ = writeln!(out, "rows = {}", rows.join(" "));
-    for node in &p.nodes {
-        // Sort for stable output.
-        let mut compute: Vec<(&Scope, &f64)> = node.compute_ns_per_row.iter().collect();
-        compute.sort_by_key(|(s, _)| (s.section, s.tile, s.stage));
-        for (scope, v) in compute {
-            let _ = writeln!(
-                out,
-                "compute = {} {} {} {} {}",
-                node.rank,
-                scope.section,
-                scope.tile,
-                scope.stage,
-                f64_out(*v)
-            );
-        }
-        let mut reads: Vec<(&u32, &f64)> = node.read_ns_per_elem.iter().collect();
-        reads.sort_by_key(|(v, _)| **v);
-        for (var, v) in reads {
-            let _ = writeln!(out, "read = {} {} {}", node.rank, var, f64_out(*v));
-        }
-        let mut writes: Vec<(&u32, &f64)> = node.write_ns_per_elem.iter().collect();
-        writes.sort_by_key(|(v, _)| **v);
-        for (var, v) in writes {
-            let _ = writeln!(out, "write = {} {} {}", node.rank, var, f64_out(*v));
-        }
-        let mut sends: Vec<(&u32, &u64)> = node.section_send_bytes.iter().collect();
-        sends.sort_by_key(|(s, _)| **s);
-        for (section, bytes) in sends {
-            let _ = writeln!(out, "send = {} {} {}", node.rank, section, bytes);
-        }
-    }
-    out
-}
-
-/// Parse one `key = rest` line of the `[profile]` section into the
-/// rows vector and per-rank node map.
-fn profile_line(
-    rows: &mut Vec<usize>,
-    nodes: &mut HashMap<usize, NodeProfile>,
-    key: &str,
-    rest: &str,
-    line: &str,
-) -> Result<(), ModelError> {
-    let t: Vec<&str> = rest.split_whitespace().collect();
-    match key {
-        "rows" => {
-            *rows = t.iter().map(|s| usize_in(s)).collect::<Result<_, _>>()?;
-        }
-        "compute" => {
-            if t.len() != 5 {
-                return Err(ModelError::Dimension(format!(
-                    "bad compute line '{line}': expected 5 fields, got {}",
-                    t.len()
-                )));
-            }
-            let rank = usize_in(t[0])?;
-            let scope = Scope {
-                section: usize_in(t[1])? as u32,
-                tile: usize_in(t[2])? as u32,
-                stage: usize_in(t[3])? as u32,
-            };
-            nodes
-                .entry(rank)
-                .or_insert_with(|| NodeProfile {
-                    rank,
-                    ..NodeProfile::default()
-                })
-                .compute_ns_per_row
-                .insert(scope, f64_in(t[4])?);
-        }
-        "read" | "write" | "send" => {
-            if t.len() != 3 {
-                return Err(ModelError::Dimension(format!(
-                    "bad {key} line '{line}': expected 3 fields, got {}",
-                    t.len()
-                )));
-            }
-            let rank = usize_in(t[0])?;
-            let id = usize_in(t[1])? as u32;
-            let node = nodes.entry(rank).or_insert_with(|| NodeProfile {
-                rank,
-                ..NodeProfile::default()
-            });
-            match key {
-                "read" => {
-                    node.read_ns_per_elem.insert(id, f64_in(t[2])?);
-                }
-                "write" => {
-                    node.write_ns_per_elem.insert(id, f64_in(t[2])?);
-                }
-                _ => {
-                    node.section_send_bytes.insert(id, usize_in(t[2])? as u64);
-                }
-            }
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-/// Parse an [`InstrumentedProfile`] from the MHETA file format.
-pub fn profile_from_str(text: &str) -> Result<InstrumentedProfile, ModelError> {
-    let mut rows: Vec<usize> = Vec::new();
-    let mut nodes: HashMap<usize, NodeProfile> = HashMap::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        let Some((key, rest)) = line.split_once('=') else {
-            continue;
-        };
-        profile_line(&mut rows, &mut nodes, key.trim(), rest.trim(), line)
-            .map_err(|e| at_line("profile", idx + 1, e))?;
-    }
-    let mut out: Vec<NodeProfile> = (0..rows.len())
-        .map(|rank| {
-            nodes.remove(&rank).unwrap_or(NodeProfile {
-                rank,
-                ..NodeProfile::default()
-            })
-        })
-        .collect();
-    out.sort_by_key(|n| n.rank);
-    Ok(InstrumentedProfile { nodes: out, rows })
-}
+/// The `schema` member of every MHETA file.
+const SCHEMA: &str = "mheta-model/v1";
 
 /// Serialize a complete model to the MHETA file format.
 #[must_use]
 pub fn save_model(model: &Mheta) -> String {
-    format!(
-        "{}\n{}\n{}",
-        structure_to_string(model.structure()),
-        arch_to_string(model.arch()),
-        profile_to_string(model.profile())
-    )
+    let nodes = model.profile().nodes.iter().map(|n| {
+        Value::object(vec![
+            ("rank", n.rank.to_value()),
+            ("compute_ns_per_row", sorted_pairs(&n.compute_ns_per_row)),
+            ("read_ns_per_elem", sorted_pairs(&n.read_ns_per_elem)),
+            ("write_ns_per_elem", sorted_pairs(&n.write_ns_per_elem)),
+            ("section_send_bytes", sorted_pairs(&n.section_send_bytes)),
+        ])
+    });
+    let profile = Value::object(vec![
+        ("nodes", Value::Array(nodes.collect())),
+        ("rows", model.profile().rows.to_value()),
+    ]);
+    Value::object(vec![
+        ("schema", Value::Str(SCHEMA.into())),
+        ("structure", model.structure().to_value()),
+        ("arch", model.arch().to_value()),
+        ("profile", profile),
+    ])
+    .to_json_pretty()
+}
+
+fn sorted_pairs<K: Serialize + Ord, V: Serialize>(map: &HashMap<K, V>) -> Value {
+    let sorted: BTreeMap<&K, &V> = map.iter().collect();
+    Value::Array(sorted.into_iter().map(|kv| kv.to_value()).collect())
 }
 
 /// Reassemble a model from [`save_model`]'s output.
-pub fn load_model(text: &str) -> Result<Mheta, ModelError> {
-    let structure = structure_from_str(text)?;
-    let arch = arch_from_str(text)?;
-    let profile = profile_from_str(text)?;
+pub fn load_model(text: &str) -> Result<Mheta> {
+    let doc = serde::from_str(text).map_err(|e| ModelError::File(e.to_string()))?;
+    let root = Field {
+        value: &doc,
+        path: "$".into(),
+    };
+    let schema = root.get("schema")?;
+    if schema.value.as_str() != Some(SCHEMA) {
+        return Err(schema.expected(&format!("\"{SCHEMA}\"")));
+    }
+    let s = root.get("structure")?;
+    let structure = ProgramStructure {
+        name: s.get("name")?.string()?,
+        sections: s.get("sections")?.list(|sec| {
+            Ok(SectionSpec {
+                id: sec.get("id")?.uint()?,
+                tiles: sec.get("tiles")?.uint()?,
+                stages: sec.get("stages")?.list(|st| {
+                    Ok(StageSpec {
+                        id: st.get("id")?.uint()?,
+                        reads: st.get("reads")?.list(|id| id.uint())?,
+                        writes: st.get("writes")?.list(|id| id.uint())?,
+                        prefetch: st.get("prefetch")?.bool()?,
+                        row_fraction: st.get("row_fraction")?.f64()?,
+                    })
+                })?,
+                comm: comm(sec.get("comm")?)?,
+            })
+        })?,
+        variables: s.get("variables")?.list(|v| {
+            Ok(Variable {
+                id: v.get("id")?.uint()?,
+                name: v.get("name")?.string()?,
+                elem_bytes: v.get("elem_bytes")?.uint()?,
+                read_only: v.get("read_only")?.bool()?,
+                distributed: v.get("distributed")?.bool()?,
+                resident: v.get("resident")?.bool()?,
+                total_rows: v.get("total_rows")?.uint()?,
+                elems_per_row: v.get("elems_per_row")?.f64()?,
+            })
+        })?,
+    };
+    let a = root.get("arch")?;
+    let comm = a.get("comm")?;
+    let arch = ArchParams {
+        name: a.get("name")?.string()?,
+        comm: CommParams {
+            o_s: comm.get("o_s")?.f64()?,
+            o_r: comm.get("o_r")?.f64()?,
+            alpha: comm.get("alpha")?.f64()?,
+            beta: comm.get("beta")?.f64()?,
+        },
+        disks: a.get("disks")?.list(|d| {
+            Ok(DiskParams {
+                o_read: d.get("o_read")?.f64()?,
+                o_write: d.get("o_write")?.f64()?,
+                read_ns_per_byte: d.get("read_ns_per_byte")?.f64()?,
+                write_ns_per_byte: d.get("write_ns_per_byte")?.f64()?,
+            })
+        })?,
+        memory_bytes: a.get("memory_bytes")?.list(|m| m.uint())?,
+    };
+    let p = root.get("profile")?;
+    let nodes: Vec<Field> = p.get("nodes")?.list(Ok)?;
+    // The model indexes the profile by position, so `nodes[i]` must be
+    // rank `i`: a permuted file would hand one rank another's measurements.
+    let nodes = nodes.into_iter().enumerate().map(|(position, f)| {
+        let rank = f.get("rank")?;
+        if rank.uint::<usize>()? != position {
+            return Err(rank.expected(&format!("{position}, the node's position")));
+        }
+        Ok(NodeProfile {
+            rank: position,
+            compute_ns_per_row: pairs(f.get("compute_ns_per_row")?, scope, |v| v.f64())?,
+            read_ns_per_elem: pairs(f.get("read_ns_per_elem")?, |k| k.uint(), |v| v.f64())?,
+            write_ns_per_elem: pairs(f.get("write_ns_per_elem")?, |k| k.uint(), |v| v.f64())?,
+            section_send_bytes: pairs(f.get("section_send_bytes")?, |k| k.uint(), |v| v.uint())?,
+        })
+    });
+    let profile = InstrumentedProfile {
+        nodes: nodes.collect::<Result<_>>()?,
+        rows: p.get("rows")?.list(|r| r.uint())?,
+    };
     Mheta::new(structure, arch, profile)
+}
+
+/// A value of the parsed document and its path from the root `$`, e.g.
+/// `$.profile.nodes[2].compute_ns_per_row[0][1]`, which errors name.
+struct Field<'a> {
+    value: &'a Value,
+    path: String,
+}
+
+impl<'a> Field<'a> {
+    fn expected(&self, what: &str) -> ModelError {
+        ModelError::File(format!("{}: expected {what}", self.path))
+    }
+
+    fn want<T>(&self, v: Option<T>, what: &str) -> Result<T> {
+        v.ok_or_else(|| self.expected(what))
+    }
+
+    /// The member `key` of this object; unknown keys are never looked at.
+    fn get(&self, key: &str) -> Result<Field<'a>> {
+        let path = format!("{}.{key}", self.path);
+        match (self.value, self.value.get(key)) {
+            (Value::Object(_), Some(value)) => Ok(Field { value, path }),
+            (Value::Object(_), None) => Err(ModelError::File(format!("{path}: missing"))),
+            _ => Err(self.expected("an object")),
+        }
+    }
+
+    /// Every element of this array through `read`.
+    fn list<T, C: FromIterator<T>>(&self, read: impl Fn(Field<'a>) -> Result<T>) -> Result<C> {
+        let items = self.want(self.value.as_array(), "an array")?;
+        let read = |(i, value)| {
+            let path = format!("{}[{i}]", self.path);
+            read(Field { value, path })
+        };
+        items.iter().enumerate().map(read).collect()
+    }
+
+    fn f64(&self) -> Result<f64> {
+        self.want(self.value.as_f64(), "a number (NaN and ±∞ save as null)")
+    }
+
+    fn uint<T: TryFrom<u64>>(&self) -> Result<T> {
+        let v = self.value.as_u64().and_then(|v| T::try_from(v).ok());
+        self.want(v, "an unsigned integer in range")
+    }
+
+    fn bool(&self) -> Result<bool> {
+        self.want(self.value.as_bool(), "true or false")
+    }
+
+    fn string(&self) -> Result<String> {
+        Ok(self.want(self.value.as_str(), "a string")?.into())
+    }
+}
+
+/// A [`CommPattern`] as its derive writes it: `"None"`, or one variant's
+/// object such as `{"Pipelined": {"msg_elems": 33}}`.
+fn comm(f: Field) -> Result<CommPattern> {
+    let msg_elems = |variant| f.get(variant)?.get("msg_elems")?.uint();
+    if f.value.as_str() == Some("None") {
+        Ok(CommPattern::None)
+    } else if f.value.get("NearestNeighbor").is_some() {
+        msg_elems("NearestNeighbor").map(|msg_elems| CommPattern::NearestNeighbor { msg_elems })
+    } else if f.value.get("Pipelined").is_some() {
+        msg_elems("Pipelined").map(|msg_elems| CommPattern::Pipelined { msg_elems })
+    } else if f.value.get("Reduction").is_some() {
+        msg_elems("Reduction").map(|msg_elems| CommPattern::Reduction { msg_elems })
+    } else {
+        Err(f.expected("None, NearestNeighbor, Pipelined or Reduction"))
+    }
+}
+
+/// A hash map from its `[key, value]` pairs.
+fn pairs<K: Eq + Hash, V>(f: Field, key: Reader<K>, value: Reader<V>) -> Result<HashMap<K, V>> {
+    f.list(|pair| {
+        let kv = <[Field; 2]>::try_from(pair.list::<_, Vec<_>>(Ok)?);
+        let [k, v] = kv.map_err(|_| pair.expected("a [key, value] pair"))?;
+        Ok((key(k)?, value(v)?))
+    })
+}
+
+fn scope(f: Field) -> Result<Scope> {
+    Ok(Scope {
+        section: f.get("section")?.uint()?,
+        tile: f.get("tile")?.uint()?,
+        stage: f.get("stage")?.uint()?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_structure() -> ProgramStructure {
-        ProgramStructure {
-            name: "demo".into(),
+    fn sample_model() -> Mheta {
+        let structure = ProgramStructure {
+            name: "demo \"quoted\" # not a comment".into(),
             sections: vec![
                 SectionSpec {
                     id: 0,
                     tiles: 4,
-                    stages: vec![StageSpec::new(0, vec![1], vec![1], false).with_row_fraction(0.25)],
+                    stages: vec![StageSpec::new(0, vec![1], vec![1], true).with_row_fraction(0.25)],
                     comm: CommPattern::Pipelined { msg_elems: 33 },
                 },
                 SectionSpec {
                     id: 1,
                     tiles: 1,
-                    stages: vec![StageSpec::new(0, vec![2], vec![], true)],
-                    comm: CommPattern::Reduction { msg_elems: 1 },
+                    stages: vec![],
+                    comm: CommPattern::None,
                 },
             ],
             variables: vec![
                 Variable::streamed(1, "DP matrix", 128, 0.1 + 0.2, false),
-                Variable::streamed(2, "A", 128, 64.0, true),
-                Variable::replicated(3, "p", 512),
-                Variable::resident_local(4, "vecs", 128, 4.0),
+                Variable::replicated(2, "p", 512),
             ],
+        };
+        // Measured: every parameter a long, non-round `f64`.
+        let arch = crate::measure_arch(&mheta_sim::ClusterSpec::homogeneous(2)).unwrap();
+        let mut nodes = vec![NodeProfile::default(), NodeProfile::default()];
+        nodes[1].rank = 1;
+        for (tile, v) in [(2, 1e-7), (0, 0.1 + 0.2), (3, 123.456)] {
+            let scope = Scope {
+                tile,
+                ..Scope::default()
+            };
+            nodes[0].compute_ns_per_row.insert(scope, v);
         }
+        nodes[0].read_ns_per_elem.extend([(2, 0.333), (1, 7.0)]);
+        nodes[1].write_ns_per_elem.insert(1, 0.444);
+        nodes[1].section_send_bytes.insert(0, 1536);
+        let profile = InstrumentedProfile {
+            nodes,
+            rows: vec![60, 68],
+        };
+        Mheta::new(structure, arch, profile).unwrap()
+    }
+
+    fn load_error(text: &str) -> String {
+        match load_model(text) {
+            Err(e @ ModelError::File(_)) => e.to_string(),
+            Err(e) => panic!("not a file error: {e}"),
+            Ok(_) => panic!("the file loaded"),
+        }
+    }
+
+    /// The sample's file with the first `from` replaced by `to` is
+    /// refused with an error containing `want`.
+    fn assert_rejects(from: &str, to: &str, want: &str) {
+        let text = save_model(&sample_model());
+        assert!(text.contains(from), "{from}");
+        let msg = load_error(&text.replacen(from, to, 1));
+        assert!(msg.contains(want), "{from} -> {to}: {msg}");
     }
 
     #[test]
     fn structure_round_trips_exactly() {
-        let s = sample_structure();
-        let text = structure_to_string(&s);
-        let back = structure_from_str(&text).unwrap();
-        assert_eq!(s, back);
+        let model = sample_model();
+        let text = save_model(&model);
+        let back = load_model(&text).unwrap();
+        assert_eq!(back.structure(), model.structure());
         // Including the non-representable-in-decimal f64 0.1+0.2.
-        assert_eq!(back.variable(1).unwrap().elems_per_row, 0.1 + 0.2);
+        assert_eq!(back.structure().variables[0].elems_per_row, 0.1 + 0.2);
+        assert_eq!(save_model(&back), text, "save ∘ load is a fixed point");
     }
 
     #[test]
     fn arch_round_trips_exactly() {
-        let a = ArchParams {
-            name: "HY1".into(),
-            comm: CommParams {
-                o_s: 20_000.5,
-                o_r: 19_999.5,
-                alpha: 50_000.0,
-                beta: 10.125,
-            },
-            disks: vec![
-                DiskParams {
-                    o_read: 5e6,
-                    o_write: 6e6,
-                    read_ns_per_byte: 500.0,
-                    write_ns_per_byte: 550.0,
-                };
-                3
-            ],
-            memory_bytes: vec![1, 2, 3],
-        };
-        let back = arch_from_str(&arch_to_string(&a)).unwrap();
-        assert_eq!(a, back);
+        let model = sample_model();
+        let back = load_model(&save_model(&model)).unwrap();
+        assert_eq!(back.arch(), model.arch());
     }
 
     #[test]
     fn profile_round_trips() {
-        let mut node = NodeProfile {
-            rank: 0,
-            ..NodeProfile::default()
-        };
-        node.compute_ns_per_row.insert(
-            Scope {
-                section: 1,
-                tile: 2,
-                stage: 0,
-            },
-            123.456,
-        );
-        node.read_ns_per_elem.insert(7, 0.333);
-        node.write_ns_per_elem.insert(7, 0.444);
-        node.section_send_bytes.insert(2, 1536);
-        let p = InstrumentedProfile {
-            nodes: vec![
-                node,
-                NodeProfile {
-                    rank: 1,
-                    ..NodeProfile::default()
-                },
-            ],
-            rows: vec![10, 12],
-        };
-        let back = profile_from_str(&profile_to_string(&p)).unwrap();
-        assert_eq!(back.rows, p.rows);
-        assert_eq!(back.nodes.len(), 2);
-        assert_eq!(
-            back.nodes[0].compute_ns_per_row,
-            p.nodes[0].compute_ns_per_row
-        );
-        assert_eq!(back.nodes[0].read_ns_per_elem, p.nodes[0].read_ns_per_elem);
-        assert_eq!(
-            back.nodes[0].section_send_bytes,
-            p.nodes[0].section_send_bytes
-        );
+        let model = sample_model();
+        let back = load_model(&save_model(&model)).unwrap();
+        assert_eq!(back.profile(), model.profile());
     }
 
     #[test]
-    fn malformed_lines_are_rejected() {
-        assert!(structure_from_str("var = 1 2").is_err());
-        assert!(structure_from_str("stage = 0 0 x r: w:").is_err());
-        assert!(arch_from_str("disk = 0 1 2").is_err());
-        assert!(profile_from_str("compute = 0 1").is_err());
-        // Missing comm line.
-        assert!(arch_from_str("name = x").is_err());
+    fn truncated_document_names_its_byte_offset() {
+        let text = save_model(&sample_model());
+        // Cut just before the "arch" member, as an interrupted write
+        // would: the parser runs out of input at the cut.
+        let cut = text.find("\"arch\"").unwrap();
+        let msg = load_error(&text[..cut]);
+        assert!(msg.contains(&format!("byte {cut}")), "{msg}");
     }
 
     #[test]
-    fn parse_errors_name_section_and_line() {
-        // Line 3 of a structure text is malformed.
-        let err = structure_from_str("[structure]\nname = x\nvar = 1 2\n").unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("[structure] line 3"), "{msg}");
-        assert!(msg.contains("expected 7 fields"), "{msg}");
-
-        // A corrupted hex field names its line too.
-        let err = arch_from_str("name = a\n\ncomm = zz 0 0 0\n").unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("[arch] line 3"), "{msg}");
-        assert!(msg.contains("bad f64 field"), "{msg}");
-
-        let err = profile_from_str("rows = 4 4\ncompute = 0 1\n").unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("[profile] line 2"), "{msg}");
+    fn foreign_or_missing_schema_is_rejected() {
+        assert_rejects(SCHEMA, "mheta-model/v0", "$.schema: expected");
+        assert_rejects("\"schema\"", "\"format\"", "$.schema: missing");
+        assert!(load_error("[]").contains("$: expected an object"));
     }
 
     #[test]
-    fn truncated_file_points_at_last_line() {
-        let full = structure_to_string(&sample_structure());
-        // Chop the file mid-way through its final stage line, as an
-        // interrupted write would.
-        let cut = full.trim_end().len() - 8;
-        let truncated = &full[..cut];
-        let err = structure_from_str(truncated).unwrap_err();
-        let msg = err.to_string();
-        let last = truncated.lines().count();
-        assert!(
-            msg.contains(&format!("line {last}")),
-            "error should name line {last}: {msg}"
-        );
+    fn null_where_a_number_belongs_names_the_path() {
+        // The model accepts non-finite inputs; its file carries them as
+        // `null`, which no number field takes back.
+        let model = sample_model();
+        let mut profile = model.profile().clone();
+        let scope = Scope::default();
+        profile.nodes[1].compute_ns_per_row.insert(scope, f64::NAN);
+        let (s, a) = (model.structure().clone(), model.arch().clone());
+        let msg = load_error(&save_model(&Mheta::new(s, a, profile).unwrap()));
+        let want = "$.profile.nodes[1].compute_ns_per_row[0][1]: expected a number";
+        assert!(msg.contains(want), "{msg}");
+    }
+
+    #[test]
+    fn wrong_types_and_missing_fields_name_the_path() {
+        let s0 = "$.structure.sections[0]";
+        let stage = format!("{s0}.stages[0]");
+        assert_rejects("\"prefetch\": true", "\"prefetch\": 1", &stage);
+        let id = format!("{stage}.reads[0]: expected an unsigned");
+        assert_rejects("\"reads\": [", "\"reads\": [-1, ", &id);
+        let tiles = format!("{s0}.tiles: missing");
+        assert_rejects("\"tiles\": 4,", "", &tiles);
+        let comm = format!("{s0}.comm: expected None");
+        assert_rejects("\"Pipelined\"", "\"Streamed\"", &comm);
+        let object = "$.structure.sections[1].stages[0]: expected an object";
+        assert_rejects("\"stages\": [],", "\"stages\": [7],", object);
+        let pair = "$.profile.nodes[0].read_ns_per_elem[0]: expected a [key, value] pair";
+        assert_rejects("elem\": [", "elem\": [[1],", pair);
+    }
+
+    #[test]
+    fn permuted_profile_ranks_are_rejected() {
+        let want = "$.profile.nodes[0].rank: expected 0, the node's position";
+        assert_rejects("\"rank\": 0", "\"rank\": 1", want);
     }
 
     #[test]
     fn unknown_keys_are_ignored() {
-        let s = sample_structure();
-        let mut text = structure_to_string(&s);
-        text.push_str("\nfuture_extension = whatever\n");
-        assert_eq!(structure_from_str(&text).unwrap(), s);
+        let model = sample_model();
+        let text = save_model(&model);
+        let extended = text
+            .replacen('{', "{\n  \"future_extension\": [1, {\"x\": null}],", 1)
+            .replacen("\"tiles\": 4", "\"note\": \"\", \"tiles\": 4", 1);
+        let back = load_model(&extended).unwrap();
+        assert_eq!(back.structure(), model.structure());
+        assert_eq!(save_model(&back), text);
     }
 }

@@ -8,10 +8,10 @@
 //! fact the model consumes directly is each node's memory capacity,
 //! which the runtime system legitimately knows.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Communication parameters measured by the ping microbenchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CommParams {
     /// Sender-side overhead `o_s`, ns.
     pub o_s: f64,
@@ -32,7 +32,7 @@ impl CommParams {
 }
 
 /// Per-node disk parameters measured by the disk microbenchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DiskParams {
     /// Read seek overhead `O_r`, ns.
     pub o_read: f64,
@@ -46,7 +46,7 @@ pub struct DiskParams {
 }
 
 /// Everything the model knows about the architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArchParams {
     /// Cluster name (for reporting).
     pub name: String,

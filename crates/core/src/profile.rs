@@ -7,7 +7,7 @@ use mheta_mpi::Scope;
 use mheta_sim::VarId;
 
 /// Per-node measurements from the instrumented iteration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeProfile {
     /// Rank index.
     pub rank: usize,
@@ -28,7 +28,7 @@ pub struct NodeProfile {
 
 /// The full profile: one [`NodeProfile`] per rank plus the distribution
 /// the instrumented iteration ran with.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InstrumentedProfile {
     /// Per-rank measurements.
     pub nodes: Vec<NodeProfile>,

@@ -13,10 +13,10 @@
 //! the instrumentation, and the prediction engine.
 
 use mheta_sim::VarId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One application array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Variable {
     /// Identifier used in file I/O calls (the VID of Figure 3).
     pub id: VarId,
@@ -106,7 +106,7 @@ impl Variable {
 }
 
 /// The communication pattern closing a parallel section.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum CommPattern {
     /// No communication (compute/I/O-only section).
     None,
@@ -131,7 +131,7 @@ pub enum CommPattern {
 
 /// One stage: the innermost compute + I/O bracket, bounded by a loop
 /// over an out-of-core array (or the end of the tile).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageSpec {
     /// Stage index within its tile.
     pub id: u32,
@@ -170,7 +170,7 @@ impl StageSpec {
 }
 
 /// One parallel section: code between communication events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SectionSpec {
     /// Section index (the PID of Figure 3).
     pub id: u32,
@@ -183,7 +183,7 @@ pub struct SectionSpec {
 }
 
 /// The whole application shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProgramStructure {
     /// Application name ("jacobi", "cg", …).
     pub name: String,

@@ -114,8 +114,7 @@ impl DeltaModel for Mheta {
 /// `delta_hits / full_evals / terms_reused / fallback_*` counters
 /// surfaced through search outcomes, telemetry, and the serving
 /// metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct DeltaStats {
     /// Evaluations answered from cached leaves (including pure memo
     /// hits on an unchanged distribution).

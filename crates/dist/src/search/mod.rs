@@ -25,8 +25,7 @@ use crate::genblock::GenBlock;
 /// One point on a search's convergence curve, recorded after every
 /// logical evaluation. The sequence of points is the raw material for
 /// the convergence plots the search-comparison paper \[26\] reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct IterPoint {
     /// Evaluator calls spent when this point was recorded (1-based).
     pub evals: usize,

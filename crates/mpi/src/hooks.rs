@@ -23,8 +23,7 @@ use mheta_sim::{SimDur, SimTime, VarId};
 
 /// Position in the program's static structure: which parallel section,
 /// tile, and stage an operation occurred in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize)]
 pub struct Scope {
     /// Parallel-section index (PID in the paper's Figure 3).
     pub section: u32,
@@ -36,8 +35,7 @@ pub struct Scope {
 }
 
 /// Which structural bracket a scope event marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum ScopeKind {
     /// One outer iteration of the application's convergence loop.
     Iteration,
@@ -50,8 +48,7 @@ pub enum ScopeKind {
 }
 
 /// The kind of intercepted operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum OpKind {
     /// Message send (`MPI_Send`).
     Send,
@@ -68,8 +65,7 @@ pub enum OpKind {
 }
 
 /// Everything the pre/post hook pair learns about one operation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct OpInfo {
     /// Operation kind.
     pub kind: OpKind,
@@ -88,8 +84,7 @@ pub struct OpInfo {
 }
 
 /// One event delivered to a recorder.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub enum HookEvent {
     /// A structural bracket opened.
     ScopeEnter {

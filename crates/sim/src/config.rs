@@ -10,8 +10,7 @@ use crate::error::{SimError, SimResult};
 use crate::fault::FaultSpec;
 
 /// One node of the heterogeneous cluster (Figure 2 of the paper).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct NodeSpec {
     /// Relative CPU power; 1.0 is the baseline node. A node with power
     /// 2.0 performs a unit of work in half the baseline time. The paper
@@ -92,8 +91,7 @@ impl NodeSpec {
 
 /// Uniform interconnect parameters (LogP-style: overheads, latency, and
 /// inverse bandwidth).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct NetSpec {
     /// Sender-side overhead `o_s`, ns: CPU time to prepare and copy the
     /// message into a system buffer.
@@ -131,8 +129,7 @@ impl NetSpec {
 /// run-to-run perturbations that make the paper's instrumented iteration
 /// imperfect (§5.2.1 reports up to 1% error even at the instrumented
 /// distribution).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct NoiseSpec {
     /// Half-width of the multiplicative uniform perturbation: each cost
     /// is scaled by a factor drawn from `[1 - amplitude, 1 + amplitude]`.
@@ -147,8 +144,7 @@ impl Default for NoiseSpec {
 }
 
 /// The whole emulated cluster.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ClusterSpec {
     /// Human-readable name (e.g. "DC", "IO", "HY1").
     pub name: String,
@@ -167,13 +163,11 @@ pub struct ClusterSpec {
     pub seed: u64,
     /// Deterministic fault-injection plan. Disabled by default; see
     /// [`crate::fault`].
-    #[cfg_attr(feature = "serde", serde(default))]
     pub faults: FaultSpec,
     /// Host wall-clock backstop, in milliseconds, for any blocking wait
     /// (receive, barrier). If a rank's OS thread waits longer than this
     /// in *real* time, the wait is abandoned with
     /// [`SimError::Timeout`] instead of hanging the process.
-    #[cfg_attr(feature = "serde", serde(default = "default_wait_timeout_ms"))]
     pub wait_timeout_ms: u64,
 }
 

@@ -31,8 +31,7 @@ use rand::{Rng, SeedableRng};
 
 /// What kind of fault was injected; carried by
 /// [`crate::trace::EventKind::Fault`] trace events.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub enum FaultKind {
     /// A disk read attempt failed transiently (the `attempt`-th
     /// consecutive failure for this variable).
@@ -106,15 +105,12 @@ pub enum FaultKind {
 /// boundary and/or virtual time, whichever fires first) at which the
 /// degraded node returns to full speed — modelling background load
 /// draining away or a node rejoining after maintenance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct RecoverSpec {
     /// Recover when the rank begins this iteration (0-based), if set.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub at_iteration: Option<u32>,
     /// Recover at the first compute at or after this virtual instant
     /// (ns), if set.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub at_ns: Option<u64>,
 }
 
@@ -153,22 +149,18 @@ impl RecoverSpec {
 ///
 /// Multiple degrades may target the same rank; overlapping windows
 /// multiply.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct DegradeSpec {
     /// The rank that slows down.
     pub rank: usize,
     /// Compute-cost multiplier (≥ 1.0) while the degrade is active.
     pub factor: f64,
     /// Degrade from the start of this iteration (0-based), if set.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub from_iteration: Option<u32>,
     /// Degrade from the first compute at or after this virtual instant
     /// (ns), if set.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub from_ns: Option<u64>,
     /// When (if ever) the node returns to full speed.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub recover: Option<RecoverSpec>,
 }
 
@@ -225,8 +217,7 @@ impl DegradeSpec {
 /// whichever fires first). This keeps crash schedules trivially
 /// deterministic and lets tests place a failure exactly where they
 /// want it (before the first checkpoint, inside a collective, …).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct CrashSpec {
     /// The rank that dies.
     pub rank: usize,
@@ -264,8 +255,7 @@ impl CrashSpec {
 /// [`ClusterSpec`](crate::config::ClusterSpec). All rates are
 /// probabilities in `[0, 1)`; the default disables every fault class,
 /// which leaves timelines byte-identical to a fault-free build.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct FaultSpec {
     /// Probability that any single disk read attempt fails transiently.
     pub disk_read_fault_rate: f64,
@@ -292,12 +282,10 @@ pub struct FaultSpec {
     /// Scheduled crash-stop failures (empty by default). Crash-aware
     /// drivers checkpoint every [`FaultSpec::checkpoint_interval`]
     /// iterations and recover survivors when one of these fires.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub crashes: Vec<CrashSpec>,
     /// Scheduled persistent node degradations (empty by default).
     /// Adaptive drivers detect these via the phi-accrual failure
     /// detector and rebalance the GEN_BLOCK distribution mid-run.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub degrades: Vec<DegradeSpec>,
     /// Checkpoint interval K in iterations for the crash-aware drivers
     /// (`mheta_apps::run_resilient` and `run_adaptive`). 0 names no
@@ -305,11 +293,9 @@ pub struct FaultSpec {
     /// `AdaptiveConfig::checkpoint_interval`, `run_resilient` every
     /// iteration — and is invalid once any crash is scheduled: a crash
     /// plan must say what there is to roll back to.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub checkpoint_interval: u32,
     /// Virtual time between a rank's death and a survivor's blocking
     /// operation against it resolving (failure-detector latency), ns.
-    #[cfg_attr(feature = "serde", serde(default = "default_crash_detect_delay_ns"))]
     pub crash_detect_delay_ns: u64,
 }
 

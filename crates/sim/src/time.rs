@@ -12,13 +12,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// An absolute point on a rank's virtual clock, in nanoseconds since the
 /// start of the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize)]
 pub struct SimTime(pub u64);
 
 /// A span of virtual time, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize)]
 pub struct SimDur(pub u64);
 
 impl SimTime {

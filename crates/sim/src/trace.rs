@@ -10,8 +10,7 @@ use crate::fault::FaultKind;
 use crate::time::SimTime;
 
 /// What a traced interval was spent doing.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 #[allow(missing_docs)] // variant fields are self-describing
 pub enum EventKind {
     /// Local computation of `work_units` units of application work.
@@ -58,8 +57,7 @@ pub enum EventKind {
 }
 
 /// One traced interval on a rank's virtual timeline.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Event {
     /// Virtual time at which the operation began.
     pub start: SimTime,
@@ -70,8 +68,7 @@ pub struct Event {
 }
 
 /// Which phase of crash recovery a [`RecoverySpan`] covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum RecoveryKind {
     /// Periodic checkpoint write of local application state.
     Checkpoint,
@@ -110,8 +107,7 @@ impl RecoveryKind {
 /// work. Spans on a rank are non-overlapping and ordered; observability
 /// consumers (audit, Perfetto) attribute the covered trace events to the
 /// span's [`RecoveryKind`] instead of their natural cost category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct RecoverySpan {
     /// Virtual time at which the recovery phase began on this rank.
     pub start_ns: u64,
@@ -130,8 +126,7 @@ impl RecoverySpan {
 }
 
 /// The complete trace of one rank for one run.
-#[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct RankTrace {
     /// Rank index.
     pub rank: usize,

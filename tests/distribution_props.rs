@@ -134,8 +134,13 @@ proptest! {
 }
 
 mod fileio_props {
-    use mheta::core::fileio;
-    use mheta::core::{CommPattern, ProgramStructure, SectionSpec, StageSpec, Variable};
+    use mheta::core::{load_model, measure_arch, save_model};
+    use mheta::core::{
+        CommPattern, InstrumentedProfile, Mheta, NodeProfile, ProgramStructure, SectionSpec,
+        StageSpec, Variable,
+    };
+    use mheta::mpi::Scope;
+    use mheta::sim::ClusterSpec;
     use proptest::prelude::*;
 
     fn arb_comm() -> impl Strategy<Value = CommPattern> {
@@ -189,15 +194,44 @@ mod fileio_props {
             })
     }
 
+    /// `s` on two measured nodes, every stage timed and every variable's
+    /// I/O measured, so the file carries every kind of member.
+    fn uniform_model(s: &ProgramStructure) -> Mheta {
+        let arch = measure_arch(&ClusterSpec::homogeneous(2)).unwrap();
+        let mut node = NodeProfile::default();
+        for sec in &s.sections {
+            node.section_send_bytes.insert(sec.id, 64);
+            for tile in 0..sec.tiles {
+                for st in &sec.stages {
+                    let scope = Scope {
+                        section: sec.id,
+                        tile,
+                        stage: st.id,
+                    };
+                    node.compute_ns_per_row.insert(scope, 0.1 + f64::from(tile));
+                }
+            }
+        }
+        for v in &s.variables {
+            node.read_ns_per_elem.insert(v.id, v.elems_per_row / 3.0);
+            node.write_ns_per_elem.insert(v.id, v.elems_per_row / 7.0);
+        }
+        let nodes = vec![node.clone(), NodeProfile { rank: 1, ..node }];
+        let total = s.distribution_rows();
+        let rows = vec![total / 2, total - total / 2];
+        Mheta::new(s.clone(), arch, InstrumentedProfile { nodes, rows }).unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
         fn any_valid_structure_round_trips(s in arb_structure()) {
             prop_assume!(s.validate().is_ok());
-            let text = fileio::structure_to_string(&s);
-            let back = fileio::structure_from_str(&text).unwrap();
-            prop_assert_eq!(s, back);
+            let text = save_model(&uniform_model(&s));
+            let back = load_model(&text).unwrap();
+            prop_assert_eq!(&s, back.structure());
+            prop_assert_eq!(save_model(&back), text);
         }
     }
 }

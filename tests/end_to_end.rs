@@ -153,6 +153,7 @@ fn predictions_distinguish_good_from_bad_distributions() {
 #[test]
 fn saved_model_predicts_identically_after_reload() {
     use mheta::core::{load_model, save_model};
+    use mheta::obs::json::{from_str, Serialize, Value};
     let spec = small_hybrid();
     let bench = Benchmark::Rna(Rna::small());
     let model = build_model(&bench, &spec, false).unwrap();
@@ -161,17 +162,22 @@ fn saved_model_predicts_identically_after_reload() {
     let dist = GenBlock::block(bench.total_rows(), 4);
     let a = model.predict(dist.rows()).unwrap();
     let b = reloaded.predict(dist.rows()).unwrap();
-    assert_eq!(a.per_node_ns, b.per_node_ns, "bit-exact after reload");
-    // And the file is human-readable text with the expected sections.
-    for marker in [
-        "[structure]",
-        "[arch]",
-        "[profile]",
-        "section =",
-        "compute =",
-    ] {
-        assert!(text.contains(marker), "missing {marker}");
-    }
+    assert_eq!(a.iteration_ns.to_bits(), b.iteration_ns.to_bits());
+    let bits = |p: &Prediction| {
+        p.per_node_ns
+            .iter()
+            .map(|t| t.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&a), bits(&b), "bit-exact after reload");
+    // And the file is the JSON document of the model's three inputs,
+    // its structure rendered exactly as the serving cache key renders it.
+    let doc = from_str(&text).expect("the MHETA file is JSON");
+    assert_eq!(
+        doc.get("schema").and_then(Value::as_str),
+        Some("mheta-model/v1")
+    );
+    assert_eq!(doc.get("structure"), Some(&model.structure().to_value()));
 }
 
 #[test]

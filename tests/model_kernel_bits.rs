@@ -11,14 +11,15 @@
 //! every per-node time, each rank's seven term totals, and the
 //! iteration/per-node times under both `PredictOptions` ablations.
 //!
-//! The kernel must reproduce every bit three ways: through `predict`,
-//! through a cold session, and through one session walked along the
-//! whole list with promotions on the way.
+//! The kernel must reproduce every bit four ways: through `predict`,
+//! through a cold session, through one session walked along the whole
+//! list with promotions on the way, and through `predict` on the model
+//! reloaded from its saved MHETA file (`load_model(&save_model(..))`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use mheta::core::{PredictOptions, ReductionModel};
+use mheta::core::{load_model, save_model, PredictOptions, ReductionModel};
 use mheta::dist::{DeltaEvaluator, DeltaSession};
 use mheta::obs::json::{from_str, Value};
 use mheta::prelude::*;
@@ -235,9 +236,12 @@ fn kernel_reproduces_the_recorded_bits() {
         // candidate, so it sees memo hits, 1-3-dirty deltas, all-dirty
         // fulls and rebases along the way.
         let mut walked = DeltaEvaluator::new(model);
+        let reloaded =
+            load_model(&save_model(model)).unwrap_or_else(|e| panic!("{label}: reload: {e}"));
         for (k, line) in lines.iter().enumerate() {
             let rows = parse_rows(line);
             assert_eq!(&render(model, &rows), line, "{label} #{k}: predict");
+            assert_eq!(&render(&reloaded, &rows), line, "{label} #{k}: reloaded");
 
             let want = iteration_bits(line);
             let cold = DeltaEvaluator::new(model).try_eval_ns(&rows).expect(label);
