@@ -23,7 +23,8 @@
 //!   tile-completion recurrence
 //!   `start(i,t) = max(finish(i,t−1), arrive(i,t))`.
 //! * **Reduction** — the binomial-tree twin of the executed collective
-//!   ([`mheta_mpi::model_allreduce`]); the paper defers this to \[25\].
+//!   ([`mheta_mpi::model_allreduce_in_place`], which reads the same
+//!   schedule); the paper defers this to \[25\].
 //! * **Totals** — §4.2.3: per-node sums over sections, iteration time
 //!   is the slowest node.
 

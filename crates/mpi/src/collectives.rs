@@ -1,14 +1,17 @@
-//! Collective operations over the binomial tree, plus the *analytical
-//! twins* of the same schedules.
+//! Collective operations over one binomial tree, plus the *analytical
+//! twins* that replay the same tree over virtual clocks.
 //!
-//! The executable collectives (`reduce`, `bcast`, `allreduce`,
-//! `barrier`) are built from point-to-point sends and receives, exactly
-//! the MPICH binomial algorithms. The analytical functions
-//! (`model_reduce`, `model_bcast`, `model_allreduce`) replay the same
-//! schedule over per-node "ready" timestamps with the microbenchmarked
-//! per-hop costs — they are what the MHETA model in `mheta-core` uses
-//! to predict reduction sections, so the model and the execution share
-//! one schedule by construction (the paper defers reduction modeling to
+//! The tree is written once, over dense indices `0..k` rooted at 0
+//! (`parent`, `children`), and three interpreters read it and nothing
+//! else: the executable walker behind [`allreduce`], [`barrier`],
+//! [`ft_allreduce_among`] and [`agree_mask`] (point-to-point sends and
+//! receives, exactly the MPICH binomial algorithm), and the reduction
+//! and broadcast twins behind [`model_allreduce_in_place`], which
+//! replay it over per-node "ready" timestamps with the microbenchmarked
+//! per-hop costs. The MHETA model in `mheta-core` predicts reduction
+//! sections with the twins, so the model and the execution share one
+//! schedule by construction; on a quiet cluster the twins give the
+//! executed clocks bit for bit (the paper defers reduction modeling to
 //! the dissertation \[25\]; this is our concrete realization).
 
 use mheta_sim::{SimError, SimResult};
@@ -71,74 +74,112 @@ impl ReduceOp {
     }
 }
 
-/// Binomial-tree reduction to rank 0. On return, `data` on rank 0 holds
-/// the combined result; other ranks' buffers are unspecified.
-pub fn reduce<R: Recorder>(
+// ---- the schedule -------------------------------------------------------
+
+/// The tree parent of dense index `i > 0`: `i` with its lowest set bit
+/// cleared.
+fn parent(i: usize) -> usize {
+    debug_assert!(i > 0, "the root has no parent");
+    i & (i - 1)
+}
+
+/// The tree children of dense index `i` among `0..k`: `i + 2^j` for
+/// every `2^j` below `i`'s lowest set bit (below `k` for the root) with
+/// `i + 2^j < k`. Ascending is the order a reduction receives them in;
+/// `.rev()` is the order a broadcast sends to them in.
+fn children(i: usize, k: usize) -> impl DoubleEndedIterator<Item = usize> {
+    debug_assert!(i < k, "index {i} outside a tree of {k}");
+    // `i + 2^j < k` holds exactly for `j < log2((k - i).next_power_of_two())`.
+    let fits = (k - i).next_power_of_two().trailing_zeros();
+    let below_lowbit = if i == 0 { fits } else { i.trailing_zeros() };
+    (0..fits.min(below_lowbit)).map(move |j| i + (1 << j))
+}
+
+// ---- the executable walker ----------------------------------------------
+
+/// Which half of the tree walk a receive landed in: the reduce-to-root
+/// pass or the broadcast back down the tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TreePhase {
+    /// Reduce-to-root pass: the value came from a tree child.
+    Reduce,
+    /// Broadcast pass: the value came from the tree parent.
+    Bcast,
+}
+
+/// The one tree walk: reduce toward dense index 0, then broadcast back
+/// down the same tree, with `fold` deciding what each receive does to
+/// `data` (this rank's value on entry, its final one on return).
+///
+/// `members` is `None` for the plain collectives: every rank is its own
+/// dense index, and a dead peer ends the walk with `PeerDead`. It is
+/// `Some` for the fault-tolerant ones: dense index `i` is `members[i]`
+/// (checked by [`member_index`]), and a receive that resolves against
+/// dead rank `peer` reaches `fold` as `Err(peer)` instead.
+fn tree_walk<R: Recorder>(
     comm: &mut Comm<'_, R>,
-    op: ReduceOp,
+    members: Option<&[usize]>,
+    (reduce_tag, bcast_tag): (u32, u32),
     data: &mut [f64],
+    mut fold: impl FnMut(TreePhase, &mut [f64], Result<&[f64], usize>),
 ) -> SimResult<()> {
-    let rank = comm.rank();
-    let size = comm.size();
-    let mut mask = 1usize;
-    while mask < size {
-        if rank & mask == 0 {
-            let child = rank | mask;
-            if child < size {
-                let v = comm.recv_f64s(child, TAG_REDUCE)?;
-                op.combine(data, &v);
-            }
-        } else {
-            let parent = rank & !mask;
-            comm.send_f64s(parent, TAG_REDUCE, data)?;
-            break;
-        }
-        mask <<= 1;
-    }
-    Ok(())
-}
-
-/// Binomial-tree broadcast from rank 0 into `data` on every rank.
-pub fn bcast<R: Recorder>(comm: &mut Comm<'_, R>, data: &mut [f64]) -> SimResult<()> {
-    let rank = comm.rank();
-    let size = comm.size();
-    let mut mask = 1usize;
-    while mask < size {
-        if rank & mask != 0 {
-            let parent = rank - mask;
-            let v = comm.recv_f64s(parent, TAG_BCAST)?;
-            data.copy_from_slice(&v);
-            break;
-        }
-        mask <<= 1;
-    }
-    // Forwarding pass: a node sends at every mask strictly below the
-    // level it received at (rank 0's level is the tree root).
-    let level = if rank == 0 {
-        size.next_power_of_two()
-    } else {
-        rank & rank.wrapping_neg() // lowest set bit
+    let (me, k) = match members {
+        None => (comm.rank(), comm.size()),
+        Some(list) => (member_index(comm.rank(), list)?, list.len()),
     };
-    let mut m = level >> 1;
-    while m > 0 {
-        let dst = rank + m;
-        if dst < size {
-            comm.send_f64s(dst, TAG_BCAST, data)?;
+    let rank = |i: usize| members.map_or(i, |list| list[i]);
+    let mut receive = |comm: &mut Comm<'_, R>, from, tag, phase, data: &mut [f64]| {
+        match comm.recv_f64s(rank(from), tag) {
+            Ok(v) => fold(phase, data, Ok(&v)),
+            Err(SimError::PeerDead { peer, .. }) if members.is_some() => {
+                fold(phase, data, Err(peer));
+            }
+            Err(e) => return Err(e),
         }
-        m >>= 1;
+        Ok(())
+    };
+    for child in children(me, k) {
+        receive(comm, child, reduce_tag, TreePhase::Reduce, data)?;
+    }
+    if me > 0 {
+        comm.send_f64s(rank(parent(me)), reduce_tag, data)?;
+        receive(comm, parent(me), bcast_tag, TreePhase::Bcast, data)?;
+    }
+    for child in children(me, k).rev() {
+        comm.send_f64s(rank(child), bcast_tag, data)?;
     }
     Ok(())
 }
 
-/// Reduction followed by broadcast: every rank ends with the combined
-/// value in `data`.
+/// This rank's dense index in a fault-tolerant member list. The list
+/// must stay below rank 64 (the dead-set bitmask width), be sorted
+/// without duplicates, so that every member lays the same tree, and
+/// contain `rank`; anything else is [`SimError::InvalidConfig`].
+fn member_index(rank: usize, members: &[usize]) -> SimResult<usize> {
+    if members.iter().any(|&r| r >= 64) {
+        return Err(SimError::InvalidConfig(format!(
+            "fault-tolerant collectives support at most 64 ranks, member list reaches rank {}",
+            members.iter().max().copied().unwrap_or(0)
+        )));
+    }
+    let invalid = |why: String| SimError::InvalidConfig(format!("member list {members:?} {why}"));
+    if members.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(invalid("is not sorted without duplicates".into()));
+    }
+    members
+        .binary_search(&rank)
+        .map_err(|_| invalid(format!("lacks the calling rank {rank}")))
+}
+
+/// Reduction followed by broadcast over every rank: each ends with the
+/// combined value in `data`. A dead peer ends the call with
+/// [`SimError::PeerDead`].
 pub fn allreduce<R: Recorder>(
     comm: &mut Comm<'_, R>,
     op: ReduceOp,
     data: &mut [f64],
 ) -> SimResult<()> {
-    reduce(comm, op, data)?;
-    bcast(comm, data)
+    allreduce_over(comm, None, op, data).map(|_| ())
 }
 
 /// Synchronize all ranks (an empty allreduce).
@@ -147,47 +188,48 @@ pub fn barrier<R: Recorder>(comm: &mut Comm<'_, R>) -> SimResult<()> {
     allreduce(comm, ReduceOp::Sum, &mut token)
 }
 
-// ---- fault-tolerant collectives ----------------------------------------
-
-/// Fault-tolerant allreduce: the same binomial reduce + broadcast
-/// schedule, but a dead peer never aborts a survivor. A dead child's
-/// contribution is skipped (the wait resolves through the failure
-/// detector), a send to a dead parent is a silent no-op at the
-/// transport, and a rank whose broadcast parent died keeps its partial
-/// reduction value. No live rank can hang: every blocking receive either
-/// matches a message or resolves as `PeerDead`.
+/// Fault-tolerant allreduce over an explicit member list: the same tree
+/// as [`allreduce`], laid over a *dense* re-indexing of `members`, so a
+/// resilient driver can keep original rank numbering after a crash and
+/// simply drop dead ranks from the roster. `members` must be sorted
+/// without duplicates, contain the calling rank and stay below rank 64;
+/// otherwise the call is [`SimError::InvalidConfig`].
+///
+/// A dead peer never aborts a survivor. A dead child's contribution is
+/// skipped (the wait resolves through the failure detector), a send to
+/// a dead parent is a silent no-op at the transport, and a rank whose
+/// broadcast parent died keeps its partial reduction value. No live
+/// rank can hang: every blocking receive either matches a message or
+/// resolves as `PeerDead`.
 ///
 /// When a rank crashed mid-schedule, survivors' output values may
 /// disagree (some saw the contribution, some lost the broadcast), so the
 /// combined value must not be used for control decisions in that
 /// iteration — resilient drivers detect the crash at the iteration
-/// boundary and roll back past it. The function reports whether any dead
-/// peer was encountered.
-pub fn ft_allreduce<R: Recorder>(
-    comm: &mut Comm<'_, R>,
-    op: ReduceOp,
-    data: &mut [f64],
-) -> SimResult<bool> {
-    let members: Vec<usize> = (0..comm.size()).collect();
-    ft_allreduce_among(comm, &members, op, data).map(|observed| observed != 0)
-}
-
-/// [`ft_allreduce`] over an explicit member list: the binomial tree runs
-/// over a *dense* re-indexing of `members` (which must be sorted and
-/// contain the calling rank), so a resilient driver can keep original
-/// rank numbering after a crash and simply drop dead ranks from the
-/// roster. Returns a bitmask of cluster ranks observed dead during this
-/// schedule (bit `r` set when some receive from rank `r` resolved as
-/// `PeerDead` on *this* rank) — callers OR these observations into the
-/// per-iteration agreement round.
+/// boundary and roll back past it. Returns a bitmask of cluster ranks
+/// observed dead during this schedule (bit `r` set when some receive
+/// from rank `r` resolved as `PeerDead` on *this* rank) — callers OR
+/// these observations into the per-iteration agreement round.
 pub fn ft_allreduce_among<R: Recorder>(
     comm: &mut Comm<'_, R>,
     members: &[usize],
     op: ReduceOp,
     data: &mut [f64],
 ) -> SimResult<u64> {
+    allreduce_over(comm, Some(members), op, data)
+}
+
+/// The allreduce walk: combine on the way up, adopt the root's value on
+/// the way down. Returns the bitmask of ranks observed dead, which
+/// without `members` is always 0.
+fn allreduce_over<R: Recorder>(
+    comm: &mut Comm<'_, R>,
+    members: Option<&[usize]>,
+    op: ReduceOp,
+    data: &mut [f64],
+) -> SimResult<u64> {
     let mut observed: u64 = 0;
-    ft_tree_exchange(
+    tree_walk(
         comm,
         members,
         (TAG_REDUCE, TAG_BCAST),
@@ -201,99 +243,15 @@ pub fn ft_allreduce_among<R: Recorder>(
     Ok(observed)
 }
 
-/// Which half of the fault-tolerant binomial schedule a receive landed
-/// in: the reduce-to-root pass or the broadcast back down the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TreePhase {
-    /// Reduce-to-`members[0]` pass: the value came from a tree child.
-    Reduce,
-    /// Broadcast pass: the value came from the tree parent.
-    Bcast,
-}
-
-/// The dense binomial reduce + broadcast scaffolding shared by every
-/// fault-tolerant collective ([`ft_allreduce_among`], [`agree_mask`],
-/// [`agree_dead_set`]): walk the reduce tree toward `members[0]`,
-/// then rebroadcast down the same tree, forwarding to the caller only
-/// the *semantic* decisions — how to fold a received payload into the
-/// local value in each phase, and what to do when a receive resolves as
-/// `PeerDead`.
-///
-/// `members` must be sorted, contain the calling rank, and stay below
-/// rank 64 (the dead-set bitmask width). A send to a dead peer is a
-/// silent no-op at the transport, so no live member can hang. The
-/// handler receives `Ok(payload)` for a delivered message and
-/// `Err(peer)` for a receive that resolved against dead rank `peer`;
-/// `data` carries this rank's current value and ends as its final one.
+/// The fault-tolerant tree walk over `members`.
 fn ft_tree_exchange<R: Recorder>(
     comm: &mut Comm<'_, R>,
     members: &[usize],
-    (reduce_tag, bcast_tag): (u32, u32),
+    tags: (u32, u32),
     data: &mut [f64],
-    mut handle: impl FnMut(TreePhase, &mut [f64], Result<&[f64], usize>),
+    fold: impl FnMut(TreePhase, &mut [f64], Result<&[f64], usize>),
 ) -> SimResult<()> {
-    if members.iter().any(|&r| r >= 64) {
-        return Err(SimError::InvalidConfig(format!(
-            "fault-tolerant collectives support at most 64 ranks, member list reaches rank {}",
-            members.iter().max().copied().unwrap_or(0)
-        )));
-    }
-    let me = members
-        .iter()
-        .position(|&r| r == comm.rank())
-        .expect("calling rank must be in the member list");
-    let k = members.len();
-    // Reduce phase: fold children, then send up to the tree parent.
-    let mut mask = 1usize;
-    while mask < k {
-        if me & mask == 0 {
-            let child = me | mask;
-            if child < k {
-                match comm.recv_f64s(members[child], reduce_tag) {
-                    Ok(v) => handle(TreePhase::Reduce, data, Ok(&v)),
-                    Err(SimError::PeerDead { peer, .. }) => {
-                        handle(TreePhase::Reduce, data, Err(peer));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        } else {
-            let parent = me & !mask;
-            comm.send_f64s(members[parent], reduce_tag, data)?;
-            break;
-        }
-        mask <<= 1;
-    }
-    // Broadcast phase: adopt the parent's value, then forward down.
-    let mut mask = 1usize;
-    while mask < k {
-        if me & mask != 0 {
-            let parent = me - mask;
-            match comm.recv_f64s(members[parent], bcast_tag) {
-                Ok(v) => handle(TreePhase::Bcast, data, Ok(&v)),
-                Err(SimError::PeerDead { peer, .. }) => {
-                    handle(TreePhase::Bcast, data, Err(peer));
-                }
-                Err(e) => return Err(e),
-            }
-            break;
-        }
-        mask <<= 1;
-    }
-    let level = if me == 0 {
-        k.next_power_of_two()
-    } else {
-        me & me.wrapping_neg()
-    };
-    let mut m = level >> 1;
-    while m > 0 {
-        let dst = me + m;
-        if dst < k {
-            comm.send_f64s(members[dst], bcast_tag, data)?;
-        }
-        m >>= 1;
-    }
-    Ok(())
+    tree_walk(comm, Some(members), tags, data, fold)
 }
 
 /// One round of the crash-detection agreement protocol, run by
@@ -302,7 +260,8 @@ fn ft_tree_exchange<R: Recorder>(
 /// the dense binomial tree over `members` and broadcast the union back.
 /// Failures observed *during the round itself* are folded into the
 /// propagated mask, so a dead member's bit reaches the root through its
-/// tree parent even when nobody noticed the crash earlier.
+/// tree parent even when nobody noticed the crash earlier. `members`
+/// must be what [`ft_allreduce_among`] asks for.
 ///
 /// Survivors decide "a crash happened" iff their returned mask is
 /// non-zero. For any rank dead before the round starts, every live
@@ -334,53 +293,6 @@ pub fn agree_mask<R: Recorder>(
         },
     )?;
     Ok(data[0].to_bits())
-}
-
-/// Post-crash dead-set agreement: survivors run a binomial reduce +
-/// broadcast over a *dense* re-indexing of the sorted survivor list,
-/// OR-combining per-rank dead bitmasks, so every survivor converges on
-/// the same dead-set while paying the realistic communication cost of
-/// the agreement protocol. Returns the agreed dead ranks, sorted.
-///
-/// Precondition: every survivor calls this at the same program point
-/// with an identical local view of the dead-set (guaranteed at an
-/// iteration boundary after a completed [`ft_allreduce`], whose
-/// completion is host-ordered after any crash inside the iteration);
-/// the dense trees would otherwise mismatch and deadlock.
-pub fn agree_dead_set<R: Recorder>(comm: &mut Comm<'_, R>) -> SimResult<Vec<usize>> {
-    let size = comm.size();
-    if size > 64 {
-        return Err(SimError::InvalidConfig(format!(
-            "dead-set agreement bitmask supports at most 64 ranks, cluster has {size}"
-        )));
-    }
-    let bits: u64 = comm
-        .ctx()
-        .dead_ranks()
-        .iter()
-        .fold(0, |acc, &(r, _)| acc | (1u64 << r));
-    let survivors: Vec<usize> = (0..size).filter(|r| bits & (1 << r) == 0).collect();
-    let mut data = [f64::from_bits(bits)];
-    // OR on the way up, adopt the root's union on the way down. The
-    // precondition gives every survivor an identical starting view, so
-    // mid-round deaths are ignorable: the divergence is resolved by the
-    // caller's next agreement round.
-    ft_tree_exchange(
-        comm,
-        &survivors,
-        (TAG_AGREE, TAG_AGREE),
-        &mut data,
-        |phase, acc, recv| {
-            if let Ok(v) = recv {
-                acc[0] = match phase {
-                    TreePhase::Reduce => f64::from_bits(acc[0].to_bits() | v[0].to_bits()),
-                    TreePhase::Bcast => v[0],
-                };
-            }
-        },
-    )?;
-    let bits = data[0].to_bits();
-    Ok((0..size).filter(|r| bits & (1 << r) != 0).collect())
 }
 
 // ---- analytical twins --------------------------------------------------
@@ -419,95 +331,51 @@ pub fn clock_max(own: f64, arrival: f64) -> f64 {
     }
 }
 
-/// Replay the binomial reduce-to-0 schedule over per-node ready times.
-/// Returns each node's clock after its role in the reduction completes
-/// (after its send, for non-roots; after the last receive, for root).
-#[must_use]
-pub fn model_reduce(ready: &[f64], cost: HopCost) -> Vec<f64> {
-    let mut clock = ready.to_vec();
-    model_reduce_in_place(&mut clock, &mut vec![0.0; ready.len()], cost);
-    clock
-}
-
-/// [`model_reduce`] on caller-owned buffers: `clock` holds the ready
-/// times on entry and the post-reduction clocks on return; `arrival`
-/// is scratch of the same length (contents ignored).
+/// Replay the tree's reduction to index 0 over per-node clocks:
+/// `clock` holds the ready times on entry and, on return, each node's
+/// clock once its part is done (after its send, for non-roots; after
+/// its last receive, for the root). `arrival` is scratch of the same
+/// length (contents ignored).
 fn model_reduce_in_place(clock: &mut [f64], arrival: &mut [f64], cost: HopCost) {
-    let size = clock.len();
-    assert_eq!(arrival.len(), size, "one arrival slot per node");
+    let k = clock.len();
+    assert_eq!(arrival.len(), k, "one arrival slot per node");
     // `arrival[child]` is the arrival time of a non-root's single send
     // to its parent, written by the child itself: children have
-    // numerically larger ranks, so the descending loop visits every
+    // numerically larger indices, so the descending loop visits every
     // child before its parent reads the slot.
-    for r in (0..size).rev() {
-        let lowbit = if r == 0 {
-            size.next_power_of_two()
-        } else {
-            r & r.wrapping_neg()
-        };
-        let mut mask = 1usize;
-        while mask < lowbit && mask < size {
-            let child = r | mask;
-            if child < size && child != r {
-                clock[r] = clock_max(clock[r], arrival[child]) + cost.o_r;
-            }
-            mask <<= 1;
+    for r in (0..k).rev() {
+        for child in children(r, k) {
+            clock[r] = clock_max(clock[r], arrival[child]) + cost.o_r;
         }
-        if r != 0 {
+        if r > 0 {
             clock[r] += cost.o_s;
             arrival[r] = clock[r] + cost.transfer;
         }
     }
 }
 
-/// Replay the binomial broadcast-from-0 schedule over per-node ready
-/// times. Returns each node's clock after its receives and forwards.
-#[must_use]
-pub fn model_bcast(ready: &[f64], cost: HopCost) -> Vec<f64> {
-    let mut clock = ready.to_vec();
-    model_bcast_in_place(&mut clock, &mut vec![0.0; ready.len()], cost);
-    clock
-}
-
-/// [`model_bcast`] on caller-owned buffers; same contract as
+/// Replay the tree's broadcast from index 0 over per-node clocks: each
+/// node's clock after its receive and forwards. Same contract as
 /// [`model_reduce_in_place`].
 fn model_bcast_in_place(clock: &mut [f64], arrival: &mut [f64], cost: HopCost) {
-    let size = clock.len();
-    assert_eq!(arrival.len(), size, "one arrival slot per node");
+    let k = clock.len();
+    assert_eq!(arrival.len(), k, "one arrival slot per node");
     // Every non-root's `arrival` slot is written by its parent, which
-    // has a numerically smaller rank: the ascending loop sends before
+    // has a numerically smaller index: the ascending loop sends before
     // it receives.
-    for r in 0..size {
-        if r != 0 {
+    for r in 0..k {
+        if r > 0 {
             clock[r] = clock_max(clock[r], arrival[r]) + cost.o_r;
         }
-        let level = if r == 0 {
-            size.next_power_of_two()
-        } else {
-            r & r.wrapping_neg()
-        };
-        let mut m = level >> 1;
-        while m > 0 {
-            let dst = r + m;
-            if dst < size {
-                clock[r] += cost.o_s;
-                arrival[dst] = clock[r] + cost.transfer;
-            }
-            m >>= 1;
+        for child in children(r, k).rev() {
+            clock[r] += cost.o_s;
+            arrival[child] = clock[r] + cost.transfer;
         }
     }
 }
 
 /// Replay reduce + broadcast (the allreduce used for global reductions
-/// in the benchmark applications).
-#[must_use]
-pub fn model_allreduce(ready: &[f64], cost: HopCost) -> Vec<f64> {
-    let mut clock = ready.to_vec();
-    model_allreduce_in_place(&mut clock, &mut vec![0.0; ready.len()], cost);
-    clock
-}
-
-/// [`model_allreduce`] without the allocations, for callers that
+/// in the benchmark applications) without allocating, for callers that
 /// evaluate it per search candidate: `clock` holds the ready times on
 /// entry and the post-allreduce clocks on return; `arrival` is
 /// caller-owned scratch of the same length (contents ignored).
@@ -613,6 +481,47 @@ mod tests {
         assert!(err.results.iter().all(|&ok| ok));
     }
 
+    /// Each rank of an `n`-rank cluster calls [`ft_allreduce_among`]
+    /// over `members`; returns the `InvalidConfig` message each rank
+    /// got, if any.
+    fn member_list_errors(n: usize, members: &[usize]) -> Vec<Option<String>> {
+        run_cluster(&quiet(n), false, |ctx| {
+            let mut rec = NullRecorder;
+            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
+            match ft_allreduce_among(&mut comm, members, ReduceOp::Sum, &mut [0.0]) {
+                Ok(_) => Ok(None),
+                Err(SimError::InvalidConfig(msg)) => Ok(Some(msg)),
+                Err(e) => Err(e),
+            }
+        })
+        .unwrap()
+        .results
+    }
+
+    #[test]
+    fn ft_collectives_reject_a_member_list_without_the_caller() {
+        let errors = member_list_errors(2, &[0]);
+        assert_eq!(errors[0], None, "rank 0 is the whole roster");
+        let msg = errors[1].as_deref().expect("rank 1 is not a member");
+        assert!(msg.contains("[0]") && msg.contains("rank 1"), "{msg}");
+    }
+
+    #[test]
+    fn ft_collectives_reject_an_unsorted_member_list() {
+        for msg in member_list_errors(2, &[1, 0]) {
+            let msg = msg.expect("every rank rejects the list");
+            assert!(msg.contains("[1, 0]"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn ft_collectives_reject_a_member_list_with_duplicates() {
+        for msg in member_list_errors(2, &[0, 1, 1]) {
+            let msg = msg.expect("every rank rejects the list");
+            assert!(msg.contains("[0, 1, 1]"), "{msg}");
+        }
+    }
+
     #[test]
     fn allreduce_sum_all_sizes() {
         for n in 1..=9 {
@@ -643,20 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_leaves_result_at_root() {
-        let spec = quiet(5);
-        let run = run_cluster(&spec, false, |ctx| {
-            let mut rec = NullRecorder;
-            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
-            let mut v = vec![1.0];
-            reduce(&mut comm, ReduceOp::Sum, &mut v)?;
-            Ok(v[0])
-        })
-        .unwrap();
-        assert_eq!(run.results[0], 5.0);
-    }
-
-    #[test]
     fn barrier_completes_on_all_sizes() {
         for n in [1, 2, 3, 8] {
             let spec = quiet(n);
@@ -669,39 +564,187 @@ mod tests {
         }
     }
 
-    /// The analytical twins must match the executed schedule exactly
-    /// when noise is off.
-    #[test]
-    fn model_allreduce_matches_execution() {
-        for n in [2usize, 3, 4, 5, 8] {
-            let spec = quiet(n);
-            // Stagger the ranks' start times with compute.
-            let run = run_cluster(&spec, false, |ctx| {
-                let mut rec = NullRecorder;
-                ctx.compute(100.0 * (ctx.rank() as f64 + 1.0), u64::MAX);
+    /// The exactness referee: on a quiet cluster the analytical twins
+    /// replay the executed tree bit for bit, and the fault-tolerant walk
+    /// over every rank is the plain one.
+    mod exactness {
+        use super::*;
+        use mheta_sim::{ClusterRun, Event, EventKind, NetSpec, SimDur};
+        use proptest::prelude::*;
+
+        /// Each rank's clock before and after the allreduce, and its
+        /// values.
+        type Outcome = (f64, f64, Vec<f64>);
+
+        /// Every rank computes `work[rank]` units, then runs the plain
+        /// (`ft == false`) or the fault-tolerant allreduce over every
+        /// rank on `payload` offset by its rank.
+        fn allreduce_after(
+            spec: &ClusterSpec,
+            work: &[f64],
+            payload: &[f64],
+            ft: bool,
+        ) -> ClusterRun<Outcome> {
+            run_cluster(spec, true, |ctx| {
+                ctx.compute(work[ctx.rank()], u64::MAX);
                 let ready = ctx.now().as_nanos() as f64;
+                let mut rec = NullRecorder;
                 let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
-                let mut v = vec![1.0];
-                allreduce(&mut comm, ReduceOp::Sum, &mut v)?;
-                Ok((ready, ctx.now().as_nanos() as f64))
+                let rank = comm.rank() as f64;
+                let mut v: Vec<f64> = payload.iter().map(|x| x + rank).collect();
+                if ft {
+                    let everyone: Vec<usize> = (0..comm.size()).collect();
+                    let observed = ft_allreduce_among(&mut comm, &everyone, ReduceOp::Sum, &mut v)?;
+                    assert_eq!(observed, 0, "nobody died");
+                } else {
+                    allreduce(&mut comm, ReduceOp::Sum, &mut v)?;
+                }
+                Ok((ready, ctx.now().as_nanos() as f64, v))
             })
-            .unwrap();
-            let ready: Vec<f64> = run.results.iter().map(|r| r.0).collect();
-            let actual: Vec<f64> = run.results.iter().map(|r| r.1).collect();
-            let cost = HopCost {
-                o_s: spec.net.send_overhead_ns,
-                o_r: spec.net.recv_overhead_ns,
-                transfer: spec.net.transfer_ns(8),
-            };
-            let predicted = model_allreduce(&ready, cost);
-            for r in 0..n {
-                assert!(
-                    (predicted[r] - actual[r]).abs() < 2.0,
-                    "n={n} rank {r}: model {} vs actual {}",
-                    predicted[r],
-                    actual[r]
+            .unwrap()
+        }
+
+        /// A cost as the simulator charges it: whole nanoseconds.
+        fn charged(ns: f64) -> f64 {
+            SimDur::from_nanos_f64(ns).as_nanos() as f64
+        }
+
+        /// `model` replayed from `start` must give `executed` to the bit
+        /// on every rank.
+        fn assert_twin_exact(
+            what: &str,
+            model: fn(&mut [f64], &mut [f64], HopCost),
+            cost: HopCost,
+            start: &[f64],
+            executed: &[f64],
+        ) {
+            let mut clock = start.to_vec();
+            model(&mut clock, &mut vec![0.0; start.len()], cost);
+            for (rank, (model, actual)) in clock.iter().zip(executed).enumerate() {
+                assert_eq!(
+                    model.to_bits(),
+                    actual.to_bits(),
+                    "{what} on {} ranks, rank {rank}: model {model} vs executed {actual}",
+                    start.len()
                 );
             }
+        }
+
+        /// A quiet cluster of 1–64 ranks on a random network, each
+        /// rank's staggering work, and a payload of 1–4 values.
+        fn cluster() -> impl Strategy<Value = (ClusterSpec, Vec<f64>, Vec<f64>)> {
+            (
+                1usize..=64,
+                (
+                    0.0f64..50_000.0,
+                    0.0f64..50_000.0,
+                    0.0f64..200_000.0,
+                    0.0f64..40.0,
+                ),
+                proptest::collection::vec(0.0f64..500.0, 64),
+                proptest::collection::vec(-1e3f64..1e3, 1..=4),
+            )
+                .prop_map(|(n, (o_s, o_r, latency, beta), mut work, payload)| {
+                    let mut spec = quiet(n);
+                    spec.net = NetSpec {
+                        send_overhead_ns: o_s,
+                        recv_overhead_ns: o_r,
+                        latency_ns: latency,
+                        ns_per_byte: beta,
+                    };
+                    work.truncate(n);
+                    (spec, work, payload)
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn model_allreduce_matches_execution_bit_for_bit(
+                (spec, work, payload) in cluster(),
+            ) {
+                let run = allreduce_after(&spec, &work, &payload, false);
+                let cost = HopCost {
+                    o_s: charged(spec.net.send_overhead_ns),
+                    o_r: charged(spec.net.recv_overhead_ns),
+                    transfer: charged(spec.net.transfer_ns(8 * payload.len() as u64)),
+                };
+                let ready: Vec<f64> = run.results.iter().map(|r| r.0).collect();
+                let done: Vec<f64> = run.results.iter().map(|r| r.1).collect();
+                // Where each rank's part in the reduction ended: its last
+                // reduce-tagged send or receive, else its ready time.
+                let reduce_tagged = |e: &&Event| matches!(
+                    e.kind,
+                    EventKind::Send { tag: TAG_REDUCE, .. } | EventKind::Recv { tag: TAG_REDUCE, .. }
+                );
+                let reduced: Vec<f64> = run.traces.iter().zip(&ready).map(|(trace, &ready)| {
+                    let last = trace.events.iter().rev().find(reduce_tagged);
+                    last.map_or(ready, |e| e.end.as_nanos() as f64)
+                }).collect();
+                assert_twin_exact("allreduce", model_allreduce_in_place, cost, &ready, &done);
+                assert_twin_exact("reduction", model_reduce_in_place, cost, &ready, &reduced);
+                assert_twin_exact("broadcast", model_bcast_in_place, cost, &reduced, &done);
+            }
+
+            #[test]
+            fn ft_allreduce_over_everyone_is_plain_allreduce(
+                (spec, work, payload) in cluster(),
+            ) {
+                let plain = allreduce_after(&spec, &work, &payload, false);
+                let ft = allreduce_after(&spec, &work, &payload, true);
+                for (rank, (p, f)) in plain.results.iter().zip(&ft.results).enumerate() {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&p.2), bits(&f.2), "values of rank {}", rank);
+                    prop_assert_eq!(p.1.to_bits(), f.1.to_bits(), "clock of rank {}", rank);
+                }
+                for (p, f) in plain.traces.iter().zip(&ft.traces) {
+                    prop_assert_eq!(&p.events, &f.events, "trace of rank {}", p.rank);
+                    prop_assert_eq!(p.finish, f.finish);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plain_allreduce_with_a_dead_peer_returns_peer_dead() {
+        use mheta_sim::CrashSpec;
+        let mut spec = quiet(4);
+        spec.faults.crashes = vec![CrashSpec::at_iteration(2, 0)];
+        spec.faults.checkpoint_interval = 1;
+        let run = run_cluster(&spec, false, |ctx| {
+            let mut rec = NullRecorder;
+            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
+            if comm.rank() == 2 {
+                let _ = comm.ctx().crash_check_iteration(0).unwrap_err();
+                return Ok(None);
+            }
+            Ok(allreduce(&mut comm, ReduceOp::Sum, &mut [1.0]).err())
+        })
+        .unwrap();
+        // Rank 0 waits on its dead child in the reduction and rank 3 on
+        // its dead parent in the broadcast; both resolve when the
+        // detector fires, 1 ms after the crash at time 0. (Rank 1 is
+        // left waiting on a finished root: a deadlock whose wording
+        // depends on which survivor finished last.)
+        let dead = |rank| {
+            Some(SimError::PeerDead {
+                rank,
+                peer: 2,
+                at_ns: 1_000_000,
+            })
+        };
+        assert_eq!(run.results[0], dead(0));
+        assert_eq!(run.results[3], dead(3));
+    }
+
+    #[test]
+    fn plain_allreduce_is_not_bounded_by_the_dead_set_bitmask() {
+        let n = 70;
+        let results = run_allreduce(n, ReduceOp::Sum);
+        let expect: f64 = (1..=n).map(|r| r as f64).sum();
+        for (rank, v) in results.iter().enumerate() {
+            assert_eq!(v[0], expect, "rank {rank}");
         }
     }
 
@@ -713,30 +756,11 @@ mod tests {
             o_r: 1e3,
             transfer: 5e4,
         };
-        let out = model_reduce(&ready, cost);
+        let mut out = ready.clone();
+        model_reduce_in_place(&mut out, &mut [0.0; 4], cost);
         // Root cannot finish before the latest contributor's value
         // could possibly arrive.
         assert!(out[0] >= 3e6 + cost.o_s + cost.transfer + cost.o_r);
-    }
-
-    #[test]
-    fn ft_allreduce_matches_plain_allreduce_without_crashes() {
-        for n in [1usize, 2, 3, 5, 8] {
-            let spec = quiet(n);
-            let run = run_cluster(&spec, false, |ctx| {
-                let mut rec = NullRecorder;
-                let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
-                let mut v = vec![comm.rank() as f64 + 1.0];
-                let saw_dead = ft_allreduce(&mut comm, ReduceOp::Sum, &mut v)?;
-                Ok((v[0], saw_dead))
-            })
-            .unwrap();
-            let expect: f64 = (1..=n).map(|r| r as f64).sum();
-            for (r, &(v, saw_dead)) in run.results.iter().enumerate() {
-                assert_eq!(v, expect, "n={n} rank {r}");
-                assert!(!saw_dead);
-            }
-        }
     }
 
     #[test]
@@ -755,7 +779,8 @@ mod tests {
                 }
             }
             let mut v = vec![comm.rank() as f64 + 1.0];
-            let saw_dead = ft_allreduce(&mut comm, ReduceOp::Sum, &mut v)?;
+            let saw_dead =
+                ft_allreduce_among(&mut comm, &[0, 1, 2, 3], ReduceOp::Sum, &mut v)? != 0;
             Ok((v[0], saw_dead))
         })
         .unwrap();
@@ -775,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn agree_dead_set_converges_all_survivors() {
+    fn agree_mask_converges_all_survivors() {
         use mheta_sim::CrashSpec;
         for n in [2usize, 4, 5, 8] {
             let mut spec = quiet(n);
@@ -786,20 +811,18 @@ mod tests {
                 let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
                 if comm.rank() == 1 {
                     let _ = comm.ctx().crash_check_iteration(0).unwrap_err();
-                    return Ok(vec![]);
+                    return Ok(0);
                 }
-                // Align every survivor past the crash so local views
-                // are consistent before the agreement round.
-                let mut v = vec![0.0];
-                ft_allreduce(&mut comm, ReduceOp::Sum, &mut v)?;
-                agree_dead_set(&mut comm)
+                // Nobody has seen the crash yet: the round itself must
+                // find the dead member and carry its bit to everyone.
+                let everyone: Vec<usize> = (0..comm.size()).collect();
+                agree_mask(&mut comm, &everyone, 0)
             })
             .unwrap();
-            for (r, dead) in run.results.iter().enumerate() {
-                if r == 1 {
-                    continue;
+            for (r, &mask) in run.results.iter().enumerate() {
+                if r != 1 {
+                    assert_eq!(mask, 1 << 1, "n={n} rank {r}");
                 }
-                assert_eq!(dead, &vec![1], "n={n} rank {r}");
             }
         }
     }
@@ -811,7 +834,10 @@ mod tests {
             o_r: 1.0,
             transfer: 1.0,
         };
-        assert_eq!(model_bcast(&[42.0], cost), vec![42.0]);
-        assert_eq!(model_reduce(&[42.0], cost), vec![42.0]);
+        for twin in [model_bcast_in_place, model_reduce_in_place] {
+            let mut clock = [42.0];
+            twin(&mut clock, &mut [0.0], cost);
+            assert_eq!(clock, [42.0]);
+        }
     }
 }

@@ -356,18 +356,6 @@ impl<'a, R: Recorder> Comm<'a, R> {
         Ok(data)
     }
 
-    /// Send a single scalar.
-    pub fn send_scalar(&mut self, to: usize, tag: u32, x: f64) -> SimResult<()> {
-        self.send_f64s(to, tag, std::slice::from_ref(&x))
-    }
-
-    /// Receive a single scalar.
-    pub fn recv_scalar(&mut self, from: usize, tag: u32) -> SimResult<f64> {
-        let v = self.recv_f64s(from, tag)?;
-        debug_assert_eq!(v.len(), 1, "scalar message carried {} values", v.len());
-        Ok(v[0])
-    }
-
     // ---- explicit file I/O ---------------------------------------------------
 
     /// Synchronously read `out.len()` elements of `var` at `offset`

@@ -8,10 +8,11 @@
 //! virtual-clock timestamps without touching application code beyond
 //! the structural begin/end markers.
 //!
-//! The collectives module also exposes *analytical twins* of its
-//! schedules ([`collectives::model_reduce`] et al.); the MHETA model
-//! uses those to predict reduction time with the exact tree the
-//! execution uses.
+//! The collectives module writes its binomial tree once: the executed
+//! collectives walk it, and the analytical twins behind
+//! [`collectives::model_allreduce_in_place`] replay it over virtual
+//! clocks. The MHETA model uses the twins to predict reduction time
+//! with the exact tree the execution uses.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -24,9 +25,8 @@ pub mod msg;
 pub mod runner;
 
 pub use collectives::{
-    agree_dead_set, agree_mask, allreduce, barrier, bcast, clock_max, ft_allreduce,
-    ft_allreduce_among, model_allreduce, model_allreduce_in_place, model_bcast, model_reduce,
-    reduce, HopCost, ReduceOp, TAG_AGREE, TAG_BCAST, TAG_COLLECTIVE_BASE, TAG_REDUCE,
+    agree_mask, allreduce, barrier, clock_max, ft_allreduce_among, model_allreduce_in_place,
+    HopCost, ReduceOp, TAG_AGREE, TAG_BCAST, TAG_COLLECTIVE_BASE, TAG_REDUCE,
 };
 pub use comm::{Comm, ExecMode, PrefetchToken, RetryPolicy};
 pub use detector::{DetectorConfig, HealthState, PhiAccrualDetector, SuspicionSample, Transition};

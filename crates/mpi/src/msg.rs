@@ -1,8 +1,8 @@
 //! Typed message payload encoding.
 //!
 //! The simulator kernel moves opaque byte vectors; applications exchange
-//! `f64` slices and scalars. This module is the (de)serialization seam,
-//! kept deliberately dumb: little-endian `f64`s, no framing, since both
+//! `f64` slices. This module is the (de)serialization seam, kept
+//! deliberately dumb: little-endian `f64`s, no framing, since both
 //! endpoints agree on types by construction.
 
 /// Encode a slice of `f64` into a payload.
@@ -34,22 +34,6 @@ pub fn decode_f64s(payload: &[u8]) -> Vec<f64> {
         .collect()
 }
 
-/// Encode a single scalar.
-#[must_use]
-pub fn encode_f64(x: f64) -> Vec<u8> {
-    encode_f64s(std::slice::from_ref(&x))
-}
-
-/// Decode a single scalar.
-///
-/// # Panics
-/// Panics if the payload is not exactly 8 bytes.
-#[must_use]
-pub fn decode_f64(payload: &[u8]) -> f64 {
-    assert_eq!(payload.len(), 8, "expected a single f64 payload");
-    f64::from_le_bytes(payload.try_into().expect("length checked above"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,11 +45,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_scalar() {
-        assert_eq!(decode_f64(&encode_f64(42.125)), 42.125);
-    }
-
-    #[test]
     fn empty_slice_roundtrips() {
         assert!(decode_f64s(&encode_f64s(&[])).is_empty());
     }
@@ -73,9 +52,9 @@ mod tests {
     #[test]
     fn nan_payload_survives_transport() {
         for nan in [f64::NAN, f64::from_bits(0x7ff8_dead_beef_0001)] {
-            let d = decode_f64(&encode_f64(nan));
-            assert!(d.is_nan());
-            assert_eq!(d.to_bits(), nan.to_bits());
+            let d = decode_f64s(&encode_f64s(&[nan]));
+            assert!(d[0].is_nan());
+            assert_eq!(d[0].to_bits(), nan.to_bits());
         }
     }
 

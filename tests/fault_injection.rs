@@ -210,9 +210,9 @@ fn blocking_waits_time_out_with_a_typed_error() {
                 // blocking in the simulator, so the deadlock detector
                 // cannot fire before rank 1's wall-clock timeout.
                 std::thread::sleep(std::time::Duration::from_millis(400));
-                comm.send_scalar(1, 9, 1.0)?;
+                comm.send_f64s(1, 9, &[1.0])?;
             } else {
-                let _ = comm.recv_scalar(0, 9)?;
+                let _ = comm.recv_f64s(0, 9)?;
             }
             Ok(())
         },
