@@ -138,15 +138,24 @@ fn close_span<R: Recorder>(
     end_ns
 }
 
-/// Reject a layout or weight vector that does not cover the `n` ranks,
-/// or a layout that does not distribute exactly `total` rows.
-fn check_layout(n: usize, layout0: &[usize], weights: &[f64], total: usize) -> SimResult<()> {
-    let rows: usize = layout0.iter().sum();
-    if layout0.len() != n || weights.len() != n || rows != total {
+/// Reject a layout that does not give each of the `n` ranks one share,
+/// or does not distribute exactly `total` rows: the one rule every
+/// entry point that runs an application under a layout applies.
+pub(crate) fn check_layout(n: usize, layout: &[usize], total: usize) -> SimResult<()> {
+    let rows: usize = layout.iter().sum();
+    if layout.len() != n || rows != total {
         return Err(SimError::InvalidConfig(format!(
-            "layout {layout0:?} and {} weights do not distribute {total} rows over {n} ranks",
-            weights.len()
+            "layout {layout:?} does not distribute {total} rows over {n} ranks"
         )));
+    }
+    Ok(())
+}
+
+/// Reject a weight vector that does not give each of the `n` ranks one.
+fn check_weights(n: usize, weights: &[f64]) -> SimResult<()> {
+    if weights.len() != n {
+        let msg = format!("{} weights for {n} ranks", weights.len());
+        return Err(SimError::InvalidConfig(msg));
     }
     Ok(())
 }
@@ -567,7 +576,8 @@ impl JacobiLoop<'_> {
                 "fault-tolerant driver supports at most 64 ranks, cluster has {n}"
             )));
         }
-        check_layout(n, self.layout0, self.weights, self.app.rows)?;
+        check_layout(n, self.layout0, self.app.rows)?;
+        check_weights(n, self.weights)?;
         let mut run = JacobiRun {
             job: self,
             rank: comm.rank(),
@@ -576,6 +586,7 @@ impl JacobiLoop<'_> {
             members: (0..n).collect(),
             epoch: 0,
             u: Vec::new(),
+            spare: Vec::new(),
             observed: 0,
             out: AdaptiveOutcome::default(),
         };
@@ -619,6 +630,8 @@ struct JacobiRun<'a> {
     epoch: u32,
     /// This rank's block, row-major.
     u: Vec<f64>,
+    /// The sweep's second block, swapped with `u` each sweep.
+    spare: Vec<f64>,
     /// Mask of the deaths this rank has observed since the last
     /// agreement round — those seen while a recovery synchronized
     /// included, which is why it outlives an iteration.
@@ -754,7 +767,8 @@ impl JacobiRun<'_> {
         let mut local_res = 0.0;
         if self.observed == 0 && !self.u.is_empty() {
             let app = self.job.app;
-            local_res = app.sweep_in_core(comm, &mut self.u, &top_halo, &bottom_halo);
+            local_res =
+                app.sweep_in_core(comm, &mut self.u, &mut self.spare, &top_halo, &bottom_halo);
         }
         let sweep_ns = now(comm) - start;
         comm.end_stage(0);
@@ -924,7 +938,8 @@ impl AdaptiveCg {
         iters: u32,
         weights: &[f64],
     ) -> SimResult<AdaptiveOutcome> {
-        check_layout(comm.size(), layout0, weights, self.app.n)?;
+        check_layout(comm.size(), layout0, self.app.n)?;
+        check_weights(comm.size(), weights)?;
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut replica = Replica::new(&self.cfg, weights);
         let mut spans = Vec::new();

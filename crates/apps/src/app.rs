@@ -41,6 +41,18 @@ impl RankResult {
 /// checksums are distribution-independent.
 #[must_use]
 pub fn hash01(seed: u64, a: u64, b: u64) -> f64 {
+    hash_bits(seed, a, b) as f64 / HASH_ONE as f64
+}
+
+/// `2⁵³`: [`hash_bits`] lies in `[0, HASH_ONE)`, and [`hash01`] is it
+/// divided by this.
+const HASH_ONE: u64 = 1 << 53;
+
+/// The 53-bit integer `q` behind [`hash01`], which is exactly `q · 2⁻⁵³`:
+/// `q` converts to `f64` exactly and the division only moves the
+/// exponent. So a test on `hash01` can be made on `q` instead, as an
+/// integer compare ([`Threshold`]).
+pub(crate) fn hash_bits(seed: u64, a: u64, b: u64) -> u64 {
     let mut z = seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(a.wrapping_mul(0xbf58_476d_1ce4_e5b9))
@@ -50,7 +62,28 @@ pub fn hash01(seed: u64, a: u64, b: u64) -> f64 {
     z ^= z >> 27;
     z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    z >> 11
+}
+
+/// The test `hash01(..) < p` as an integer compare on [`hash_bits`],
+/// its threshold computed once: `q · 2⁻⁵³ < p` exactly when
+/// `q < ⌈p · 2⁵³⌉`, the product exact because it only moves the
+/// exponent. The float-to-integer cast saturates, so a NaN or
+/// non-positive `p` admits nothing and a `p` of 1 or more admits every
+/// `q`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Threshold(u64);
+
+impl Threshold {
+    pub(crate) fn new(p: f64) -> Self {
+        Threshold((p * HASH_ONE as f64).ceil() as u64)
+    }
+
+    /// `q · 2⁻⁵³ < p`, for every `q` in `[0, 2⁵³)`.
+    #[inline]
+    pub(crate) fn admits(self, q: u64) -> bool {
+        q < self.0
+    }
 }
 
 /// Compute this rank's out-of-core plans.
@@ -125,6 +158,76 @@ mod tests {
         }
         assert_ne!(hash01(7, 1, 2), hash01(7, 2, 1));
         assert_ne!(hash01(7, 1, 2), hash01(8, 1, 2));
+    }
+
+    /// `q · 2⁻⁵³`, as `hash01` maps its integer.
+    fn unit(q: u64) -> f64 {
+        q as f64 / HASH_ONE as f64
+    }
+
+    #[test]
+    fn hash01_is_hash_bits_scaled() {
+        for seed in [0, 7, 0xC6, u64::MAX] {
+            for a in (0..40u64).chain([u64::MAX - 1, u64::MAX]) {
+                for b in (0..40u64).chain([u64::MAX]) {
+                    let q = hash_bits(seed, a, b);
+                    assert!(q < HASH_ONE);
+                    assert_eq!(hash01(seed, a, b).to_bits(), unit(q).to_bits());
+                }
+            }
+        }
+    }
+
+    /// The threshold rule holds on the integers either side of the
+    /// threshold and at both ends, for fills that are exact multiples
+    /// of `2⁻⁵³`, their neighbours one bit either side, and fills no
+    /// hash reaches or every hash does.
+    #[test]
+    fn threshold_admits_as_the_scaled_hash_compares() {
+        let mut fills = vec![
+            0.0,
+            -0.0,
+            1.0,
+            0.33,
+            0.4,
+            -0.5,
+            2.0,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        for k in [1u64, 2, 3, 12_345, 1 << 51, (1 << 52) + 1, HASH_ONE - 1] {
+            let p = unit(k);
+            fills.extend([
+                p,
+                f64::from_bits(p.to_bits() - 1),
+                f64::from_bits(p.to_bits() + 1),
+            ]);
+        }
+        for fill in fills {
+            let keep = Threshold::new(fill);
+            let t = keep.0;
+            let qs = [0, t.saturating_sub(1), t, t.saturating_add(1), HASH_ONE - 1];
+            for q in qs.into_iter().filter(|&q| q < HASH_ONE) {
+                assert_eq!(
+                    keep.admits(q),
+                    unit(q) < fill,
+                    "fill {fill:e} q {q} threshold {t}"
+                );
+            }
+        }
+    }
+
+    /// RNA's score index: the top two of the 53 bits are `hash01 · 4`
+    /// truncated, at both ends and either side of each quarter.
+    #[test]
+    fn top_two_bits_are_the_quarter() {
+        let mut qs = vec![0, HASH_ONE - 1];
+        for k in 1..4u64 {
+            qs.extend([k * (1 << 51) - 1, k * (1 << 51)]);
+        }
+        for q in qs {
+            assert_eq!((q >> 51) as u8, (unit(q) * 4.0) as u8, "q {q}");
+        }
     }
 
     #[test]

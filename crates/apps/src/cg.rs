@@ -21,7 +21,7 @@ use mheta_dist::GenBlock;
 use mheta_mpi::{allreduce, barrier, Comm, Recorder, ReduceOp};
 use mheta_sim::{SimResult, VarId};
 
-use crate::app::{chunks, hash01, rank_plans, RankResult};
+use crate::app::{chunks, hash01, hash_bits, rank_plans, RankResult, Threshold};
 
 /// Variable ID of the sparse matrix (interleaved `[col, val]` pairs).
 pub const VAR_A: VarId = 1;
@@ -127,20 +127,93 @@ impl Cg {
 
     /// Rows `[offset, offset + m)` as a rank holds them: the interleaved
     /// data, the per-row element offsets into it, and `b = A·1`
-    /// restricted to the share.
+    /// restricted to the share. Row for row what [`Cg::row`] gives.
+    ///
+    /// A pair `r < c` inside the share is hashed once, by row `r`: its
+    /// upper half runs `emit_row`'s two passes (the branchless fill test
+    /// of every candidate, then the value of each kept one) and hands
+    /// each kept `(r, value)` down to row `c` through a ring of slots
+    /// over the next `band` rows. Row `c` copies its slot in as the
+    /// share's part of its lower half; it hashes only the columns below
+    /// the share itself. Entries land in column order, so the diagonal
+    /// and `b` fold exactly as in `emit_row`.
     pub(crate) fn share(&self, offset: usize, m: usize) -> (Vec<f64>, Vec<usize>, Vec<f64>) {
-        // Sized from the pattern's expected density plus the widest row
-        // `emit_row` may stage, so the data is written once in place
-        // instead of being regrown and moved.
+        let seed = self.seed;
+        // Sized from the pattern's expected density plus the widest row,
+        // so the data is written once in place instead of being regrown
+        // and moved.
         let window = self.band.saturating_mul(2).saturating_add(1).min(self.n);
         let expected = 2.0 * (1.0 + self.fill * (window - 1) as f64);
         let mut flat = Vec::with_capacity((m as f64 * expected) as usize + 2 * window);
         let mut offsets = Vec::with_capacity(m + 1);
         let mut b_local = Vec::with_capacity(m);
+        let keep = Threshold::new(self.fill);
+        // A row's kept columns, those below the share and then those
+        // above the diagonal, as the candidate passes leave them.
+        let mut kept = vec![0; window];
+        // Row `c`'s handed-down `[r, value]` pairs, in slot `(c - offset)
+        // % slots`: the rows that may still hand down to a slot all map to
+        // different ones, and a row empties its own before it hands any
+        // down. Each slot starts with room for the pairs a row expects to
+        // be handed and keeps what it grows to.
+        let slots = self.band.min(m).max(1);
+        let handed = 2 * (self.fill * self.band as f64).ceil() as usize;
+        let mut ring: Vec<Vec<f64>> = (0..slots).map(|_| Vec::with_capacity(handed)).collect();
         offsets.push(0);
+        let mut end = 0;
         for r in offset..offset + m {
-            b_local.push(self.emit_row(r, &mut flat));
-            offsets.push(flat.len());
+            let (lo, hi) = (r.saturating_sub(self.band), (r + self.band).min(self.n - 1));
+            let mut n_kept = 0;
+            for c in lo..offset.max(lo) {
+                kept[n_kept] = c;
+                n_kept += usize::from(keep.admits(hash_bits(seed, c as u64, r as u64)));
+            }
+            let n_below = n_kept;
+            for c in r + 1..=hi {
+                kept[n_kept] = c;
+                n_kept += usize::from(keep.admits(hash_bits(seed, r as u64, c as u64)));
+            }
+            let (below, above) = kept[..n_kept].split_at(n_below);
+
+            let mine = (r - offset) % slots;
+            let slot = &mut ring[mine];
+            let start = end;
+            end += 2 * (n_kept + 1) + slot.len();
+            flat.resize(end, 0.0);
+            let row = &mut flat[start..];
+            let (lower, rest) = row.split_at_mut(2 * n_below + slot.len());
+            let (hashed, copied) = lower.split_at_mut(2 * n_below);
+            let (diag, upper) = rest.split_at_mut(2);
+            let mut offdiag_sum = 0.0;
+            for (&c, e) in below.iter().zip(hashed.chunks_exact_mut(2)) {
+                let v = -hash01(seed ^ 0x57, c as u64, r as u64);
+                (e[0], e[1]) = (c as f64, v);
+                offdiag_sum += v.abs();
+            }
+            copied.copy_from_slice(slot);
+            slot.clear();
+            for e in copied.chunks_exact(2) {
+                offdiag_sum += e[1].abs();
+            }
+            for (&c, e) in above.iter().zip(upper.chunks_exact_mut(2)) {
+                let v = -hash01(seed ^ 0x57, r as u64, c as u64);
+                (e[0], e[1]) = (c as f64, v);
+                offdiag_sum += v.abs();
+            }
+            diag[0] = r as f64;
+            diag[1] = offdiag_sum + 1.0 + hash01(seed ^ 0x99, r as u64, r as u64);
+            for (&c, e) in above.iter().zip(upper.chunks_exact(2)) {
+                if c < offset + m {
+                    // Slot `(c - offset) % slots`, without the division:
+                    // `mine + (c - r)` is below `2 · slots`.
+                    let s = mine + (c - r);
+                    let slot = &mut ring[if s < slots { s } else { s - slots }];
+                    slot.push(r as f64);
+                    slot.push(e[1]);
+                }
+            }
+            b_local.push(flat[start..].chunks_exact(2).map(|e| e[1]).sum());
+            offsets.push(end);
         }
         (flat, offsets, b_local)
     }
@@ -151,16 +224,18 @@ impl Cg {
     /// always present and each unordered pair `a < b <= a + band` that
     /// the fill hash keeps appears in both of its rows, so the nonzeros
     /// number `n + 2·#pairs` — the same integer `row` would sum to, and
-    /// therefore the same `f64`.
+    /// therefore the same `f64`. The fill test compares the hash's
+    /// integer with the fill's threshold, once computed.
     #[must_use]
     pub fn avg_elems_per_row(&self) -> f64 {
         #[cfg(test)]
         scan_count::bump(self.seed);
+        let keep = Threshold::new(self.fill);
         let mut pairs = 0usize;
         for a in 0..self.n {
             let hi = a.saturating_add(self.band).min(self.n - 1);
             for b in a + 1..=hi {
-                pairs += usize::from(hash01(self.seed, a as u64, b as u64) < self.fill);
+                pairs += usize::from(keep.admits(hash_bits(self.seed, a as u64, b as u64)));
             }
         }
         (2 * (self.n + 2 * pairs)) as f64 / self.n as f64
@@ -442,6 +517,67 @@ mod tests {
         entries.sort_unstable_by_key(|e| e.0);
         let sum = entries.iter().map(|e| e.1).sum::<f64>();
         (entries, sum)
+    }
+
+    /// `share` is `emit_row`, the row-at-a-time reference, bit for bit
+    /// over every window `[offset, offset + m)` of `cg`: every entry,
+    /// every row sum and the offsets between the rows.
+    fn assert_every_window_matches_emit_row(cg: &Cg, windows: &[(usize, usize)]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let rows: Vec<(Vec<u64>, u64)> = (0..cg.n)
+            .map(|r| {
+                let mut flat = Vec::new();
+                let sum = cg.emit_row(r, &mut flat);
+                (bits(&flat), sum.to_bits())
+            })
+            .collect();
+        for &(offset, m) in windows {
+            let (flat, offsets, b_local) = cg.share(offset, m);
+            let at = format!("{cg:?} rows {offset}..{}", offset + m);
+            assert_eq!((offsets.len(), offsets[m]), (m + 1, flat.len()), "{at}");
+            for i in 0..m {
+                let (want, sum) = &rows[offset + i];
+                let got = bits(&flat[offsets[i]..offsets[i + 1]]);
+                assert_eq!(&got, want, "row {}, {at}", offset + i);
+                assert_eq!(b_local[i].to_bits(), *sum, "row {} sum, {at}", offset + i);
+            }
+        }
+    }
+
+    fn every_window(n: usize) -> Vec<(usize, usize)> {
+        (0..n)
+            .flat_map(|offset| (1..=n - offset).map(move |m| (offset, m)))
+            .collect()
+    }
+
+    /// Every window of the small instance, and of small matrices with no
+    /// band, a band as wide as the matrix or wider, no fill and full
+    /// fill; then the paper-size instance under Block on 8 and 5 ranks
+    /// and whole.
+    #[test]
+    fn share_matches_emit_row_over_every_window() {
+        assert_every_window_matches_emit_row(&Cg::small(), &every_window(Cg::small().n));
+        for (band, fill) in [(0, 0.4), (19, 0.4), (40, 0.4), (5, 0.0), (5, 1.0)] {
+            let cg = Cg {
+                n: 19,
+                band,
+                fill,
+                seed: 0xC6,
+            };
+            assert_every_window_matches_emit_row(&cg, &every_window(cg.n));
+        }
+        let cg = Cg::default();
+        let mut windows = vec![(0, cg.n)];
+        for p in [8, 5] {
+            let blk = GenBlock::block(cg.n, p);
+            windows.extend(
+                blk.offsets()
+                    .iter()
+                    .copied()
+                    .zip(blk.rows().iter().copied()),
+            );
+        }
+        assert_every_window_matches_emit_row(&cg, &windows);
     }
 
     #[test]

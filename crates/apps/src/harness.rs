@@ -19,7 +19,9 @@ use mheta_sim::{
     ClusterSpec, FaultSpec, RankTrace, RecoveryKind, RecoverySpan, SimError, SimResult,
 };
 
-use crate::adaptive::{new_checkpoint_store, AdaptiveConfig, AdaptiveOutcome, JacobiLoop, Replica};
+use crate::adaptive::{
+    check_layout, new_checkpoint_store, AdaptiveConfig, AdaptiveOutcome, JacobiLoop, Replica,
+};
 use crate::app::RankResult;
 use crate::cg::Cg;
 use crate::jacobi::Jacobi;
@@ -163,7 +165,12 @@ fn measured_from(results: &[RankResult]) -> Measured {
     }
 }
 
-/// Run a benchmark for real and time its iteration loop.
+/// Run a benchmark for real and time its iteration loop. A `dist` that
+/// does not give each node of `spec` one share of exactly the
+/// application's rows is [`SimError::InvalidConfig`], as it is for
+/// [`run_observed`] and [`run_instrumented`]: each rank reads only its
+/// own share, so such a layout would run another problem or index past
+/// its end.
 pub fn run_measured(
     bench: &Benchmark,
     spec: &ClusterSpec,
@@ -171,6 +178,7 @@ pub fn run_measured(
     iters: u32,
     prefetch: bool,
 ) -> SimResult<Measured> {
+    check_layout(spec.len(), dist.rows(), bench.total_rows())?;
     let structure = bench.structure(prefetch);
     let run = run_app(
         spec,
@@ -214,6 +222,7 @@ pub fn run_observed(
     iters: u32,
     prefetch: bool,
 ) -> SimResult<Observed> {
+    check_layout(spec.len(), dist.rows(), bench.total_rows())?;
     let structure = bench.structure(prefetch);
     let run = run_app(
         spec,
@@ -240,6 +249,7 @@ pub fn run_instrumented(
     dist: &GenBlock,
     prefetch: bool,
 ) -> SimResult<Vec<VecRecorder>> {
+    check_layout(spec.len(), dist.rows(), bench.total_rows())?;
     instrumented(bench, &bench.structure(prefetch), spec, dist, prefetch)
 }
 
@@ -619,6 +629,68 @@ mod tests {
             matches!(&err, SimError::InvalidConfig(m) if m.contains("at least one row")),
             "{err}"
         );
+    }
+
+    /// Each of the three entry points refuses `dist` for `bench` on DC's
+    /// eight nodes as `InvalidConfig` naming the layout, the rows and the
+    /// nodes, without running a rank.
+    fn assert_refused_on_dc(bench: &Benchmark, dist: &GenBlock) {
+        let spec = mheta_sim::presets::dc();
+        let refusals = [
+            run_measured(bench, &spec, dist, 1, false).err(),
+            run_observed(bench, &spec, dist, 1, false).err(),
+            run_instrumented(bench, &spec, dist, false).err(),
+        ];
+        let named = format!(
+            "layout {:?} does not distribute {} rows over {} ranks",
+            dist.rows(),
+            bench.total_rows(),
+            spec.len()
+        );
+        for (entry, err) in ["run_measured", "run_observed", "run_instrumented"]
+            .into_iter()
+            .zip(refusals)
+        {
+            assert!(
+                matches!(&err, Some(SimError::InvalidConfig(m)) if *m == named),
+                "{entry}: {err:?}"
+            );
+        }
+    }
+
+    /// 100 rows of the 768-row problem: each rank would run its share
+    /// of a 100-row grid and report that problem's check value.
+    #[test]
+    fn a_layout_of_fewer_rows_is_refused() {
+        assert_refused_on_dc(
+            &Benchmark::Jacobi(Jacobi::default()),
+            &GenBlock::block(100, 8),
+        );
+    }
+
+    /// Twelve shares on eight nodes: only the first eight would run.
+    #[test]
+    fn a_layout_for_more_nodes_is_refused() {
+        assert_refused_on_dc(
+            &Benchmark::Jacobi(Jacobi::default()),
+            &GenBlock::block(768, 12),
+        );
+    }
+
+    /// Four shares on eight nodes: rank 4 would index past the layout.
+    #[test]
+    fn a_layout_for_fewer_nodes_is_refused() {
+        assert_refused_on_dc(
+            &Benchmark::Jacobi(Jacobi::default()),
+            &GenBlock::block(768, 4),
+        );
+    }
+
+    /// 4,096 rows of the 2,048-row CG matrix: every rank would hash
+    /// columns past the matrix.
+    #[test]
+    fn a_layout_of_more_rows_is_refused() {
+        assert_refused_on_dc(&Benchmark::Cg(Cg::default()), &GenBlock::block(4096, 8));
     }
 
     #[test]

@@ -174,6 +174,8 @@ impl Jacobi {
         } else {
             None
         };
+        // The in-core sweep's second grid, swapped with `core` each sweep.
+        let mut spare = Vec::new();
 
         barrier(comm)?;
         let t0 = comm.ctx_ref().now().as_nanos();
@@ -207,7 +209,7 @@ impl Jacobi {
             comm.begin_section(1);
             comm.begin_stage(0);
             let local_res = if let Some(u) = core.as_mut() {
-                let res = self.sweep_in_core(comm, u, &top_halo, &bottom_halo);
+                let res = self.sweep_in_core(comm, u, &mut spare, &top_halo, &bottom_halo);
                 first_row.copy_from_slice(&u[..cols]);
                 last_row.copy_from_slice(&u[(m - 1) * cols..]);
                 res
@@ -244,16 +246,24 @@ impl Jacobi {
         })
     }
 
+    /// One in-core sweep of the grid `u` (whole rows) between its halos;
+    /// returns the local residual. The new grid is written into `spare`,
+    /// which the caller owns and keeps from sweep to sweep, and the two
+    /// are swapped: no grid is allocated, zeroed or copied per
+    /// iteration. `spare` is resized only when `u`'s length changed
+    /// since the last sweep; its old values are never read.
     pub(crate) fn sweep_in_core<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
-        u: &mut [f64],
+        u: &mut Vec<f64>,
+        spare: &mut Vec<f64>,
         top_halo: &[f64],
         bottom_halo: &[f64],
     ) -> f64 {
         let cols = self.cols;
         let m = u.len() / cols;
-        let mut new = vec![0.0; u.len()];
+        spare.resize(u.len(), 0.0);
+        let new = spare;
         let mut res = 0.0;
         for r in 0..m {
             let above = if r == 0 {
@@ -270,7 +280,7 @@ impl Jacobi {
             res += Self::stencil_into(above, mid, below, &mut new[r * cols..(r + 1) * cols]);
         }
         comm.compute((m * cols) as f64, (2 * u.len() * 8) as u64);
-        u.copy_from_slice(&new);
+        std::mem::swap(u, new);
         res
     }
 
@@ -495,6 +505,80 @@ mod tests {
             got.map(f64::to_bits).to_vec(),
             want.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    /// The in-core sweep as it ran before it swapped grids, a fresh grid
+    /// per sweep copied back: the reference for `sweep_in_core`.
+    fn reference_sweep_in_core<R: Recorder>(
+        app: &Jacobi,
+        comm: &mut Comm<'_, R>,
+        u: &mut [f64],
+        top_halo: &[f64],
+        bottom_halo: &[f64],
+    ) -> f64 {
+        let cols = app.cols;
+        let m = u.len() / cols;
+        let mut new = vec![0.0; u.len()];
+        let mut res = 0.0;
+        for r in 0..m {
+            let above = if r == 0 {
+                top_halo
+            } else {
+                &u[(r - 1) * cols..r * cols]
+            };
+            let below = if r + 1 == m {
+                bottom_halo
+            } else {
+                &u[(r + 1) * cols..(r + 2) * cols]
+            };
+            let mid = &u[r * cols..(r + 1) * cols];
+            res += Jacobi::stencil_into(above, mid, below, &mut new[r * cols..(r + 1) * cols]);
+        }
+        comm.compute((m * cols) as f64, (2 * u.len() * 8) as u64);
+        u.copy_from_slice(&new);
+        res
+    }
+
+    /// Three sweeps through one spare grid are three allocate-and-copy
+    /// sweeps, bit for bit: every cell, every residual and the virtual
+    /// time each charges, for one row and several, one column and
+    /// several, with new halos each time.
+    #[test]
+    fn swapping_sweep_matches_allocate_and_copy() {
+        for (rows, cols) in [(1, 1), (1, 5), (2, 3), (7, 16)] {
+            let app = Jacobi {
+                rows,
+                cols,
+                seed: 0x4a43,
+            };
+            let run = run_app(
+                &quiet(1),
+                RunOptions::default(),
+                |_| NullRecorder,
+                |comm| {
+                    let signed = |k: u64, i: usize| hash01(0x5e, k, i as u64) - 0.5;
+                    let grid: Vec<f64> = (0..rows * cols).map(|i| signed(0, i)).collect();
+                    let (mut want, mut got, mut spare) = (grid.clone(), grid, Vec::new());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    for it in 1..=3 {
+                        let halo = |k: u64| (0..cols).map(|c| signed(2 * it + k, c)).collect();
+                        let (top, bottom): (Vec<f64>, Vec<f64>) = (halo(0), halo(1));
+                        let t0 = comm.ctx_ref().now().as_nanos();
+                        let res_want =
+                            reference_sweep_in_core(&app, comm, &mut want, &top, &bottom);
+                        let t1 = comm.ctx_ref().now().as_nanos();
+                        let res_got = app.sweep_in_core(comm, &mut got, &mut spare, &top, &bottom);
+                        let t2 = comm.ctx_ref().now().as_nanos();
+                        let at = format!("{rows} x {cols}, sweep {it}");
+                        assert_eq!(bits(&got), bits(&want), "cells, {at}");
+                        assert_eq!(res_got.to_bits(), res_want.to_bits(), "residual, {at}");
+                        assert_eq!(t2 - t1, t1 - t0, "charge, {at}");
+                    }
+                    Ok(())
+                },
+            );
+            assert!(run.is_ok(), "{rows} x {cols}: {:?}", run.err());
+        }
     }
 
     #[test]

@@ -63,6 +63,20 @@ impl Lanczos {
         }
     }
 
+    /// Append rows `[offset, offset + m)` of the matrix to `out`, `n`
+    /// values each: each row's [`Lanczos::entry`]s, written as two
+    /// straight runs around the diagonal (columns before it hash `(c,
+    /// r)`, columns after it `(r, c)`), with no per-entry `min`/`max` and
+    /// one capacity check per row.
+    fn rows_into(&self, offset: usize, m: usize, out: &mut Vec<f64>) {
+        let (n, seed) = (self.n, self.seed);
+        for r in offset..offset + m {
+            let before = (0..r).map(|c| hash01(seed, c as u64, r as u64) - 0.5);
+            let after = (r + 1..n).map(|c| hash01(seed, r as u64, c as u64) - 0.5);
+            out.extend(before.chain([self.entry(r, r)]).chain(after));
+        }
+    }
+
     /// The MHETA program structure.
     #[must_use]
     pub fn structure(&self) -> ProgramStructure {
@@ -114,11 +128,7 @@ impl Lanczos {
         // ---- setup: my dense rows on disk -----------------------------
         {
             let mut flat = Vec::with_capacity(m * n);
-            for i in 0..m {
-                for c in 0..n {
-                    flat.push(self.entry(offset + i, c));
-                }
-            }
+            self.rows_into(offset, m, &mut flat);
             comm.ctx().disk.store(VAR_A, flat);
         }
 
@@ -336,6 +346,37 @@ mod tests {
     #[test]
     fn structure_validates() {
         Lanczos::default().structure().validate().unwrap();
+    }
+
+    /// The rows built in place are `entry`'s, bit for bit, for shares at
+    /// the start, in the middle and at the end of the matrix.
+    #[test]
+    fn rows_into_matches_entry() {
+        for n in [1, 2, 7, 64] {
+            let l = Lanczos { n, seed: 0x1a };
+            for (offset, m) in [
+                (0, n),
+                (0, 1),
+                (n - 1, 1),
+                (n / 3, n - n / 3),
+                (n / 2, n / 4),
+            ] {
+                let mut got = Vec::new();
+                l.rows_into(offset, m, &mut got);
+                assert_eq!(got.len(), m * n);
+                for (i, row) in got.chunks_exact(n).enumerate() {
+                    for (c, v) in row.iter().enumerate() {
+                        let want = l.entry(offset + i, c);
+                        assert_eq!(
+                            v.to_bits(),
+                            want.to_bits(),
+                            "n {n} row {} col {c}",
+                            offset + i
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// `dot_rows` is the row-at-a-time `sum` bit for bit, for row counts

@@ -20,10 +20,12 @@
 
 use mheta_core::{CommPattern, ProgramStructure, SectionSpec, StageSpec, Variable};
 use mheta_dist::GenBlock;
-use mheta_mpi::{allreduce, barrier, Comm, Recorder, ReduceOp};
+use mheta_mpi::{allreduce, barrier, clock_max, Comm, Recorder, ReduceOp};
 use mheta_sim::{SimError, SimResult, VarId};
 
-use crate::app::{chunks, hash01, rank_plans, RankResult};
+#[cfg(test)]
+use crate::app::hash01;
+use crate::app::{chunks, hash_bits, rank_plans, RankResult};
 
 /// Variable ID of the score matrix.
 pub const VAR_DP: VarId = 1;
@@ -87,7 +89,8 @@ impl Rna {
     /// Score indices of rows `[offset, offset + m)`, one byte per cell,
     /// tile-major like the disk image (see [`Rna::slice_offset`]). A
     /// cell's score is `f64::from(k) / 8.0`: the hash lies in `[0, 1)`,
-    /// so truncating `hash · 4` is its floor, and `k` is in `0..4`.
+    /// so truncating `hash · 4` is its floor, and `k` is in `0..4`. That
+    /// truncation is the top two of the hash's 53 bits, taken as such.
     fn score_table(&self, offset: usize, m: usize) -> Vec<u8> {
         let tc = self.tile_cols();
         let mut table = Vec::with_capacity(m * self.cols);
@@ -95,7 +98,7 @@ impl Rna {
             for r in offset..offset + m {
                 table.extend(
                     (t * tc..(t + 1) * tc)
-                        .map(|c| (hash01(self.seed, r as u64, c as u64) * 4.0) as u8),
+                        .map(|c| (hash_bits(self.seed, r as u64, c as u64) >> 51) as u8),
                 );
             }
         }
@@ -315,8 +318,9 @@ const ABREAST: usize = 4;
 /// already passed, so [`ABREAST`] rows run one column apart and their
 /// dependent chains overlap (see [`wavefront`]). The rows left over, and
 /// every row of a tile narrower than that, run one at a time. Each cell
-/// keeps its operands, and the sum is folded afterwards from the stored
-/// cells in the row-at-a-time order, so every bit is the same.
+/// keeps its operands, and the sum is folded from the stored cells in
+/// the row-at-a-time order, each group's rows straight after the group,
+/// so every bit is the same.
 fn tile_rows(
     old: &mut [f64],
     stride: usize,
@@ -332,24 +336,30 @@ fn tile_rows(
     } else {
         0
     };
+    let mut fold = |old: &[f64], first: usize, k: usize| {
+        for i in first..first + k {
+            for &v in &old[i * stride..][..tc] {
+                *sum += v;
+            }
+        }
+    };
     for first in (0..abreast).step_by(ABREAST) {
         wavefront::<ABREAST>(old, stride, scores, first, above, corner, left_carry);
+        fold(old, first, ABREAST);
     }
     for first in abreast..rows {
         wavefront::<1>(old, stride, scores, first, above, corner, left_carry);
-    }
-    for i in 0..rows {
-        for &v in &old[i * stride..][..tc] {
-            *sum += v;
-        }
+        fold(old, first, 1);
     }
 }
 
 /// Rows `first..first + K` of [`tile_rows`]' arguments, row `first + q`
 /// running `q` columns behind row `first`. At step `s` row `q` updates
-/// column `s - q`: it reads `above[s - q]`, which row `q - 1` wrote one
-/// step earlier, and its `diag` is the `up` it read one step earlier.
-/// Needs `K <= above.len()` unless `K` is 1.
+/// column `s - q`. Its `up` is the cell row `q - 1` computed one step
+/// earlier, still in `left[q - 1]`: each step visits its rows last to
+/// first, so row `q` reads it before row `q - 1` replaces it. Only row 0
+/// reads `above` and only the last row writes it. Its `diag` is the `up`
+/// it read one step earlier. Needs `K <= above.len()` unless `K` is 1.
 fn wavefront<const K: usize>(
     old: &mut [f64],
     stride: usize,
@@ -378,8 +388,15 @@ fn wavefront<const K: usize>(
         }
     });
     let mut cell = |q: usize, c: usize| {
-        let up = above[c];
-        let wave = up.max(left[q]).max(diag[q]);
+        let up = if q == 0 { above[c] } else { left[q - 1] };
+        // `f64::max(f64::max(up, left), diag)`, same operands, same
+        // order, as one compare-select each: the two differ only on a
+        // NaN or a −0.0 operand, and neither occurs. Every cell, carry,
+        // corner and message is finite and at least +0.0: the image
+        // starts as zeros, the carries and rank 0's upstream start as
+        // +0.0, and a cell adds 0.5 and GAMMA times such values to a
+        // score k / 8.
+        let wave = clock_max(clock_max(up, left[q]), diag[q]);
         // Contraction: 0.5 on the wavefront, GAMMA on the previous
         // iteration; sup-norm convergence factor GAMMA / (1 - 0.5) =
         // 0.5 per iteration.
@@ -387,20 +404,22 @@ fn wavefront<const K: usize>(
         diag[q] = up;
         left[q] = v;
         rows[q][c] = v;
-        above[c] = v;
+        if q == K - 1 {
+            above[c] = v;
+        }
     };
     for s in 0..K - 1 {
-        for q in 0..=s {
+        for q in (0..=s).rev() {
             cell(q, s - q);
         }
     }
     for s in K - 1..tc {
-        for q in 0..K {
+        for q in (0..K).rev() {
             cell(q, s - q);
         }
     }
     for s in tc..tc + K - 1 {
-        for q in s + 1 - tc..K {
+        for q in (s + 1 - tc..K).rev() {
             cell(q, s - q);
         }
     }
@@ -549,16 +568,25 @@ mod tests {
     /// One tile as `process_tile` runs it, in core (`icla_rows` `None`:
     /// tile 1 of 3 in the row-major image) or in chunks of `icla_rows`
     /// rows of the tile-major disk image; returns every cell of the
-    /// image, the sum, the carries and the downstream message.
+    /// image, the sum, the carries and the downstream message. `zero`
+    /// starts every input at +0.0, as rank 0's first iteration does.
     fn run_tile(
         kernel: TileRows,
         rows: usize,
         tc: usize,
         icla_rows: Option<usize>,
+        zero: bool,
     ) -> (Vec<f64>, f64, Vec<f64>, Vec<f64>) {
         // Full-mantissa values of both signs, so that a sum folded in
-        // another order, or a `max` given other operands, shows.
-        let value = |k: u64, i: usize| hash01(0x7a, k, i as u64) - 0.5;
+        // another order, or a `max` given other operands, shows; or
+        // zeros, so that the first cells tie in every `max`.
+        let value = |k: u64, i: usize| {
+            if zero {
+                0.0
+            } else {
+                hash01(0x7a, k, i as u64) - 0.5
+            }
+        };
         let cols = if icla_rows.is_some() { tc } else { 3 * tc };
         let mut image: Vec<f64> = (0..rows * cols).map(|i| value(1, i)).collect();
         let scores: Vec<u8> = (0..rows * tc).map(|i| (i * 7 % 4) as u8).collect();
@@ -597,16 +625,20 @@ mod tests {
     /// Rows abreast are the row-at-a-time wavefront bit for bit: every
     /// cell, the sum, the carries, the corner and the message, for row
     /// counts around multiples of `ABREAST`, tiles narrower and wider
-    /// than it, in core and in chunks that do not align with it.
+    /// than it, in core and in chunks that do not align with it, from
+    /// signed inputs and from the all-zero first iteration.
     #[test]
     fn tile_rows_match_the_row_at_a_time_reference() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for rows in 1..=2 * ABREAST + 1 {
             for tc in [1, ABREAST - 1, ABREAST, ABREAST + 1, 2 * ABREAST + 3] {
-                for icla_rows in [None, Some(1), Some(3), Some(ABREAST + 1), Some(rows)] {
-                    let want = run_tile(reference_tile_rows, rows, tc, icla_rows);
-                    let got = run_tile(tile_rows, rows, tc, icla_rows);
-                    let at = format!("rows {rows} tile {tc} icla {icla_rows:?}");
+                for (icla_rows, zero) in [None, Some(1), Some(3), Some(ABREAST + 1), Some(rows)]
+                    .into_iter()
+                    .flat_map(|icla| [(icla, false), (icla, true)])
+                {
+                    let want = run_tile(reference_tile_rows, rows, tc, icla_rows, zero);
+                    let got = run_tile(tile_rows, rows, tc, icla_rows, zero);
+                    let at = format!("rows {rows} tile {tc} icla {icla_rows:?} zero {zero}");
                     assert_eq!(bits(&got.0), bits(&want.0), "cells, {at}");
                     assert_eq!(got.1.to_bits(), want.1.to_bits(), "sum, {at}");
                     assert_eq!(bits(&got.2), bits(&want.2), "left carry, {at}");
