@@ -23,8 +23,9 @@
 //!    between a checkpoint and its detection can leave the crasher one
 //!    interval behind).
 //! 4. **Redistribute** — the dead rank's rows are re-spread over the
-//!    survivors with [`mheta_dist::transfer_plan_rows`]: survivor
-//!    blocks travel as messages, the dead rank's block is fetched from
+//!    survivors by the one plan executor,
+//!    [`crate::redistribute::move_rows`]: survivor blocks travel as
+//!    messages, the dead rank's block is fetched from
 //!    reliable checkpoint storage at local-disk cost ([`VAR_FETCH`]).
 //! 5. **Re-predict** — the leader charges the cost of re-running the
 //!    MHETA predictor on the shrunken cluster; the host-side model
@@ -79,7 +80,7 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use mheta_core::ProgramStructure;
-use mheta_dist::{rows_moved, transfer_plan_rows, GenBlock, OnlinePolicy};
+use mheta_dist::{GenBlock, OnlinePolicy};
 use mheta_mpi::{
     agree_mask, allreduce, barrier, ft_allreduce_among, Comm, DetectorConfig, HealthState,
     PhiAccrualDetector, Recorder, ReduceOp, SuspicionSample, Transition,
@@ -89,6 +90,7 @@ use mheta_sim::{RecoveryKind, RecoverySpan, SimError, SimResult, VarId};
 use crate::app::{rank_plans, RankResult};
 use crate::cg::{spmv, Cg, VAR_A};
 use crate::jacobi::{Jacobi, VAR_U};
+use crate::redistribute::move_rows;
 
 /// Variable ID of the versioned checkpoint file.
 pub const VAR_CKPT: VarId = 0x71;
@@ -454,52 +456,6 @@ impl Replica {
         out.suspicion = self.det.timeline().to_vec();
         out.detection_latencies_ns = self.det.detection_latencies_ns().to_vec();
     }
-}
-
-/// Execute the transfer plan that turns layout `old` into `new` on this
-/// rank, under message tag `tag`, and return the rows that changed
-/// owner cluster-wide. The application says what a row is: `pack`
-/// renders a range of this rank's old rows as a message, `place` writes
-/// a message into a range of its new rows (rows that stay take the same
-/// route, without the message). `stored` reads a range of a *dead*
-/// owner's old rows from reliable checkpoint storage (`None` for a live
-/// owner, whose rows arrive as a message); the fetch is charged as a
-/// local disk read of the same volume through [`VAR_FETCH`].
-fn move_rows<R: Recorder>(
-    comm: &mut Comm<'_, R>,
-    old: &[usize],
-    new: &[usize],
-    tag: u32,
-    pack: impl Fn(Range<usize>) -> Vec<f64>,
-    mut place: impl FnMut(Range<usize>, &[f64]),
-    stored: &dyn Fn(usize, Range<usize>) -> Option<Vec<f64>>,
-) -> SimResult<usize> {
-    let rank = comm.rank();
-    let plan = transfer_plan_rows(old, new);
-    // A transfer's rows, local to `owner`'s block under `layout`.
-    let local = |layout: &[usize], owner: usize, start: usize, rows: usize| {
-        let lo = start - layout[..owner].iter().sum::<usize>();
-        lo..lo + rows
-    };
-    for t in plan.iter().filter(|t| t.from == rank && t.to != rank) {
-        comm.send_f64s(t.to, tag, &pack(local(old, rank, t.global_start, t.rows)))?;
-    }
-    for t in plan.iter().filter(|t| t.to == rank) {
-        let theirs = local(old, t.from, t.global_start, t.rows);
-        let data = if t.from == rank {
-            pack(theirs)
-        } else if let Some(want) = stored(t.from, theirs) {
-            let mut buf = vec![0.0; want.len()];
-            comm.ctx().disk.store(VAR_FETCH, want);
-            comm.file_read(VAR_FETCH, 0, &mut buf)?;
-            comm.ctx().disk.remove(VAR_FETCH);
-            buf
-        } else {
-            comm.recv_f64s(t.from, tag)?
-        };
-        place(local(new, rank, t.global_start, t.rows), &data);
-    }
-    Ok(rows_moved(&plan))
 }
 
 /// The adaptive wrapper around [`Jacobi`]: the crash-tolerant loop run
@@ -897,8 +853,11 @@ impl JacobiRun<'_> {
             &old,
             &self.layout,
             tag_redist(self.epoch),
-            |rows| old_u[elems(rows)].to_vec(),
-            |rows, data| new_u[elems(rows)].copy_from_slice(data),
+            |_, rows| Ok(old_u[elems(rows)].to_vec()),
+            |_, rows, data| {
+                new_u[elems(rows)].copy_from_slice(data);
+                Ok(())
+            },
             &|from, rows| {
                 let target = rollback_target.filter(|_| dead.contains(&from))?;
                 Some(dead_block(store, app, from, target, &old)[elems(rows)].to_vec())
@@ -1108,11 +1067,12 @@ impl<'a> CgRun<'a> {
             &self.layout,
             &new,
             tag,
-            |rows| [&x[rows.clone()], &rr[rows]].concat(),
-            |rows, msg| {
+            |_, rows| Ok([&x[rows.clone()], &rr[rows]].concat()),
+            |_, rows, msg| {
                 let (xs, rs) = msg.split_at(rows.len());
                 nx[rows.clone()].copy_from_slice(xs);
                 nrr[rows].copy_from_slice(rs);
+                Ok(())
             },
             &|_, _| None,
         )?;

@@ -20,7 +20,8 @@
 //! drivers: one crash-tolerant Jacobi loop (checkpoint/restart as
 //! [`run_resilient`] runs it; with a detector replica and mid-run
 //! rebalancing as [`AdaptiveJacobi`] and [`run_adaptive`] do) and the
-//! rebalancing [`AdaptiveCg`].
+//! rebalancing [`AdaptiveCg`]. They and the §6 switch run one
+//! transfer-plan executor, [`redistribute::move_rows`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

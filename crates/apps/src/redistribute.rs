@@ -1,72 +1,121 @@
-//! Executable data redistribution — effecting a new distribution "on
-//! the fly" (the paper's §6 runtime vision).
-//!
-//! [`redistribute_var`] moves one row-major disk-resident variable
-//! from an old `GEN_BLOCK` layout to a new one: every rank reads its
-//! outgoing contiguous blocks from its local disk, ships them to the
-//! new owners, rebuilds its local array at the new size, and writes
-//! incoming blocks into place. All costs flow through the usual
-//! `Comm` operations, so the measured time is directly comparable to
-//! [`mheta_dist::predict_cost_ns`].
+//! Effecting a new distribution "on the fly" (the paper's §6 runtime):
+//! [`move_rows`] is the one code that walks a
+//! [`mheta_dist::transfer_plan`] — the §6 switch, crash recovery and
+//! rebalancing ([`crate::adaptive`]) all run it — and
+//! [`redistribute_var`], its disk adapter, is what
+//! [`mheta_dist::predict_cost_ns`] prices.
 
-use mheta_dist::{transfer_plan, GenBlock};
+use std::ops::Range;
+
+use mheta_dist::{rows_moved, transfer_plan};
 use mheta_mpi::{Comm, Recorder};
 use mheta_sim::{SimDur, SimResult, VarId};
 
+use crate::adaptive::{check_layout, VAR_FETCH};
+
 const TAG_REDIST: u32 = 60;
 
-/// Move `var` (a row-major array of `elems_per_row` elements per row,
-/// resident on each rank's local disk under `old`) to the layout
-/// described by `new`. Returns the virtual time this rank spent.
+/// Execute the plan that turns layout `old` into `new` (per-rank row
+/// counts, zeros allowed) under message tag `tag`; returns the rows that
+/// changed owner. `pack` renders a range of this rank's old rows,
+/// `place` writes data into a range of its new rows, and `stored` reads
+/// a *dead* owner's old rows from checkpoint storage (`None` for a live
+/// owner), charged as a local disk read through [`VAR_FETCH`].
 ///
-/// Collective: every rank of the communicator must call it with the
-/// same arguments.
+/// Each rank packs every block it owns in plan order, sending all but
+/// the one that stays, and places that one; then it fetches or receives
+/// each incoming block in plan order and places it. No place precedes a
+/// pack, so `place` may overwrite what `pack` reads. Collective.
+///
+/// # Errors
+/// `SimError::InvalidConfig` naming a layout that does not fit the
+/// communicator or `old`'s row total; otherwise what a closure or the
+/// transport returns.
+pub fn move_rows<'c, R: Recorder>(
+    comm: &mut Comm<'c, R>,
+    old: &[usize],
+    new: &[usize],
+    tag: u32,
+    mut pack: impl FnMut(&mut Comm<'c, R>, Range<usize>) -> SimResult<Vec<f64>>,
+    mut place: impl FnMut(&mut Comm<'c, R>, Range<usize>, &[f64]) -> SimResult<()>,
+    stored: &dyn Fn(usize, Range<usize>) -> Option<Vec<f64>>,
+) -> SimResult<usize> {
+    let total = old.iter().sum();
+    check_layout(comm.size(), old, total)?;
+    check_layout(comm.size(), new, total)?;
+    let rank = comm.rank();
+    let plan = transfer_plan(old, new);
+    // A transfer's rows, local to `owner`'s block under `layout`.
+    let local = |layout: &[usize], owner: usize, start: usize, rows: usize| {
+        let lo = start - layout[..owner].iter().sum::<usize>();
+        lo..lo + rows
+    };
+    let mut kept = None;
+    for t in plan.iter().filter(|t| t.from == rank) {
+        let data = pack(comm, local(old, rank, t.global_start, t.rows))?;
+        if t.to == rank {
+            kept = Some((local(new, rank, t.global_start, t.rows), data));
+        } else {
+            comm.send_f64s(t.to, tag, &data)?;
+        }
+    }
+    if let Some((rows, data)) = kept {
+        place(comm, rows, &data)?;
+    }
+    for t in plan.iter().filter(|t| t.to == rank && t.from != rank) {
+        let data = if let Some(want) = stored(t.from, local(old, t.from, t.global_start, t.rows)) {
+            let mut buf = vec![0.0; want.len()];
+            comm.ctx().disk.store(VAR_FETCH, want);
+            comm.file_read(VAR_FETCH, 0, &mut buf)?;
+            comm.ctx().disk.remove(VAR_FETCH);
+            buf
+        } else {
+            comm.recv_f64s(t.from, tag)?
+        };
+        place(comm, local(new, rank, t.global_start, t.rows), &data)?;
+    }
+    Ok(rows_moved(&plan))
+}
+
+/// Move the row-major disk-resident `var`, `elems_per_row` elements per
+/// row, from layout `old` to `new`: [`move_rows`] with `file_read` at the
+/// old local offset as `pack` and `file_write` at the new one as
+/// `place`, the variable resized once, before its first write. Returns
+/// the virtual time this rank spent. Collective.
+///
+/// # Errors
+/// As [`move_rows`].
 pub fn redistribute_var<R: Recorder>(
     comm: &mut Comm<'_, R>,
     var: VarId,
     elems_per_row: usize,
-    old: &GenBlock,
-    new: &GenBlock,
+    old: &[usize],
+    new: &[usize],
 ) -> SimResult<SimDur> {
-    let rank = comm.rank();
     let t0 = comm.ctx_ref().now();
-    let plan = transfer_plan(old, new);
-    let old_off = old.offsets();
-    let new_off = new.offsets();
-    let epr = elems_per_row;
-
-    // Phase 1: read and ship every outgoing block; keep the block that
-    // stays local in memory (its storage is about to be resized).
-    let mut kept: Option<(usize, Vec<f64>)> = None; // (global_start, data)
-    for t in plan.iter().filter(|t| t.from == rank) {
-        let local = (t.global_start - old_off[rank]) * epr;
-        let mut buf = vec![0.0; t.rows * epr];
-        comm.file_read(var, local, &mut buf)?;
-        if t.to == rank {
-            kept = Some((t.global_start, buf));
-        } else {
-            comm.send_f64s(t.to, TAG_REDIST, &buf)?;
-        }
+    let (rank, epr) = (comm.rank(), elems_per_row);
+    let mut resized = false;
+    move_rows(
+        comm,
+        old,
+        new,
+        TAG_REDIST,
+        |comm, rows| {
+            let mut buf = vec![0.0; rows.len() * epr];
+            comm.file_read(var, rows.start * epr, &mut buf)?;
+            Ok(buf)
+        },
+        |comm, rows, data| {
+            if !std::mem::replace(&mut resized, true) {
+                comm.ctx().disk.create(var, new[rank] * epr);
+            }
+            comm.file_write(var, rows.start * epr, data)
+        },
+        &|_, _| None,
+    )?;
+    if !resized {
+        comm.ctx().disk.create(var, 0); // a rank left with no rows never writes
     }
-
-    // Phase 2: rebuild local storage at the new extent.
-    let my_new_rows = new.rows()[rank];
-    comm.ctx().disk.remove(var);
-    comm.ctx().disk.create(var, my_new_rows * epr);
-    if let Some((global_start, buf)) = kept {
-        let local = (global_start - new_off[rank]) * epr;
-        comm.file_write(var, local, &buf)?;
-    }
-
-    // Phase 3: receive and place incoming blocks (plan order is
-    // deterministic and identical on every rank).
-    for t in plan.iter().filter(|t| t.to == rank && t.from != rank) {
-        let buf = comm.recv_f64s(t.from, TAG_REDIST)?;
-        debug_assert_eq!(buf.len(), t.rows * epr);
-        let local = (t.global_start - new_off[rank]) * epr;
-        comm.file_write(var, local, &buf)?;
-    }
-
     Ok(comm.ctx_ref().now().saturating_since(t0))
 }
 
@@ -74,85 +123,152 @@ pub fn redistribute_var<R: Recorder>(
 mod tests {
     use super::*;
     use crate::app::hash01;
+    use mheta_dist::GenBlock;
     use mheta_mpi::{run_app, ExecMode, NullRecorder, RunOptions};
-    use mheta_sim::ClusterSpec;
+    use mheta_sim::{ClusterSpec, SimError};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     const VAR: VarId = 9;
     const EPR: usize = 8;
     const ROWS: usize = 48;
 
-    fn value(global_row: usize, c: usize) -> f64 {
-        hash01(0xD157, global_row as u64, c as u64)
+    /// Rank `rank`'s block under `layout`, `epr` elements per row.
+    fn block(layout: &[usize], rank: usize, epr: usize) -> Vec<f64> {
+        let first: usize = layout[..rank].iter().sum();
+        (first * epr..(first + layout[rank]) * epr)
+            .map(|i| hash01(0xD157, (i / epr) as u64, (i % epr) as u64))
+            .collect()
     }
 
-    /// Set up the variable under `dist`, redistribute to `target`, and
-    /// verify every rank ends up with exactly the right rows.
-    fn roundtrip(n: usize, dist: GenBlock, target: GenBlock) -> Vec<SimDur> {
+    fn run<T: Send>(
+        n: usize,
+        body: impl Fn(&mut Comm<'_, NullRecorder>) -> SimResult<T> + Sync,
+    ) -> SimResult<Vec<T>> {
         let mut spec = ClusterSpec::homogeneous(n);
         spec.noise.amplitude = 0.0;
-        let run = run_app(
-            &spec,
-            RunOptions {
-                tracing: false,
-                mode: ExecMode::Normal,
-            },
-            |_| NullRecorder,
-            |comm| {
-                let rank = comm.rank();
-                let offset = dist.offsets()[rank];
-                let m = dist.rows()[rank];
-                let mut init = Vec::with_capacity(m * EPR);
-                for r in 0..m {
-                    for c in 0..EPR {
-                        init.push(value(offset + r, c));
-                    }
-                }
-                comm.ctx().disk.store(VAR, init);
+        let opts = RunOptions {
+            tracing: false,
+            mode: ExecMode::Normal,
+        };
+        Ok(run_app(&spec, opts, |_| NullRecorder, body)?.results)
+    }
 
-                let took = redistribute_var(comm, VAR, EPR, &dist, &target)?;
+    /// Move `a → b → a` on `a.len()` quiet ranks, once with in-memory
+    /// closures written as the adaptive drivers write them and once
+    /// through the disk adapter, and check that every rank holds exactly
+    /// its new rows after each move and that the returned counts are the
+    /// plans' `rows_moved`. Returns each rank's disk `a → b` time.
+    fn moves(a: &[usize], b: &[usize], epr: usize) -> Result<Vec<SimDur>, TestCaseError> {
+        let results = run(a.len(), |comm| {
+            let rank = comm.rank();
+            let elems = |rows: Range<usize>| rows.start * epr..rows.end * epr;
+            let (mut held, mut counts, mut took) = (Vec::new(), Vec::new(), Vec::new());
+            let mut u = block(a, rank, epr);
+            for (tag, (from, to)) in [(a, b), (b, a)].into_iter().enumerate() {
+                let mut next = vec![0.0; to[rank] * epr];
+                counts.push(move_rows(
+                    comm,
+                    from,
+                    to,
+                    tag as u32,
+                    |_, rows| Ok(u[elems(rows)].to_vec()),
+                    |_, rows, data| {
+                        next[elems(rows)].copy_from_slice(data);
+                        Ok(())
+                    },
+                    &|_, _| None,
+                )?);
+                u = next;
+                held.push(u.clone());
+            }
+            comm.ctx().disk.store(VAR, block(a, rank, epr));
+            for (from, to) in [(a, b), (b, a)] {
+                took.push(redistribute_var(comm, VAR, epr, from, to)?);
+                let data = comm.ctx().disk.remove(VAR).expect("the variable survives");
+                held.push(data.clone());
+                comm.ctx().disk.store(VAR, data);
+            }
+            Ok((held, counts, took))
+        })
+        .map_err(|e| TestCaseError::Fail(format!("{e:?}")))?;
 
-                // Verify contents against the generator.
-                let new_off = target.offsets()[rank];
-                let new_m = target.rows()[rank];
-                let mut buf = vec![0.0; new_m * EPR];
-                comm.file_read(VAR, 0, &mut buf)?;
-                for r in 0..new_m {
-                    for c in 0..EPR {
-                        assert_eq!(
-                            buf[r * EPR + c],
-                            value(new_off + r, c),
-                            "rank {rank} row {r} col {c} corrupted"
-                        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want_counts = [
+            rows_moved(&transfer_plan(a, b)),
+            rows_moved(&transfer_plan(b, a)),
+        ];
+        let mut durs = Vec::new();
+        for (rank, (held, counts, took)) in results.into_iter().enumerate() {
+            // Memory then disk, each `a → b` then back; a rank whose share
+            // is 0 must hold an empty block.
+            let want = [bits(&block(b, rank, epr)), bits(&block(a, rank, epr))];
+            for (i, got) in held.iter().enumerate() {
+                prop_assert_eq!(&bits(got), &want[i % 2], "rank {} move {}", rank, i);
+            }
+            prop_assert_eq!(&counts[..], &want_counts[..], "rank {}", rank);
+            durs.push(took[0]);
+        }
+        Ok(durs)
+    }
+
+    /// Two layouts of one total over 1–8 ranks, 0–24 rows each (about a
+    /// quarter of the shares 0), and 1–4 elements per row.
+    fn layout_pairs() -> impl Strategy<Value = (Vec<usize>, Vec<usize>, usize)> {
+        let shares =
+            || proptest::collection::vec((0usize..=32).prop_map(|r| r.saturating_sub(8)), 8);
+        (1usize..=8, shares(), shares(), 0usize..8, 1usize..=4).prop_map(
+            |(n, mut a, mut b, i, epr)| {
+                a.truncate(n);
+                b.truncate(n);
+                // Walk `b` to `a`'s total, one row at a time from rank `i`.
+                let total: usize = a.iter().sum();
+                let mut i = i % n;
+                while b.iter().sum::<usize>() != total {
+                    if b.iter().sum::<usize>() > total {
+                        b[i] = b[i].saturating_sub(1);
+                    } else if b[i] < 24 {
+                        b[i] += 1;
                     }
+                    i = (i + 1) % n;
                 }
-                Ok(took)
+                (a, b, epr)
             },
         )
-        .unwrap();
-        run.results
+    }
+
+    /// The proptest over the one executor: 64 generated layout pairs.
+    #[test]
+    fn move_rows_lands_every_row_in_memory_and_on_disk() {
+        let mut rng = TestRng::from_name(concat!(module_path!(), "::move_rows"));
+        let pairs = layout_pairs();
+        for _ in 0..64 {
+            let (a, b, epr) = pairs.gen_value(&mut rng);
+            if let Err(e) = moves(&a, &b, epr) {
+                panic!("{a:?} -> {b:?}, {epr} per row: {e:?}");
+            }
+        }
     }
 
     #[test]
     fn block_to_skewed_preserves_data() {
-        roundtrip(
-            4,
-            GenBlock::block(ROWS, 4),
-            GenBlock::new(vec![30, 10, 4, 4]).unwrap(),
-        );
+        moves(GenBlock::block(ROWS, 4).rows(), &[30, 10, 4, 4], EPR).unwrap();
     }
 
     #[test]
     fn skewed_to_block_preserves_data() {
-        roundtrip(
-            4,
-            GenBlock::new(vec![1, 1, 1, 45]).unwrap(),
-            GenBlock::block(ROWS, 4),
-        );
+        moves(&[1, 1, 1, 45], GenBlock::block(ROWS, 4).rows(), EPR).unwrap();
+    }
+
+    #[test]
+    fn reversal_round_trips() {
+        moves(&[20, 12, 10, 6], &[6, 10, 12, 20], EPR).unwrap();
     }
 
     #[test]
     fn identity_redistribution_is_cheap_but_not_free() {
-        let durs = roundtrip(4, GenBlock::block(ROWS, 4), GenBlock::block(ROWS, 4));
+        let blk = GenBlock::block(ROWS, 4);
+        let durs = moves(blk.rows(), blk.rows(), EPR).unwrap();
         // Pure local relocation: no messages, just a read+write.
         for d in durs {
             assert!(d > SimDur::ZERO);
@@ -160,39 +276,35 @@ mod tests {
         }
     }
 
+    /// What `redistribute_var(old → new)` on four ranks is refused with.
+    fn refusal(old: &[usize], new: &[usize]) -> String {
+        let err = run(4, |comm| {
+            let rank = comm.rank();
+            comm.ctx().disk.create(VAR, old[rank] * EPR);
+            redistribute_var(comm, VAR, EPR, old, new)
+        })
+        .unwrap_err();
+        match err {
+            SimError::InvalidConfig(msg) => msg,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn reversal_round_trips() {
-        // A -> B, then B -> A inside one run.
-        let a = GenBlock::new(vec![20, 12, 10, 6]).unwrap();
-        let b = GenBlock::new(vec![6, 10, 12, 20]).unwrap();
-        let mut spec = ClusterSpec::homogeneous(4);
-        spec.noise.amplitude = 0.0;
-        run_app(
-            &spec,
-            RunOptions {
-                tracing: false,
-                mode: ExecMode::Normal,
-            },
-            |_| NullRecorder,
-            |comm| {
-                let rank = comm.rank();
-                let offset = a.offsets()[rank];
-                let m = a.rows()[rank];
-                let mut init = Vec::with_capacity(m * EPR);
-                for r in 0..m {
-                    for c in 0..EPR {
-                        init.push(value(offset + r, c));
-                    }
-                }
-                comm.ctx().disk.store(VAR, init.clone());
-                redistribute_var(comm, VAR, EPR, &a, &b)?;
-                redistribute_var(comm, VAR, EPR, &b, &a)?;
-                let mut back = vec![0.0; m * EPR];
-                comm.file_read(VAR, 0, &mut back)?;
-                assert_eq!(back, init, "rank {rank} data changed after A->B->A");
-                Ok(())
-            },
-        )
-        .unwrap();
+    fn a_layout_for_another_cluster_size_is_refused() {
+        let msg = refusal(
+            GenBlock::block(ROWS, 4).rows(),
+            GenBlock::block(ROWS, 3).rows(),
+        );
+        assert!(msg.contains("[16, 16, 16]"), "{msg}");
+    }
+
+    #[test]
+    fn layouts_of_different_totals_are_refused() {
+        let msg = refusal(&[12; 4], &[12, 12, 12, 13]);
+        assert!(
+            msg.contains("[12, 12, 12, 13]") && msg.contains("48 rows"),
+            "{msg}"
+        );
     }
 }

@@ -96,14 +96,7 @@ impl GenBlock {
     /// entry is the total, so node `i` owns `[offsets[i], offsets[i+1])`).
     #[must_use]
     pub fn offsets(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.rows.len() + 1);
-        let mut acc = 0;
-        out.push(0);
-        for &r in &self.rows {
-            acc += r;
-            out.push(acc);
-        }
-        out
+        offsets(&self.rows)
     }
 
     /// Which node owns global row `row`.
@@ -208,6 +201,18 @@ impl fmt::Display for GenBlock {
         }
         write!(f, "]")
     }
+}
+
+/// [`GenBlock::offsets`] over raw per-node row counts, which may be 0.
+pub(crate) fn offsets(rows: &[usize]) -> Vec<usize> {
+    let mut out = Vec::with_capacity(rows.len() + 1);
+    let mut acc = 0;
+    out.push(0);
+    for &r in rows {
+        acc += r;
+        out.push(acc);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use mheta_core::Mheta;
 
-use crate::genblock::GenBlock;
+use crate::genblock::{offsets, GenBlock};
 
 /// One contiguous block movement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,43 +29,20 @@ pub struct Transfer {
     pub rows: usize,
 }
 
-/// Compute the contiguous transfers that turn `old` into `new`
-/// (self-transfers — rows that stay put, possibly at a different local
-/// offset — are included with `from == to`).
-///
-/// # Panics
-/// Panics if the two distributions disagree on node count or total
-/// rows.
-#[must_use]
-pub fn transfer_plan(old: &GenBlock, new: &GenBlock) -> Vec<Transfer> {
-    assert_eq!(old.len(), new.len(), "node counts must match");
-    transfer_plan_rows(old.rows(), new.rows())
-}
-
-/// [`transfer_plan`] over raw per-node row counts. Unlike [`GenBlock`],
-/// zero-row entries are permitted, which is exactly what crash recovery
-/// needs: the post-failure layout assigns 0 rows to dead ranks while
-/// keeping the original cluster indexing, so transfers *out of* a dead
-/// rank's old interval name the dead rank as `from` (the executor
-/// sources those rows from checkpoint state instead of the dead node).
+/// Compute the contiguous transfers that turn layout `old` into `new`,
+/// both per-node row counts (self-transfers — rows that stay put,
+/// possibly at a different local offset — are included with
+/// `from == to`). Unlike [`GenBlock`], a layout may give a node 0 rows:
+/// a dead rank keeps its index, and transfers out of its old interval
+/// name it as `from` (the executor reads those rows from checkpoints).
 ///
 /// # Panics
 /// Panics if the two layouts disagree on node count or total rows.
 #[must_use]
-pub fn transfer_plan_rows(old: &[usize], new: &[usize]) -> Vec<Transfer> {
+pub fn transfer_plan(old: &[usize], new: &[usize]) -> Vec<Transfer> {
     assert_eq!(old.len(), new.len(), "node counts must match");
     let total = |rows: &[usize]| rows.iter().sum::<usize>();
     assert_eq!(total(old), total(new), "row totals must match");
-    let offsets = |rows: &[usize]| {
-        let mut off = Vec::with_capacity(rows.len() + 1);
-        let mut acc = 0usize;
-        off.push(0);
-        for &r in rows {
-            acc += r;
-            off.push(acc);
-        }
-        off
-    };
     let old_off = offsets(old);
     let new_off = offsets(new);
     let mut plan = Vec::new();
@@ -98,15 +75,16 @@ pub fn rows_moved(plan: &[Transfer]) -> usize {
 /// every streamed distributed variable of `model`'s program, in
 /// nanoseconds.
 ///
-/// The executor (in `mheta-apps`) reads each outgoing block from the
-/// local disk, ships it, and the receiver writes it back; rows that
-/// stay local are rewritten at their new local offsets. The model sums
-/// each node's own disk and endpoint work and adds one wire latency
-/// for the final incoming block — nodes work concurrently, so the
-/// estimate is the max over nodes.
+/// It prices the one plan executor, `mheta_apps::redistribute::move_rows`,
+/// as its disk adapter `redistribute_var` runs it: each outgoing block
+/// is read from the local disk and shipped, the receiver writes it back,
+/// and rows that stay local are rewritten at their new local offsets.
+/// The model sums each node's own disk and endpoint work and adds one
+/// wire latency for the final incoming block — nodes work concurrently,
+/// so the estimate is the max over nodes.
 #[must_use]
 pub fn predict_cost_ns(model: &Mheta, old: &GenBlock, new: &GenBlock) -> f64 {
-    let plan = transfer_plan(old, new);
+    let plan = transfer_plan(old.rows(), new.rows());
     let arch = model.arch();
     let comm = &arch.comm;
     let n = old.len();
@@ -171,7 +149,7 @@ mod tests {
 
     #[test]
     fn identity_plan_is_all_self_transfers() {
-        let g = GenBlock::new(vec![4, 6, 2]).unwrap();
+        let g = [4, 6, 2];
         let plan = transfer_plan(&g, &g);
         assert_eq!(plan.len(), 3);
         assert!(plan.iter().all(|t| t.from == t.to));
@@ -180,25 +158,23 @@ mod tests {
 
     #[test]
     fn plan_conserves_rows() {
-        let old = GenBlock::new(vec![4, 4, 4, 4]).unwrap();
-        let new = GenBlock::new(vec![10, 2, 2, 2]).unwrap();
+        let old = [4, 4, 4, 4];
+        let new = [10, 2, 2, 2];
         let plan = transfer_plan(&old, &new);
         let total: usize = plan.iter().map(|t| t.rows).sum();
         assert_eq!(total, 16);
         // Every node's outgoing rows equal its old share.
         for i in 0..4 {
             let out: usize = plan.iter().filter(|t| t.from == i).map(|t| t.rows).sum();
-            assert_eq!(out, old.rows()[i]);
+            assert_eq!(out, old[i]);
             let inc: usize = plan.iter().filter(|t| t.to == i).map(|t| t.rows).sum();
-            assert_eq!(inc, new.rows()[i]);
+            assert_eq!(inc, new[i]);
         }
     }
 
     #[test]
     fn plan_blocks_are_contiguous_and_sorted_within_pairs() {
-        let old = GenBlock::new(vec![5, 5, 6]).unwrap();
-        let new = GenBlock::new(vec![2, 10, 4]).unwrap();
-        let plan = transfer_plan(&old, &new);
+        let plan = transfer_plan(&[5, 5, 6], &[2, 10, 4]);
         // At most one transfer per (from, to) pair for block layouts.
         let mut seen = std::collections::HashSet::new();
         for t in &plan {
@@ -210,9 +186,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row totals must match")]
     fn mismatched_totals_panic() {
-        let a = GenBlock::new(vec![4, 4]).unwrap();
-        let b = GenBlock::new(vec![4, 5]).unwrap();
-        let _ = transfer_plan(&a, &b);
+        let _ = transfer_plan(&[4, 4], &[4, 5]);
     }
 
     #[test]
@@ -220,7 +194,7 @@ mod tests {
         // Rank 1 died: its 4 rows re-spread over ranks 0 and 2.
         let old = [4usize, 4, 4];
         let new = [6usize, 0, 6];
-        let plan = transfer_plan_rows(&old, &new);
+        let plan = transfer_plan(&old, &new);
         let total: usize = plan.iter().map(|t| t.rows).sum();
         assert_eq!(total, 12);
         assert!(plan.iter().all(|t| t.to != 1), "nothing flows to the dead");
@@ -229,14 +203,6 @@ mod tests {
             from_dead.iter().map(|t| t.rows).sum::<usize>(),
             4,
             "dead rank's interval is fully reassigned"
-        );
-        // The surviving plan matches the GenBlock-based plan when no
-        // entry is zero.
-        let a = GenBlock::new(vec![4, 4, 4]).unwrap();
-        let b = GenBlock::new(vec![2, 8, 2]).unwrap();
-        assert_eq!(
-            transfer_plan(&a, &b),
-            transfer_plan_rows(&[4, 4, 4], &[2, 8, 2])
         );
     }
 }

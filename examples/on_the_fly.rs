@@ -72,7 +72,7 @@ fn main() {
         |comm| {
             let m = blk.rows()[comm.rank()];
             comm.ctx().disk.create(VAR_U, m * cols);
-            redistribute_var(comm, VAR_U, cols, &blk, &found.best)
+            redistribute_var(comm, VAR_U, cols, blk.rows(), found.best.rows())
         },
     )
     .expect("redistribution");

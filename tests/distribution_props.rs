@@ -251,7 +251,7 @@ mod redistribution_props {
         ) {
             let old = GenBlock::apportion(total, &old_w);
             let new = GenBlock::apportion(total, &new_w);
-            let plan = transfer_plan(&old, &new);
+            let plan = transfer_plan(old.rows(), new.rows());
             let shipped: usize = plan.iter().map(|t| t.rows).sum();
             prop_assert_eq!(shipped, total);
             prop_assert!(rows_moved(&plan) <= total);
@@ -285,7 +285,7 @@ mod redistribution_props {
             total in 4usize..300,
         ) {
             let g = GenBlock::apportion(total, &w);
-            prop_assert_eq!(rows_moved(&transfer_plan(&g, &g)), 0);
+            prop_assert_eq!(rows_moved(&transfer_plan(g.rows(), g.rows())), 0);
         }
     }
 }

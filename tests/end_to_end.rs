@@ -209,7 +209,7 @@ fn redistribution_cost_model_tracks_execution() {
             let rank = comm.rank();
             let m = old.rows()[rank];
             comm.ctx().disk.create(VAR_U, m * cols);
-            redistribute_var(comm, VAR_U, cols, &old, &new)
+            redistribute_var(comm, VAR_U, cols, old.rows(), new.rows())
         },
     )
     .unwrap();
