@@ -1,9 +1,10 @@
 //! Effecting a new distribution "on the fly" (the paper's §6 runtime):
 //! [`move_rows`] is the one code that walks a
 //! [`mheta_dist::transfer_plan`] — the §6 switch, crash recovery and
-//! rebalancing ([`crate::adaptive`]) all run it — and
-//! [`redistribute_var`], its disk adapter, is what
-//! [`mheta_dist::predict_cost_ns`] prices.
+//! rebalancing ([`crate::adaptive`]) all run it. [`redistribute_var`],
+//! its disk adapter, has an analytical twin, [`mheta_dist::move_clocks`],
+//! which walks `move_rows`' order and charges what it charges, to the
+//! nanosecond; [`mheta_dist::predict_cost_ns`] is that walk over a model.
 
 use std::ops::Range;
 
@@ -123,9 +124,10 @@ pub fn redistribute_var<R: Recorder>(
 mod tests {
     use super::*;
     use crate::app::hash01;
-    use mheta_dist::GenBlock;
+    use mheta_core::{ArchParams, CommParams, DiskParams};
+    use mheta_dist::{move_clocks, GenBlock};
     use mheta_mpi::{run_app, ExecMode, NullRecorder, RunOptions};
-    use mheta_sim::{ClusterSpec, SimError};
+    use mheta_sim::{ClusterSpec, NetSpec, SimError};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
@@ -141,26 +143,68 @@ mod tests {
             .collect()
     }
 
+    /// A quiet cluster of `io.len()` ranks, each rank's disk scaled by
+    /// its `io` factor, joined by `net`.
+    fn cluster(io: &[f64], net: NetSpec) -> ClusterSpec {
+        let mut spec = ClusterSpec::homogeneous(io.len());
+        spec.noise.amplitude = 0.0;
+        spec.net = net;
+        for (node, &factor) in spec.nodes.iter_mut().zip(io) {
+            *node = node.clone().with_io_factor(factor);
+        }
+        spec
+    }
+
+    /// The parameters a model of `spec` holds when measured exactly.
+    fn arch(spec: &ClusterSpec) -> ArchParams {
+        let net = &spec.net;
+        ArchParams {
+            name: spec.name.clone(),
+            comm: CommParams {
+                o_s: net.send_overhead_ns,
+                o_r: net.recv_overhead_ns,
+                alpha: net.latency_ns,
+                beta: net.ns_per_byte,
+            },
+            disks: spec
+                .nodes
+                .iter()
+                .map(|n| DiskParams {
+                    o_read: n.io_read_seek_ns,
+                    o_write: n.io_write_seek_ns,
+                    read_ns_per_byte: n.io_read_ns_per_byte,
+                    write_ns_per_byte: n.io_write_ns_per_byte,
+                })
+                .collect(),
+            memory_bytes: spec.nodes.iter().map(|n| n.memory_bytes).collect(),
+        }
+    }
+
     fn run<T: Send>(
-        n: usize,
+        spec: &ClusterSpec,
         body: impl Fn(&mut Comm<'_, NullRecorder>) -> SimResult<T> + Sync,
     ) -> SimResult<Vec<T>> {
-        let mut spec = ClusterSpec::homogeneous(n);
-        spec.noise.amplitude = 0.0;
         let opts = RunOptions {
             tracing: false,
             mode: ExecMode::Normal,
         };
-        Ok(run_app(&spec, opts, |_| NullRecorder, body)?.results)
+        Ok(run_app(spec, opts, |_| NullRecorder, body)?.results)
     }
 
-    /// Move `a → b → a` on `a.len()` quiet ranks, once with in-memory
-    /// closures written as the adaptive drivers write them and once
-    /// through the disk adapter, and check that every rank holds exactly
-    /// its new rows after each move and that the returned counts are the
-    /// plans' `rows_moved`. Returns each rank's disk `a → b` time.
-    fn moves(a: &[usize], b: &[usize], epr: usize) -> Result<Vec<SimDur>, TestCaseError> {
-        let results = run(a.len(), |comm| {
+    /// Move `a → b → a` on `spec`, once with in-memory closures written
+    /// as the adaptive drivers write them and once through the disk
+    /// adapter, and check that every rank holds exactly its new rows
+    /// after each move, that the returned counts are the plans'
+    /// `rows_moved`, and that the move twin, started from the clocks the
+    /// ranks reach the disk `a → b` move at (they differ), gives every
+    /// rank's clock after it to the bit. Returns each rank's time in it.
+    fn moves(
+        spec: &ClusterSpec,
+        a: &[usize],
+        b: &[usize],
+        epr: usize,
+    ) -> Result<Vec<SimDur>, TestCaseError> {
+        let results = run(spec, |comm| {
             let rank = comm.rank();
             let elems = |rows: Range<usize>| rows.start * epr..rows.end * epr;
             let (mut held, mut counts, mut took) = (Vec::new(), Vec::new(), Vec::new());
@@ -183,13 +227,14 @@ mod tests {
                 held.push(u.clone());
             }
             comm.ctx().disk.store(VAR, block(a, rank, epr));
+            let start = comm.ctx_ref().now().as_nanos() as f64;
             for (from, to) in [(a, b), (b, a)] {
                 took.push(redistribute_var(comm, VAR, epr, from, to)?);
                 let data = comm.ctx().disk.remove(VAR).expect("the variable survives");
                 held.push(data.clone());
                 comm.ctx().disk.store(VAR, data);
             }
-            Ok((held, counts, took))
+            Ok((held, counts, took, start))
         })
         .map_err(|e| TestCaseError::Fail(format!("{e:?}")))?;
 
@@ -198,8 +243,10 @@ mod tests {
             rows_moved(&transfer_plan(a, b)),
             rows_moved(&transfer_plan(b, a)),
         ];
+        let mut twin: Vec<f64> = results.iter().map(|r| r.3).collect();
+        move_clocks(&arch(spec), a, b, 8 * epr as u64, &mut twin);
         let mut durs = Vec::new();
-        for (rank, (held, counts, took)) in results.into_iter().enumerate() {
+        for (rank, (held, counts, took, start)) in results.into_iter().enumerate() {
             // Memory then disk, each `a → b` then back; a rank whose share
             // is 0 must hold an empty block.
             let want = [bits(&block(b, rank, epr)), bits(&block(a, rank, epr))];
@@ -207,6 +254,15 @@ mod tests {
                 prop_assert_eq!(&bits(got), &want[i % 2], "rank {} move {}", rank, i);
             }
             prop_assert_eq!(&counts[..], &want_counts[..], "rank {}", rank);
+            let executed = start + took[0].as_nanos_f64();
+            prop_assert_eq!(
+                executed.to_bits(),
+                twin[rank].to_bits(),
+                "rank {}: executed {} ns, twin {} ns",
+                rank,
+                executed,
+                twin[rank]
+            );
             durs.push(took[0]);
         }
         Ok(durs)
@@ -237,48 +293,96 @@ mod tests {
         )
     }
 
-    /// The proptest over the one executor: 64 generated layout pairs.
+    /// Eight per-node I/O factors in 0.3–4 and a network: overheads up
+    /// to 50 µs, latency up to 200 µs, 0–40 ns per byte.
+    fn clusters() -> impl Strategy<Value = (Vec<f64>, NetSpec)> {
+        let net = (
+            0.0f64..50_000.0,
+            0.0f64..50_000.0,
+            0.0f64..200_000.0,
+            0.0f64..40.0,
+        );
+        let io = proptest::collection::vec(0.3f64..4.0, 8);
+        (io, net).prop_map(|(io, (o_s, o_r, latency, beta))| {
+            let net = NetSpec {
+                send_overhead_ns: o_s,
+                recv_overhead_ns: o_r,
+                latency_ns: latency,
+                ns_per_byte: beta,
+            };
+            (io, net)
+        })
+    }
+
+    /// A fixed heterogeneous cluster for the hand-written layout pairs.
+    fn four() -> ClusterSpec {
+        cluster(&[1.0, 2.5, 0.5, 3.0], NetSpec::default())
+    }
+
+    /// The proptest over the one executor and its twin: 64 generated
+    /// layout pairs, each on a generated quiet heterogeneous cluster.
     #[test]
     fn move_rows_lands_every_row_in_memory_and_on_disk() {
         let mut rng = TestRng::from_name(concat!(module_path!(), "::move_rows"));
-        let pairs = layout_pairs();
+        let (pairs, clusters) = (layout_pairs(), clusters());
         for _ in 0..64 {
             let (a, b, epr) = pairs.gen_value(&mut rng);
-            if let Err(e) = moves(&a, &b, epr) {
-                panic!("{a:?} -> {b:?}, {epr} per row: {e:?}");
+            let (io, net) = clusters.gen_value(&mut rng);
+            let spec = cluster(&io[..a.len()], net);
+            if let Err(e) = moves(&spec, &a, &b, epr) {
+                panic!(
+                    "{a:?} -> {b:?}, {epr} per row, I/O {io:?}, {:?}: {e:?}",
+                    spec.net
+                );
             }
         }
     }
 
     #[test]
     fn block_to_skewed_preserves_data() {
-        moves(GenBlock::block(ROWS, 4).rows(), &[30, 10, 4, 4], EPR).unwrap();
+        moves(
+            &four(),
+            GenBlock::block(ROWS, 4).rows(),
+            &[30, 10, 4, 4],
+            EPR,
+        )
+        .unwrap();
     }
 
     #[test]
     fn skewed_to_block_preserves_data() {
-        moves(&[1, 1, 1, 45], GenBlock::block(ROWS, 4).rows(), EPR).unwrap();
+        moves(
+            &four(),
+            &[1, 1, 1, 45],
+            GenBlock::block(ROWS, 4).rows(),
+            EPR,
+        )
+        .unwrap();
     }
 
     #[test]
     fn reversal_round_trips() {
-        moves(&[20, 12, 10, 6], &[6, 10, 12, 20], EPR).unwrap();
+        moves(&four(), &[20, 12, 10, 6], &[6, 10, 12, 20], EPR).unwrap();
     }
 
     #[test]
     fn identity_redistribution_is_cheap_but_not_free() {
+        // Pure local relocation: no messages, one read and one write a
+        // rank, each exactly what the twin charges.
+        let spec = cluster(&[1.0; 4], NetSpec::default());
         let blk = GenBlock::block(ROWS, 4);
-        let durs = moves(blk.rows(), blk.rows(), EPR).unwrap();
-        // Pure local relocation: no messages, just a read+write.
-        for d in durs {
-            assert!(d > SimDur::ZERO);
-            assert!(d.as_secs_f64() < 0.1);
+        let node = &spec.nodes[0];
+        let bytes = (ROWS / 4 * EPR * 8) as f64;
+        let read = (node.io_read_seek_ns + bytes * node.io_read_ns_per_byte).round();
+        let write = (node.io_write_seek_ns + bytes * node.io_write_ns_per_byte).round();
+        for d in moves(&spec, blk.rows(), blk.rows(), EPR).unwrap() {
+            assert_eq!(d.as_nanos_f64(), read + write);
         }
     }
 
     /// What `redistribute_var(old → new)` on four ranks is refused with.
     fn refusal(old: &[usize], new: &[usize]) -> String {
-        let err = run(4, |comm| {
+        let err = run(&cluster(&[1.0; 4], NetSpec::default()), |comm| {
             let rank = comm.rank();
             comm.ctx().disk.create(VAR, old[rank] * EPR);
             redistribute_var(comm, VAR, EPR, old, new)

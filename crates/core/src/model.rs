@@ -770,8 +770,12 @@ impl Mheta {
         })
     }
 
-    /// Validate a distribution vector against the model's dimensions.
-    fn check_rows(&self, rows: &[usize]) -> Result<(), ModelError> {
+    /// Validate a distribution vector against the model's dimensions:
+    /// one entry per node, summing to the structure's rows.
+    ///
+    /// # Errors
+    /// [`ModelError::Dimension`] naming the mismatch.
+    pub fn check_rows(&self, rows: &[usize]) -> Result<(), ModelError> {
         let n = self.plan.ranks.len();
         if rows.len() != n {
             return Err(ModelError::Dimension(format!(

@@ -25,7 +25,9 @@ pub use delta::{DeltaEvaluator, DeltaModel, DeltaSession, DeltaStats};
 pub use fitness::{EvalError, Evaluator, FallibleFn};
 pub use genblock::{GenBlock, GenBlockError};
 pub use online::{OnlinePolicy, Replan};
-pub use redistribution::{predict_cost_ns, rows_moved, switch_benefit_ns, transfer_plan, Transfer};
+pub use redistribution::{
+    move_clocks, predict_cost_ns, rows_moved, switch_benefit_ns, transfer_plan, Transfer,
+};
 pub use search::{
     gbs_search, genetic_search, portfolio_search, random_search, simulated_annealing,
     AnnealingConfig, GbsConfig, GeneticConfig, IterPoint, PortfolioConfig, PortfolioOutcome,

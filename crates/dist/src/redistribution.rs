@@ -1,20 +1,15 @@
 //! Redistribution: moving a `GEN_BLOCK`-distributed dataset from one
 //! distribution to another at run time.
 //!
-//! The paper's future-work runtime (§6) selects a distribution with
-//! MHETA "and then effect\[s\] that distribution on the fly". Switching
-//! distributions is only worth it when the predicted savings over the
-//! remaining iterations exceed the cost of moving the data, so the
-//! runtime needs both a **transfer plan** (who sends which rows to
-//! whom) and a **cost model** for executing it.
-//!
-//! Because both distributions are contiguous block layouts, the rows a
-//! node ships to another node form a single contiguous interval: the
-//! whole plan is at most `O(n)` transfers.
+//! The paper's §6 runtime switches distributions "on the fly" only when
+//! the predicted savings over the remaining iterations exceed the cost
+//! of moving the data. So it needs a **transfer plan** (who sends which
+//! contiguous block of rows to whom: at most `O(n)` blocks) and its
+//! **price**, [`move_clocks`], the twin of the plan's one executor.
 
-use mheta_core::Mheta;
+use mheta_core::{ArchParams, Mheta, ModelError};
 
-use crate::genblock::{offsets, GenBlock};
+use crate::genblock::offsets;
 
 /// One contiguous block movement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,11 +25,11 @@ pub struct Transfer {
 }
 
 /// Compute the contiguous transfers that turn layout `old` into `new`,
-/// both per-node row counts (self-transfers — rows that stay put,
-/// possibly at a different local offset — are included with
-/// `from == to`). Unlike [`GenBlock`], a layout may give a node 0 rows:
-/// a dead rank keeps its index, and transfers out of its old interval
-/// name it as `from` (the executor reads those rows from checkpoints).
+/// both per-node row counts; rows that stay put, possibly at another
+/// local offset, are a transfer with `from == to`. Unlike a `GenBlock`,
+/// a layout may give a node 0 rows: a dead rank keeps its index, and
+/// transfers out of its old interval name it as `from` (the executor
+/// reads those rows from checkpoints).
 ///
 /// # Panics
 /// Panics if the two layouts disagree on node count or total rows.
@@ -43,15 +38,11 @@ pub fn transfer_plan(old: &[usize], new: &[usize]) -> Vec<Transfer> {
     assert_eq!(old.len(), new.len(), "node counts must match");
     let total = |rows: &[usize]| rows.iter().sum::<usize>();
     assert_eq!(total(old), total(new), "row totals must match");
-    let old_off = offsets(old);
-    let new_off = offsets(new);
+    let (a, b) = (offsets(old), offsets(new));
     let mut plan = Vec::new();
     for from in 0..old.len() {
-        let (a0, a1) = (old_off[from], old_off[from + 1]);
         for to in 0..new.len() {
-            let (b0, b1) = (new_off[to], new_off[to + 1]);
-            let lo = a0.max(b0);
-            let hi = a1.min(b1);
+            let (lo, hi) = (a[from].max(b[to]), a[from + 1].min(b[to + 1]));
             if lo < hi {
                 plan.push(Transfer {
                     from,
@@ -71,76 +62,85 @@ pub fn rows_moved(plan: &[Transfer]) -> usize {
     plan.iter().filter(|t| t.from != t.to).map(|t| t.rows).sum()
 }
 
-/// Predict the wall time of executing `transfer_plan(old, new)` for
-/// every streamed distributed variable of `model`'s program, in
-/// nanoseconds.
+/// The analytical twin of `mheta_apps::redistribute::move_rows` run
+/// through its disk adapter `redistribute_var`, and what
+/// [`predict_cost_ns`] walks: advance each rank's clock in `clocks`
+/// (ns) by what moving one variable of `row_bytes` bytes per row from
+/// `old` to `new` charges it, in `move_rows`' order. Each rank reads
+/// each block it owns in plan order, sending all but the one that stays
+/// (`o_s`; it arrives `transfer_ns(bytes)` later), and writes that one;
+/// then it receives each incoming block in plan order
+/// (`max(clock, arrival) + o_r`) and writes it. Each charge is rounded
+/// as the simulator rounds it: over a quiet cluster's own parameters and
+/// a variable not read before (no warm reads), exactly the executed ones.
 ///
-/// It prices the one plan executor, `mheta_apps::redistribute::move_rows`,
-/// as its disk adapter `redistribute_var` runs it: each outgoing block
-/// is read from the local disk and shipped, the receiver writes it back,
-/// and rows that stay local are rewritten at their new local offsets.
-/// The model sums each node's own disk and endpoint work and adds one
-/// wire latency for the final incoming block — nodes work concurrently,
-/// so the estimate is the max over nodes.
-#[must_use]
-pub fn predict_cost_ns(model: &Mheta, old: &GenBlock, new: &GenBlock) -> f64 {
-    let plan = transfer_plan(old.rows(), new.rows());
-    let arch = model.arch();
-    let comm = &arch.comm;
-    let n = old.len();
-
-    // Bytes per row across all streamed distributed variables.
-    let row_bytes: f64 = model
-        .structure()
-        .distributed_vars()
-        .filter(|v| !v.resident)
-        .map(|v| v.row_bytes())
-        .sum();
-
-    let mut node_ns = vec![0.0f64; n];
-    let mut incoming_transfer = vec![0.0f64; n];
-    for t in &plan {
-        let bytes = t.rows as f64 * row_bytes;
-        let disk_from = &arch.disks[t.from];
-        let disk_to = &arch.disks[t.to];
-        if t.from == t.to {
-            // Local relocation: one read + one write.
-            node_ns[t.from] += disk_from.o_read
-                + bytes * disk_from.read_ns_per_byte
-                + disk_from.o_write
-                + bytes * disk_from.write_ns_per_byte;
-        } else {
-            // Sender: read + send overhead. Receiver: recv + write.
-            node_ns[t.from] += disk_from.o_read + bytes * disk_from.read_ns_per_byte + comm.o_s;
-            node_ns[t.to] += comm.o_r + disk_to.o_write + bytes * disk_to.write_ns_per_byte;
-            incoming_transfer[t.to] = incoming_transfer[t.to].max(comm.transfer_ns(bytes as u64));
+/// # Panics
+/// As [`transfer_plan`], or if `arch` or `clocks` has fewer nodes than
+/// the layouts.
+pub fn move_clocks(
+    arch: &ArchParams,
+    old: &[usize],
+    new: &[usize],
+    row_bytes: u64,
+    clocks: &mut [f64],
+) {
+    let (plan, comm) = (transfer_plan(old, new), &arch.comm);
+    let bytes = |t: &Transfer| t.rows as u64 * row_bytes;
+    let io = |seek: f64, per_byte: f64, t: &Transfer| (seek + bytes(t) as f64 * per_byte).round();
+    let mut arrival = vec![0.0; plan.len()];
+    for (rank, clock) in clocks[..old.len()].iter_mut().enumerate() {
+        let (disk, mut kept) = (&arch.disks[rank], None);
+        for (i, t) in plan.iter().enumerate().filter(|(_, t)| t.from == rank) {
+            *clock += io(disk.o_read, disk.read_ns_per_byte, t);
+            if t.to == rank {
+                kept = Some(t);
+            } else {
+                *clock += comm.o_s.round();
+                arrival[i] = *clock + comm.transfer_ns(bytes(t)).round();
+            }
         }
+        *clock += kept.map_or(0.0, |t| io(disk.o_write, disk.write_ns_per_byte, t));
     }
-    (0..n)
-        .map(|i| node_ns[i] + incoming_transfer[i])
-        .fold(0.0, f64::max)
+    for (t, &at) in plan.iter().zip(&arrival).filter(|(t, _)| t.from != t.to) {
+        let disk = &arch.disks[t.to];
+        let write = io(disk.o_write, disk.write_ns_per_byte, t);
+        clocks[t.to] = clocks[t.to].max(at) + comm.o_r.round() + write;
+    }
 }
 
-/// Decide whether switching from `old` to `new` pays off for
-/// `remaining_iters` more iterations: returns the predicted net saving
-/// in nanoseconds (positive = switch).
-#[must_use]
+/// Predict the time, in ns, of moving every streamed distributed
+/// variable of `model`'s program from layout `old` to `new` (per-node
+/// rows, zeros allowed): [`move_clocks`] over `model.arch()`, one move
+/// per variable, one after another, a variable's fractional width (a
+/// sparse row's average) rounded up to whole elements.
+///
+/// # Errors
+/// [`ModelError::Dimension`] for a layout [`Mheta::check_rows`] refuses.
+pub fn predict_cost_ns(model: &Mheta, old: &[usize], new: &[usize]) -> Result<f64, ModelError> {
+    model.check_rows(old)?;
+    model.check_rows(new)?;
+    let mut clocks = vec![0.0; old.len()];
+    for v in model.structure().distributed_vars().filter(|v| !v.resident) {
+        let row_bytes = v.elems_per_row.ceil() as u64 * v.elem_bytes;
+        move_clocks(model.arch(), old, new, row_bytes, &mut clocks);
+    }
+    Ok(clocks.into_iter().fold(0.0, f64::max))
+}
+
+/// The predicted net saving, in ns, of switching from `old` to `new`
+/// for `remaining_iters` more iterations (positive = switch).
+///
+/// # Errors
+/// As [`predict_cost_ns`].
 pub fn switch_benefit_ns(
     model: &Mheta,
-    old: &GenBlock,
-    new: &GenBlock,
+    old: &[usize],
+    new: &[usize],
     remaining_iters: u32,
-) -> f64 {
-    let stay = model
-        .predict(old.rows())
-        .map(|p| p.iteration_ns)
-        .unwrap_or(f64::INFINITY);
-    let go = model
-        .predict(new.rows())
-        .map(|p| p.iteration_ns)
-        .unwrap_or(f64::INFINITY);
-    let saving = (stay - go) * f64::from(remaining_iters);
-    saving - predict_cost_ns(model, old, new)
+) -> Result<f64, ModelError> {
+    let ns = |rows| model.predict(rows).map(|p| p.iteration_ns);
+    let saving = (ns(old)? - ns(new)?) * f64::from(remaining_iters);
+    Ok(saving - predict_cost_ns(model, old, new)?)
 }
 
 #[cfg(test)]

@@ -41,8 +41,9 @@ fn main() {
     );
 
     let remaining = total_iters - switch_after;
-    let move_cost = predict_cost_ns(&model, &blk, &found.best);
-    let benefit = switch_benefit_ns(&model, &blk, &found.best, remaining);
+    let (old, new) = (blk.rows(), found.best.rows());
+    let move_cost = predict_cost_ns(&model, old, new).expect("move cost");
+    let benefit = switch_benefit_ns(&model, old, new, remaining).expect("benefit");
     println!(
         "predicted redistribution cost {:.1}ms; net benefit over {} remaining iterations {:+.2}s",
         move_cost / 1e6,

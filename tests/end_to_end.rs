@@ -180,49 +180,119 @@ fn saved_model_predicts_identically_after_reload() {
     assert_eq!(doc.get("structure"), Some(&model.structure().to_value()));
 }
 
-#[test]
-fn redistribution_cost_model_tracks_execution() {
+/// Each rank's virtual time, in ns, for moving Jacobi's grid, `cols`
+/// elements a row, from `old` to `new` through the disk adapter.
+fn executed_move(spec: &ClusterSpec, cols: usize, old: &[usize], new: &[usize]) -> Vec<f64> {
     use mheta::apps::jacobi::VAR_U;
     use mheta::apps::redistribute_var;
-    use mheta::dist::predict_cost_ns;
     use mheta::mpi::{run_app, ExecMode, NullRecorder, RunOptions};
-
-    let mut spec = ClusterSpec::homogeneous(4);
-    spec.noise.amplitude = 0.0;
-    let app = Jacobi::small();
-    let bench = Benchmark::Jacobi(app.clone());
-    let model = build_model(&bench, &spec, false).unwrap();
-
-    let old = GenBlock::block(app.rows, 4);
-    let new = GenBlock::new(vec![40, 10, 7, 7]).unwrap();
-    let predicted_ns = predict_cost_ns(&model, &old, &new);
-
-    let cols = app.cols;
+    let opts = RunOptions {
+        tracing: false,
+        mode: ExecMode::Normal,
+    };
     let run = run_app(
-        &spec,
-        RunOptions {
-            tracing: false,
-            mode: ExecMode::Normal,
-        },
+        spec,
+        opts,
         |_| NullRecorder,
         |comm| {
-            let rank = comm.rank();
-            let m = old.rows()[rank];
-            comm.ctx().disk.create(VAR_U, m * cols);
-            redistribute_var(comm, VAR_U, cols, old.rows(), new.rows())
+            let rows = old[comm.rank()];
+            comm.ctx().disk.create(VAR_U, rows * cols);
+            redistribute_var(comm, VAR_U, cols, old, new)
         },
     )
     .unwrap();
-    let actual_ns = run
-        .results
-        .iter()
-        .map(|d| d.as_nanos_f64())
-        .fold(0.0f64, f64::max);
-    let diff = percent_difference(predicted_ns, actual_ns);
-    assert!(
-        diff < 20.0,
-        "redistribution: predicted {predicted_ns:.0}ns vs actual {actual_ns:.0}ns ({diff:.1}%)"
+    run.results.iter().map(|d| d.as_nanos_f64()).collect()
+}
+
+/// Build Jacobi's model on `spec` (measured parameters), then check
+/// that the move twin over them gives the executed move of its grid
+/// from Block to `new` on every rank, and that `predict_cost_ns` is the
+/// executed makespan; returns the executed per-rank times.
+fn assert_move_price_exact(spec: &ClusterSpec, app: &Jacobi, new: &[usize]) -> Vec<f64> {
+    use mheta::dist::{move_clocks, predict_cost_ns};
+    let model = build_model(&Benchmark::Jacobi(app.clone()), spec, false).unwrap();
+    let old = GenBlock::block(app.rows, spec.len());
+    let executed = executed_move(spec, app.cols, old.rows(), new);
+    let mut twin = vec![0.0; spec.len()];
+    move_clocks(
+        model.arch(),
+        old.rows(),
+        new,
+        8 * app.cols as u64,
+        &mut twin,
     );
+    assert_eq!(twin, executed, "{}: the twin, rank by rank", spec.name);
+    let makespan = executed.iter().copied().fold(0.0, f64::max);
+    let predicted = predict_cost_ns(&model, old.rows(), new).unwrap();
+    assert_eq!(predicted, makespan, "{}: the price", spec.name);
+    executed
+}
+
+#[test]
+fn redistribution_cost_model_tracks_execution() {
+    let mut spec = ClusterSpec::homogeneous(4);
+    spec.noise.amplitude = 0.0;
+    let executed = assert_move_price_exact(&spec, &Jacobi::small(), &[40, 10, 7, 7]);
+    assert_eq!(
+        executed,
+        [26_880_000.0, 23_868_240.0, 17_576_800.0, 22_556_800.0]
+    );
+}
+
+#[test]
+fn move_price_is_exact_on_the_quiet_presets() {
+    let app = Jacobi::default();
+    for (mut spec, makespan) in [
+        (presets::dc(), 226_022_400.0),
+        (presets::hy1(), 226_022_400.0),
+        (presets::io(), 677_987_200.0),
+        (presets::hy2(), 452_004_800.0),
+    ] {
+        spec.noise.amplitude = 0.0;
+        let weights: Vec<f64> = (0..spec.len()).map(|i| (i % 3 + 1) as f64).collect();
+        let new = GenBlock::apportion(app.rows, &weights);
+        let executed = assert_move_price_exact(&spec, &app, new.rows());
+        assert_eq!(executed.iter().copied().fold(0.0, f64::max), makespan);
+    }
+}
+
+/// `Jacobi::small()` (64 rows) over a quiet 4-node model.
+fn small_quiet_model() -> Mheta {
+    let mut spec = ClusterSpec::homogeneous(4);
+    spec.noise.amplitude = 0.0;
+    build_model(&Benchmark::Jacobi(Jacobi::small()), &spec, false).unwrap()
+}
+
+#[test]
+fn move_price_refuses_layouts_for_more_nodes() {
+    use mheta::dist::predict_cost_ns;
+    let five = GenBlock::block(64, 5);
+    let err = predict_cost_ns(&small_quiet_model(), five.rows(), five.rows()).unwrap_err();
+    assert!(err.to_string().contains("5 entries for 4 nodes"), "{err}");
+}
+
+#[test]
+fn move_price_refuses_layouts_for_fewer_nodes() {
+    use mheta::dist::predict_cost_ns;
+    let three = GenBlock::block(64, 3);
+    let err = predict_cost_ns(&small_quiet_model(), three.rows(), &[30, 20, 14]).unwrap_err();
+    assert!(err.to_string().contains("3 entries for 4 nodes"), "{err}");
+}
+
+#[test]
+fn move_price_refuses_layouts_of_different_totals() {
+    use mheta::dist::predict_cost_ns;
+    let err = predict_cost_ns(&small_quiet_model(), &[16; 4], &[16, 16, 16, 17]).unwrap_err();
+    assert!(err.to_string().contains("65 rows"), "{err}");
+}
+
+#[test]
+fn switch_benefit_refuses_layouts_of_another_total() {
+    use mheta::dist::switch_benefit_ns;
+    // Both layouts are off the model, so both predictions fail: the
+    // saving was ∞ − ∞, NaN.
+    let err = switch_benefit_ns(&small_quiet_model(), &[15; 4], &[20, 20, 10, 10], 10).unwrap_err();
+    assert!(err.to_string().contains("60 rows"), "{err}");
 }
 
 #[test]
@@ -244,8 +314,8 @@ fn switch_benefit_recommends_sensible_moves() {
             pa.total_cmp(&pb)
         })
         .unwrap();
-    let none = switch_benefit_ns(&model, &blk, &best, 0);
-    let many = switch_benefit_ns(&model, &blk, &best, 200);
+    let none = switch_benefit_ns(&model, blk.rows(), best.rows(), 0).unwrap();
+    let many = switch_benefit_ns(&model, blk.rows(), best.rows(), 200).unwrap();
     assert!(none < 0.0, "zero remaining iterations can never pay off");
     assert!(many > 0.0, "200 iterations should amortize the move");
     assert!(many > none);
