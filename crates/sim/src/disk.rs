@@ -112,82 +112,38 @@ impl DiskStore {
     }
 }
 
-/// Tracks a node's in-memory footprint against its configured capacity.
+/// Gauges a node's in-memory footprint: the I/O staging buffers the
+/// engine moves on the application's behalf, whose level and peak feed
+/// the trace's [`crate::trace::EventKind::MemLevel`] events and the
+/// Perfetto memory track.
 ///
-/// Applications size their in-core local arrays (ICLAs) from the node's
-/// memory capacity; the tracker turns accounting mistakes (ICLA larger
-/// than memory) into hard errors instead of silently nonsensical
-/// timings.
+/// The gauge is observational and refuses nothing. The guards live in
+/// the application layer: the out-of-core planner
+/// (`mheta_core::ooc::plan_node`) sizes each in-core local array (ICLA)
+/// from the node's memory and leaves the rest of the share on disk, and
+/// `mheta_apps`' `check_layout` refuses a layout that does not give each
+/// rank one share of exactly the problem's rows.
 #[derive(Debug, Clone)]
 pub struct MemTracker {
     capacity: u64,
     in_use: u64,
     high_water: u64,
-    pressure: u64,
-    rank: usize,
 }
 
 impl MemTracker {
-    /// New tracker for a node with `capacity` bytes of memory.
+    /// New gauge for a node with `capacity` bytes of memory.
     #[must_use]
-    pub fn new(capacity: u64, rank: usize) -> Self {
+    pub fn new(capacity: u64) -> Self {
         MemTracker {
             capacity,
             in_use: 0,
             high_water: 0,
-            pressure: 0,
-            rank,
         }
     }
 
-    /// Reserve `bytes`; errors if the node's memory — less any injected
-    /// pressure — would be exceeded.
-    pub fn alloc(&mut self, bytes: u64) -> SimResult<()> {
-        let new = self.in_use + bytes;
-        if new > self.effective_capacity() {
-            return Err(SimError::MemoryExceeded {
-                rank: self.rank,
-                requested: bytes,
-                in_use: self.in_use,
-                capacity: self.effective_capacity(),
-            });
-        }
-        self.in_use = new;
-        self.high_water = self.high_water.max(new);
-        Ok(())
-    }
-
-    /// Impose `bytes` of external memory pressure (fault injection: a
-    /// co-located job stealing memory). Pressure shrinks the effective
-    /// capacity seen by [`Self::alloc`] and [`Self::available`] but does
-    /// not touch existing reservations; it is clamped to the configured
-    /// capacity.
-    pub fn set_pressure(&mut self, bytes: u64) {
-        self.pressure = bytes.min(self.capacity);
-    }
-
-    /// Currently injected memory pressure, bytes.
-    #[must_use]
-    pub fn pressure(&self) -> u64 {
-        self.pressure
-    }
-
-    /// Capacity minus injected pressure.
-    #[must_use]
-    pub fn effective_capacity(&self) -> u64 {
-        self.capacity - self.pressure
-    }
-
-    /// Release `bytes` (saturating; double-frees clamp to zero).
-    pub fn free(&mut self, bytes: u64) {
-        self.in_use = self.in_use.saturating_sub(bytes);
-    }
-
-    /// Account `bytes` of I/O staging buffer entering use. Unlike
-    /// [`Self::alloc`] this is observational — the engine charges
-    /// buffers it moves on the application's behalf, whose sizes the
-    /// out-of-core planner already bounded to fit, so staging never
-    /// fails; it only moves the gauge and the high-water mark.
+    /// Account `bytes` of I/O staging buffer entering use: moves the
+    /// gauge and the high-water mark. The out-of-core planner already
+    /// bounded the buffer to fit, so staging never fails.
     pub fn stage(&mut self, bytes: u64) {
         self.in_use = self.in_use.saturating_add(bytes);
         self.high_water = self.high_water.max(self.in_use);
@@ -198,13 +154,13 @@ impl MemTracker {
         self.in_use = self.in_use.saturating_sub(bytes);
     }
 
-    /// Bytes currently reserved.
+    /// Bytes currently staged.
     #[must_use]
     pub fn in_use(&self) -> u64 {
         self.in_use
     }
 
-    /// Peak reservation over the tracker's lifetime.
+    /// Peak staging level over the tracker's lifetime.
     #[must_use]
     pub fn high_water(&self) -> u64 {
         self.high_water
@@ -214,14 +170,6 @@ impl MemTracker {
     #[must_use]
     pub fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// Bytes still available under the effective capacity (saturating:
-    /// a pressure spike can push the effective capacity below the
-    /// current reservation).
-    #[must_use]
-    pub fn available(&self) -> u64 {
-        self.effective_capacity().saturating_sub(self.in_use)
     }
 }
 
@@ -287,80 +235,25 @@ mod tests {
     }
 
     #[test]
-    fn mem_tracker_enforces_capacity() {
-        let mut m = MemTracker::new(100, 0);
-        m.alloc(60).unwrap();
-        assert!(m.alloc(50).is_err());
-        m.alloc(40).unwrap();
-        assert_eq!(m.in_use(), 100);
-        assert_eq!(m.available(), 0);
-        m.free(30);
-        assert_eq!(m.in_use(), 70);
-        assert_eq!(m.high_water(), 100);
-    }
-
-    #[test]
     fn mem_tracker_free_saturates() {
-        let mut m = MemTracker::new(10, 0);
-        m.free(5);
+        let mut m = MemTracker::new(10);
+        m.unstage(5);
         assert_eq!(m.in_use(), 0);
-    }
-
-    #[test]
-    fn mem_tracker_exact_capacity_boundary() {
-        let mut m = MemTracker::new(100, 2);
-        // Filling to exactly the capacity succeeds...
-        m.alloc(100).unwrap();
-        assert_eq!(m.available(), 0);
-        // ...but one more byte fails, reporting the precise state.
-        let err = m.alloc(1).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::MemoryExceeded {
-                rank: 2,
-                requested: 1,
-                in_use: 100,
-                capacity: 100,
-            }
-        );
-        // A failed alloc must not perturb the accounting.
-        assert_eq!(m.in_use(), 100);
-        assert_eq!(m.high_water(), 100);
-        // Freeing the exact amount returns to empty; high-water sticks.
-        m.free(100);
+        m.stage(3);
+        m.unstage(7);
         assert_eq!(m.in_use(), 0);
-        assert_eq!(m.available(), 100);
-        assert_eq!(m.high_water(), 100);
+        assert_eq!(m.high_water(), 3, "the peak outlives the release");
     }
 
     #[test]
     fn mem_tracker_zero_sized_allocs_are_free() {
-        let mut m = MemTracker::new(10, 0);
-        m.alloc(0).unwrap();
+        let mut m = MemTracker::new(10);
+        m.stage(0);
         assert_eq!(m.in_use(), 0);
         assert_eq!(m.high_water(), 0);
-        m.alloc(10).unwrap();
-        m.alloc(0).unwrap(); // still fine at full capacity
+        m.stage(10);
+        m.stage(0);
         assert_eq!(m.in_use(), 10);
-    }
-
-    #[test]
-    fn mem_tracker_pressure_shrinks_effective_capacity() {
-        let mut m = MemTracker::new(100, 1);
-        m.alloc(40).unwrap();
-        m.set_pressure(50);
-        assert_eq!(m.effective_capacity(), 50);
-        assert_eq!(m.available(), 10);
-        // Request that fits raw capacity but not pressured capacity.
-        let err = m.alloc(20).unwrap_err();
-        assert!(matches!(err, SimError::MemoryExceeded { capacity: 50, .. }));
-        // Pressure beyond capacity clamps; available saturates at zero.
-        m.set_pressure(1_000);
-        assert_eq!(m.pressure(), 100);
-        assert_eq!(m.available(), 0);
-        // Clearing pressure restores the full node.
-        m.set_pressure(0);
-        m.alloc(20).unwrap();
-        assert_eq!(m.in_use(), 60);
+        assert_eq!(m.high_water(), 10);
     }
 }

@@ -38,7 +38,7 @@ use std::time::Duration;
 use crate::config::ClusterSpec;
 use crate::disk::{DiskStore, MemTracker, VarId};
 use crate::error::{SimError, SimResult};
-use crate::fault::{CrashSpec, FaultKind, FaultPlan, RankFaults};
+use crate::fault::{CrashSpec, FaultKind, RankFaults};
 use crate::noise::NoiseStream;
 use crate::time::{SimDur, SimTime};
 use crate::trace::{Event, EventKind, RankTrace};
@@ -169,12 +169,11 @@ impl SimKernel {
             now: SimTime::ZERO,
             kernel: Arc::clone(self),
             noise: NoiseStream::new(&self.spec.noise, self.spec.seed, rank),
-            faults: FaultPlan::new(&self.spec.faults, self.spec.seed).rank(rank),
-            last_slow_window: None,
+            faults: RankFaults::new(&self.spec.faults, self.spec.seed, rank),
             iteration: 0,
             degrade_mask: 0,
             disk: DiskStore::new(),
-            mem: MemTracker::new(self.spec.nodes[rank].memory_bytes, rank),
+            mem: MemTracker::new(self.spec.nodes[rank].memory_bytes),
             events: tracing.then(Vec::new),
             prefetches: HashMap::new(),
             next_prefetch: 0,
@@ -212,9 +211,6 @@ pub struct RankCtx {
     kernel: Arc<SimKernel>,
     noise: NoiseStream,
     faults: RankFaults,
-    /// Last slowdown window recorded in the trace, so each window entry
-    /// is logged exactly once.
-    last_slow_window: Option<u64>,
     /// Current application iteration, advanced by
     /// [`RankCtx::note_iteration`]; iteration-triggered degrades key
     /// off this.
@@ -266,27 +262,6 @@ impl RankCtx {
         &self.kernel.spec.nodes[self.rank]
     }
 
-    /// The memory tracker for this node, with any injected
-    /// memory-pressure spike for the current virtual instant applied.
-    #[must_use]
-    pub fn mem(&mut self) -> &mut MemTracker {
-        let p = self.faults.pressure_at(self.now);
-        if p != self.mem.pressure() {
-            self.mem.set_pressure(p);
-            if p > 0 {
-                let t = self.now;
-                self.record_span(
-                    t,
-                    t,
-                    EventKind::Fault {
-                        fault: FaultKind::MemPressure { bytes: p },
-                    },
-                );
-            }
-        }
-        &mut self.mem
-    }
-
     fn record(&mut self, start: SimTime, kind: EventKind) {
         let end = self.now;
         self.record_span(start, end, kind);
@@ -326,28 +301,9 @@ impl RankCtx {
         } else {
             1.0
         };
-        // Injected background-load slowdown: a window-entry fault event
-        // is recorded once per window, and the whole computation is
-        // scaled by the window's factor.
-        let slow_factor = match self.faults.slowdown_at(start) {
-            Some((win, factor)) => {
-                if self.last_slow_window != Some(win) {
-                    self.last_slow_window = Some(win);
-                    self.record_span(
-                        start,
-                        start,
-                        EventKind::Fault {
-                            fault: FaultKind::Slowdown { factor },
-                        },
-                    );
-                }
-                factor
-            }
-            None => 1.0,
-        };
-        // Scheduled persistent degradation: transitions (activation and
-        // recovery) are recorded once, and the factor multiplies the
-        // whole computation alongside the stochastic slowdown windows.
+        // Scheduled degradation: transitions (activation and recovery)
+        // are recorded once, and the factor multiplies the whole
+        // computation.
         let degrade_factor = if self.faults.has_degrades() {
             let (mask, factor) = self.faults.degrades_at(self.iteration, start);
             if mask != self.degrade_mask {
@@ -366,7 +322,6 @@ impl RankCtx {
         let cost = work_units * self.kernel.spec.compute_ns_per_unit
             / self.kernel.spec.nodes[self.rank].cpu_power
             * cache_factor
-            * slow_factor
             * degrade_factor;
         let d = SimDur::from_nanos_f64(self.noise.perturb(cost));
         self.now += d;
@@ -1271,35 +1226,88 @@ mod tests {
         ));
     }
 
+    /// A time-triggered degrade window: a compute that starts inside
+    /// `[from_ns, until_ns)` costs `factor` times as much; every other
+    /// compute, and the other rank, is untouched.
     #[test]
     fn slowdown_windows_inflate_compute_time() {
-        let clean = quiet_spec(1);
-        let mut slow = clean.clone();
-        slow.faults.slowdown_rate = 0.5;
-        slow.faults.slowdown_factor = 2.0;
-        slow.faults.slowdown_period_ns = 1.0e5;
+        let clean = quiet_spec(2);
         let body = |ctx: &mut RankCtx| {
-            for _ in 0..200 {
-                ctx.compute(100.0, u64::MAX);
+            let mut starts_and_costs = Vec::new();
+            for _ in 0..10 {
+                let start = ctx.now().as_nanos();
+                starts_and_costs.push((start, ctx.compute(1_000.0, u64::MAX).as_nanos()));
             }
-            Ok(())
+            Ok(starts_and_costs)
         };
         let a = run_cluster(&clean, true, body).unwrap();
+        let d = a.results[0][0].1;
+        let (from, until) = (d * 5 / 2, d * 8);
+        let mut slow = clean.clone();
+        slow.faults.degrades = vec![crate::fault::DegradeSpec::at_time(0, from, 4.0)
+            .recovering(crate::fault::RecoverSpec::at_time(until))];
         let b = run_cluster(&slow, true, body).unwrap();
-        assert!(
-            b.makespan() > a.makespan(),
-            "slowdown windows must cost time: {} vs {}",
-            b.makespan(),
-            a.makespan()
-        );
-        assert!(
-            b.traces[0]
-                .faults()
-                .iter()
-                .any(|f| matches!(f, FaultKind::Slowdown { .. })),
-            "window entries must be traced"
+        let mut inside = 0;
+        for (&(start, cost), &(_, clean_cost)) in b.results[0].iter().zip(&a.results[0]) {
+            let want = if (from..until).contains(&start) {
+                inside += 1;
+                4.0
+            } else {
+                1.0
+            };
+            let ratio = cost as f64 / clean_cost as f64;
+            assert!(
+                (ratio - want).abs() < 0.01,
+                "compute at {start} ns: ratio {ratio}, want {want}"
+            );
+        }
+        assert_eq!(inside, 2, "the window covers the 4th and 5th computes");
+        assert_eq!(b.results[1], a.results[1], "rank 1 unaffected");
+        let faults = b.traces[0].faults();
+        assert_eq!(
+            faults,
+            vec![FaultKind::Degrade { factor: 4.0 }, FaultKind::DegradeEnd],
+            "exactly one activation and one recovery transition"
         );
         assert_eq!(a.traces[0].fault_count(), 0, "clean run has no faults");
+        assert_eq!(b.traces[1].fault_count(), 0);
+    }
+
+    /// A degrade past the 64-bit transition mask would slow its rank
+    /// without ever being traced, so a spec with more than 64 is
+    /// refused before anything runs.
+    #[test]
+    fn a_degrade_past_the_transition_mask_is_refused() {
+        use crate::fault::{DegradeSpec, RecoverSpec};
+        let body = |ctx: &mut RankCtx| {
+            let mut per_iter = Vec::new();
+            for it in 0..6u32 {
+                ctx.note_iteration(it);
+                per_iter.push(ctx.compute(1_000.0, u64::MAX).as_nanos());
+            }
+            Ok(per_iter)
+        };
+        // 63 degrades on rank 1 that never start, then rank 0's: the
+        // 64th entry takes the mask's last bit and is traced.
+        let mut spec = quiet_spec(2);
+        spec.faults.degrades = vec![DegradeSpec::at_iteration(1, u32::MAX, 2.0); 63];
+        spec.faults
+            .degrades
+            .push(DegradeSpec::at_iteration(0, 2, 4.0).recovering(RecoverSpec::at_iteration(4)));
+        let run = run_cluster(&spec, true, body).unwrap();
+        assert_eq!(run.results[0][2], 4 * run.results[0][0]);
+        assert_eq!(
+            run.traces[0].faults(),
+            vec![FaultKind::Degrade { factor: 4.0 }, FaultKind::DegradeEnd]
+        );
+        // One more ahead of it would push rank 0's to index 64.
+        spec.faults
+            .degrades
+            .insert(0, DegradeSpec::at_iteration(1, u32::MAX, 2.0));
+        assert!(matches!(
+            run_cluster(&spec, true, body),
+            Err(SimError::InvalidConfig(msg)) if msg.contains("65 degrades")
+        ));
     }
 
     #[test]
@@ -1375,31 +1383,6 @@ mod tests {
                 .iter()
                 .any(|f| matches!(f, FaultKind::MessageResend { to: 1, .. })),
             "resends must be traced on the sender"
-        );
-    }
-
-    #[test]
-    fn mem_pressure_spikes_reach_the_tracker() {
-        let mut spec = quiet_spec(1);
-        spec.faults.mem_pressure_rate = 0.8;
-        spec.faults.mem_pressure_bytes = 4096;
-        spec.faults.slowdown_period_ns = 1.0e5;
-        let run = run_cluster(&spec, true, |ctx| {
-            let mut seen = 0u64;
-            for _ in 0..100 {
-                ctx.charge(SimDur::from_nanos(100_000));
-                seen = seen.max(ctx.mem().pressure());
-            }
-            Ok(seen)
-        })
-        .unwrap();
-        assert_eq!(run.results[0], 4096, "pressure spike must be visible");
-        assert!(
-            run.traces[0]
-                .faults()
-                .iter()
-                .any(|f| matches!(f, FaultKind::MemPressure { bytes: 4096 })),
-            "pressure transitions must be traced"
         );
     }
 
@@ -2012,8 +1995,14 @@ mod tests {
                     spec.faults.msg_resend_rate = 0.3;
                     spec.faults.disk_read_fault_rate = 0.2;
                     spec.faults.disk_write_fault_rate = 0.2;
-                    spec.faults.slowdown_rate = 0.3;
-                    spec.faults.slowdown_period_ns = 1.0e5;
+                    // A degrade window whose rank and start the seed picks.
+                    let from = seed % 200_000;
+                    spec.faults.degrades = vec![crate::fault::DegradeSpec::at_time(
+                        (seed % n as u64) as usize,
+                        from,
+                        1.5,
+                    )
+                    .recovering(crate::fault::RecoverSpec::at_time(from + 300_000))];
                 }
                 // Any rank but the last may be scheduled to die (somebody
                 // has to be there to notice).

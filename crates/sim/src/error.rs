@@ -20,14 +20,6 @@ pub enum SimError {
     /// Every live rank is blocked waiting for a message or barrier that
     /// can never arrive: the simulated program has deadlocked.
     Deadlock { detail: String },
-    /// A rank's memory tracker was over-subscribed beyond the node's
-    /// configured capacity.
-    MemoryExceeded {
-        rank: usize,
-        requested: u64,
-        in_use: u64,
-        capacity: u64,
-    },
     /// Cluster configuration failed validation.
     InvalidConfig(String),
     /// An injected transient disk I/O failure; retryable. `attempt` is
@@ -73,16 +65,6 @@ impl fmt::Display for SimError {
                 offset + len
             ),
             SimError::Deadlock { detail } => write!(f, "simulated deadlock: {detail}"),
-            SimError::MemoryExceeded {
-                rank,
-                requested,
-                in_use,
-                capacity,
-            } => write!(
-                f,
-                "node {rank} memory exceeded: requested {requested} B with {in_use} B in use \
-                 of {capacity} B capacity"
-            ),
             SimError::InvalidConfig(msg) => write!(f, "invalid cluster config: {msg}"),
             SimError::TransientIo { rank, var, attempt } => write!(
                 f,
@@ -124,13 +106,6 @@ mod tests {
             extent: 12,
         };
         assert!(e.to_string().contains("[10, 15)"));
-        let e = SimError::MemoryExceeded {
-            rank: 1,
-            requested: 100,
-            in_use: 50,
-            capacity: 120,
-        };
-        assert!(e.to_string().contains("node 1"));
     }
 
     /// Every variant's `Display` must carry its distinguishing fields;
@@ -160,15 +135,6 @@ mod tests {
                     detail: "all ranks blocked".into(),
                 },
                 vec!["deadlock", "all ranks blocked"],
-            ),
-            (
-                SimError::MemoryExceeded {
-                    rank: 1,
-                    requested: 100,
-                    in_use: 50,
-                    capacity: 120,
-                },
-                vec!["node 1", "100 B", "50 B", "120 B"],
             ),
             (
                 SimError::InvalidConfig("bad amplitude".into()),

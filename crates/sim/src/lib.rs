@@ -62,7 +62,7 @@ pub use engine::{
     run_cluster, run_in_rank_order, ClusterRun, Payload, Prefetch, RankCtx, SimKernel,
 };
 pub use error::{SimError, SimResult};
-pub use fault::{CrashSpec, DegradeSpec, FaultKind, FaultPlan, FaultSpec, RankFaults, RecoverSpec};
+pub use fault::{CrashSpec, DegradeSpec, FaultKind, FaultSpec, RankFaults, RecoverSpec};
 pub use time::{SimDur, SimTime};
 pub use timeline::render as render_timeline;
 pub use trace::{Event, EventKind, RankTrace, RecoveryKind, RecoverySpan};

@@ -268,21 +268,15 @@ pub fn twelve_prefetch_architectures() -> Vec<ClusterSpec> {
 }
 
 /// A moderate, deterministic fault profile for robustness experiments:
-/// occasional transient disk errors, rare message retransmits, and
-/// background-load windows on a 1 ms grain. Rates are low enough that
-/// retry-enabled runs always converge, high enough that every fault
-/// class fires in a typical application run.
+/// occasional transient disk errors and rare message retransmits.
+/// Rates are low enough that retry-enabled runs always converge, high
+/// enough that both classes fire in a typical application run.
 #[must_use]
 pub fn standard_fault_profile() -> FaultSpec {
     FaultSpec {
         disk_read_fault_rate: 0.05,
         disk_write_fault_rate: 0.03,
         msg_resend_rate: 0.02,
-        slowdown_rate: 0.10,
-        slowdown_factor: 1.5,
-        slowdown_period_ns: 1.0e6,
-        mem_pressure_rate: 0.05,
-        mem_pressure_bytes: SMALL_MEMORY / 4,
         ..FaultSpec::default()
     }
 }
@@ -310,25 +304,6 @@ pub fn with_degrade(mut base: ClusterSpec, rank: usize, it: u32, factor: f64) ->
     base
 }
 
-/// `base` with the given fault profile applied; the name gains a
-/// `+flt` suffix so result tables distinguish degraded runs.
-#[must_use]
-pub fn with_faults(mut base: ClusterSpec, faults: FaultSpec) -> ClusterSpec {
-    base.name = format!("{}+flt", base.name);
-    base.faults = faults;
-    base
-}
-
-/// Faulty variants of the four Table 1 configurations, each under the
-/// [`standard_fault_profile`].
-#[must_use]
-pub fn faulty_four() -> Vec<ClusterSpec> {
-    [dc(), io(), hy1(), hy2()]
-        .into_iter()
-        .map(|a| with_faults(a, standard_fault_profile()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,14 +328,18 @@ mod tests {
 
     #[test]
     fn faulty_presets_validate_and_are_marked() {
-        for a in faulty_four() {
+        for mut a in [dc(), io(), hy1(), hy2()] {
+            a.faults = standard_fault_profile();
             a.validate().unwrap_or_else(|e| panic!("{}: {e}", a.name));
-            assert!(a.name.ends_with("+flt"), "name {} not marked", a.name);
-            assert!(a.faults.any_enabled());
         }
         // Plain presets stay fault-free.
         for a in seventeen_architectures() {
-            assert!(!a.faults.any_enabled(), "{} unexpectedly faulty", a.name);
+            assert_eq!(
+                a.faults,
+                FaultSpec::default(),
+                "{} unexpectedly faulty",
+                a.name
+            );
         }
     }
 

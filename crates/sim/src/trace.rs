@@ -44,8 +44,8 @@ pub enum EventKind {
     },
     /// An injected fault (see [`crate::fault`]). The interval covers
     /// any virtual time the fault itself consumed (e.g. the wasted seek
-    /// of a failed disk attempt); instantaneous faults such as window
-    /// entries are recorded as zero-length events.
+    /// of a failed disk attempt); instantaneous faults such as degrade
+    /// transitions are recorded as zero-length events.
     Fault { fault: FaultKind },
     /// Memory-in-use level change on this rank's [`MemTracker`]
     /// (I/O staging buffers entering or leaving use). Zero-length
@@ -329,7 +329,7 @@ mod tests {
                     5,
                     5,
                     EventKind::Fault {
-                        fault: FaultKind::Slowdown { factor: 1.5 },
+                        fault: FaultKind::Degrade { factor: 1.5 },
                     },
                 ),
                 ev(
@@ -347,7 +347,7 @@ mod tests {
         assert_eq!(
             t.faults(),
             vec![
-                FaultKind::Slowdown { factor: 1.5 },
+                FaultKind::Degrade { factor: 1.5 },
                 FaultKind::ReadFault { var: 2, attempt: 1 },
             ]
         );

@@ -1,6 +1,6 @@
 //! Fault injection end to end: deterministic fault schedules, the
 //! retry/backoff I/O layer, fault visibility in traces and hooks,
-//! degradation of MHETA's accuracy under rising fault rates, and
+//! degradation of MHETA's accuracy as a slow spell lengthens, and
 //! searches that tolerate failing evaluations.
 //!
 //! ```text
@@ -14,7 +14,7 @@ use mheta::mpi::{
     run_app, ExecMode, HookEvent, NullRecorder, RetryPolicy, RunOptions, VecRecorder,
 };
 use mheta::prelude::*;
-use mheta::sim::{FaultKind, FaultSpec, SimError};
+use mheta::sim::{DegradeSpec, FaultKind, FaultSpec, RecoverSpec, SimError};
 
 fn main() {
     let mut spec = ClusterSpec::homogeneous(4);
@@ -45,9 +45,9 @@ fn main() {
         disk_read_fault_rate: 0.25,
         disk_write_fault_rate: 0.15,
         msg_resend_rate: 0.25,
-        slowdown_rate: 0.40,
-        slowdown_factor: 1.5,
-        slowdown_period_ns: 1.0e4,
+        degrades: vec![
+            DegradeSpec::at_time(2, 10_000_000, 1.5).recovering(RecoverSpec::at_time(30_000_000))
+        ],
         ..FaultSpec::default()
     };
     let run = run_app(
@@ -93,11 +93,11 @@ fn main() {
         .sum();
     println!("fault events recorded in the rank traces:");
     println!(
-        "  read faults {}, write faults {}, resends {}, slowdowns {}",
+        "  read faults {}, write faults {}, resends {}, degrades {}",
         count(|f| matches!(f, FaultKind::ReadFault { .. })),
         count(|f| matches!(f, FaultKind::WriteFault { .. })),
         count(|f| matches!(f, FaultKind::MessageResend { .. })),
-        count(|f| matches!(f, FaultKind::Slowdown { .. })),
+        count(|f| matches!(f, FaultKind::Degrade { .. })),
     );
     println!("  retry hook events observed by the MPI-Jack layer: {retries}\n");
 
@@ -121,21 +121,24 @@ fn main() {
     assert!(matches!(err, SimError::TransientIo { .. }));
     println!("with RetryPolicy::none() the app fails loudly:\n  {err}\n");
 
-    // ---- 4. Model error degrades smoothly with the fault rate. ------
+    // ---- 4. Model error grows smoothly with a slow spell. ----------
     let model = build_model(&bench, &spec, false).expect("model");
     let predicted = model.predict(dist.rows()).expect("predict").app_secs(iters);
-    println!("prediction error vs background slowdown rate:");
-    for rate in [0.0, 0.15, 0.30, 0.45] {
+    // A degrade window: rank 1 runs 1.6x slower from t = 6 ms (the
+    // first sweep starts at 6.4 ms, once the initial data is on disk).
+    println!("prediction error vs the length of a 1.6x slow spell on rank 1:");
+    for len_ns in [0, 1_000_000, 2_000_000, 3_000_000] {
         let mut s = spec.clone();
-        s.faults.slowdown_rate = rate;
-        s.faults.slowdown_factor = 1.6;
-        s.faults.slowdown_period_ns = 1.0e5;
+        if len_ns > 0 {
+            s.faults.degrades = vec![DegradeSpec::at_time(1, 6_000_000, 1.6)
+                .recovering(RecoverSpec::at_time(6_000_000 + len_ns))];
+        }
         let actual = run_measured(&bench, &s, &dist, iters, false)
             .expect("run")
             .secs;
         println!(
-            "  rate {:>4.2}: actual {:>9.6} s, error {:>5.1}%",
-            rate,
+            "  {:>4.2} ms: actual {:>9.6} s, error {:>5.1}%",
+            len_ns as f64 / 1.0e6,
             actual,
             percent_difference(predicted, actual)
         );

@@ -14,7 +14,7 @@ use mheta::mpi::{
     run_app, ExecMode, HookEvent, NullRecorder, RetryPolicy, RunOptions, VecRecorder,
 };
 use mheta::prelude::*;
-use mheta::sim::{FaultKind, FaultSpec, SimError};
+use mheta::sim::{DegradeSpec, FaultKind, FaultSpec, RecoverSpec, SimError};
 
 fn quiet(n: usize, seed: u64) -> ClusterSpec {
     let mut spec = ClusterSpec::homogeneous(n);
@@ -23,18 +23,16 @@ fn quiet(n: usize, seed: u64) -> ClusterSpec {
     spec
 }
 
-/// Moderate rates: every class fires in a typical run, yet the default
-/// retry policy always converges.
+/// Moderate rates and one degrade window: every class fires in a
+/// typical run, yet the default retry policy always converges.
 fn moderate_faults() -> FaultSpec {
     FaultSpec {
         disk_read_fault_rate: 0.10,
         disk_write_fault_rate: 0.05,
         msg_resend_rate: 0.05,
-        slowdown_rate: 0.20,
-        slowdown_factor: 1.5,
-        slowdown_period_ns: 1.0e5,
-        mem_pressure_rate: 0.10,
-        mem_pressure_bytes: 64 * 1024,
+        degrades: vec![
+            DegradeSpec::at_time(1, 6_000_000, 1.5).recovering(RecoverSpec::at_time(9_000_000))
+        ],
         ..FaultSpec::default()
     }
 }
@@ -87,11 +85,9 @@ fn faults_are_visible_in_traces_and_retry_hooks() {
         disk_read_fault_rate: 0.30,
         disk_write_fault_rate: 0.20,
         msg_resend_rate: 0.30,
-        slowdown_rate: 0.50,
-        slowdown_factor: 1.5,
-        slowdown_period_ns: 1.0e4,
-        mem_pressure_rate: 0.0,
-        mem_pressure_bytes: 0,
+        degrades: vec![
+            DegradeSpec::at_time(2, 10_000_000, 1.5).recovering(RecoverSpec::at_time(30_000_000))
+        ],
         ..FaultSpec::default()
     };
 
@@ -139,7 +135,7 @@ fn faults_are_visible_in_traces_and_retry_hooks() {
     assert!(has(|f| matches!(f, FaultKind::ReadFault { .. })));
     assert!(has(|f| matches!(f, FaultKind::WriteFault { .. })));
     assert!(has(|f| matches!(f, FaultKind::MessageResend { .. })));
-    assert!(has(|f| matches!(f, FaultKind::Slowdown { .. })));
+    assert!(has(|f| matches!(f, FaultKind::Degrade { .. })));
     for t in &run.traces {
         assert!(t.is_monotone(), "rank {} trace not monotone", t.rank);
     }
@@ -571,11 +567,14 @@ fn prediction_error_degrades_smoothly_with_fault_rate() {
 
     let mut actuals = Vec::new();
     let mut errors = Vec::new();
-    for rate in [0.0, 0.15, 0.30, 0.45] {
+    // Jacobi's first sweep starts at 6.4 ms, after the initial data
+    // reaches the disks.
+    for len_ns in [0, 1_000_000, 2_000_000, 3_000_000] {
         let mut spec = clean.clone();
-        spec.faults.slowdown_rate = rate;
-        spec.faults.slowdown_factor = 1.6;
-        spec.faults.slowdown_period_ns = 1.0e5;
+        if len_ns > 0 {
+            spec.faults.degrades = vec![DegradeSpec::at_time(1, 6_000_000, 1.6)
+                .recovering(RecoverSpec::at_time(6_000_000 + len_ns))];
+        }
         let actual = run_measured(&bench, &spec, &blk, iters, false)
             .unwrap()
             .secs;
@@ -583,28 +582,28 @@ fn prediction_error_degrades_smoothly_with_fault_rate() {
         errors.push(percent_difference(predicted, actual));
     }
 
-    // The slowdown windows at a lower rate are a subset of those at a
-    // higher rate (stateless hash thresholding), so degradation is
-    // monotone: more background load, longer runs, larger model error.
+    // Each degrade window holds the shorter ones (same start, later
+    // end), so degradation is monotone: a longer slow spell, a longer
+    // run, a larger model error.
     assert!(errors[0] < 10.0, "clean-run error too large: {errors:?}");
     for w in actuals.windows(2) {
         assert!(
             w[1] >= w[0] * 0.999,
-            "actual time decreased with fault rate: {actuals:?}"
+            "actual time decreased as the window grew: {actuals:?}"
         );
     }
     assert!(
         actuals[3] > actuals[0],
-        "heaviest fault rate did not slow the run: {actuals:?}"
+        "the longest window did not slow the run: {actuals:?}"
     );
     for w in errors.windows(2) {
         assert!(
             w[1] >= w[0] - 1.0,
-            "error fell sharply as faults rose: {errors:?}"
+            "error fell sharply as the window grew: {errors:?}"
         );
     }
     assert!(
         errors[3] > errors[0],
-        "error did not grow with fault rate: {errors:?}"
+        "error did not grow with the window: {errors:?}"
     );
 }

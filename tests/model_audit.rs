@@ -15,7 +15,7 @@
 
 use mheta::obs::AuditReport;
 use mheta::prelude::*;
-use mheta::sim::FaultSpec;
+use mheta::sim::{DegradeSpec, FaultSpec, RecoverSpec};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -47,17 +47,16 @@ fn quiet(n: usize, seed: u64) -> ClusterSpec {
 }
 
 /// The fault plan used by the "faulty" audit cases: every fault class
-/// enabled at a moderate rate.
-fn faults() -> FaultSpec {
+/// enabled at a moderate rate, and a degrade window whose rank and
+/// start `seed` picks.
+fn faults(seed: u64) -> FaultSpec {
+    let from = 6_000_000 + seed % 2_000_000;
     FaultSpec {
         disk_read_fault_rate: 0.10,
         disk_write_fault_rate: 0.05,
         msg_resend_rate: 0.05,
-        slowdown_rate: 0.20,
-        slowdown_factor: 1.5,
-        slowdown_period_ns: 1.0e5,
-        mem_pressure_rate: 0.10,
-        mem_pressure_bytes: 64 * 1024,
+        degrades: vec![DegradeSpec::at_time((seed % 4) as usize, from, 1.5)
+            .recovering(RecoverSpec::at_time(from + 2_000_000))],
         ..FaultSpec::default()
     }
 }
@@ -134,7 +133,7 @@ proptest! {
         let iters = 2;
         let model = build_model(&bench, &spec, false).unwrap();
         if faulty {
-            spec.faults = faults();
+            spec.faults = faults(seed);
         }
         let blk = GenBlock::block(bench.total_rows(), spec.len());
         let pred = model.predict(blk.rows()).unwrap();

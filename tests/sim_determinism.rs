@@ -74,22 +74,21 @@ fn noise_amplitude_bounds_run_to_run_spread() {
 
 mod trace_invariants {
     use super::*;
-    use mheta::sim::FaultSpec;
+    use mheta::sim::{DegradeSpec, FaultSpec, RecoverSpec};
     use proptest::prelude::*;
 
     fn faulty(seed: u64) -> ClusterSpec {
         let mut spec = hybrid(seed);
         // Starve two nodes so disk I/O (and thus disk faults) actually
-        // occurs, and turn every fault class on.
+        // occurs, and turn every fault class on: the seed picks the
+        // degrade window's rank and start.
+        let from = 6_000_000 + seed % 2_000_000;
         spec.faults = FaultSpec {
             disk_read_fault_rate: 0.10,
             disk_write_fault_rate: 0.05,
             msg_resend_rate: 0.05,
-            slowdown_rate: 0.20,
-            slowdown_factor: 1.5,
-            slowdown_period_ns: 1.0e5,
-            mem_pressure_rate: 0.10,
-            mem_pressure_bytes: 64 * 1024,
+            degrades: vec![DegradeSpec::at_time((seed % 4) as usize, from, 1.5)
+                .recovering(RecoverSpec::at_time(from + 2_000_000))],
             ..FaultSpec::default()
         };
         spec
