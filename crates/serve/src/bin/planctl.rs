@@ -25,11 +25,12 @@
 //! restarting) and the structured `overloaded` and `draining` sheds. A
 //! `search` failure is not retried: the daemon caches the ones that are
 //! pure functions of the request, so a retry would get the same answer.
-//! Each retry backs off exponentially from 50 ms
-//! with ±25% jitter, floored at the server's `retry_after_ms` hint
-//! when one was given; `--timeout-ms` caps the total time spent
-//! including backoffs (0 = no cap). Retries reuse the same request
-//! (and trace), so the daemon sees one trace ID across all attempts.
+//! Each retry backs off exponentially from 50 ms, or by the server's
+//! `retry_after_ms` hint when that is longer, plus up to 25% jitter
+//! above it, so a retry never comes before the hint; `--timeout-ms`
+//! caps the total time spent including backoffs (0 = no cap). Retries
+//! reuse the same request (and trace), so the daemon sees one trace ID
+//! across all attempts.
 //!
 //! `plan` mints a client-side root trace and propagates it in the
 //! request's `trace` object; the trace ID is echoed on stderr so the
@@ -194,18 +195,23 @@ fn retryable_shed(response: &Value) -> Option<(&str, Option<u64>)> {
     }
 }
 
-/// Exponential backoff from 50 ms with ±25% jitter, floored at the
-/// server's `retry_after_ms` hint. The jitter source is the subsecond
-/// wall clock — enough to de-synchronize a fleet of retrying clients
-/// without an RNG.
-fn backoff(attempt_no: u32, server_hint: Option<u64>) -> Duration {
+/// The delay before retry `attempt_no` (0-based): exponential from
+/// 50 ms, or the server's `retry_after_ms` hint when that is longer,
+/// plus up to a quarter of it again as jitter picked by `entropy`.
+/// Never below the hint, and spread above it, so a fleet of shed
+/// clients does not come back at the same instant.
+fn backoff(attempt_no: u32, server_hint: Option<u64>, entropy: u64) -> Duration {
     let base = 50u64.saturating_mul(1 << attempt_no.min(6));
     let nominal = base.max(server_hint.unwrap_or(0)).max(1);
-    let jitter_span = (nominal / 2).max(1);
-    let nanos = SystemTime::now()
+    Duration::from_millis(nominal + entropy % (nominal / 4 + 1))
+}
+
+/// Jitter source for [`backoff`]: the subsecond wall clock, enough to
+/// de-synchronize retrying clients without an RNG.
+fn entropy() -> u64 {
+    SystemTime::now()
         .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| u64::from(d.subsec_nanos()));
-    Duration::from_millis(nominal - nominal / 4 + nanos % jitter_span)
+        .map_or(0, |d| u64::from(d.subsec_nanos()))
 }
 
 struct Retry {
@@ -302,7 +308,7 @@ fn main() -> ExitCode {
         match attempt(&addr, &request_json) {
             Ok(response) => {
                 if let Some((kind, hint)) = retryable_shed(&response) {
-                    let delay = backoff(retry.used, hint);
+                    let delay = backoff(retry.used, hint, entropy());
                     if retry.backoff_or_give_up(delay, &format!("shed ({kind})")) {
                         continue;
                     }
@@ -310,7 +316,7 @@ fn main() -> ExitCode {
                 break response;
             }
             Err(AttemptError::Transient(msg)) => {
-                let delay = backoff(retry.used, None);
+                let delay = backoff(retry.used, None, entropy());
                 if retry.backoff_or_give_up(delay, &msg) {
                     continue;
                 }
@@ -348,5 +354,42 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_never_retries_before_the_server_hint_and_spreads_above_it() {
+        for hint in [1, 7, 50, 200, 1_000, 10_000] {
+            for attempt_no in 0..4 {
+                let delays: Vec<u64> = (0..1_000)
+                    .map(|e| backoff(attempt_no, Some(hint), e * 7_919).as_millis() as u64)
+                    .collect();
+                let nominal = hint.max(50 << attempt_no);
+                assert!(
+                    delays
+                        .iter()
+                        .all(|&d| d >= hint && d <= nominal + nominal / 4),
+                    "hint {hint} ms, retry {attempt_no}: {:?}..{:?}",
+                    delays.iter().min(),
+                    delays.iter().max()
+                );
+                let spread = delays.iter().max().unwrap() - delays.iter().min().unwrap();
+                assert!(
+                    spread >= nominal / 4 / 2,
+                    "hint {hint} ms: spread {spread} ms"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn backoff_without_a_hint_doubles_from_fifty_ms_up_to_a_cap() {
+        for (attempt_no, nominal) in [(0, 50), (1, 100), (2, 200), (6, 3_200), (9, 3_200)] {
+            assert_eq!(backoff(attempt_no, None, 0).as_millis(), nominal);
+        }
     }
 }

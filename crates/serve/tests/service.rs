@@ -24,6 +24,18 @@ fn small_request(seed: u64) -> PlanRequest {
     }
 }
 
+/// `(series, value)` for each sample of a Prometheus exposition; the
+/// series is the metric name with its labels.
+fn prom_samples(text: &str) -> Vec<(&str, f64)> {
+    text.lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let (series, value) = l.rsplit_once(' ').unwrap();
+            (series, value.parse().unwrap_or_else(|e| panic!("{l}: {e}")))
+        })
+        .collect()
+}
+
 #[test]
 fn concurrent_identical_requests_coalesce_to_one_search() {
     let planner = Arc::new(Planner::new(PlannerConfig {
@@ -369,16 +381,20 @@ fn wire_round_trip_metrics_and_dump() {
         from_str(line.trim_end()).expect("daemon speaks JSON")
     };
 
-    // One traced plan so the telemetry has something to show.
-    let reply = round_trip(
-        r#"{"op":"plan","app":{"name":"jacobi","size":"small"},"arch":"DC","search":{"evals":24,"seed":4},"trace":{"trace_id":"00c0ffee00c0ffee","span_id":"1"}}"#,
-    );
-    assert_eq!(reply.get("ok"), Some(&Value::Bool(true)));
-    assert_eq!(
-        reply.get("trace_id").unwrap().as_str(),
-        Some("00c0ffee00c0ffee"),
-        "the reply echoes the propagated trace"
-    );
+    // One traced plan, fresh and then cached, so the telemetry has
+    // something to show and each latency histogram holds two samples.
+    for source in ["fresh", "cache"] {
+        let reply = round_trip(
+            r#"{"op":"plan","app":{"name":"jacobi","size":"small"},"arch":"DC","search":{"evals":24,"seed":4},"trace":{"trace_id":"00c0ffee00c0ffee","span_id":"1"}}"#,
+        );
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(reply.get("source").unwrap().as_str(), Some(source));
+        assert_eq!(
+            reply.get("trace_id").unwrap().as_str(),
+            Some("00c0ffee00c0ffee"),
+            "the reply echoes the propagated trace"
+        );
+    }
 
     // `metrics` returns a well-formed Prometheus exposition.
     let metrics = round_trip(r#"{"op":"metrics"}"#);
@@ -392,6 +408,54 @@ fn wire_round_trip_metrics_and_dump() {
     assert!(text.contains("le=\"+Inf\""));
     assert!(text.contains("mheta_serve_cache_misses_total 1"));
     assert!(text.contains("mheta_serve_flight_written_total"));
+    // The fresh portfolio plan ran on the incremental evaluator: delta
+    // hits and full (rebase) evaluations, and both fallback series.
+    let samples = prom_samples(text);
+    let value = |series: &str| samples.iter().find(|s| s.0 == series).map(|s| s.1);
+    assert!(value("mheta_serve_delta_hits_total") > Some(0.0));
+    assert!(value("mheta_serve_delta_full_evals_total") > Some(0.0));
+    assert!(value(r#"mheta_serve_delta_fallbacks_total{kind="structural"}"#).is_some());
+    assert_eq!(
+        value(r#"mheta_serve_delta_fallbacks_total{kind="error"}"#),
+        Some(0.0)
+    );
+    // Every histogram family has `_sum`, `_count` and a `+Inf` bucket,
+    // and the buckets of each series are cumulative.
+    let histograms: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
+        .collect();
+    assert!(!histograms.is_empty());
+    for family in histograms {
+        let has = |suffix: &str, with: &str| {
+            let name = format!("{family}{suffix}");
+            samples
+                .iter()
+                .any(|s| s.0.starts_with(&name) && s.0.contains(with))
+        };
+        assert!(has("_sum", ""), "{family} has no _sum");
+        assert!(has("_count", ""), "{family} has no _count");
+        assert!(
+            has("_bucket{", r#"le="+Inf""#),
+            "{family} has no +Inf bucket"
+        );
+    }
+    let buckets = samples.iter().filter(|s| s.0.contains("_bucket{"));
+    let mut previous: Option<(&str, f64)> = None;
+    for &(series, count) in buckets {
+        let labels = &series[..series.find("le=").unwrap()];
+        if let Some((last_labels, last)) = previous {
+            assert!(
+                labels != last_labels || count >= last,
+                "non-cumulative buckets at {series}"
+            );
+        }
+        previous = Some((labels, count));
+    }
+    // The per-shard fast-fail guard that the failure cache replaced is
+    // gone, and so are its series (the name is split so that it appears
+    // nowhere in the source).
+    assert!(!text.contains(&["mheta_serve_", "breaker_"].concat()));
 
     // `dump` returns the flight-recorder document, and the trace we
     // propagated identifies this request's lifecycle events in it.
@@ -412,6 +476,7 @@ fn wire_round_trip_metrics_and_dump() {
     assert!(kinds.contains(&"request.received"), "kinds: {kinds:?}");
     assert!(kinds.contains(&"cache.miss"), "kinds: {kinds:?}");
     assert!(kinds.contains(&"search.done"), "kinds: {kinds:?}");
+    assert!(kinds.contains(&"cache.hit"), "kinds: {kinds:?}");
 
     let bye = round_trip(r#"{"op":"shutdown"}"#);
     assert_eq!(bye.get("ok"), Some(&Value::Bool(true)));

@@ -17,8 +17,12 @@
 //! cargo run --release --example adaptive_rebalance -- rejoin --telemetry
 //! ```
 //!
-//! Set `MHETA_SEED` to vary the noise seed (CI's chaos leg runs a
-//! scenario × seed matrix). With `--telemetry`, the run writes
+//! The example reports; it asserts nothing. `tests/adaptive_rebalance.rs`
+//! holds each scenario's adaptation under the preset's own noise seed,
+//! which the example runs at, and seeds 1, 2 and 3 (degrade by the gap
+//! test, the other three by
+//! `crash_rejoin_and_spare_scenarios_adapt_across_noise_seeds`). With
+//! `--telemetry`, the run writes
 //! `target/adaptive_<scenario>.perfetto.json` (suspicion counter
 //! tracks + dedicated rebalance track; open in ui.perfetto.dev) and
 //! `target/adaptive_<scenario>.metrics.json` (detector counters,
@@ -54,12 +58,6 @@ fn main() {
         seed: 0x4a43,
     };
     let mut spec = presets::dc();
-    if let Some(seed) = std::env::var("MHETA_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        spec.seed = seed;
-    }
     let powers: Vec<f64> = spec.nodes.iter().map(|n| n.cpu_power).collect();
     let mut layout0 = GenBlock::apportion(app.rows, &powers).rows().to_vec();
 
@@ -111,47 +109,6 @@ fn main() {
     if telemetry {
         write_telemetry(&scenario, &run);
     }
-
-    // CI's chaos leg runs this across scenarios × seeds: each scenario
-    // asserts the adaptation it exists to demonstrate.
-    let view = run
-        .outcomes
-        .iter()
-        .find(|o| o.alive)
-        .expect("survivors exist");
-    match scenario.as_str() {
-        "degrade" => {
-            assert!(!view.rebalances.is_empty(), "no rebalance committed");
-            assert!(
-                view.final_rows[DEGRADED_RANK] < layout0[DEGRADED_RANK],
-                "degraded rank kept its rows"
-            );
-            assert!(
-                run.measured.secs < baseline.measured.secs,
-                "adaptation did not pay for itself"
-            );
-        }
-        "crash" => {
-            assert_eq!(view.dead, vec![CRASHED_RANK], "crash not detected");
-            assert_eq!(view.final_rows[CRASHED_RANK], 0, "dead rank kept rows");
-        }
-        "rejoin" => {
-            assert!(
-                view.transitions.iter().any(|t| t.to.name() == "rejoined"),
-                "no rejoin detected"
-            );
-            assert!(view.rebalances.len() >= 2, "rows never handed back");
-        }
-        "spare" => {
-            assert!(
-                view.final_rows[7] > 0,
-                "hot spare never enlisted: {:?}",
-                view.final_rows
-            );
-        }
-        _ => unreachable!(),
-    }
-    println!("scenario {scenario}: OK");
 }
 
 fn report(run: &AdaptiveRun, baseline: &AdaptiveRun, layout0: &[usize]) {

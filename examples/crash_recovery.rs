@@ -7,14 +7,17 @@
 //! The interesting claim is the last one: the *re-prediction* made on
 //! the 7 survivors should track the simulated post-failure makespan as
 //! closely as the original prediction tracked the healthy cluster —
-//! the model doesn't care that the cluster shrank mid-run.
+//! the model doesn't care that the cluster shrank mid-run. The test
+//! `post_failure_reprediction_tracks_the_simulated_post_failure_makespan`
+//! in `tests/fault_injection.rs` holds this run to 5 % under the
+//! preset's own noise seed, which the example runs at, and seeds 1, 2
+//! and 3; the example only reports it.
 //!
 //! ```text
 //! cargo run --release --example crash_recovery
 //! ```
 //!
-//! Set `MHETA_SEED` to vary the noise seed (CI's chaos leg runs three),
-//! and find the recovery-annotated Perfetto trace afterwards at
+//! Find the recovery-annotated Perfetto trace afterwards at
 //! `target/crash_recovery.perfetto.json` (open in ui.perfetto.dev; the
 //! per-rank "recovery" track carries the checkpoint/rollback/
 //! redistribution/reprediction slices).
@@ -26,13 +29,7 @@ use mheta::prelude::*;
 fn main() {
     let app = Jacobi::default();
     let iters: u32 = 60;
-    let mut healthy = presets::dc();
-    if let Some(seed) = std::env::var("MHETA_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        healthy.seed = seed;
-    }
+    let healthy = presets::dc();
     let spec = presets::with_crash(healthy.clone(), 2, 40, 8);
     let dist = GenBlock::block(app.rows, spec.len());
 
@@ -100,11 +97,4 @@ fn main() {
     )
     .expect("write perfetto trace");
     println!("wrote {path}");
-
-    // CI's chaos leg runs this across seeds: hold the re-prediction to
-    // the same standard the paper holds the healthy prediction to.
-    assert!(
-        pct.abs() < 5.0,
-        "post-failure re-prediction off by {pct:+.2}% (acceptance: 5%)"
-    );
 }

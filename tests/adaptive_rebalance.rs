@@ -6,13 +6,16 @@
 //! rebalancing — must recover at least 60% of the makespan gap between
 //! the **static** CPU-power distribution (which keeps overloading the
 //! degraded node) and the **oracle** distribution (apportioned with the
-//! degraded weight from iteration 0). The result must be deterministic
-//! across seeds, and the detector must stay silent on fault-free runs.
+//! degraded weight from iteration 0). That holds across noise seeds,
+//! the result is deterministic, and the detector stays silent on
+//! fault-free runs. The crash, rejoin and spare scenarios of
+//! `examples/adaptive_rebalance.rs` each make the adaptation they exist
+//! to show, across the same noise seeds.
 
-use mheta_apps::{run_adaptive, AdaptiveConfig, AdaptiveRun, Jacobi};
+use mheta_apps::{run_adaptive, AdaptiveConfig, AdaptiveOutcome, AdaptiveRun, Jacobi};
 use mheta_dist::GenBlock;
-use mheta_sim::presets::{dc, with_degrade};
-use mheta_sim::ClusterSpec;
+use mheta_sim::presets::{dc, with_crash, with_degrade};
+use mheta_sim::{ClusterSpec, DegradeSpec, RecoverSpec};
 
 /// A baseline-power node: slow enough that overloading it hurts, and
 /// not one of the 0.5× nodes (whose degradation the static GEN_BLOCK
@@ -23,13 +26,24 @@ const DEGRADE_FACTOR: f64 = 4.0;
 /// learned before the fault begins.
 const DEGRADE_AT: u32 = 6;
 const ITERS: u32 = 40;
+/// The cluster's noise seeds (`ClusterSpec::seed`), which move virtual
+/// time; the grid's data seed does not. DC's own, which the example runs
+/// at, and three more.
+fn noise_seeds() -> [u64; 4] {
+    [dc().seed, 1, 2, 3]
+}
 
-fn app(seed: u64) -> Jacobi {
+fn app() -> Jacobi {
     Jacobi {
         rows: 128,
         cols: 16,
-        seed,
+        seed: 1,
     }
+}
+
+/// DC with noise seed `seed`.
+fn dc_seeded(seed: u64) -> ClusterSpec {
+    ClusterSpec { seed, ..dc() }
 }
 
 fn cpu_powers(spec: &ClusterSpec) -> Vec<f64> {
@@ -45,30 +59,36 @@ fn static_cfg() -> AdaptiveConfig {
     cfg
 }
 
-fn degraded_spec() -> ClusterSpec {
-    with_degrade(dc(), DEGRADED_RANK, DEGRADE_AT, DEGRADE_FACTOR)
+fn degraded_spec(seed: u64) -> ClusterSpec {
+    with_degrade(dc_seeded(seed), DEGRADED_RANK, DEGRADE_AT, DEGRADE_FACTOR)
 }
 
-fn run(spec: &ClusterSpec, layout0: &[usize], seed: u64, cfg: AdaptiveConfig) -> AdaptiveRun {
-    run_adaptive(&app(seed), spec, layout0, ITERS, cfg).expect("adaptive run failed")
+fn run(spec: &ClusterSpec, layout0: &[usize], cfg: AdaptiveConfig) -> AdaptiveRun {
+    run_adaptive(&app(), spec, layout0, ITERS, cfg).expect("adaptive run failed")
+}
+
+/// What the first surviving rank saw of an adaptive run.
+fn survivor(run: &AdaptiveRun) -> &AdaptiveOutcome {
+    run.outcomes
+        .iter()
+        .find(|o| o.alive)
+        .expect("survivors exist")
 }
 
 #[test]
 fn adaptive_recovers_sixty_percent_of_makespan_gap_on_dc() {
-    for seed in [1u64, 2, 3] {
-        let spec = degraded_spec();
+    for seed in noise_seeds() {
+        let spec = degraded_spec(seed);
         let powers = cpu_powers(&spec);
-        let layout0 = GenBlock::apportion(app(seed).rows, &powers).rows().to_vec();
+        let layout0 = GenBlock::apportion(app().rows, &powers).rows().to_vec();
 
-        let static_run = run(&spec, &layout0, seed, static_cfg());
-        let adaptive_run = run(&spec, &layout0, seed, AdaptiveConfig::default());
+        let static_run = run(&spec, &layout0, static_cfg());
+        let adaptive_run = run(&spec, &layout0, AdaptiveConfig::default());
 
         let mut oracle_w = powers.clone();
         oracle_w[DEGRADED_RANK] /= DEGRADE_FACTOR;
-        let oracle_layout = GenBlock::apportion(app(seed).rows, &oracle_w)
-            .rows()
-            .to_vec();
-        let oracle_run = run(&spec, &oracle_layout, seed, static_cfg());
+        let oracle_layout = GenBlock::apportion(app().rows, &oracle_w).rows().to_vec();
+        let oracle_run = run(&spec, &oracle_layout, static_cfg());
 
         let s = static_run.measured.secs;
         let a = adaptive_run.measured.secs;
@@ -110,11 +130,11 @@ fn adaptive_recovers_sixty_percent_of_makespan_gap_on_dc() {
 
 #[test]
 fn adaptive_gap_recovery_is_deterministic() {
-    let spec = degraded_spec();
+    let spec = degraded_spec(dc().seed);
     let powers = cpu_powers(&spec);
-    let layout0 = GenBlock::apportion(app(1).rows, &powers).rows().to_vec();
-    let one = run(&spec, &layout0, 1, AdaptiveConfig::default());
-    let two = run(&spec, &layout0, 1, AdaptiveConfig::default());
+    let layout0 = GenBlock::apportion(app().rows, &powers).rows().to_vec();
+    let one = run(&spec, &layout0, AdaptiveConfig::default());
+    let two = run(&spec, &layout0, AdaptiveConfig::default());
     assert_eq!(one.measured.secs, two.measured.secs);
     assert_eq!(one.windows, two.windows);
     let (a, b) = (&one.outcomes[0], &two.outcomes[0]);
@@ -127,8 +147,8 @@ fn adaptive_gap_recovery_is_deterministic() {
 fn detector_stays_silent_on_fault_free_dc() {
     let spec = dc();
     let powers = cpu_powers(&spec);
-    let layout0 = GenBlock::apportion(app(7).rows, &powers).rows().to_vec();
-    let fault_free = run(&spec, &layout0, 7, AdaptiveConfig::default());
+    let layout0 = GenBlock::apportion(app().rows, &powers).rows().to_vec();
+    let fault_free = run(&spec, &layout0, AdaptiveConfig::default());
     for out in &fault_free.outcomes {
         assert!(out.rebalances.is_empty(), "false-positive rebalance");
         assert!(out.transitions.is_empty(), "false-positive transition");
@@ -136,6 +156,72 @@ fn detector_stays_silent_on_fault_free_dc() {
     }
     // And its makespan matches the detection-disabled baseline exactly:
     // the detector's bookkeeping is free on the virtual clock.
-    let quiet = run(&spec, &layout0, 7, static_cfg());
+    let quiet = run(&spec, &layout0, static_cfg());
     assert_eq!(fault_free.measured.secs, quiet.measured.secs);
+}
+
+#[test]
+fn crash_rejoin_and_spare_scenarios_adapt_across_noise_seeds() {
+    const CRASHED_RANK: usize = 5;
+    for seed in noise_seeds() {
+        let powers = cpu_powers(&dc_seeded(seed));
+        let layout0 = GenBlock::apportion(app().rows, &powers).rows().to_vec();
+
+        // A rank dies: the survivors see it and take over its rows.
+        let crash = with_crash(dc_seeded(seed), CRASHED_RANK, 20, 4);
+        let crash = run(&crash, &layout0, AdaptiveConfig::default());
+        let view = survivor(&crash);
+        assert_eq!(
+            view.dead,
+            vec![CRASHED_RANK],
+            "seed {seed}: crash not detected"
+        );
+        assert_eq!(
+            view.final_rows[CRASHED_RANK], 0,
+            "seed {seed}: dead rank kept rows"
+        );
+
+        // The degraded node recovers: the detector sees it rejoin, and
+        // a second rebalance hands rows back.
+        let mut rejoin = dc_seeded(seed);
+        rejoin.faults.degrades.push(
+            DegradeSpec::at_iteration(DEGRADED_RANK, DEGRADE_AT, DEGRADE_FACTOR)
+                .recovering(RecoverSpec::at_iteration(22)),
+        );
+        let rejoin = run(&rejoin, &layout0, AdaptiveConfig::default());
+        let view = survivor(&rejoin);
+        let rejoined_at = view
+            .transitions
+            .iter()
+            .find(|t| t.member == DEGRADED_RANK && t.to.name() == "rejoined")
+            .unwrap_or_else(|| panic!("seed {seed}: no rejoin detected"))
+            .at_iteration;
+        assert!(
+            view.rebalances.len() >= 2,
+            "seed {seed}: rows never handed back"
+        );
+        assert!(
+            view.rebalances.iter().any(|rb| rb.iteration >= rejoined_at
+                && rb.to_rows[DEGRADED_RANK] > rb.from_rows[DEGRADED_RANK]),
+            "seed {seed}: no rebalance after the rejoin hands rows back: {:?}",
+            view.rebalances
+        );
+
+        // Node 7 starts as an idle hot spare; the degradation enlists it.
+        let mut spare_layout = GenBlock::apportion(app().rows, &powers[..7])
+            .rows()
+            .to_vec();
+        spare_layout.push(0);
+        let spare = run(
+            &degraded_spec(seed),
+            &spare_layout,
+            AdaptiveConfig::default(),
+        );
+        let view = survivor(&spare);
+        assert!(
+            view.final_rows[7] > 0,
+            "seed {seed}: hot spare never enlisted: {:?}",
+            view.final_rows
+        );
+    }
 }

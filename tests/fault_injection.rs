@@ -474,23 +474,37 @@ mod crash_stop {
         // The paper-default grid: at toy sizes the fixed per-iteration
         // agreement collective (absent from the model) dominates.
         let app = Jacobi::default();
-        let dist = GenBlock::block(app.rows, 4);
-        let iters = 12;
-        let mut spec = crashy(23, vec![CrashSpec::at_iteration(2, 5)], 3);
-        for node in &mut spec.nodes {
+        let mut quiet = crashy(23, vec![CrashSpec::at_iteration(2, 5)], 3);
+        for node in &mut quiet.nodes {
             node.memory_bytes = 8 * 1024 * 1024; // in-core driver: shares must fit
         }
-        let run = run_resilient(&app, &spec, &dist, iters).unwrap();
-        let report = recovery_report(&run, iters).expect("a recovery happened");
-        let survivor = run.outcomes.iter().find(|o| o.alive).unwrap();
-        let pred = repredict_after_crash(&app, &spec, &report.dead, &survivor.final_rows).unwrap();
-        let predicted_post_ns = pred.iteration_ns * f64::from(report.remaining_iters);
-        let err = percent_difference(predicted_post_ns, report.actual_post_ns);
-        assert!(
-            err < 5.0,
-            "post-failure re-prediction off by {err:.2}%: predicted {predicted_post_ns} vs actual {}",
-            report.actual_post_ns
-        );
+        let mut cases = vec![(quiet, 12)];
+        // `examples/crash_recovery.rs`: rank 2 of DC dies at iteration 40
+        // of 60, checkpointing every 8, under DC's own noise seed (the
+        // example's) and three more.
+        for seed in [presets::dc().seed, 1, 2, 3] {
+            let mut dc = presets::dc();
+            dc.seed = seed;
+            cases.push((presets::with_crash(dc, 2, 40, 8), 60));
+        }
+        for (spec, iters) in cases {
+            let dist = GenBlock::block(app.rows, spec.len());
+            let run = run_resilient(&app, &spec, &dist, iters).unwrap();
+            let report = recovery_report(&run, iters).expect("a recovery happened");
+            let survivor = run.outcomes.iter().find(|o| o.alive).unwrap();
+            let pred =
+                repredict_after_crash(&app, &spec, &report.dead, &survivor.final_rows).unwrap();
+            let predicted_post_ns = pred.iteration_ns * f64::from(report.remaining_iters);
+            let err = percent_difference(predicted_post_ns, report.actual_post_ns);
+            assert!(
+                err < 5.0,
+                "{} seed {}: post-failure re-prediction off by {err:.2}%: predicted \
+                 {predicted_post_ns} vs actual {}",
+                spec.name,
+                spec.seed,
+                report.actual_post_ns
+            );
+        }
     }
 
     #[test]
