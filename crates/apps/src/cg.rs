@@ -32,7 +32,7 @@ pub const VAR_P: VarId = 2;
 pub const VAR_VECS: VarId = 3;
 
 /// The CG benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct Cg {
     /// Unknowns (rows of `A`, the distribution axis).
     pub n: usize,
@@ -748,7 +748,7 @@ mod tests {
         }
 
         /// The counting scan is the materialising one, bit for bit — the
-        /// figure feeds cache keys, snapshots and every model golden.
+        /// figure feeds every model built from CG and every model golden.
         #[test]
         fn counted_average_equals_materialised_rows(
             n in prop_oneof![Just(1usize), 2usize..80],

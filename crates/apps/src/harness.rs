@@ -30,7 +30,7 @@ use crate::multigrid::Multigrid;
 use crate::rna::Rna;
 
 /// One of the benchmark applications, dispatchable without generics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub enum Benchmark {
     /// Jacobi iteration (optionally with prefetching).
     Jacobi(Jacobi),

@@ -31,7 +31,7 @@ const TAG_UP: u32 = 10;
 const TAG_DOWN: u32 = 11;
 
 /// The Jacobi benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct Jacobi {
     /// Grid rows (the distribution axis).
     pub rows: usize,

@@ -29,7 +29,7 @@ pub const VAR_V: VarId = 2;
 pub const VAR_W: VarId = 3;
 
 /// The Lanczos benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct Lanczos {
     /// Matrix dimension (rows = the distribution axis).
     pub n: usize,

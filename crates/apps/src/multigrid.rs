@@ -41,7 +41,7 @@ const TAG_DOWN: u32 = 41;
 const OMEGA: f64 = 0.6;
 
 /// The Multigrid benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct Multigrid {
     /// Fine-grid rows (the distribution axis).
     pub rows: usize,

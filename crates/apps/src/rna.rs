@@ -38,7 +38,7 @@ const TAG_PIPE: u32 = 30;
 const GAMMA: f64 = 0.25;
 
 /// The RNA pipelined benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct Rna {
     /// Matrix rows (the distribution axis).
     pub rows: usize,

@@ -58,13 +58,6 @@ pub fn str_field<'a>(v: &'a Value, field_name: &str) -> Result<&'a str, FieldErr
         .ok_or_else(|| mistyped(field_name, "string"))
 }
 
-/// Required unsigned-integer field.
-pub fn u64_field(v: &Value, field_name: &str) -> Result<u64, FieldError> {
-    field(v, field_name)?
-        .as_u64()
-        .ok_or_else(|| mistyped(field_name, "unsigned integer"))
-}
-
 /// Required numeric field (uint, int, and float all qualify).
 pub fn f64_field(v: &Value, field_name: &str) -> Result<f64, FieldError> {
     field(v, field_name)?
@@ -126,7 +119,6 @@ mod tests {
     fn required_fields_extract_typed_values() {
         let v = doc();
         assert_eq!(str_field(&v, "op").unwrap(), "plan");
-        assert_eq!(u64_field(&v, "evals").unwrap(), 64);
         assert_eq!(f64_field(&v, "frac").unwrap(), 0.5);
         assert!(bool_field(&v, "fast").unwrap());
         // Integers qualify as numbers.
@@ -139,7 +131,7 @@ mod tests {
         let e = str_field(&v, "absent").unwrap_err();
         assert_eq!(e.field, "absent");
         assert_eq!(e.expected, "missing");
-        let e = u64_field(&v, "op").unwrap_err();
+        let e = opt_u64_field(&v, "op").unwrap_err();
         assert_eq!(e.field, "op");
         assert_eq!(e.expected, "unsigned integer");
         assert!(e.to_string().contains("op"));

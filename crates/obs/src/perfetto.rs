@@ -269,41 +269,27 @@ fn hook_slices(rank: usize, events: &[HookEvent], out: &mut Vec<Value>) {
     }
 }
 
-/// Build the trace-event document for one run.
+/// Build the trace-event document for one run; render it with
+/// `.to_json()` and load the file in `ui.perfetto.dev`.
 ///
-/// `traces` are the per-rank simulator traces (tracing must have been
-/// enabled); `hooks` holds each rank's hook-event stream and may be
-/// empty (`&[]`) for runs without instrumentation.
+/// * `traces` are the per-rank simulator traces (tracing must have been
+///   enabled);
+/// * `hooks[rank]` is that rank's hook-event stream (`tid 1`);
+/// * `spans[rank]` is that rank's recovery-span list
+///   (`AdaptiveOutcome::spans` in `mheta-apps`). Crash-recovery slices
+///   (checkpoint / rollback / redistribution / reprediction) go to a
+///   `tid 2` "recovery" track that partitions its recovery time
+///   exactly, and [`RecoveryKind::Rebalance`] slices to a `tid 3`
+///   "rebalance" track;
+/// * `suspicion[rank]` is the phi-accrual detector's timeline
+///   (`AdaptiveOutcome::suspicion`), rendered as the counter tracks
+///   `suspicion_phi` and `slow_ratio`, one series per observed member.
+///
+/// Pass `&[]` for what a run lacks. A rank with no hooks, spans or
+/// samples gets no track or counter for them, so a plain run's document
+/// carries nothing of the fault-tolerant ones.
 #[must_use]
-pub fn perfetto_trace(traces: &[RankTrace], hooks: &[Vec<HookEvent>]) -> Value {
-    perfetto_trace_with_recovery(traces, hooks, &[])
-}
-
-/// [`perfetto_trace`] for a fault-tolerant run: `spans[rank]` is that
-/// rank's recovery-span list (`AdaptiveOutcome::spans` in
-/// `mheta-apps`). Each rank with at least one span gets a dedicated
-/// `tid 2` "recovery" track whose slices (checkpoint / rollback /
-/// redistribution / reprediction) partition its recovery time exactly;
-/// ranks without spans are emitted exactly as by [`perfetto_trace`].
-#[must_use]
-pub fn perfetto_trace_with_recovery(
-    traces: &[RankTrace],
-    hooks: &[Vec<HookEvent>],
-    spans: &[Vec<RecoverySpan>],
-) -> Value {
-    perfetto_trace_adaptive(traces, hooks, spans, &[])
-}
-
-/// [`perfetto_trace_with_recovery`] for an adaptive run: additionally
-/// renders the phi-accrual detector's suspicion timeline
-/// (`AdaptiveOutcome::suspicion` in `mheta-apps`) as per-rank counter
-/// tracks — `suspicion_phi` and `slow_ratio`, one series per observed
-/// member — and routes [`RecoveryKind::Rebalance`] spans to a dedicated
-/// `tid 3` "rebalance" track, separate from crash recovery on `tid 2`.
-/// With empty `suspicion` and no rebalance spans the output is
-/// byte-identical to [`perfetto_trace_with_recovery`].
-#[must_use]
-pub fn perfetto_trace_adaptive(
+pub fn perfetto_trace(
     traces: &[RankTrace],
     hooks: &[Vec<HookEvent>],
     spans: &[Vec<RecoverySpan>],
@@ -398,34 +384,6 @@ pub fn perfetto_trace_adaptive(
     ])
 }
 
-/// [`perfetto_trace`] rendered as a compact JSON string, ready to be
-/// written to a `.perfetto.json` file and loaded in `ui.perfetto.dev`.
-#[must_use]
-pub fn perfetto_json(traces: &[RankTrace], hooks: &[Vec<HookEvent>]) -> String {
-    perfetto_trace(traces, hooks).to_json()
-}
-
-/// [`perfetto_trace_with_recovery`] rendered as a compact JSON string.
-#[must_use]
-pub fn perfetto_json_with_recovery(
-    traces: &[RankTrace],
-    hooks: &[Vec<HookEvent>],
-    spans: &[Vec<RecoverySpan>],
-) -> String {
-    perfetto_trace_with_recovery(traces, hooks, spans).to_json()
-}
-
-/// [`perfetto_trace_adaptive`] rendered as a compact JSON string.
-#[must_use]
-pub fn perfetto_json_adaptive(
-    traces: &[RankTrace],
-    hooks: &[Vec<HookEvent>],
-    spans: &[Vec<RecoverySpan>],
-    suspicion: &[Vec<SuspicionSample>],
-) -> String {
-    perfetto_trace_adaptive(traces, hooks, spans, suspicion).to_json()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,7 +414,7 @@ mod tests {
 
     #[test]
     fn document_shape_and_units() {
-        let doc = perfetto_trace(&[small_trace()], &[]);
+        let doc = perfetto_trace(&[small_trace()], &[], &[], &[]);
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         // process_name + thread_name metadata + 2 slices.
         assert_eq!(events.len(), 4);
@@ -492,7 +450,7 @@ mod tests {
                 at: SimTime(1000),
             },
         ]];
-        let doc = perfetto_trace(&[small_trace()], &hooks);
+        let doc = perfetto_trace(&[small_trace()], &hooks, &[], &[]);
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         let scopes: Vec<_> = events
             .iter()
@@ -520,7 +478,7 @@ mod tests {
             id: 4,
             at: SimTime(10),
         }]];
-        let doc = perfetto_trace(&[small_trace()], &hooks);
+        let doc = perfetto_trace(&[small_trace()], &hooks, &[], &[]);
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         assert!(events
             .iter()
@@ -551,7 +509,7 @@ mod tests {
             ],
             finish: SimTime(1000),
         };
-        let doc = perfetto_trace(&[t], &[]);
+        let doc = perfetto_trace(&[t], &[], &[], &[]);
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         let counters: Vec<_> = events
             .iter()
@@ -581,7 +539,8 @@ mod tests {
     #[test]
     fn export_is_byte_deterministic() {
         let t = vec![small_trace()];
-        assert_eq!(perfetto_json(&t, &[]), perfetto_json(&t, &[]));
+        let json = || perfetto_trace(&t, &[], &[], &[]).to_json();
+        assert_eq!(json(), json());
     }
 
     #[test]
@@ -607,7 +566,7 @@ mod tests {
             ratio: 4.0,
             state: HealthState::Suspected,
         }]];
-        let doc = perfetto_trace_adaptive(&[small_trace()], &[], &spans, &susp);
+        let doc = perfetto_trace(&[small_trace()], &[], &spans, &susp);
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         // Rebalance slice lands on its own tid-3 track, crash recovery
         // stays on tid 2, and both thread_name records are present.
@@ -647,11 +606,11 @@ mod tests {
             ratio.get("args").unwrap().get("m1").unwrap().as_f64(),
             Some(4.0)
         );
-        // Without suspicion samples or rebalance spans the adaptive
-        // export degenerates byte-for-byte to the classic ones.
+        // A rank whose sample list is empty gets no counter, exactly as
+        // a run without a detector.
         assert_eq!(
-            perfetto_json_adaptive(&[small_trace()], &[], &[], &[]),
-            perfetto_json(&[small_trace()], &[]),
+            perfetto_trace(&[small_trace()], &[], &spans, &[vec![]]).to_json(),
+            perfetto_trace(&[small_trace()], &[], &spans, &[]).to_json(),
         );
     }
 
@@ -670,7 +629,7 @@ mod tests {
                 kind: RecoveryKind::Rollback,
             },
         ]];
-        let doc = perfetto_trace_with_recovery(&[small_trace()], &[], &spans);
+        let doc = perfetto_trace(&[small_trace()], &[], &spans, &[]);
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         let recovery: Vec<_> = events
             .iter()
@@ -690,11 +649,12 @@ mod tests {
             e.get("ph").and_then(Value::as_str) == Some("M")
                 && e.get("tid").and_then(Value::as_u64) == Some(2)
         }));
-        // ...but only for fault-tolerant runs: the span-free export is
-        // byte-identical to the classic one (golden stability).
+        // ...but only for fault-tolerant runs: a rank whose span list
+        // is empty renders byte-identically to a run without spans
+        // (golden stability).
         assert_eq!(
-            perfetto_json_with_recovery(&[small_trace()], &[], &[]),
-            perfetto_json(&[small_trace()], &[]),
+            perfetto_trace(&[small_trace()], &[], &[vec![]], &[]).to_json(),
+            perfetto_trace(&[small_trace()], &[], &[], &[]).to_json(),
         );
     }
 }

@@ -5,34 +5,29 @@
 //! `{"op":"shutdown"}` or the process receives SIGTERM/SIGINT. Either
 //! way the daemon **drains**: new plan requests are shed with a
 //! structured `draining` error, in-flight requests run to completion
-//! (bounded by `--drain-deadline-ms`), and — when `--snapshot` is set
-//! — the plan cache is saved on the way down so the next boot
-//! warm-starts from it.
+//! (bounded by `--drain-deadline-ms`), and the process exits 0. The
+//! plan cache lives in memory only: a restarted daemon starts cold.
 //!
 //! ```text
 //! pland [--addr HOST:PORT] [--workers N] [--queue N]
 //!       [--cache-capacity N] [--no-cache] [--no-coalesce]
-//!       [--recorder-capacity N]
-//!       [--snapshot PATH] [--snapshot-interval-ms N]
-//!       [--drain-deadline-ms N] [--read-timeout-ms N]
-//!       [--write-timeout-ms N]
+//!       [--recorder-capacity N] [--drain-deadline-ms N]
+//!       [--read-timeout-ms N] [--write-timeout-ms N]
 //! ```
 //!
 //! The flight recorder is always on (`--recorder-capacity` sizes its
 //! ring). On panic the daemon dumps the recorder's last events as JSON
 //! to stderr before dying, so a crash leaves a black box behind.
 //!
-//! Lifecycle events (`drain.begin`, `drain.end`, `snapshot.load`,
-//! `snapshot.save`, `snapshot.reject`, `conn.timeout`, shed events)
-//! are logged to stderr as structured one-line JSON.
+//! Lifecycle events (`signal.drain`, `drain.begin`, `drain.end`,
+//! `conn.timeout`, shed events) are logged to stderr as structured
+//! one-line JSON.
 
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mheta_obs::json::Value;
 use mheta_serve::{wire, Lifecycle, Planner, PlannerConfig, ServeConfig};
 
 /// SIGTERM/SIGINT capture without a libc dependency: a raw binding to
@@ -68,18 +63,10 @@ mod sig {
     }
 }
 
-fn log_event(event: &str, mut fields: Vec<(&str, Value)>) {
-    let mut pairs = vec![("event", Value::Str(event.to_string()))];
-    pairs.append(&mut fields);
-    eprintln!("{}", Value::object(pairs).to_json());
-}
-
 struct Args {
     addr: String,
     cfg: PlannerConfig,
     serve_cfg: ServeConfig,
-    snapshot: Option<PathBuf>,
-    snapshot_interval_ms: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -87,8 +74,6 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7463".to_string(),
         cfg: PlannerConfig::default(),
         serve_cfg: ServeConfig::default(),
-        snapshot: None,
-        snapshot_interval_ms: 5_000,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -115,12 +100,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--recorder-capacity: {e}"))?;
             }
-            "--snapshot" => args.snapshot = Some(PathBuf::from(value("--snapshot")?)),
-            "--snapshot-interval-ms" => {
-                args.snapshot_interval_ms = value("--snapshot-interval-ms")?
-                    .parse()
-                    .map_err(|e| format!("--snapshot-interval-ms: {e}"))?;
-            }
             "--drain-deadline-ms" => {
                 args.serve_cfg.drain_deadline_ms = value("--drain-deadline-ms")?
                     .parse()
@@ -142,8 +121,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "pland [--addr HOST:PORT] [--workers N] [--queue N] \
                      [--cache-capacity N] [--no-cache] [--no-coalesce] \
-                     [--recorder-capacity N] [--snapshot PATH] \
-                     [--snapshot-interval-ms N] [--drain-deadline-ms N] \
+                     [--recorder-capacity N] [--drain-deadline-ms N] \
                      [--read-timeout-ms N] [--write-timeout-ms N]"
                 );
                 std::process::exit(0);
@@ -152,26 +130,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn save_snapshot(planner: &Planner, path: &std::path::Path, when: &str) {
-    match planner.save_snapshot(path) {
-        Ok(n) => log_event(
-            "snapshot.save",
-            vec![
-                ("entries", Value::UInt(n as u64)),
-                ("path", Value::Str(path.display().to_string())),
-                ("when", Value::Str(when.to_string())),
-            ],
-        ),
-        Err(e) => log_event(
-            "snapshot.save_failed",
-            vec![
-                ("path", Value::Str(path.display().to_string())),
-                ("error", Value::Str(e.to_string())),
-            ],
-        ),
-    }
 }
 
 fn main() -> ExitCode {
@@ -200,29 +158,6 @@ fn main() -> ExitCode {
     }
     let planner = Arc::new(Planner::new(args.cfg));
 
-    // Warm start: restore the plan cache from the last snapshot. Any
-    // rejection — missing file, truncation, checksum or schema
-    // mismatch — is logged and the daemon cold-starts; a bad snapshot
-    // can never take the service down.
-    if let Some(path) = &args.snapshot {
-        match planner.load_snapshot(path) {
-            Ok(n) => log_event(
-                "snapshot.load",
-                vec![
-                    ("entries", Value::UInt(n as u64)),
-                    ("path", Value::Str(path.display().to_string())),
-                ],
-            ),
-            Err(e) => log_event(
-                "snapshot.reject",
-                vec![
-                    ("path", Value::Str(path.display().to_string())),
-                    ("error", Value::Str(e.to_string())),
-                ],
-            ),
-        }
-    }
-
     // Black box: any panic (accept loop or connection thread) dumps
     // the flight recorder to stderr before the default hook prints the
     // backtrace.
@@ -243,7 +178,7 @@ fn main() -> ExitCode {
         let lifecycle = Arc::clone(&lifecycle);
         std::thread::spawn(move || loop {
             if sig::fired() {
-                log_event("signal.drain", vec![]);
+                eprintln!(r#"{{"event":"signal.drain"}}"#);
                 lifecycle.begin_drain();
                 return;
             }
@@ -251,30 +186,7 @@ fn main() -> ExitCode {
         });
     }
 
-    // Periodic snapshots bound how much warm-start coverage a crash
-    // (as opposed to a drain) can lose.
-    if let Some(path) = args.snapshot.clone() {
-        if args.snapshot_interval_ms > 0 {
-            let planner = Arc::clone(&planner);
-            let lifecycle = Arc::clone(&lifecycle);
-            let interval = Duration::from_millis(args.snapshot_interval_ms);
-            std::thread::spawn(move || loop {
-                std::thread::sleep(interval);
-                if lifecycle.is_draining() {
-                    return; // the final save happens after the drain
-                }
-                save_snapshot(&planner, &path, "periodic");
-            });
-        }
-    }
-
-    let result = wire::serve_with(listener, Arc::clone(&planner), lifecycle, args.serve_cfg);
-    // Drain finished (or hit its deadline): persist the cache so the
-    // next boot warm-starts.
-    if let Some(path) = &args.snapshot {
-        save_snapshot(&planner, path, "drain");
-    }
-    match result {
+    match wire::serve_with(listener, planner, lifecycle, args.serve_cfg) {
         Ok(()) => {
             println!("pland: shutdown");
             ExitCode::SUCCESS

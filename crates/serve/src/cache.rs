@@ -7,8 +7,8 @@
 //!
 //! An entry is an `Answer`: the request's plan, or the message of a
 //! search failure that every recomputation would repeat (DESIGN.md
-//! §13). Both share one LRU, one invalidation and one set of counters;
-//! only plans are exported to a snapshot.
+//! §13). Both share one LRU, one invalidation and one set of counters.
+//! The cache lives in memory only: a restarted process starts cold.
 //!
 //! The map is striped into `shards` independent `Mutex`-protected
 //! shards selected by the key's high bits, so concurrent requests for
@@ -184,25 +184,6 @@ impl PlanCache {
         dropped > 0
     }
 
-    /// Export every plan as `(key, canonical JSON, plan)`,
-    /// least-recently-used first within each shard — so re-`insert`ing
-    /// the export in order (see [`crate::snapshot`]) reproduces each
-    /// shard's recency ordering. Stored failures are left out.
-    #[must_use]
-    pub fn export(&self) -> Vec<(u64, String, Plan)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            let mut entries: Vec<&Entry> = shard.entries.iter().collect();
-            entries.sort_by_key(|e| e.last_used);
-            out.extend(entries.into_iter().filter_map(|e| {
-                let plan = e.answer.as_ref().ok()?;
-                Some((e.key, e.canon.clone(), plan.clone()))
-            }));
-        }
-        out
-    }
-
     /// Entries currently cached, plans and failures.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -327,14 +308,13 @@ mod tests {
     }
 
     #[test]
-    fn a_failure_is_an_entry_but_neither_a_plan_nor_exported() {
+    fn a_failure_is_an_entry_but_not_a_plan() {
         let c = PlanCache::new(1, 2);
         c.insert(1, "k1", plan(1.0));
         c.insert_failure(2, "k2", "no model".into());
         assert_eq!(c.answer(2, "k2"), Some(Err("no model".into())));
         assert!(c.get(2, "k2").is_none());
         assert_eq!(c.len(), 2);
-        assert_eq!(c.export().len(), 1, "the snapshot holds plans only");
         // One LRU for both: a third entry evicts the stalest, key 1.
         c.insert(3, "k3", plan(3.0));
         assert!(c.get(1, "k1").is_none());

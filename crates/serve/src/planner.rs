@@ -73,7 +73,6 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -692,31 +691,6 @@ impl Planner {
             vec![("entries", Value::UInt(n as u64))],
         );
         n
-    }
-
-    /// Record a snapshot event: `n` entries saved to / loaded from `path`.
-    fn rec_snapshot(&self, kind: &'static str, n: usize, path: &Path) {
-        let path = ("path", Value::Str(path.display().to_string()));
-        self.rec(None, kind, vec![("entries", Value::UInt(n as u64)), path]);
-    }
-
-    /// Snapshot the plan cache to `path` (`mheta-plancache/v1`,
-    /// atomic tmp + rename). Returns how many entries were saved.
-    pub fn save_snapshot(&self, path: &Path) -> std::io::Result<usize> {
-        let n = crate::snapshot::save(&self.cache, path)?;
-        self.rec_snapshot("snapshot.save", n, path);
-        Ok(n)
-    }
-
-    /// Warm-start the plan cache from the snapshot at `path`. Returns
-    /// how many entries were restored; any rejection (missing file,
-    /// truncation, checksum mismatch, schema mismatch) comes back as a
-    /// value — the caller cold-starts, never crashes.
-    pub fn load_snapshot(&self, path: &Path) -> Result<usize, crate::snapshot::SnapshotError> {
-        let entries = crate::snapshot::load(path)?;
-        let n = crate::snapshot::restore(&self.cache, entries);
-        self.rec_snapshot("snapshot.load", n, path);
-        Ok(n)
     }
 
     /// The service metrics registry (counters, stage histograms, and

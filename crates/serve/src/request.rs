@@ -1,15 +1,18 @@
 //! Planning requests and their canonical cache key.
 //!
-//! The cache key is a **canonical stable content hash**: the request's
-//! semantic content — cluster configuration, program structure, and
-//! search parameters — is rendered to canonical compact JSON (struct
-//! declaration order, via the workspace serializer) and hashed with
-//! 64-bit FNV-1a. Two requests collide in the cache only if that
+//! The cache key is a **canonical stable content hash**: the fields of
+//! the request itself — cluster configuration, application, prefetch
+//! flag and search parameters — are rendered to canonical compact JSON
+//! (struct declaration order, via the workspace serializer) and hashed
+//! with 64-bit FNV-1a. Nothing derived from them is rendered: the
+//! program structure is a pure function of the application and the
+//! prefetch flag, so a key over those is at least as fine as one over
+//! the structure. Two requests collide in the cache only if that
 //! canonical rendering is byte-identical, which the cache verifies
 //! besides the hash, so equal keys really mean equal requests.
 
 use mheta_apps::{Benchmark, Cg, Jacobi, Lanczos, Multigrid, Rna};
-use mheta_dist::{PortfolioConfig, Strategy};
+use mheta_dist::PortfolioConfig;
 use mheta_obs::json::{Serialize, Value};
 use mheta_sim::ClusterSpec;
 
@@ -101,15 +104,16 @@ impl PlanRequest {
     }
 
     /// The canonical JSON value the cache key hashes: cluster config,
-    /// program structure, and search parameters, in that fixed order.
-    /// Field order inside each section is struct declaration order
-    /// (the workspace serializer preserves it), so the rendering is a
-    /// stable, total function of the request's semantic content.
+    /// application, prefetch flag and search parameters, in that fixed
+    /// order. Field order inside each section is struct declaration
+    /// order (the workspace serializer preserves it), so the rendering
+    /// is a stable, total function of the request's semantic content.
     #[must_use]
     pub fn canonical_value(&self) -> Value {
         Value::object(vec![
             ("cluster", self.spec.to_value()),
-            ("program", self.bench.structure(self.prefetch).to_value()),
+            ("bench", self.bench.to_value()),
+            ("prefetch", Value::Bool(self.prefetch)),
             ("search", self.search.to_value()),
         ])
     }
@@ -194,12 +198,6 @@ pub fn cluster_by_name(name: &str) -> Option<ClusterSpec> {
     }
 }
 
-/// Parse a strategy's wire name back to the enum.
-#[must_use]
-pub fn strategy_by_name(name: &str) -> Option<Strategy> {
-    Strategy::ALL.into_iter().find(|s| s.name() == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,6 +236,10 @@ mod tests {
 
         let r = PlanRequest::new(Benchmark::Cg(Cg::small()), presets::dc());
         assert_ne!(r.key(), base, "program change must rekey");
+
+        let mut r = req();
+        r.prefetch = true;
+        assert_ne!(r.key(), base, "Jacobi prefetch must rekey");
     }
 
     #[test]
@@ -257,8 +259,6 @@ mod tests {
         assert_eq!(cluster_by_name("HOM4").unwrap().len(), 4);
         assert!(cluster_by_name("HOM0").is_none());
         assert!(cluster_by_name("ZZ").is_none());
-        assert_eq!(strategy_by_name("gbs"), Some(Strategy::Gbs));
-        assert_eq!(strategy_by_name("nope"), None);
     }
 
     #[test]

@@ -159,6 +159,14 @@ fn parse_plan(v: &Value) -> Result<PlanRequest, String> {
         Some(Value::Bool(b)) => *b,
         Some(_) => return Err("field `prefetch`: expected boolean".into()),
     };
+    // Only Jacobi reads the flag. Accepting it elsewhere would key a
+    // second search for a plan the cache already holds.
+    if prefetch && !bench.supports_prefetch() {
+        return Err(format!(
+            "field `prefetch`: `{}` has no prefetching variant",
+            bench.name()
+        ));
+    }
 
     let mut search = SearchParams::default();
     if let Some(s) = v.get("search") {
@@ -759,6 +767,14 @@ mod tests {
         assert!(err.contains("unknown arch"), "{err}");
         let err = parse_request(r#"{"op":"plan","arch":"DC"}"#).unwrap_err();
         assert!(err.contains("app"), "{err}");
+        let err = parse_request(r#"{"op":"plan","app":{"name":"cg"},"arch":"DC","prefetch":true}"#)
+            .unwrap_err();
+        assert!(err.contains("prefetch"), "{err}");
+        for app in ["jacobi", "cg", "rna", "lanczos", "multigrid"] {
+            let line =
+                format!(r#"{{"op":"plan","app":{{"name":"{app}"}},"arch":"DC","prefetch":false}}"#);
+            assert!(parse_request(&line).is_ok(), "{app}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The two binaries end to end: the real `pland` on a port the OS
 //! picks, driven by the real `planctl` the way a script drives it.
 //! This covers what only the binaries do: argument parsing, the
-//! `listening on` line, exit statuses, the signal watcher's drain, the
-//! drain-time snapshot and `planctl`'s retries. The library behind them
+//! `listening on` line, exit statuses, the signal watcher's drain and
+//! `planctl`'s retries. The library behind them
 //! is tested directly in `service.rs`, `lifecycle.rs` and
 //! `hostile_input.rs`.
 
@@ -24,8 +24,8 @@ const DC_PLAN: [&str; 11] = [
     "plan", "--app", "jacobi", "--size", "small", "--arch", "DC", "--evals", "24", "--seed", "7",
 ];
 
-/// A scratch directory for one test. The process ID keeps two runs of
-/// this suite at once from sharing a snapshot.
+/// A scratch directory for one test's event log. The process ID keeps
+/// two runs of this suite at once from sharing a log.
 fn scratch_dir(test: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("daemon-{}-{test}", std::process::id()));
@@ -48,14 +48,13 @@ struct Pland {
 }
 
 impl Pland {
-    /// Boot `pland` on `127.0.0.1:0` with `--snapshot dir/plancache.json`
-    /// and its event log in `dir/log_name`. Returns once it has bound,
-    /// with the address its `listening on` line reports.
-    fn boot(dir: &Path, log_name: &str) -> Pland {
-        let log = dir.join(log_name);
+    /// Boot `pland` on `127.0.0.1:0` with its event log in
+    /// `dir/pland.log`. Returns once it has bound, with the address its
+    /// `listening on` line reports.
+    fn boot(dir: &Path) -> Pland {
+        let log = dir.join("pland.log");
         let mut child = Command::new(env!("CARGO_BIN_EXE_pland"))
-            .args(["--addr", "127.0.0.1:0", "--snapshot"])
-            .arg(dir.join("plancache.json"))
+            .args(["--addr", "127.0.0.1:0"])
             .stdout(Stdio::piped())
             .stderr(fs::File::create(&log).unwrap())
             .spawn()
@@ -112,19 +111,13 @@ impl Pland {
         json(&self.ctl(args))
     }
 
-    /// The event log so far, one JSON object per line.
-    fn events(&self) -> Vec<Value> {
+    /// Whether the event log, one JSON object per line, holds an event
+    /// named `name` so far.
+    fn logged(&self, name: &str) -> bool {
         fs::read_to_string(&self.log)
             .unwrap()
             .lines()
             .filter_map(|line| from_str(line).ok())
-            .collect()
-    }
-
-    /// Whether an event named `name` has been logged.
-    fn logged(&self, name: &str) -> bool {
-        self.events()
-            .iter()
             .any(|e| e.get("event").and_then(Value::as_str) == Some(name))
     }
 
@@ -204,7 +197,7 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 #[test]
 fn planctl_gets_fresh_then_cached_plans_and_a_cached_search_failure() {
     let dir = scratch_dir("serve");
-    let mut pland = Pland::boot(&dir, "pland.log");
+    let mut pland = Pland::boot(&dir);
     assert!(pland.ctl(&["ping"]).status.success());
 
     let first = pland.ctl(&DC_PLAN);
@@ -259,11 +252,9 @@ fn planctl_gets_fresh_then_cached_plans_and_a_cached_search_failure() {
 
 #[cfg(unix)]
 #[test]
-fn sigterm_drains_in_flight_plans_sheds_new_ones_and_the_snapshot_warm_starts_a_reboot() {
+fn sigterm_drains_in_flight_plans_and_sheds_new_ones() {
     let dir = scratch_dir("drain");
-    let mut pland = Pland::boot(&dir, "first.log");
-    // The plan the rebooted daemon must serve from its snapshot.
-    assert_eq!(text(&pland.reply(&DC_PLAN), &["source"]), "fresh");
+    let mut pland = Pland::boot(&dir);
 
     // A slow plan, its huge budget bounded by its own deadline, in
     // flight when the signal lands. Its cache miss is counted after the
@@ -281,7 +272,7 @@ fn sigterm_drains_in_flight_plans_sheds_new_ones_and_the_snapshot_warm_starts_a_
     ]);
     wait_until("the slow plan to arrive", || {
         let stats = pland.reply(&["stats"]);
-        at(&stats, &["stats", "cache", "misses"]).as_u64() == Some(2)
+        at(&stats, &["stats", "cache", "misses"]).as_u64() == Some(1)
     });
     let pid = pland.child.id().to_string();
     let kill = Command::new("kill").args(["-TERM", &pid]).status().unwrap();
@@ -324,25 +315,5 @@ fn sigterm_drains_in_flight_plans_sheds_new_ones_and_the_snapshot_warm_starts_a_
     for name in ["signal.drain", "drain.begin", "drain.end"] {
         assert!(pland.logged(name), "no {name} event");
     }
-    let saved_on_drain = pland.events().iter().any(|e| {
-        e.get("event").and_then(Value::as_str) == Some("snapshot.save")
-            && e.get("when").and_then(Value::as_str) == Some("drain")
-    });
-    assert!(saved_on_drain, "no snapshot.save when draining");
-
-    // A reboot on the same snapshot serves its first request from the
-    // restored cache.
-    let mut pland = Pland::boot(&dir, "second.log");
-    let first = pland.reply(
-        &[
-            &["--max-retries", "10", "--timeout-ms", "10000"],
-            &DC_PLAN[..],
-        ]
-        .concat(),
-    );
-    assert_eq!(text(&first, &["source"]), "cache");
-    assert!(pland.logged("snapshot.load"), "no snapshot.load event");
-    assert!(pland.ctl(&["shutdown"]).status.success());
-    assert!(pland.exit_status().success());
     let _ = fs::remove_dir_all(&dir);
 }

@@ -3,11 +3,24 @@
 //! — invariant under cloning and a JSON round-trip of the canonical
 //! rendering, and sensitive to every semantic field.
 
+use mheta_apps::Benchmark;
 use mheta_serve::{benchmark_by_name, PlanRequest, SearchParams};
 use mheta_sim::{presets, ClusterSpec};
 use proptest::prelude::*;
 
 const APPS: [&str; 5] = ["jacobi", "cg", "rna", "lanczos", "multigrid"];
+const SIZES: [&str; 2] = ["small", "paper"];
+
+/// The application's data seed and the extent of its distribution axis.
+fn seed_and_extent(bench: &mut Benchmark) -> (&mut u64, &mut usize) {
+    match bench {
+        Benchmark::Jacobi(a) => (&mut a.seed, &mut a.rows),
+        Benchmark::Cg(a) => (&mut a.seed, &mut a.n),
+        Benchmark::Rna(a) => (&mut a.seed, &mut a.rows),
+        Benchmark::Lanczos(a) => (&mut a.seed, &mut a.n),
+        Benchmark::Multigrid(a) => (&mut a.seed, &mut a.rows),
+    }
+}
 
 fn arb_spec() -> impl Strategy<Value = ClusterSpec> {
     (
@@ -36,12 +49,13 @@ fn arb_request() -> impl Strategy<Value = PlanRequest> {
     (
         arb_spec(),
         0usize..APPS.len(),
+        0usize..SIZES.len(),
         any::<bool>(),
         1u64..1_000,
         8usize..128,
     )
-        .prop_map(|(spec, app, prefetch, seed, evals)| {
-            let bench = benchmark_by_name(APPS[app], "small").expect("known app");
+        .prop_map(|(spec, app, size, prefetch, seed, evals)| {
+            let bench = benchmark_by_name(APPS[app], SIZES[size]).expect("known app");
             let prefetch = prefetch && bench.supports_prefetch();
             PlanRequest {
                 bench,
@@ -104,17 +118,32 @@ proptest! {
         let mut r = req.clone();
         r.search.target_ns += 1.0;
         prop_assert!(r.key() != base);
+
+        let mut r = req.clone();
+        *seed_and_extent(&mut r.bench).0 ^= 0x1;
+        prop_assert!(r.key() != base);
+
+        let mut r = req.clone();
+        *seed_and_extent(&mut r.bench).1 += 1;
+        prop_assert!(r.key() != base);
+
+        if req.bench.supports_prefetch() {
+            let mut r = req.clone();
+            r.prefetch = !r.prefetch;
+            prop_assert!(r.key() != base);
+        }
     }
 
     #[test]
     fn distinct_programs_never_share_a_key(
         spec in arb_spec(),
-        a in 0usize..APPS.len(),
-        b in 0usize..APPS.len(),
+        a in (0usize..APPS.len(), 0usize..SIZES.len()),
+        b in (0usize..APPS.len(), 0usize..SIZES.len()),
     ) {
         prop_assume!(a != b);
-        let ra = PlanRequest::new(benchmark_by_name(APPS[a], "small").unwrap(), spec.clone());
-        let rb = PlanRequest::new(benchmark_by_name(APPS[b], "small").unwrap(), spec);
+        let bench = |(app, size): (usize, usize)| benchmark_by_name(APPS[app], SIZES[size]).unwrap();
+        let ra = PlanRequest::new(bench(a), spec.clone());
+        let rb = PlanRequest::new(bench(b), spec);
         prop_assert!(ra.key() != rb.key());
     }
 }

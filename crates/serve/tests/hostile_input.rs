@@ -33,6 +33,7 @@ fn cases() -> Vec<Case> {
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":5}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"HOM1025"}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","prefetch":"yes"}"#,
+        r#"{"op":"plan","app":{"name":"cg"},"arch":"DC","prefetch":true}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","deadline_ms":"soon"}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","search":{"evals":-1}}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","trace":{"trace_id":1,"span_id":2}}"#,

@@ -1,6 +1,6 @@
 //! Request-lifecycle hardening, end to end: deadlines (degraded
 //! incumbents vs true expiry), cached search failures, graceful drain
-//! over the wire, and crash-safe snapshot warm starts.
+//! over the wire.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -10,7 +10,7 @@ use std::time::Duration;
 use mheta_obs::json::{from_str, Value};
 use mheta_obs::{RequestSource, TraceContext};
 use mheta_serve::{
-    benchmark_by_name, snapshot, wire, Lifecycle, PlanError, PlanRequest, Planner, PlannerConfig,
+    benchmark_by_name, wire, Lifecycle, PlanError, PlanRequest, Planner, PlannerConfig,
     SearchParams, ServeConfig,
 };
 use mheta_sim::presets;
@@ -337,46 +337,4 @@ fn idle_connections_time_out_cleanly() {
 
     lifecycle.begin_drain();
     server.join().unwrap().unwrap();
-}
-
-#[test]
-fn snapshot_warm_start_serves_the_first_request_from_cache() {
-    let dir = std::env::temp_dir().join(format!("mheta-warm-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("plancache.json");
-
-    // First "boot": plan, then snapshot on the way down.
-    let first = Planner::new(PlannerConfig::default());
-    let req = small_request(37);
-    let fresh = first.plan(&req).unwrap();
-    assert_eq!(fresh.source.name(), "fresh");
-    assert_eq!(first.save_snapshot(&path).unwrap(), 1);
-
-    // Second "boot": warm-start, and the same request is a cache hit
-    // with a bitwise-identical plan — no search runs.
-    let second = Planner::new(PlannerConfig::default());
-    assert_eq!(second.load_snapshot(&path).unwrap(), 1);
-    let warm = second.plan(&req).unwrap();
-    assert_eq!(warm.source.name(), "cache");
-    assert_eq!(warm.plan.rows, fresh.plan.rows);
-    assert_eq!(
-        warm.plan.predicted_ns.to_bits(),
-        fresh.plan.predicted_ns.to_bits()
-    );
-    assert_eq!(second.metrics().searches(), 0);
-
-    // Corrupt the file: the next boot rejects it as a value and cold
-    // starts — never a crash, never a wrong plan.
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, text.replacen(":", ";", 1)).unwrap();
-    let third = Planner::new(PlannerConfig::default());
-    let err = third.load_snapshot(&path).unwrap_err();
-    assert!(
-        matches!(err, snapshot::SnapshotError::Malformed(_)),
-        "{err}"
-    );
-    let cold = third.plan(&req).unwrap();
-    assert_eq!(cold.source.name(), "fresh");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,7 +29,7 @@
 //! detection-latency histogram, rebalance totals).
 
 use mheta::apps::{run_adaptive, AdaptiveConfig, AdaptiveRun, Jacobi};
-use mheta::obs::{perfetto_json_adaptive, Metrics};
+use mheta::obs::{perfetto_trace, Metrics};
 use mheta::prelude::*;
 use mheta::sim::{DegradeSpec, RecoverSpec};
 
@@ -158,7 +158,7 @@ fn write_telemetry(scenario: &str, run: &AdaptiveRun) {
     let trace_path = format!("target/adaptive_{scenario}.perfetto.json");
     std::fs::write(
         &trace_path,
-        perfetto_json_adaptive(&run.traces, &run.hooks, &spans, &suspicion),
+        perfetto_trace(&run.traces, &run.hooks, &spans, &suspicion).to_json(),
     )
     .expect("write perfetto trace");
     println!("wrote {trace_path}");

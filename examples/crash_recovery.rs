@@ -23,7 +23,7 @@
 //! redistribution/reprediction slices).
 
 use mheta::apps::{recovery_report, repredict_after_crash, run_resilient};
-use mheta::obs::perfetto_json_with_recovery;
+use mheta::obs::perfetto_trace;
 use mheta::prelude::*;
 
 fn main() {
@@ -93,7 +93,7 @@ fn main() {
     let path = "target/crash_recovery.perfetto.json";
     std::fs::write(
         path,
-        perfetto_json_with_recovery(&run.traces, &run.hooks, &spans),
+        perfetto_trace(&run.traces, &run.hooks, &spans, &[]).to_json(),
     )
     .expect("write perfetto trace");
     println!("wrote {path}");

@@ -14,7 +14,7 @@
 //! ```
 
 use mheta::dist::{random_search, RandomConfig};
-use mheta::obs::{perfetto_json, telemetry, CriticalPath, Metrics};
+use mheta::obs::{perfetto_trace, telemetry, CriticalPath, Metrics};
 use mheta::prelude::*;
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
     );
 
     // --- Perfetto export ---------------------------------------------------
-    let json = perfetto_json(&run.traces, &run.hooks);
+    let json = perfetto_trace(&run.traces, &run.hooks, &[], &[]).to_json();
     std::fs::create_dir_all("target").expect("target dir");
     let out = "target/observability.perfetto.json";
     std::fs::write(out, &json).expect("write trace");

@@ -336,7 +336,7 @@ mod crash_stop {
     use super::*;
     use mheta::apps::{recovery_report, repredict_after_crash, run_resilient};
     use mheta::mpi::TAG_COLLECTIVE_BASE;
-    use mheta::obs::{perfetto_trace_with_recovery, AuditReport};
+    use mheta::obs::{perfetto_trace, AuditReport};
     use mheta::sim::{CrashSpec, EventKind};
 
     fn crashy(seed: u64, crashes: Vec<CrashSpec>, interval: u32) -> ClusterSpec {
@@ -559,7 +559,7 @@ mod crash_stop {
 
         // Perfetto: a dedicated tid-2 track whose slices are exactly
         // the recovery spans.
-        let doc = perfetto_trace_with_recovery(&run.traces, &run.hooks, &spans);
+        let doc = perfetto_trace(&run.traces, &run.hooks, &spans, &[]);
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         let recovery_slices = events
             .iter()

@@ -142,13 +142,13 @@ fn golden_run() -> mheta::apps::Observed {
 #[test]
 fn perfetto_export_matches_golden_file() {
     let run = golden_run();
-    let json = perfetto::perfetto_json(&run.traces, &run.hooks);
+    let json = perfetto::perfetto_trace(&run.traces, &run.hooks, &[], &[]).to_json();
 
     // Determinism first: the export must be byte-stable run to run.
     let again = golden_run();
     assert_eq!(
         json,
-        perfetto::perfetto_json(&again.traces, &again.hooks),
+        perfetto::perfetto_trace(&again.traces, &again.hooks, &[], &[]).to_json(),
         "export not deterministic"
     );
 
@@ -169,7 +169,7 @@ fn perfetto_export_matches_golden_file() {
 #[test]
 fn perfetto_export_is_schema_sane() {
     let run = golden_run();
-    let doc = perfetto::perfetto_trace(&run.traces, &run.hooks);
+    let doc = perfetto::perfetto_trace(&run.traces, &run.hooks, &[], &[]);
 
     assert_eq!(
         doc.get("displayTimeUnit").and_then(Value::as_str),
