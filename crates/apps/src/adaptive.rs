@@ -47,17 +47,18 @@
 //! # The replica
 //!
 //! That loop answers "a rank died" ([`crate::harness::run_resilient`]
-//! runs it as is). Run with a **replica** ([`AdaptiveJacobi`]) it also
-//! answers the harder questions of "a rank slowed down" and "a rank
-//! came back". Each iteration every member appends a **progress
-//! report** — its per-row sweep compute time, which is invariant under
-//! GEN_BLOCK rebalancing (rows move, per-row speed does not) — to a
-//! second fault-tolerant max-allreduce, so all members see the
-//! identical sample vector. Every member feeds that vector into an
-//! identical [`PhiAccrualDetector`] replica and, when the detector
-//! confirms a `Degraded` or `Rejoined` transition (or the observed
-//! drift passes the policy gate), runs the identical budget-capped
-//! [`OnlinePolicy::replan`]. Deterministic replicas reach identical
+//! runs it as is). Run with a **replica**
+//! ([`crate::harness::run_adaptive`]) it also answers the harder
+//! questions of "a rank slowed down" and "a rank came back". Each
+//! iteration every member appends a **progress report** — its per-row
+//! sweep compute time, which is invariant under GEN_BLOCK rebalancing
+//! (rows move, per-row speed does not) — to a second fault-tolerant
+//! max-allreduce, so all members see the identical sample vector. Every
+//! member feeds that vector into an identical [`PhiAccrualDetector`]
+//! replica and, when the detector confirms a `Degraded` or `Rejoined`
+//! transition (or the observed drift passes
+//! [`online::DRIFT_THRESHOLD`]), runs the identical budget-capped
+//! [`online::replan`]. Deterministic replicas reach identical
 //! decisions, so a rebalance commits **without any extra agreement
 //! round**: the members simply execute the same transfer plan at the
 //! same iteration boundary, under a bumped redistribution epoch.
@@ -80,10 +81,10 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use mheta_core::ProgramStructure;
-use mheta_dist::{GenBlock, OnlinePolicy};
+use mheta_dist::{online, GenBlock};
 use mheta_mpi::{
-    agree_mask, allreduce, barrier, ft_allreduce_among, Comm, DetectorConfig, HealthState,
-    PhiAccrualDetector, Recorder, ReduceOp, SuspicionSample, Transition,
+    agree_mask, allreduce, barrier, ft_allreduce_among, Comm, HealthState, PhiAccrualDetector,
+    Recorder, ReduceOp, SuspicionSample, Transition,
 };
 use mheta_sim::{RecoveryKind, RecoverySpan, SimError, SimResult, VarId};
 
@@ -106,6 +107,10 @@ pub const REPREDICTION_WORK_UNITS: f64 = 2_000.0;
 /// call of a replan — the "milliseconds, not minutes" cost that makes
 /// online re-search affordable in the first place.
 pub const REPLAN_WORK_UNITS_PER_EVAL: f64 = 25.0;
+
+/// Checkpoint interval `K` of a fault-tolerant run whose cluster spec
+/// names none (`FaultSpec::checkpoint_interval` = 0).
+pub const CHECKPOINT_INTERVAL: u32 = 4;
 
 const TAG_BASE: u32 = 0x100;
 
@@ -160,30 +165,6 @@ fn check_weights(n: usize, weights: &[f64]) -> SimResult<()> {
         return Err(SimError::InvalidConfig(msg));
     }
     Ok(())
-}
-
-/// Everything configurable about the adaptive loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Phi-accrual detector thresholds.
-    pub detector: DetectorConfig,
-    /// Online re-search policy (drift gate, eval budget, hysteresis).
-    pub policy: OnlinePolicy,
-    /// Checkpoint interval `K` (clamped to at least 1). What
-    /// [`AdaptiveJacobi::run`] checkpoints by; under
-    /// [`crate::harness::run_adaptive`] a non-zero
-    /// `FaultSpec::checkpoint_interval` on the cluster spec wins.
-    pub checkpoint_interval: u32,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            detector: DetectorConfig::default(),
-            policy: OnlinePolicy::default(),
-            checkpoint_interval: 4,
-        }
-    }
 }
 
 /// One committed mid-run rebalance, as every member records it.
@@ -322,7 +303,6 @@ fn prow_estimates(latest: &[f64], weights: &[f64]) -> Vec<f64> {
 /// is identical across members, so every replica reaches the same
 /// decision at the same iteration boundary without communicating.
 pub(crate) struct Replica {
-    policy: OnlinePolicy,
     det: PhiAccrualDetector,
     /// Nominal per-rank CPU powers: the healthy baseline the observed
     /// per-row times correct.
@@ -333,10 +313,13 @@ pub(crate) struct Replica {
 }
 
 impl Replica {
-    pub(crate) fn new(cfg: &AdaptiveConfig, weights: &[f64]) -> Self {
+    /// A replica over members of nominal CPU powers `weights`. With
+    /// `adapt = false` it is the static baseline: the same heartbeat and
+    /// detector timeline, but a detector that never suspects, so no
+    /// replan ever runs.
+    pub(crate) fn new(weights: &[f64], adapt: bool) -> Self {
         Replica {
-            policy: cfg.policy,
-            det: PhiAccrualDetector::new(weights.len(), cfg.detector),
+            det: PhiAccrualDetector::new(weights.len(), adapt),
             weights: weights.to_vec(),
             latest_prow: vec![0.0; weights.len()],
             rebalances: Vec::new(),
@@ -376,9 +359,9 @@ impl Replica {
             .fold(1.0, f64::max);
         let cooled = self.last_adapt_it.is_none_or(|last| {
             it.checked_sub(last)
-                .is_some_and(|d| d >= self.policy.cooldown_iters)
+                .is_some_and(|d| d >= online::COOLDOWN_ITERS)
         });
-        if !(confirm_now || self.policy.should_consider(drift)) || !cooled {
+        if !(confirm_now || drift >= online::DRIFT_THRESHOLD) || !cooled {
             return None;
         }
         self.last_adapt_it = Some(it);
@@ -405,14 +388,14 @@ impl Replica {
                 .map(|(&r, &p)| r as f64 * p)
                 .fold(0.0, f64::max)
         };
-        let replan = self.policy.replan(&cur, &eff, &mut eval);
+        let replan = online::replan(&cur, &eff, &mut eval);
         // Every member pays for the evaluations it just ran — the model is
         // cheap, but it is not free.
         comm.compute(
             f64::from(replan.evals) * REPLAN_WORK_UNITS_PER_EVAL,
             u64::MAX,
         );
-        if !self.policy.should_commit(&replan) {
+        if !replan.commits() {
             return None;
         }
         let mut to_rows = vec![0usize; layout.len()];
@@ -458,55 +441,13 @@ impl Replica {
     }
 }
 
-/// The adaptive wrapper around [`Jacobi`]: the crash-tolerant loop run
-/// with a replica — checkpoint/restart plus slowdown detection, mid-run
-/// rebalancing, node rejoin, and hot-spare enlistment.
-#[derive(Debug, Clone)]
-pub struct AdaptiveJacobi {
-    /// The underlying stencil application.
-    pub app: Jacobi,
-    /// Detector, policy, and checkpoint tunables.
-    pub cfg: AdaptiveConfig,
-}
-
-impl AdaptiveJacobi {
-    /// Run the adaptive driver on one rank.
-    ///
-    /// `structure` is the application's [`Jacobi::structure`] (no
-    /// prefetch), built once by the caller for the whole run;
-    /// `layout0` is the initial per-rank row layout — zero entries are
-    /// idle hot spares; `weights` are the nominal per-rank CPU powers
-    /// (the healthy baseline the effective weights correct); `store` is
-    /// the shared reliable checkpoint storage.
-    ///
-    /// A scheduled crash of this rank is absorbed: the rank returns a
-    /// dead [`AdaptiveOutcome`] instead of an error, so cluster-wide
-    /// runs complete normally.
-    pub fn run<R: Recorder>(
-        &self,
-        comm: &mut Comm<'_, R>,
-        structure: &ProgramStructure,
-        layout0: &[usize],
-        iters: u32,
-        weights: &[f64],
-        store: &CheckpointStore,
-    ) -> SimResult<AdaptiveOutcome> {
-        JacobiLoop {
-            app: &self.app,
-            structure,
-            layout0,
-            iters,
-            interval: self.cfg.checkpoint_interval,
-            weights,
-            store,
-        }
-        .run(comm, Some(Replica::new(&self.cfg, weights)))
-    }
-}
-
 /// What every rank of one run of the crash-tolerant Jacobi loop is
-/// given (see [`AdaptiveJacobi::run`]; `interval` is the checkpoint
-/// interval `K`, clamped to at least 1).
+/// given: `structure` is the application's [`Jacobi::structure`] (no
+/// prefetch), built once for the whole run; `layout0` is the initial
+/// per-rank row layout — zero entries are idle hot spares; `interval`
+/// is the checkpoint interval `K` (at least 1); `weights` are the nominal per-rank
+/// CPU powers (the healthy baseline the effective weights correct);
+/// `store` is the shared reliable checkpoint storage.
 pub(crate) struct JacobiLoop<'a> {
     pub app: &'a Jacobi,
     pub structure: &'a ProgramStructure,
@@ -604,7 +545,7 @@ impl JacobiRun<'_> {
         let mut it = 0u32;
         while it < self.job.iters {
             comm.begin_iteration_ft(it)?;
-            if it.is_multiple_of(self.job.interval.max(1)) {
+            if it.is_multiple_of(self.job.interval) {
                 self.checkpoint(comm, it)?;
             }
             let (local_res, sweep_ns) = self.stencil(comm)?;
@@ -871,8 +812,9 @@ impl JacobiRun<'_> {
 
 /// The adaptive wrapper around [`Cg`]: slowdown detection, mid-run
 /// rebalancing, and rejoin for the reduction-only benchmark. Crash-stop
-/// recovery is [`AdaptiveJacobi`]'s job — CG here demonstrates that the
-/// detector/replan loop is application-shaped, not stencil-shaped.
+/// recovery is the Jacobi loop's job ([`crate::harness::run_adaptive`])
+/// — CG here demonstrates that the detector/replan loop is
+/// application-shaped, not stencil-shaped.
 ///
 /// A rebalance moves the live per-row solver state (`x` and the
 /// residual) as messages and regenerates the receiver's matrix rows
@@ -882,9 +824,6 @@ impl JacobiRun<'_> {
 pub struct AdaptiveCg {
     /// The underlying CG application.
     pub app: Cg,
-    /// Detector and policy tunables (the checkpoint interval is unused:
-    /// this driver does not checkpoint).
-    pub cfg: AdaptiveConfig,
 }
 
 impl AdaptiveCg {
@@ -900,7 +839,7 @@ impl AdaptiveCg {
         check_layout(comm.size(), layout0, self.app.n)?;
         check_weights(comm.size(), weights)?;
         let members: Vec<usize> = (0..comm.size()).collect();
-        let mut replica = Replica::new(&self.cfg, weights);
+        let mut replica = Replica::new(weights, true);
         let mut spans = Vec::new();
         let mut run = CgRun::set_up(&self.app, comm, layout0)?;
         barrier(comm)?;
@@ -1118,39 +1057,24 @@ mod tests {
         s
     }
 
-    fn run_adaptive_raw(spec: &ClusterSpec, layout0: &[usize], iters: u32) -> Vec<AdaptiveOutcome> {
-        let driver = AdaptiveJacobi {
-            app: Jacobi::small(),
-            cfg: AdaptiveConfig::default(),
-        };
-        let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
-        let store = new_checkpoint_store();
-        let structure = driver.app.structure(false);
-        run_app(
-            spec,
-            RunOptions {
-                tracing: false,
-                mode: ExecMode::Normal,
-            },
-            |_| NullRecorder,
-            |comm| driver.run(comm, &structure, layout0, iters, &weights, &store),
-        )
-        .unwrap()
-        .results
-    }
-
-    /// The loop without a replica — what `run_resilient` runs — on
-    /// `Jacobi::small()` under Block.
-    fn run_resilient_raw(spec: &ClusterSpec, iters: u32, interval: u32) -> Vec<AdaptiveOutcome> {
+    /// The loop on `Jacobi::small()` from `layout0`, checkpointing every
+    /// `interval` iterations; with a replica on every rank when `adapt`
+    /// is given, one that rebalances when it is true.
+    fn run_loop(
+        spec: &ClusterSpec,
+        layout0: &[usize],
+        iters: u32,
+        interval: u32,
+        adapt: Option<bool>,
+    ) -> Vec<AdaptiveOutcome> {
         let app = Jacobi::small();
-        let dist = GenBlock::block(app.rows, spec.len());
         let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
         let store = new_checkpoint_store();
         let structure = app.structure(false);
         let job = JacobiLoop {
             app: &app,
             structure: &structure,
-            layout0: dist.rows(),
+            layout0,
             iters,
             interval,
             weights: &weights,
@@ -1163,10 +1087,21 @@ mod tests {
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| job.run(comm, None),
+            |comm| job.run(comm, adapt.map(|adapt| Replica::new(&weights, adapt))),
         )
         .unwrap()
         .results
+    }
+
+    fn run_adaptive_raw(spec: &ClusterSpec, layout0: &[usize], iters: u32) -> Vec<AdaptiveOutcome> {
+        run_loop(spec, layout0, iters, CHECKPOINT_INTERVAL, Some(true))
+    }
+
+    /// The loop without a replica — what `run_resilient` runs — on
+    /// `Jacobi::small()` under Block.
+    fn run_resilient_raw(spec: &ClusterSpec, iters: u32, interval: u32) -> Vec<AdaptiveOutcome> {
+        let dist = GenBlock::block(Jacobi::small().rows, spec.len());
+        run_loop(spec, dist.rows(), iters, interval, None)
     }
 
     fn resilient_residual(n: usize, iters: u32) -> f64 {
@@ -1344,10 +1279,7 @@ mod tests {
         spec.faults
             .degrades
             .push(DegradeSpec::at_iteration(1, 5, 4.0).recovering(RecoverSpec::at_iteration(16)));
-        let driver = AdaptiveCg {
-            app: Cg::small(),
-            cfg: AdaptiveConfig::default(),
-        };
+        let driver = AdaptiveCg { app: Cg::small() };
         let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
         let outcomes = run_app(
             &spec,
@@ -1388,7 +1320,9 @@ mod tests {
             let rel = (o.result.check - plain).abs() / plain.max(1e-30);
             assert!(rel < 1e-6, "check drifted: {} vs {plain}", o.result.check);
         }
-        // Shed under degrade, regained after rejoin.
+        // Shed under degrade. The rejoin (iteration 17) lands inside the
+        // cooldown a non-committing replan attempt restarted, so it is
+        // dropped and member 1 keeps 6 of 96 rows (see `COOLDOWN_ITERS`).
         let o = &outcomes[0];
         let shed = o.rebalances.first().unwrap().to_rows[1];
         assert!(shed < 24, "shed: {shed}");
@@ -1397,10 +1331,7 @@ mod tests {
     #[test]
     fn adaptive_cg_fault_free_is_quiet() {
         let spec = quiet(3);
-        let driver = AdaptiveCg {
-            app: Cg::small(),
-            cfg: AdaptiveConfig::default(),
-        };
+        let driver = AdaptiveCg { app: Cg::small() };
         let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
         let outcomes = run_app(
             &spec,

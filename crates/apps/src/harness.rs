@@ -20,7 +20,7 @@ use mheta_sim::{
 };
 
 use crate::adaptive::{
-    check_layout, new_checkpoint_store, AdaptiveConfig, AdaptiveOutcome, JacobiLoop, Replica,
+    check_layout, new_checkpoint_store, AdaptiveOutcome, JacobiLoop, Replica, CHECKPOINT_INTERVAL,
 };
 use crate::app::RankResult;
 use crate::cg::Cg;
@@ -356,19 +356,19 @@ pub struct AdaptiveRun {
 
 /// Run the crash-tolerant Jacobi loop cluster-wide, apportioning by the
 /// nodes' CPU powers — with a detector replica on every rank when
-/// `adapt` is set, as plain checkpoint/restart otherwise.
+/// `adapt` is given (one that rebalances when it is true), as plain
+/// checkpoint/restart otherwise.
 fn run_fault_tolerant(
     app: &Jacobi,
     spec: &ClusterSpec,
     layout0: &[usize],
     iters: u32,
-    adapt: Option<&AdaptiveConfig>,
+    adapt: Option<bool>,
 ) -> SimResult<AdaptiveRun> {
-    // One home for K: the spec names it; a spec that does not (0) leaves
-    // it to the adaptive configuration.
-    let interval = match (spec.faults.checkpoint_interval, adapt) {
-        (0, Some(cfg)) => cfg.checkpoint_interval,
-        (k, _) => k,
+    // One rule for K: the spec's, or the default when it names none.
+    let interval = match spec.faults.checkpoint_interval {
+        0 => CHECKPOINT_INTERVAL,
+        k => k,
     };
     let weights: Vec<f64> = spec.nodes.iter().map(|n| n.cpu_power).collect();
     let store = new_checkpoint_store();
@@ -389,7 +389,7 @@ fn run_fault_tolerant(
             mode: ExecMode::Normal,
         },
         |_| VecRecorder::default(),
-        |comm| job.run(comm, adapt.map(|cfg| Replica::new(cfg, &weights))),
+        |comm| job.run(comm, adapt.map(|adapt| Replica::new(&weights, adapt))),
     )?;
     let survivors: Vec<RankResult> = run
         .results
@@ -420,9 +420,9 @@ fn run_fault_tolerant(
 
 /// Run the crash-tolerant Jacobi loop cluster-wide as plain
 /// checkpoint/restart (no detector, no heartbeat exchange). The
-/// checkpoint interval comes from `spec.faults.checkpoint_interval`
-/// (clamped to at least 1) and redistribution weights from the nodes'
-/// CPU powers.
+/// checkpoint interval is `spec.faults.checkpoint_interval`, or
+/// [`CHECKPOINT_INTERVAL`] when that is 0; redistribution weights come
+/// from the nodes' CPU powers.
 pub fn run_resilient(
     app: &Jacobi,
     spec: &ClusterSpec,
@@ -435,18 +435,19 @@ pub fn run_resilient(
 /// Run the adaptive Jacobi driver cluster-wide: the same loop plus
 /// phi-accrual detection, slowdown-vs-crash disambiguation, and mid-run
 /// GEN_BLOCK rebalancing. `layout0` may contain zero-row hot spares;
-/// rebalancing weights come from the nodes' CPU powers. The checkpoint
-/// interval is `spec.faults.checkpoint_interval` when that is non-zero
-/// (as [`run_resilient`] reads it) and `cfg.checkpoint_interval`
-/// otherwise.
+/// rebalancing weights come from the nodes' CPU powers; the checkpoint
+/// interval follows [`run_resilient`]'s rule. `adapt = false` is the
+/// static baseline: the same loop, heartbeat and detector timeline, but
+/// a detector that never suspects, so nothing is ever rebalanced (a
+/// crash is still recovered).
 pub fn run_adaptive(
     app: &Jacobi,
     spec: &ClusterSpec,
     layout0: &[usize],
     iters: u32,
-    cfg: AdaptiveConfig,
+    adapt: bool,
 ) -> SimResult<AdaptiveRun> {
-    run_fault_tolerant(app, spec, layout0, iters, Some(&cfg))
+    run_fault_tolerant(app, spec, layout0, iters, Some(adapt))
 }
 
 /// Summary of a fault-tolerant run's recovery, for comparing against the
@@ -764,10 +765,10 @@ mod tests {
         }
     }
 
-    /// One home for K: `with_crash` puts the checkpoint interval on the
-    /// spec, and both entry points checkpoint by it (`run_adaptive` used
-    /// to read its configuration only: 4 spans here, not 14); a spec that
-    /// names none leaves it to the configuration.
+    /// One rule for K: `with_crash` puts K = 1 on the spec, and both
+    /// entry points checkpoint by it (14 spans: every iteration run,
+    /// replays included); a spec that names none checkpoints both by
+    /// `CHECKPOINT_INTERVAL` (3 spans in 12 iterations).
     #[test]
     fn both_entry_points_checkpoint_by_the_specs_interval() {
         let app = Jacobi::small();
@@ -778,21 +779,22 @@ mod tests {
             kinds.filter(|&k| k == RecoveryKind::Checkpoint).count()
         };
         let spec = mheta_sim::presets::with_crash(ClusterSpec::homogeneous(4), 2, 9, 1);
-        let cfg = AdaptiveConfig::default();
         assert_eq!(
             checkpoints(run_resilient(&app, &spec, &dist, 12).unwrap()),
             14
         );
         assert_eq!(
-            checkpoints(run_adaptive(&app, &spec, dist.rows(), 12, cfg).unwrap()),
+            checkpoints(run_adaptive(&app, &spec, dist.rows(), 12, true).unwrap()),
             14
         );
-        let cfg = AdaptiveConfig {
-            checkpoint_interval: 5,
-            ..cfg
-        };
+        let spec = quiet(4);
+        assert_eq!(spec.faults.checkpoint_interval, 0, "names no K");
         assert_eq!(
-            checkpoints(run_adaptive(&app, &quiet(4), dist.rows(), 12, cfg).unwrap()),
+            checkpoints(run_resilient(&app, &spec, &dist, 12).unwrap()),
+            3
+        );
+        assert_eq!(
+            checkpoints(run_adaptive(&app, &spec, dist.rows(), 12, true).unwrap()),
             3
         );
     }

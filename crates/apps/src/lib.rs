@@ -19,7 +19,7 @@
 //! percent-difference metric. [`adaptive`] holds the fault-tolerant
 //! drivers: one crash-tolerant Jacobi loop (checkpoint/restart as
 //! [`run_resilient`] runs it; with a detector replica and mid-run
-//! rebalancing as [`AdaptiveJacobi`] and [`run_adaptive`] do) and the
+//! rebalancing as [`run_adaptive`] does) and the
 //! rebalancing [`AdaptiveCg`]. They and the §6 switch run one
 //! transfer-plan executor, [`redistribute::move_rows`].
 
@@ -37,8 +37,8 @@ pub mod redistribute;
 pub mod rna;
 
 pub use adaptive::{
-    new_checkpoint_store, AdaptiveCg, AdaptiveConfig, AdaptiveJacobi, AdaptiveOutcome, Checkpoint,
-    CheckpointStore, RebalanceEvent, VAR_CKPT, VAR_FETCH,
+    new_checkpoint_store, AdaptiveCg, AdaptiveOutcome, Checkpoint, CheckpointStore, RebalanceEvent,
+    CHECKPOINT_INTERVAL, VAR_CKPT, VAR_FETCH,
 };
 pub use app::RankResult;
 pub use cg::Cg;

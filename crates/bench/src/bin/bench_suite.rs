@@ -49,9 +49,7 @@
 
 use std::fmt::Write as _;
 
-use mheta_apps::{
-    build_model, percent_difference, run_adaptive, run_observed, AdaptiveConfig, Benchmark, Jacobi,
-};
+use mheta_apps::{build_model, percent_difference, run_adaptive, run_observed, Benchmark, Jacobi};
 use mheta_bench::{
     canonical_labels, canonical_predictions, canonical_sweep, experiment_iters, Stats, SweepPoint,
 };
@@ -338,7 +336,7 @@ fn adaptive_entry(fault_free: &[ClusterSpec]) -> Value {
     for spec in fault_free {
         let powers: Vec<f64> = spec.nodes.iter().map(|n| n.cpu_power).collect();
         let layout = GenBlock::apportion(app.rows, &powers).rows().to_vec();
-        let run = run_adaptive(&app, spec, &layout, iters, AdaptiveConfig::default())
+        let run = run_adaptive(&app, spec, &layout, iters, true)
             .unwrap_or_else(|e| panic!("adaptive Jacobi on {}: {e}", spec.name));
         false_positives += run
             .outcomes
@@ -351,18 +349,14 @@ fn adaptive_entry(fault_free: &[ClusterSpec]) -> Value {
     let spec = presets::with_degrade(presets::dc(), degraded_rank, 6, factor);
     let powers: Vec<f64> = spec.nodes.iter().map(|n| n.cpu_power).collect();
     let layout0 = GenBlock::apportion(app.rows, &powers).rows().to_vec();
-    let mut static_cfg = AdaptiveConfig::default();
-    static_cfg.detector.phi_threshold = f64::INFINITY;
 
     let static_run =
-        run_adaptive(&app, &spec, &layout0, iters, static_cfg).expect("static baseline run");
-    let adaptive_run = run_adaptive(&app, &spec, &layout0, iters, AdaptiveConfig::default())
-        .expect("adaptive run");
+        run_adaptive(&app, &spec, &layout0, iters, false).expect("static baseline run");
+    let adaptive_run = run_adaptive(&app, &spec, &layout0, iters, true).expect("adaptive run");
     let mut oracle_w = powers.clone();
     oracle_w[degraded_rank] /= factor;
     let oracle_layout = GenBlock::apportion(app.rows, &oracle_w).rows().to_vec();
-    let oracle_run =
-        run_adaptive(&app, &spec, &oracle_layout, iters, static_cfg).expect("oracle run");
+    let oracle_run = run_adaptive(&app, &spec, &oracle_layout, iters, false).expect("oracle run");
 
     let (s, a, o) = (
         static_run.measured.secs,

@@ -24,7 +24,7 @@ pub use anchors::{bal, blk, ic, ic_bal, AnchorInputs};
 pub use delta::{DeltaEvaluator, DeltaModel, DeltaSession, DeltaStats};
 pub use fitness::{EvalError, Evaluator, FallibleFn};
 pub use genblock::{GenBlock, GenBlockError};
-pub use online::{OnlinePolicy, Replan};
+pub use online::{replan, Replan};
 pub use redistribution::{
     move_clocks, predict_cost_ns, rows_moved, switch_benefit_ns, transfer_plan, Transfer,
 };

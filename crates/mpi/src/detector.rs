@@ -38,8 +38,9 @@
 //! ```
 //!
 //! **Zero-false-positive guarantee on fault-free runs**: a member is
-//! suspected only when *both* its phi exceeds `phi_threshold` *and* its
-//! sample exceeds `suspect_ratio` times the frozen healthy baseline.
+//! suspected only when *both* its phi exceeds [`PHI_THRESHOLD`] *and*
+//! its sample exceeds [`SUSPECT_RATIO`] times the frozen healthy
+//! baseline.
 //! The phi term adapts to each member's observed jitter; the ratio
 //! guard bounds the damage of a degenerate (near-zero variance)
 //! baseline, where even benign noise produces unbounded phi. Property
@@ -48,43 +49,26 @@
 
 use std::fmt;
 
-/// Tunable thresholds for the [`PhiAccrualDetector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Suspicion level above which a member becomes suspected;
-    /// `phi = 8` means "the healthy model puts under 10⁻⁸ probability
-    /// on a sample this large".
-    pub phi_threshold: f64,
-    /// Number of leading samples used to learn a member's healthy
-    /// baseline; no suspicion is raised while the baseline is learning.
-    pub warmup_samples: usize,
-    /// Ratio guard: a sample must also exceed `suspect_ratio × baseline
-    /// mean` to count as suspect, bounding false positives when the
-    /// baseline variance is degenerate (deterministic runs).
-    pub suspect_ratio: f64,
-    /// Consecutive suspect samples required to confirm `Suspected →
-    /// Degraded` (and calm samples for `Degraded → Rejoined`).
-    pub confirm_samples: u32,
-    /// A degraded member whose sample falls back under `rejoin_ratio ×
-    /// baseline mean` for `confirm_samples` iterations is rejoined.
-    pub rejoin_ratio: f64,
-    /// Floor on the baseline standard deviation, as a fraction of the
-    /// baseline mean, so phi stays finite on zero-variance baselines.
-    pub min_sigma_frac: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            phi_threshold: 8.0,
-            warmup_samples: 3,
-            suspect_ratio: 1.35,
-            confirm_samples: 2,
-            rejoin_ratio: 1.15,
-            min_sigma_frac: 0.02,
-        }
-    }
-}
+/// Suspicion level above which a member becomes suspected; `phi = 8`
+/// means "the healthy model puts under 10⁻⁸ probability on a sample
+/// this large".
+pub const PHI_THRESHOLD: f64 = 8.0;
+/// Number of leading samples used to learn a member's healthy
+/// baseline; no suspicion is raised while the baseline is learning.
+pub const WARMUP_SAMPLES: usize = 3;
+/// Ratio guard: a sample must also exceed `SUSPECT_RATIO × baseline
+/// mean` to count as suspect, bounding false positives when the
+/// baseline variance is degenerate (deterministic runs).
+pub const SUSPECT_RATIO: f64 = 1.35;
+/// Consecutive suspect samples required to confirm `Suspected →
+/// Degraded` (and calm samples for `Degraded → Rejoined`).
+pub const CONFIRM_SAMPLES: u32 = 2;
+/// A degraded member whose sample falls back under `REJOIN_RATIO ×
+/// baseline mean` for `CONFIRM_SAMPLES` iterations is rejoined.
+pub const REJOIN_RATIO: f64 = 1.15;
+/// Floor on the baseline standard deviation, as a fraction of the
+/// baseline mean, so phi stays finite on zero-variance baselines.
+pub const MIN_SIGMA_FRAC: f64 = 0.02;
 
 /// Health of one member as judged by the detector replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -192,7 +176,10 @@ impl MemberHealth {
 /// Deterministic phi-accrual detector replica; see the module docs.
 #[derive(Debug, Clone)]
 pub struct PhiAccrualDetector {
-    cfg: DetectorConfig,
+    /// False for a replica that never suspects: it still computes and
+    /// records phi, so its timeline matches a suspecting one's up to
+    /// the first suspicion (the static baseline).
+    suspects: bool,
     members: Vec<MemberHealth>,
     timeline: Vec<SuspicionSample>,
     transitions: Vec<Transition>,
@@ -201,22 +188,18 @@ pub struct PhiAccrualDetector {
 }
 
 impl PhiAccrualDetector {
-    /// A detector replica for `n` members under `cfg`.
+    /// A detector replica for `n` members; one built with `suspects =
+    /// false` observes and records phi but never leaves `Healthy` on
+    /// its own (only [`PhiAccrualDetector::mark_dead`] moves it).
     #[must_use]
-    pub fn new(n: usize, cfg: DetectorConfig) -> Self {
+    pub fn new(n: usize, suspects: bool) -> Self {
         PhiAccrualDetector {
-            cfg,
+            suspects,
             members: (0..n).map(|_| MemberHealth::new()).collect(),
             timeline: Vec::new(),
             transitions: Vec::new(),
             detection_latencies_ns: Vec::new(),
         }
-    }
-
-    /// The configuration this replica runs under.
-    #[must_use]
-    pub fn config(&self) -> DetectorConfig {
-        self.cfg
     }
 
     /// Current health of `member`.
@@ -323,7 +306,6 @@ impl PhiAccrualDetector {
     }
 
     fn observe_member(&mut self, member: usize, it: u32, at_ns: u64, x: f64) -> Option<Transition> {
-        let cfg = self.cfg;
         let m = &mut self.members[member];
 
         // A rejoined member folds back to healthy on its next sample and
@@ -338,7 +320,7 @@ impl PhiAccrualDetector {
         let Some(mean) = m.mean else {
             // Learning the healthy baseline: collect, freeze at warmup.
             m.window.push(x);
-            if m.window.len() >= cfg.warmup_samples.max(1) {
+            if m.window.len() >= WARMUP_SAMPLES {
                 let n = m.window.len() as f64;
                 let mean = m.window.iter().sum::<f64>() / n;
                 let var = m.window.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
@@ -357,14 +339,11 @@ impl PhiAccrualDetector {
             return None;
         };
 
-        let sigma = m
-            .sigma
-            .max(cfg.min_sigma_frac * mean)
-            .max(f64::MIN_POSITIVE);
+        let sigma = m.sigma.max(MIN_SIGMA_FRAC * mean).max(f64::MIN_POSITIVE);
         let phi = phi_level(x, mean, sigma);
         let ratio = x / mean;
         m.ratio = ratio;
-        let suspect = phi > cfg.phi_threshold && ratio > cfg.suspect_ratio;
+        let suspect = self.suspects && phi > PHI_THRESHOLD && ratio > SUSPECT_RATIO;
 
         let from = m.state;
         let mut to = from;
@@ -379,7 +358,7 @@ impl PhiAccrualDetector {
             HealthState::Suspected => {
                 if suspect {
                     m.suspect_streak += 1;
-                    if m.suspect_streak >= cfg.confirm_samples.max(1) {
+                    if m.suspect_streak >= CONFIRM_SAMPLES {
                         to = HealthState::Degraded;
                         let latency = at_ns.saturating_sub(m.first_suspect_ns.unwrap_or(at_ns));
                         self.detection_latencies_ns.push(latency);
@@ -391,9 +370,9 @@ impl PhiAccrualDetector {
                 }
             }
             HealthState::Degraded => {
-                if ratio < cfg.rejoin_ratio {
+                if ratio < REJOIN_RATIO {
                     m.calm_streak += 1;
-                    if m.calm_streak >= cfg.confirm_samples.max(1) {
+                    if m.calm_streak >= CONFIRM_SAMPLES {
                         m.calm_streak = 0;
                         m.suspect_streak = 0;
                         m.first_suspect_ns = None;
@@ -474,7 +453,7 @@ mod tests {
     use super::*;
 
     fn detector(n: usize) -> PhiAccrualDetector {
-        PhiAccrualDetector::new(n, DetectorConfig::default())
+        PhiAccrualDetector::new(n, true)
     }
 
     /// Feed `iters` iterations of a baseline 100 ns/row signal with a
@@ -532,13 +511,23 @@ mod tests {
             .iter()
             .find(|t| t.to == HealthState::Degraded)
             .expect("must confirm");
-        // Suspected at onset, confirmed within confirm_samples more.
-        assert!(confirm.at_iteration <= 8 + DetectorConfig::default().confirm_samples);
+        // Suspected at onset, confirmed within CONFIRM_SAMPLES more.
+        assert!(confirm.at_iteration <= 8 + CONFIRM_SAMPLES);
         assert_eq!(det.detection_latencies_ns().len(), 1);
         // Healthy members are untouched.
         for m in [0, 1, 3] {
             assert_eq!(det.state(m), HealthState::Healthy);
         }
+        // A replica that never suspects sees the same phi and stays quiet.
+        let mut quiet = PhiAccrualDetector::new(4, false);
+        drive(&mut quiet, 4, 20, 0.02, 2, 8, 4.0);
+        assert!(quiet.transitions().is_empty(), "{:?}", quiet.transitions());
+        assert_eq!(quiet.state(2), HealthState::Healthy);
+        let phi = |d: &PhiAccrualDetector| -> Vec<u64> {
+            d.timeline().iter().map(|s| s.phi.to_bits()).collect()
+        };
+        assert_eq!(phi(&quiet), phi(&det));
+        assert!(quiet.timeline().iter().any(|s| s.phi > PHI_THRESHOLD));
     }
 
     #[test]

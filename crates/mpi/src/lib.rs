@@ -29,7 +29,7 @@ pub use collectives::{
     HopCost, ReduceOp, TAG_AGREE, TAG_BCAST, TAG_COLLECTIVE_BASE, TAG_REDUCE,
 };
 pub use comm::{Comm, ExecMode, PrefetchToken, RetryPolicy};
-pub use detector::{DetectorConfig, HealthState, PhiAccrualDetector, SuspicionSample, Transition};
+pub use detector::{HealthState, PhiAccrualDetector, SuspicionSample, Transition};
 pub use hooks::{
     HookEvent, NullRecorder, OpInfo, OpKind, Recorder, Scope, ScopeKind, SharedEventLog,
     SharedVecRecorder, VecRecorder,

@@ -269,11 +269,11 @@ pub struct FaultSpec {
     /// detector and rebalance the GEN_BLOCK distribution mid-run.
     pub degrades: Vec<DegradeSpec>,
     /// Checkpoint interval K in iterations for the crash-aware drivers
-    /// (`mheta_apps::run_resilient` and `run_adaptive`). 0 names no
-    /// interval — `run_adaptive` then checkpoints by its
-    /// `AdaptiveConfig::checkpoint_interval`, `run_resilient` every
-    /// iteration — and is invalid once any crash is scheduled: a crash
-    /// plan must say what there is to roll back to.
+    /// (`mheta_apps::run_resilient` and `run_adaptive`, which share one
+    /// rule: K is this value, or `mheta_apps::CHECKPOINT_INTERVAL` (4)
+    /// when it is 0). 0 names no interval and is invalid once any crash
+    /// is scheduled: a crash plan must say what there is to roll back
+    /// to.
     pub checkpoint_interval: u32,
     /// Virtual time between a rank's death and a survivor's blocking
     /// operation against it resolving (failure-detector latency), ns.

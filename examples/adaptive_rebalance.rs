@@ -28,7 +28,7 @@
 //! `target/adaptive_<scenario>.metrics.json` (detector counters,
 //! detection-latency histogram, rebalance totals).
 
-use mheta::apps::{run_adaptive, AdaptiveConfig, AdaptiveRun, Jacobi};
+use mheta::apps::{run_adaptive, AdaptiveRun, Jacobi};
 use mheta::obs::{perfetto_trace, Metrics};
 use mheta::prelude::*;
 use mheta::sim::{DegradeSpec, RecoverSpec};
@@ -36,12 +36,6 @@ use mheta::sim::{DegradeSpec, RecoverSpec};
 const DEGRADED_RANK: usize = 3;
 const CRASHED_RANK: usize = 5;
 const ITERS: u32 = 40;
-
-fn static_cfg() -> AdaptiveConfig {
-    let mut cfg = AdaptiveConfig::default();
-    cfg.detector.phi_threshold = f64::INFINITY;
-    cfg
-}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -100,10 +94,9 @@ fn main() {
         spec.len()
     );
 
-    let run = run_adaptive(&app, &spec, &layout0, ITERS, AdaptiveConfig::default())
-        .expect("adaptive run failed");
-    let baseline = run_adaptive(&app, &spec, &layout0, ITERS, static_cfg())
-        .expect("static baseline run failed");
+    let run = run_adaptive(&app, &spec, &layout0, ITERS, true).expect("adaptive run failed");
+    let baseline =
+        run_adaptive(&app, &spec, &layout0, ITERS, false).expect("static baseline run failed");
     report(&run, &baseline, &layout0);
 
     if telemetry {

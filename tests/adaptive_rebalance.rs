@@ -12,7 +12,7 @@
 //! `examples/adaptive_rebalance.rs` each make the adaptation they exist
 //! to show, across the same noise seeds.
 
-use mheta_apps::{run_adaptive, AdaptiveConfig, AdaptiveOutcome, AdaptiveRun, Jacobi};
+use mheta_apps::{run_adaptive, AdaptiveOutcome, AdaptiveRun, Jacobi};
 use mheta_dist::GenBlock;
 use mheta_sim::presets::{dc, with_crash, with_degrade};
 use mheta_sim::{ClusterSpec, DegradeSpec, RecoverSpec};
@@ -50,21 +50,15 @@ fn cpu_powers(spec: &ClusterSpec) -> Vec<f64> {
     spec.nodes.iter().map(|n| n.cpu_power).collect()
 }
 
-/// The adaptive driver with detection disabled: identical per-iteration
-/// overheads (heartbeat exchange, checkpoints) but no suspicion and no
-/// rebalancing — the fair static baseline.
-fn static_cfg() -> AdaptiveConfig {
-    let mut cfg = AdaptiveConfig::default();
-    cfg.detector.phi_threshold = f64::INFINITY;
-    cfg
-}
-
 fn degraded_spec(seed: u64) -> ClusterSpec {
     with_degrade(dc_seeded(seed), DEGRADED_RANK, DEGRADE_AT, DEGRADE_FACTOR)
 }
 
-fn run(spec: &ClusterSpec, layout0: &[usize], cfg: AdaptiveConfig) -> AdaptiveRun {
-    run_adaptive(&app(), spec, layout0, ITERS, cfg).expect("adaptive run failed")
+/// The adaptive driver on `spec`; with `adapt = false` it is the fair
+/// static baseline: identical per-iteration overheads (heartbeat
+/// exchange, checkpoints) but no suspicion and no rebalancing.
+fn run(spec: &ClusterSpec, layout0: &[usize], adapt: bool) -> AdaptiveRun {
+    run_adaptive(&app(), spec, layout0, ITERS, adapt).expect("adaptive run failed")
 }
 
 /// What the first surviving rank saw of an adaptive run.
@@ -82,13 +76,13 @@ fn adaptive_recovers_sixty_percent_of_makespan_gap_on_dc() {
         let powers = cpu_powers(&spec);
         let layout0 = GenBlock::apportion(app().rows, &powers).rows().to_vec();
 
-        let static_run = run(&spec, &layout0, static_cfg());
-        let adaptive_run = run(&spec, &layout0, AdaptiveConfig::default());
+        let static_run = run(&spec, &layout0, false);
+        let adaptive_run = run(&spec, &layout0, true);
 
         let mut oracle_w = powers.clone();
         oracle_w[DEGRADED_RANK] /= DEGRADE_FACTOR;
         let oracle_layout = GenBlock::apportion(app().rows, &oracle_w).rows().to_vec();
-        let oracle_run = run(&spec, &oracle_layout, static_cfg());
+        let oracle_run = run(&spec, &oracle_layout, false);
 
         let s = static_run.measured.secs;
         let a = adaptive_run.measured.secs;
@@ -133,8 +127,8 @@ fn adaptive_gap_recovery_is_deterministic() {
     let spec = degraded_spec(dc().seed);
     let powers = cpu_powers(&spec);
     let layout0 = GenBlock::apportion(app().rows, &powers).rows().to_vec();
-    let one = run(&spec, &layout0, AdaptiveConfig::default());
-    let two = run(&spec, &layout0, AdaptiveConfig::default());
+    let one = run(&spec, &layout0, true);
+    let two = run(&spec, &layout0, true);
     assert_eq!(one.measured.secs, two.measured.secs);
     assert_eq!(one.windows, two.windows);
     let (a, b) = (&one.outcomes[0], &two.outcomes[0]);
@@ -148,7 +142,7 @@ fn detector_stays_silent_on_fault_free_dc() {
     let spec = dc();
     let powers = cpu_powers(&spec);
     let layout0 = GenBlock::apportion(app().rows, &powers).rows().to_vec();
-    let fault_free = run(&spec, &layout0, AdaptiveConfig::default());
+    let fault_free = run(&spec, &layout0, true);
     for out in &fault_free.outcomes {
         assert!(out.rebalances.is_empty(), "false-positive rebalance");
         assert!(out.transitions.is_empty(), "false-positive transition");
@@ -156,7 +150,7 @@ fn detector_stays_silent_on_fault_free_dc() {
     }
     // And its makespan matches the detection-disabled baseline exactly:
     // the detector's bookkeeping is free on the virtual clock.
-    let quiet = run(&spec, &layout0, static_cfg());
+    let quiet = run(&spec, &layout0, false);
     assert_eq!(fault_free.measured.secs, quiet.measured.secs);
 }
 
@@ -169,7 +163,7 @@ fn crash_rejoin_and_spare_scenarios_adapt_across_noise_seeds() {
 
         // A rank dies: the survivors see it and take over its rows.
         let crash = with_crash(dc_seeded(seed), CRASHED_RANK, 20, 4);
-        let crash = run(&crash, &layout0, AdaptiveConfig::default());
+        let crash = run(&crash, &layout0, true);
         let view = survivor(&crash);
         assert_eq!(
             view.dead,
@@ -188,7 +182,7 @@ fn crash_rejoin_and_spare_scenarios_adapt_across_noise_seeds() {
             DegradeSpec::at_iteration(DEGRADED_RANK, DEGRADE_AT, DEGRADE_FACTOR)
                 .recovering(RecoverSpec::at_iteration(22)),
         );
-        let rejoin = run(&rejoin, &layout0, AdaptiveConfig::default());
+        let rejoin = run(&rejoin, &layout0, true);
         let view = survivor(&rejoin);
         let rejoined_at = view
             .transitions
@@ -212,11 +206,7 @@ fn crash_rejoin_and_spare_scenarios_adapt_across_noise_seeds() {
             .rows()
             .to_vec();
         spare_layout.push(0);
-        let spare = run(
-            &degraded_spec(seed),
-            &spare_layout,
-            AdaptiveConfig::default(),
-        );
+        let spare = run(&degraded_spec(seed), &spare_layout, true);
         let view = survivor(&spare);
         assert!(
             view.final_rows[7] > 0,

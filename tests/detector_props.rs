@@ -8,7 +8,7 @@
 //! per-row cost under the preset's cost model, perturbed by the same
 //! deterministic noise stream the engine uses.
 
-use mheta::mpi::detector::{DetectorConfig, HealthState, PhiAccrualDetector};
+use mheta::mpi::detector::{HealthState, PhiAccrualDetector, CONFIRM_SAMPLES};
 use mheta::sim::noise::NoiseStream;
 use mheta::sim::presets::seventeen_architectures;
 use mheta::sim::ClusterSpec;
@@ -47,7 +47,7 @@ fn zero_false_positives_all_presets_sixteen_seeds() {
     for spec in seventeen_architectures() {
         for seed in 1..=16u64 {
             let series = fault_free_series(&spec, seed, 120);
-            let mut det = PhiAccrualDetector::new(spec.len(), DetectorConfig::default());
+            let mut det = PhiAccrualDetector::new(spec.len(), true);
             run_series(&mut det, &series);
             assert!(
                 det.transitions().is_empty(),
@@ -83,7 +83,7 @@ proptest! {
         let mut spec = seventeen_architectures().swap_remove(preset);
         spec.noise.amplitude = amplitude;
         let series = fault_free_series(&spec, seed, iters);
-        let mut det = PhiAccrualDetector::new(spec.len(), DetectorConfig::default());
+        let mut det = PhiAccrualDetector::new(spec.len(), true);
         run_series(&mut det, &series);
         prop_assert!(
             det.transitions().is_empty(),
@@ -92,7 +92,7 @@ proptest! {
     }
 
     /// A persistent slowdown of factor >= 2 injected after warmup is
-    /// confirmed Degraded within `confirm_samples` iterations of onset
+    /// confirmed Degraded within `CONFIRM_SAMPLES` iterations of onset
     /// (one Suspected sample per confirmation step, no overshoot).
     #[test]
     fn detection_latency_is_bounded(
@@ -104,7 +104,6 @@ proptest! {
     ) {
         let spec = seventeen_architectures().swap_remove(preset);
         prop_assume!(victim < spec.len());
-        let cfg = DetectorConfig::default();
         let iters = onset + 20;
         let mut series = fault_free_series(&spec, seed, iters);
         for (it, samples) in series.iter_mut().enumerate() {
@@ -112,7 +111,7 @@ proptest! {
                 samples[victim] *= factor;
             }
         }
-        let mut det = PhiAccrualDetector::new(spec.len(), cfg);
+        let mut det = PhiAccrualDetector::new(spec.len(), true);
         run_series(&mut det, &series);
         let confirm = det
             .transitions()
@@ -121,9 +120,9 @@ proptest! {
         prop_assert!(confirm.is_some(), "{}: never confirmed", spec.name);
         let confirm = confirm.unwrap();
         // First suspect sample lands at onset; confirmation takes at
-        // most confirm_samples - 1 further samples.
+        // most CONFIRM_SAMPLES - 1 further samples.
         prop_assert!(
-            confirm.at_iteration < onset + cfg.confirm_samples,
+            confirm.at_iteration < onset + CONFIRM_SAMPLES,
             "{}: confirmed at {} for onset {onset}",
             spec.name,
             confirm.at_iteration
@@ -149,7 +148,7 @@ proptest! {
         let spec = seventeen_architectures().swap_remove(preset);
         prop_assume!(victim < spec.len());
         let series = fault_free_series(&spec, seed, crash_at + 10);
-        let mut det = PhiAccrualDetector::new(spec.len(), DetectorConfig::default());
+        let mut det = PhiAccrualDetector::new(spec.len(), true);
         for (it, samples) in series.iter().enumerate() {
             let it = it as u32;
             if it == crash_at {

@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
-use mheta::apps::{run_adaptive, run_resilient, AdaptiveCg, AdaptiveConfig};
+use mheta::apps::{run_adaptive, run_resilient, AdaptiveCg};
 use mheta::mpi::{run_app, ExecMode, RunOptions, VecRecorder};
 use mheta::obs::json::{from_str, Value};
 use mheta::prelude::*;
@@ -209,12 +209,6 @@ fn resilient_cases(out: &mut Cases) {
     }
 }
 
-fn static_cfg() -> AdaptiveConfig {
-    let mut cfg = AdaptiveConfig::default();
-    cfg.detector.phi_threshold = f64::INFINITY;
-    cfg
-}
-
 /// The `bench_suite` adaptive block's application, spec and scenarios
 /// (and `examples/adaptive_rebalance.rs`'s four).
 fn adaptive_cases(out: &mut Cases) {
@@ -236,36 +230,21 @@ fn adaptive_cases(out: &mut Cases) {
         .degrades
         .push(DegradeSpec::at_iteration(3, 6, 4.0).recovering(RecoverSpec::at_iteration(22)));
     let cases = [
-        (
-            "fault_free",
-            dc.clone(),
-            &by_power,
-            AdaptiveConfig::default(),
-        ),
-        ("static", degraded.clone(), &by_power, static_cfg()),
-        (
-            "degrade",
-            degraded.clone(),
-            &by_power,
-            AdaptiveConfig::default(),
-        ),
-        ("rejoin", rejoin, &by_power, AdaptiveConfig::default()),
-        ("spare", degraded.clone(), &spare, AdaptiveConfig::default()),
-        (
-            "crash",
-            presets::with_crash(dc, 5, 20, 4),
-            &by_power,
-            AdaptiveConfig::default(),
-        ),
+        ("fault_free", dc.clone(), &by_power, true),
+        ("static", degraded.clone(), &by_power, false),
+        ("degrade", degraded.clone(), &by_power, true),
+        ("rejoin", rejoin, &by_power, true),
+        ("spare", degraded.clone(), &spare, true),
+        ("crash", presets::with_crash(dc, 5, 20, 4), &by_power, true),
         (
             "degrade_then_crash",
             presets::with_crash(degraded, 5, 20, 4),
             &by_power,
-            AdaptiveConfig::default(),
+            true,
         ),
     ];
-    for (name, spec, layout0, cfg) in cases {
-        let run = run_adaptive(&app, &spec, layout0, iters, cfg)
+    for (name, spec, layout0, adapt) in cases {
+        let run = run_adaptive(&app, &spec, layout0, iters, adapt)
             .unwrap_or_else(|e| panic!("adaptive/{name}: {e}"));
         record!(
             out,
@@ -280,10 +259,7 @@ fn adaptive_cases(out: &mut Cases) {
 }
 
 fn cg_cases(out: &mut Cases) {
-    let driver = AdaptiveCg {
-        app: Cg::small(),
-        cfg: AdaptiveConfig::default(),
-    };
+    let driver = AdaptiveCg { app: Cg::small() };
     let mut base = ClusterSpec::homogeneous(4);
     base.seed = 11;
     let mut rejoin = base.clone();

@@ -118,7 +118,7 @@ mod trace_invariants {
 
 mod crash_determinism {
     use super::*;
-    use mheta::apps::{run_adaptive, run_resilient, AdaptiveConfig};
+    use mheta::apps::{run_adaptive, run_resilient};
     use mheta::sim::DegradeSpec;
     use proptest::prelude::*;
 
@@ -160,7 +160,7 @@ mod crash_determinism {
                 if adaptive {
                     let mut spec = spec.clone();
                     spec.faults.degrades.push(DegradeSpec::at_iteration((victim + 1) % 4, 4, 4.0));
-                    run_adaptive(&app, &spec, dist.rows(), 10, AdaptiveConfig::default())
+                    run_adaptive(&app, &spec, dist.rows(), 10, true)
                 } else {
                     run_resilient(&app, &spec, &dist, 10)
                 }
