@@ -151,7 +151,6 @@ impl Jacobi {
         let offset = dist.offsets()[rank];
 
         // ---- setup: place this rank's share on its local disk -------
-        comm.ctx().disk.create(VAR_U, m * cols);
         let mut init = Vec::with_capacity(m * cols);
         for r in 0..m {
             init.extend(self.initial_row(offset + r, cols));

@@ -159,7 +159,6 @@ impl Multigrid {
         let ccols = self.ccols();
 
         // ---- setup ----------------------------------------------------
-        comm.ctx().disk.create(VAR_FINE, m * cols);
         comm.ctx().disk.create(VAR_COARSE, m * ccols);
         {
             let mut init = Vec::with_capacity(m * cols);

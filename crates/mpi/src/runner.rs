@@ -1,9 +1,10 @@
 //! Cluster-wide application launcher.
 //!
-//! [`run_app`] is the analogue of `mpirun`: it spawns one thread per
-//! rank, builds each rank a [`Comm`] wired to a freshly constructed
-//! recorder, runs the application body, and collects results, recorders
-//! (instrumentation output), and traces.
+//! [`run_app`] is the analogue of `mpirun`: it runs each rank on one
+//! parked worker thread, reused across runs, builds each rank a
+//! [`Comm`] wired to a freshly constructed recorder, runs the
+//! application body, and collects results, recorders (instrumentation
+//! output), and traces.
 
 use mheta_sim::{run_cluster, ClusterSpec, RankTrace, SimResult, SimTime};
 

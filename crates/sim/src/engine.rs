@@ -1,8 +1,9 @@
 //! The virtual-time execution engine.
 //!
-//! Each simulated rank runs as a real OS thread executing the actual
-//! application code (so numerical results are real), but *time* is a
-//! per-rank virtual clock advanced by the cost model:
+//! Each simulated rank runs on a real OS thread — one parked worker per
+//! rank, reused across runs — executing the actual application code (so
+//! numerical results are real), but *time* is a per-rank virtual clock
+//! advanced by the cost model:
 //!
 //! * `compute(work, ws)` — advances the local clock by
 //!   `work · ns_per_unit / cpu_power`, scaled by the cache-tier factor
@@ -24,10 +25,10 @@
 //! than hanging the host process.
 //!
 //! There are two ways to run a program over a cluster, with one result
-//! type: [`run_cluster`] gives every rank its own OS thread and runs any
-//! program; [`run_in_rank_order`] runs the ranks one after another on
-//! the caller's thread, for programs in which no rank ever has to wait
-//! for a rank that has not run yet.
+//! type: [`run_cluster`] gives every rank its own parked worker thread,
+//! reused across runs, and runs any program; [`run_in_rank_order`] runs
+//! the ranks one after another on the caller's thread, for programs in
+//! which no rank ever has to wait for a rank that has not run yet.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -104,8 +105,8 @@ pub struct SimKernel {
 }
 
 impl SimKernel {
-    /// Build a kernel for `spec`, one OS thread per rank; validates the
-    /// configuration.
+    /// Build a kernel for `spec`, one parked worker per rank, reused
+    /// across runs; validates the configuration.
     pub fn new(spec: ClusterSpec) -> SimResult<Arc<Self>> {
         Self::build(spec, false)
     }
@@ -834,14 +835,19 @@ impl<T> ClusterRun<T> {
 /// the payload of its panic.
 type RankOutcome<T> = std::thread::Result<SimResult<(T, RankTrace)>>;
 
-/// Run `f` once per rank, each on its own thread, against a fresh kernel
-/// for `spec`. Returns per-rank results and traces.
+/// Run `f` once per rank, each on its own worker thread, against a fresh
+/// kernel for `spec`. Returns per-rank results and traces.
 ///
 /// Any program may run this way: a receive parks its thread until the
 /// matching send is posted. A program in which every receive takes what
 /// a lower rank (or the receiver itself) has already sent needs no
 /// threads; [`run_in_rank_order`] runs it to the same results, traces
 /// and errors on the caller's thread.
+///
+/// The workers are parked between runs and reused, so a run spawns a
+/// thread only when more ranks are running at once, process wide, than
+/// ever before. The call returns, or unwinds, only after every rank
+/// body it handed out has finished.
 ///
 /// Panics in rank bodies are converted to a panic of the caller with the
 /// offending rank identified; simulated deadlocks surface as `Err`.
@@ -851,17 +857,119 @@ where
     F: Fn(&mut RankCtx) -> SimResult<T> + Sync,
 {
     let kernel = SimKernel::new(spec.clone())?;
-    let f = &f;
-    let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..spec.len())
-            .map(|rank| {
-                let kernel = &kernel;
-                scope.spawn(move || run_rank(kernel, rank, tracing, f))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    collect_run(outcomes)
+    let (kernel, f) = (&kernel, &f);
+    let mut outcomes: Vec<Option<RankOutcome<T>>> = (0..spec.len()).map(|_| None).collect();
+    {
+        let submitted = Submitted::default();
+        for (rank, outcome) in outcomes.iter_mut().enumerate() {
+            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                *outcome = Some(catch_unwind(AssertUnwindSafe(|| {
+                    run_rank(kernel, rank, tracing, f)
+                })));
+            });
+            // SAFETY: only the lifetime changes, which is how
+            // `std::thread::scope` hands a borrowing closure to a thread,
+            // and its argument holds here. The job borrows `kernel`, `f`
+            // and its own `outcome` slot, each of which outlives
+            // `submitted`; `submitted` is a local this function never
+            // forgets or moves out, so its drop runs on return and on
+            // unwind alike, and it blocks until every job handed to a
+            // worker has run and been dropped (a worker counts a job
+            // done only after that, and then touches nothing of it).
+            let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+            submitted.hand_to_worker(job);
+        }
+    }
+    collect_run(
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("every handed-out rank ran before the wait ended"))
+            .collect(),
+    )
+}
+
+/// A rank body boxed for a worker, its borrows' lifetime erased.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A parked worker thread and the slot its next job arrives in.
+struct Worker {
+    next: Mutex<Option<(Job, Arc<Latch>)>>,
+    wake: Condvar,
+}
+
+/// Workers parked between runs, the most recently parked on top. It
+/// holds at most the peak number of ranks that ever ran at once: a
+/// worker is spawned only when none is parked, and each parks again
+/// before the run it served can return.
+static IDLE: Mutex<Vec<Arc<Worker>>> = Mutex::new(Vec::new());
+
+/// How many of one run's jobs are still out on workers.
+#[derive(Default)]
+struct Latch {
+    left: Mutex<usize>,
+    done: Condvar,
+}
+
+/// The jobs one [`run_cluster`] call has handed out. Dropping it waits
+/// until every one has finished, so the call cannot return or unwind
+/// while a worker still holds its borrows.
+#[derive(Default)]
+struct Submitted(Arc<Latch>);
+
+impl Submitted {
+    /// Run `job` on a worker of its own — a parked one, or a new one if
+    /// none is parked — so a rank that blocks never queues behind
+    /// another.
+    fn hand_to_worker(&self, job: Job) {
+        let parked = unpoisoned(&IDLE).pop();
+        let worker = parked.unwrap_or_else(|| {
+            let worker = Arc::new(Worker {
+                next: Mutex::new(None),
+                wake: Condvar::new(),
+            });
+            let served = Arc::clone(&worker);
+            std::thread::spawn(move || serve(&served));
+            worker
+        });
+        *unpoisoned(&self.0.left) += 1;
+        *unpoisoned(&worker.next) = Some((job, Arc::clone(&self.0)));
+        worker.wake.notify_one();
+    }
+}
+
+impl Drop for Submitted {
+    fn drop(&mut self) {
+        let left = unpoisoned(&self.0.left);
+        let _all_done = self.0.done.wait_while(left, |left| *left > 0);
+    }
+}
+
+/// A worker's life: take a job, run it, park again, and only then count
+/// the job done, so the run that follows finds every worker parked. A
+/// worker is never joined: its job catches the rank body's panic, so
+/// nothing ends the loop but the process.
+fn serve(worker: &Arc<Worker>) {
+    loop {
+        let (job, latch) = worker
+            .wake
+            .wait_while(unpoisoned(&worker.next), |next| next.is_none())
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("woken with a job");
+        job();
+        unpoisoned(&IDLE).push(Arc::clone(worker));
+        let mut left = unpoisoned(&latch.left);
+        *left -= 1;
+        if *left == 0 {
+            latch.done.notify_one();
+        }
+    }
+}
+
+/// Lock a pool mutex. Each update under these locks is one assignment,
+/// push, pop or count, so a poisoned lock still guards valid data.
+fn unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Run `f` once per rank on the caller's thread, rank 0 to completion,
@@ -1445,6 +1553,31 @@ mod tests {
         );
         let err = sibling.into_inner().unwrap();
         assert!(matches!(err, Some(SimError::Deadlock { .. })), "{err:?}");
+    }
+
+    /// The inverse: the panic is re-raised while a sibling still runs,
+    /// and `run_cluster` must not unwind out of the frame that sibling
+    /// writes into until the sibling is done.
+    #[test]
+    fn panicking_rank_waits_for_its_sibling_before_unwinding() {
+        let spec = quiet_spec(2);
+        let late_write = Mutex::new(None);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_cluster(&spec, false, |ctx| {
+                if ctx.rank() == 0 {
+                    panic!("boom");
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                *late_write.lock().unwrap() = Some(ctx.rank());
+                Ok(())
+            })
+        }))
+        .expect_err("run_cluster re-raises the rank's panic");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("simulated rank 0 panicked: boom")
+        );
+        assert_eq!(late_write.into_inner().unwrap(), Some(1));
     }
 
     #[test]

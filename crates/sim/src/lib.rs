@@ -5,13 +5,14 @@
 //! that differ in relative CPU power, memory capacity, and local-disk
 //! I/O latency, joined by a uniform network.
 //!
-//! Programs run as real Rust code, one OS thread per simulated rank,
-//! computing real numerical results; *time*, however, is virtual. Each
-//! rank carries its own clock, advanced by a LogP-flavoured cost model
-//! for computation, disk transfers, and messages. Blocking receives
-//! rendezvous through a shared kernel that reconciles clocks, so the
-//! simulated makespan of a message-passing program is exact with
-//! respect to the cost model, independent of host scheduling.
+//! Programs run as real Rust code, one parked worker thread per
+//! simulated rank, reused across runs, computing real numerical
+//! results; *time*, however, is virtual. Each rank carries its own
+//! clock, advanced by a LogP-flavoured cost model for computation, disk
+//! transfers, and messages. Blocking receives rendezvous through a
+//! shared kernel that reconciles clocks, so the simulated makespan of a
+//! message-passing program is exact with respect to the cost model,
+//! independent of host scheduling.
 //! A program in which no rank ever waits for a later one needs no
 //! threads at all: [`run_in_rank_order`] runs it, to the same bits, on
 //! the caller's thread.

@@ -1,8 +1,10 @@
 //! Bitwise referee for the microbenchmarks.
 //!
 //! `tests/golden/arch_bits.json` was generated at the commit *before*
-//! `measure_comm` and `measure_disk` stopped running their probes on one
-//! OS thread per rank (`cargo test --test arch_bits -- --ignored bless`).
+//! `measure_comm` and `measure_disk` stopped running their probes through
+//! `run_cluster`, one thread per rank, spawned per run (`cargo test --test
+//! arch_bits -- --ignored bless`); `run_cluster` now runs each rank on one
+//! parked worker, reused across runs.
 //! For the four Table-1 presets, the 17 + 12 emulated architectures, one-
 //! and two-node homogeneous clusters and three hostile specs (loud noise
 //! under a non-default seed; message resends with transient disk faults;
