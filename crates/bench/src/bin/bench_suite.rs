@@ -431,7 +431,6 @@ fn portfolio_entry() -> Value {
             GeneticConfig {
                 max_evals: budget,
                 seed: cfg.seed ^ 0x6E6E,
-                ..GeneticConfig::default()
             },
         ),
         simulated_annealing(
@@ -440,7 +439,6 @@ fn portfolio_entry() -> Value {
             AnnealingConfig {
                 max_evals: budget,
                 seed: cfg.seed ^ 0xA11E,
-                ..AnnealingConfig::default()
             },
         ),
         random_search(
@@ -450,7 +448,6 @@ fn portfolio_entry() -> Value {
             RandomConfig {
                 max_evals: budget,
                 seed: cfg.seed ^ 0x7A9D,
-                ..RandomConfig::default()
             },
         ),
     ];

@@ -5,14 +5,14 @@
 //! \[26\]"); the trait indirection lets tests plug in synthetic
 //! fitness landscapes.
 //!
-//! Evaluation is *fallible*: when the model (or a measured run behind
-//! it) fails — bad profile data, an injected fault, a crashed rank —
-//! the search must not abort. [`Evaluator::try_eval_ns`] surfaces the
-//! error; the provided [`Evaluator::eval_ns`] converts it into an
-//! infinite penalty score so every search simply never selects the
-//! failed candidate. Every search additionally retries failed
-//! evaluations (`eval_retries` in its config) and keeps failure/retry
-//! tallies for its [`SearchOutcome`].
+//! Evaluation is *fallible* but pure: when the model fails — bad
+//! profile data, a non-finite prediction — the search must not abort.
+//! [`Evaluator::try_eval_ns`] surfaces the error; the provided
+//! [`Evaluator::eval_ns`] converts it into an infinite penalty score so
+//! every search simply never selects the failed candidate. A model
+//! evaluation is a function of the rows alone, so asking again would
+//! only repeat the error: nothing is retried, and every search counts
+//! its failures into its [`SearchOutcome`].
 //!
 //! [`SearchOutcome`]: crate::search::SearchOutcome
 
@@ -24,152 +24,47 @@ use mheta_core::Mheta;
 
 use crate::delta::{DeltaEvaluator, DeltaSession, DeltaStats};
 
-/// Control block of one portfolio search: the incumbent-best score,
-/// the evaluation tally across the strategies run so far, and a
-/// cooperative cancellation flag.
+/// The deadline of one portfolio search, and whether it has passed.
 ///
 /// The portfolio runs its strategies one after another on the caller's
 /// thread, each scoring through a [`CountingEvaluator`] that borrows
-/// the same `SearchCtl`: every evaluation is published through
-/// [`SearchCtl::observe`], and the running search polls
-/// [`SearchCtl::is_cancelled`] between evaluations. The incumbent is
-/// read by the stall and target tests only, never by a strategy. The
-/// control block cancels the search once any of its criteria is met:
-///
-/// * **budget** — the *combined* evaluation count reaches
-///   `max_total_evals`;
-/// * **convergence** — the incumbent did not improve for `stall_evals`
-///   combined evaluations;
-/// * **target** — the incumbent reached `target_ns`;
-/// * **deadline** — the wall clock passed a configured [`Instant`]
-///   (see [`SearchCtl::with_deadline`]). Deadline trips are flagged
-///   separately ([`SearchCtl::deadline_hit`]) so a caller can tell a
-///   time-bounded *degraded* result from an ordinary early stop.
-///
-/// The first three count evaluations, so what they cut off is a pure
-/// function of the search's inputs; only the deadline reads a clock.
+/// the same `SearchCtl`: every evaluation polls the deadline, and the
+/// running search checks [`SearchCtl::expired`] between evaluations.
+/// Once the wall clock passes the deadline, the running strategy and
+/// every one still to run stop early, each keeping its best so far: a
+/// time-bounded *degraded* result. It is the one thing that stops a
+/// search before its budget, and the one clock read on the evaluation
+/// path; without a deadline nothing reads the clock.
 #[derive(Debug)]
 pub(crate) struct SearchCtl {
-    best_ns: Cell<f64>,
-    evals: Cell<usize>,
-    last_improve: Cell<usize>,
-    cancelled: Cell<bool>,
-    deadline_hit: Cell<bool>,
-    max_total_evals: usize,
-    stall_evals: usize,
-    target_ns: f64,
     deadline: Option<Instant>,
+    expired: Cell<bool>,
 }
 
 impl SearchCtl {
-    /// A control block with every cancellation criterion disabled.
-    pub(crate) fn unlimited() -> Self {
+    /// A control block that expires once the wall clock reaches
+    /// `deadline` (`None`: never).
+    pub(crate) fn new(deadline: Option<Instant>) -> Self {
         SearchCtl {
-            best_ns: Cell::new(f64::INFINITY),
-            evals: Cell::new(0),
-            last_improve: Cell::new(0),
-            cancelled: Cell::new(false),
-            deadline_hit: Cell::new(false),
-            max_total_evals: 0,
-            stall_evals: 0,
-            target_ns: 0.0,
-            deadline: None,
+            deadline,
+            expired: Cell::new(false),
         }
     }
 
-    /// Cancel once the combined evaluation count reaches
-    /// `max_total_evals` (0 disables the criterion).
-    pub(crate) fn with_budget(mut self, max_total_evals: usize) -> Self {
-        self.max_total_evals = max_total_evals;
-        self
-    }
-
-    /// Cancel once `stall_evals` combined evaluations pass without an
-    /// incumbent improvement (0 disables the criterion).
-    pub(crate) fn with_stall(mut self, stall_evals: usize) -> Self {
-        self.stall_evals = stall_evals;
-        self
-    }
-
-    /// Cancel once the incumbent is at or below `target_ns`
-    /// (nonpositive disables the criterion).
-    pub(crate) fn with_target_ns(mut self, target_ns: f64) -> Self {
-        self.target_ns = target_ns;
-        self
-    }
-
-    /// Cancel once the wall clock reaches `deadline` (`None` disables
-    /// the criterion, and with it every clock read). The criterion is
-    /// polled on every [`SearchCtl::observe`] (evaluations are the unit
-    /// of cooperative cancellation), so an expired deadline stops the
-    /// running search after at most one more evaluation — the incumbent
-    /// found so far stays available through [`SearchCtl::best_ns`].
-    pub(crate) fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Publish one completed evaluation's score (failed evaluations
-    /// publish their `INFINITY` penalty). Updates the incumbent and
-    /// trips cancellation when a criterion is met.
-    pub(crate) fn observe(&self, score_ns: f64) {
-        let n = self.evals.get() + 1;
-        self.evals.set(n);
-        // A NaN score compares false here: like a failed evaluation's
-        // `INFINITY`, it is never an incumbent.
-        if score_ns < self.best_ns.get() {
-            self.best_ns.set(score_ns);
-            self.last_improve.set(n);
-        }
-        if self.max_total_evals > 0 && n >= self.max_total_evals {
-            self.cancel();
-        }
-        if self.stall_evals > 0 && n - self.last_improve.get() >= self.stall_evals {
-            self.cancel();
-        }
-        if self.target_ns > 0.0 && self.best_ns() <= self.target_ns {
-            self.cancel();
-        }
-        self.poll_deadline();
-    }
-
-    /// Trip cancellation if a configured deadline has passed. Called
-    /// from [`SearchCtl::observe`], and once by the portfolio before
-    /// its first evaluation.
-    pub(crate) fn poll_deadline(&self) {
+    /// Mark the search expired if the deadline has passed. Called after
+    /// every evaluation (evaluations are the unit of cooperative
+    /// cancellation, so an expired deadline stops the running search
+    /// after at most one more), and once by the portfolio before its
+    /// first.
+    pub(crate) fn poll(&self) {
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.deadline_hit.set(true);
-            self.cancel();
+            self.expired.set(true);
         }
     }
 
-    /// True once the deadline criterion (and not merely another
-    /// criterion) has tripped.
-    pub(crate) fn deadline_hit(&self) -> bool {
-        self.deadline_hit.get()
-    }
-
-    /// Request cooperative cancellation of the running search and of
-    /// every strategy still to run.
-    pub(crate) fn cancel(&self) {
-        self.cancelled.set(true);
-    }
-
-    /// True once cancellation has been requested.
-    pub(crate) fn is_cancelled(&self) -> bool {
-        self.cancelled.get()
-    }
-
-    /// The incumbent-best score across the strategies run so far
-    /// (`INFINITY` until the first finite observation).
-    pub(crate) fn best_ns(&self) -> f64 {
-        self.best_ns.get()
-    }
-
-    /// Combined evaluations observed so far.
-    #[cfg(test)]
-    pub(crate) fn evals(&self) -> usize {
-        self.evals.get()
+    /// True once a poll has found the deadline passed.
+    pub(crate) fn expired(&self) -> bool {
+        self.expired.get()
     }
 }
 
@@ -278,71 +173,52 @@ where
 }
 
 /// Wraps an evaluator and counts calls — the "number of MHETA
-/// evaluations" axis of the search-algorithm comparison — and
-/// transparently retries failed evaluations (up to `attempts` tries)
-/// before letting the penalty score through.
+/// evaluations" axis of the search-algorithm comparison — and the
+/// failures among them.
 ///
-/// Every attempt — first try or retry — goes through the one
-/// [`DeltaSession`] opened on the wrapped evaluator, which is what
-/// keeps the count and the control block at exactly one observation
-/// per logical candidate whether the session answered incrementally or
-/// in full.
+/// Every evaluation goes through the one [`DeltaSession`] opened on the
+/// wrapped evaluator, which is what keeps the count at exactly one per
+/// logical candidate whether the session answered incrementally or in
+/// full.
 pub(crate) struct CountingEvaluator<'a> {
     session: RefCell<Box<dyn DeltaSession + 'a>>,
     count: Cell<usize>,
     failed: Cell<usize>,
-    retried: Cell<usize>,
     last_error: RefCell<Option<EvalError>>,
-    /// Attempts per logical evaluation (1 = no retry).
-    attempts: u32,
     /// The portfolio's control block, when a portfolio is running this
-    /// search: every evaluation is published to it, and the search
-    /// polls [`CountingEvaluator::cancelled`].
+    /// search: every evaluation polls its deadline, and the search
+    /// checks [`CountingEvaluator::cancelled`].
     ctl: Option<&'a SearchCtl>,
 }
 
 impl<'a> CountingEvaluator<'a> {
-    /// Wrap a session over `inner`, allowing up to `attempts` tries per
-    /// evaluation (clamped to at least one; 1 = fail fast) and
-    /// publishing every evaluation to `ctl` when there is one
-    /// (portfolio search).
-    pub(crate) fn new<E: Evaluator + ?Sized>(
-        inner: &'a E,
-        attempts: u32,
-        ctl: Option<&'a SearchCtl>,
-    ) -> Self {
+    /// Wrap a session over `inner`, polling `ctl`'s deadline after every
+    /// evaluation when there is one (portfolio search).
+    pub(crate) fn new<E: Evaluator + ?Sized>(inner: &'a E, ctl: Option<&'a SearchCtl>) -> Self {
         CountingEvaluator {
             session: RefCell::new(inner.delta_session()),
             count: Cell::new(0),
             failed: Cell::new(0),
-            retried: Cell::new(0),
             last_error: RefCell::new(None),
-            attempts: attempts.max(1),
             ctl,
         }
     }
 
-    /// True when the portfolio's [`SearchCtl`] has requested
-    /// cancellation; searches poll this between evaluations and stop
-    /// early, keeping their best-so-far outcome.
+    /// True once the portfolio's deadline has passed; searches check
+    /// this between evaluations and stop early, keeping their
+    /// best-so-far outcome.
     pub(crate) fn cancelled(&self) -> bool {
-        self.ctl.is_some_and(SearchCtl::is_cancelled)
+        self.ctl.is_some_and(SearchCtl::expired)
     }
 
-    /// Logical evaluations performed so far (retries of the same
-    /// candidate count once — they spend wall-clock, not budget).
+    /// Evaluations performed so far.
     pub(crate) fn count(&self) -> usize {
         self.count.get()
     }
 
-    /// Evaluations that still failed after all retry attempts.
+    /// Evaluations that failed.
     pub(crate) fn failed(&self) -> usize {
         self.failed.get()
-    }
-
-    /// Failed attempts that were absorbed by a retry.
-    pub(crate) fn retries(&self) -> usize {
-        self.retried.get()
     }
 
     /// The most recent failure observed, if any.
@@ -365,30 +241,16 @@ impl<'a> CountingEvaluator<'a> {
 
 impl Evaluator for CountingEvaluator<'_> {
     fn try_eval_ns(&self, rows: &[usize]) -> Result<f64, EvalError> {
-        let mut attempt = 1;
-        let result = loop {
-            let tried = self.session.borrow_mut().try_eval_ns(rows);
-            match tried {
-                Ok(score) => break Ok(score),
-                Err(e) if attempt < self.attempts => {
-                    self.retried.set(self.retried.get() + 1);
-                    *self.last_error.borrow_mut() = Some(e);
-                    attempt += 1;
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        // Settle the logical evaluation: exactly one count and one
-        // `SearchCtl::observe`, regardless of retries or the delta/full
-        // path the session took — the invariant `tests` pin as the
-        // double-count fix.
+        let result = self.session.borrow_mut().try_eval_ns(rows);
+        // Exactly one count per candidate, whichever path the session
+        // took — the invariant `tests` pin as the double-count fix.
         self.count.set(self.count.get() + 1);
         if let Err(e) = &result {
             self.failed.set(self.failed.get() + 1);
             *self.last_error.borrow_mut() = Some(e.clone());
         }
         if let Some(ctl) = self.ctl {
-            ctl.observe(result.as_ref().map_or(f64::INFINITY, |score| *score));
+            ctl.poll();
         }
         result
     }
@@ -408,62 +270,23 @@ mod tests {
     #[test]
     fn counting_wrapper_counts() {
         let f = |_: &[usize]| 1.0;
-        let c = CountingEvaluator::new(&f, 1, None);
+        let c = CountingEvaluator::new(&f, None);
         for _ in 0..5 {
             c.eval_ns(&[1]);
         }
         assert_eq!(c.count(), 5);
         assert_eq!(c.failed(), 0);
-        assert_eq!(c.retries(), 0);
         assert!(c.last_error().is_none());
     }
 
     #[test]
     fn failures_become_infinite_penalty() {
         let f = FallibleFn(|_: &[usize]| Err(EvalError("rank 2 died".into())));
-        let c = CountingEvaluator::new(&f, 1, None);
+        let c = CountingEvaluator::new(&f, None);
         assert_eq!(c.eval_ns(&[1, 2]), f64::INFINITY);
+        assert_eq!(c.count(), 1);
         assert_eq!(c.failed(), 1);
-        assert_eq!(c.retries(), 0);
         assert_eq!(c.last_error().unwrap().0, "rank 2 died");
-    }
-
-    #[test]
-    fn retries_absorb_intermittent_failures() {
-        // Fails on every odd-numbered attempt.
-        let calls = Cell::new(0u32);
-        let f = FallibleFn(|rows: &[usize]| {
-            calls.set(calls.get() + 1);
-            if calls.get() % 2 == 1 {
-                Err(EvalError("transient".into()))
-            } else {
-                Ok(rows[0] as f64)
-            }
-        });
-        let c = CountingEvaluator::new(&f, 2, None);
-        assert_eq!(c.try_eval_ns(&[9]), Ok(9.0));
-        assert_eq!(c.count(), 1, "retry does not spend budget");
-        assert_eq!(c.retries(), 1);
-        assert_eq!(c.failed(), 0);
-        assert_eq!(c.last_error().unwrap().0, "transient");
-    }
-
-    #[test]
-    fn exhausted_retries_count_as_failed() {
-        let f = FallibleFn(|_: &[usize]| Err(EvalError("persistent".into())));
-        let c = CountingEvaluator::new(&f, 3, None);
-        assert!(c.try_eval_ns(&[1]).is_err());
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.retries(), 2, "two absorbed attempts");
-        assert_eq!(c.failed(), 1, "one final failure");
-    }
-
-    #[test]
-    fn zero_attempts_clamps_to_one() {
-        let f = |_: &[usize]| 4.0;
-        let c = CountingEvaluator::new(&f, 0, None);
-        assert_eq!(c.eval_ns(&[1]), 4.0);
-        assert_eq!(c.count(), 1);
     }
 
     #[test]
@@ -473,76 +296,44 @@ mod tests {
     }
 
     #[test]
-    fn search_ctl_tracks_incumbent_and_budget() {
-        let ctl = SearchCtl::unlimited().with_budget(3);
-        ctl.observe(10.0);
-        ctl.observe(7.0);
-        assert_eq!(ctl.best_ns(), 7.0);
-        assert!(!ctl.is_cancelled());
-        ctl.observe(9.0);
-        assert!(ctl.is_cancelled(), "budget of 3 reached");
-        assert_eq!(ctl.evals(), 3);
-        assert_eq!(ctl.best_ns(), 7.0);
-    }
-
-    #[test]
-    fn search_ctl_stall_and_target_criteria() {
-        let ctl = SearchCtl::unlimited().with_stall(2);
-        ctl.observe(5.0);
-        ctl.observe(6.0);
-        assert!(!ctl.is_cancelled(), "one eval since improvement");
-        ctl.observe(6.0);
-        assert!(ctl.is_cancelled(), "two evals without improvement");
-
-        let ctl = SearchCtl::unlimited().with_target_ns(4.0);
-        ctl.observe(5.0);
-        assert!(!ctl.is_cancelled());
-        ctl.observe(3.5);
-        assert!(ctl.is_cancelled(), "target reached");
-    }
-
-    #[test]
     fn a_nan_score_is_a_failed_observation_not_a_perfect_one() {
-        let ctl = SearchCtl::unlimited().with_target_ns(1.0);
-        ctl.observe(f64::NAN);
-        assert!(!ctl.is_cancelled(), "NaN is not a reached target");
-        assert_eq!(ctl.best_ns(), f64::INFINITY, "nor an incumbent");
-        assert_eq!(ctl.evals(), 1, "but it is an evaluation spent");
-
-        // Nor does it reset the stall counter.
-        let ctl = SearchCtl::unlimited().with_stall(2);
-        ctl.observe(5.0);
-        ctl.observe(f64::NAN);
-        assert!(!ctl.is_cancelled());
-        ctl.observe(6.0);
-        assert!(ctl.is_cancelled(), "two evals without improvement");
+        // A model's non-finite prediction is an error: the candidate
+        // counts as one failed evaluation and scores the +inf penalty,
+        // never a NaN that every `<` against the best would skip.
+        let f = FallibleFn(|_: &[usize]| finite_score(f64::NAN));
+        let c = CountingEvaluator::new(&f, None);
+        assert_eq!(c.eval_ns(&[1]), f64::INFINITY);
+        assert_eq!((c.count(), c.failed()), (1, 1));
+        assert!(finite_score(f64::NEG_INFINITY).is_err());
+        assert_eq!(finite_score(2.5), Ok(2.5));
     }
 
     #[test]
     fn counting_evaluator_publishes_to_ctl() {
-        let ctl = SearchCtl::unlimited();
+        // No deadline: evaluations never expire the search.
+        let ctl = SearchCtl::new(None);
         let f = |rows: &[usize]| rows[0] as f64;
-        let c = CountingEvaluator::new(&f, 1, Some(&ctl));
+        let c = CountingEvaluator::new(&f, Some(&ctl));
         c.eval_ns(&[8]);
         c.eval_ns(&[3]);
-        assert_eq!(ctl.best_ns(), 3.0);
-        assert_eq!(ctl.evals(), 2);
         assert!(!c.cancelled());
-        ctl.cancel();
-        assert!(c.cancelled());
 
-        // Failures publish the penalty score without improving the best.
+        // A passed deadline is found by the next evaluation, failed or
+        // not, and every search sharing the block sees it.
+        let ctl = SearchCtl::new(Some(Instant::now()));
         let failing = FallibleFn(|_: &[usize]| Err(EvalError("down".into())));
-        let c = CountingEvaluator::new(&failing, 1, Some(&ctl));
+        let c = CountingEvaluator::new(&failing, Some(&ctl));
+        assert!(!c.cancelled(), "nothing polled yet");
         let _ = c.try_eval_ns(&[1]);
-        assert_eq!(ctl.evals(), 3);
-        assert_eq!(ctl.best_ns(), 3.0);
+        assert!(c.cancelled());
+        assert_eq!((c.count(), c.failed()), (1, 1));
+        assert!(CountingEvaluator::new(&f, Some(&ctl)).cancelled());
     }
 
     /// Synthetic delta-evaluable model: per-rank leaf cost is
     /// `rows · weight[rank]`, the score is the (fixed-order) sum.
     /// `fail_every` > 0 makes every Nth `rank_cost` call fail, for
-    /// pinning the retry/poison seams.
+    /// pinning the poison seam.
     struct SyntheticModel {
         weights: Vec<f64>,
         rank_cost_calls: Cell<usize>,
@@ -613,11 +404,9 @@ mod tests {
     #[test]
     fn delta_paths_count_once_per_logical_candidate() {
         // The double-count seam fix, pinned: cold full evals, delta
-        // fast paths, and memo hits each settle exactly one count and
-        // one ctl observation.
+        // fast paths, and memo hits each settle exactly one count.
         let model = SyntheticModel::new(vec![1.0, 2.0, 3.0, 4.0]);
-        let ctl = SearchCtl::unlimited();
-        let c = CountingEvaluator::new(&model, 1, Some(&ctl));
+        let c = CountingEvaluator::new(&model, None);
 
         let base = [10usize, 10, 10, 10];
         let a = c.try_eval_ns(&base).unwrap();
@@ -630,7 +419,6 @@ mod tests {
         assert_eq!(b2.to_bits(), b.to_bits());
 
         assert_eq!(c.count(), 3, "three logical candidates");
-        assert_eq!(ctl.evals(), 3, "one ctl observation each");
         let d = c.delta_stats();
         assert_eq!(d.full_evals, 1, "only the cold start was full");
         assert_eq!(d.delta_hits, 2, "partial reuse + memo hit");
@@ -642,32 +430,30 @@ mod tests {
     }
 
     #[test]
-    fn delta_retries_count_once_and_errors_poison() {
+    fn delta_errors_count_once_and_poison() {
         // rank_cost fails on its 3rd call: the cold eval of a 2-rank
-        // distribution survives, the next candidate's first attempt
-        // dies mid-leaf (poisoning the cache), and the retry — now
-        // cold again — succeeds. Still exactly one count and one ctl
-        // observation per logical candidate.
+        // distribution survives, the next candidate dies mid-leaf
+        // (poisoning the cache) and counts one failed evaluation, and
+        // the same candidate asked again — now cold — succeeds.
         let model = SyntheticModel {
             fail_every: 3,
             ..SyntheticModel::new(vec![1.0, 2.0])
         };
-        let ctl = SearchCtl::unlimited();
-        let c = CountingEvaluator::new(&model, 2, Some(&ctl));
+        let c = CountingEvaluator::new(&model, None);
 
         let base = [8usize, 8];
         assert!(c.try_eval_ns(&base).is_ok());
         let shifted = [7usize, 9];
+        let err = c.try_eval_ns(&shifted).unwrap_err();
+        assert_eq!(err.0, "injected leaf fault");
+        assert_eq!((c.count(), c.failed()), (2, 1));
         let s = c.try_eval_ns(&shifted).unwrap();
         assert_eq!(s.to_bits(), model.try_eval_ns(&shifted).unwrap().to_bits());
 
-        assert_eq!(c.count(), 2, "retry spends no budget");
-        assert_eq!(c.retries(), 1);
-        assert_eq!(c.failed(), 0);
-        assert_eq!(ctl.evals(), 2);
+        assert_eq!((c.count(), c.failed()), (3, 1));
         let d = c.delta_stats();
-        assert_eq!(d.fallback_error, 1, "the poisoned attempt");
-        assert_eq!(d.full_evals, 2, "cold start + post-poison retry");
+        assert_eq!(d.fallback_error, 1, "the poisoned evaluation");
+        assert_eq!(d.full_evals, 2, "cold start + post-poison evaluation");
         assert_eq!(d.delta_hits, 0, "the poisoned delta path never answered");
         assert_eq!(d.fallback_cold, 2, "cache was cold again after poisoning");
         assert_eq!(c.last_error().unwrap().0, "injected leaf fault");

@@ -7,30 +7,25 @@ use crate::fitness::{CountingEvaluator, Evaluator, SearchCtl};
 use crate::genblock::GenBlock;
 use crate::search::{move_rows, outcome, History, SearchOutcome};
 
+/// Initial temperature as a fraction of the starting score.
+const INITIAL_TEMP_FRAC: f64 = 0.1;
+/// Geometric cooling factor per step.
+const COOLING: f64 = 0.97;
+
 /// Tuning for [`simulated_annealing`].
 #[derive(Debug, Clone)]
 pub struct AnnealingConfig {
     /// Evaluator budget.
     pub max_evals: usize,
-    /// Initial temperature as a fraction of the starting score.
-    pub initial_temp_frac: f64,
-    /// Geometric cooling factor per step.
-    pub cooling: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Attempts per evaluation before a failure's infinite penalty
-    /// score goes through (clamped to at least one; 1 = fail fast).
-    pub eval_retries: u32,
 }
 
 impl Default for AnnealingConfig {
     fn default() -> Self {
         AnnealingConfig {
             max_evals: 200,
-            initial_temp_frac: 0.1,
-            cooling: 0.97,
             seed: 0xA11EA1,
-            eval_retries: 1,
         }
     }
 }
@@ -52,7 +47,7 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
     cfg: &AnnealingConfig,
     ctl: Option<&SearchCtl>,
 ) -> SearchOutcome {
-    let counter = CountingEvaluator::new(eval, cfg.eval_retries, ctl);
+    let counter = CountingEvaluator::new(eval, ctl);
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let n = start.len();
@@ -63,7 +58,7 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
     history.observe(&counter, current_score);
     let mut best = current.clone();
     let mut best_score = current_score;
-    let mut temp = (current_score * cfg.initial_temp_frac).max(1.0);
+    let mut temp = (current_score * INITIAL_TEMP_FRAC).max(1.0);
     // With one node, or one row on every node, `move_rows` refuses every
     // draw and no draw counts an evaluation. `n` and `total` never
     // change, so one check up front keeps the loop from spinning.
@@ -88,7 +83,7 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
             // rescale it from the first finite score we accept so the
             // Metropolis criterion regains its intended selectivity.
             if !temp.is_finite() && score.is_finite() {
-                temp = (score * cfg.initial_temp_frac).max(1.0);
+                temp = (score * INITIAL_TEMP_FRAC).max(1.0);
             }
             current = cand;
             current_score = score;
@@ -100,7 +95,7 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
                 best = current.clone();
             }
         }
-        temp *= cfg.cooling;
+        temp *= COOLING;
     }
 
     outcome(

@@ -19,9 +19,6 @@ pub struct GbsConfig {
     pub max_evals: usize,
     /// Stop when the bracket is narrower than this fraction of a leg.
     pub tolerance: f64,
-    /// Attempts per evaluation before a failure's infinite penalty
-    /// score goes through (clamped to at least one; 1 = fail fast).
-    pub eval_retries: u32,
 }
 
 impl Default for GbsConfig {
@@ -29,7 +26,6 @@ impl Default for GbsConfig {
         GbsConfig {
             max_evals: 64,
             tolerance: 0.02,
-            eval_retries: 1,
         }
     }
 }
@@ -51,7 +47,7 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
     cfg: &GbsConfig,
     ctl: Option<&SearchCtl>,
 ) -> SearchOutcome {
-    let counter = CountingEvaluator::new(eval, cfg.eval_retries, ctl);
+    let counter = CountingEvaluator::new(eval, ctl);
     let mut history = History::new();
     let legs = path.legs().max(1) as f64;
 
@@ -168,7 +164,6 @@ mod tests {
             GbsConfig {
                 max_evals: 7,
                 tolerance: 1e-6,
-                ..Default::default()
             },
         );
         assert!(out.evaluations <= 9, "evals {}", out.evaluations);
@@ -216,18 +211,5 @@ mod tests {
         assert!(out.failed_evals > 0);
         assert!(out.score_ns.is_finite());
         assert_eq!(out.last_failure.unwrap().0, "injected");
-
-        // With retries the same fault pattern is fully absorbed.
-        calls.set(0);
-        let out = gbs_search(
-            &p,
-            &f,
-            GbsConfig {
-                eval_retries: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.failed_evals, 0);
-        assert!(out.retried_evals > 0);
     }
 }

@@ -11,30 +11,25 @@ use crate::fitness::{CountingEvaluator, Evaluator, SearchCtl};
 use crate::genblock::{Apportion, GenBlock};
 use crate::search::{move_rows, outcome, History, SearchOutcome};
 
+/// Population size.
+const POPULATION: usize = 16;
+/// Per-child mutation probability.
+const MUTATION_RATE: f64 = 0.4;
+
 /// Tuning for [`genetic_search`].
 #[derive(Debug, Clone)]
 pub struct GeneticConfig {
     /// Evaluator budget.
     pub max_evals: usize,
-    /// Population size.
-    pub population: usize,
-    /// Per-child mutation probability.
-    pub mutation_rate: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Attempts per evaluation before a failure's infinite penalty
-    /// score goes through (clamped to at least one; 1 = fail fast).
-    pub eval_retries: u32,
 }
 
 impl Default for GeneticConfig {
     fn default() -> Self {
         GeneticConfig {
             max_evals: 200,
-            population: 16,
-            mutation_rate: 0.4,
             seed: 0x6E6E6E,
-            eval_retries: 1,
         }
     }
 }
@@ -62,7 +57,7 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
     ctl: Option<&SearchCtl>,
 ) -> SearchOutcome {
     assert!(total >= n, "need at least one row per node");
-    let counter = CountingEvaluator::new(eval, cfg.eval_retries, ctl);
+    let counter = CountingEvaluator::new(eval, ctl);
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
@@ -72,8 +67,8 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
     let mut apportion = Apportion::default();
     let mut child = Vec::with_capacity(n);
 
-    let mut pop: Vec<(Vec<usize>, f64)> = Vec::with_capacity(cfg.population);
-    for s in seeds.iter().take(cfg.population) {
+    let mut pop: Vec<(Vec<usize>, f64)> = Vec::with_capacity(POPULATION);
+    for s in seeds.iter().take(POPULATION) {
         let rows = s.rows().to_vec();
         let score = counter.eval_ns(&rows);
         history.observe(&counter, score);
@@ -81,7 +76,7 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
     }
     // Always seed at least one individual, even under cancellation,
     // so there is a best to return.
-    while pop.len() < cfg.population && (pop.is_empty() || !counter.cancelled()) {
+    while pop.len() < POPULATION && (pop.is_empty() || !counter.cancelled()) {
         weights.clear();
         weights.extend((0..n).map(|_| -rng.gen::<f64>().max(1e-12).ln()));
         apportion.rows_into(total, &weights, &mut child);
@@ -122,7 +117,7 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
         );
         apportion.rows_into(total, &weights, &mut child);
 
-        if rng.gen::<f64>() < cfg.mutation_rate {
+        if rng.gen::<f64>() < MUTATION_RATE {
             let from = rng.gen_range(0..n);
             let to = rng.gen_range(0..n);
             let amount = rng.gen_range(1..=(total / (4 * n)).max(1));

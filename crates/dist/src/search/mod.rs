@@ -35,10 +35,8 @@ pub struct IterPoint {
     /// Running mean over the finite scores seen so far, ns
     /// (`INFINITY` until the first finite evaluation).
     pub mean_ns: f64,
-    /// Evaluations that had failed (after retries) by this point.
+    /// Evaluations that had failed by this point.
     pub failed: usize,
-    /// Failed attempts a retry had absorbed by this point.
-    pub retried: usize,
 }
 
 /// What a search run produced.
@@ -50,11 +48,9 @@ pub struct SearchOutcome {
     pub score_ns: f64,
     /// How many evaluator calls were spent.
     pub evaluations: usize,
-    /// Evaluations that failed even after retries (the candidate got
-    /// an infinite penalty score and the search moved on).
+    /// Evaluations that failed (the candidate got an infinite penalty
+    /// score and the search moved on).
     pub failed_evals: usize,
-    /// Failed attempts that a retry absorbed.
-    pub retried_evals: usize,
     /// The most recent evaluation failure, if any occurred.
     pub last_failure: Option<EvalError>,
     /// Convergence curve: one [`IterPoint`] per evaluation, in order.
@@ -102,14 +98,13 @@ impl History {
             best_ns: self.best,
             mean_ns: mean,
             failed: counter.failed(),
-            retried: counter.retries(),
         });
     }
 }
 
 /// Assemble a [`SearchOutcome`] from a finished search's counting
 /// evaluator plus the best candidate it found. Shared by all four
-/// search algorithms so the resilience tallies can never drift apart.
+/// search algorithms so the failure tallies can never drift apart.
 pub(crate) fn outcome(
     counter: &CountingEvaluator<'_>,
     history: History,
@@ -121,7 +116,6 @@ pub(crate) fn outcome(
         score_ns,
         evaluations: counter.count(),
         failed_evals: counter.failed(),
-        retried_evals: counter.retries(),
         last_failure: counter.last_error(),
         history: history.points,
         delta: counter.delta_stats(),
@@ -152,7 +146,7 @@ mod tests {
     #[test]
     fn history_tracks_best_mean_and_tallies() {
         let f = |rows: &[usize]| rows[0] as f64;
-        let counter = CountingEvaluator::new(&f, 1, None);
+        let counter = CountingEvaluator::new(&f, None);
         let mut h = History::new();
         for rows in [[4usize], [2], [6]] {
             let s = counter.eval_ns(&rows);
@@ -172,7 +166,7 @@ mod tests {
     fn history_mean_ignores_penalty_scores() {
         let mut h = History::new();
         let f = |_: &[usize]| 1.0;
-        let counter = CountingEvaluator::new(&f, 1, None);
+        let counter = CountingEvaluator::new(&f, None);
         counter.eval_ns(&[1]);
         h.observe(&counter, f64::INFINITY);
         assert_eq!(h.points[0].best_ns, f64::INFINITY);

@@ -1,24 +1,21 @@
 //! Portfolio search: all four strategies, one after another on the
 //! caller's thread.
 //!
-//! Each strategy gets the same per-strategy evaluation budget and
-//! scores through the portfolio's control block (`SearchCtl`), to which
-//! every evaluation publishes its score. The control block keeps the
-//! incumbent-best across the whole portfolio and — when a budget,
-//! stall, or target criterion is configured — cancels the running
-//! strategy and the ones still to run. GBS spends first, then genetic,
-//! annealing and random ([`Strategy::ALL`] order), so a search cut
-//! short is GBS first — the strategy that finds the best-known point
-//! soonest — plus what fit of the others; a strategy reached after the
-//! cut still scores its starting candidates.
+//! Each strategy gets the same per-strategy evaluation budget and runs
+//! to it exactly as it would standalone, so the portfolio result is
+//! never worse than the best single strategy at the same per-strategy
+//! budget, and is a pure function of the budget, the seed and the
+//! evaluator. Only an optional wall-clock deadline stops it early: the
+//! control block (`SearchCtl`) polls it after every evaluation and, once
+//! it has passed, stops the running strategy and the ones still to run.
+//! GBS spends first, then genetic, annealing and random
+//! ([`Strategy::ALL`] order), so a search cut short is GBS first — the
+//! strategy that finds the best-known point soonest — plus what fit of
+//! the others; a strategy reached after the cut still scores its
+//! starting candidates.
 //!
-//! With every cancellation criterion disabled (the default), each
-//! strategy runs to its own budget exactly as it would standalone, so
-//! the portfolio result is never worse than the best single strategy
-//! at the same per-strategy budget. An evaluation costs about a
-//! microsecond, which is why there are no threads here: spawning four
-//! costs more than they save, and one thread makes the result under
-//! the evaluation-counting criteria a pure function of the request.
+//! An evaluation costs about a microsecond, which is why there are no
+//! threads here: spawning four costs more than they save.
 
 use std::time::Instant;
 
@@ -70,25 +67,13 @@ impl Strategy {
 pub struct PortfolioConfig {
     /// Evaluation budget granted to *each* strategy.
     pub max_evals_per_strategy: usize,
-    /// Attempts per evaluation before a failure's infinite penalty
-    /// score goes through (clamped to at least one; 1 = fail fast).
-    pub eval_retries: u32,
     /// Base RNG seed; each stochastic strategy derives its own from it.
     pub seed: u64,
-    /// Cancel everything once the *combined* evaluation count reaches
-    /// this (0 disables).
-    pub max_total_evals: usize,
-    /// Cancel once this many combined evaluations pass without an
-    /// incumbent improvement (0 disables).
-    pub stall_evals: usize,
-    /// Cancel once the incumbent reaches this score (nonpositive
-    /// disables).
-    pub target_ns: f64,
-    /// Cancel once the wall clock reaches this instant (`None`
-    /// disables). The only criterion that makes a result
-    /// timing-dependent: the other three count evaluations. The
-    /// portfolio still returns its incumbent-best, so an expired
-    /// deadline degrades the answer instead of discarding it.
+    /// Stop once the wall clock reaches this instant (`None`: run every
+    /// strategy to its budget). The only setting that makes a result
+    /// timing-dependent. The portfolio still returns its best so far,
+    /// so an expired deadline degrades the answer instead of
+    /// discarding it.
     pub deadline: Option<Instant>,
 }
 
@@ -96,11 +81,7 @@ impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             max_evals_per_strategy: 64,
-            eval_retries: 1,
             seed: 0x9047F0,
-            max_total_evals: 0,
-            stall_evals: 0,
-            target_ns: 0.0,
             deadline: None,
         }
     }
@@ -111,7 +92,7 @@ impl Default for PortfolioConfig {
 pub struct StrategyRun {
     /// Which strategy ran.
     pub strategy: Strategy,
-    /// Its full standalone outcome (possibly truncated by cancellation).
+    /// Its full standalone outcome (possibly cut short by the deadline).
     pub outcome: SearchOutcome,
     /// When this strategy started, wall-clock ns after the portfolio
     /// launched — where the previous one ended (observability only;
@@ -137,17 +118,15 @@ pub struct PortfolioOutcome {
     /// (random's samples share nothing with a base, so they land in
     /// `fallback_all_dirty`).
     pub delta: DeltaStats,
-    /// Whether a cancellation criterion tripped before all strategies
-    /// exhausted their budgets.
-    pub cancelled: bool,
-    /// Whether the *deadline* criterion specifically tripped — the
-    /// result is the best incumbent at the deadline, not a full search.
+    /// Whether the deadline passed before every strategy spent its
+    /// budget — the result is the best found by then, not a full
+    /// search.
     pub deadline_hit: bool,
 }
 
 /// Run GBS, genetic, annealing, and random search over `path` against
-/// `eval`, in that order on the caller's thread, tracking the
-/// incumbent-best across them and cutting the search short per `cfg`.
+/// `eval`, in that order on the caller's thread, and return the best
+/// of them; `cfg.deadline`, if any, cuts the search short.
 pub fn portfolio_search<E: Evaluator + ?Sized>(
     path: &SpectrumPath,
     eval: &E,
@@ -158,17 +137,14 @@ pub fn portfolio_search<E: Evaluator + ?Sized>(
     let n = blk.rows().len();
     let seeds: Vec<GenBlock> = path.anchors().iter().map(|(_, g)| g.clone()).collect();
 
-    let ctl = SearchCtl::unlimited()
-        .with_budget(cfg.max_total_evals)
-        .with_stall(cfg.stall_evals)
-        .with_target_ns(cfg.target_ns)
-        .with_deadline(cfg.deadline);
-    // An already-expired deadline cancels before the first evaluation:
-    // each strategy still contributes its cheap starting candidates, so
-    // even a zero-budget call returns a usable (if degraded) incumbent.
-    ctl.poll_deadline();
+    let ctl = SearchCtl::new(cfg.deadline);
+    // An already-expired deadline stops the search before the first
+    // evaluation: each strategy still contributes its cheap starting
+    // candidates, so even a zero-budget call returns a usable (if
+    // degraded) incumbent.
+    ctl.poll();
 
-    let (max_evals, eval_retries) = (cfg.max_evals_per_strategy, cfg.eval_retries);
+    let max_evals = cfg.max_evals_per_strategy;
     let run = |strategy: Strategy| -> SearchOutcome {
         let ctl = Some(&ctl);
         match strategy {
@@ -177,7 +153,6 @@ pub fn portfolio_search<E: Evaluator + ?Sized>(
                 eval,
                 &GbsConfig {
                     max_evals,
-                    eval_retries,
                     ..GbsConfig::default()
                 },
                 ctl,
@@ -189,9 +164,7 @@ pub fn portfolio_search<E: Evaluator + ?Sized>(
                 eval,
                 &GeneticConfig {
                     max_evals,
-                    eval_retries,
                     seed: cfg.seed ^ 0x6E6E,
-                    ..GeneticConfig::default()
                 },
                 ctl,
             ),
@@ -200,9 +173,7 @@ pub fn portfolio_search<E: Evaluator + ?Sized>(
                 eval,
                 &AnnealingConfig {
                     max_evals,
-                    eval_retries,
                     seed: cfg.seed ^ 0xA11E,
-                    ..AnnealingConfig::default()
                 },
                 ctl,
             ),
@@ -212,7 +183,6 @@ pub fn portfolio_search<E: Evaluator + ?Sized>(
                 eval,
                 &RandomConfig {
                     max_evals,
-                    eval_retries,
                     seed: cfg.seed ^ 0x7A9D,
                 },
                 ctl,
@@ -261,8 +231,7 @@ pub fn portfolio_search<E: Evaluator + ?Sized>(
         runs,
         total_evals,
         delta,
-        cancelled: ctl.is_cancelled(),
-        deadline_hit: ctl.deadline_hit(),
+        deadline_hit: ctl.expired(),
     }
 }
 
@@ -323,7 +292,6 @@ mod tests {
                 GeneticConfig {
                     max_evals: budget,
                     seed: cfg.seed ^ 0x6E6E,
-                    ..GeneticConfig::default()
                 },
             ),
             simulated_annealing(
@@ -332,7 +300,6 @@ mod tests {
                 AnnealingConfig {
                     max_evals: budget,
                     seed: cfg.seed ^ 0xA11E,
-                    ..AnnealingConfig::default()
                 },
             ),
             random_search(
@@ -342,7 +309,6 @@ mod tests {
                 RandomConfig {
                     max_evals: budget,
                     seed: cfg.seed ^ 0x7A9D,
-                    ..RandomConfig::default()
                 },
             ),
         ];
@@ -356,7 +322,7 @@ mod tests {
             out.best.score_ns,
             best_single
         );
-        assert!(!out.cancelled);
+        assert!(!out.deadline_hit);
         assert_eq!(out.runs.len(), 4);
         assert_eq!(
             out.total_evals,
@@ -380,30 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_cancellation_bounds_total_evals() {
-        let p = path();
-        let f = quadratic(vec![120, 60, 44, 32]);
-        let out = portfolio_search(
-            &p,
-            &f,
-            PortfolioConfig {
-                max_evals_per_strategy: 10_000,
-                max_total_evals: 64,
-                ..PortfolioConfig::default()
-            },
-        );
-        assert!(out.cancelled);
-        // Each strategy reached after the cut still scores its cheap
-        // starting candidates.
-        assert!(
-            out.total_evals <= 64 + 2 * Strategy::ALL.len(),
-            "total {}",
-            out.total_evals
-        );
-        assert!(out.best.score_ns.is_finite());
-    }
-
-    #[test]
     fn a_portfolio_under_any_evaluation_criterion_is_a_pure_function() {
         let p = path();
         let f = quadratic(vec![120, 60, 44, 32]);
@@ -411,19 +353,11 @@ mod tests {
             max_evals_per_strategy: 200,
             ..PortfolioConfig::default()
         };
+        // Without a deadline, and with one that has already passed: the
+        // strategies reached after it still score their starting
+        // candidates, and nothing else.
         let cases = [
-            PortfolioConfig {
-                max_total_evals: 100,
-                ..base.clone()
-            },
-            PortfolioConfig {
-                stall_evals: 12,
-                ..base.clone()
-            },
-            PortfolioConfig {
-                target_ns: 40.0,
-                ..base.clone()
-            },
+            base.clone(),
             PortfolioConfig {
                 deadline: Some(Instant::now()),
                 ..base
@@ -438,7 +372,7 @@ mod tests {
         }
         for cfg in cases {
             let first = portfolio_search(&p, &f, cfg.clone());
-            assert!(first.cancelled, "{cfg:?} never tripped");
+            assert_eq!(first.deadline_hit, cfg.deadline.is_some(), "{cfg:?}");
             let order: Vec<Strategy> = first.runs.iter().map(|r| r.strategy).collect();
             assert_eq!(order, Strategy::ALL);
             for pair in first.runs.windows(2) {
@@ -458,7 +392,7 @@ mod tests {
                     "{cfg:?}"
                 );
                 assert_eq!(again.total_evals, first.total_evals, "{cfg:?}");
-                assert_eq!(again.cancelled, first.cancelled, "{cfg:?}");
+                assert_eq!(again.deadline_hit, first.deadline_hit, "{cfg:?}");
                 for (a, b) in again.runs.iter().zip(&first.runs) {
                     assert_eq!(a.outcome.evaluations, b.outcome.evaluations, "{cfg:?}");
                     assert_eq!(bits(&a.outcome), bits(&b.outcome), "{cfg:?}");

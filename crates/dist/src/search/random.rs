@@ -15,9 +15,6 @@ pub struct RandomConfig {
     pub max_evals: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Attempts per evaluation before a failure's infinite penalty
-    /// score goes through (clamped to at least one; 1 = fail fast).
-    pub eval_retries: u32,
 }
 
 impl Default for RandomConfig {
@@ -25,7 +22,6 @@ impl Default for RandomConfig {
         RandomConfig {
             max_evals: 200,
             seed: 0x7A9D0,
-            eval_retries: 1,
         }
     }
 }
@@ -50,7 +46,7 @@ pub(crate) fn run<E: Evaluator + ?Sized>(
     ctl: Option<&SearchCtl>,
 ) -> SearchOutcome {
     assert!(total >= n, "need at least one row per node");
-    let counter = CountingEvaluator::new(eval, cfg.eval_retries, ctl);
+    let counter = CountingEvaluator::new(eval, ctl);
     let mut history = History::new();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
@@ -108,7 +104,6 @@ mod tests {
             RandomConfig {
                 max_evals: 30,
                 seed: 1,
-                ..Default::default()
             },
         );
         let b = random_search(
@@ -118,7 +113,6 @@ mod tests {
             RandomConfig {
                 max_evals: 30,
                 seed: 1,
-                ..Default::default()
             },
         );
         assert!(a.evaluations <= 30);
@@ -151,39 +145,8 @@ mod tests {
             },
         );
         assert!(out.failed_evals > 0);
-        assert_eq!(out.retried_evals, 0);
         assert_eq!(out.last_failure.unwrap().0, "injected");
         assert!(out.score_ns.is_finite());
         assert_eq!(out.best.total(), 64);
-    }
-
-    #[test]
-    fn retries_reduce_failures() {
-        use crate::fitness::{EvalError, FallibleFn};
-        use std::cell::Cell;
-
-        // Failures strike single attempts, so a second attempt always
-        // succeeds: with eval_retries = 2 nothing fails outright.
-        let calls = Cell::new(0usize);
-        let f = FallibleFn(|rows: &[usize]| {
-            calls.set(calls.get() + 1);
-            if calls.get().is_multiple_of(3) {
-                Err(EvalError("injected".into()))
-            } else {
-                Ok(rows[0] as f64)
-            }
-        });
-        let out = random_search(
-            64,
-            4,
-            &f,
-            RandomConfig {
-                max_evals: 30,
-                eval_retries: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.failed_evals, 0);
-        assert!(out.retried_evals > 0);
     }
 }

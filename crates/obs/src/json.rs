@@ -96,17 +96,6 @@ pub fn opt_u64_field(v: &Value, field_name: &str) -> Result<Option<u64>, FieldEr
     }
 }
 
-/// Optional numeric field: `None` when absent, an error when mistyped.
-pub fn opt_f64_field(v: &Value, field_name: &str) -> Result<Option<f64>, FieldError> {
-    match v.get(field_name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(val) => val
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| mistyped(field_name, "number")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,7 +134,6 @@ mod tests {
         assert_eq!(opt_str_field(&v, "op").unwrap(), Some("plan"));
         assert!(opt_str_field(&v, "evals").is_err());
         assert_eq!(opt_u64_field(&v, "evals").unwrap(), Some(64));
-        assert_eq!(opt_f64_field(&v, "frac").unwrap(), Some(0.5));
         assert_eq!(opt_u64_field(&v, "absent").unwrap(), None);
     }
 }

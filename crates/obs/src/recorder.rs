@@ -3,7 +3,7 @@
 //!
 //! The recorder answers "what was the service doing just before X?"
 //! without any sampling decision made up front: every notable event
-//! (request lifecycle, shed, cache hit/miss, search cancellation,
+//! (request lifecycle, shed, cache hit/miss, a deadline cutting a search,
 //! detector transition, …) is recorded into a bounded ring, and the
 //! ring is dumped as JSON on panic, on a planning error, or on demand
 //! (`planctl dump`).

@@ -2,7 +2,7 @@
 //!
 //! The four distribution searches in `mheta-dist` record a convergence
 //! curve (one [`IterPoint`] per evaluator call) alongside their
-//! resilience tallies. This module renders those curves as JSON (for
+//! failure tallies. This module renders those curves as JSON (for
 //! programmatic consumption) and CSV (for plotting), in the shape the
 //! search-comparison paper \[26\] reports: best-so-far and running-mean
 //! fitness against evaluations spent.
@@ -48,7 +48,7 @@ pub fn delta_value(d: &DeltaStats) -> Value {
 }
 
 /// One search's outcome as a JSON value: best distribution, score,
-/// evaluation/failure/retry tallies, delta-evaluation tallies, and the
+/// evaluation and failure tallies, delta-evaluation tallies, and the
 /// full convergence curve — a pure function of the search's inputs, so
 /// two runs render byte-identical documents.
 #[must_use]
@@ -68,7 +68,6 @@ pub fn search_value(name: &str, out: &SearchOutcome) -> Value {
         ("score_ns", Value::Float(out.score_ns)),
         ("evaluations", Value::UInt(out.evaluations as u64)),
         ("failed_evals", Value::UInt(out.failed_evals as u64)),
-        ("retried_evals", Value::UInt(out.retried_evals as u64)),
         (
             "last_failure",
             match &out.last_failure {
@@ -102,22 +101,21 @@ pub fn searches_json(runs: &[(&str, &SearchOutcome)]) -> String {
 }
 
 /// Convergence curves as long-format CSV, one row per evaluation:
-/// `search,evals,best_ns,mean_ns,failed,retried`. Non-finite fitness
+/// `search,evals,best_ns,mean_ns,failed`. Non-finite fitness
 /// values (the pre-first-success `INFINITY` sentinel) render as `inf`.
 #[must_use]
 pub fn convergence_csv(runs: &[(&str, &SearchOutcome)]) -> String {
-    let mut out = String::from("search,evals,best_ns,mean_ns,failed,retried\n");
+    let mut out = String::from("search,evals,best_ns,mean_ns,failed\n");
     for (name, run) in runs {
         for p in &run.history {
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{}",
+                "{},{},{},{},{}",
                 name,
                 p.evals,
                 csv_f64(p.best_ns),
                 csv_f64(p.mean_ns),
                 p.failed,
-                p.retried,
             );
         }
     }
@@ -163,7 +161,7 @@ mod tests {
         let out = outcome();
         let csv = convergence_csv(&[("random", &out)]);
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "search,evals,best_ns,mean_ns,failed,retried");
+        assert_eq!(lines[0], "search,evals,best_ns,mean_ns,failed");
         assert_eq!(lines.len(), 1 + out.evaluations);
         assert!(lines[1].starts_with("random,1,"));
     }

@@ -3,8 +3,8 @@
 //! ```text
 //! planctl [--addr HOST:PORT] [--max-retries N] [--timeout-ms N] ping
 //! planctl [--addr HOST:PORT] plan --app jacobi [--size small] --arch DC
-//!         [--prefetch] [--evals N] [--seed N] [--retries N]
-//!         [--deadline-ms N] [--no-trace]
+//!         [--prefetch] [--evals N] [--seed N] [--deadline-ms N]
+//!         [--no-trace]
 //! planctl [--addr HOST:PORT] stats
 //! planctl [--addr HOST:PORT] metrics
 //! planctl [--addr HOST:PORT] dump
@@ -36,9 +36,11 @@
 //! request's `trace` object; the trace ID is echoed on stderr so the
 //! caller can grep the daemon's span log and flight-recorder dump for
 //! the same request (`--no-trace` suppresses this and lets the daemon
-//! mint its own root). `--deadline-ms` attaches an end-to-end budget:
-//! the daemon answers with its best incumbent (`"degraded":true`) if
-//! the budget expires mid-search.
+//! mint its own root). `--evals` (the budget of each of the four
+//! strategies) and `--seed` are the whole search; `--deadline-ms`
+//! attaches an end-to-end budget, the one thing that stops a search
+//! early: the daemon answers with its best incumbent
+//! (`"degraded":true`) if the budget expires mid-search.
 //!
 //! `metrics` prints the daemon's Prometheus text-format exposition
 //! verbatim (scrape-ready: pipe it to a file a node_exporter-style
@@ -57,7 +59,7 @@ fn usage() -> String {
     "planctl [--addr HOST:PORT] [--max-retries N] [--timeout-ms N] \
      <ping|stats|metrics|dump|invalidate|shutdown|plan> \
      [plan: --app NAME [--size small|default] --arch ARCH [--prefetch] \
-     [--evals N] [--seed N] [--retries N] [--deadline-ms N] [--no-trace]]"
+     [--evals N] [--seed N] [--deadline-ms N] [--no-trace]]"
         .to_string()
 }
 
@@ -102,12 +104,6 @@ fn build_request(cmd: &str, args: &mut impl Iterator<Item = String>) -> Result<V
                             .parse()
                             .map_err(|e| format!("--seed: {e}"))?;
                         search.push(("seed", Value::UInt(n)));
-                    }
-                    "--retries" => {
-                        let n: u64 = value("--retries")?
-                            .parse()
-                            .map_err(|e| format!("--retries: {e}"))?;
-                        search.push(("retries", Value::UInt(n)));
                     }
                     other => return Err(format!("unknown plan flag `{other}`")),
                 }

@@ -259,10 +259,8 @@ type SearchFn = dyn Fn(&PlanRequest, Option<Instant>, u64) -> SearchResult + Sen
 struct SearchAux {
     /// Per-strategy spans, offsets relative to the portfolio launch.
     strategies: Vec<StrategySpan>,
-    /// Whether a cancellation criterion tripped.
-    cancelled: bool,
-    /// Whether the deadline criterion specifically tripped (the plan
-    /// is the incumbent at expiry, not the full-budget answer).
+    /// Whether the deadline passed mid-search (the plan is the
+    /// incumbent at expiry, not the full-budget answer).
     degraded: bool,
     /// Incremental-evaluation tallies merged across the portfolio's
     /// strategies.
@@ -456,9 +454,6 @@ impl Lead<'_, '_> {
             }
         };
         let total_evals = ("total_evals", Value::UInt(plan.total_evals as u64));
-        if aux.cancelled {
-            rq.rec("search.cancelled", vec![]);
-        }
         if aux.degraded {
             rq.rec("deadline.degraded", vec![budget_ms, total_evals.clone()]);
         }
@@ -828,8 +823,8 @@ impl Planner {
 }
 
 /// Build the MHETA model for the request and run the portfolio search,
-/// with the request deadline (if any) as a cooperative cancellation
-/// criterion.
+/// with the request deadline (if any) as the one thing that stops it
+/// early.
 fn run_search(req: &PlanRequest, deadline: Option<Instant>, budget_ms: u64) -> SearchResult {
     let model = build_model(&req.bench, &req.spec, req.prefetch).map_err(|e| match e {
         // The simulator's one wall-clock error: the next build may pass.
@@ -869,7 +864,6 @@ fn run_search(req: &PlanRequest, deadline: Option<Instant>, budget_ms: u64) -> S
         },
         SearchAux {
             strategies,
-            cancelled: out.cancelled,
             degraded: out.deadline_hit,
             delta: out.delta,
         },
@@ -976,7 +970,6 @@ mod tests {
                 };
                 let aux = SearchAux {
                     strategies: Vec::new(),
-                    cancelled: degraded,
                     degraded,
                     delta: DeltaStats::default(),
                 };
@@ -1198,7 +1191,7 @@ mod tests {
         let kinds = [
             ["request.received", "cache.miss", "search.done"].repeat(2),
             vec!["request.received", "cache.miss"],
-            vec!["search.cancelled", "deadline.degraded"],
+            vec!["deadline.degraded"],
             vec![
                 "coalesce.follow",
                 "coalesce.follow",

@@ -16,26 +16,17 @@ use mheta_dist::PortfolioConfig;
 use mheta_obs::json::{Serialize, Value};
 use mheta_sim::ClusterSpec;
 
-/// Portfolio-search parameters of a planning request. A strict subset
-/// of [`PortfolioConfig`] — everything that affects the result, and
-/// nothing that does not — so the canonical hash covers exactly the
-/// semantic search inputs, and a plan is a pure function of them: the
-/// cache stores what a recomputation would produce, whichever of them
-/// are set.
+/// Portfolio-search parameters of a planning request: the budget and
+/// the seed, everything that affects the result and nothing that does
+/// not. The canonical hash covers exactly these, and a plan is a pure
+/// function of them, so the cache stores what a recomputation would
+/// produce.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SearchParams {
     /// Evaluation budget granted to each of the four strategies.
     pub max_evals_per_strategy: usize,
-    /// Attempts per evaluation.
-    pub eval_retries: u32,
     /// Base RNG seed for the stochastic strategies.
     pub seed: u64,
-    /// Combined-budget cancellation (0 disables).
-    pub max_total_evals: usize,
-    /// Stall-convergence cancellation (0 disables).
-    pub stall_evals: usize,
-    /// Target-score cancellation (nonpositive disables).
-    pub target_ns: f64,
 }
 
 impl Default for SearchParams {
@@ -43,11 +34,7 @@ impl Default for SearchParams {
         let p = PortfolioConfig::default();
         SearchParams {
             max_evals_per_strategy: p.max_evals_per_strategy,
-            eval_retries: p.eval_retries,
             seed: p.seed,
-            max_total_evals: p.max_total_evals,
-            stall_evals: p.stall_evals,
-            target_ns: p.target_ns,
         }
     }
 }
@@ -61,11 +48,7 @@ impl SearchParams {
     pub fn to_portfolio(&self) -> PortfolioConfig {
         PortfolioConfig {
             max_evals_per_strategy: self.max_evals_per_strategy,
-            eval_retries: self.eval_retries,
             seed: self.seed,
-            max_total_evals: self.max_total_evals,
-            stall_evals: self.stall_evals,
-            target_ns: self.target_ns,
             deadline: None,
         }
     }
@@ -178,6 +161,13 @@ pub fn benchmark_by_name(name: &str, size: &str) -> Option<Benchmark> {
 /// anything else looks at it, at ~72 B per node, so an unbounded `n`
 /// from the wire is an allocation of the client's choosing.
 pub const MAX_HOM_NODES: usize = 1024;
+
+/// Largest per-strategy budget a request may ask for (`search.evals`).
+/// Genetic, annealing and random search spend their whole budget, and
+/// every evaluation appends one point to the strategy's convergence
+/// history, so an unbounded budget is a worker's time and memory of the
+/// client's choosing.
+pub const MAX_EVALS_PER_STRATEGY: usize = 1_000_000;
 
 /// Look up a cluster preset by wire name (case-insensitive): the Table
 /// 1 architectures `DC`, `IO`, `HY1`, `HY2`, or `HOM<n>` for a

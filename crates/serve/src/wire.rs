@@ -25,8 +25,11 @@
 //! `arch` is a preset name (`DC`, `IO`, `HY1`, `HY2`) or `HOM<n>` for
 //! a homogeneous `n`-node cluster, `1 <= n <=`
 //! [`crate::request::MAX_HOM_NODES`]. The optional `search` object takes
-//! `evals` (per-strategy budget), `retries`, `seed`, `total_evals`,
-//! `stall`, and `target_ns`. The optional `deadline_ms` is the
+//! `evals` (per-strategy budget, at most
+//! [`crate::request::MAX_EVALS_PER_STRATEGY`]) and `seed`, and nothing
+//! else: any other member is a `bad_request` naming it, so a client
+//! never gets a different search than it asked for. The optional
+//! `deadline_ms`, the only thing that stops a search early, is the
 //! request's end-to-end budget: when it expires mid-search the reply
 //! carries the best incumbent flagged `"degraded":true`; when it
 //! expires before any incumbent exists the error kind is `"deadline"`.
@@ -72,13 +75,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mheta_obs::json::{self, from_str, opt_f64_field, opt_u64_field, str_field, Value};
+use mheta_obs::json::{self, from_str, opt_u64_field, str_field, Value};
 use mheta_obs::trace::{id_hex, parse_id};
 use mheta_obs::{RequestSource, TraceContext};
 
 use crate::planner::{PlanError, PlanReply, Planner};
 use crate::request::{
-    benchmark_by_name, cluster_by_name, PlanRequest, SearchParams, MAX_HOM_NODES,
+    benchmark_by_name, cluster_by_name, PlanRequest, SearchParams, MAX_EVALS_PER_STRATEGY,
+    MAX_HOM_NODES,
 };
 
 /// One parsed request line.
@@ -168,34 +172,42 @@ fn parse_plan(v: &Value) -> Result<PlanRequest, String> {
         ));
     }
 
-    let mut search = SearchParams::default();
-    if let Some(s) = v.get("search") {
-        if let Some(e) = opt_u64_field(s, "evals").map_err(|e| format!("search.{e}"))? {
-            search.max_evals_per_strategy = e as usize;
-        }
-        if let Some(r) = opt_u64_field(s, "retries").map_err(|e| format!("search.{e}"))? {
-            search.eval_retries = r as u32;
-        }
-        if let Some(seed) = opt_u64_field(s, "seed").map_err(|e| format!("search.{e}"))? {
-            search.seed = seed;
-        }
-        if let Some(t) = opt_u64_field(s, "total_evals").map_err(|e| format!("search.{e}"))? {
-            search.max_total_evals = t as usize;
-        }
-        if let Some(st) = opt_u64_field(s, "stall").map_err(|e| format!("search.{e}"))? {
-            search.stall_evals = st as usize;
-        }
-        if let Some(t) = opt_f64_field(s, "target_ns").map_err(|e| format!("search.{e}"))? {
-            search.target_ns = t;
-        }
-    }
-
     Ok(PlanRequest {
         bench,
         prefetch,
         spec,
-        search,
+        search: parse_search(v.get("search"))?,
     })
+}
+
+/// Parse the optional `search` object: `evals` and `seed`, each
+/// defaulted, and no other member.
+fn parse_search(v: Option<&Value>) -> Result<SearchParams, String> {
+    let mut search = SearchParams::default();
+    let s = match v {
+        None | Some(Value::Null) => return Ok(search),
+        Some(s @ Value::Object(members)) => {
+            if let Some((name, _)) = members.iter().find(|(k, _)| k != "evals" && k != "seed") {
+                return Err(format!(
+                    "field `search.{name}`: unknown member (want `evals` or `seed`)"
+                ));
+            }
+            s
+        }
+        Some(_) => return Err("field `search`: expected object".into()),
+    };
+    if let Some(evals) = opt_u64_field(s, "evals").map_err(|e| format!("search.{e}"))? {
+        if evals > MAX_EVALS_PER_STRATEGY as u64 {
+            return Err(format!(
+                "field `search.evals`: {evals} is above the cap of {MAX_EVALS_PER_STRATEGY}"
+            ));
+        }
+        search.max_evals_per_strategy = evals as usize;
+    }
+    if let Some(seed) = opt_u64_field(s, "seed").map_err(|e| format!("search.{e}"))? {
+        search.seed = seed;
+    }
+    Ok(search)
 }
 
 /// Render a successful plan reply.
@@ -703,8 +715,7 @@ mod tests {
     fn parses_a_full_plan_request() {
         let op = parse_request(
             r#"{"op":"plan","app":{"name":"jacobi","size":"small"},"arch":"DC",
-               "prefetch":true,"deadline_ms":250,"search":{"evals":32,"seed":9,"retries":2,
-               "total_evals":100,"stall":40,"target_ns":1.5}}"#,
+               "prefetch":true,"deadline_ms":250,"search":{"evals":32,"seed":9}}"#,
         )
         .unwrap();
         let WireOp::Plan(req, trace, deadline_ms) = op else {
@@ -717,10 +728,36 @@ mod tests {
         assert!(req.prefetch);
         assert_eq!(req.search.max_evals_per_strategy, 32);
         assert_eq!(req.search.seed, 9);
-        assert_eq!(req.search.eval_retries, 2);
-        assert_eq!(req.search.max_total_evals, 100);
-        assert_eq!(req.search.stall_evals, 40);
-        assert_eq!(req.search.target_ns, 1.5);
+    }
+
+    /// The `search` member of a plan line for `cg` on `DC`.
+    fn plan_with_search(search: &str) -> Result<WireOp, String> {
+        parse_request(&format!(
+            r#"{{"op":"plan","app":{{"name":"cg"}},"arch":"DC","search":{search}}}"#
+        ))
+    }
+
+    #[test]
+    fn the_search_object_takes_evals_and_seed_and_nothing_else() {
+        for (member, value) in [
+            ("retries", "2"),
+            ("total_evals", "100"),
+            ("stall", "40"),
+            ("target_ns", "1.5"),
+            ("seeds", "9"),
+        ] {
+            let err =
+                plan_with_search(&format!(r#"{{"evals":32,"{member}":{value}}}"#)).unwrap_err();
+            assert!(err.contains(&format!("`search.{member}`")), "{err}");
+        }
+        let err = plan_with_search("7").unwrap_err();
+        assert!(err.contains("`search`: expected object"), "{err}");
+        for search in ["{}", "null"] {
+            let Ok(WireOp::Plan(req, _, _)) = plan_with_search(search) else {
+                panic!("{search} is the default search")
+            };
+            assert_eq!(req.search, SearchParams::default());
+        }
     }
 
     #[test]

@@ -256,9 +256,9 @@ fn sigterm_drains_in_flight_plans_and_sheds_new_ones() {
     let dir = scratch_dir("drain");
     let mut pland = Pland::boot(&dir);
 
-    // A slow plan, its huge budget bounded by its own deadline, in
-    // flight when the signal lands. Its cache miss is counted after the
-    // daemon has counted it in flight.
+    // A slow plan, the wire's largest budget bounded by its own
+    // deadline, in flight when the signal lands. Its cache miss is
+    // counted after the daemon has counted it in flight.
     let slow = pland.start(&[
         "plan",
         "--app",
@@ -266,7 +266,7 @@ fn sigterm_drains_in_flight_plans_and_sheds_new_ones() {
         "--arch",
         "IO",
         "--evals",
-        "10000000",
+        "1000000",
         "--deadline-ms",
         "800",
     ]);

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mheta_obs::json::{from_str, Value};
+use mheta_serve::request::MAX_EVALS_PER_STRATEGY;
 use mheta_serve::wire::{self, MAX_LINE_BYTES};
 use mheta_serve::{Lifecycle, Planner, PlannerConfig, ServeConfig};
 
@@ -36,6 +37,8 @@ fn cases() -> Vec<Case> {
         r#"{"op":"plan","app":{"name":"cg"},"arch":"DC","prefetch":true}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","deadline_ms":"soon"}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","search":{"evals":-1}}"#,
+        r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","search":{"evals":1000001}}"#,
+        r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","search":{"evals":32,"retries":2}}"#,
         r#"{"op":"plan","app":{"name":"jacobi"},"arch":"DC","trace":{"trace_id":1,"span_id":2}}"#,
     ];
     vec![
@@ -64,7 +67,7 @@ fn cases() -> Vec<Case> {
             closes: true,
         },
         Case {
-            name: "well-formed JSON, wrong-typed fields",
+            name: "well-formed JSON, wrong-typed, unknown or out-of-range fields",
             payload: (wrong_types.join("\n") + "\n").into_bytes(),
             bad_requests: wrong_types.len(),
             closes: false,
@@ -76,6 +79,30 @@ fn cases() -> Vec<Case> {
             closes: false,
         },
     ]
+}
+
+/// The budget cap admits the cap itself: the hostile line above is one
+/// evaluation past a budget that parses.
+#[test]
+fn the_largest_budget_parses_and_one_more_is_refused() {
+    let line = |evals: u64| {
+        format!(
+            r#"{{"op":"plan","app":{{"name":"jacobi"}},"arch":"DC","search":{{"evals":{evals}}}}}"#
+        )
+    };
+    let cap = MAX_EVALS_PER_STRATEGY as u64;
+    assert_eq!(cap, 1_000_000);
+    let Ok(wire::WireOp::Plan(req, _, _)) = wire::parse_request(&line(cap)) else {
+        panic!("a budget of {cap} parses")
+    };
+    assert_eq!(req.search.max_evals_per_strategy, MAX_EVALS_PER_STRATEGY);
+    for evals in [cap + 1, u64::MAX] {
+        let err = wire::parse_request(&line(evals)).unwrap_err();
+        assert!(
+            err.contains("search.evals") && err.contains("1000000"),
+            "{err}"
+        );
+    }
 }
 
 fn round_trip(addr: SocketAddr, request: &str) -> Value {

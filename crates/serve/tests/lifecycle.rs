@@ -23,7 +23,6 @@ fn small_request(seed: u64) -> PlanRequest {
         search: SearchParams {
             seed,
             max_evals_per_strategy: 24,
-            ..SearchParams::default()
         },
     }
 }

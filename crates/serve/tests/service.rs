@@ -19,7 +19,6 @@ fn small_request(seed: u64) -> PlanRequest {
         search: SearchParams {
             seed,
             max_evals_per_strategy: 24,
-            ..SearchParams::default()
         },
     }
 }
@@ -114,53 +113,35 @@ fn cache_hit_is_bitwise_identical_to_a_fresh_search() {
     );
 }
 
-/// The same holds with an evaluation-counting cancellation criterion
-/// set: the portfolio runs on one thread, so what the cache stores is
-/// what any recomputation produces.
+/// The same holds under each search parameter: the portfolio runs on
+/// one thread, so what the cache stores is what any recomputation
+/// produces, and changing the budget or the seed is a different request.
 #[test]
 fn a_cached_plan_is_what_a_recomputation_produces_under_every_search_parameter() {
-    let roomy = SearchParams {
-        max_evals_per_strategy: 400,
-        ..small_request(42).search
-    };
-    let unbounded = Planner::new(PlannerConfig::default())
-        .plan(&PlanRequest {
-            search: roomy.clone(),
-            ..small_request(42)
-        })
-        .unwrap()
-        .plan;
-    let criteria = [
+    let base = small_request(42).search;
+    let params = [
+        base.clone(),
         SearchParams {
-            max_total_evals: 100,
-            ..roomy.clone()
+            max_evals_per_strategy: 96,
+            ..base.clone()
         },
-        SearchParams {
-            stall_evals: 40,
-            ..roomy.clone()
-        },
-        SearchParams {
-            target_ns: unbounded.predicted_ns * 1.02,
-            ..roomy
-        },
+        SearchParams { seed: 43, ..base },
     ];
-    for search in criteria {
+    let mut keys = Vec::new();
+    for search in params {
         let req = PlanRequest {
             search,
             ..small_request(42)
         };
         let planner = Planner::new(PlannerConfig::default());
         let first = planner.plan(&req).unwrap();
-        assert!(
-            first.plan.total_evals < unbounded.total_evals,
-            "{:?} cut nothing short",
-            req.search
-        );
+        keys.push(first.key);
         assert_eq!(planner.invalidate_cache(), 1);
         let again = planner.plan(&req).unwrap();
         let elsewhere = Planner::new(PlannerConfig::default()).plan(&req).unwrap();
         for other in [&again, &elsewhere] {
             assert_eq!(other.source.name(), "fresh");
+            assert_eq!(other.key, first.key, "{:?}", req.search);
             assert_eq!(other.plan.rows, first.plan.rows, "{:?}", req.search);
             assert_eq!(
                 other.plan.predicted_ns.to_bits(),
@@ -176,6 +157,9 @@ fn a_cached_plan_is_what_a_recomputation_produces_under_every_search_parameter()
             );
         }
     }
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), 3, "each search parameter rekeys");
 }
 
 #[test]

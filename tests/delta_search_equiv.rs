@@ -8,8 +8,8 @@
 //! sequence at the same seam on both arms; the portfolio test
 //! additionally checks that delta evaluation actually engages
 //! (`delta_hits > 0`) while leaving the incumbent unchanged. The last
-//! test pins the portfolio itself: with no cancellation criterion set it
-//! is its four strategies run alone, to the bit.
+//! test pins the portfolio itself: without a deadline it is its four
+//! strategies run alone, to the bit.
 
 use std::cell::RefCell;
 
@@ -269,7 +269,7 @@ fn portfolio_delta_engages_without_changing_the_incumbent() {
     assert_eq!(off.delta.total(), 0, "the reference tallies nothing");
 }
 
-/// With every criterion off the portfolio adds nothing to and takes
+/// Without a deadline the portfolio adds nothing to and takes
 /// nothing from its strategies: each run equals the standalone search at
 /// the seed the portfolio derives for it.
 #[test]
@@ -282,7 +282,7 @@ fn the_portfolio_is_its_four_strategies_run_alone() {
     };
     let budget = cfg.max_evals_per_strategy;
     let out = portfolio_search(&path, &model, cfg.clone());
-    assert!(!out.cancelled);
+    assert!(!out.deadline_hit);
 
     let blk = path.at(0.0);
     let seeds: Vec<GenBlock> = path.anchors().iter().map(|(_, g)| g.clone()).collect();
@@ -303,7 +303,6 @@ fn the_portfolio_is_its_four_strategies_run_alone() {
             GeneticConfig {
                 max_evals: budget,
                 seed: cfg.seed ^ 0x6E6E,
-                ..GeneticConfig::default()
             },
         ),
         simulated_annealing(
@@ -312,7 +311,6 @@ fn the_portfolio_is_its_four_strategies_run_alone() {
             AnnealingConfig {
                 max_evals: budget,
                 seed: cfg.seed ^ 0xA11E,
-                ..AnnealingConfig::default()
             },
         ),
         random_search(
@@ -322,7 +320,6 @@ fn the_portfolio_is_its_four_strategies_run_alone() {
             RandomConfig {
                 max_evals: budget,
                 seed: cfg.seed ^ 0x7A9D,
-                ..RandomConfig::default()
             },
         ),
     ];

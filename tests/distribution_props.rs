@@ -118,14 +118,13 @@ proptest! {
         let r = random_search(total, n, &fitness, RandomConfig {
             max_evals: 40,
             seed,
-            ..RandomConfig::default()
         });
         prop_assert!(r.evaluations <= 40);
         prop_assert_eq!(r.best.total(), total);
         let a = simulated_annealing(
             &GenBlock::block(total, n),
             &fitness,
-            AnnealingConfig { max_evals: 40, seed, ..AnnealingConfig::default() },
+            AnnealingConfig { max_evals: 40, seed },
         );
         prop_assert!(a.evaluations <= 40);
         prop_assert_eq!(a.best.total(), total);
