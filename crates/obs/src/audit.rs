@@ -26,6 +26,11 @@
 //! | `reprediction`     | —                                        | time inside `Reprediction` recovery spans      |
 //! | `other`            | —                                        | untraced gaps (retry backoff, loop scaffolding) |
 //!
+//! The actual column is the workspace's one classification of traced
+//! time: [`Metrics`](crate::Metrics) reports each rank's time in these
+//! terms and [`CriticalPath`](crate::CriticalPath) labels each of its
+//! segments with one, both through the same event → term decision.
+//!
 //! The four recovery terms attribute **wholesale**: any window time
 //! inside a [`RecoverySpan`] belongs to that span's term, and events
 //! overlapping a span are clipped to its complement — the disk write of
@@ -68,18 +73,44 @@ pub const TERM_NAMES: [&str; TERM_COUNT] = [
     "other",
 ];
 
-const COMPUTE: usize = 0;
-const DISK: usize = 1;
-const PREFETCH_EXPOSED: usize = 2;
-const COMM_OVERHEAD: usize = 3;
-const NEIGHBOR_WAIT: usize = 4;
-const COLLECTIVE: usize = 5;
+pub(crate) const COMPUTE: usize = 0;
+pub(crate) const DISK: usize = 1;
+pub(crate) const PREFETCH_EXPOSED: usize = 2;
+pub(crate) const COMM_OVERHEAD: usize = 3;
+pub(crate) const NEIGHBOR_WAIT: usize = 4;
+pub(crate) const COLLECTIVE: usize = 5;
 const FAULT: usize = 6;
 const CHECKPOINT: usize = 7;
 const ROLLBACK: usize = 8;
 const REDISTRIBUTION: usize = 9;
 const REPREDICTION: usize = 10;
-const OTHER: usize = 11;
+pub(crate) const OTHER: usize = 11;
+
+/// The one classification of traced time: the term (an index into
+/// [`TERM_NAMES`]) that an event's time belongs to. `blocked` selects
+/// the blocked prefix of a receive or prefetch wait; for every other
+/// kind it is ignored. `actual_terms` (and through it `Metrics`) and
+/// `CriticalPath::compute` sort time with this function and no other.
+pub(crate) fn term_of(kind: &EventKind, blocked: bool) -> usize {
+    match kind {
+        EventKind::Compute { .. } => COMPUTE,
+        EventKind::DiskRead { .. }
+        | EventKind::DiskWrite { .. }
+        | EventKind::PrefetchIssue { .. } => DISK,
+        EventKind::PrefetchWait { .. } if blocked => PREFETCH_EXPOSED,
+        EventKind::PrefetchWait { .. } => DISK,
+        EventKind::Send { tag, .. } | EventKind::Recv { tag, .. }
+            if *tag >= TAG_COLLECTIVE_BASE =>
+        {
+            COLLECTIVE
+        }
+        EventKind::Recv { .. } if blocked => NEIGHBOR_WAIT,
+        EventKind::Send { .. } | EventKind::Recv { .. } => COMM_OVERHEAD,
+        EventKind::Fault { .. } => FAULT,
+        // A zero-length gauge sample: it holds no time.
+        EventKind::MemLevel { .. } => OTHER,
+    }
+}
 
 fn recovery_slot(kind: RecoveryKind) -> usize {
     match kind {
@@ -364,7 +395,12 @@ fn predicted_terms(prediction: &Prediction, rank: usize, iters: u32) -> [f64; TE
 /// overhead/blocked splits stay exact under clipping. Recovery spans
 /// claim their window time wholesale; events are clipped to the
 /// complement of the spans.
-fn actual_terms(trace: &RankTrace, t0: u64, t1: u64, spans: &[RecoverySpan]) -> [u64; TERM_COUNT] {
+pub(crate) fn actual_terms(
+    trace: &RankTrace,
+    t0: u64,
+    t1: u64,
+    spans: &[RecoverySpan],
+) -> [u64; TERM_COUNT] {
     let mut acc = [0u64; TERM_COUNT];
     let window = t1.saturating_sub(t0);
     let mut covered = 0u64;
@@ -427,44 +463,19 @@ fn actual_terms(trace: &RankTrace, t0: u64, t1: u64, spans: &[RecoverySpan]) -> 
             covered += olen;
             // Blocked time occupies the event's prefix [s, s+blocked);
             // intersect it with this segment [a, b).
-            let blocked_in = |blocked_ns: u64| (s + blocked_ns).min(b).saturating_sub(a);
-            match &ev.kind {
-                EventKind::Compute { .. } => acc[COMPUTE] += olen,
-                EventKind::DiskRead { .. }
-                | EventKind::DiskWrite { .. }
-                | EventKind::PrefetchIssue { .. } => acc[DISK] += olen,
-                EventKind::PrefetchWait { blocked_ns, .. } => {
-                    let blocked = blocked_in(*blocked_ns);
-                    acc[PREFETCH_EXPOSED] += blocked;
-                    acc[DISK] += olen - blocked;
+            let blocked = match ev.kind {
+                EventKind::PrefetchWait { blocked_ns, .. } | EventKind::Recv { blocked_ns, .. } => {
+                    (s + blocked_ns).min(b).saturating_sub(a)
                 }
-                EventKind::Send { tag, .. } => {
-                    let slot = if *tag >= TAG_COLLECTIVE_BASE {
-                        COLLECTIVE
-                    } else {
-                        COMM_OVERHEAD
-                    };
-                    acc[slot] += olen;
-                }
-                EventKind::Recv {
-                    tag, blocked_ns, ..
-                } => {
-                    if *tag >= TAG_COLLECTIVE_BASE {
-                        acc[COLLECTIVE] += olen;
-                    } else {
-                        let blocked = blocked_in(*blocked_ns);
-                        acc[NEIGHBOR_WAIT] += blocked;
-                        acc[COMM_OVERHEAD] += olen - blocked;
-                    }
-                }
-                EventKind::Fault { .. } => acc[FAULT] += olen,
-                EventKind::MemLevel { .. } => {} // zero-length gauge sample
-            }
+                _ => 0,
+            };
+            acc[term_of(&ev.kind, true)] += blocked;
+            acc[term_of(&ev.kind, false)] += olen - blocked;
         }
     }
     // Traces are monotone (non-overlapping), so coverage cannot exceed
     // the window; the remainder is untraced clock advancement.
-    acc[OTHER] = window.saturating_sub(covered);
+    acc[OTHER] += window.saturating_sub(covered);
     acc
 }
 

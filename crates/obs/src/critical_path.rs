@@ -20,60 +20,23 @@
 //! The resulting segments form a contiguous partition of
 //! `[0, makespan]` in virtual time, so their durations sum to the
 //! makespan *exactly* — an invariant the integration tests assert to
-//! the nanosecond. Attribution by [`SegmentKind`] then says what the
-//! run's end-to-end time was actually spent on, which is the question
-//! the paper's heterogeneous-redistribution argument (§5) turns on:
-//! moving rows helps only if the critical path is compute- or
+//! the nanosecond. Each segment carries the audit term ([`TERM_NAMES`])
+//! that the audit's classifier gives its event, so the path says in the
+//! model's own vocabulary what the run's end-to-end time was spent on —
+//! the question the paper's heterogeneous-redistribution argument (§5)
+//! turns on: moving rows helps only if the critical path is compute- or
 //! disk-dominated on the loaded node.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use crate::audit::{term_of, OTHER, TERM_COUNT, TERM_NAMES};
 use crate::json::Serialize;
 use mheta_sim::{EventKind, RankTrace, SimDur, SimTime};
 
-/// What a span of the critical path was spent on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
-pub enum SegmentKind {
-    /// Local computation.
-    Compute,
-    /// Synchronous disk I/O (reads, writes, prefetch issue overhead).
-    Disk,
-    /// An in-progress asynchronous disk transfer the path waited on.
-    DiskTransfer,
-    /// Communication overhead (send/receive processing on the CPU).
-    Comm,
-    /// A message in flight between ranks.
-    InFlight,
-    /// Blocked with no reconstructable cause (unmatched wait).
-    Blocked,
-    /// An injected fault's direct cost.
-    Fault,
-    /// The rank on the path was idle (clock advanced without a traced
-    /// event — e.g. retry backoff).
-    Idle,
-}
-
-impl SegmentKind {
-    /// Stable lowercase label for reports and JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SegmentKind::Compute => "compute",
-            SegmentKind::Disk => "disk",
-            SegmentKind::DiskTransfer => "disk_transfer",
-            SegmentKind::Comm => "comm",
-            SegmentKind::InFlight => "in_flight",
-            SegmentKind::Blocked => "blocked",
-            SegmentKind::Fault => "fault",
-            SegmentKind::Idle => "idle",
-        }
-    }
-}
-
 /// One span of the critical path: `[start, end]` on `rank`'s virtual
-/// clock, spent on `kind`.
+/// clock, spent on audit term `term`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PathSegment {
     /// Rank the span is attributed to.
@@ -82,8 +45,8 @@ pub struct PathSegment {
     pub start: SimTime,
     /// Span end (virtual time).
     pub end: SimTime,
-    /// Attribution.
-    pub kind: SegmentKind,
+    /// Attribution: an index into [`TERM_NAMES`].
+    pub term: usize,
 }
 
 impl PathSegment {
@@ -191,18 +154,19 @@ impl CriticalPath {
                 .find(|(_, e)| e.end > e.start);
             let Some((idx, ev)) = found else {
                 // Nothing earlier on this rank: idle back to the epoch.
-                push(&mut segments, rank, SimTime::ZERO, t, SegmentKind::Idle);
+                push(&mut segments, rank, SimTime::ZERO, t, OTHER);
                 break;
             };
             if ev.end < t {
                 // Gap: the clock advanced without a traced interval
                 // (charge() / retry backoff) or the rank just finished
                 // earlier than `t`.
-                push(&mut segments, rank, ev.end, t, SegmentKind::Idle);
+                push(&mut segments, rank, ev.end, t, OTHER);
                 t = ev.end;
                 continue;
             }
             // `ev` ends exactly at `t`.
+            let (waited, overhead) = (term_of(&ev.kind, true), term_of(&ev.kind, false));
             match ev.kind {
                 EventKind::Recv {
                     from,
@@ -220,86 +184,46 @@ impl CriticalPath {
                         .filter(|_| by_rank.contains_key(&from));
                     match matched {
                         Some(send_end) if send_end <= arrival => {
-                            push(&mut segments, rank, arrival, ev.end, SegmentKind::Comm);
-                            push(
-                                &mut segments,
-                                from,
-                                send_end,
-                                arrival,
-                                SegmentKind::InFlight,
-                            );
+                            push(&mut segments, rank, arrival, ev.end, overhead);
+                            // The message in flight.
+                            push(&mut segments, from, send_end, arrival, waited);
                             rank = from;
                             t = send_end;
                         }
                         _ => {
                             // Unmatched (truncated trace): account the
                             // stall without crossing ranks.
-                            push(&mut segments, rank, ev.start, ev.end, SegmentKind::Blocked);
+                            push(&mut segments, rank, ev.start, ev.end, waited);
                             t = ev.start;
                         }
                     }
-                }
-                EventKind::Recv { .. } => {
-                    // Message had already arrived: pure overhead.
-                    push(&mut segments, rank, ev.start, ev.end, SegmentKind::Comm);
-                    t = ev.start;
                 }
                 EventKind::PrefetchWait { var, blocked_ns } if blocked_ns > 0 => {
                     // The wait ended when the transfer completed; the
                     // transfer window is [end - latency, end], i.e. it
                     // started the instant the k-th matching issue
                     // returned. Verify the FIFO match by completion
-                    // time before following it.
+                    // time before following it; unmatched (truncated
+                    // trace), account the stall without leaving the
+                    // wait interval.
                     let k = ordinals[&rank][idx];
                     let matched =
                         issues.get(&(rank, var)).and_then(|v| v.get(k)).copied() == Some(ev.end);
                     let latency = issues_latency(trace, k, var);
                     let xfer_start = SimTime(ev.end.as_nanos().saturating_sub(latency));
-                    if matched && xfer_start < ev.end {
-                        push(
-                            &mut segments,
-                            rank,
-                            xfer_start,
-                            ev.end,
-                            SegmentKind::DiskTransfer,
-                        );
-                        t = xfer_start;
+                    let start = if matched && xfer_start < ev.end {
+                        xfer_start
                     } else {
-                        // Unmatched (truncated trace): account the
-                        // stall without leaving the wait interval.
-                        push(&mut segments, rank, ev.start, ev.end, SegmentKind::Blocked);
-                        t = ev.start;
-                    }
+                        ev.start
+                    };
+                    push(&mut segments, rank, start, ev.end, waited);
+                    t = start;
                 }
-                EventKind::PrefetchWait { .. } => {
-                    // Non-blocked waits are zero-length and filtered
-                    // above; a nonzero one would be overhead on disk.
-                    push(&mut segments, rank, ev.start, ev.end, SegmentKind::Disk);
-                    t = ev.start;
-                }
-                EventKind::Compute { .. } => {
-                    push(&mut segments, rank, ev.start, ev.end, SegmentKind::Compute);
-                    t = ev.start;
-                }
-                EventKind::DiskRead { .. }
-                | EventKind::DiskWrite { .. }
-                | EventKind::PrefetchIssue { .. } => {
-                    push(&mut segments, rank, ev.start, ev.end, SegmentKind::Disk);
-                    t = ev.start;
-                }
-                EventKind::Send { .. } => {
-                    push(&mut segments, rank, ev.start, ev.end, SegmentKind::Comm);
-                    t = ev.start;
-                }
-                EventKind::Fault { .. } => {
-                    push(&mut segments, rank, ev.start, ev.end, SegmentKind::Fault);
-                    t = ev.start;
-                }
-                EventKind::MemLevel { .. } => {
-                    // Gauge samples are zero-length and filtered out by
-                    // the `end > start` scan above; defensively treat a
-                    // hypothetical nonzero one as untraced time.
-                    push(&mut segments, rank, ev.start, ev.end, SegmentKind::Idle);
+                _ => {
+                    // Everything else (including a receive whose
+                    // message had already arrived) extends the chain on
+                    // this rank.
+                    push(&mut segments, rank, ev.start, ev.end, overhead);
                     t = ev.start;
                 }
             }
@@ -307,7 +231,7 @@ impl CriticalPath {
         if t > SimTime::ZERO && budget == 0 {
             // Budget exhausted (degenerate zero-cost configuration):
             // close the partition so the sum invariant still holds.
-            push(&mut segments, rank, SimTime::ZERO, t, SegmentKind::Blocked);
+            push(&mut segments, rank, SimTime::ZERO, t, OTHER);
         }
 
         segments.reverse();
@@ -325,25 +249,26 @@ impl CriticalPath {
         self.segments.iter().map(|s| s.dur().as_nanos()).sum()
     }
 
-    /// Total path time per segment kind, in ns.
+    /// Total path time per audit term, in ns, in [`TERM_NAMES`] order.
     #[must_use]
-    pub fn by_kind(&self) -> BTreeMap<SegmentKind, u64> {
-        let mut out = BTreeMap::new();
+    pub fn by_term(&self) -> [u64; TERM_COUNT] {
+        let mut out = [0; TERM_COUNT];
         for s in &self.segments {
-            *out.entry(s.kind).or_insert(0) += s.dur().as_nanos();
+            out[s.term] += s.dur().as_nanos();
         }
         out
     }
 
-    /// The kind the path spends the most time on (ties broken by the
-    /// declaration order of [`SegmentKind`], deterministically). `None`
-    /// for an empty path.
+    /// The term the path spends the most time on (ties go to the
+    /// earlier term in [`TERM_NAMES`]). `None` for an empty path.
     #[must_use]
-    pub fn dominant_kind(&self) -> Option<SegmentKind> {
-        self.by_kind()
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(k, _)| k)
+    pub fn dominant_term(&self) -> Option<&'static str> {
+        if self.segments.is_empty() {
+            return None;
+        }
+        let by_term = self.by_term();
+        let best = (0..TERM_COUNT).rev().max_by_key(|&i| by_term[i])?;
+        Some(TERM_NAMES[best])
     }
 
     /// Total path time attributed to `rank`, in ns.
@@ -365,7 +290,7 @@ impl CriticalPath {
             .count()
     }
 
-    /// Human-readable summary: makespan, per-kind attribution with
+    /// Human-readable summary: makespan, per-term attribution with
     /// percentages, and path shape.
     #[must_use]
     pub fn report(&self) -> String {
@@ -379,18 +304,23 @@ impl CriticalPath {
             self.makespan.as_secs_f64(),
             self.slowest_rank,
         );
-        let mut kinds: Vec<(SegmentKind, u64)> = self.by_kind().into_iter().collect();
-        kinds.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for (kind, ns) in kinds {
+        let mut terms: Vec<(&str, u64)> = TERM_NAMES
+            .into_iter()
+            .zip(self.by_term())
+            .filter(|&(_, ns)| ns > 0)
+            .collect();
+        // Stable: equal times keep TERM_NAMES order.
+        terms.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+        for (term, ns) in terms {
             let pct = if total > 0 {
                 100.0 * ns as f64 / total as f64
             } else {
                 0.0
             };
-            let _ = writeln!(out, "  {:<13} {:>14} ns  {:>5.1}%", kind.label(), ns, pct);
+            let _ = writeln!(out, "  {term:<16} {ns:>14} ns  {pct:>5.1}%");
         }
-        if let Some(dom) = self.dominant_kind() {
-            let _ = writeln!(out, "  dominant: {}", dom.label());
+        if let Some(dom) = self.dominant_term() {
+            let _ = writeln!(out, "  dominant: {dom}");
         }
         out
     }
@@ -411,19 +341,13 @@ fn issues_latency(trace: &RankTrace, k: usize, var: u32) -> u64 {
         .unwrap_or(0)
 }
 
-fn push(
-    segments: &mut Vec<PathSegment>,
-    rank: usize,
-    start: SimTime,
-    end: SimTime,
-    kind: SegmentKind,
-) {
+fn push(segments: &mut Vec<PathSegment>, rank: usize, start: SimTime, end: SimTime, term: usize) {
     if end > start {
         segments.push(PathSegment {
             rank,
             start,
             end,
-            kind,
+            term,
         });
     }
 }
@@ -431,6 +355,8 @@ fn push(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{COLLECTIVE, COMM_OVERHEAD, COMPUTE, DISK, NEIGHBOR_WAIT, PREFETCH_EXPOSED};
+    use mheta_mpi::TAG_COLLECTIVE_BASE;
     use mheta_sim::Event;
 
     fn ev(s: u64, e: u64, kind: EventKind) -> Event {
@@ -465,16 +391,15 @@ mod tests {
         let path = CriticalPath::compute(&traces);
         assert_partition(&path);
         assert_eq!(path.slowest_rank, 0);
-        assert_eq!(path.dominant_kind(), Some(SegmentKind::Compute));
-        assert_eq!(path.by_kind()[&SegmentKind::Disk], 30);
+        assert_eq!(path.dominant_term(), Some("compute"));
+        assert_eq!(path.by_term()[DISK], 30);
     }
 
-    #[test]
-    fn blocked_recv_jumps_to_sender() {
-        // Rank 0 computes 100 then sends (overhead 10); latency 5.
-        // Rank 1 computes 20 then blocks in recv until arrival 115,
-        // recv overhead 10 -> end 125.
-        let traces = vec![
+    /// Rank 0 computes 100 then sends on `tag` (overhead 10); latency
+    /// 5. Rank 1 computes 20 then blocks in the receive until arrival
+    /// at 115; receive overhead 10 -> end 125.
+    fn send_then_blocked_recv(tag: u32) -> Vec<RankTrace> {
+        vec![
             RankTrace {
                 rank: 0,
                 events: vec![
@@ -484,7 +409,7 @@ mod tests {
                         110,
                         EventKind::Send {
                             to: 1,
-                            tag: 3,
+                            tag,
                             bytes: 64,
                         },
                     ),
@@ -500,7 +425,7 @@ mod tests {
                         125,
                         EventKind::Recv {
                             from: 0,
-                            tag: 3,
+                            tag,
                             bytes: 64,
                             blocked_ns: 95, // arrival at 115
                         },
@@ -508,60 +433,88 @@ mod tests {
                 ],
                 finish: SimTime(125),
             },
-        ];
-        let path = CriticalPath::compute(&traces);
+        ]
+    }
+
+    #[test]
+    fn blocked_recv_jumps_to_sender() {
+        let path = CriticalPath::compute(&send_then_blocked_recv(3));
         assert_partition(&path);
         assert_eq!(path.slowest_rank, 1);
         assert_eq!(path.rank_hops(), 1);
-        let kinds = path.by_kind();
-        // Sender compute 100 + send overhead 10, in-flight 5, recv
+        let terms = path.by_term();
+        // Sender compute 100 + send overhead 10, in flight 5, receive
         // overhead 10.
-        assert_eq!(kinds[&SegmentKind::Compute], 100);
-        assert_eq!(kinds[&SegmentKind::Comm], 20);
-        assert_eq!(kinds[&SegmentKind::InFlight], 5);
-        assert_eq!(path.dominant_kind(), Some(SegmentKind::Compute));
+        assert_eq!(terms[COMPUTE], 100);
+        assert_eq!(terms[COMM_OVERHEAD], 20);
+        assert_eq!(terms[NEIGHBOR_WAIT], 5, "the message in flight");
+        assert_eq!(terms[COLLECTIVE], 0);
+        assert_eq!(path.dominant_term(), Some("compute"));
         // The receiver's own 20 ns of compute is NOT on the path.
         assert_eq!(path.rank_share_ns(0), 115);
+
+        // The same exchange on a collective tag is all `collective`.
+        let path = CriticalPath::compute(&send_then_blocked_recv(TAG_COLLECTIVE_BASE | 1));
+        assert_partition(&path);
+        assert_eq!(path.rank_hops(), 1);
+        let terms = path.by_term();
+        assert_eq!(terms[COMPUTE], 100);
+        assert_eq!(terms[COLLECTIVE], 25);
+        assert_eq!(terms[COMM_OVERHEAD] + terms[NEIGHBOR_WAIT], 0);
     }
 
     #[test]
     fn blocked_prefetch_wait_follows_the_transfer() {
         // Issue at [10, 15] (seek), latency 85 -> completes at 100.
         // Compute 40 overlaps; wait blocks from 55 to 100.
+        let issue = ev(
+            10,
+            15,
+            EventKind::PrefetchIssue {
+                var: 7,
+                bytes: 4096,
+                latency_ns: 85,
+            },
+        );
+        let wait = ev(
+            55,
+            100,
+            EventKind::PrefetchWait {
+                var: 7,
+                blocked_ns: 45,
+            },
+        );
         let traces = vec![RankTrace {
             rank: 0,
             events: vec![
                 ev(0, 10, EventKind::Compute { work_units: 1.0 }),
-                ev(
-                    10,
-                    15,
-                    EventKind::PrefetchIssue {
-                        var: 7,
-                        bytes: 4096,
-                        latency_ns: 85,
-                    },
-                ),
+                issue,
                 ev(15, 55, EventKind::Compute { work_units: 1.0 }),
-                ev(
-                    55,
-                    100,
-                    EventKind::PrefetchWait {
-                        var: 7,
-                        blocked_ns: 45,
-                    },
-                ),
+                wait.clone(),
             ],
             finish: SimTime(100),
         }];
         let path = CriticalPath::compute(&traces);
         assert_partition(&path);
-        let kinds = path.by_kind();
+        let terms = path.by_term();
         // Transfer window [15, 100] dominates; before it: compute 10 +
         // issue seek 5.
-        assert_eq!(kinds[&SegmentKind::DiskTransfer], 85);
-        assert_eq!(kinds[&SegmentKind::Compute], 10);
-        assert_eq!(kinds[&SegmentKind::Disk], 5);
-        assert_eq!(path.dominant_kind(), Some(SegmentKind::DiskTransfer));
+        assert_eq!(terms[PREFETCH_EXPOSED], 85);
+        assert_eq!(terms[COMPUTE], 10);
+        assert_eq!(terms[DISK], 5);
+        assert_eq!(path.dominant_term(), Some("prefetch_exposed"));
+
+        // Without its issue the wait cannot be followed: the stall
+        // itself is the exposed prefetch time.
+        let traces = vec![RankTrace {
+            rank: 0,
+            events: vec![ev(0, 55, EventKind::Compute { work_units: 1.0 }), wait],
+            finish: SimTime(100),
+        }];
+        let path = CriticalPath::compute(&traces);
+        assert_partition(&path);
+        assert_eq!(path.by_term()[PREFETCH_EXPOSED], 45);
+        assert_eq!(path.by_term()[COMPUTE], 55);
     }
 
     #[test]
@@ -574,7 +527,7 @@ mod tests {
         }];
         let path = CriticalPath::compute(&traces);
         assert_partition(&path);
-        assert_eq!(path.by_kind()[&SegmentKind::Idle], 20);
+        assert_eq!(path.by_term()[OTHER], 20);
     }
 
     #[test]
@@ -582,7 +535,7 @@ mod tests {
         let path = CriticalPath::compute(&[]);
         assert_eq!(path.total_ns(), 0);
         assert!(path.segments.is_empty());
-        assert_eq!(path.dominant_kind(), None);
+        assert_eq!(path.dominant_term(), None);
     }
 
     #[test]

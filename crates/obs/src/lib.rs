@@ -5,28 +5,30 @@
 //! per-rank traces and hook-event streams. This crate turns those
 //! records into answers:
 //!
-//! * [`metrics`] — per-rank virtual-time breakdowns (compute / disk /
-//!   comm / blocked / fault / idle, plus prefetch overlap), counters,
-//!   and latency histograms, with deterministic JSON export;
+//! * [`audit`] — the one account of where a run's time went: each
+//!   rank's traced time cut into the model's twelve terms
+//!   ([`TERM_NAMES`], an exact integer partition), aligned with the
+//!   model's per-term prediction so that the residual is attributed to
+//!   individual terms (the terms partition the residual exactly),
+//!   including wholesale attribution of checkpoint / rollback /
+//!   redistribution / reprediction time for fault-tolerant runs;
+//! * [`metrics`] — per-rank term breakdowns in the audit's terms,
+//!   counters, and latency histograms, with deterministic JSON export;
+//! * [`critical_path`] — reconstruction of the cross-rank chain of
+//!   operations that decided the makespan, each segment labelled with
+//!   the audit term of its event (the segments partition
+//!   `[0, makespan]` exactly);
 //! * [`perfetto`] — Chrome trace-event JSON that loads directly in
 //!   `ui.perfetto.dev`, one process per rank with simulator events and
-//!   nested MPI-Jack scopes on separate tracks;
-//! * [`critical_path`] — reconstruction of the cross-rank chain of
-//!   operations that decided the makespan, with attribution by cost
-//!   kind (the segments partition `[0, makespan]` exactly);
+//!   nested MPI-Jack scopes on separate tracks, and memory counter
+//!   tracks;
 //! * [`telemetry`] — convergence curves from the four distribution
 //!   searches in `mheta-dist`, as JSON and CSV;
-//! * [`audit`] — prediction-accuracy attribution: aligns the model's
-//!   per-term prediction with the simulator's actual timeline and
-//!   attributes the residual to individual model terms (the terms
-//!   partition the residual exactly), including wholesale attribution
-//!   of checkpoint / rollback / redistribution / reprediction time for
-//!   fault-tolerant runs;
 //! * [`trace`] — end-to-end request tracing: [`TraceContext`] minting
 //!   and hex wire rendering, threaded by the serving layer from
 //!   `planctl` through every planner stage;
 //! * [`prometheus`] — Prometheus text-format exposition over
-//!   [`Metrics`] and [`ServiceMetrics`] snapshots, with `le`-bucketed
+//!   [`ServiceMetrics`] snapshots, with `le`-bucketed
 //!   histograms derived from the log₂ registries;
 //! * [`recorder`] — the always-on [`FlightRecorder`]: a fixed-capacity
 //!   mutex-striped ring of recent structured events with exact
@@ -50,10 +52,10 @@ pub mod telemetry;
 pub mod trace;
 
 pub use audit::{AuditReport, RankAudit, TermLine, TERM_COUNT, TERM_NAMES};
-pub use critical_path::{CriticalPath, PathSegment, SegmentKind};
+pub use critical_path::{CriticalPath, PathSegment};
 pub use metrics::{Histogram, Metrics, RankBreakdown};
 pub use perfetto::perfetto_trace;
-pub use prometheus::{metrics_text, service_text, PromText};
+pub use prometheus::{service_text, PromText};
 pub use recorder::{FlightRecorder, RecordedEvent};
 pub use service::{RequestSource, RequestSpan, ServiceMetrics, StrategySpan};
 pub use telemetry::{

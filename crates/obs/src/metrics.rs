@@ -1,99 +1,31 @@
 //! Per-rank virtual-time metrics.
 //!
 //! A [`Metrics`] registry digests the raw [`RankTrace`]s of one run
-//! into the decomposition the MHETA model reasons about: where each
-//! rank's virtual time went (compute, disk, communication, blocked
-//! waits, injected faults, idle gaps), event/byte counters, and
-//! latency histograms. The per-rank breakdown is an **exact
-//! partition**: the six duration buckets sum to the rank's finish time
-//! to the nanosecond, so utilization fractions always total 1.
-//!
-//! Prefetch overlap — the time a prefetch's disk transfer ran
-//! concurrently with other work — is reported separately
-//! ([`RankBreakdown::prefetch_overlap_ns`]): it is an *attribute* of
-//! time already accounted to other buckets, not a seventh bucket.
+//! into where each rank's virtual time went, event/byte counters, and
+//! latency histograms. The per-rank breakdown is the audit's term
+//! vector ([`TERM_NAMES`]) over `[0, finish)`: the same twelve terms
+//! the model predicts, summing to the rank's finish time to the
+//! nanosecond.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
+use crate::audit::{actual_terms, TERM_COUNT, TERM_NAMES};
 use crate::json::Serialize;
 use mheta_mpi::Transition;
 use mheta_sim::{EventKind, RankTrace, RecoverySpan};
 
 /// Where one rank's virtual time went, in integer nanoseconds.
 ///
-/// `compute + disk + comm + blocked + fault + idle == finish`, exactly.
+/// `terms` sums to `finish_ns`, exactly.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct RankBreakdown {
     /// Rank index.
     pub rank: usize,
     /// The rank's virtual clock when it finished.
     pub finish_ns: u64,
-    /// Local computation.
-    pub compute_ns: u64,
-    /// Synchronous disk reads/writes plus prefetch issue overhead.
-    pub disk_ns: u64,
-    /// Send/receive endpoint overheads (excluding time blocked waiting
-    /// for a message to arrive).
-    pub comm_ns: u64,
-    /// Time stalled in receives and prefetch waits.
-    pub blocked_ns: u64,
-    /// Time consumed by injected faults (failed disk attempts, …).
-    pub fault_ns: u64,
-    /// Gaps between traced events — e.g. retry backoff charged by the
-    /// I/O retry policy, which advances the clock without an event.
-    pub idle_ns: u64,
-    /// Of each prefetch's disk-transfer latency, the portion that ran
-    /// concurrently with other work instead of stalling the wait.
-    /// Informational: this time is already accounted to the buckets
-    /// above on this rank's timeline.
-    pub prefetch_overlap_ns: u64,
-    /// Peak memory-in-use observed on this rank (the largest
-    /// high-water mark among `MemLevel` gauge samples; 0 when memory
-    /// tracking produced no samples). Informational: a level, not a
-    /// duration, so it is not part of the time partition.
-    pub peak_mem_bytes: u64,
-}
-
-impl RankBreakdown {
-    /// The six exclusive buckets in a fixed order, with labels.
-    #[must_use]
-    pub fn buckets(&self) -> [(&'static str, u64); 6] {
-        [
-            ("compute", self.compute_ns),
-            ("disk", self.disk_ns),
-            ("comm", self.comm_ns),
-            ("blocked", self.blocked_ns),
-            ("fault", self.fault_ns),
-            ("idle", self.idle_ns),
-        ]
-    }
-
-    /// Utilization fractions of `finish_ns` per bucket, same order as
-    /// [`RankBreakdown::buckets`]. Sums to 1 (within float rounding)
-    /// because the buckets partition the timeline; all zeros for an
-    /// empty (zero-length) timeline.
-    #[must_use]
-    pub fn fractions(&self) -> [(&'static str, f64); 6] {
-        let total = self.finish_ns as f64;
-        self.buckets().map(|(k, v)| {
-            let f = if total > 0.0 { v as f64 / total } else { 0.0 };
-            (k, f)
-        })
-    }
-
-    /// The bucket holding the most time.
-    #[must_use]
-    pub fn dominant(&self) -> (&'static str, u64) {
-        // max_by_key takes the *last* maximum; prefer the first so ties
-        // resolve toward compute, the most meaningful dominant kind.
-        let mut best = ("compute", 0);
-        for (k, v) in self.buckets() {
-            if v > best.1 {
-                best = (k, v);
-            }
-        }
-        best
-    }
+    /// The rank's time per audit term, in [`TERM_NAMES`] order.
+    pub terms: [u64; TERM_COUNT],
 }
 
 /// The workspace's one log₂-bucketed latency histogram (nanoseconds):
@@ -244,8 +176,13 @@ impl Metrics {
     pub fn from_traces(traces: &[RankTrace]) -> Metrics {
         let mut m = Metrics::default();
         for trace in traces {
-            m.breakdowns
-                .push(digest_rank(trace, &mut m.counters, &mut m.histograms));
+            digest_rank(trace, &mut m.counters, &mut m.histograms);
+            let finish_ns = trace.finish.as_nanos();
+            m.breakdowns.push(RankBreakdown {
+                rank: trace.rank,
+                finish_ns,
+                terms: actual_terms(trace, 0, finish_ns, &[]),
+            });
         }
         m
     }
@@ -325,16 +262,24 @@ impl Metrics {
         crate::json::to_string_pretty(self)
     }
 
-    /// A compact human-readable table of per-rank utilization.
+    /// A compact human-readable table: each rank's share of its finish
+    /// time per audit term.
     #[must_use]
     pub fn utilization_table(&self) -> String {
-        let mut out = String::from(
-            "rank     finish_ms  compute   disk     comm  blocked    fault     idle\n",
-        );
+        let mut out = String::from("rank     finish_ms");
+        for name in TERM_NAMES {
+            let _ = write!(out, "  {name:>7}");
+        }
+        out.push('\n');
         for b in &self.breakdowns {
-            out.push_str(&format!("{:>4} {:>13.3}", b.rank, b.finish_ns as f64 / 1e6));
-            for (_, f) in b.fractions() {
-                out.push_str(&format!("  {:>6.1}%", 100.0 * f));
+            let _ = write!(out, "{:>4} {:>13.3}", b.rank, b.finish_ns as f64 / 1e6);
+            for (name, ns) in TERM_NAMES.iter().zip(b.terms) {
+                let pct = if b.finish_ns > 0 {
+                    100.0 * ns as f64 / b.finish_ns as f64
+                } else {
+                    0.0
+                };
+                let _ = write!(out, "  {:>w$.1}%", pct, w = name.len().max(7) - 1);
             }
             out.push('\n');
         }
@@ -342,31 +287,19 @@ impl Metrics {
     }
 }
 
-/// Partition one rank's timeline and feed the shared counters and
-/// histograms.
+/// Feed one rank's events into the shared counters and histograms.
 fn digest_rank(
     trace: &RankTrace,
     counters: &mut BTreeMap<String, u64>,
     histograms: &mut BTreeMap<String, Histogram>,
-) -> RankBreakdown {
-    let mut b = RankBreakdown {
-        rank: trace.rank,
-        finish_ns: trace.finish.as_nanos(),
-        ..RankBreakdown::default()
-    };
+) {
     let mut incr = |name: &str, delta: u64| {
         *counters.entry(name.to_string()).or_insert(0) += delta;
     };
-    let mut covered = 0u64;
-    // Pending prefetch issues per var (FIFO), for overlap attribution:
-    // (completion time on this rank's clock, transfer latency).
-    let mut pending: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
     for ev in &trace.events {
         let len = (ev.end - ev.start).as_nanos();
-        covered += len;
         match &ev.kind {
             EventKind::Compute { .. } => {
-                b.compute_ns += len;
                 incr("events.compute", 1);
                 histograms
                     .entry("latency.compute".into())
@@ -374,7 +307,6 @@ fn digest_rank(
                     .record(len);
             }
             EventKind::DiskRead { bytes, .. } => {
-                b.disk_ns += len;
                 incr("events.disk_read", 1);
                 incr("bytes.disk_read", *bytes);
                 histograms
@@ -383,7 +315,6 @@ fn digest_rank(
                     .record(len);
             }
             EventKind::DiskWrite { bytes, .. } => {
-                b.disk_ns += len;
                 incr("events.disk_write", 1);
                 incr("bytes.disk_write", *bytes);
                 histograms
@@ -391,39 +322,18 @@ fn digest_rank(
                     .or_default()
                     .record(len);
             }
-            EventKind::PrefetchIssue {
-                var,
-                bytes,
-                latency_ns,
-            } => {
-                b.disk_ns += len;
+            EventKind::PrefetchIssue { bytes, .. } => {
                 incr("events.prefetch_issue", 1);
                 incr("bytes.prefetch", *bytes);
-                pending
-                    .entry(*var)
-                    .or_default()
-                    .push((ev.end.as_nanos() + latency_ns, *latency_ns));
             }
-            EventKind::PrefetchWait { var, blocked_ns } => {
-                b.blocked_ns += blocked_ns;
-                b.disk_ns += len.saturating_sub(*blocked_ns);
+            EventKind::PrefetchWait { blocked_ns, .. } => {
                 incr("events.prefetch_wait", 1);
                 histograms
                     .entry("stall.prefetch_wait".into())
                     .or_default()
                     .record(*blocked_ns);
-                // The matching issue is the oldest pending one for this
-                // var; whatever part of its transfer latency did not
-                // stall this wait was overlapped with useful work.
-                if let Some(queue) = pending.get_mut(var) {
-                    if !queue.is_empty() {
-                        let (_completion, latency) = queue.remove(0);
-                        b.prefetch_overlap_ns += latency.saturating_sub(*blocked_ns);
-                    }
-                }
             }
             EventKind::Send { bytes, .. } => {
-                b.comm_ns += len;
                 incr("events.send", 1);
                 incr("bytes.sent", *bytes);
                 histograms
@@ -434,8 +344,6 @@ fn digest_rank(
             EventKind::Recv {
                 bytes, blocked_ns, ..
             } => {
-                b.blocked_ns += blocked_ns;
-                b.comm_ns += len.saturating_sub(*blocked_ns);
                 incr("events.recv", 1);
                 incr("bytes.received", *bytes);
                 histograms
@@ -443,38 +351,16 @@ fn digest_rank(
                     .or_default()
                     .record(*blocked_ns);
             }
-            EventKind::Fault { .. } => {
-                b.fault_ns += len;
-                incr("events.fault", 1);
-            }
-            EventKind::MemLevel { high_water, .. } => {
-                // Zero-length gauge sample: contributes no time, only
-                // the memory level.
-                b.peak_mem_bytes = b.peak_mem_bytes.max(*high_water);
-                incr("events.mem_level", 1);
-            }
+            EventKind::Fault { .. } => incr("events.fault", 1),
+            EventKind::MemLevel { .. } => incr("events.mem_level", 1),
         }
     }
-    b.idle_ns = b.finish_ns.saturating_sub(covered);
-    b
-}
-
-/// Serialize any `Serialize` value to a compact JSON string —
-/// convenience re-export so callers don't need `serde` in scope.
-#[must_use]
-pub fn to_json<T: Serialize + ?Sized>(value: &T) -> String {
-    crate::json::to_string(value)
-}
-
-/// Serialize any `Serialize` value to an indented JSON string.
-#[must_use]
-pub fn to_json_pretty<T: Serialize + ?Sized>(value: &T) -> String {
-    crate::json::to_string_pretty(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{COMM_OVERHEAD, COMPUTE, DISK, NEIGHBOR_WAIT, OTHER, PREFETCH_EXPOSED};
     use mheta_sim::{Event, SimTime};
 
     fn ev(s: u64, e: u64, kind: EventKind) -> Event {
@@ -499,7 +385,7 @@ mod tests {
             vec![
                 ev(0, 10, EventKind::Compute { work_units: 1.0 }),
                 ev(10, 14, EventKind::DiskRead { var: 1, bytes: 32 }),
-                // Gap [14, 16): retry backoff — becomes idle.
+                // Gap [14, 16): retry backoff — becomes `other`.
                 ev(
                     16,
                     22,
@@ -519,58 +405,41 @@ mod tests {
                         bytes: 8,
                     },
                 ),
-            ],
-            25,
-        );
-        let m = Metrics::from_traces(std::slice::from_ref(&t));
-        let b = &m.breakdowns[0];
-        assert_eq!(b.compute_ns, 10);
-        assert_eq!(b.disk_ns, 4);
-        assert_eq!(b.comm_ns, 2 + 1); // recv overhead + send
-        assert_eq!(b.blocked_ns, 4);
-        assert_eq!(b.idle_ns, 2 + 2); // backoff gap + tail after send
-        assert_eq!(
-            b.compute_ns + b.disk_ns + b.comm_ns + b.blocked_ns + b.fault_ns + b.idle_ns,
-            b.finish_ns,
-            "buckets must partition the timeline"
-        );
-        let frac_sum: f64 = b.fractions().iter().map(|(_, f)| f).sum();
-        assert!((frac_sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prefetch_overlap_is_latency_minus_stall() {
-        let t = trace(
-            vec![
                 ev(
-                    0,
-                    5,
+                    23,
+                    25,
                     EventKind::PrefetchIssue {
                         var: 3,
                         bytes: 64,
-                        latency_ns: 100,
+                        latency_ns: 10,
                     },
                 ),
-                ev(5, 65, EventKind::Compute { work_units: 1.0 }),
-                // Completion at 105: blocked 40 of the 100 ns latency.
                 ev(
-                    65,
-                    105,
+                    25,
+                    37,
                     EventKind::PrefetchWait {
                         var: 3,
-                        blocked_ns: 40,
+                        blocked_ns: 10,
                     },
                 ),
             ],
-            105,
+            40,
         );
         let m = Metrics::from_traces(std::slice::from_ref(&t));
         let b = &m.breakdowns[0];
-        assert_eq!(b.prefetch_overlap_ns, 60);
-        assert_eq!(b.blocked_ns, 40);
-        assert_eq!(b.disk_ns, 5);
-        assert_eq!(b.compute_ns, 60);
-        assert_eq!(b.idle_ns, 0);
+        assert_eq!(b.terms, actual_terms(&t, 0, 40, &[]), "the audit's terms");
+        assert_eq!(b.terms[COMPUTE], 10);
+        assert_eq!(b.terms[DISK], 4 + 2 + 2); // read + issue + unblocked wait
+        assert_eq!(b.terms[PREFETCH_EXPOSED], 10);
+        assert_eq!(b.terms[NEIGHBOR_WAIT], 4);
+        assert_eq!(b.terms[COMM_OVERHEAD], 2 + 1); // recv overhead + send
+        assert_eq!(b.terms[OTHER], 2 + 3); // backoff gap + tail after the wait
+        assert_eq!(
+            b.terms.iter().sum::<u64>(),
+            b.finish_ns,
+            "terms must partition the timeline"
+        );
+        assert_eq!(m.makespan_ns(), 40);
     }
 
     #[test]
@@ -655,14 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn dominant_bucket_reported() {
-        let t = trace(vec![ev(0, 90, EventKind::Compute { work_units: 1.0 })], 100);
-        let m = Metrics::from_traces(std::slice::from_ref(&t));
-        assert_eq!(m.breakdowns[0].dominant(), ("compute", 90));
-        assert_eq!(m.makespan_ns(), 100);
-    }
-
-    #[test]
     fn recovery_record_feeds_counters_and_histograms() {
         use mheta_sim::RecoveryKind;
         let mut m = Metrics::default();
@@ -736,6 +597,13 @@ mod tests {
         let a = Metrics::from_traces(std::slice::from_ref(&t)).to_json_pretty();
         let b = Metrics::from_traces(std::slice::from_ref(&t)).to_json_pretty();
         assert_eq!(a, b);
-        assert!(a.contains("\"compute_ns\": 5"));
+        let doc = crate::json::from_str(&a).unwrap();
+        let terms = doc.get("breakdowns").unwrap().as_array().unwrap()[0]
+            .get("terms")
+            .unwrap()
+            .as_array()
+            .unwrap();
+        assert_eq!(terms.len(), TERM_COUNT);
+        assert_eq!(terms[COMPUTE].as_u64(), Some(5));
     }
 }

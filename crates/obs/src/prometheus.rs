@@ -1,13 +1,12 @@
 //! Prometheus text-format exposition (version 0.0.4) over the MHETA
 //! metric registries.
 //!
-//! Renders [`Metrics`] (simulation runs) and [`ServiceMetrics`] (the
-//! serving layer) snapshots as the plain-text scrape format every
-//! Prometheus-compatible collector ingests:
+//! Renders [`ServiceMetrics`] (the serving layer) snapshots as the
+//! plain-text scrape format every Prometheus-compatible collector
+//! ingests:
 //!
-//! * counters keep their registry name, sanitized
-//!   (`events.disk_read` → `mheta_events_disk_read_total`);
-//! * per-rank time buckets and memory peaks become labeled gauges;
+//! * counters keep their name, sanitized, with labels for their
+//!   dimensions (`mheta_serve_requests_total{source="cache"}`);
 //! * the log₂ [`Histogram`]s become cumulative `le`-bucketed
 //!   Prometheus histograms in **seconds** (bucket `i`'s upper bound is
 //!   `2^i` ns), each with the mandatory `_sum` and `_count` series and
@@ -22,7 +21,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use crate::metrics::{Histogram, Metrics};
+use crate::metrics::Histogram;
 use crate::service::ServiceMetrics;
 
 /// Incremental builder for one exposition document. Emits `# HELP` /
@@ -156,50 +155,6 @@ fn render_bucket_labels(labels: &[(&str, &str)], le: &str) -> String {
     let mut all: Vec<(&str, &str)> = labels.to_vec();
     all.push(("le", le));
     render_labels(&all)
-}
-
-/// Render a run-metrics registry ([`Metrics`]) as one exposition
-/// document: every counter, every latency histogram, and per-rank
-/// time/memory gauges.
-#[must_use]
-pub fn metrics_text(m: &Metrics) -> String {
-    let mut p = PromText::new();
-    for (name, &value) in &m.counters {
-        p.counter(
-            &format!("mheta_{name}_total"),
-            "Run counter from the MHETA metrics registry.",
-            &[],
-            value,
-        );
-    }
-    for (name, h) in &m.histograms {
-        p.histogram_log2(
-            &format!("mheta_{name}_seconds"),
-            "Run latency histogram (log2 ns buckets).",
-            &[],
-            &h.buckets,
-            h.count,
-            h.sum_ns,
-        );
-    }
-    for b in &m.breakdowns {
-        let rank = b.rank.to_string();
-        for (bucket, ns) in b.buckets() {
-            p.gauge(
-                "mheta_rank_time_seconds",
-                "Per-rank virtual-time partition by bucket.",
-                &[("rank", &rank), ("bucket", bucket)],
-                ns as f64 / 1e9,
-            );
-        }
-        p.gauge(
-            "mheta_rank_peak_mem_bytes",
-            "Per-rank peak memory high-water mark.",
-            &[("rank", &rank)],
-            b.peak_mem_bytes as f64,
-        );
-    }
-    p.finish()
 }
 
 /// Render a serving-layer registry ([`ServiceMetrics`]) as one
@@ -395,25 +350,5 @@ mod tests {
         assert!(text.contains("mheta_serve_delta_terms_reused_total 91"));
         assert!(text.contains("mheta_serve_delta_fallbacks_total{kind=\"structural\"} 2"));
         assert!(text.contains("mheta_serve_delta_fallbacks_total{kind=\"error\"} 1"));
-    }
-
-    #[test]
-    fn metrics_text_covers_counters_histograms_and_ranks() {
-        let mut m = Metrics::default();
-        m.incr("events.disk_read", 4);
-        m.observe("latency.disk_read", 1500);
-        m.breakdowns.push(crate::metrics::RankBreakdown {
-            rank: 0,
-            finish_ns: 100,
-            compute_ns: 60,
-            idle_ns: 40,
-            peak_mem_bytes: 4096,
-            ..Default::default()
-        });
-        let text = metrics_text(&m);
-        assert!(text.contains("mheta_events_disk_read_total 4"));
-        assert!(text.contains("mheta_latency_disk_read_seconds_count 1"));
-        assert!(text.contains("mheta_rank_time_seconds{rank=\"0\",bucket=\"compute\"} 0.00000006"));
-        assert!(text.contains("mheta_rank_peak_mem_bytes{rank=\"0\"} 4096"));
     }
 }

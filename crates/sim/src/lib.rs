@@ -54,7 +54,6 @@ pub mod fault;
 pub mod noise;
 pub mod presets;
 pub mod time;
-pub mod timeline;
 pub mod trace;
 
 pub use config::{ClusterSpec, NetSpec, NodeSpec, NoiseSpec};
@@ -65,5 +64,4 @@ pub use engine::{
 pub use error::{SimError, SimResult};
 pub use fault::{CrashSpec, DegradeSpec, FaultKind, FaultSpec, RankFaults, RecoverSpec};
 pub use time::{SimDur, SimTime};
-pub use timeline::render as render_timeline;
 pub use trace::{Event, EventKind, RankTrace, RecoveryKind, RecoverySpan};

@@ -3,7 +3,7 @@
 //! the simulated makespan, and golden-file stability of the Perfetto
 //! trace-event export.
 
-use mheta::obs::{perfetto, CriticalPath, Metrics, SegmentKind};
+use mheta::obs::{perfetto, CriticalPath, Metrics, TERM_NAMES};
 use mheta::prelude::*;
 use serde::Value;
 
@@ -42,6 +42,12 @@ fn critical_path_partitions_jacobi_makespan_exactly() {
         makespan
     );
 
+    assert_eq!(
+        path.by_term().iter().sum::<u64>(),
+        makespan,
+        "by_term is exact"
+    );
+
     // Segments are a contiguous forward partition of [0, makespan].
     let mut t = 0;
     for s in &path.segments {
@@ -63,17 +69,18 @@ fn critical_path_identifies_the_slowest_ranks_dominant_cost() {
     let slowest = &metrics.breakdowns[path.slowest_rank];
 
     // The starved ranks stream from disk, so both views must agree the
-    // run is disk-bound: the slowest rank's largest bucket and the
-    // path's dominant segment kind.
-    assert_eq!(slowest.dominant().0, "disk");
-    let dom = path.dominant_kind().unwrap();
+    // run is disk-bound: the slowest rank's largest term and the path's
+    // dominant term, both in the audit's vocabulary.
+    let largest = (0..TERM_NAMES.len())
+        .max_by_key(|&i| slowest.terms[i])
+        .unwrap();
+    assert_eq!(TERM_NAMES[largest], "disk");
+    let dom = path.dominant_term().unwrap();
     assert!(
-        matches!(dom, SegmentKind::Disk | SegmentKind::DiskTransfer),
-        "path dominant kind {dom:?} should be a disk kind"
+        matches!(dom, "disk" | "prefetch_exposed"),
+        "path dominant term {dom} should be a disk term"
     );
-    assert!(path
-        .report()
-        .contains(&format!("dominant: {}", dom.label())));
+    assert!(path.report().contains(&format!("dominant: {dom}")));
 
     // The slowest rank carries the largest share of the path.
     let share = path.rank_share_ns(path.slowest_rank);
@@ -88,19 +95,10 @@ fn metrics_partition_each_rank_timeline_exactly() {
 
     let metrics = Metrics::from_traces(&run.traces);
     assert_eq!(metrics.breakdowns.len(), 4);
-    for b in &metrics.breakdowns {
-        let covered: u64 = b.buckets().iter().map(|(_, v)| v).sum();
-        assert_eq!(covered, b.finish_ns, "rank {} buckets partition", b.rank);
-        let frac_sum: f64 = b.fractions().iter().map(|(_, f)| f).sum();
-        assert!(
-            frac_sum <= 1.0 + 1e-9,
-            "rank {} fractions sum {frac_sum} > 1",
-            b.rank
-        );
-        assert!(
-            (frac_sum - 1.0).abs() < 1e-9,
-            "fractions cover the timeline"
-        );
+    for (b, trace) in metrics.breakdowns.iter().zip(&run.traces) {
+        let covered: u64 = b.terms.iter().sum();
+        assert_eq!(covered, b.finish_ns, "rank {} terms partition", b.rank);
+        assert_eq!(b.finish_ns, trace.finish.as_nanos());
     }
     assert_eq!(
         metrics.makespan_ns(),
