@@ -969,10 +969,10 @@ impl<'a> CgRun<'a> {
         // ---- section 2: p = r + beta p; reassemble; heartbeat -------
         comm.begin_section(2);
         comm.begin_stage(0);
-        let p_old: Vec<f64> = self.p_full[offset..offset + m].to_vec();
-        self.p_full.fill(0.0);
-        for (i, p_old) in p_old.iter().enumerate() {
-            self.p_full[offset + i] = self.rr[i] + beta * p_old;
+        self.p_full[..offset].fill(0.0);
+        self.p_full[offset + m..].fill(0.0);
+        for (p, r) in self.p_full[offset..offset + m].iter_mut().zip(&self.rr) {
+            *p = r + beta * *p;
         }
         if m > 0 {
             comm.compute(m as f64, (m * 8) as u64);

@@ -41,28 +41,90 @@ impl RankResult {
 /// checksums are distribution-independent.
 #[must_use]
 pub fn hash01(seed: u64, a: u64, b: u64) -> f64 {
-    hash_bits(seed, a, b) as f64 / HASH_ONE as f64
+    unit(hash_bits(seed, a, b))
 }
 
 /// `2⁵³`: [`hash_bits`] lies in `[0, HASH_ONE)`, and [`hash01`] is it
 /// divided by this.
 const HASH_ONE: u64 = 1 << 53;
 
+/// The three multipliers of [`hash_bits`]'s pre-mix, one per argument.
+const K_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+const K_A: u64 = 0xbf58_476d_1ce4_e5b9;
+const K_B: u64 = 0x94d0_49bb_1331_11eb;
+
+/// `q · 2⁻⁵³`, as [`hash01`] maps a [`hash_bits`] integer.
+#[inline]
+pub(crate) fn unit(q: u64) -> f64 {
+    q as f64 / HASH_ONE as f64
+}
+
 /// The 53-bit integer `q` behind [`hash01`], which is exactly `q · 2⁻⁵³`:
 /// `q` converts to `f64` exactly and the division only moves the
 /// exponent. So a test on `hash01` can be made on `q` instead, as an
 /// integer compare ([`Threshold`]).
 pub(crate) fn hash_bits(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(a.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(b.wrapping_mul(0x94d0_49bb_1331_11eb));
+    finish(premix(seed, a, b))
+}
+
+/// The linear half of [`hash_bits`]: `seed·K₁ + a·K₂ + b·K₃` mod 2⁶⁴.
+#[inline]
+fn premix(seed: u64, a: u64, b: u64) -> u64 {
+    seed.wrapping_mul(K_SEED)
+        .wrapping_add(a.wrapping_mul(K_A))
+        .wrapping_add(b.wrapping_mul(K_B))
+}
+
+/// The nonlinear half of [`hash_bits`], applied to its pre-mix.
+#[inline]
+fn finish(mut z: u64) -> u64 {
     z ^= z >> 30;
     z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z ^= z >> 27;
     z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
     z >> 11
+}
+
+/// [`hash_bits`] along a run of consecutive coordinates, one of `a` or
+/// `b` stepping by one: an endless iterator of the same integers. The
+/// pre-mix is linear in each coordinate mod 2⁶⁴, so stepping a
+/// coordinate adds its multiplier to it — one wrapping add per entry
+/// instead of three multiplies, exact also where the coordinate wraps
+/// past `u64::MAX`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HashRun {
+    z: u64,
+    step: u64,
+}
+
+impl HashRun {
+    /// `hash_bits(seed, a + k, b)` for `k = 0, 1, …`.
+    pub(crate) fn along_a(seed: u64, a: u64, b: u64) -> Self {
+        HashRun {
+            z: premix(seed, a, b),
+            step: K_A,
+        }
+    }
+
+    /// `hash_bits(seed, a, b + k)` for `k = 0, 1, …`.
+    pub(crate) fn along_b(seed: u64, a: u64, b: u64) -> Self {
+        HashRun {
+            z: premix(seed, a, b),
+            step: K_B,
+        }
+    }
+}
+
+impl Iterator for HashRun {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        let q = finish(self.z);
+        self.z = self.z.wrapping_add(self.step);
+        Some(q)
+    }
 }
 
 /// The test `hash01(..) < p` as an integer compare on [`hash_bits`],
@@ -160,11 +222,6 @@ mod tests {
         assert_ne!(hash01(7, 1, 2), hash01(8, 1, 2));
     }
 
-    /// `q · 2⁻⁵³`, as `hash01` maps its integer.
-    fn unit(q: u64) -> f64 {
-        q as f64 / HASH_ONE as f64
-    }
-
     #[test]
     fn hash01_is_hash_bits_scaled() {
         for seed in [0, 7, 0xC6, u64::MAX] {
@@ -173,6 +230,46 @@ mod tests {
                     let q = hash_bits(seed, a, b);
                     assert!(q < HASH_ONE);
                     assert_eq!(hash01(seed, a, b).to_bits(), unit(q).to_bits());
+                }
+            }
+        }
+    }
+
+    /// `hash_bits` as it was written before its pre-mix and finaliser
+    /// were split for [`HashRun`]: the reference for both.
+    fn reference_hash_bits(seed: u64, a: u64, b: u64) -> u64 {
+        let mut z = seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(a.wrapping_mul(0xbf58_476d_1ce4_e5b9))
+            .wrapping_add(b.wrapping_mul(0x94d0_49bb_1331_11eb));
+        z ^= z >> 30;
+        z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z ^= z >> 27;
+        z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        z >> 11
+    }
+
+    /// A run along `a` and a run along `b` are `hash_bits` at each
+    /// step, from starts at zero, in the middle and just below
+    /// `u64::MAX`, so that some runs wrap past it.
+    #[test]
+    fn hash_run_is_hash_bits_along_either_coordinate() {
+        let starts = [0, 1, 7, 0xC6, 1 << 40, u64::MAX - 20, u64::MAX];
+        for seed in [0, 7, 0xC6, 0x57 ^ 0xC6, u64::MAX] {
+            for a in starts {
+                for b in starts {
+                    let at = format!("seed {seed:#x} a {a:#x} b {b:#x}");
+                    for (k, q) in HashRun::along_a(seed, a, b).take(40).enumerate() {
+                        let a = a.wrapping_add(k as u64);
+                        assert_eq!(q, reference_hash_bits(seed, a, b), "along a +{k}, {at}");
+                        assert_eq!(q, hash_bits(seed, a, b), "along a +{k}, {at}");
+                    }
+                    for (k, q) in HashRun::along_b(seed, a, b).take(40).enumerate() {
+                        let b = b.wrapping_add(k as u64);
+                        assert_eq!(q, reference_hash_bits(seed, a, b), "along b +{k}, {at}");
+                        assert_eq!(q, hash_bits(seed, a, b), "along b +{k}, {at}");
+                    }
                 }
             }
         }

@@ -21,15 +21,31 @@ use mheta_dist::GenBlock;
 use mheta_mpi::{allreduce, barrier, Comm, Recorder, ReduceOp};
 use mheta_sim::{SimResult, VarId};
 
-use crate::app::{chunks, hash01, hash_bits, rank_plans, RankResult, Threshold};
+use crate::app::{chunks, hash01, hash_bits, rank_plans, HashRun, RankResult, Threshold};
 
-/// Variable ID of the sparse matrix (interleaved `[col, val]` pairs).
+/// Variable ID of the sparse matrix (interleaved `[col, val]` pairs, each
+/// column stored as its index's bits, not as a float).
 pub const VAR_A: VarId = 1;
 /// Variable ID of the replicated full search direction `p`.
 pub const VAR_P: VarId = 2;
 /// Variable ID of the resident per-row working vectors (`x`, `r`, `q`,
 /// CSR offsets).
 pub const VAR_VECS: VarId = 3;
+
+/// A column index as the matrix stores it: its integer's bit pattern in
+/// an `f64` slot, never a float that encodes it. The slot is 8 bytes
+/// either way, so every charged byte is the same, and reading it back
+/// is a move instead of a float-to-integer conversion.
+#[inline]
+fn col_field(c: usize) -> f64 {
+    f64::from_bits(c as u64)
+}
+
+/// The column index a [`col_field`] slot holds.
+#[inline]
+fn field_col(field: f64) -> usize {
+    field.to_bits() as usize
+}
 
 /// The CG benchmark.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -76,7 +92,7 @@ impl Cg {
         let mut flat = Vec::new();
         self.emit_row(r, &mut flat);
         flat.chunks_exact(2)
-            .map(|e| (e[0] as usize, e[1]))
+            .map(|e| (field_col(e[0]), e[1]))
             .collect()
     }
 
@@ -97,7 +113,7 @@ impl Cg {
         flat.resize(start + 2 * (hi - lo + 1), 0.0);
         let mut end = start;
         let mut candidate = |c: usize, kept: bool| {
-            flat[end] = c as f64;
+            flat[end] = col_field(c);
             end += 2 * usize::from(kept);
         };
         for c in lo..r {
@@ -112,7 +128,7 @@ impl Cg {
         let mut offdiag_sum = 0.0;
         let mut diag_slot = start + 1;
         for k in (start..end).step_by(2) {
-            let c = flat[k] as usize;
+            let c = field_col(flat[k]);
             if c == r {
                 diag_slot = k + 1;
                 continue;
@@ -164,14 +180,16 @@ impl Cg {
         for r in offset..offset + m {
             let (lo, hi) = (r.saturating_sub(self.band), (r + self.band).min(self.n - 1));
             let mut n_kept = 0;
-            for c in lo..offset.max(lo) {
+            let below = HashRun::along_a(seed, lo as u64, r as u64);
+            for (c, q) in (lo..offset.max(lo)).zip(below) {
                 kept[n_kept] = c;
-                n_kept += usize::from(keep.admits(hash_bits(seed, c as u64, r as u64)));
+                n_kept += usize::from(keep.admits(q));
             }
             let n_below = n_kept;
-            for c in r + 1..=hi {
+            let above = HashRun::along_b(seed, r as u64, r as u64 + 1);
+            for (c, q) in (r + 1..hi + 1).zip(above) {
                 kept[n_kept] = c;
-                n_kept += usize::from(keep.admits(hash_bits(seed, r as u64, c as u64)));
+                n_kept += usize::from(keep.admits(q));
             }
             let (below, above) = kept[..n_kept].split_at(n_below);
 
@@ -187,7 +205,7 @@ impl Cg {
             let mut offdiag_sum = 0.0;
             for (&c, e) in below.iter().zip(hashed.chunks_exact_mut(2)) {
                 let v = -hash01(seed ^ 0x57, c as u64, r as u64);
-                (e[0], e[1]) = (c as f64, v);
+                (e[0], e[1]) = (col_field(c), v);
                 offdiag_sum += v.abs();
             }
             copied.copy_from_slice(slot);
@@ -197,10 +215,10 @@ impl Cg {
             }
             for (&c, e) in above.iter().zip(upper.chunks_exact_mut(2)) {
                 let v = -hash01(seed ^ 0x57, r as u64, c as u64);
-                (e[0], e[1]) = (c as f64, v);
+                (e[0], e[1]) = (col_field(c), v);
                 offdiag_sum += v.abs();
             }
-            diag[0] = r as f64;
+            diag[0] = col_field(r);
             diag[1] = offdiag_sum + 1.0 + hash01(seed ^ 0x99, r as u64, r as u64);
             for (&c, e) in above.iter().zip(upper.chunks_exact(2)) {
                 if c < offset + m {
@@ -208,7 +226,7 @@ impl Cg {
                     // `mine + (c - r)` is below `2 · slots`.
                     let s = mine + (c - r);
                     let slot = &mut ring[if s < slots { s } else { s - slots }];
-                    slot.push(r as f64);
+                    slot.push(col_field(r));
                     slot.push(e[1]);
                 }
             }
@@ -234,9 +252,12 @@ impl Cg {
         let mut pairs = 0usize;
         for a in 0..self.n {
             let hi = a.saturating_add(self.band).min(self.n - 1);
-            for b in a + 1..=hi {
-                pairs += usize::from(keep.admits(hash_bits(self.seed, a as u64, b as u64)));
-            }
+            // Each pair hashed on its own, over a half-open range: the
+            // count vectorises, which a `HashRun`'s carried pre-mix and
+            // an inclusive range both prevent.
+            pairs += (a + 1..hi + 1)
+                .map(|b| usize::from(keep.admits(hash_bits(self.seed, a as u64, b as u64))))
+                .sum::<usize>();
         }
         (2 * (self.n + 2 * pairs)) as f64 / self.n as f64
     }
@@ -379,12 +400,10 @@ impl Cg {
             // ---- section 2: p = r + beta p; reassemble ---------------
             comm.begin_section(2);
             comm.begin_stage(0);
-            let p_old: Vec<f64> = p_full[offset..offset + m].to_vec();
-            for slot in p_full.iter_mut() {
-                *slot = 0.0;
-            }
-            for i in 0..m {
-                p_full[offset + i] = rr[i] + beta * p_old[i];
+            p_full[..offset].fill(0.0);
+            p_full[offset + m..].fill(0.0);
+            for (p, r) in p_full[offset..offset + m].iter_mut().zip(&rr) {
+                *p = r + beta * *p;
             }
             comm.compute(m as f64, (m * 8) as u64);
             comm.end_stage(0);
@@ -420,7 +439,7 @@ impl Cg {
 pub(crate) fn spmv(flat: &[f64], offsets: &[usize], p: &[f64], q: &mut [f64]) -> usize {
     let base = offsets[0];
     let row = |i: usize| &flat[offsets[i] - base..offsets[i + 1] - base];
-    let term = |e: &[f64]| e[1] * p[e[0] as usize];
+    let term = |e: &[f64]| e[1] * p[field_col(e[0])];
     let done = q.len() / 4 * 4;
     for (g, out) in q.chunks_exact_mut(4).enumerate() {
         let rows: [&[f64]; 4] = std::array::from_fn(|k| row(4 * g + k));
@@ -519,15 +538,29 @@ mod tests {
         (entries, sum)
     }
 
+    /// Every column field of `flat` holds a column's integer bits, below
+    /// `n`: a writer that stores `c as f64` instead fails here.
+    fn assert_columns_are_index_bits(flat: &[f64], n: usize, at: &str) {
+        for (k, e) in flat.chunks_exact(2).enumerate() {
+            assert!(
+                e[0].to_bits() < n as u64,
+                "entry {k}: column field {:#x} is not an index below {n}, {at}",
+                e[0].to_bits()
+            );
+        }
+    }
+
     /// `share` is `emit_row`, the row-at-a-time reference, bit for bit
     /// over every window `[offset, offset + m)` of `cg`: every entry,
-    /// every row sum and the offsets between the rows.
+    /// every row sum and the offsets between the rows. Both store each
+    /// column as its index's bits.
     fn assert_every_window_matches_emit_row(cg: &Cg, windows: &[(usize, usize)]) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let rows: Vec<(Vec<u64>, u64)> = (0..cg.n)
             .map(|r| {
                 let mut flat = Vec::new();
                 let sum = cg.emit_row(r, &mut flat);
+                assert_columns_are_index_bits(&flat, cg.n, &format!("{cg:?} emit_row {r}"));
                 (bits(&flat), sum.to_bits())
             })
             .collect();
@@ -535,6 +568,7 @@ mod tests {
             let (flat, offsets, b_local) = cg.share(offset, m);
             let at = format!("{cg:?} rows {offset}..{}", offset + m);
             assert_eq!((offsets.len(), offsets[m]), (m + 1, flat.len()), "{at}");
+            assert_columns_are_index_bits(&flat, cg.n, &at);
             for i in 0..m {
                 let (want, sum) = &rows[offset + i];
                 let got = bits(&flat[offsets[i]..offsets[i + 1]]);
@@ -663,7 +697,7 @@ mod tests {
             let mut acc = 0.0;
             let mut k = lo;
             while k < hi {
-                acc += flat[k + 1] * p[flat[k] as usize];
+                acc += flat[k + 1] * p[flat[k].to_bits() as usize];
                 k += 2;
             }
             *out = acc;
@@ -684,7 +718,7 @@ mod tests {
         let mut offsets = vec![0];
         for (r, &len) in lens.iter().enumerate() {
             for k in 0..len {
-                flat.push(((r * 7 + k * 3) % 16) as f64);
+                flat.push(col_field((r * 7 + k * 3) % 16));
                 flat.push(hash01(3, r as u64 + 1, k as u64) - 0.5);
             }
             offsets.push(flat.len());
@@ -734,7 +768,7 @@ mod tests {
                     let (entries, sum) = reference_row(&cg, offset + i);
                     let want: Vec<u64> = entries
                         .iter()
-                        .flat_map(|&(c, v)| [(c as f64).to_bits(), v.to_bits()])
+                        .flat_map(|&(c, v)| [c as u64, v.to_bits()])
                         .collect();
                     let got: Vec<u64> = flat[offsets[i]..offsets[i + 1]]
                         .iter()

@@ -20,7 +20,7 @@ use mheta_core::{CommPattern, ProgramStructure, SectionSpec, StageSpec, Variable
 use mheta_mpi::{allreduce, barrier, Comm, Recorder, ReduceOp};
 use mheta_sim::{SimResult, VarId};
 
-use crate::app::{chunks, hash01, rank_plans, RankResult};
+use crate::app::{chunks, rank_plans, unit, HashRun, RankResult};
 use mheta_dist::GenBlock;
 
 /// Variable ID of the grid.
@@ -104,7 +104,9 @@ impl Jacobi {
         global_row: usize,
         cols: usize,
     ) -> impl Iterator<Item = f64> + '_ {
-        (0..cols).map(move |c| hash01(self.seed, global_row as u64, c as u64))
+        HashRun::along_b(self.seed, global_row as u64, 0)
+            .take(cols)
+            .map(unit)
     }
 
     /// Five-point update of one row given its old neighbors, written
@@ -426,8 +428,25 @@ impl SweepState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::hash01;
     use mheta_mpi::{run_app, ExecMode, NullRecorder, RunOptions};
     use mheta_sim::ClusterSpec;
+
+    /// A row's initial values, hashed along the row, are `hash01` of
+    /// each cell bit for bit, as the row was generated cell by cell.
+    #[test]
+    fn initial_row_is_hash01_of_each_cell() {
+        let app = Jacobi::small();
+        for row in [0, 1, 17, app.rows - 1] {
+            for cols in [0, 1, 5, app.cols] {
+                let got: Vec<u64> = app.initial_row(row, cols).map(f64::to_bits).collect();
+                let want: Vec<u64> = (0..cols)
+                    .map(|c| hash01(app.seed, row as u64, c as u64).to_bits())
+                    .collect();
+                assert_eq!(got, want, "row {row}, {cols} columns");
+            }
+        }
+    }
 
     fn quiet(n: usize) -> ClusterSpec {
         let mut s = ClusterSpec::homogeneous(n);

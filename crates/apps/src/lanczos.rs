@@ -19,7 +19,7 @@ use mheta_dist::GenBlock;
 use mheta_mpi::{allreduce, barrier, Comm, Recorder, ReduceOp};
 use mheta_sim::{SimResult, VarId};
 
-use crate::app::{chunks, hash01, rank_plans, RankResult};
+use crate::app::{chunks, hash01, rank_plans, unit, HashRun, RankResult};
 
 /// Variable ID of the dense matrix.
 pub const VAR_A: VarId = 1;
@@ -66,14 +66,18 @@ impl Lanczos {
     /// Append rows `[offset, offset + m)` of the matrix to `out`, `n`
     /// values each: each row's [`Lanczos::entry`]s, written as two
     /// straight runs around the diagonal (columns before it hash `(c,
-    /// r)`, columns after it `(r, c)`), with no per-entry `min`/`max` and
-    /// one capacity check per row.
+    /// r)`, a run along `a`; columns after it `(r, c)`, a run along `b`),
+    /// with no per-entry `min`/`max`.
     fn rows_into(&self, offset: usize, m: usize, out: &mut Vec<f64>) {
         let (n, seed) = (self.n, self.seed);
         for r in offset..offset + m {
-            let before = (0..r).map(|c| hash01(seed, c as u64, r as u64) - 0.5);
-            let after = (r + 1..n).map(|c| hash01(seed, r as u64, c as u64) - 0.5);
-            out.extend(before.chain([self.entry(r, r)]).chain(after));
+            for q in HashRun::along_a(seed, 0, r as u64).take(r) {
+                out.push(unit(q) - 0.5);
+            }
+            out.push(self.entry(r, r));
+            for q in HashRun::along_b(seed, r as u64, r as u64 + 1).take(n - r - 1) {
+                out.push(unit(q) - 0.5);
+            }
         }
     }
 
@@ -151,6 +155,8 @@ impl Lanczos {
         let mut beta = 0.0f64;
         let mut ortho = 0.0f64;
         let mut alpha_last = 0.0f64;
+        // The re-assembly buffer: each iteration's outgoing `v_full`.
+        let mut next = vec![0.0; n];
 
         barrier(comm)?;
         let t0 = comm.ctx_ref().now().as_nanos();
@@ -202,7 +208,8 @@ impl Lanczos {
             comm.begin_section(2);
             comm.begin_stage(0);
             v_prev_local.copy_from_slice(&v_full[offset..offset + m]);
-            let mut next = vec![0.0; n];
+            next[..offset].fill(0.0);
+            next[offset + m..].fill(0.0);
             for i in 0..m {
                 next[offset + i] = w[i] / beta_new;
             }
@@ -219,7 +226,7 @@ impl Lanczos {
                     .sum::<f64>()
                     .abs(),
             );
-            v_full = next;
+            std::mem::swap(&mut v_full, &mut next);
             beta = beta_new;
             alpha_last = alpha;
 

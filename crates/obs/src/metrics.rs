@@ -171,17 +171,30 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Digest the per-rank traces of one run.
+    /// Digest the per-rank traces of one run. `spans[i]` is rank *i*'s
+    /// recovery-span list (`AdaptiveOutcome::spans` in `mheta-apps`), as
+    /// [`crate::AuditReport::audit_with_recovery`] takes it: time inside
+    /// a span is the span's term (`checkpoint` / `rollback` /
+    /// `redistribution` / `reprediction`). An empty `spans` slice, as
+    /// for a plain run, means no rank has any.
+    ///
+    /// # Panics
+    /// If `spans` is neither empty nor one list per trace.
     #[must_use]
-    pub fn from_traces(traces: &[RankTrace]) -> Metrics {
+    pub fn from_traces(traces: &[RankTrace], spans: &[Vec<RecoverySpan>]) -> Metrics {
+        assert!(
+            spans.is_empty() || spans.len() == traces.len(),
+            "rank count mismatch"
+        );
         let mut m = Metrics::default();
-        for trace in traces {
+        for (i, trace) in traces.iter().enumerate() {
             digest_rank(trace, &mut m.counters, &mut m.histograms);
             let finish_ns = trace.finish.as_nanos();
+            let rank_spans = spans.get(i).map_or(&[][..], Vec::as_slice);
             m.breakdowns.push(RankBreakdown {
                 rank: trace.rank,
                 finish_ns,
-                terms: actual_terms(trace, 0, finish_ns, &[]),
+                terms: actual_terms(trace, 0, finish_ns, rank_spans),
             });
         }
         m
@@ -205,6 +218,8 @@ impl Metrics {
     /// `recovery.<kind>_ns` counter per recovery-span kind (checkpoint /
     /// rollback / redistribution / reprediction) across all ranks, and
     /// records each span's length into a `recovery.<kind>` histogram.
+    /// The per-rank terms take the same spans through
+    /// [`Metrics::from_traces`].
     pub fn record_recovery(&mut self, dead: &[usize], spans: &[Vec<RecoverySpan>]) {
         self.incr("events.crash", dead.len() as u64);
         for rank_spans in spans {
@@ -425,7 +440,7 @@ mod tests {
             ],
             40,
         );
-        let m = Metrics::from_traces(std::slice::from_ref(&t));
+        let m = Metrics::from_traces(std::slice::from_ref(&t), &[]);
         let b = &m.breakdowns[0];
         assert_eq!(b.terms, actual_terms(&t, 0, 40, &[]), "the audit's terms");
         assert_eq!(b.terms[COMPUTE], 10);
@@ -451,7 +466,7 @@ mod tests {
             ],
             9,
         );
-        let m = Metrics::from_traces(std::slice::from_ref(&t));
+        let m = Metrics::from_traces(std::slice::from_ref(&t), &[]);
         assert_eq!(m.counters["events.disk_read"], 2);
         assert_eq!(m.counters["bytes.disk_read"], 30);
         let h = &m.histograms["latency.disk_read"];
@@ -594,8 +609,8 @@ mod tests {
     #[test]
     fn json_rendering_is_deterministic() {
         let t = trace(vec![ev(0, 5, EventKind::Compute { work_units: 2.0 })], 5);
-        let a = Metrics::from_traces(std::slice::from_ref(&t)).to_json_pretty();
-        let b = Metrics::from_traces(std::slice::from_ref(&t)).to_json_pretty();
+        let a = Metrics::from_traces(std::slice::from_ref(&t), &[]).to_json_pretty();
+        let b = Metrics::from_traces(std::slice::from_ref(&t), &[]).to_json_pretty();
         assert_eq!(a, b);
         let doc = crate::json::from_str(&a).unwrap();
         let terms = doc.get("breakdowns").unwrap().as_array().unwrap()[0]

@@ -161,7 +161,7 @@ fn write_telemetry(scenario: &str, run: &AdaptiveRun) {
         .iter()
         .find(|o| o.alive)
         .expect("survivors exist");
-    let mut metrics = Metrics::from_traces(&run.traces);
+    let mut metrics = Metrics::from_traces(&run.traces, &spans);
     metrics.record_recovery(&view.dead, &spans);
     metrics.record_detector(&view.transitions, &view.detection_latencies_ns);
     for rb in &view.rebalances {

@@ -31,7 +31,7 @@ fn main() {
     let run = run_observed(&bench, &spec, &dist, 3, false).expect("jacobi run");
 
     // --- Metrics: where did each rank's virtual time go? -------------------
-    let metrics = Metrics::from_traces(&run.traces);
+    let metrics = Metrics::from_traces(&run.traces, &[]);
     println!("Per-rank virtual-time breakdown (3 Jacobi iterations):\n");
     print!("{}", metrics.utilization_table());
 

@@ -65,7 +65,7 @@ fn critical_path_identifies_the_slowest_ranks_dominant_cost() {
     let run = run_observed(&bench, &starved(11), &dist, 3, false).unwrap();
 
     let path = CriticalPath::compute(&run.traces);
-    let metrics = Metrics::from_traces(&run.traces);
+    let metrics = Metrics::from_traces(&run.traces, &[]);
     let slowest = &metrics.breakdowns[path.slowest_rank];
 
     // The starved ranks stream from disk, so both views must agree the
@@ -93,7 +93,7 @@ fn metrics_partition_each_rank_timeline_exactly() {
     let dist = GenBlock::block(bench.total_rows(), 4);
     let run = run_observed(&bench, &starved(5), &dist, 2, false).unwrap();
 
-    let metrics = Metrics::from_traces(&run.traces);
+    let metrics = Metrics::from_traces(&run.traces, &[]);
     assert_eq!(metrics.breakdowns.len(), 4);
     for (b, trace) in metrics.breakdowns.iter().zip(&run.traces) {
         let covered: u64 = b.terms.iter().sum();
@@ -108,6 +108,62 @@ fn metrics_partition_each_rank_timeline_exactly() {
             .max()
             .unwrap()
     );
+}
+
+/// A fault-tolerant run's recovery spans reach the per-rank terms: with
+/// every span inside its rank's `[0, finish)`, the terms of each
+/// recovery kind summed over ranks are that kind's `recovery.<kind>_ns`
+/// counter, and each rank's terms still sum to its finish time.
+#[test]
+fn recovery_spans_land_in_their_terms() {
+    use mheta::apps::run_resilient;
+    use mheta::sim::{CrashSpec, RecoverySpan};
+
+    let app = Jacobi::small();
+    let mut spec = ClusterSpec::homogeneous(4);
+    spec.noise.amplitude = 0.0;
+    spec.seed = 11;
+    spec.faults.crashes = vec![CrashSpec::at_iteration(2, 5)];
+    spec.faults.checkpoint_interval = 3;
+    let run = run_resilient(&app, &spec, &GenBlock::block(app.rows, 4), 10).unwrap();
+    let spans: Vec<Vec<RecoverySpan>> = run.outcomes.iter().map(|o| o.spans.clone()).collect();
+    for (trace, rank_spans) in run.traces.iter().zip(&spans) {
+        for sp in rank_spans {
+            assert!(
+                sp.end_ns <= trace.finish.as_nanos(),
+                "rank {}: {sp:?}",
+                trace.rank
+            );
+        }
+    }
+
+    let mut metrics = Metrics::from_traces(&run.traces, &spans);
+    let dead: Vec<usize> = (0..spans.len())
+        .filter(|&r| !run.outcomes[r].alive)
+        .collect();
+    metrics.record_recovery(&dead, &spans);
+    for b in &metrics.breakdowns {
+        assert_eq!(b.terms.iter().sum::<u64>(), b.finish_ns, "rank {}", b.rank);
+    }
+    let term_total = |metrics: &Metrics, name: &str| -> u64 {
+        let i = TERM_NAMES.iter().position(|&t| t == name).unwrap();
+        metrics.breakdowns.iter().map(|b| b.terms[i]).sum()
+    };
+    assert!(
+        metrics.counters["recovery.checkpoint_ns"] > 0,
+        "the run checkpoints"
+    );
+    for kind in ["checkpoint", "rollback", "redistribution", "reprediction"] {
+        let counted = metrics
+            .counters
+            .get(&format!("recovery.{kind}_ns"))
+            .copied()
+            .unwrap_or(0);
+        assert_eq!(term_total(&metrics, kind), counted, "{kind}");
+    }
+    // Without the spans that time is read as disk and compute instead.
+    let plain = Metrics::from_traces(&run.traces, &[]);
+    assert_eq!(term_total(&plain, "checkpoint"), 0);
 }
 
 #[test]
