@@ -1037,12 +1037,15 @@ fn build_share<R: Recorder>(
     m: usize,
 ) -> SimResult<(Vec<f64>, Vec<usize>, Vec<f64>)> {
     let (flat, offsets, b_local) = app.share(offset, m);
-    if !flat.is_empty() {
-        comm.ctx().disk.store(VAR_A, flat.clone());
-        let mut buf = vec![0.0; flat.len()];
-        comm.file_read(VAR_A, 0, &mut buf)?;
+    if flat.is_empty() {
+        return Ok((flat, offsets, b_local));
     }
-    Ok((flat, offsets, b_local))
+    // The share goes to disk and comes back through the read it pays
+    // for: one share-sized copy.
+    let mut share = vec![0.0; flat.len()];
+    comm.ctx().disk.store(VAR_A, flat);
+    comm.file_read(VAR_A, 0, &mut share)?;
+    Ok((share, offsets, b_local))
 }
 
 #[cfg(test)]

@@ -2,19 +2,29 @@
 //! twins* that replay the same tree over virtual clocks.
 //!
 //! The tree is written once, over dense indices `0..k` rooted at 0
-//! (`parent`, `children`), and three interpreters read it and nothing
-//! else: the executable walker behind [`allreduce`], [`barrier`],
-//! [`ft_allreduce_among`] and [`agree_mask`] (point-to-point sends and
-//! receives, exactly the MPICH binomial algorithm), and the reduction
-//! and broadcast twins behind [`model_allreduce_in_place`], which
-//! replay it over per-node "ready" timestamps with the microbenchmarked
-//! per-hop costs. The MHETA model in `mheta-core` predicts reduction
-//! sections with the twins, so the model and the execution share one
-//! schedule by construction; on a quiet cluster the twins give the
-//! executed clocks bit for bit (the paper defers reduction modeling to
-//! the dissertation \[25\]; this is our concrete realization).
+//! (`parent`, `children`, and `walk`, one rank's messages in order),
+//! and three interpreters read it and nothing else:
+//!
+//! * the executable walker behind [`ft_allreduce_among`] and
+//!   [`agree_mask`], and behind [`allreduce`] and [`barrier`] when the
+//!   cluster schedules a crash: point-to-point sends and receives,
+//!   exactly the MPICH binomial algorithm;
+//! * the rendezvous behind [`allreduce`] and [`barrier`] when no peer
+//!   can die: every rank deposits its walk's messages, their costs
+//!   drawn, and the last to arrive replays the tree over the deposits
+//!   (`settle`) — the same clocks, values and traces as the walker, from
+//!   one park per rank instead of one per message;
+//! * the reduction and broadcast twins behind
+//!   [`model_allreduce_in_place`], which replay it over per-node "ready"
+//!   timestamps with the microbenchmarked per-hop costs.
+//!
+//! The MHETA model in `mheta-core` predicts reduction sections with the
+//! twins, so the model and the execution share one schedule by
+//! construction; on a quiet cluster the twins give the executed clocks
+//! bit for bit (the paper defers reduction modeling to the dissertation
+//! \[25\]; this is our concrete realization).
 
-use mheta_sim::{SimError, SimResult};
+use mheta_sim::{Deposit, Hop, HopKind, SimError, SimResult};
 
 use crate::comm::Comm;
 use crate::hooks::Recorder;
@@ -95,16 +105,47 @@ fn children(i: usize, k: usize) -> impl DoubleEndedIterator<Item = usize> {
     (0..fits.min(below_lowbit)).map(move |j| i + (1 << j))
 }
 
+/// Dense index `me`'s messages in the walk over `0..k`, in the order it
+/// makes them: the reduction's receive from each child, ascending; off
+/// the root, its send to the parent and the broadcast's receive back;
+/// then the broadcast's send to each child, descending.
+fn walk(me: usize, k: usize) -> impl Iterator<Item = (TreePhase, HopKind, usize)> {
+    let up = (me > 0).then(|| {
+        [
+            (TreePhase::Reduce, HopKind::Send, parent(me)),
+            (TreePhase::Bcast, HopKind::Recv, parent(me)),
+        ]
+    });
+    children(me, k)
+        .map(|child| (TreePhase::Reduce, HopKind::Recv, child))
+        .chain(up.into_iter().flatten())
+        .chain(
+            children(me, k)
+                .rev()
+                .map(|child| (TreePhase::Bcast, HopKind::Send, child)),
+        )
+}
+
 // ---- the executable walker ----------------------------------------------
 
-/// Which half of the tree walk a receive landed in: the reduce-to-root
+/// Which half of the tree walk a message belongs to: the reduce-to-root
 /// pass or the broadcast back down the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TreePhase {
-    /// Reduce-to-root pass: the value came from a tree child.
+    /// Reduce-to-root pass: values move from a child to its parent.
     Reduce,
-    /// Broadcast pass: the value came from the tree parent.
+    /// Broadcast pass: values move from a parent to its children.
     Bcast,
+}
+
+impl TreePhase {
+    /// This phase's tag of a walk's `(reduce_tag, bcast_tag)`.
+    fn tag(self, (reduce_tag, bcast_tag): (u32, u32)) -> u32 {
+        match self {
+            TreePhase::Reduce => reduce_tag,
+            TreePhase::Bcast => bcast_tag,
+        }
+    }
 }
 
 /// The one tree walk: reduce toward dense index 0, then broadcast back
@@ -119,7 +160,7 @@ enum TreePhase {
 fn tree_walk<R: Recorder>(
     comm: &mut Comm<'_, R>,
     members: Option<&[usize]>,
-    (reduce_tag, bcast_tag): (u32, u32),
+    tags: (u32, u32),
     data: &mut [f64],
     mut fold: impl FnMut(TreePhase, &mut [f64], Result<&[f64], usize>),
 ) -> SimResult<()> {
@@ -138,15 +179,11 @@ fn tree_walk<R: Recorder>(
         }
         Ok(())
     };
-    for child in children(me, k) {
-        receive(comm, child, reduce_tag, TreePhase::Reduce, data)?;
-    }
-    if me > 0 {
-        comm.send_f64s(rank(parent(me)), reduce_tag, data)?;
-        receive(comm, parent(me), bcast_tag, TreePhase::Bcast, data)?;
-    }
-    for child in children(me, k).rev() {
-        comm.send_f64s(rank(child), bcast_tag, data)?;
+    for (phase, kind, peer) in walk(me, k) {
+        match kind {
+            HopKind::Recv => receive(comm, peer, phase.tag(tags), phase, data)?,
+            HopKind::Send => comm.send_f64s(rank(peer), phase.tag(tags), data)?,
+        }
     }
     Ok(())
 }
@@ -174,12 +211,77 @@ fn member_index(rank: usize, members: &[usize]) -> SimResult<usize> {
 /// Reduction followed by broadcast over every rank: each ends with the
 /// combined value in `data`. A dead peer ends the call with
 /// [`SimError::PeerDead`].
+///
+/// On a cluster that schedules no crash the call is one rendezvous
+/// rather than the walk's messages, with the walk's clocks, values,
+/// traces and hook events; every rank must pass the same `op`.
 pub fn allreduce<R: Recorder>(
     comm: &mut Comm<'_, R>,
     op: ReduceOp,
     data: &mut [f64],
 ) -> SimResult<()> {
-    allreduce_over(comm, None, op, data).map(|_| ())
+    if !comm.ctx_ref().cluster().faults.crashes.is_empty() {
+        return allreduce_over(comm, None, op, data).map(|_| ());
+    }
+    // The walk's payload: `encode_f64s(data)`, eight bytes a value.
+    let bytes = std::mem::size_of_val(data) as u64;
+    let tags = (TAG_REDUCE, TAG_BCAST);
+    let hops = walk(comm.rank(), comm.size())
+        .map(|(phase, kind, peer)| Hop::new(kind, peer, phase.tag(tags), bytes));
+    comm.rendezvous(hops, data, |deposits| settle(deposits, op))
+}
+
+/// Settle a rendezvous allreduce: replay every rank's walk over the
+/// deposits — the reduction leaves first, the broadcast root first, the
+/// order the twins replay it in — charging each message by the rule of
+/// `send` and `recv`, and fold the values as the walk folds them, so
+/// every rank returns with the root's value.
+fn settle(deposits: &mut [Deposit], op: ReduceOp) {
+    let k = deposits.len();
+    for r in (0..k).rev() {
+        settle_phase(deposits, r, TreePhase::Reduce, op);
+    }
+    for r in 0..k {
+        settle_phase(deposits, r, TreePhase::Bcast, op);
+    }
+    let (root, rest) = deposits.split_first_mut().expect("a collective has a rank");
+    for deposit in rest {
+        deposit.values.copy_from_slice(&root.values);
+    }
+}
+
+/// Replay dense index `r`'s messages of `phase`. A message between `r`
+/// and its parent waits in `r`'s inbox, one between `r` and a child in
+/// the child's: the reduction replays children before parents, the
+/// broadcast parents before children, so each is written before it is
+/// read.
+fn settle_phase(deposits: &mut [Deposit], r: usize, phase: TreePhase, op: ReduceOp) {
+    let k = deposits.len();
+    let (upto, after) = deposits.split_at_mut(r + 1);
+    let me = &mut upto[r];
+    let hops = walk(r, k).zip(me.hops.iter_mut());
+    for ((_, kind, peer), hop) in hops.filter(|((p, ..), _)| *p == phase) {
+        match (phase, kind) {
+            (TreePhase::Reduce, HopKind::Recv) => {
+                let child = &after[peer - r - 1];
+                hop.arrival = child.inbox;
+                hop.charge(&mut me.clock);
+                op.combine(&mut me.values, &child.values);
+            }
+            (TreePhase::Reduce, HopKind::Send) => {
+                hop.charge(&mut me.clock);
+                me.inbox = hop.arrival;
+            }
+            (TreePhase::Bcast, HopKind::Recv) => {
+                hop.arrival = me.inbox;
+                hop.charge(&mut me.clock);
+            }
+            (TreePhase::Bcast, HopKind::Send) => {
+                hop.charge(&mut me.clock);
+                after[peer - r - 1].inbox = hop.arrival;
+            }
+        }
+    }
 }
 
 /// Synchronize all ranks (an empty allreduce).
@@ -564,17 +666,19 @@ mod tests {
         }
     }
 
-    /// The exactness referee: on a quiet cluster the analytical twins
-    /// replay the executed tree bit for bit, and the fault-tolerant walk
-    /// over every rank is the plain one.
+    /// The exactness referees: on a quiet cluster the analytical twins
+    /// replay the executed tree bit for bit, and on any cluster that
+    /// schedules no crash the plain allreduce (the rendezvous) is the
+    /// fault-tolerant walk over every rank.
     mod exactness {
         use super::*;
+        use crate::hooks::{HookEvent, VecRecorder};
         use mheta_sim::{ClusterRun, Event, EventKind, NetSpec, SimDur};
         use proptest::prelude::*;
 
-        /// Each rank's clock before and after the allreduce, and its
-        /// values.
-        type Outcome = (f64, f64, Vec<f64>);
+        /// Each rank's clock before and after the allreduce, its values,
+        /// and the hook events the allreduce reported.
+        type Outcome = (f64, f64, Vec<f64>, Vec<HookEvent>);
 
         /// Every rank computes `work[rank]` units, then runs the plain
         /// (`ft == false`) or the fault-tolerant allreduce over every
@@ -588,7 +692,7 @@ mod tests {
             run_cluster(spec, true, |ctx| {
                 ctx.compute(work[ctx.rank()], u64::MAX);
                 let ready = ctx.now().as_nanos() as f64;
-                let mut rec = NullRecorder;
+                let mut rec = VecRecorder::default();
                 let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
                 let rank = comm.rank() as f64;
                 let mut v: Vec<f64> = payload.iter().map(|x| x + rank).collect();
@@ -599,9 +703,28 @@ mod tests {
                 } else {
                     allreduce(&mut comm, ReduceOp::Sum, &mut v)?;
                 }
-                Ok((ready, ctx.now().as_nanos() as f64, v))
+                Ok((ready, ctx.now().as_nanos() as f64, v, rec.events))
             })
             .unwrap()
+        }
+
+        /// The plain allreduce's run must be the walk's to the bit:
+        /// values, clocks, every trace event and every hook event.
+        fn assert_plain_is_the_walk(
+            plain: &ClusterRun<Outcome>,
+            walk: &ClusterRun<Outcome>,
+        ) -> Result<(), TestCaseError> {
+            for (rank, (p, w)) in plain.results.iter().zip(&walk.results).enumerate() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&p.2), bits(&w.2), "values of rank {}", rank);
+                prop_assert_eq!(p.1.to_bits(), w.1.to_bits(), "clock of rank {}", rank);
+                prop_assert_eq!(&p.3, &w.3, "hook events of rank {}", rank);
+            }
+            for (p, w) in plain.traces.iter().zip(&walk.traces) {
+                prop_assert_eq!(&p.events, &w.events, "trace of rank {}", p.rank);
+                prop_assert_eq!(p.finish, w.finish);
+            }
+            Ok(())
         }
 
         /// A cost as the simulator charges it: whole nanoseconds.
@@ -657,6 +780,19 @@ mod tests {
                 })
         }
 
+        /// [`cluster`] made noisy (amplitude in (0, 0.1]) and lossy
+        /// (a message resend rate above 0), with no crash scheduled.
+        fn noisy_lossy_cluster() -> impl Strategy<Value = (ClusterSpec, Vec<f64>, Vec<f64>)> {
+            (cluster(), any::<u64>(), 1e-6f64..=0.1, 0.01f64..0.6).prop_map(
+                |((mut spec, work, payload), seed, amplitude, resend_rate)| {
+                    spec.seed = seed;
+                    spec.noise.amplitude = amplitude;
+                    spec.faults.msg_resend_rate = resend_rate;
+                    (spec, work, payload)
+                },
+            )
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -693,26 +829,88 @@ mod tests {
             ) {
                 let plain = allreduce_after(&spec, &work, &payload, false);
                 let ft = allreduce_after(&spec, &work, &payload, true);
-                for (rank, (p, f)) in plain.results.iter().zip(&ft.results).enumerate() {
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    prop_assert_eq!(bits(&p.2), bits(&f.2), "values of rank {}", rank);
-                    prop_assert_eq!(p.1.to_bits(), f.1.to_bits(), "clock of rank {}", rank);
+                assert_plain_is_the_walk(&plain, &ft)?;
+            }
+
+            /// The rendezvous draws every rank's costs in the walk's
+            /// order, resends included, and replays the walk's charges.
+            #[test]
+            fn rendezvous_is_the_walk_on_noisy_lossy_clusters(
+                (spec, work, payload) in noisy_lossy_cluster(),
+            ) {
+                prop_assert!(spec.faults.crashes.is_empty());
+                let plain = allreduce_after(&spec, &work, &payload, false);
+                let walk = allreduce_after(&spec, &work, &payload, true);
+                assert_plain_is_the_walk(&plain, &walk)?;
+            }
+        }
+    }
+
+    /// A collective that one rank never joins — it finishes, or it parks
+    /// in a receive nobody will satisfy — leaves every rank that did
+    /// join with a [`SimError::Deadlock`], long before the backstop.
+    #[test]
+    fn a_collective_one_rank_never_joins_is_a_deadlock_for_the_others() {
+        let mut spec = quiet(4);
+        spec.wait_timeout_ms = 60_000;
+        for absent_parks in [false, true] {
+            let start = std::time::Instant::now();
+            let run = run_cluster(&spec, false, |ctx| {
+                let mut rec = NullRecorder;
+                let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
+                if comm.rank() == 3 {
+                    // Join late enough that the others are parked.
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    return Ok(absent_parks.then(|| comm.recv_f64s(0, 0).unwrap_err()));
                 }
-                for (p, f) in plain.traces.iter().zip(&ft.traces) {
-                    prop_assert_eq!(&p.events, &f.events, "trace of rank {}", p.rank);
-                    prop_assert_eq!(p.finish, f.finish);
+                Ok(allreduce(&mut comm, ReduceOp::Sum, &mut [1.0]).err())
+            })
+            .unwrap();
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(10),
+                "the deadlock was detected, not the backstop waited out"
+            );
+            for (rank, err) in run.results.iter().enumerate() {
+                if rank < 3 || absent_parks {
+                    assert!(
+                        matches!(err, Some(SimError::Deadlock { .. })),
+                        "rank {rank} (absent rank parks: {absent_parks}): {err:?}"
+                    );
                 }
             }
         }
     }
 
+    /// The rank that settles a rendezvous counts the ranks it wakes as
+    /// running at once, so when it parks in a receive straight after,
+    /// before they have woken, that is no deadlock.
+    #[test]
+    fn a_settler_that_parks_at_once_is_not_deadlocked() {
+        let mut spec = quiet(4);
+        spec.wait_timeout_ms = 60_000;
+        run_cluster(&spec, false, |ctx| {
+            let mut rec = NullRecorder;
+            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
+            let (rank, n) = (comm.rank(), comm.size());
+            for round in 0..200 {
+                allreduce(&mut comm, ReduceOp::Sum, &mut [1.0])?;
+                comm.send_f64s((rank + 1) % n, 0, &[f64::from(round)])?;
+                comm.recv_f64s((rank + n - 1) % n, 0)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    /// A cluster that schedules a crash runs the plain allreduce as the
+    /// walk, whose receives resolve against the dead peer.
     #[test]
     fn plain_allreduce_with_a_dead_peer_returns_peer_dead() {
-        use mheta_sim::CrashSpec;
+        use mheta_sim::{CrashSpec, FaultKind};
         let mut spec = quiet(4);
         spec.faults.crashes = vec![CrashSpec::at_iteration(2, 0)];
         spec.faults.checkpoint_interval = 1;
-        let run = run_cluster(&spec, false, |ctx| {
+        let run = run_cluster(&spec, true, |ctx| {
             let mut rec = NullRecorder;
             let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
             if comm.rank() == 2 {
@@ -736,6 +934,13 @@ mod tests {
         };
         assert_eq!(run.results[0], dead(0));
         assert_eq!(run.results[3], dead(3));
+        for rank in [0, 3] {
+            assert_eq!(
+                run.traces[rank].faults(),
+                vec![FaultKind::DeadPeerDetected { peer: 2 }],
+                "rank {rank} detected the death in a receive"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The per-rank communicator: typed messaging, explicit file I/O, and
 //! structural scope markers, all routed through MPI-Jack style hooks.
 
-use mheta_sim::{Prefetch, RankCtx, SimDur, SimError, SimResult, VarId};
+use mheta_sim::{Deposit, Hop, HopKind, Prefetch, RankCtx, SimDur, SimError, SimResult, VarId};
 
 use crate::hooks::{HookEvent, OpInfo, OpKind, Recorder, Scope, ScopeKind};
 use crate::msg;
@@ -354,6 +354,36 @@ impl<'a, R: Recorder> Comm<'a, R> {
             start,
         );
         Ok(data)
+    }
+
+    /// Run a collective over every rank as one rendezvous
+    /// ([`RankCtx::rendezvous`]): `hops` are this rank's messages of
+    /// `data`'s values, in the order its walk makes them, and each is
+    /// reported to the recorder as [`Comm::send_f64s`] or
+    /// [`Comm::recv_f64s`] would report it.
+    pub(crate) fn rendezvous(
+        &mut self,
+        hops: impl IntoIterator<Item = Hop>,
+        data: &mut [f64],
+        settle: impl FnOnce(&mut [Deposit]),
+    ) -> SimResult<()> {
+        let (rec, scope, elems) = (&mut *self.rec, self.scope, data.len());
+        self.ctx.rendezvous(hops, data, settle, |hop, start, end| {
+            let (kind, blocked) = match hop.kind {
+                HopKind::Send => (OpKind::Send, SimDur::ZERO),
+                HopKind::Recv => (OpKind::Recv, end.saturating_since(start)),
+            };
+            let info = OpInfo {
+                kind,
+                var: None,
+                peer: Some(hop.peer),
+                bytes: hop.bytes,
+                elems,
+                scope,
+                blocked,
+            };
+            rec.record(&HookEvent::Op { info, start, end });
+        })
     }
 
     // ---- explicit file I/O ---------------------------------------------------

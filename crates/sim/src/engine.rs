@@ -15,14 +15,25 @@
 //! * `recv` — blocks (on a real condvar) until a matching message is
 //!   present, then sets `clock = max(clock, arrival) + o_r`.
 //!
+//! Both charge a message through one rule, [`Hop::charge`], with costs
+//! drawn from the rank's own streams in the order the rank makes them.
+//!
 //! Because message matching is by `(src, dst, tag)` FIFO order and the
 //! application is deterministic, the resulting virtual timelines are
 //! reproducible regardless of host scheduling — a conservative
 //! rendezvous simulation in the style of LogP simulators.
 //!
+//! A collective over every rank need not move its messages through the
+//! mailboxes at all: in [`RankCtx::rendezvous`] each rank lists the
+//! messages it would make, draws their costs, deposits them with its
+//! clock and values and parks once; the last rank to arrive replays the
+//! whole schedule over the deposits and wakes the others, and each then
+//! charges and traces its own messages at the replayed times. `recv`
+//! still parks per message.
+//!
 //! Deadlock of the *simulated* program (every live rank blocked in a
-//! receive) is detected and surfaced as [`SimError::Deadlock`] rather
-//! than hanging the host process.
+//! receive or a rendezvous) is detected and surfaced as
+//! [`SimError::Deadlock`] rather than hanging the host process.
 //!
 //! There are two ways to run a program over a cluster, with one result
 //! type: [`run_cluster`] gives every rank its own parked worker thread,
@@ -54,6 +65,99 @@ struct InFlight {
     bytes: u64,
 }
 
+/// Which way a [`Hop`] moves its message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HopKind {
+    /// The rank sends the message.
+    Send,
+    /// The rank receives the message.
+    Recv,
+}
+
+/// One message a rank sends or receives, with the costs its streams
+/// drew for it: what [`RankCtx::send`] and [`RankCtx::recv`] charge, and
+/// what a rank lists for a [`RankCtx::rendezvous`].
+#[derive(Debug, Clone, Copy)]
+pub struct Hop {
+    /// Send or receive.
+    pub kind: HopKind,
+    /// The receiver of a send, the sender of a receive.
+    pub peer: usize,
+    /// The message's tag.
+    pub tag: u32,
+    /// The payload's size.
+    pub bytes: u64,
+    /// When the message arrives: at the peer for a send (set by
+    /// [`Hop::charge`]), here for a receive (set by whoever delivers it
+    /// before it is charged).
+    pub arrival: SimTime,
+    /// `o_s` for a send, `o_r` for a receive.
+    overhead: SimDur,
+    /// A send's time in flight, per transmission.
+    transfer: SimDur,
+    /// How many times a send is dropped and sent again.
+    resends: u32,
+}
+
+impl Hop {
+    /// A message of `bytes` bytes to or from `peer`, its costs not yet
+    /// drawn.
+    #[must_use]
+    pub fn new(kind: HopKind, peer: usize, tag: u32, bytes: u64) -> Hop {
+        Hop {
+            kind,
+            peer,
+            tag,
+            bytes,
+            arrival: SimTime::ZERO,
+            overhead: SimDur::ZERO,
+            transfer: SimDur::ZERO,
+            resends: 0,
+        }
+    }
+
+    /// Advance a clock standing at `now` over this hop — the one charge
+    /// rule of every message. A send pays `o_s`, and its message arrives
+    /// one transfer later per transmission (the sender is not delayed
+    /// by resends: a buffered send, retransmitted by the NIC). A receive
+    /// waits for its message's `arrival`, then pays `o_r`.
+    pub fn charge(&mut self, now: &mut SimTime) {
+        match self.kind {
+            HopKind::Send => {
+                *now += self.overhead;
+                self.arrival = *now + self.transfer * u64::from(self.resends + 1);
+            }
+            HopKind::Recv => *now = (*now).max(self.arrival) + self.overhead,
+        }
+    }
+}
+
+/// One rank's part in a [`RankCtx::rendezvous`], a slot the kernel
+/// reuses from one collective to the next.
+#[derive(Debug, Default)]
+pub struct Deposit {
+    /// The rank's clock on entry; the settler may run it forward.
+    pub clock: SimTime,
+    /// Free for the settler: the arrival of a message between this rank
+    /// and a peer, while it replays the schedule.
+    pub inbox: SimTime,
+    /// The rank's messages in the order it makes them, costs drawn. The
+    /// settler charges each and sets every receive's `arrival`.
+    pub hops: Vec<Hop>,
+    /// The rank's values on entry; the settler leaves in them the values
+    /// the rank returns with.
+    pub values: Vec<f64>,
+}
+
+impl Deposit {
+    /// Hand a settled deposit's hops and values to its rank: the hops by
+    /// a swap with `hops`, the buffer the rank gave up for them.
+    fn hand_back(&mut self, hops: &mut Vec<Hop>, values: &mut [f64]) {
+        std::mem::swap(&mut self.hops, hops);
+        values.copy_from_slice(&self.values);
+    }
+}
+
 #[derive(Debug, Default)]
 struct KernelState {
     mailboxes: HashMap<(usize, usize, u32), VecDeque<InFlight>>,
@@ -62,8 +166,15 @@ struct KernelState {
     issued: Vec<bool>,
     /// Ranks that have not yet called `finish`.
     active: usize,
-    /// Ranks currently parked in `recv`.
+    /// Ranks currently parked in `recv` or in a rendezvous.
     blocked: usize,
+    /// One deposit slot per rank for the rendezvous in progress.
+    deposits: Vec<Deposit>,
+    /// Ranks that have deposited for the rendezvous in progress.
+    arrived: usize,
+    /// Rendezvous settled so far: a parked rank's is settled once this
+    /// has moved past the count it parked at.
+    settled: u64,
     /// What each parked rank is waiting for: rank → (src, tag).
     waiting: HashMap<usize, (usize, u32)>,
     /// Crash-stopped ranks and their virtual instants of death.
@@ -120,6 +231,7 @@ impl SimKernel {
             state: Mutex::new(KernelState {
                 issued: vec![false; n],
                 active: n,
+                deposits: std::iter::repeat_with(Deposit::default).take(n).collect(),
                 ..KernelState::default()
             }),
             cvars: (0..parking).map(|_| Condvar::new()).collect(),
@@ -137,7 +249,7 @@ impl SimKernel {
     }
 
     /// Wake every parked rank: for state changes any wait may depend
-    /// on (a death, a declared deadlock, a rank finishing).
+    /// on (a death, a declared deadlock).
     fn wake_all(&self) {
         for cvar in &self.cvars {
             cvar.notify_one();
@@ -179,6 +291,7 @@ impl SimKernel {
             prefetches: HashMap::new(),
             next_prefetch: 0,
             read_bytes: HashMap::new(),
+            hops: Vec::new(),
             finished: false,
             crashed: false,
         })
@@ -227,6 +340,8 @@ pub struct RankCtx {
     next_prefetch: u64,
     /// Cumulative bytes read per variable, for the warm-read model.
     read_bytes: HashMap<VarId, u64>,
+    /// The buffer this rank draws its next rendezvous's hops into.
+    hops: Vec<Hop>,
     finished: bool,
     /// Set once this rank's scheduled crash-stop failure has fired.
     crashed: bool,
@@ -595,6 +710,66 @@ impl RankCtx {
         v
     }
 
+    /// Draw `hop`'s costs from this rank's streams: a send's `o_s`, its
+    /// transfer and its resend count, a receive's `o_r`, in that order.
+    fn draw(&mut self, mut hop: Hop) -> Hop {
+        let net = &self.kernel.spec.net;
+        match hop.kind {
+            HopKind::Send => {
+                hop.overhead = SimDur::from_nanos_f64(self.noise.perturb(net.send_overhead_ns));
+                let transfer_ns = net.transfer_ns(hop.bytes);
+                hop.transfer = SimDur::from_nanos_f64(self.noise.perturb(transfer_ns));
+                hop.resends = self.faults.msg_resends();
+            }
+            HopKind::Recv => {
+                hop.overhead = SimDur::from_nanos_f64(self.noise.perturb(net.recv_overhead_ns));
+            }
+        }
+        hop
+    }
+
+    /// Charge a drawn `hop` to this rank's clock and trace it; returns
+    /// it charged (a send with its arrival at the peer).
+    fn charge_traced(&mut self, mut hop: Hop) -> Hop {
+        let start = self.now;
+        hop.charge(&mut self.now);
+        let Hop {
+            peer, tag, bytes, ..
+        } = hop;
+        match hop.kind {
+            HopKind::Send => {
+                if hop.resends > 0 {
+                    let resends = hop.resends;
+                    let fault = FaultKind::MessageResend {
+                        to: peer,
+                        tag,
+                        resends,
+                    };
+                    self.record_span(start, start, EventKind::Fault { fault });
+                }
+                self.record(
+                    start,
+                    EventKind::Send {
+                        to: peer,
+                        tag,
+                        bytes,
+                    },
+                );
+            }
+            HopKind::Recv => {
+                let blocked_ns = hop.arrival.saturating_since(start).as_nanos();
+                let kind = EventKind::Recv {
+                    from: peer,
+                    tag,
+                    bytes,
+                    blocked_ns,
+                };
+                self.record(start, kind);
+            }
+        }
+        hop
+    }
+
     /// Send `payload` to rank `to` with `tag`. Charges the sender-side
     /// overhead; the message arrives at
     /// `clock_after_overhead + α + bytes·β`. Buffered: never blocks.
@@ -605,30 +780,8 @@ impl RankCtx {
                 size: self.size(),
             });
         }
-        let start = self.now;
-        let bytes = payload.len() as u64;
-        let net = &self.kernel.spec.net;
-        let overhead = SimDur::from_nanos_f64(self.noise.perturb(net.send_overhead_ns));
-        let transfer_ns = net.transfer_ns(bytes);
-        self.now += overhead;
-        let transfer = SimDur::from_nanos_f64(self.noise.perturb(transfer_ns));
-        // Injected delivery fault: the message is dropped `resends`
-        // times and retransmitted, so it arrives late by that many
-        // extra in-flight transfers. The sender's own clock is not
-        // delayed (buffered send), matching a NIC-level retransmit.
-        let resends = self.faults.msg_resends();
-        let arrival = if resends > 0 {
-            self.record_span(
-                start,
-                start,
-                EventKind::Fault {
-                    fault: FaultKind::MessageResend { to, tag, resends },
-                },
-            );
-            self.now + transfer * u64::from(resends + 1)
-        } else {
-            self.now + transfer
-        };
+        let hop = self.draw(Hop::new(HopKind::Send, to, tag, payload.len() as u64));
+        let hop = self.charge_traced(hop);
         let dest_parked_on_this = {
             let mut st = self.kernel.lock();
             // Sends to a crashed peer succeed as silent no-ops: the
@@ -642,8 +795,8 @@ impl RankCtx {
                     .or_default()
                     .push_back(InFlight {
                         payload,
-                        arrival,
-                        bytes,
+                        arrival: hop.arrival,
+                        bytes: hop.bytes,
                     });
             }
             st.waiting.get(&to) == Some(&(self.rank, tag))
@@ -651,7 +804,6 @@ impl RankCtx {
         if dest_parked_on_this {
             self.kernel.cvars[to].notify_one();
         }
-        self.record(start, EventKind::Send { to, tag, bytes });
         Ok(())
     }
 
@@ -721,45 +873,162 @@ impl RankCtx {
                     self.kernel.wake_all();
                     return Err(SimError::Deadlock { detail });
                 }
-                let waited_ms = self.kernel.spec.wait_timeout_ms;
-                let (guard, wait) = self.kernel.cvars[self.rank]
-                    .wait_timeout(st, Duration::from_millis(waited_ms))
-                    .unwrap_or_else(PoisonError::into_inner);
+                let (guard, timed_out) = self.park(st);
                 st = guard;
-                let timed_out = wait.timed_out();
                 st.blocked -= 1;
                 st.waiting.remove(&self.rank);
                 if timed_out {
-                    let detail = format!(
-                        "blocking receive from ({from}, tag {tag}) exceeded the \
-                         {waited_ms} ms wall-clock backstop"
+                    return Err(
+                        self.time_out(st, &format!("blocking receive from ({from}, tag {tag})"))
                     );
-                    // Poison the kernel so peers unblock instead of
-                    // waiting on a rank that is about to exit.
-                    SimKernel::declare_deadlock(&mut st, detail.clone());
-                    self.kernel.wake_all();
-                    return Err(SimError::Timeout {
-                        rank: self.rank,
-                        waited_ms,
-                        detail,
-                    });
                 }
             }
         };
-        let net = &self.kernel.spec.net;
-        let o_r = SimDur::from_nanos_f64(self.noise.perturb(net.recv_overhead_ns));
-        let blocked = msg.arrival.saturating_since(self.now);
-        self.now = self.now.max(msg.arrival) + o_r;
-        self.record(
-            start,
-            EventKind::Recv {
-                from,
-                tag,
-                bytes: msg.bytes,
-                blocked_ns: blocked.as_nanos(),
-            },
-        );
+        let hop = self.draw(Hop::new(HopKind::Recv, from, tag, msg.bytes));
+        self.charge_traced(Hop {
+            arrival: msg.arrival,
+            ..hop
+        });
         Ok(msg.payload)
+    }
+
+    /// Park on this rank's condvar for at most the wall-clock backstop;
+    /// returns the lock and whether the backstop ran out.
+    fn park<'k>(&'k self, st: MutexGuard<'k, KernelState>) -> (MutexGuard<'k, KernelState>, bool) {
+        let backstop = Duration::from_millis(self.kernel.spec.wait_timeout_ms);
+        let (guard, wait) = self.kernel.cvars[self.rank]
+            .wait_timeout(st, backstop)
+            .unwrap_or_else(PoisonError::into_inner);
+        (guard, wait.timed_out())
+    }
+
+    /// A wait of `what` ran out the wall-clock backstop: poison the
+    /// kernel so peers unblock instead of waiting on a rank that is
+    /// about to exit, and return the [`SimError::Timeout`].
+    fn time_out(&self, mut st: MutexGuard<'_, KernelState>, what: &str) -> SimError {
+        let waited_ms = self.kernel.spec.wait_timeout_ms;
+        let detail = format!("{what} exceeded the {waited_ms} ms wall-clock backstop");
+        SimKernel::declare_deadlock(&mut st, detail.clone());
+        drop(st);
+        self.kernel.wake_all();
+        SimError::Timeout {
+            rank: self.rank,
+            waited_ms,
+            detail,
+        }
+    }
+
+    /// Take part in a collective over every rank as one rendezvous
+    /// instead of its messages. `hops` are the messages this rank would
+    /// make, in the order it would make them; their costs are drawn here,
+    /// in that order, exactly as [`RankCtx::send`] and [`RankCtx::recv`]
+    /// would draw them. The rank deposits them with its clock and
+    /// `values` and parks once. The last rank to arrive runs its `settle`
+    /// over every rank's deposit — it must charge every hop with
+    /// [`Hop::charge`], set every receive's `arrival`, and leave in each
+    /// deposit's `values` what that rank returns with — and wakes the
+    /// others. Each rank then charges its own hops at the settled times,
+    /// traces them as `send` and `recv` would and reports each to
+    /// `on_hop` with its start and end, and returns with its settled
+    /// values in `values`.
+    ///
+    /// Every rank must join with the same `settle`. No mailbox is
+    /// touched, and no peer may crash: a collective that must survive
+    /// one sends its messages. A rendezvous that some rank never joins
+    /// is a [`SimError::Deadlock`] once every live rank is blocked; the
+    /// park honours [`ClusterSpec::wait_timeout_ms`] as `recv` does.
+    pub fn rendezvous(
+        &mut self,
+        hops: impl IntoIterator<Item = Hop>,
+        values: &mut [f64],
+        settle: impl FnOnce(&mut [Deposit]),
+        mut on_hop: impl FnMut(&Hop, SimTime, SimTime),
+    ) -> SimResult<()> {
+        let mut drawn = std::mem::take(&mut self.hops);
+        drawn.clear();
+        for hop in hops {
+            let hop = self.draw(hop);
+            drawn.push(hop);
+        }
+        let size = self.size();
+        let mut st = self.kernel.lock();
+        if let Some(d) = &st.deadlocked {
+            return Err(SimError::Deadlock { detail: d.clone() });
+        }
+        if self.kernel.rank_ordered && size > 1 {
+            return Err(SimError::Deadlock {
+                detail: format!(
+                    "rank {} in a collective in a rank-ordered run: \
+                     the ranks after it cannot run to join",
+                    self.rank
+                ),
+            });
+        }
+        // The slot keeps this rank's hops and hands back the buffer it
+        // held, so no collective allocates once warm.
+        let slot = &mut st.deposits[self.rank];
+        slot.clock = self.now;
+        std::mem::swap(&mut slot.hops, &mut drawn);
+        slot.values.clear();
+        slot.values.extend_from_slice(values);
+        st.arrived += 1;
+        if st.arrived == size {
+            settle(&mut st.deposits);
+            st.arrived = 0;
+            st.settled += 1;
+            // The others count as unblocked now, not when they next
+            // take the lock: this rank may park again before they do.
+            st.blocked -= size - 1;
+            st.deposits[self.rank].hand_back(&mut drawn, values);
+            drop(st);
+            for (rank, cvar) in self.kernel.cvars.iter().enumerate() {
+                if rank != self.rank {
+                    cvar.notify_one();
+                }
+            }
+        } else {
+            let parked_at = st.settled;
+            st.blocked += 1;
+            if st.blocked == st.active && !st.any_satisfiable() {
+                let detail = format!(
+                    "all {} live ranks blocked; rank {} waiting in a collective \
+                     that {} of {size} ranks have joined",
+                    st.active, self.rank, st.arrived
+                );
+                SimKernel::declare_deadlock(&mut st, detail.clone());
+                st.blocked -= 1;
+                st.arrived -= 1;
+                drop(st);
+                self.kernel.wake_all();
+                return Err(SimError::Deadlock { detail });
+            }
+            loop {
+                let (guard, timed_out) = self.park(st);
+                st = guard;
+                if st.settled != parked_at {
+                    st.deposits[self.rank].hand_back(&mut drawn, values);
+                    break;
+                }
+                if timed_out || st.deadlocked.is_some() {
+                    st.blocked -= 1;
+                    st.arrived -= 1;
+                }
+                if timed_out {
+                    return Err(self.time_out(st, "a collective"));
+                }
+                if let Some(d) = &st.deadlocked {
+                    return Err(SimError::Deadlock { detail: d.clone() });
+                }
+            }
+            drop(st);
+        }
+        for &hop in &drawn {
+            let start = self.now;
+            let hop = self.charge_traced(hop);
+            on_hop(&hop, start, self.now);
+        }
+        self.hops = drawn;
+        Ok(())
     }
 
     /// Non-blocking probe: is a message from `from` with `tag` already
@@ -790,15 +1059,17 @@ impl RankCtx {
         self.finished = true;
         let mut st = self.kernel.lock();
         st.active -= 1;
+        // A finish posts nothing, so the only parked rank it can release
+        // is one it leaves deadlocked.
         if st.active > 0 && st.blocked == st.active && !st.any_satisfiable() {
             let detail = format!(
                 "rank {} finished leaving all {} remaining ranks blocked",
                 self.rank, st.active
             );
             SimKernel::declare_deadlock(&mut st, detail);
+            drop(st);
+            self.kernel.wake_all();
         }
-        drop(st);
-        self.kernel.wake_all();
     }
 }
 
@@ -1841,6 +2112,52 @@ mod tests {
         assert!(
             detail.contains("rank 0") && detail.contains("(1, tag 7)"),
             "{detail}"
+        );
+    }
+
+    /// One rank settles its own rendezvous at once; with more, the
+    /// first rank of a rank-ordered run could only wait for ranks that
+    /// cannot run, so its rendezvous is a deadlock at once.
+    #[test]
+    fn rank_ordered_rendezvous_settles_alone_and_deadlocks_otherwise() {
+        let body = |ctx: &mut RankCtx| {
+            let mut values = [1.0];
+            let hops = [Hop::new(HopKind::Send, 0, 9, 8)];
+            let settle = |deposits: &mut [Deposit]| {
+                for d in deposits {
+                    d.hops[0].charge(&mut d.clock);
+                    d.values[0] += 1.0;
+                }
+            };
+            let mut reported = Vec::new();
+            ctx.rendezvous(hops, &mut values, settle, |hop, start, end| {
+                reported.push((hop.kind, start, end));
+            })?;
+            Ok((values[0], reported, ctx.now()))
+        };
+        let run = run_in_rank_order(&quiet_spec(1), true, body).unwrap();
+        let o_s = SimTime::ZERO + SimDur::from_nanos_f64(quiet_spec(1).net.send_overhead_ns);
+        assert_eq!(
+            run.results[0],
+            (2.0, vec![(HopKind::Send, SimTime::ZERO, o_s)], o_s)
+        );
+        assert!(matches!(
+            run.traces[0].events[..],
+            [Event {
+                kind: EventKind::Send {
+                    to: 0,
+                    tag: 9,
+                    bytes: 8
+                },
+                ..
+            }]
+        ));
+        let mut spec = quiet_spec(2);
+        spec.wait_timeout_ms = 60_000;
+        let err = run_in_rank_order(&spec, false, body).unwrap_err();
+        assert!(
+            matches!(&err, SimError::Deadlock { detail } if detail.contains("rank 0")),
+            "{err:?}"
         );
     }
 

@@ -59,7 +59,8 @@ pub mod trace;
 pub use config::{ClusterSpec, NetSpec, NodeSpec, NoiseSpec};
 pub use disk::{DiskStore, MemTracker, VarId};
 pub use engine::{
-    run_cluster, run_in_rank_order, ClusterRun, Payload, Prefetch, RankCtx, SimKernel,
+    run_cluster, run_in_rank_order, ClusterRun, Deposit, Hop, HopKind, Payload, Prefetch, RankCtx,
+    SimKernel,
 };
 pub use error::{SimError, SimResult};
 pub use fault::{CrashSpec, DegradeSpec, FaultKind, FaultSpec, RankFaults, RecoverSpec};
