@@ -5,30 +5,31 @@
 //! `{"op":"shutdown"}` or the process receives SIGTERM/SIGINT. Either
 //! way the daemon **drains**: new plan requests are shed with a
 //! structured `draining` error, in-flight requests run to completion
-//! (bounded by `--drain-deadline-ms`), and the process exits 0. The
-//! plan cache lives in memory only: a restarted daemon starts cold.
+//! (bounded by `wire::DRAIN_DEADLINE_MS`), and the process exits 0.
+//! The plan cache lives in memory only: a restarted daemon starts cold.
 //!
-//! ```text
-//! pland [--addr HOST:PORT] [--workers N] [--queue N]
-//!       [--cache-capacity N] [--no-cache] [--no-coalesce]
-//!       [--recorder-capacity N] [--drain-deadline-ms N]
-//!       [--read-timeout-ms N] [--write-timeout-ms N]
-//! ```
+//! `USAGE` below is the whole command line, and what `--help` prints:
+//! the address to listen on and the number of search workers. Every
+//! other setting is a constant of `mheta_serve::planner` or
+//! `mheta_serve::wire`.
 //!
-//! The flight recorder is always on (`--recorder-capacity` sizes its
-//! ring). On panic the daemon dumps the recorder's last events as JSON
-//! to stderr before dying, so a crash leaves a black box behind.
+//! The flight recorder is always on. On panic the daemon dumps the
+//! recorder's last events as JSON to stderr before dying, so a crash
+//! leaves a black box behind.
 //!
 //! Lifecycle events (`signal.drain`, `drain.begin`, `drain.end`,
-//! `conn.timeout`, shed events) are logged to stderr as structured
-//! one-line JSON.
+//! `conn.timeout`, `accept.error`, shed events) are logged to stderr
+//! as structured one-line JSON.
 
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mheta_serve::{wire, Lifecycle, Planner, PlannerConfig, ServeConfig};
+use mheta_serve::{wire, Lifecycle, Planner, PlannerConfig};
+
+/// The command line; any other flag is an error.
+const USAGE: &str = "pland [--addr HOST:PORT] [--workers N]";
 
 /// SIGTERM/SIGINT capture without a libc dependency: a raw binding to
 /// `signal(2)` installing a handler whose body is a single atomic
@@ -66,14 +67,12 @@ mod sig {
 struct Args {
     addr: String,
     cfg: PlannerConfig,
-    serve_cfg: ServeConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7463".to_string(),
         cfg: PlannerConfig::default(),
-        serve_cfg: ServeConfig::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -85,45 +84,8 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
             }
-            "--queue" => {
-                args.cfg.queue_capacity = value("--queue")?
-                    .parse()
-                    .map_err(|e| format!("--queue: {e}"))?;
-            }
-            "--cache-capacity" => {
-                args.cfg.cache_capacity = value("--cache-capacity")?
-                    .parse()
-                    .map_err(|e| format!("--cache-capacity: {e}"))?;
-            }
-            "--recorder-capacity" => {
-                args.cfg.recorder_capacity = value("--recorder-capacity")?
-                    .parse()
-                    .map_err(|e| format!("--recorder-capacity: {e}"))?;
-            }
-            "--drain-deadline-ms" => {
-                args.serve_cfg.drain_deadline_ms = value("--drain-deadline-ms")?
-                    .parse()
-                    .map_err(|e| format!("--drain-deadline-ms: {e}"))?;
-            }
-            "--read-timeout-ms" => {
-                args.serve_cfg.read_timeout_ms = value("--read-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--read-timeout-ms: {e}"))?;
-            }
-            "--write-timeout-ms" => {
-                args.serve_cfg.write_timeout_ms = value("--write-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--write-timeout-ms: {e}"))?;
-            }
-            "--no-cache" => args.cfg.cache_enabled = false,
-            "--no-coalesce" => args.cfg.coalesce_enabled = false,
             "--help" | "-h" => {
-                println!(
-                    "pland [--addr HOST:PORT] [--workers N] [--queue N] \
-                     [--cache-capacity N] [--no-cache] [--no-coalesce] \
-                     [--recorder-capacity N] [--drain-deadline-ms N] \
-                     [--read-timeout-ms N] [--write-timeout-ms N]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag `{other}`")),
@@ -136,7 +98,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("pland: {e}");
+            eprintln!("pland: {e}\nusage: {USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -186,7 +148,7 @@ fn main() -> ExitCode {
         });
     }
 
-    match wire::serve_with(listener, planner, lifecycle, args.serve_cfg) {
+    match wire::serve_with(listener, planner, lifecycle) {
         Ok(()) => {
             println!("pland: shutdown");
             ExitCode::SUCCESS

@@ -2,10 +2,10 @@
 //! control.
 //!
 //! Jobs are submitted with [`Executor::try_submit`], which **never
-//! blocks**: if the queue is at capacity the job is rejected
-//! immediately and the caller sheds the request with a structured
-//! retry-after error. Workers pop jobs FIFO. Dropping the executor
-//! stops the workers after the queued jobs drain.
+//! blocks**: if [`QUEUE_CAPACITY`] jobs are already waiting the job is
+//! rejected immediately and the caller sheds the request with a
+//! structured retry-after error. Workers pop jobs FIFO. Dropping the
+//! executor stops the workers after the queued jobs drain.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,6 +13,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Jobs that may wait for a worker; one more is shed. A plan search
+/// takes milliseconds, so a full queue is tens of milliseconds of work
+/// for the default four workers.
+pub const QUEUE_CAPACITY: usize = 64;
 
 struct Queue {
     jobs: VecDeque<Job>,
@@ -22,7 +27,6 @@ struct Queue {
 struct Shared {
     queue: Mutex<Queue>,
     available: Condvar,
-    capacity: usize,
     rejected: AtomicU64,
     executed: AtomicU64,
 }
@@ -39,18 +43,15 @@ pub struct QueueFull;
 
 impl Executor {
     /// Spawn `workers` worker threads (clamped to at least 1) feeding
-    /// from a queue of at most `queue_capacity` pending jobs. A
-    /// capacity of 0 is legal and rejects every submission — useful to
-    /// force deterministic shedding in tests.
+    /// from a queue of at most [`QUEUE_CAPACITY`] pending jobs.
     #[must_use]
-    pub fn new(workers: usize, queue_capacity: usize) -> Self {
+    pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
                 shutdown: false,
             }),
             available: Condvar::new(),
-            capacity: queue_capacity,
             rejected: AtomicU64::new(0),
             executed: AtomicU64::new(0),
         });
@@ -68,7 +69,7 @@ impl Executor {
     /// queue.
     pub fn try_submit<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), QueueFull> {
         let mut queue = self.shared.queue.lock().expect("executor queue poisoned");
-        if queue.jobs.len() >= self.shared.capacity {
+        if queue.jobs.len() >= QUEUE_CAPACITY {
             drop(queue);
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(QueueFull);
@@ -146,7 +147,7 @@ mod tests {
 
     #[test]
     fn executes_submitted_jobs() {
-        let ex = Executor::new(2, 8);
+        let ex = Executor::new(2);
         let (tx, rx) = mpsc::channel();
         for i in 0..8 {
             let tx = tx.clone();
@@ -160,9 +161,9 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_immediately() {
-        // One worker blocked on a gate, queue of 1: the third submit
-        // must be rejected without blocking.
-        let ex = Executor::new(1, 1);
+        // One worker blocked on a gate and a full queue behind it: the
+        // next submit must be rejected without blocking.
+        let ex = Executor::new(1);
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
         ex.try_submit(move || {
@@ -171,23 +172,20 @@ mod tests {
         })
         .unwrap();
         started_rx.recv().unwrap(); // worker now busy, queue empty
-        ex.try_submit(|| {}).unwrap(); // fills the queue
+        for _ in 0..QUEUE_CAPACITY {
+            ex.try_submit(|| {}).unwrap(); // fills the queue
+        }
+        assert_eq!(ex.queue_depth(), QUEUE_CAPACITY);
         assert_eq!(ex.try_submit(|| {}), Err(QueueFull));
         assert_eq!(ex.rejected(), 1);
+        assert_eq!(ex.executed(), 0, "a rejected job never runs");
         gate_tx.send(()).unwrap();
-        drop(ex); // drains the queued no-op
-    }
-
-    #[test]
-    fn zero_capacity_sheds_everything() {
-        let ex = Executor::new(1, 0);
-        assert_eq!(ex.try_submit(|| {}), Err(QueueFull));
-        assert_eq!(ex.executed(), 0);
+        drop(ex); // drains the queued no-ops
     }
 
     #[test]
     fn drop_drains_queued_jobs() {
-        let ex = Executor::new(1, 16);
+        let ex = Executor::new(1);
         let (tx, rx) = mpsc::channel();
         for i in 0..5 {
             let tx = tx.clone();

@@ -14,11 +14,12 @@
 //!   and explicit invalidation: a request whose search must fail is
 //!   answered from the cache like one whose search succeeded. The cache
 //!   lives in memory only; a restarted daemon starts cold;
-//! * [`singleflight`] — concurrent identical requests coalesce onto
-//!   one search; followers share the leader's published result;
-//! * [`executor`] — a fixed thread pool over a bounded queue; a full
-//!   queue sheds the request with a structured retry-after error
-//!   instead of ever blocking admission;
+//! * `singleflight` (crate-private) — concurrent identical requests
+//!   coalesce onto one search; followers share the leader's published
+//!   result;
+//! * `executor` (crate-private) — a fixed thread pool over a bounded
+//!   queue; a full queue sheds the request with a structured
+//!   retry-after error instead of ever blocking admission;
 //! * [`planner`] — the in-process front end wiring the above around
 //!   `mheta_dist::portfolio_search`, instrumented end to end with
 //!   `mheta_obs` service metrics (lifecycle counters, per-stage
@@ -31,6 +32,11 @@
 //!   `metrics` / `dump` telemetry ops, with graceful-drain lifecycle
 //!   management and per-connection read/write timeouts.
 //!
+//! The service has one setting, [`PlannerConfig::workers`], because the
+//! right number of search threads depends on the host. Everything else
+//! — queue depth, cache size, backoffs, timeouts — is a named constant
+//! in the module that reads it.
+//!
 //! Requests may carry an end-to-end deadline
 //! ([`planner::Planner::plan_opts`]): a search the deadline interrupts
 //! returns its best incumbent flagged *degraded*; only a request with
@@ -40,15 +46,13 @@
 #![warn(clippy::all)]
 
 pub mod cache;
-pub mod executor;
+mod executor;
 pub mod planner;
 pub mod request;
-pub mod singleflight;
+mod singleflight;
 pub mod wire;
 
 pub use cache::PlanCache;
-pub use executor::{Executor, QueueFull};
 pub use planner::{Plan, PlanError, PlanReply, Planner, PlannerConfig};
 pub use request::{benchmark_by_name, cluster_by_name, fnv1a64, PlanRequest, SearchParams};
-pub use singleflight::{Entry, Flight, SingleFlight};
-pub use wire::{parse_request, serve, serve_with, Lifecycle, ServeConfig, WireOp};
+pub use wire::{parse_request, serve, serve_with, Lifecycle, WireOp};

@@ -18,6 +18,12 @@
 //!
 //! ## One lifecycle, two guards
 //!
+//! Every request takes that path: there is no switch that skips the
+//! cache or the coalescing, and the only setting is
+//! [`PlannerConfig::workers`]. The queue holds [`QUEUE_CAPACITY`] jobs,
+//! the cache [`CACHE_CAPACITY`] answers over [`CACHE_SHARDS`] stripes,
+//! and a shed tells the client to come back in [`RETRY_AFTER_MS`].
+//!
 //! The pipeline is one linear function (`Planner::serve`); what a
 //! request owes on the way out is discharged once, by a value — never
 //! by each exit remembering:
@@ -33,10 +39,9 @@
 //!
 //! [`Planner::plan_opts`] accepts an optional end-to-end budget. The
 //! deadline is computed once at arrival, rides on the `Request`, and
-//! bounds every stage: a follower's wait
-//! ([`crate::singleflight::Flight::wait_until`]), the dequeue (an
-//! expired job never starts searching), and the search itself (the
-//! portfolio polls it after every evaluation). The portfolio runs its
+//! bounds every stage: a follower's wait (`Flight::wait_until`), the
+//! dequeue (an expired job never starts searching), and the search
+//! itself (the portfolio polls it after every evaluation). The portfolio runs its
 //! strategies in order on the worker's thread, so an interrupted search
 //! still returns its best incumbent — of GBS first, then as much of
 //! genetic, annealing and random as fit — flagged
@@ -88,8 +93,19 @@ use mheta_sim::SimError;
 
 use crate::cache::{Answer, PlanCache};
 use crate::executor::Executor;
+pub use crate::executor::QUEUE_CAPACITY;
 use crate::request::{fnv1a64, PlanRequest};
 use crate::singleflight::{Entry, Flight, SingleFlight};
+
+/// Plan-cache lock stripes.
+pub const CACHE_SHARDS: usize = 8;
+
+/// Plan-cache capacity: plans and stored search failures, in total.
+pub const CACHE_CAPACITY: usize = 256;
+
+/// The backoff a shed request is told to wait before it retries,
+/// milliseconds.
+pub const RETRY_AFTER_MS: u64 = 50;
 
 /// A finished distribution plan: the service's product.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,42 +191,17 @@ pub struct PlanReply {
     pub degraded: bool,
 }
 
-/// Planner tuning.
+/// The planner's one setting: the rest are the constants above.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Search worker threads — and, since a search runs on its
     /// worker's thread alone, the number of threads ever searching.
     pub workers: usize,
-    /// Bounded executor queue depth; 0 sheds every admission (useful
-    /// for deterministic overload tests).
-    pub queue_capacity: usize,
-    /// Plan-cache lock stripes.
-    pub cache_shards: usize,
-    /// Plan-cache total capacity (entries).
-    pub cache_capacity: usize,
-    /// Serve repeat requests from the cache.
-    pub cache_enabled: bool,
-    /// Coalesce concurrent identical requests onto one search.
-    pub coalesce_enabled: bool,
-    /// Backoff suggested to shed clients, milliseconds.
-    pub retry_after_ms: u64,
-    /// Flight-recorder ring capacity (events); the recorder is always
-    /// on and keeps at least one event per lock stripe.
-    pub recorder_capacity: usize,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig {
-            workers: 4,
-            queue_capacity: 64,
-            cache_shards: 8,
-            cache_capacity: 256,
-            cache_enabled: true,
-            coalesce_enabled: true,
-            retry_after_ms: 50,
-            recorder_capacity: FlightRecorder::DEFAULT_CAPACITY,
-        }
+        PlannerConfig { workers: 4 }
     }
 }
 
@@ -269,7 +260,6 @@ struct SearchAux {
 
 /// The resident planning service (in-process front end).
 pub struct Planner {
-    cfg: PlannerConfig,
     cache: PlanCache,
     flights: SingleFlight<FlightOutput>,
     executor: Executor,
@@ -388,7 +378,7 @@ impl Drop for Request<'_> {
 /// any exit.
 struct Lead<'a, 'p> {
     rq: &'a mut Request<'p>,
-    /// What the followers wait on (`None`: coalescing off, or published).
+    /// What the followers wait on (`None` once published).
     flight: Option<Arc<Flight<FlightOutput>>>,
 }
 
@@ -413,14 +403,12 @@ impl Lead<'_, '_> {
         if let Ok((_, aux)) = &result {
             planner.metrics.on_delta(&aux.delta);
         }
-        if planner.cfg.cache_enabled {
-            match &result {
-                // Degraded plans are partial-budget incumbents; caching
-                // them would poison the key for full-budget requests.
-                Ok((plan, aux)) if !aux.degraded => cache.insert(key, canon, plan.clone()),
-                Err(Failure::Pure(msg)) => cache.insert_failure(key, canon, msg.clone()),
-                _ => {}
-            }
+        match &result {
+            // Degraded plans are partial-budget incumbents; caching them
+            // would poison the key for full-budget requests.
+            Ok((plan, aux)) if !aux.degraded => cache.insert(key, canon, plan.clone()),
+            Err(Failure::Pure(msg)) => cache.insert_failure(key, canon, msg.clone()),
+            _ => {}
         }
         let result = result.map_err(PlanError::from);
         self.publish(match &result {
@@ -477,16 +465,15 @@ impl Planner {
     #[must_use]
     pub fn new(cfg: PlannerConfig) -> Self {
         Planner {
-            cache: PlanCache::new(cfg.cache_shards, cfg.cache_capacity),
+            cache: PlanCache::new(CACHE_SHARDS, CACHE_CAPACITY),
             flights: SingleFlight::new(),
-            executor: Executor::new(cfg.workers, cfg.queue_capacity),
+            executor: Executor::new(cfg.workers),
             metrics: Arc::new(ServiceMetrics::new()),
             recorder: Arc::new(FlightRecorder::new(
-                cfg.recorder_capacity,
+                FlightRecorder::DEFAULT_CAPACITY,
                 FlightRecorder::DEFAULT_STRIPES,
             )),
             search: Arc::new(run_search),
-            cfg,
         }
     }
 
@@ -561,7 +548,7 @@ impl Planner {
     /// The one path: probe → follow-or-lead loop → submit → await →
     /// finish. `rq` and the [`Lead`] do the accounting, on drop.
     fn serve(&self, rq: &mut Request<'_>, req: &PlanRequest) -> Outcome {
-        let hit = self.probe(rq);
+        let hit = self.cache.answer(rq.key, &rq.canon);
         // One event on the serving fast path: `cache.hit` doubles as
         // the arrival record for cache-served requests (same trace,
         // timestamp, and key a separate received event would carry).
@@ -576,14 +563,9 @@ impl Planner {
         if let Some(answer) = hit {
             return rq.hit(answer);
         }
-        if self.cfg.cache_enabled {
-            rq.rec("cache.miss", vec![]);
-        }
+        rq.rec("cache.miss", vec![]);
 
         let flight = loop {
-            if !self.cfg.coalesce_enabled {
-                break None;
-            }
             match self.flights.enter(&rq.canon) {
                 Entry::Leader(flight) => break Some(flight),
                 Entry::Follower(flight) => {
@@ -622,22 +604,13 @@ impl Planner {
         };
         if self.executor.try_submit(job).is_err() {
             let shed = PlanError::Overloaded {
-                retry_after_ms: self.cfg.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             };
             return lead.finish(Err(Failure::Impure(shed)), None);
         }
 
         let (result, ran) = rx.recv().expect("worker always replies");
         lead.finish(result, Some(ran))
-    }
-
-    /// The cached plan or failure for `rq`, when the cache is on and
-    /// has one.
-    fn probe(&self, rq: &Request<'_>) -> Option<Answer> {
-        if !self.cfg.cache_enabled {
-            return None;
-        }
-        self.cache.answer(rq.key, &rq.canon)
     }
 
     /// Wait on another request's flight and inherit what its leader
@@ -667,7 +640,7 @@ impl Planner {
                 // waited; otherwise re-enter the flight, leading it
                 // ourselves if nobody else is searching).
                 rq.rec("coalesce.degraded_retry", vec![leader]);
-                let answer = self.probe(rq)?;
+                let answer = self.cache.answer(rq.key, &rq.canon)?;
                 Some(rq.hit(answer))
             }
             Ok((plan, degraded)) => Some(Ok((plan, RequestSource::Coalesced, degraded))),
@@ -874,8 +847,10 @@ fn run_search(req: &PlanRequest, deadline: Option<Instant>, budget_ms: u64) -> S
 mod tests {
     //! Lifecycle conservation laws. `run_search` is swapped for a
     //! scripted stub (the `search` field is the seam), every
-    //! interleaving is forced by a channel or by counting the holders
-    //! of a flight — no sleeps — and after each script `Rig::settled`
+    //! interleaving is forced by a channel, by counting the holders of
+    //! a flight or by the queue depth — no sleeps — and a full queue is
+    //! reached as load reaches it (`Rig::over_full_queue`); after each
+    //! script `Rig::settled`
     //! checks what must hold however a request left the pipeline.
     //!
     //! Mutation-checked: deleting any one obligation fails a law —
@@ -885,7 +860,8 @@ mod tests {
     //! its failure fill (the repeated `Fail` searches again), publish
     //! (followers end `Failed`, not `Coalesced`), events (the recorder
     //! law); `Lead::drop`'s publish (stranded follower). Storing an
-    //! impure `Search` error too fails the panic script.
+    //! impure `Search` error too fails the panic script, and an executor
+    //! that never sheds fails the three shed tests (within `HANG`).
 
     use super::*;
     use crate::request::{benchmark_by_name, SearchParams};
@@ -925,6 +901,45 @@ mod tests {
 
     /// What a scripted `Fail` returns: the one error the cache may hold.
     const SCRIPTED_FAILURE: &str = "scripted failure";
+
+    /// The seed of a request over a full queue: `Rig::over_full_queue`
+    /// fills the worker and the queue with seeds `0..=QUEUE_CAPACITY`.
+    const OVERFLOW: u64 = QUEUE_CAPACITY as u64 + 1;
+
+    /// What every shed request gets.
+    const OVERLOADED: PlanError = PlanError::Overloaded {
+        retry_after_ms: RETRY_AFTER_MS,
+    };
+
+    /// How long a request over a full queue may take before the test
+    /// calls it a hang: a shed answers at once.
+    const HANG: Duration = Duration::from_secs(10);
+
+    /// The script `Rig::over_full_queue` runs: the held search, then one
+    /// per queued request.
+    fn full_queue_script() -> Vec<Step> {
+        let mut steps = vec![gated(Found)];
+        steps.resize(QUEUE_CAPACITY + 1, now(Found));
+        steps
+    }
+
+    /// How the requests of `Rig::over_full_queue` are accounted, and the
+    /// recorder events they leave.
+    fn full_queue_ends() -> (Vec<RequestSource>, Vec<&'static str>) {
+        let kinds = ["request.received", "cache.miss", "search.done"];
+        let n = QUEUE_CAPACITY + 1;
+        (vec![RequestSource::Fresh; n], kinds.repeat(n))
+    }
+
+    /// Opens one gated search when dropped, so a test that fails while
+    /// a search is held unwinds instead of hanging.
+    struct Open<'a>(&'a mpsc::Sender<()>);
+
+    impl Drop for Open<'_> {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
 
     struct Rig {
         planner: Planner,
@@ -1023,6 +1038,38 @@ mod tests {
             while Arc::strong_count(&flight) < n + 2 {
                 std::thread::yield_now();
             }
+        }
+
+        /// With one worker and `full_queue_script()`: hold the worker on
+        /// a gated search (seed 0), queue `QUEUE_CAPACITY` requests
+        /// behind it (seeds 1..), and run `overflow` on a thread of its
+        /// own while the queue is full; then let every held request
+        /// finish, fresh. `overflow` must return within `HANG`.
+        fn over_full_queue<T: Send>(
+            &self,
+            entered: &mpsc::Receiver<()>,
+            overflow: impl FnOnce() -> T + Send,
+        ) -> T {
+            std::thread::scope(|s| {
+                let open = Open(&self.release);
+                let held = s.spawn(|| self.call(0, None));
+                entered.recv().unwrap();
+                let queued: Vec<_> = (1..=QUEUE_CAPACITY as u64)
+                    .map(|seed| s.spawn(move || self.call(seed, None)))
+                    .collect();
+                while self.planner.queue_depth() < QUEUE_CAPACITY {
+                    std::thread::yield_now();
+                }
+                let (tx, rx) = mpsc::channel();
+                s.spawn(move || tx.send(overflow()));
+                let out = rx.recv_timeout(HANG);
+                drop(open);
+                for call in std::iter::once(held).chain(queued) {
+                    let served = call.join().unwrap().map(|r| r.source);
+                    assert_eq!(served, Ok(RequestSource::Fresh));
+                }
+                out.expect("a request over a full queue waited")
+            })
         }
 
         fn cached(&self, seed: u64) -> Option<Answer> {
@@ -1229,24 +1276,62 @@ mod tests {
         // Shed on a full queue, then expired in the queue: neither ran a
         // search, so neither is an answer — the key's slot stays empty
         // and its repeat goes through admission again.
-        for (queue_capacity, deadline) in [(0, None), (4, Some(Duration::ZERO))] {
-            let cfg = PlannerConfig {
-                queue_capacity,
-                ..PlannerConfig::default()
-            };
-            let (rig, _entered) = rig(cfg, &[]);
-            let err = rig.call(1, deadline).unwrap_err();
-            assert!(rig.cached(1).is_none(), "{err} was cached");
-            assert_eq!(rig.call(1, deadline).unwrap_err(), err);
-            assert_eq!(rig.planner.metrics().searches(), 0);
-            let (source, event) = match err {
-                PlanError::Overloaded { .. } => (Shed, "request.shed"),
-                PlanError::DeadlineExceeded { .. } => (Failed, "deadline.exceeded"),
-                other => panic!("unexpected {other}"),
-            };
-            let kinds = ["request.received", "cache.miss", event].repeat(2);
-            rig.settled(&[source, source], &kinds);
+        let twice = |rig: &Rig, deadline: Option<Duration>| {
+            let err = rig.call(OVERFLOW, deadline).unwrap_err();
+            assert!(rig.cached(OVERFLOW).is_none(), "{err} was cached");
+            assert_eq!(rig.call(OVERFLOW, deadline).unwrap_err(), err);
+            err
+        };
+
+        let (full, entered) = rig(PlannerConfig { workers: 1 }, &full_queue_script());
+        let shed = full.over_full_queue(&entered, || twice(&full, None));
+        assert_eq!(shed, OVERLOADED);
+        let (mut sources, mut kinds) = full_queue_ends();
+        sources.extend([Shed, Shed]);
+        kinds.extend(["request.received", "cache.miss", "request.shed"].repeat(2));
+        full.settled(&sources, &kinds);
+
+        let (idle, _entered) = rig(PlannerConfig::default(), &[]);
+        let expired = twice(&idle, Some(Duration::ZERO));
+        assert_eq!(expired, PlanError::DeadlineExceeded { budget_ms: 0 });
+        assert_eq!(idle.planner.metrics().searches(), 0);
+        let kinds = ["request.received", "cache.miss", "deadline.exceeded"].repeat(2);
+        idle.settled(&[Failed, Failed], &kinds);
+    }
+
+    #[test]
+    fn queue_full_requests_get_structured_shed_errors_not_hangs() {
+        let (rig, entered) = rig(PlannerConfig { workers: 1 }, &full_queue_script());
+        let shed = rig.over_full_queue(&entered, || rig.call(OVERFLOW, None));
+        assert_eq!(shed.unwrap_err(), OVERLOADED);
+        // Every request the queue admitted was served.
+        let m = rig.planner.metrics();
+        assert_eq!((m.searches(), m.shed()), (QUEUE_CAPACITY as u64 + 1, 1));
+        let (mut sources, mut kinds) = full_queue_ends();
+        sources.push(Shed);
+        kinds.extend(["request.received", "cache.miss", "request.shed"]);
+        rig.settled(&sources, &kinds);
+    }
+
+    #[test]
+    fn shed_followers_of_a_shed_leader_are_not_stranded() {
+        // Identical requests over a full queue: whichever leads is shed,
+        // and sheds whoever followed it rather than leaving them waiting.
+        let (rig, entered) = rig(PlannerConfig { workers: 1 }, &full_queue_script());
+        let outcomes = rig.over_full_queue(&entered, || {
+            std::thread::scope(|s| {
+                let calls: Vec<_> = (0..4)
+                    .map(|_| s.spawn(|| rig.call(OVERFLOW, None)))
+                    .collect();
+                let calls = calls.into_iter().map(|c| c.join().unwrap());
+                calls.collect::<Vec<_>>()
+            })
+        });
+        for outcome in outcomes {
+            assert_eq!(outcome.unwrap_err(), OVERLOADED);
         }
+        assert_eq!(rig.planner.metrics().shed(), 4);
+        assert_eq!(rig.planner.flights.in_flight(), 0);
     }
 
     #[test]

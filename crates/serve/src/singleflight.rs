@@ -29,11 +29,6 @@ impl<T: Clone> Flight<T> {
         }
     }
 
-    /// Block until the leader publishes, then return the result.
-    pub fn wait(&self) -> T {
-        self.wait_until(None).expect("untimed wait cannot expire")
-    }
-
     /// Block until the leader publishes or `deadline` passes. `None`
     /// means no deadline (never returns `None`); `Some(None)` return
     /// means the deadline expired with the flight still unresolved —
@@ -83,12 +78,6 @@ pub struct SingleFlight<T> {
     flights: Mutex<HashMap<String, Arc<Flight<T>>>>,
 }
 
-impl<T: Clone> Default for SingleFlight<T> {
-    fn default() -> Self {
-        SingleFlight::new()
-    }
-}
-
 impl<T: Clone> SingleFlight<T> {
     /// An empty registry.
     #[must_use]
@@ -126,8 +115,9 @@ impl<T: Clone> SingleFlight<T> {
         flight.publish(value);
     }
 
-    /// Number of keys currently in flight.
-    #[must_use]
+    /// Number of keys currently in flight (the tests' "no flight
+    /// outlives its leader" law).
+    #[cfg(test)]
     pub fn in_flight(&self) -> usize {
         self.flights.lock().expect("flight map poisoned").len()
     }
@@ -160,7 +150,7 @@ mod tests {
                                 sf.complete("k", &f, 42);
                                 42
                             }
-                            Entry::Follower(f) => f.wait(),
+                            Entry::Follower(f) => f.wait_until(None).unwrap(),
                         }
                     })
                 })
@@ -183,8 +173,8 @@ mod tests {
         };
         sf.complete("a", &fa, 1);
         sf.complete("b", &fb, 2);
-        assert_eq!(fa.wait(), 1);
-        assert_eq!(fb.wait(), 2);
+        assert_eq!(fa.wait_until(None), Some(1));
+        assert_eq!(fb.wait_until(None), Some(2));
     }
 
     #[test]

@@ -58,18 +58,23 @@
 //! `shutdown` op, or — in `pland` — SIGTERM/SIGINT). Draining keeps
 //! the listener open so late clients receive the structured
 //! `draining` error instead of a connection refusal; in-flight plan
-//! requests run to completion, bounded by the drain deadline. Control
-//! ops (`stats`, `metrics`, `dump`, `ping`) are still served during
-//! drain, so operators can observe the drain itself. Per-connection
-//! read/write timeouts bound how long a half-open client can hold a
+//! requests run to completion, bounded by [`DRAIN_DEADLINE_MS`].
+//! Control ops (`stats`, `metrics`, `dump`, `ping`) are still served
+//! during drain, so operators can observe the drain itself.
+//! Per-connection read/write timeouts ([`READ_TIMEOUT_MS`],
+//! [`WRITE_TIMEOUT_MS`]) bound how long a half-open client can hold a
 //! handler thread: a timed-out connection is dropped cleanly with one
-//! `conn.timeout` flight-recorder event, never a panic.
+//! `conn.timeout` flight-recorder event, never a panic. A failed
+//! `accept` that says nothing about the listener — a connection that
+//! died in the backlog, an interrupted call, a full descriptor table —
+//! logs one `accept.error` event and the loop accepts again; any other
+//! ends [`serve_with`] with the error.
 //!
 //! `metrics` returns the Prometheus text exposition as a JSON string
 //! under `"prometheus"`; `dump` returns the flight-recorder document
 //! (`mheta-flight/v1`) under `"flight"`.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -400,34 +405,6 @@ pub fn handle(planner: &Planner, op: &WireOp) -> (Value, bool) {
     }
 }
 
-/// Daemon lifecycle tuning.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// How long a drain waits for in-flight plan requests before the
-    /// daemon exits anyway, milliseconds.
-    pub drain_deadline_ms: u64,
-    /// Per-connection read timeout, milliseconds; 0 disables. A
-    /// half-open client that sends nothing for this long is dropped
-    /// cleanly instead of holding its handler thread forever.
-    pub read_timeout_ms: u64,
-    /// Per-connection write timeout, milliseconds; 0 disables.
-    pub write_timeout_ms: u64,
-    /// Backoff suggested to plan requests shed during drain,
-    /// milliseconds (roughly a restart's startup time).
-    pub drain_retry_after_ms: u64,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            drain_deadline_ms: 5_000,
-            read_timeout_ms: 30_000,
-            write_timeout_ms: 10_000,
-            drain_retry_after_ms: 200,
-        }
-    }
-}
-
 /// Shared daemon lifecycle: the drain flag and the in-flight plan
 /// counter. `pland`'s signal watcher flips the flag on SIGTERM/SIGINT;
 /// the `shutdown` wire op flips it from a connection thread; the
@@ -494,11 +471,27 @@ fn log_lifecycle_event(planner: &Planner, event: &'static str, detail: Vec<(&str
 /// never sends `\n` grows a buffer for as long as it keeps writing.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// How long a drain waits for in-flight plan requests before the
+/// daemon exits anyway, milliseconds.
+pub const DRAIN_DEADLINE_MS: u64 = 5_000;
+
+/// Per-connection read timeout, milliseconds: a half-open client that
+/// sends nothing for this long is dropped cleanly instead of holding
+/// its handler thread forever.
+pub const READ_TIMEOUT_MS: u64 = 30_000;
+
+/// Per-connection write timeout, milliseconds.
+pub const WRITE_TIMEOUT_MS: u64 = 10_000;
+
+/// Backoff suggested to plan requests shed during a drain,
+/// milliseconds (roughly a restart's startup time).
+pub const DRAIN_RETRY_AFTER_MS: u64 = 200;
+
 fn handle_connection(
     stream: TcpStream,
     planner: &Planner,
     lifecycle: &Lifecycle,
-    cfg: &ServeConfig,
+    read_timeout: Duration,
 ) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -519,13 +512,10 @@ fn handle_connection(
                 // client, not a fault: one event, no panic.
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
+                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
                 ) {
-                    log_lifecycle_event(
-                        planner,
-                        "conn.timeout",
-                        vec![("read_timeout_ms", Value::UInt(cfg.read_timeout_ms))],
-                    );
+                    let ms = Value::UInt(read_timeout.as_millis() as u64);
+                    log_lifecycle_event(planner, "conn.timeout", vec![("read_timeout_ms", ms)]);
                 }
                 return;
             }
@@ -566,9 +556,9 @@ fn handle_connection(
                     log_lifecycle_event(
                         planner,
                         "request.shed.draining",
-                        vec![("retry_after_ms", Value::UInt(cfg.drain_retry_after_ms))],
+                        vec![("retry_after_ms", Value::UInt(DRAIN_RETRY_AFTER_MS))],
                     );
-                    (draining_response(cfg.drain_retry_after_ms), false)
+                    (draining_response(DRAIN_RETRY_AFTER_MS), false)
                 } else {
                     handle(planner, &op)
                 }
@@ -586,30 +576,68 @@ fn handle_connection(
     }
 }
 
-/// Run the daemon accept loop with a default lifecycle and config
-/// until a client sends `shutdown`. See [`serve_with`].
-pub fn serve(listener: TcpListener, planner: Arc<Planner>) -> std::io::Result<()> {
-    serve_with(
-        listener,
-        planner,
-        Arc::new(Lifecycle::new()),
-        ServeConfig::default(),
-    )
+/// Run the daemon accept loop with a fresh lifecycle until a client
+/// sends `shutdown`. See [`serve_with`].
+pub fn serve(listener: TcpListener, planner: Arc<Planner>) -> io::Result<()> {
+    serve_with(listener, planner, Arc::new(Lifecycle::new()))
 }
 
 /// Run the daemon accept loop until `lifecycle` drains. The listener
 /// is non-blocking so the loop observes the drain flag promptly; each
-/// connection is served on its own thread with the configured
-/// read/write timeouts. During a drain the listener stays open (late
-/// plan requests get the structured `draining` error, control ops
-/// still work) until in-flight plans hit zero or the drain deadline
-/// passes.
+/// connection is served on its own thread with the read and write
+/// timeouts above. During a drain the listener stays open (late plan
+/// requests get the structured `draining` error, control ops still
+/// work) until in-flight plans hit zero or [`DRAIN_DEADLINE_MS`]
+/// passes. Returns the first `accept` error that is not transient
+/// (module header).
 pub fn serve_with(
     listener: TcpListener,
     planner: Arc<Planner>,
     lifecycle: Arc<Lifecycle>,
-    cfg: ServeConfig,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
+    accept_loop(
+        listener,
+        planner,
+        lifecycle,
+        Duration::from_millis(READ_TIMEOUT_MS),
+    )
+}
+
+/// What the accept loop does after `accept` fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptError {
+    /// Log it, back off, accept again.
+    Retry,
+    /// The listener is broken: stop serving.
+    Fatal,
+}
+
+/// `ENFILE` and `EMFILE` (Linux and the BSDs): the system's or this
+/// process's descriptor table is full. Connections closing free it.
+const TABLE_FULL: [i32; 2] = [23, 24];
+
+/// Whether an `accept` failure ends the daemon. A connection that died
+/// in the backlog, an interrupted call and a full descriptor table say
+/// nothing about the listener, so they retry; anything else is fatal.
+fn on_accept_error(e: &io::Error) -> AcceptError {
+    use io::ErrorKind::{ConnectionAborted, ConnectionReset, Interrupted};
+    let transient = matches!(e.kind(), ConnectionAborted | ConnectionReset | Interrupted);
+    if transient || e.raw_os_error().is_some_and(|n| TABLE_FULL.contains(&n)) {
+        AcceptError::Retry
+    } else {
+        AcceptError::Fatal
+    }
+}
+
+/// [`serve_with`] with the read timeout as a parameter, so a test can
+/// see an idle connection dropped without waiting out
+/// [`READ_TIMEOUT_MS`].
+pub(crate) fn accept_loop(
+    listener: TcpListener,
+    planner: Arc<Planner>,
+    lifecycle: Arc<Lifecycle>,
+    read_timeout: Duration,
+) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let mut drain_started: Option<Instant> = None;
     loop {
@@ -620,12 +648,12 @@ pub fn serve_with(
                     "drain.begin",
                     vec![
                         ("in_flight", Value::UInt(lifecycle.in_flight() as u64)),
-                        ("drain_deadline_ms", Value::UInt(cfg.drain_deadline_ms)),
+                        ("drain_deadline_ms", Value::UInt(DRAIN_DEADLINE_MS)),
                     ],
                 );
                 Instant::now()
             });
-            let deadline = started + Duration::from_millis(cfg.drain_deadline_ms);
+            let deadline = started + Duration::from_millis(DRAIN_DEADLINE_MS);
             let in_flight = lifecycle.in_flight();
             if in_flight == 0 || Instant::now() >= deadline {
                 log_lifecycle_event(
@@ -645,23 +673,24 @@ pub fn serve_with(
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
-                if cfg.read_timeout_ms > 0 {
-                    let _ =
-                        stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms)));
-                }
-                if cfg.write_timeout_ms > 0 {
-                    let _ =
-                        stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms)));
-                }
+                let _ = stream.set_read_timeout(Some(read_timeout));
+                let _ = stream.set_write_timeout(Some(Duration::from_millis(WRITE_TIMEOUT_MS)));
                 let planner = Arc::clone(&planner);
                 let lifecycle = Arc::clone(&lifecycle);
-                let cfg = cfg.clone();
-                std::thread::spawn(move || handle_connection(stream, &planner, &lifecycle, &cfg));
+                std::thread::spawn(move || {
+                    handle_connection(stream, &planner, &lifecycle, read_timeout);
+                });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) => {
+                if e.kind() != io::ErrorKind::WouldBlock {
+                    if on_accept_error(&e) == AcceptError::Fatal {
+                        return Err(e);
+                    }
+                    let error = ("error", Value::Str(e.to_string()));
+                    log_lifecycle_event(&planner, "accept.error", vec![error]);
+                }
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(e) => return Err(e),
         }
     }
 }
@@ -870,5 +899,67 @@ mod tests {
         assert!(l.is_draining());
         drop((a, b));
         assert_eq!(l.in_flight(), 0);
+    }
+
+    #[test]
+    fn accept_errors_retry_only_when_they_say_nothing_about_the_listener() {
+        use io::ErrorKind::*;
+        let retry = [ConnectionAborted, ConnectionReset, Interrupted].map(io::Error::from);
+        let table_full = [23, 24].map(io::Error::from_raw_os_error);
+        for e in retry.iter().chain(&table_full) {
+            assert_eq!(on_accept_error(e), AcceptError::Retry, "{e}");
+        }
+        // EBADF and EINVAL (a closed or unbound listener), EACCES, and
+        // errors with no OS code.
+        let fatal = [9, 22, 13].map(io::Error::from_raw_os_error);
+        let kinds = [InvalidInput, PermissionDenied, Other, TimedOut].map(io::Error::from);
+        for e in fatal.iter().chain(&kinds) {
+            assert_eq!(on_accept_error(e), AcceptError::Fatal, "{e}");
+        }
+    }
+
+    #[test]
+    fn idle_connections_time_out_cleanly() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let planner = Arc::new(Planner::new(crate::PlannerConfig { workers: 1 }));
+        let lifecycle = Arc::new(Lifecycle::new());
+        let server = {
+            let (planner, lifecycle) = (Arc::clone(&planner), Arc::clone(&lifecycle));
+            let read_timeout = Duration::from_millis(100);
+            std::thread::spawn(move || accept_loop(listener, planner, lifecycle, read_timeout))
+        };
+
+        // A half-open client: connects, sends nothing. The daemon must
+        // drop it after the read timeout instead of pinning a thread.
+        let mut idle = TcpStream::connect(addr).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 16];
+        let n = idle.read(&mut buf).unwrap_or(0);
+        assert_eq!(n, 0, "server closed the idle connection");
+
+        // The daemon is still fully alive for real clients.
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writeln!(writer, r#"{{"op":"ping"}}"#).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let pong = from_str(line.trim_end()).unwrap();
+        assert_eq!(pong.get("ok"), Some(&Value::Bool(true)));
+
+        // The timeout left an event naming the timeout it waited out.
+        let dump = planner.flight_dump();
+        let events = dump.get("events").unwrap().as_array().unwrap();
+        let kind = |e: &&Value| e.get("kind").unwrap().as_str() == Some("conn.timeout");
+        let timeouts: Vec<_> = events.iter().filter(kind).collect();
+        assert!(!timeouts.is_empty());
+        for event in timeouts {
+            let waited = event.get("detail").unwrap().get("read_timeout_ms");
+            assert_eq!(waited.and_then(Value::as_u64), Some(100));
+        }
+
+        lifecycle.begin_drain();
+        server.join().unwrap().unwrap();
     }
 }

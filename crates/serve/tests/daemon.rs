@@ -317,3 +317,41 @@ fn sigterm_drains_in_flight_plans_and_sheds_new_ones() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn pland_takes_an_address_and_a_worker_count_and_nothing_else() {
+    let pland = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_pland"))
+            .args(args)
+            .output()
+            .expect("run pland")
+    };
+    let help = pland(&["--help"]);
+    assert!(help.status.success());
+    let usage = String::from_utf8_lossy(&help.stdout);
+    let flags: Vec<&str> = usage
+        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    assert_eq!(flags, ["--addr", "--workers"], "{usage}");
+
+    // What used to be settable is a constant now, and its flag an error
+    // before anything is bound.
+    for removed in [
+        "--queue",
+        "--cache-capacity",
+        "--no-cache",
+        "--no-coalesce",
+        "--recorder-capacity",
+        "--drain-deadline-ms",
+        "--read-timeout-ms",
+        "--write-timeout-ms",
+    ] {
+        let out = pland(&[removed, "1"]);
+        assert!(!out.status.success(), "{removed} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let named = format!("unknown flag `{removed}`");
+        assert!(stderr.contains(&named), "{removed}: {stderr}");
+        assert!(out.stdout.is_empty(), "{removed}: pland started");
+    }
+}

@@ -10,7 +10,7 @@ use std::time::Duration;
 use mheta_obs::json::{from_str, Value};
 use mheta_serve::request::MAX_EVALS_PER_STRATEGY;
 use mheta_serve::wire::{self, MAX_LINE_BYTES};
-use mheta_serve::{Lifecycle, Planner, PlannerConfig, ServeConfig};
+use mheta_serve::{Lifecycle, Planner, PlannerConfig};
 
 /// One hostile payload and what the daemon owes in return.
 struct Case {
@@ -126,9 +126,7 @@ fn hostile_input_gets_bad_request_and_leaks_nothing() {
     let lifecycle = Arc::new(Lifecycle::new());
     let server = {
         let lifecycle = Arc::clone(&lifecycle);
-        std::thread::spawn(move || {
-            wire::serve_with(listener, planner, lifecycle, ServeConfig::default())
-        })
+        std::thread::spawn(move || wire::serve_with(listener, planner, lifecycle))
     };
 
     for case in cases() {

@@ -38,6 +38,27 @@ fn ring(ctx: &mut RankCtx) -> SimResult<u64> {
     Ok(carried ^ ctx.now().as_nanos())
 }
 
+/// Every rank reports to rank 0, which answers each only after it has
+/// heard from all: no rank finishes before all have started, so the run
+/// holds a worker per rank at once and the pool ends up with one per
+/// rank. (A ring run may finish its first ranks before its last is
+/// handed out, and then a worker serves two ranks of one run.)
+fn all_started(ctx: &mut RankCtx) -> SimResult<()> {
+    let n = ctx.size();
+    if ctx.rank() == 0 {
+        for src in 1..n {
+            ctx.recv(src, 0)?;
+        }
+        for dst in 1..n {
+            ctx.send(dst, 0, Vec::new())?;
+        }
+    } else {
+        ctx.send(0, 0, Vec::new())?;
+        ctx.recv(0, 0)?;
+    }
+    Ok(())
+}
+
 /// Results and traces, every `f64` in the shortest form that reads back
 /// to the same bits.
 fn fingerprint(run: &ClusterRun<u64>) -> String {
@@ -47,6 +68,7 @@ fn fingerprint(run: &ClusterRun<u64>) -> String {
 #[test]
 fn parked_workers_are_reused_shared_and_outlive_a_panicking_rank() {
     let spec = ClusterSpec::homogeneous(8);
+    run_cluster(&spec, false, all_started).expect("the warm-up runs");
     let ring_run = || fingerprint(&run_cluster(&spec, true, ring).expect("the ring runs"));
     let sequential = ring_run();
 

@@ -148,6 +148,7 @@ fn report(run: &AdaptiveRun, baseline: &AdaptiveRun, layout0: &[usize]) {
 fn write_telemetry(scenario: &str, run: &AdaptiveRun) {
     let spans: Vec<Vec<RecoverySpan>> = run.outcomes.iter().map(|o| o.spans.clone()).collect();
     let suspicion: Vec<_> = run.outcomes.iter().map(|o| o.suspicion.clone()).collect();
+    std::fs::create_dir_all("target").expect("target dir");
     let trace_path = format!("target/adaptive_{scenario}.perfetto.json");
     std::fs::write(
         &trace_path,

@@ -90,6 +90,7 @@ fn main() {
 
     // The full timeline, recovery track included, for ui.perfetto.dev.
     let spans: Vec<Vec<RecoverySpan>> = run.outcomes.iter().map(|o| o.spans.clone()).collect();
+    std::fs::create_dir_all("target").expect("target dir");
     let path = "target/crash_recovery.perfetto.json";
     std::fs::write(
         path,

@@ -1,5 +1,7 @@
-//! Use the planning service in process: cache hits, single-flight
-//! coalescing, and admission control around the portfolio search.
+//! Use the planning service in process: cache hits and single-flight
+//! coalescing around the portfolio search, then its statistics and
+//! telemetry. (A full queue's structured shed is shown by the planner's
+//! tests, which can hold a search open while the queue fills.)
 //!
 //! ```text
 //! cargo run --release --example plan_service
@@ -8,7 +10,6 @@
 use std::sync::{Arc, Barrier};
 
 use mheta::prelude::*;
-use mheta::serve::PlanError;
 
 fn main() {
     let planner = Arc::new(Planner::new(PlannerConfig::default()));
@@ -61,20 +62,6 @@ fn main() {
         "burst:     {burst} concurrent identical requests -> {} search(es)",
         planner.metrics().searches() - searches_before
     );
-
-    // Overload: a zero-capacity queue sheds with a structured error.
-    let overloaded = Planner::new(PlannerConfig {
-        queue_capacity: 0,
-        cache_enabled: false,
-        coalesce_enabled: false,
-        ..PlannerConfig::default()
-    });
-    match overloaded.plan(&req) {
-        Err(PlanError::Overloaded { retry_after_ms }) => {
-            println!("overload:  shed with retry_after_ms={retry_after_ms}");
-        }
-        other => panic!("expected a shed, got {other:?}"),
-    }
 
     println!("\nservice stats:\n{}", planner.stats().to_json_pretty());
 
