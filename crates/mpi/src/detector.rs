@@ -221,8 +221,8 @@ impl PhiAccrualDetector {
     }
 
     /// True when the member's healthy baseline is frozen.
-    #[must_use]
-    pub fn baseline_ready(&self, member: usize) -> bool {
+    #[cfg(test)]
+    fn baseline_ready(&self, member: usize) -> bool {
         self.members[member].mean.is_some()
     }
 
@@ -412,8 +412,7 @@ impl PhiAccrualDetector {
 /// Hayashibara's suspicion level: `phi = -log10 P(X >= x)` under
 /// `Normal(mean, sigma)`, clamped to `[0, 40]` so downstream arithmetic
 /// never meets infinities.
-#[must_use]
-pub fn phi_level(x: f64, mean: f64, sigma: f64) -> f64 {
+fn phi_level(x: f64, mean: f64, sigma: f64) -> f64 {
     if x <= mean {
         return 0.0;
     }
@@ -431,8 +430,7 @@ pub fn phi_level(x: f64, mean: f64, sigma: f64) -> f64 {
 /// rational approximation (|error| < 1.5e-7), which is plenty for a
 /// detector thresholded at whole phi units. `std` has no `erfc`, and
 /// the workspace is dependency-free by policy.
-#[must_use]
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     let sign_negative = x < 0.0;
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::audit::{actual_terms, TERM_COUNT, TERM_NAMES};
-use crate::json::Serialize;
+use crate::json::{Serialize, Value};
 use mheta_mpi::Transition;
 use mheta_sim::{EventKind, RankTrace, RecoverySpan};
 
@@ -271,10 +271,15 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Render the whole registry as pretty JSON.
+    /// Render the whole registry as pretty JSON, led by `term_names`:
+    /// [`TERM_NAMES`], which names each rank's `terms` entry by position.
     #[must_use]
     pub fn to_json_pretty(&self) -> String {
-        crate::json::to_string_pretty(self)
+        let mut doc = self.to_value();
+        if let Value::Object(fields) = &mut doc {
+            fields.insert(0, ("term_names".into(), TERM_NAMES.to_value()));
+        }
+        doc.to_json_pretty()
     }
 
     /// A compact human-readable table: each rank's share of its finish
@@ -620,5 +625,36 @@ mod tests {
             .unwrap();
         assert_eq!(terms.len(), TERM_COUNT);
         assert_eq!(terms[COMPUTE].as_u64(), Some(5));
+    }
+
+    #[test]
+    fn json_names_every_term() {
+        let t = trace(
+            vec![
+                ev(0, 10, EventKind::Compute { work_units: 1.0 }),
+                ev(10, 14, EventKind::DiskRead { var: 1, bytes: 32 }),
+            ],
+            16,
+        );
+        let m = Metrics::from_traces(std::slice::from_ref(&t), &[]);
+        let doc = crate::json::from_str(&m.to_json_pretty()).unwrap();
+        let names = doc.get("term_names").unwrap().as_array().unwrap();
+        let terms = doc.get("breakdowns").unwrap().as_array().unwrap()[0]
+            .get("terms")
+            .unwrap()
+            .as_array()
+            .unwrap();
+        assert_eq!(names.len(), terms.len());
+        let named: BTreeMap<&str, u64> = names
+            .iter()
+            .zip(terms)
+            .map(|(n, ns)| (n.as_str().unwrap(), ns.as_u64().unwrap()))
+            .collect();
+        let want: BTreeMap<&str, u64> = TERM_NAMES.into_iter().zip(m.breakdowns[0].terms).collect();
+        assert_eq!(named, want);
+        assert_eq!(
+            (named["compute"], named["disk"], named["other"]),
+            (10, 4, 2)
+        );
     }
 }

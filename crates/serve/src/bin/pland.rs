@@ -9,7 +9,7 @@
 //! The plan cache lives in memory only: a restarted daemon starts cold.
 //!
 //! `USAGE` below is the whole command line, and what `--help` prints:
-//! the address to listen on and the number of search workers. Every
+//! the address to listen on and how many searches may run at once. Every
 //! other setting is a constant of `mheta_serve::planner` or
 //! `mheta_serve::wire`.
 //!

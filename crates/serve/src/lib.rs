@@ -17,15 +17,15 @@
 //! * `singleflight` (crate-private) — concurrent identical requests
 //!   coalesce onto one search; followers share the leader's published
 //!   result;
-//! * `executor` (crate-private) — a fixed thread pool over a bounded
-//!   queue; a full queue sheds the request with a structured
-//!   retry-after error instead of ever blocking admission;
 //! * [`planner`] — the in-process front end wiring the above around
-//!   `mheta_dist::portfolio_search`, instrumented end to end with
-//!   `mheta_obs` service metrics (lifecycle counters, per-stage
-//!   latency histograms, a Perfetto request track, trace-context
-//!   propagation, a Prometheus exposition, and an always-on flight
-//!   recorder);
+//!   `mheta_dist::portfolio_search` behind an admission gate: a leader
+//!   searches on its own thread once a slot is free, waits in a bounded
+//!   FIFO queue while none is, and is shed with a structured
+//!   retry-after error, never blocking, when the queue is full. It is
+//!   instrumented end to end with `mheta_obs` service metrics
+//!   (lifecycle counters, per-stage latency histograms, a Perfetto
+//!   request track, trace-context propagation, a Prometheus
+//!   exposition, and an always-on flight recorder);
 //! * [`wire`] — the JSON-lines-over-TCP protocol spoken by the
 //!   `pland` daemon and the `planctl` client binaries, carrying the
 //!   trace context and the per-request deadline end to end plus
@@ -33,9 +33,9 @@
 //!   management and per-connection read/write timeouts.
 //!
 //! The service has one setting, [`PlannerConfig::workers`], because the
-//! right number of search threads depends on the host. Everything else
-//! — queue depth, cache size, backoffs, timeouts — is a named constant
-//! in the module that reads it.
+//! right number of searches to run at once depends on the host.
+//! Everything else — queue depth, cache size, backoffs, timeouts — is a
+//! named constant in the module that reads it.
 //!
 //! Requests may carry an end-to-end deadline
 //! ([`planner::Planner::plan_opts`]): a search the deadline interrupts
@@ -46,7 +46,6 @@
 #![warn(clippy::all)]
 
 pub mod cache;
-mod executor;
 pub mod planner;
 pub mod request;
 mod singleflight;

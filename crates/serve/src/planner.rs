@@ -9,7 +9,7 @@
 //!          single-flight ──follower── wait ─────────────▶ reply (coalesced)
 //!               │ leader
 //!               ▼
-//!          executor.try_submit ──queue full── shed ─────▶ Err(Overloaded)
+//!          admission gate ──queue full── shed ──────────▶ Err(Overloaded)
 //!               │ admitted
 //!               ▼
 //!          portfolio search ── cache insert ── publish ─▶ reply (fresh)
@@ -20,9 +20,10 @@
 //!
 //! Every request takes that path: there is no switch that skips the
 //! cache or the coalescing, and the only setting is
-//! [`PlannerConfig::workers`]. The queue holds [`QUEUE_CAPACITY`] jobs,
-//! the cache [`CACHE_CAPACITY`] answers over [`CACHE_SHARDS`] stripes,
-//! and a shed tells the client to come back in [`RETRY_AFTER_MS`].
+//! [`PlannerConfig::workers`]. The queue holds [`QUEUE_CAPACITY`]
+//! waiting leaders, the cache [`CACHE_CAPACITY`] answers over
+//! [`CACHE_SHARDS`] stripes, and a shed tells the client to come back
+//! in [`RETRY_AFTER_MS`].
 //!
 //! The pipeline is one linear function (`Planner::serve`); what a
 //! request owes on the way out is discharged once, by a value — never
@@ -35,17 +36,27 @@
 //!   events; `Drop` publishes an error if `finish` never ran. Followers
 //!   never hang — a shed or failed leader sheds/fails them too.
 //!
+//! ## Admission
+//!
+//! A leader searches on its own thread — a `pland` connection thread,
+//! or whoever called [`Planner::plan`] — once the admission gate lets
+//! it: at most [`PlannerConfig::workers`] searches run at once, up to
+//! [`QUEUE_CAPACITY`] more leaders wait for a slot and are let in
+//! oldest first, and the next is shed at once, without blocking. A
+//! `Permit` holds the slot; its `Drop` hands the slot to the oldest
+//! waiter or frees it, on every exit.
+//!
 //! ## Deadlines
 //!
 //! [`Planner::plan_opts`] accepts an optional end-to-end budget. The
 //! deadline is computed once at arrival, rides on the `Request`, and
-//! bounds every stage: a follower's wait (`Flight::wait_until`), the
-//! dequeue (an expired job never starts searching), and the search
-//! itself (the portfolio polls it after every evaluation). The portfolio runs its
-//! strategies in order on the worker's thread, so an interrupted search
-//! still returns its best incumbent — of GBS first, then as much of
-//! genetic, annealing and random as fit — flagged
-//! [`PlanReply::degraded`];
+//! bounds every stage: a follower's wait (`Flight::wait_until`),
+//! admission (a leader that waited past it never starts searching), and
+//! the search itself (the portfolio polls it after every evaluation).
+//! The portfolio runs its strategies in order on the leader's thread, so
+//! an interrupted search still returns its best incumbent — of GBS
+//! first, then as much of genetic, annealing and random as fit —
+//! flagged [`PlanReply::degraded`];
 //! [`PlanError::DeadlineExceeded`] is reserved for the case where no
 //! incumbent exists at all. A degraded plan is never cached
 //! (`Lead::finish`) and never handed to a follower that set no
@@ -59,14 +70,14 @@
 //! time. `Lead::finish` stores such a failure in the [`PlanCache`]
 //! beside the plans, and a later request for the key gets it straight
 //! back from the probe — the original message, span source `cache`, no
-//! flight and no search. Nothing else is stored: a panicking worker, an
+//! flight and no search. Nothing else is stored: a panicking search, an
 //! abandoned flight, a shed, a deadline expiry and the simulator's
 //! wall-clock `SimError::Timeout` say nothing about the next attempt.
 //!
 //! ## Telemetry
 //!
 //! Every request carries a [`TraceContext`] ([`Planner::plan`] mints a
-//! root; [`Planner::plan_traced`] accepts one propagated over the
+//! root; [`Planner::plan_opts`] accepts one propagated over the
 //! wire). The context is stamped on the request's [`RequestSpan`]
 //! (including one sub-span per portfolio strategy, back to back), on
 //! every [`FlightRecorder`] event the request emits, and on the wire
@@ -78,8 +89,7 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use mheta_apps::{anchor_inputs, build_model};
@@ -92,10 +102,13 @@ use mheta_obs::{
 use mheta_sim::SimError;
 
 use crate::cache::{Answer, PlanCache};
-use crate::executor::Executor;
-pub use crate::executor::QUEUE_CAPACITY;
 use crate::request::{fnv1a64, PlanRequest};
 use crate::singleflight::{Entry, Flight, SingleFlight};
+
+/// Leaders that may wait for a search slot; one more is shed. A plan
+/// search takes milliseconds, so a full queue is tens of milliseconds
+/// of work for the default four slots.
+pub const QUEUE_CAPACITY: usize = 64;
 
 /// Plan-cache lock stripes.
 pub const CACHE_SHARDS: usize = 8;
@@ -123,8 +136,8 @@ pub struct Plan {
 /// Why a request did not produce a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// Admission control shed the request: the executor queue was
-    /// full. Retry after the suggested backoff.
+    /// Admission control shed the request: every search slot was busy
+    /// and the queue for them full. Retry after the suggested backoff.
     Overloaded {
         /// Suggested client backoff, milliseconds.
         retry_after_ms: u64,
@@ -194,8 +207,8 @@ pub struct PlanReply {
 /// The planner's one setting: the rest are the constants above.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Search worker threads — and, since a search runs on its
-    /// worker's thread alone, the number of threads ever searching.
+    /// Searches that may run at once (at least 1); each runs on the
+    /// thread of the request that leads it.
     pub workers: usize,
 }
 
@@ -229,7 +242,7 @@ enum Failure {
     /// this message, so `Lead::finish` caches it.
     Pure(String),
     /// Says nothing about the next attempt: a shed, a deadline expiry,
-    /// a panicking worker, a wall-clock timeout in the simulator.
+    /// a panicking search, a wall-clock timeout in the simulator.
     Impure(PlanError),
 }
 
@@ -242,8 +255,8 @@ impl From<Failure> for PlanError {
     }
 }
 
-/// What a worker runs for an admitted request: [`run_search`], except
-/// in the lifecycle tests, which script it.
+/// What an admitted leader runs: [`run_search`], except in the
+/// lifecycle tests, which script it.
 type SearchFn = dyn Fn(&PlanRequest, Option<Instant>, u64) -> SearchResult + Send + Sync;
 
 /// Observability side-channel of one portfolio run.
@@ -262,10 +275,91 @@ struct SearchAux {
 pub struct Planner {
     cache: PlanCache,
     flights: SingleFlight<FlightOutput>,
-    executor: Executor,
+    gate: Gate,
     metrics: Arc<ServiceMetrics>,
     recorder: Arc<FlightRecorder>,
-    search: Arc<SearchFn>,
+    search: Box<SearchFn>,
+}
+
+/// Admission control (module header): `slots` searches at once, then a
+/// FIFO queue of at most [`QUEUE_CAPACITY`] waiting leaders.
+struct Gate {
+    slots: usize,
+    tally: Mutex<Tally>,
+    /// Signalled when a slot is handed to the oldest waiter.
+    turn: Condvar,
+}
+
+/// The gate's counters. Every waiter draws a ticket; the tickets in
+/// `admitted..drawn` are the queue, oldest first. While anyone waits
+/// every slot is busy, and a freed slot goes to the next ticket.
+#[derive(Default)]
+struct Tally {
+    /// Slots held, handed-over ones included.
+    running: usize,
+    drawn: u64,
+    admitted: u64,
+    /// Slots given back so far.
+    executed: u64,
+    /// Leaders refused because the queue was full.
+    rejected: u64,
+}
+
+/// One held search slot; `Drop` passes it on, unwinding included.
+struct Permit<'g>(&'g Gate);
+
+impl Gate {
+    fn new(slots: usize) -> Self {
+        Gate {
+            slots: slots.max(1),
+            tally: Mutex::default(),
+            turn: Condvar::new(),
+        }
+    }
+
+    fn tally(&self) -> MutexGuard<'_, Tally> {
+        self.tally.lock().expect("admission gate poisoned")
+    }
+
+    /// A slot, after every earlier waiter has had one; `None`, at once,
+    /// when the queue is full.
+    fn enter(&self) -> Option<Permit<'_>> {
+        let mut t = self.tally();
+        if t.running < self.slots {
+            t.running += 1;
+            return Some(Permit(self));
+        }
+        if t.drawn - t.admitted >= QUEUE_CAPACITY as u64 {
+            t.rejected += 1;
+            return None;
+        }
+        let ticket = t.drawn;
+        t.drawn += 1;
+        while t.admitted <= ticket {
+            t = self.turn.wait(t).expect("admission gate poisoned");
+        }
+        Some(Permit(self))
+    }
+
+    /// `(executed, rejected, queued)`, read at one instant.
+    fn counts(&self) -> (u64, u64, usize) {
+        let t = self.tally();
+        (t.executed, t.rejected, (t.drawn - t.admitted) as usize)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut t = self.0.tally();
+        t.executed += 1;
+        if t.admitted < t.drawn {
+            t.admitted += 1;
+            // Every waiter wakes; only the next ticket proceeds.
+            self.0.turn.notify_all();
+        } else {
+            t.running -= 1;
+        }
+    }
 }
 
 /// One request, from arrival to its terminal span (module header). Every
@@ -288,7 +382,8 @@ struct Request<'p> {
     link_trace_id: u64,
     degraded: bool,
     deadline_exceeded: bool,
-    /// `(started_ns, search_ns)` of this request's own job, if one ran.
+    /// `(started_ns, search_ns)` of this request's own admission, if it
+    /// was admitted.
     ran: Option<(u64, u64)>,
     strategies: Vec<StrategySpan>,
 }
@@ -344,7 +439,7 @@ impl Drop for Request<'_> {
             metrics.on_deadline_exceeded();
         }
         let total_ns = metrics.now_ns().saturating_sub(self.t0);
-        // One rule: queued until the job started, or — with no job (hit,
+        // One rule: queued until admitted, or — never admitted (hit,
         // follower, refused leader) — for the request's whole life.
         let (queued_ns, search_ns) = match self.ran {
             Some((started_ns, search_ns)) => {
@@ -396,7 +491,7 @@ impl Lead<'_, '_> {
     }
 
     /// The one way a leader ends: cache-fill → flight publish →
-    /// recorder events. `ran`: `None` = refused before the queue.
+    /// recorder events. `ran`: `None` = refused at admission.
     fn finish(mut self, result: SearchResult, ran: Option<(u64, u64)>) -> Outcome {
         let planner = self.rq.planner;
         let (key, canon, cache) = (self.rq.key, &self.rq.canon, &planner.cache);
@@ -431,7 +526,7 @@ impl Lead<'_, '_> {
                         vec![budget_ms, ("stage", Value::Str("search".into()))],
                     ),
                     PlanError::Overloaded { retry_after_ms } => {
-                        let depth = Value::UInt(planner.executor.queue_depth() as u64);
+                        let depth = Value::UInt(planner.queue_depth() as u64);
                         let retry = Value::UInt(*retry_after_ms);
                         let rest = vec![("queue_depth", depth), ("retry_after_ms", retry)];
                         ("request.shed", rest)
@@ -461,19 +556,20 @@ impl Drop for Lead<'_, '_> {
 }
 
 impl Planner {
-    /// Build a planner (spawns the worker pool immediately).
+    /// Build a planner. It starts no thread: each search runs on the
+    /// thread of the request that leads it.
     #[must_use]
     pub fn new(cfg: PlannerConfig) -> Self {
         Planner {
             cache: PlanCache::new(CACHE_SHARDS, CACHE_CAPACITY),
             flights: SingleFlight::new(),
-            executor: Executor::new(cfg.workers),
+            gate: Gate::new(cfg.workers),
             metrics: Arc::new(ServiceMetrics::new()),
             recorder: Arc::new(FlightRecorder::new(
                 FlightRecorder::DEFAULT_CAPACITY,
                 FlightRecorder::DEFAULT_STRIPES,
             )),
-            search: Arc::new(run_search),
+            search: Box::new(run_search),
         }
     }
 
@@ -486,16 +582,6 @@ impl Planner {
     /// See [`Planner::plan_opts`].
     pub fn plan(&self, req: &PlanRequest) -> Result<PlanReply, PlanError> {
         self.plan_opts(req, TraceContext::root(), None)
-    }
-
-    /// Plan `req` under `ctx`, with no deadline. See
-    /// [`Planner::plan_opts`].
-    pub fn plan_traced(
-        &self,
-        req: &PlanRequest,
-        ctx: TraceContext,
-    ) -> Result<PlanReply, PlanError> {
-        self.plan_opts(req, ctx, None)
     }
 
     /// Plan `req` under `ctx` with an optional end-to-end `deadline`
@@ -545,7 +631,7 @@ impl Planner {
         rq.settle(outcome)
     }
 
-    /// The one path: probe → follow-or-lead loop → submit → await →
+    /// The one path: probe → follow-or-lead loop → admission → search →
     /// finish. `rq` and the [`Lead`] do the accounting, on drop.
     fn serve(&self, rq: &mut Request<'_>, req: &PlanRequest) -> Outcome {
         let hit = self.cache.answer(rq.key, &rq.canon);
@@ -577,40 +663,33 @@ impl Planner {
         };
         let lead = Lead { rq, flight };
 
-        let (tx, rx) = mpsc::channel();
-        let (job_req, search) = (req.clone(), Arc::clone(&self.search));
-        let metrics = Arc::clone(&self.metrics);
-        let (deadline_at, budget_ms) = (lead.rq.deadline_at, lead.rq.budget_ms);
-        let job = move || {
-            let started_ns = metrics.now_ns();
-            // Expired while queued: don't burn a worker on a search
-            // whose client already gave up. No incumbent exists yet,
-            // so this is a true DeadlineExceeded, not a degraded plan.
-            if deadline_at.is_some_and(|d| Instant::now() >= d) {
-                let expired = PlanError::DeadlineExceeded { budget_ms };
-                let _ = tx.send((Err(Failure::Impure(expired)), (started_ns, 0)));
-                return;
-            }
-            metrics.on_search_started();
-            let searched = catch_unwind(AssertUnwindSafe(|| {
-                search(&job_req, deadline_at, budget_ms)
-            }));
-            let result = searched.unwrap_or_else(|_| {
-                let panicked = PlanError::Search("search worker panicked".into());
-                Err(Failure::Impure(panicked))
-            });
-            let search_ns = metrics.now_ns().saturating_sub(started_ns);
-            let _ = tx.send((result, (started_ns, search_ns)));
-        };
-        if self.executor.try_submit(job).is_err() {
+        let Some(slot) = self.gate.enter() else {
             let shed = PlanError::Overloaded {
                 retry_after_ms: RETRY_AFTER_MS,
             };
             return lead.finish(Err(Failure::Impure(shed)), None);
+        };
+        let started_ns = self.metrics.now_ns();
+        let (deadline_at, budget_ms) = (lead.rq.deadline_at, lead.rq.budget_ms);
+        // Expired while queued: don't spend a slot on a search whose
+        // client already gave up. No incumbent exists yet, so this is a
+        // true DeadlineExceeded, not a degraded plan.
+        if deadline_at.is_some_and(|d| Instant::now() >= d) {
+            drop(slot);
+            let expired = PlanError::DeadlineExceeded { budget_ms };
+            return lead.finish(Err(Failure::Impure(expired)), Some((started_ns, 0)));
         }
-
-        let (result, ran) = rx.recv().expect("worker always replies");
-        lead.finish(result, Some(ran))
+        self.metrics.on_search_started();
+        let searched = catch_unwind(AssertUnwindSafe(|| {
+            (self.search)(req, deadline_at, budget_ms)
+        }));
+        let search_ns = self.metrics.now_ns().saturating_sub(started_ns);
+        drop(slot);
+        let result = searched.unwrap_or_else(|_| {
+            let panicked = PlanError::Search("search worker panicked".into());
+            Err(Failure::Impure(panicked))
+        });
+        lead.finish(result, Some((started_ns, search_ns)))
     }
 
     /// Wait on another request's flight and inherit what its leader
@@ -680,10 +759,10 @@ impl Planner {
         &self.recorder
     }
 
-    /// Jobs currently waiting in the executor queue.
+    /// Leaders currently waiting for a search slot.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.executor.queue_depth()
+        self.gate.counts().2
     }
 
     /// The flight-recorder dump document (`mheta-flight/v1`).
@@ -694,11 +773,12 @@ impl Planner {
 
     /// The full Prometheus text-format exposition for this planner:
     /// the service registry (request/stage series) plus cache,
-    /// executor, and flight-recorder series. See DESIGN.md
+    /// admission (`executor`), and flight-recorder series. See DESIGN.md
     /// §12 for the naming scheme.
     #[must_use]
     pub fn prometheus(&self) -> String {
         let mut out = mheta_obs::service_text(&self.metrics);
+        let (executed, rejected, queued) = self.gate.counts();
         let mut p = mheta_obs::PromText::new();
         p.counter(
             "mheta_serve_cache_hits_total",
@@ -728,19 +808,19 @@ impl Planner {
             "mheta_serve_executor_executed_total",
             "Search jobs fully executed.",
             &[],
-            self.executor.executed(),
+            executed,
         );
         p.counter(
             "mheta_serve_executor_rejected_total",
             "Search jobs shed at admission.",
             &[],
-            self.executor.rejected(),
+            rejected,
         );
         p.gauge(
             "mheta_serve_executor_queue_depth",
             "Jobs currently queued.",
             &[],
-            self.executor.queue_depth() as f64,
+            queued as f64,
         );
         p.counter(
             "mheta_serve_flight_written_total",
@@ -776,20 +856,16 @@ impl Planner {
             ("dropped", Value::UInt(r.dropped())),
             ("retained", Value::UInt(r.retained())),
         ]);
+        let (executed, rejected, queued) = self.gate.counts();
+        let executor = Value::object(vec![
+            ("executed", Value::UInt(executed)),
+            ("rejected", Value::UInt(rejected)),
+            ("queue_depth", Value::UInt(queued as u64)),
+        ]);
         Value::object(vec![
             ("service", self.metrics.snapshot()),
             ("cache", self.cache.stats()),
-            (
-                "executor",
-                Value::object(vec![
-                    ("executed", Value::UInt(self.executor.executed())),
-                    ("rejected", Value::UInt(self.executor.rejected())),
-                    (
-                        "queue_depth",
-                        Value::UInt(self.executor.queue_depth() as u64),
-                    ),
-                ]),
-            ),
+            ("executor", executor),
             ("recorder", recorder),
         ])
     }
@@ -860,14 +936,14 @@ mod tests {
     //! its failure fill (the repeated `Fail` searches again), publish
     //! (followers end `Failed`, not `Coalesced`), events (the recorder
     //! law); `Lead::drop`'s publish (stranded follower). Storing an
-    //! impure `Search` error too fails the panic script, and an executor
-    //! that never sheds fails the three shed tests (within `HANG`).
+    //! impure `Search` error too fails the panic script, and a gate that
+    //! never sheds fails the three shed tests (within `HANG`).
 
     use super::*;
     use crate::request::{benchmark_by_name, SearchParams};
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
+    use std::sync::mpsc;
 
     /// How one scripted search ends.
     #[derive(Clone, Copy)]
@@ -903,7 +979,7 @@ mod tests {
     const SCRIPTED_FAILURE: &str = "scripted failure";
 
     /// The seed of a request over a full queue: `Rig::over_full_queue`
-    /// fills the worker and the queue with seeds `0..=QUEUE_CAPACITY`.
+    /// fills the slot and the queue with seeds `0..=QUEUE_CAPACITY`.
     const OVERFLOW: u64 = QUEUE_CAPACITY as u64 + 1;
 
     /// What every shed request gets.
@@ -963,16 +1039,16 @@ mod tests {
     }
 
     /// A planner whose searches follow `steps`, one per search started,
-    /// plus the channel that reports each search as it starts.
-    fn rig(cfg: PlannerConfig, steps: &[Step]) -> (Rig, mpsc::Receiver<()>) {
+    /// plus the channel that reports each search's seed as it starts.
+    fn rig(cfg: PlannerConfig, steps: &[Step]) -> (Rig, mpsc::Receiver<u64>) {
         let steps = Mutex::new(steps.iter().copied().collect::<VecDeque<_>>());
         let (entered_tx, entered) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
         let release_rx = Mutex::new(release_rx);
-        let search = move |_: &PlanRequest, _: Option<Instant>, _: u64| -> SearchResult {
+        let search = move |req: &PlanRequest, _: Option<Instant>, _: u64| -> SearchResult {
             let step = steps.lock().unwrap().pop_front();
             let step = step.expect("the script has a step for every search");
-            entered_tx.send(()).unwrap();
+            entered_tx.send(req.search.seed).unwrap();
             if step.gated {
                 release_rx.lock().unwrap().recv().unwrap();
             }
@@ -998,7 +1074,7 @@ mod tests {
             }
         };
         let planner = Planner {
-            search: Arc::new(search),
+            search: Box::new(search),
             ..Planner::new(cfg)
         };
         let rig = Rig {
@@ -1040,14 +1116,14 @@ mod tests {
             }
         }
 
-        /// With one worker and `full_queue_script()`: hold the worker on
-        /// a gated search (seed 0), queue `QUEUE_CAPACITY` requests
+        /// With one slot and `full_queue_script()`: hold the slot on a
+        /// gated search (seed 0), queue `QUEUE_CAPACITY` requests
         /// behind it (seeds 1..), and run `overflow` on a thread of its
         /// own while the queue is full; then let every held request
         /// finish, fresh. `overflow` must return within `HANG`.
         fn over_full_queue<T: Send>(
             &self,
-            entered: &mpsc::Receiver<()>,
+            entered: &mpsc::Receiver<u64>,
             overflow: impl FnOnce() -> T + Send,
         ) -> T {
             std::thread::scope(|s| {
@@ -1133,6 +1209,11 @@ mod tests {
                 "a flight outlived its leader"
             );
             assert_eq!(planner.queue_depth(), 0);
+            assert_eq!(
+                planner.gate.tally().running,
+                0,
+                "a slot outlived its search"
+            );
             // The cache holds full-budget plans and the scripted failure,
             // nothing else: no degraded plan, no panic, no abandoned
             // flight.
@@ -1252,7 +1333,8 @@ mod tests {
     #[test]
     fn a_search_failure_is_a_cached_answer_and_a_panic_is_not() {
         let steps = [now(Fail), now(Panic), now(Found)];
-        let (rig, _entered) = rig(PlannerConfig::default(), &steps);
+        // One slot, so a panic that kept it would stall the last call.
+        let (rig, _entered) = rig(PlannerConfig { workers: 1 }, &steps);
         let failed = Err(PlanError::Search(SCRIPTED_FAILURE.into()));
         assert_eq!(rig.call(1, None).map(|r| r.plan), failed);
         // The repeat is the same answer, from the cache, with no search.
@@ -1260,8 +1342,14 @@ mod tests {
         assert_eq!(rig.planner.metrics().searches(), 1);
         let panicked = PlanError::Search("search worker panicked".into());
         assert_eq!(rig.call(2, None).unwrap_err(), panicked);
-        // A panic says nothing about the next attempt: it searches.
-        assert_eq!(rig.call(2, None).unwrap().source, Fresh);
+        // A panic says nothing about the next attempt: it searches, in
+        // the slot the panic gave back. Leaked, so a call stuck at the
+        // gate fails the test instead of hanging it.
+        let rig: &'static Rig = Box::leak(Box::new(rig));
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(rig.call(2, None)));
+        let retried = rx.recv_timeout(HANG).expect("the panic kept its slot");
+        assert_eq!(retried.unwrap().source, Fresh);
         assert_eq!(rig.planner.metrics().searches(), 3);
         let kinds = [
             ["request.received", "cache.miss", "search.fail"].repeat(2),
@@ -1269,6 +1357,39 @@ mod tests {
         ]
         .concat();
         rig.settled(&[Failed, Cache, Failed, Fresh], &kinds);
+    }
+
+    #[test]
+    fn waiters_are_admitted_in_arrival_order() {
+        const WAITERS: u64 = 4;
+        let mut steps = vec![gated(Found)];
+        steps.resize(WAITERS as usize + 1, now(Found));
+        let (rig, entered) = rig(PlannerConfig { workers: 1 }, &steps);
+        let rig = &rig;
+        std::thread::scope(|s| {
+            let open = Open(&rig.release);
+            let held = s.spawn(|| rig.call(0, None));
+            assert_eq!(entered.recv().unwrap(), 0);
+            // Each waiter joins the queue before the next one arrives.
+            let waiters: Vec<_> = (1..=WAITERS)
+                .map(|seed| {
+                    let call = s.spawn(move || rig.call(seed, None));
+                    while rig.planner.queue_depth() < seed as usize {
+                        std::thread::yield_now();
+                    }
+                    call
+                })
+                .collect();
+            drop(open);
+            let order: Vec<u64> = entered.iter().take(WAITERS as usize).collect();
+            assert_eq!(order, (1..=WAITERS).collect::<Vec<_>>(), "admission order");
+            for call in std::iter::once(held).chain(waiters) {
+                assert_eq!(call.join().unwrap().map(|r| r.source), Ok(Fresh));
+            }
+        });
+        let n = WAITERS as usize + 1;
+        let kinds = ["request.received", "cache.miss", "search.done"].repeat(n);
+        rig.settled(&vec![Fresh; n], &kinds);
     }
 
     #[test]

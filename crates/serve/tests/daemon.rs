@@ -7,7 +7,8 @@
 //! `hostile_input.rs`.
 
 use std::fs;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Output, Stdio};
 use std::sync::mpsc::{self, Receiver};
@@ -48,13 +49,14 @@ struct Pland {
 }
 
 impl Pland {
-    /// Boot `pland` on `127.0.0.1:0` with its event log in
+    /// Boot `pland --addr 127.0.0.1:0 args…` with its event log in
     /// `dir/pland.log`. Returns once it has bound, with the address its
     /// `listening on` line reports.
-    fn boot(dir: &Path) -> Pland {
+    fn boot(dir: &Path, args: &[&str]) -> Pland {
         let log = dir.join("pland.log");
         let mut child = Command::new(env!("CARGO_BIN_EXE_pland"))
             .args(["--addr", "127.0.0.1:0"])
+            .args(args)
             .stdout(Stdio::piped())
             .stderr(fs::File::create(&log).unwrap())
             .spawn()
@@ -197,7 +199,7 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 #[test]
 fn planctl_gets_fresh_then_cached_plans_and_a_cached_search_failure() {
     let dir = scratch_dir("serve");
-    let mut pland = Pland::boot(&dir);
+    let mut pland = Pland::boot(&dir, &[]);
     assert!(pland.ctl(&["ping"]).status.success());
 
     let first = pland.ctl(&DC_PLAN);
@@ -254,7 +256,7 @@ fn planctl_gets_fresh_then_cached_plans_and_a_cached_search_failure() {
 #[test]
 fn sigterm_drains_in_flight_plans_and_sheds_new_ones() {
     let dir = scratch_dir("drain");
-    let mut pland = Pland::boot(&dir);
+    let mut pland = Pland::boot(&dir, &[]);
 
     // A slow plan, the wire's largest budget bounded by its own
     // deadline, in flight when the signal lands. Its cache miss is
@@ -316,6 +318,49 @@ fn sigterm_drains_in_flight_plans_and_sheds_new_ones() {
         assert!(pland.logged(name), "no {name} event");
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The thread count of process `pid`, as the kernel reports it.
+#[cfg(target_os = "linux")]
+fn threads(pid: u32) -> usize {
+    fs::read_to_string(format!("/proc/{pid}/status"))
+        .expect("procfs is mounted")
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .expect("a Threads: line")
+        .trim()
+        .parse()
+        .expect("a thread count")
+}
+
+/// `--workers` bounds the searches that run at once; it starts no
+/// thread. With one connection open, the daemon runs the same threads
+/// whatever the count.
+#[cfg(target_os = "linux")]
+#[test]
+fn the_worker_count_starts_no_threads() {
+    let counts: Vec<usize> = ["1", "8"]
+        .into_iter()
+        .map(|workers| {
+            let dir = scratch_dir(&format!("threads-{workers}"));
+            let pland = Pland::boot(&dir, &["--workers", workers]);
+            let conn = TcpStream::connect(&pland.addr).unwrap();
+            conn.set_read_timeout(Some(STEP_TIMEOUT)).unwrap();
+            (&conn).write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            let mut pong = String::new();
+            BufReader::new(&conn).read_line(&mut pong).unwrap();
+            assert_eq!(
+                from_str(pong.trim_end()).unwrap().get("ok"),
+                Some(&Value::Bool(true))
+            );
+            // The connection is still open: its thread is counted.
+            let n = threads(pland.child.id());
+            drop((conn, pland));
+            let _ = fs::remove_dir_all(&dir);
+            n
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "threads at --workers 1 and 8");
 }
 
 #[test]

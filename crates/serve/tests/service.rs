@@ -391,7 +391,7 @@ fn one_trace_id_connects_reply_spans_recorder_and_perfetto() {
     let req = small_request(21);
     let ctx = TraceContext::root();
 
-    let reply = planner.plan_traced(&req, ctx).unwrap();
+    let reply = planner.plan_opts(&req, ctx, None).unwrap();
     assert_eq!(
         reply.trace.trace_id, ctx.trace_id,
         "reply carries the trace"
@@ -430,7 +430,7 @@ fn one_trace_id_connects_reply_spans_recorder_and_perfetto() {
     // the coalescing test; here assert the cache path keeps its own
     // trace identity).
     let ctx2 = TraceContext::root();
-    let cached = planner.plan_traced(&req, ctx2).unwrap();
+    let cached = planner.plan_opts(&req, ctx2, None).unwrap();
     assert_eq!(cached.source.name(), "cache");
     assert_eq!(cached.trace.trace_id, ctx2.trace_id);
 }
@@ -458,7 +458,7 @@ fn coalesced_followers_link_to_the_leader_trace() {
             let req = req.clone();
             s.spawn(move || {
                 barrier.wait();
-                planner.plan_traced(&req, TraceContext::root()).unwrap()
+                planner.plan_opts(&req, TraceContext::root(), None).unwrap()
             });
         }
     });
