@@ -848,11 +848,10 @@ mod tests {
 
     /// A collective that one rank never joins — it finishes, or it parks
     /// in a receive nobody will satisfy — leaves every rank that did
-    /// join with a [`SimError::Deadlock`], long before the backstop.
+    /// join with a [`SimError::Deadlock`] at once.
     #[test]
     fn a_collective_one_rank_never_joins_is_a_deadlock_for_the_others() {
-        let mut spec = quiet(4);
-        spec.wait_timeout_ms = 60_000;
+        let spec = quiet(4);
         for absent_parks in [false, true] {
             let start = std::time::Instant::now();
             let run = run_cluster(&spec, false, |ctx| {
@@ -868,7 +867,7 @@ mod tests {
             .unwrap();
             assert!(
                 start.elapsed() < std::time::Duration::from_secs(10),
-                "the deadlock was detected, not the backstop waited out"
+                "the deadlock was detected, not waited for"
             );
             for (rank, err) in run.results.iter().enumerate() {
                 if rank < 3 || absent_parks {
@@ -886,8 +885,7 @@ mod tests {
     /// before they have woken, that is no deadlock.
     #[test]
     fn a_settler_that_parks_at_once_is_not_deadlocked() {
-        let mut spec = quiet(4);
-        spec.wait_timeout_ms = 60_000;
+        let spec = quiet(4);
         run_cluster(&spec, false, |ctx| {
             let mut rec = NullRecorder;
             let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);

@@ -6,72 +6,35 @@ use mheta_sim::{Deposit, Hop, HopKind, Prefetch, RankCtx, SimDur, SimError, SimR
 use crate::hooks::{HookEvent, OpInfo, OpKind, Recorder, Scope, ScopeKind};
 use crate::msg;
 
-/// Retry-with-exponential-backoff policy for transient disk faults.
-///
-/// Every synchronous read, write, and prefetch issue that fails with
-/// [`SimError::TransientIo`] is retried up to `max_attempts` times in
-/// total; before attempt `k+1` the rank's virtual clock is charged
-/// `min(base_backoff * multiplier^(k-1), max_backoff)`. All other
-/// errors surface immediately — only transient faults are worth
-/// retrying.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). `1` disables retries.
-    pub max_attempts: u32,
-    /// Backoff charged after the first failed attempt.
-    pub base_backoff: SimDur,
-    /// Growth factor applied to the backoff per additional failure.
-    pub multiplier: f64,
-    /// Ceiling on any single backoff charge: the exponential growth
-    /// saturates here instead of overflowing the u64 nanosecond clock
-    /// for large attempt counts.
-    pub max_backoff: SimDur,
-}
+/// Attempts at a disk read, write or prefetch issue that fails with
+/// [`SimError::TransientIo`], the first included. Before attempt `k+1`
+/// the rank's virtual clock is charged [`backoff_for`]`(k)`. All other
+/// errors surface at once: only transient faults are worth retrying.
+const MAX_ATTEMPTS: u32 = 3;
 
-/// Largest exponent ever fed to the backoff multiplier. `2^32` growth
-/// already exceeds any plausible [`RetryPolicy::max_backoff`], and a
-/// capped exponent keeps `powi` far away from producing values whose
-/// u64 conversion would saturate misleadingly.
+/// Backoff charged after the first failed attempt: 50 µs.
+const BASE_BACKOFF: SimDur = SimDur::from_nanos(50_000);
+
+/// Growth of the backoff per further failed attempt.
+const BACKOFF_GROWTH: f64 = 2.0;
+
+/// Ceiling on any single backoff charge: 100 ms.
+const MAX_BACKOFF: SimDur = SimDur::from_nanos(100_000_000);
+
+/// Largest exponent ever fed to [`BACKOFF_GROWTH`]. `2^32` growth
+/// already exceeds [`MAX_BACKOFF`], and a capped exponent keeps `powi`
+/// far away from values whose u64 conversion would saturate
+/// misleadingly.
 const MAX_BACKOFF_EXP: u32 = 32;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: SimDur::from_micros_f64(50.0),
-            multiplier: 2.0,
-            max_backoff: SimDur::from_millis_f64(100.0),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Fail fast: a single attempt, no retries.
-    #[must_use]
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: SimDur::ZERO,
-            multiplier: 1.0,
-            max_backoff: SimDur::ZERO,
-        }
-    }
-
-    /// Backoff to charge after failed attempt number `attempt` (1-based).
-    /// The exponent is capped before the multiply and the result is
-    /// clamped to `max_backoff`, so arbitrarily large attempt counts
-    /// (or multipliers) cannot overflow the virtual clock.
-    #[must_use]
-    pub fn backoff_for(&self, attempt: u32) -> SimDur {
-        let exp = attempt.saturating_sub(1).min(MAX_BACKOFF_EXP);
-        let mult = if self.multiplier.is_finite() && self.multiplier >= 1.0 {
-            self.multiplier
-        } else {
-            1.0
-        };
-        let ns = self.base_backoff.as_nanos_f64() * mult.powi(exp as i32);
-        SimDur::from_nanos_f64(ns).min(self.max_backoff)
-    }
+/// Backoff to charge after failed attempt number `attempt` (1-based):
+/// `BASE_BACKOFF · BACKOFF_GROWTH^(attempt-1)`, at most [`MAX_BACKOFF`].
+/// The exponent is capped before the multiply and the result clamped,
+/// so no attempt count can overflow the virtual clock.
+fn backoff_for(attempt: u32) -> SimDur {
+    let exp = attempt.saturating_sub(1).min(MAX_BACKOFF_EXP);
+    let ns = BASE_BACKOFF.as_nanos_f64() * BACKOFF_GROWTH.powi(exp as i32);
+    SimDur::from_nanos_f64(ns).min(MAX_BACKOFF)
 }
 
 /// How the communicator executes I/O.
@@ -109,43 +72,23 @@ pub struct Comm<'a, R: Recorder> {
     rec: &'a mut R,
     scope: Scope,
     mode: ExecMode,
-    retry: RetryPolicy,
 }
 
 impl<'a, R: Recorder> Comm<'a, R> {
-    /// Wrap a rank context with a recorder and execution mode. I/O
-    /// retries default to [`RetryPolicy::default`], so applications
-    /// absorb occasional transient disk faults without code changes;
-    /// on a fault-free cluster the policy never triggers.
+    /// Wrap a rank context with a recorder and execution mode. Every
+    /// disk operation makes up to three attempts at a transient fault,
+    /// so applications absorb occasional ones without code changes; on
+    /// a fault-free cluster no retry ever triggers.
     pub fn new(ctx: &'a mut RankCtx, rec: &'a mut R, mode: ExecMode) -> Self {
         Comm {
             ctx,
             rec,
             scope: Scope::default(),
             mode,
-            retry: RetryPolicy::default(),
         }
     }
 
-    /// Builder-style override of the retry policy.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Replace the retry policy in place.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The active retry policy.
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Run `op`, absorbing transient I/O faults per the retry policy.
+    /// Run `op`, absorbing up to `MAX_ATTEMPTS - 1` transient I/O faults.
     /// Each absorbed fault charges its backoff to the virtual clock and
     /// reports a [`HookEvent::Retry`] through the recorder.
     fn io_with_retry<T>(
@@ -157,8 +100,8 @@ impl<'a, R: Recorder> Comm<'a, R> {
         let mut attempt = 1;
         loop {
             match op(self.ctx) {
-                Err(SimError::TransientIo { .. }) if attempt < self.retry.max_attempts => {
-                    let backoff = self.retry.backoff_for(attempt);
+                Err(SimError::TransientIo { .. }) if attempt < MAX_ATTEMPTS => {
+                    let backoff = backoff_for(attempt);
                     self.ctx.charge(backoff);
                     self.rec.record(&HookEvent::Retry {
                         kind,
@@ -610,55 +553,51 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_for(2), p.backoff_for(1) * 2u64);
-        assert_eq!(p.backoff_for(3), p.backoff_for(1) * 4u64);
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
+        assert_eq!(backoff_for(1), SimDur::from_micros_f64(50.0));
+        assert_eq!(backoff_for(2), backoff_for(1) * 2u64);
+        assert_eq!(backoff_for(3), backoff_for(1) * 4u64);
     }
 
     #[test]
     fn backoff_saturates_instead_of_overflowing() {
-        let p = RetryPolicy::default();
         // Huge attempt counts clamp to the ceiling rather than wrapping
         // or saturating the u64 nanosecond clock.
         for attempt in [12, 63, 64, 1_000, u32::MAX] {
-            assert_eq!(p.backoff_for(attempt), p.max_backoff);
+            assert_eq!(backoff_for(attempt), SimDur::from_millis_f64(100.0));
         }
-        // A pathological multiplier cannot smuggle in infinity either.
-        let wild = RetryPolicy {
-            multiplier: f64::INFINITY,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(wild.backoff_for(5), wild.base_backoff);
-        let shrinking = RetryPolicy {
-            multiplier: 0.5,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(shrinking.backoff_for(5), shrinking.base_backoff);
+    }
+
+    /// The attempts of the `Retry` hooks after the last completed
+    /// operation: the retries of an operation that failed.
+    fn trailing_retries(events: &[HookEvent]) -> Vec<u32> {
+        let mut tail: Vec<u32> = events
+            .iter()
+            .rev()
+            .map_while(|e| match e {
+                HookEvent::Retry { attempt, .. } => Some(*attempt),
+                _ => None,
+            })
+            .collect();
+        tail.reverse();
+        tail
     }
 
     #[test]
     fn transient_faults_are_retried_and_reported() {
         let mut spec = quiet(1);
-        spec.faults.disk_read_fault_rate = 0.5;
+        spec.faults.disk_read_fault_rate = 0.2;
         spec.seed = 11;
         run_cluster(&spec, false, |ctx| {
             ctx.disk.create(3, 32);
             let mut rec = VecRecorder::default();
-            let mut comm =
-                Comm::new(ctx, &mut rec, ExecMode::Normal).with_retry_policy(RetryPolicy {
-                    max_attempts: 16,
-                    ..RetryPolicy::default()
-                });
+            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
             let before = comm.ctx_ref().now();
             let mut buf = [0.0; 32];
-            // Enough reads that a 50% fault rate must trip at least once.
+            // Enough reads that a 20% fault rate trips at least once.
             for _ in 0..24 {
                 comm.file_read(3, 0, &mut buf)?;
             }
             let after = comm.ctx_ref().now();
-            // Move `comm` out of scope so `rec` can be inspected.
-            let _ = comm;
             let retries: Vec<_> = rec
                 .events
                 .iter()
@@ -669,7 +608,7 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            assert!(!retries.is_empty(), "no retries at 50% fault rate");
+            assert!(!retries.is_empty(), "no retries at 20% fault rate");
             assert!(retries
                 .iter()
                 .all(|(k, v, b)| *k == OpKind::FileRead && *v == Some(3) && *b > SimDur::ZERO));
@@ -690,20 +629,20 @@ mod tests {
         let run = run_cluster(&faulty, false, |ctx| {
             ctx.disk.create(1, 64);
             let mut rec = VecRecorder::default();
-            let mut comm =
-                Comm::new(ctx, &mut rec, ExecMode::Normal).with_retry_policy(RetryPolicy {
-                    max_attempts: 32,
-                    ..RetryPolicy::default()
-                });
+            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
             let wr: Vec<f64> = (0..64).map(f64::from).collect();
             comm.file_write(1, 0, &wr)?;
             let mut buf = vec![0.0; 64];
             comm.file_read(1, 0, &mut buf)?;
-            Ok(buf)
+            let retried = rec
+                .events
+                .iter()
+                .any(|e| matches!(e, HookEvent::Retry { .. }));
+            Ok((buf, retried))
         })
         .unwrap();
         // Numerics are unaffected by absorbed faults.
-        assert_eq!(run.results[0], data);
+        assert_eq!(run.results[0], (data, true));
     }
 
     #[test]
@@ -714,22 +653,23 @@ mod tests {
         let run = run_cluster(&spec, false, |ctx| {
             ctx.disk.create(3, 8);
             let mut rec = VecRecorder::default();
-            let mut comm =
-                Comm::new(ctx, &mut rec, ExecMode::Normal).with_retry_policy(RetryPolicy::none());
+            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
             let mut buf = [0.0; 8];
-            // With no retries and a 97% fault rate, some read in this
-            // run must fail; surface the first error.
-            for _ in 0..8 {
-                comm.file_read(3, 0, &mut buf)?;
-            }
-            Ok(())
-        });
-        match run {
-            Err(SimError::TransientIo {
-                rank: 0, var: 3, ..
-            }) => {}
-            other => panic!("expected TransientIo, got {other:?}"),
-        }
+            // At a 97% fault rate some read in this run fails all its
+            // attempts; keep the first error.
+            let err = (0..8).find_map(|_| comm.file_read(3, 0, &mut buf).err());
+            Ok((err, rec.events))
+        })
+        .unwrap();
+        let (err, events) = &run.results[0];
+        let exhausted = SimError::TransientIo {
+            rank: 0,
+            var: 3,
+            attempt: 3,
+        };
+        assert_eq!(err.as_ref(), Some(&exhausted));
+        // The failing read was retried after attempts 1 and 2, then gave up.
+        assert_eq!(trailing_retries(events), [1, 2]);
     }
 
     #[test]

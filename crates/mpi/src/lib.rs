@@ -28,7 +28,7 @@ pub use collectives::{
     agree_mask, allreduce, barrier, clock_max, ft_allreduce_among, model_allreduce_in_place,
     HopCost, ReduceOp, TAG_AGREE, TAG_BCAST, TAG_COLLECTIVE_BASE, TAG_REDUCE,
 };
-pub use comm::{Comm, ExecMode, PrefetchToken, RetryPolicy};
+pub use comm::{Comm, ExecMode, PrefetchToken};
 pub use detector::{HealthState, PhiAccrualDetector, SuspicionSample, Transition};
 pub use hooks::{
     HookEvent, NullRecorder, OpInfo, OpKind, Recorder, Scope, ScopeKind, SharedEventLog,

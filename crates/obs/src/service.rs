@@ -149,7 +149,6 @@ pub struct ServiceMetrics {
     failures: AtomicU64,
     degraded: AtomicU64,
     deadline_exceeded: AtomicU64,
-    cache_evictions: AtomicU64,
     cache_invalidations: AtomicU64,
     delta_hits: AtomicU64,
     delta_full_evals: AtomicU64,
@@ -181,7 +180,6 @@ impl ServiceMetrics {
             failures: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
             cache_invalidations: AtomicU64::new(0),
             delta_hits: AtomicU64::new(0),
             delta_full_evals: AtomicU64::new(0),
@@ -270,11 +268,6 @@ impl ServiceMetrics {
             .fetch_add(d.fallbacks(), Ordering::Relaxed);
         self.delta_fallback_errors
             .fetch_add(d.fallback_error, Ordering::Relaxed);
-    }
-
-    /// Count cache evictions (capacity pressure).
-    pub fn on_cache_evictions(&self, n: u64) {
-        self.cache_evictions.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count entries dropped by explicit invalidation.
@@ -397,10 +390,6 @@ impl ServiceMetrics {
                     ("failures", Value::UInt(self.failures())),
                     ("degraded", Value::UInt(self.degraded())),
                     ("deadline_exceeded", Value::UInt(self.deadline_exceeded())),
-                    (
-                        "cache_evictions",
-                        Value::UInt(self.cache_evictions.load(Ordering::Relaxed)),
-                    ),
                     (
                         "cache_invalidations",
                         Value::UInt(self.cache_invalidations.load(Ordering::Relaxed)),

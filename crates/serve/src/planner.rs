@@ -71,8 +71,8 @@
 //! beside the plans, and a later request for the key gets it straight
 //! back from the probe — the original message, span source `cache`, no
 //! flight and no search. Nothing else is stored: a panicking search, an
-//! abandoned flight, a shed, a deadline expiry and the simulator's
-//! wall-clock `SimError::Timeout` say nothing about the next attempt.
+//! abandoned flight, a shed and a deadline expiry say nothing about the
+//! next attempt.
 //!
 //! ## Telemetry
 //!
@@ -99,7 +99,6 @@ use mheta_obs::trace::id_hex;
 use mheta_obs::{
     FlightRecorder, RequestSource, RequestSpan, ServiceMetrics, StrategySpan, TraceContext,
 };
-use mheta_sim::SimError;
 
 use crate::cache::{Answer, PlanCache};
 use crate::request::{fnv1a64, PlanRequest};
@@ -242,7 +241,7 @@ enum Failure {
     /// this message, so `Lead::finish` caches it.
     Pure(String),
     /// Says nothing about the next attempt: a shed, a deadline expiry,
-    /// a panicking search, a wall-clock timeout in the simulator.
+    /// a panicking search.
     Impure(PlanError),
 }
 
@@ -875,11 +874,8 @@ impl Planner {
 /// with the request deadline (if any) as the one thing that stops it
 /// early.
 fn run_search(req: &PlanRequest, deadline: Option<Instant>, budget_ms: u64) -> SearchResult {
-    let model = build_model(&req.bench, &req.spec, req.prefetch).map_err(|e| match e {
-        // The simulator's one wall-clock error: the next build may pass.
-        SimError::Timeout { .. } => Failure::Impure(PlanError::Search(e.to_string())),
-        _ => Failure::Pure(e.to_string()),
-    })?;
+    let model = build_model(&req.bench, &req.spec, req.prefetch)
+        .map_err(|e| Failure::Pure(e.to_string()))?;
     let inputs = anchor_inputs(&model);
     let path = SpectrumPath::new(&inputs);
     let mut cfg = req.search.to_portfolio();

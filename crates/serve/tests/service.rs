@@ -357,6 +357,18 @@ fn wire_round_trip_metrics_and_dump() {
     // nowhere in the source).
     assert!(!text.contains(&["mheta_serve_", "breaker_"].concat()));
 
+    // Evictions have one count: the cache's own, in `stats` and in the
+    // exposition alike; the service counters carry none.
+    let stats = round_trip(r#"{"op":"stats"}"#);
+    let stats = stats.get("stats").unwrap();
+    let counters = stats.get("service").unwrap().get("counters").unwrap();
+    assert!(counters.get("cache_evictions").is_none());
+    let evictions = stats.get("cache").unwrap().get("evictions").unwrap();
+    assert_eq!(
+        evictions.as_u64().map(|n| n as f64),
+        value("mheta_serve_cache_evictions_total")
+    );
+
     // `dump` returns the flight-recorder document, and the trace we
     // propagated identifies this request's lifecycle events in it.
     let dump = round_trip(r#"{"op":"dump"}"#);

@@ -164,17 +164,6 @@ pub struct ClusterSpec {
     /// Deterministic fault-injection plan. Disabled by default; see
     /// [`crate::fault`].
     pub faults: FaultSpec,
-    /// Host wall-clock backstop, in milliseconds, for any blocking wait
-    /// (receive, barrier). If a rank's OS thread waits longer than this
-    /// in *real* time, the wait is abandoned with
-    /// [`SimError::Timeout`] instead of hanging the process.
-    pub wait_timeout_ms: u64,
-}
-
-/// Default blocking-wait backstop: generous enough that only a genuine
-/// hang (never legitimate simulation work) can trip it.
-fn default_wait_timeout_ms() -> u64 {
-    120_000
 }
 
 impl ClusterSpec {
@@ -189,7 +178,6 @@ impl ClusterSpec {
             noise: NoiseSpec::default(),
             seed: 0x4d48_4554_4121,
             faults: FaultSpec::default(),
-            wait_timeout_ms: default_wait_timeout_ms(),
         }
     }
 
@@ -213,12 +201,6 @@ impl ClusterSpec {
         self.nodes
             .windows(2)
             .all(|w| (w[0].cpu_power - w[1].cpu_power).abs() < 1e-12)
-    }
-
-    /// Total memory across the cluster, bytes.
-    #[must_use]
-    pub fn total_memory(&self) -> u64 {
-        self.nodes.iter().map(|n| n.memory_bytes).sum()
     }
 
     /// Validate physical plausibility; called by the engine at startup.
@@ -278,14 +260,7 @@ impl ClusterSpec {
                 self.noise.amplitude
             )));
         }
-        self.faults.validate(self.nodes.len())?;
-        if self.wait_timeout_ms == 0 {
-            return Err(SimError::InvalidConfig(
-                "wait_timeout_ms must be positive (it is the hang backstop for blocking waits)"
-                    .into(),
-            ));
-        }
-        Ok(())
+        self.faults.validate(self.nodes.len())
     }
 }
 
@@ -351,13 +326,6 @@ mod tests {
         assert!(c.validate().is_err());
         c.faults.msg_resend_rate = 0.1;
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn zero_wait_timeout_rejected() {
-        let mut c = ClusterSpec::homogeneous(2);
-        c.wait_timeout_ms = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -45,7 +45,6 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use crate::config::ClusterSpec;
 use crate::disk::{DiskStore, MemTracker, VarId};
@@ -663,13 +662,6 @@ impl RankCtx {
         self.iteration = it;
     }
 
-    /// The most recent iteration reported via
-    /// [`RankCtx::note_iteration`] (0 before the first report).
-    #[must_use]
-    pub fn current_iteration(&self) -> u32 {
-        self.iteration
-    }
-
     /// Check the time-triggered crash schedule against the current
     /// virtual clock; called by the MPI layer at operation entry so a
     /// crash scheduled "at instant T" fires at the first operation at
@@ -686,28 +678,6 @@ impl RankCtx {
             }
         }
         Ok(())
-    }
-
-    /// True when `peer` has crash-stopped (as of the host instant of
-    /// the query; see [`RankCtx::dead_ranks`] for when this is
-    /// deterministic).
-    #[must_use]
-    pub fn is_dead(&self, peer: usize) -> bool {
-        self.kernel.lock().dead.contains_key(&peer)
-    }
-
-    /// Snapshot of all crash-stopped ranks and their virtual death
-    /// instants, sorted by rank. The kernel's dead-set is keyed by host
-    /// time, so this is deterministic only at points where virtual
-    /// causality guarantees every scheduled crash up to "now" has
-    /// already fired on its own thread — e.g. right after a collective
-    /// whose completion is host-ordered after the crash.
-    #[must_use]
-    pub fn dead_ranks(&self) -> Vec<(usize, SimTime)> {
-        let st = self.kernel.lock();
-        let mut v: Vec<(usize, SimTime)> = st.dead.iter().map(|(&r, &t)| (r, t)).collect();
-        v.sort_unstable_by_key(|&(r, _)| r);
-        v
     }
 
     /// Draw `hop`'s costs from this rank's streams: a send's `o_s`, its
@@ -873,15 +843,9 @@ impl RankCtx {
                     self.kernel.wake_all();
                     return Err(SimError::Deadlock { detail });
                 }
-                let (guard, timed_out) = self.park(st);
-                st = guard;
+                st = self.park(st);
                 st.blocked -= 1;
                 st.waiting.remove(&self.rank);
-                if timed_out {
-                    return Err(
-                        self.time_out(st, &format!("blocking receive from ({from}, tag {tag})"))
-                    );
-                }
             }
         };
         let hop = self.draw(Hop::new(HopKind::Recv, from, tag, msg.bytes));
@@ -892,30 +856,13 @@ impl RankCtx {
         Ok(msg.payload)
     }
 
-    /// Park on this rank's condvar for at most the wall-clock backstop;
-    /// returns the lock and whether the backstop ran out.
-    fn park<'k>(&'k self, st: MutexGuard<'k, KernelState>) -> (MutexGuard<'k, KernelState>, bool) {
-        let backstop = Duration::from_millis(self.kernel.spec.wait_timeout_ms);
-        let (guard, wait) = self.kernel.cvars[self.rank]
-            .wait_timeout(st, backstop)
-            .unwrap_or_else(PoisonError::into_inner);
-        (guard, wait.timed_out())
-    }
-
-    /// A wait of `what` ran out the wall-clock backstop: poison the
-    /// kernel so peers unblock instead of waiting on a rank that is
-    /// about to exit, and return the [`SimError::Timeout`].
-    fn time_out(&self, mut st: MutexGuard<'_, KernelState>, what: &str) -> SimError {
-        let waited_ms = self.kernel.spec.wait_timeout_ms;
-        let detail = format!("{what} exceeded the {waited_ms} ms wall-clock backstop");
-        SimKernel::declare_deadlock(&mut st, detail.clone());
-        drop(st);
-        self.kernel.wake_all();
-        SimError::Timeout {
-            rank: self.rank,
-            waited_ms,
-            detail,
-        }
+    /// Park on this rank's condvar until a peer wakes it. Only the
+    /// kernel's state ends a wait: a message, a death, a settled
+    /// rendezvous or a declared deadlock, never the host clock.
+    fn park<'k>(&'k self, st: MutexGuard<'k, KernelState>) -> MutexGuard<'k, KernelState> {
+        self.kernel.cvars[self.rank]
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Take part in a collective over every rank as one rendezvous
@@ -935,8 +882,7 @@ impl RankCtx {
     /// Every rank must join with the same `settle`. No mailbox is
     /// touched, and no peer may crash: a collective that must survive
     /// one sends its messages. A rendezvous that some rank never joins
-    /// is a [`SimError::Deadlock`] once every live rank is blocked; the
-    /// park honours [`ClusterSpec::wait_timeout_ms`] as `recv` does.
+    /// is a [`SimError::Deadlock`] once every live rank is blocked.
     pub fn rendezvous(
         &mut self,
         hops: impl IntoIterator<Item = Hop>,
@@ -1003,21 +949,16 @@ impl RankCtx {
                 return Err(SimError::Deadlock { detail });
             }
             loop {
-                let (guard, timed_out) = self.park(st);
-                st = guard;
+                st = self.park(st);
                 if st.settled != parked_at {
                     st.deposits[self.rank].hand_back(&mut drawn, values);
                     break;
                 }
-                if timed_out || st.deadlocked.is_some() {
+                if let Some(d) = &st.deadlocked {
+                    let detail = d.clone();
                     st.blocked -= 1;
                     st.arrived -= 1;
-                }
-                if timed_out {
-                    return Err(self.time_out(st, "a collective"));
-                }
-                if let Some(d) = &st.deadlocked {
-                    return Err(SimError::Deadlock { detail: d.clone() });
+                    return Err(SimError::Deadlock { detail });
                 }
             }
             drop(st);
@@ -1029,16 +970,6 @@ impl RankCtx {
         }
         self.hops = drawn;
         Ok(())
-    }
-
-    /// Non-blocking probe: is a message from `from` with `tag` already
-    /// posted (regardless of its virtual arrival time)?
-    #[must_use]
-    pub fn probe(&self, from: usize, tag: u32) -> bool {
-        let st = self.kernel.lock();
-        st.mailboxes
-            .get(&(from, self.rank, tag))
-            .is_some_and(|q| !q.is_empty())
     }
 
     /// Mark this rank finished and extract its trace. Must be the last
@@ -1256,8 +1187,7 @@ fn unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// receive that would have had to wait fails at once with
 /// [`SimError::Deadlock`] naming the rank, source and tag: with one rank
 /// running at a time nobody could ever send what it waits for, which is
-/// the exact condition — no host clock is consulted and
-/// [`ClusterSpec::wait_timeout_ms`] is never read.
+/// the exact condition, and nothing waits.
 pub fn run_in_rank_order<T, F>(spec: &ClusterSpec, tracing: bool, f: F) -> SimResult<ClusterRun<T>>
 where
     F: Fn(&mut RankCtx) -> SimResult<T>,
@@ -1313,6 +1243,7 @@ fn collect_run<T>(outcomes: Vec<RankOutcome<T>>) -> SimResult<ClusterRun<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     fn quiet_spec(n: usize) -> ClusterSpec {
         let mut s = ClusterSpec::homogeneous(n);
@@ -1539,26 +1470,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_sees_posted_messages() {
-        let spec = quiet_spec(2);
-        run_cluster(&spec, false, |ctx| {
-            if ctx.rank() == 0 {
-                // Post tag 6 first so that once tag 5 is received the
-                // tag-6 message is guaranteed to be in the mailbox.
-                ctx.send(1, 6, vec![2])?;
-                ctx.send(1, 5, vec![1])?;
-            } else {
-                ctx.recv(0, 5)?;
-                assert!(ctx.probe(0, 6));
-                assert!(!ctx.probe(0, 7));
-                ctx.recv(0, 6)?;
-            }
-            Ok(())
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn disk_fault_surfaces_transient_io_not_panic() {
         let mut spec = quiet_spec(1);
         spec.faults.disk_read_fault_rate = 0.999;
@@ -1766,42 +1677,10 @@ mod tests {
     }
 
     #[test]
-    fn recv_backstop_surfaces_timeout() {
-        let mut spec = quiet_spec(2);
-        spec.wait_timeout_ms = 50;
-        let err = run_cluster(&spec, false, |ctx| {
-            if ctx.rank() == 0 {
-                // Keep the host thread busy past the backstop without
-                // ever blocking in the simulator, so the counting
-                // deadlock detector cannot fire first.
-                std::thread::sleep(Duration::from_millis(400));
-                ctx.send(1, 0, vec![1])?;
-                Ok(())
-            } else {
-                ctx.recv(0, 0)?;
-                Ok(())
-            }
-        })
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SimError::Timeout {
-                    rank: 1,
-                    waited_ms: 50,
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn panicking_rank_is_reported_and_its_blocked_sibling_released() {
-        let mut spec = quiet_spec(2);
-        spec.wait_timeout_ms = 60_000;
+        let spec = quiet_spec(2);
         let sibling = Mutex::new(None);
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_cluster(&spec, false, |ctx| {
                 if ctx.rank() == 0 {
@@ -1816,7 +1695,7 @@ mod tests {
         .expect_err("run_cluster re-raises the rank's panic");
         assert!(
             start.elapsed() < Duration::from_secs(10),
-            "the unwinding rank released its sibling, not the backstop"
+            "the unwinding rank released its sibling"
         );
         assert_eq!(
             panic.downcast_ref::<String>().map(String::as_str),
@@ -1865,7 +1744,6 @@ mod tests {
         let mut a = kernel.rank_ctx(0, false).unwrap();
         let mut b = kernel.rank_ctx(1, false).unwrap();
         a.send(1, 0, vec![7]).unwrap();
-        assert!(b.probe(0, 0) && !a.is_dead(1) && a.dead_ranks().is_empty());
         assert_eq!(b.recv(0, 0).unwrap(), vec![7]);
     }
 
@@ -1989,24 +1867,27 @@ mod tests {
             match ctx.rank() {
                 1 => {
                     let _ = ctx.crash_check_iteration(0).unwrap_err();
-                    ctx.send(2, 5, vec![1])?; // wake rank 2's poll below
                     Ok(0)
                 }
                 2 => {
-                    // Wait until the crash has been published.
-                    ctx.recv(1, 5).ok();
-                    while !ctx.is_dead(1) {
-                        std::thread::yield_now();
-                    }
+                    // Learn of the death as the simulator reports it.
+                    let err = ctx.recv(1, 5).unwrap_err();
+                    assert!(matches!(err, SimError::PeerDead { peer: 1, .. }), "{err:?}");
                     let before = ctx.now();
                     ctx.send(1, 7, vec![9])?;
                     assert!(ctx.now() > before, "sender overhead still charged");
+                    let enqueued = ctx
+                        .kernel
+                        .lock()
+                        .mailboxes
+                        .get(&(2, 1, 7))
+                        .map_or(0, VecDeque::len);
+                    assert_eq!(enqueued, 0, "nothing enqueued for the dead");
                     ctx.send(0, 8, vec![3])?;
                     Ok(1)
                 }
                 _ => {
                     ctx.recv(2, 8)?;
-                    assert_eq!(ctx.dead_ranks().len(), 1);
                     Ok(2)
                 }
             }
@@ -2090,9 +1971,8 @@ mod tests {
 
     #[test]
     fn rank_ordered_receive_from_a_later_rank_is_an_immediate_deadlock() {
-        let mut spec = quiet_spec(2);
-        spec.wait_timeout_ms = 60_000;
-        let start = std::time::Instant::now();
+        let spec = quiet_spec(2);
+        let start = Instant::now();
         let err = run_in_rank_order(&spec, false, |ctx| {
             if ctx.rank() == 0 {
                 ctx.recv(1, 7)?;
@@ -2104,7 +1984,7 @@ mod tests {
         .unwrap_err();
         assert!(
             start.elapsed() < Duration::from_secs(1),
-            "the backstop was not waited out"
+            "the deadlock is reported at once, not waited for"
         );
         let SimError::Deadlock { detail } = &err else {
             panic!("expected a deadlock, got {err:?}");
@@ -2152,9 +2032,7 @@ mod tests {
                 ..
             }]
         ));
-        let mut spec = quiet_spec(2);
-        spec.wait_timeout_ms = 60_000;
-        let err = run_in_rank_order(&spec, false, body).unwrap_err();
+        let err = run_in_rank_order(&quiet_spec(2), false, body).unwrap_err();
         assert!(
             matches!(&err, SimError::Deadlock { detail } if detail.contains("rank 0")),
             "{err:?}"
@@ -2437,7 +2315,6 @@ mod tests {
                 let mut spec = ClusterSpec::homogeneous(n);
                 spec.seed = seed;
                 spec.noise.amplitude = amplitude;
-                spec.wait_timeout_ms = 10_000;
                 for (i, node) in spec.nodes.iter_mut().enumerate() {
                     node.cpu_power = 1.0 + i as f64 * 0.5;
                 }

@@ -25,13 +25,6 @@ pub enum SimError {
     /// An injected transient disk I/O failure; retryable. `attempt` is
     /// the 1-based count of consecutive failures on this variable.
     TransientIo { rank: usize, var: u32, attempt: u32 },
-    /// A blocking wait exceeded the configured wall-clock backstop
-    /// (`ClusterSpec::wait_timeout_ms`).
-    Timeout {
-        rank: usize,
-        waited_ms: u64,
-        detail: String,
-    },
     /// This rank suffered a scheduled crash-stop failure: it stops
     /// executing permanently at virtual instant `at_ns`.
     Crashed { rank: usize, at_ns: u64 },
@@ -70,11 +63,6 @@ impl fmt::Display for SimError {
                 f,
                 "transient I/O fault on node {rank}, variable {var} (consecutive attempt {attempt})"
             ),
-            SimError::Timeout {
-                rank,
-                waited_ms,
-                detail,
-            } => write!(f, "rank {rank} timed out after {waited_ms} ms: {detail}"),
             SimError::Crashed { rank, at_ns } => {
                 write!(f, "rank {rank} crashed (crash-stop) at t = {at_ns} ns")
             }
@@ -147,14 +135,6 @@ mod tests {
                     attempt: 3,
                 },
                 vec!["transient", "node 5", "variable 7", "attempt 3"],
-            ),
-            (
-                SimError::Timeout {
-                    rank: 2,
-                    waited_ms: 250,
-                    detail: "waiting on (0, tag 9)".into(),
-                },
-                vec!["rank 2", "250 ms", "tag 9"],
             ),
             (
                 SimError::Crashed {

@@ -9,8 +9,9 @@
 //! reads:
 //!
 //! - **Disk read/write faults** (`disk_*_fault_rate`): the MPI layer's
-//!   `RetryPolicy` (in `mheta-mpi`) turns them back into successful
-//!   operations at the cost of simulated time, or surfaces
+//!   `Comm` (in `mheta-mpi`) retries each faulted operation, up to three
+//!   attempts with exponential backoff, turning it back into a success
+//!   at the cost of simulated time, or surfaces
 //!   [`SimError::TransientIo`] once its attempts run out.
 //! - **Message resends** (`msg_resend_rate`): the receiver sees each
 //!   retransmission's extra transfer time.

@@ -80,7 +80,7 @@ impl SimDur {
 
     /// Construct from integer nanoseconds.
     #[must_use]
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         SimDur(ns)
     }
 

@@ -137,47 +137,6 @@ pub struct RankTrace {
 }
 
 impl RankTrace {
-    /// Total virtual time this rank spent blocked (in receives and
-    /// prefetch waits).
-    #[must_use]
-    pub fn total_blocked_ns(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::Recv { blocked_ns, .. } | EventKind::PrefetchWait { blocked_ns, .. } => {
-                    blocked_ns
-                }
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total bytes moved to/from this rank's local disk.
-    #[must_use]
-    pub fn total_disk_bytes(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::DiskRead { bytes, .. }
-                | EventKind::DiskWrite { bytes, .. }
-                | EventKind::PrefetchIssue { bytes, .. } => bytes,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total message payload bytes sent by this rank.
-    #[must_use]
-    pub fn total_sent_bytes(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::Send { bytes, .. } => bytes,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Number of injected-fault events recorded on this rank.
     #[must_use]
     pub fn fault_count(&self) -> usize {
@@ -252,7 +211,6 @@ mod tests {
             finish: SimTime(9),
         };
         assert!(t.is_monotone());
-        assert_eq!(t.total_disk_bytes(), 64);
     }
 
     #[test]
@@ -266,57 +224,6 @@ mod tests {
             finish: SimTime(9),
         };
         assert!(!t.is_monotone());
-    }
-
-    #[test]
-    fn blocked_time_sums_recv_and_prefetch() {
-        let t = RankTrace {
-            rank: 1,
-            events: vec![
-                ev(
-                    0,
-                    10,
-                    EventKind::Recv {
-                        from: 0,
-                        tag: 7,
-                        bytes: 8,
-                        blocked_ns: 6,
-                    },
-                ),
-                ev(
-                    10,
-                    20,
-                    EventKind::PrefetchWait {
-                        var: 2,
-                        blocked_ns: 3,
-                    },
-                ),
-            ],
-            finish: SimTime(20),
-        };
-        assert_eq!(t.total_blocked_ns(), 9);
-    }
-
-    #[test]
-    fn sent_bytes_counts_only_sends() {
-        let t = RankTrace {
-            rank: 2,
-            events: vec![
-                ev(
-                    0,
-                    1,
-                    EventKind::Send {
-                        to: 3,
-                        tag: 0,
-                        bytes: 100,
-                    },
-                ),
-                ev(1, 2, EventKind::DiskWrite { var: 9, bytes: 50 }),
-            ],
-            finish: SimTime(2),
-        };
-        assert_eq!(t.total_sent_bytes(), 100);
-        assert_eq!(t.total_disk_bytes(), 50);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! of MHETA's accuracy as fault rates rise.
 
 use std::cell::Cell;
+use std::time::Duration;
 
 use mheta::dist::{
     gbs_search, genetic_search, random_search, simulated_annealing, AnnealingConfig, EvalError,
     Evaluator, FallibleFn, GbsConfig, GeneticConfig, RandomConfig,
 };
 use mheta::mpi::{
-    run_app, ExecMode, HookEvent, NullRecorder, RetryPolicy, RunOptions, VecRecorder,
+    allreduce, run_app, ExecMode, HookEvent, ReduceOp, RunOptions, SharedEventLog, VecRecorder,
 };
 use mheta::prelude::*;
 use mheta::sim::{DegradeSpec, FaultKind, FaultSpec, RecoverSpec, SimError};
@@ -24,7 +25,8 @@ fn quiet(n: usize, seed: u64) -> ClusterSpec {
 }
 
 /// Moderate rates and one degrade window: every class fires in a
-/// typical run, yet the default retry policy always converges.
+/// typical run, yet the three attempts at each disk operation always
+/// absorb the disk faults.
 fn moderate_faults() -> FaultSpec {
     FaultSpec {
         disk_read_fault_rate: 0.10,
@@ -81,9 +83,10 @@ fn retries_converge_to_fault_free_numerics_at_a_time_cost() {
 #[test]
 fn faults_are_visible_in_traces_and_retry_hooks() {
     let mut spec = quiet(4, 3);
+    // Disk fault rates that three attempts absorb on this seed.
     spec.faults = FaultSpec {
-        disk_read_fault_rate: 0.30,
-        disk_write_fault_rate: 0.20,
+        disk_read_fault_rate: 0.05,
+        disk_write_fault_rate: 0.05,
         msg_resend_rate: 0.30,
         degrades: vec![
             DegradeSpec::at_time(2, 10_000_000, 1.5).recovering(RecoverSpec::at_time(30_000_000))
@@ -99,13 +102,6 @@ fn faults_are_visible_in_traces_and_retry_hooks() {
         },
         |_| VecRecorder::default(),
         |comm| {
-            // Rates this aggressive can exhaust the default 3-attempt
-            // policy; give the test a deep retry budget so every disk
-            // fault is absorbed.
-            comm.set_retry_policy(RetryPolicy {
-                max_attempts: 16,
-                ..RetryPolicy::default()
-            });
             let data: Vec<f64> = (0..256).map(|i| i as f64).collect();
             comm.ctx().disk.create(1, data.len());
             comm.begin_section(0);
@@ -171,12 +167,12 @@ fn exhausted_retries_surface_a_typed_error() {
     let mut spec = quiet(2, 3);
     spec.faults.disk_read_fault_rate = 0.97;
 
+    let log = SharedEventLog::new();
     let err = run_app(
         &spec,
         RunOptions::default(),
-        |_| NullRecorder,
+        |rank| log.recorder(rank),
         |comm| {
-            comm.set_retry_policy(RetryPolicy::none());
             comm.ctx().disk.create(5, 8);
             comm.file_write(5, 0, &[1.0; 8])?;
             let mut out = [0.0; 8];
@@ -185,46 +181,76 @@ fn exhausted_retries_surface_a_typed_error() {
         },
     )
     .unwrap_err();
-    assert!(
-        matches!(err, SimError::TransientIo { var: 5, .. }),
-        "expected TransientIo on var 5, got {err}"
-    );
+    let SimError::TransientIo {
+        rank,
+        var: 5,
+        attempt: 3,
+    } = err
+    else {
+        panic!("expected the third failed attempt on var 5, got {err}");
+    };
+    // The failing read was retried after attempts 1 and 2, then gave up.
+    let events = &log.per_rank(spec.len())[rank];
+    let mut retries: Vec<u32> = events
+        .iter()
+        .rev()
+        .map_while(|e| match e {
+            HookEvent::Retry { attempt, .. } => Some(*attempt),
+            _ => None,
+        })
+        .collect();
+    retries.reverse();
+    assert_eq!(retries, [1, 2], "rank {rank}'s failing read");
 }
 
+/// Host time never reaches virtual time. Rank 0 sleeps on the host
+/// before its send, so rank 1 parks in a receive, and again before it
+/// joins an allreduce, so the other ranks park in the rendezvous. The
+/// run succeeds, and its results, clocks, traces and hooks equal those
+/// of the same program run without the sleeps, bit for bit.
 #[test]
-fn blocking_waits_time_out_with_a_typed_error() {
-    let mut spec = quiet(2, 1);
-    spec.wait_timeout_ms = 50;
-
-    let err = run_app(
-        &spec,
-        RunOptions::default(),
-        |_| NullRecorder,
-        |comm| {
-            if comm.rank() == 0 {
-                // Stay busy on the host past the backstop without ever
-                // blocking in the simulator, so the deadlock detector
-                // cannot fire before rank 1's wall-clock timeout.
-                std::thread::sleep(std::time::Duration::from_millis(400));
-                comm.send_f64s(1, 9, &[1.0])?;
-            } else {
-                let _ = comm.recv_f64s(0, 9)?;
-            }
-            Ok(())
-        },
-    )
-    .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            SimError::Timeout {
-                rank: 1,
-                waited_ms: 50,
-                ..
-            }
-        ),
-        "expected a 50 ms timeout on rank 1, got {err}"
-    );
+fn host_sleeps_move_no_simulated_result() {
+    let mut spec = ClusterSpec::homogeneous(4);
+    spec.seed = 12;
+    spec.faults.msg_resend_rate = 0.2;
+    let run = |pause: Duration| {
+        run_app(
+            &spec,
+            RunOptions {
+                tracing: true,
+                mode: ExecMode::Normal,
+            },
+            |_| VecRecorder::default(),
+            |comm| {
+                let rank = comm.rank();
+                comm.compute(1_000.0 * (rank + 1) as f64, u64::MAX);
+                let mut sum = [rank as f64];
+                if rank == 0 {
+                    std::thread::sleep(pause);
+                    comm.send_f64s(1, 7, &[1.5, 2.5])?;
+                } else if rank == 1 {
+                    sum[0] += comm.recv_f64s(0, 7)?.iter().sum::<f64>();
+                }
+                if rank == 0 {
+                    std::thread::sleep(pause);
+                }
+                allreduce(comm, ReduceOp::Sum, &mut sum)?;
+                Ok((sum[0], comm.ctx_ref().now()))
+            },
+        )
+        .expect("a host that is slow to send fails no run")
+    };
+    let slow = run(Duration::from_millis(100));
+    let fast = run(Duration::ZERO);
+    assert_eq!(slow.results, fast.results);
+    assert_eq!(slow.results[0].0, 10.0);
+    for (s, f) in slow.traces.iter().zip(&fast.traces) {
+        assert_eq!((s.rank, s.finish), (f.rank, f.finish));
+        assert_eq!(s.events, f.events, "rank {}", s.rank);
+    }
+    for (s, f) in slow.recorders.iter().zip(&fast.recorders) {
+        assert_eq!(s.events, f.events);
+    }
 }
 
 #[test]
