@@ -1020,7 +1020,6 @@ impl<'a> CgRun<'a> {
         self.layout = new;
         // The pattern is hash-defined, so regeneration is local, but the
         // compulsory read of the new share is charged.
-        comm.ctx().disk.remove(VAR_A);
         (self.flat, self.offsets, _) = build_share(self.app, comm, self.offset, m)?;
         Ok(moved)
     }
@@ -1040,12 +1039,11 @@ fn build_share<R: Recorder>(
     if flat.is_empty() {
         return Ok((flat, offsets, b_local));
     }
-    // The share goes to disk and comes back through the read it pays
-    // for: one share-sized copy.
-    let mut share = vec![0.0; flat.len()];
+    // The share goes to disk and comes back, moved, through the read
+    // it pays for. Nothing reads `VAR_A` again: a rebalance builds the
+    // new share the same way.
     comm.ctx().disk.store(VAR_A, flat);
-    comm.file_read(VAR_A, 0, &mut share)?;
-    Ok((share, offsets, b_local))
+    Ok((comm.file_take(VAR_A)?, offsets, b_local))
 }
 
 #[cfg(test)]

@@ -311,7 +311,6 @@ impl Cg {
 
         // ---- setup: my matrix rows, interleaved on disk -------------
         let (flat, offsets, b_local) = self.share(offset, m);
-        let total_elems = flat.len();
         comm.ctx().disk.store(VAR_A, flat);
 
         // The application plans with the same average-based heuristic
@@ -325,9 +324,7 @@ impl Cg {
         // In-core nodes keep the whole share resident; one compulsory
         // read before the measured loop.
         let core: Option<Vec<f64>> = if plan.in_core {
-            let mut buf = vec![0.0; total_elems];
-            comm.file_read(VAR_A, 0, &mut buf)?;
-            Some(buf)
+            Some(comm.file_take(VAR_A)?)
         } else {
             None
         };
@@ -359,13 +356,12 @@ impl Cg {
                 let nnz = spmv(a, &offsets, &p_full, &mut q);
                 comm.compute(nnz as f64, (a.len() * 8) as u64);
             } else {
-                let mut buf = vec![0.0; 0];
                 for (s, l) in chunks(m, plan.icla_rows) {
                     let elems = offsets[s + l] - offsets[s];
-                    buf.resize(elems, 0.0);
-                    comm.file_read(VAR_A, offsets[s], &mut buf)?;
-                    let nnz = spmv(&buf, &offsets[s..=s + l], &p_full, &mut q[s..s + l]);
-                    comm.compute(nnz as f64, (buf.len() * 8) as u64);
+                    let nnz = comm.file_read_with(VAR_A, offsets[s], elems, |a| {
+                        spmv(a, &offsets[s..=s + l], &p_full, &mut q[s..s + l])
+                    })?;
+                    comm.compute(nnz as f64, (elems * 8) as u64);
                 }
             }
             comm.end_stage(0);

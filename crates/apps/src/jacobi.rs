@@ -169,9 +169,7 @@ impl Jacobi {
         // In-core nodes load their share once (compulsory read, before
         // the measured loop) and iterate from memory.
         let mut core: Option<Vec<f64>> = if plan.in_core {
-            let mut buf = vec![0.0; m * cols];
-            comm.file_read(VAR_U, 0, &mut buf)?;
-            Some(buf)
+            Some(comm.file_take(VAR_U)?)
         } else {
             None
         };
@@ -318,22 +316,23 @@ impl Jacobi {
             // Figure 6's unrolled loop: Read ICLA(1); for i in 2..:
             // Prefetch(i), Process(i-1), Wait(i), write(i-1).
             let (s0, l0) = plan[0];
-            let mut buf = vec![0.0; l0 * cols];
-            comm.file_read(VAR_U, s0 * cols, &mut buf)?;
+            let buf = comm.file_read_with(VAR_U, s0 * cols, l0 * cols, <[f64]>::to_vec)?;
             let mut cur = (s0, l0, buf);
             for &(s, l) in &plan[1..] {
                 let tok = comm.prefetch(VAR_U, s * cols, l * cols)?;
-                state.process_chunk(comm, &cur.2, cur.0, cur.1);
+                let rows = state.absorb(&cur.2, cur.0, cur.1);
+                state.charge(comm, rows);
                 let next = comm.wait(tok);
                 state.flush(comm)?;
                 cur = (s, l, next);
             }
-            state.process_chunk(comm, &cur.2, cur.0, cur.1);
+            let rows = state.absorb(&cur.2, cur.0, cur.1);
+            state.charge(comm, rows);
         } else {
-            let mut buf = vec![0.0; icla_rows * cols];
             for (k, &(s, l)) in plan.iter().enumerate() {
-                comm.file_read(VAR_U, s * cols, &mut buf[..l * cols])?;
-                state.process_chunk(comm, &buf[..l * cols], s, l);
+                let rows = comm
+                    .file_read_with(VAR_U, s * cols, l * cols, |chunk| state.absorb(chunk, s, l))?;
+                state.charge(comm, rows);
                 // The last chunk's rows are written together with the
                 // final (halo-dependent) row below: exactly N_io writes
                 // per sweep, matching Eq. 1's accounting.
@@ -383,13 +382,10 @@ impl SweepState {
         );
     }
 
-    fn process_chunk<R: Recorder>(
-        &mut self,
-        comm: &mut Comm<'_, R>,
-        buf: &[f64],
-        start: usize,
-        len: usize,
-    ) {
+    /// Slide the window over the `len` old rows in `buf`, the share's
+    /// rows from `start` on, computing each new row it completes.
+    /// Returns how many it computed; [`SweepState::charge`] pays for them.
+    fn absorb(&mut self, buf: &[f64], start: usize, len: usize) -> usize {
         let cols = self.cols;
         let mut computed_rows = 0usize;
         for k in 0..len {
@@ -404,8 +400,13 @@ impl SweepState {
             }
             self.one_back.copy_from_slice(row);
         }
-        if computed_rows > 0 {
-            comm.compute((computed_rows * cols) as f64, self.ws_bytes);
+        computed_rows
+    }
+
+    /// Charge the compute of `rows` new rows, if any.
+    fn charge<R: Recorder>(&self, comm: &mut Comm<'_, R>, rows: usize) {
+        if rows > 0 {
+            comm.compute((rows * self.cols) as f64, self.ws_bytes);
         }
     }
 

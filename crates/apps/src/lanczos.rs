@@ -140,9 +140,7 @@ impl Lanczos {
         let plans = rank_plans(comm, structure, m, 0.0, &[]);
         let plan = plans[&VAR_A];
         let core: Option<Vec<f64>> = if plan.in_core {
-            let mut buf = vec![0.0; m * n];
-            comm.file_read(VAR_A, 0, &mut buf)?;
-            Some(buf)
+            Some(comm.file_take(VAR_A)?)
         } else {
             None
         };
@@ -171,10 +169,10 @@ impl Lanczos {
                 dot_rows(a, &v_full, &mut w);
                 comm.compute((m * n) as f64, (m * n * 8) as u64);
             } else {
-                let mut buf = vec![0.0; plan.icla_rows * n];
                 for (s, l) in chunks(m, plan.icla_rows) {
-                    comm.file_read(VAR_A, s * n, &mut buf[..l * n])?;
-                    dot_rows(&buf[..l * n], &v_full, &mut w[s..s + l]);
+                    comm.file_read_with(VAR_A, s * n, l * n, |a| {
+                        dot_rows(a, &v_full, &mut w[s..s + l]);
+                    })?;
                     comm.compute((l * n) as f64, (l * n * 8) as u64);
                 }
             }

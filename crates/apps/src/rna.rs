@@ -172,9 +172,7 @@ impl Rna {
         let plans = rank_plans(comm, structure, m, 0.0, &[]);
         let plan = plans[&VAR_DP];
         let mut core: Option<Vec<f64>> = if plan.in_core {
-            let mut buf = vec![0.0; m * self.cols];
-            comm.file_read(VAR_DP, 0, &mut buf)?;
-            Some(buf)
+            Some(comm.file_take(VAR_DP)?)
         } else {
             None
         };
@@ -278,21 +276,21 @@ impl Rna {
             );
             comm.compute((m * tc) as f64, (2 * m * tc * 8) as u64);
         } else {
-            let mut buf = vec![0.0; icla_rows * tc];
             for (s, l) in chunks(m, icla_rows) {
                 let disk_off = self.slice_offset(m, t, s);
-                comm.file_read(VAR_DP, disk_off, &mut buf[..l * tc])?;
-                tile_rows(
-                    &mut buf[..l * tc],
-                    tc,
-                    &scores[s * tc..(s + l) * tc],
-                    &mut above,
-                    &mut corner,
-                    &mut left_carry[s..s + l],
-                    &mut sum,
-                );
+                comm.file_update_with(VAR_DP, disk_off, l * tc, |rows| {
+                    tile_rows(
+                        rows,
+                        tc,
+                        &scores[s * tc..(s + l) * tc],
+                        &mut above,
+                        &mut corner,
+                        &mut left_carry[s..s + l],
+                        &mut sum,
+                    );
+                })?;
                 comm.compute((l * tc) as f64, (2 * l * tc * 8) as u64);
-                comm.file_write(VAR_DP, disk_off, &buf[..l * tc])?;
+                comm.file_write_back(VAR_DP, disk_off, l * tc)?;
             }
         }
 

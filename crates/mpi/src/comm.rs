@@ -331,19 +331,25 @@ impl<'a, R: Recorder> Comm<'a, R> {
 
     // ---- explicit file I/O ---------------------------------------------------
 
-    /// Synchronously read `out.len()` elements of `var` at `offset`
-    /// from the local disk.
-    pub fn file_read(&mut self, var: VarId, offset: usize, out: &mut [f64]) -> SimResult<()> {
-        self.ctx.crash_check_time()?;
+    /// Pay for a disk operation of `len` elements of `var`: `charge`, a
+    /// [`RankCtx`] charge retried by [`Comm::io_with_retry`], then the
+    /// operation's hook event.
+    fn charged_io(
+        &mut self,
+        kind: OpKind,
+        var: VarId,
+        len: usize,
+        charge: impl FnMut(&mut RankCtx) -> SimResult<SimDur>,
+    ) -> SimResult<()> {
         let start = self.ctx.now();
-        self.io_with_retry(OpKind::FileRead, var, |ctx| ctx.disk_read(var, offset, out))?;
+        self.io_with_retry(kind, var, charge)?;
         self.op_event(
             OpInfo {
-                kind: OpKind::FileRead,
+                kind,
                 var: Some(var),
                 peer: None,
-                bytes: (out.len() * 8) as u64,
-                elems: out.len(),
+                bytes: (len * 8) as u64,
+                elems: len,
                 scope: self.scope,
                 blocked: SimDur::ZERO,
             },
@@ -352,26 +358,91 @@ impl<'a, R: Recorder> Comm<'a, R> {
         Ok(())
     }
 
-    /// Synchronously write `data` to `var` at `offset` on the local disk.
+    /// Synchronously read `out.len()` elements of `var` at `offset`
+    /// from the local disk into `out`: [`Comm::file_read_with`] and a
+    /// copy, for a caller that needs a buffer of its own.
+    pub fn file_read(&mut self, var: VarId, offset: usize, out: &mut [f64]) -> SimResult<()> {
+        self.file_read_with(var, offset, out.len(), |data| out.copy_from_slice(data))
+    }
+
+    /// Synchronously read `len` elements of `var` at `offset` from the
+    /// local disk and lend them to `f` in place. The read is charged
+    /// (and its faults retried) before `f` runs, exactly as
+    /// [`Comm::file_read`] charges it; `f` is host work and may not
+    /// touch the virtual clock. An out-of-range read fails with
+    /// `file_read`'s error and charges nothing.
+    pub fn file_read_with<T>(
+        &mut self,
+        var: VarId,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[f64]) -> T,
+    ) -> SimResult<T> {
+        self.ctx.crash_check_time()?;
+        self.charged_io(OpKind::FileRead, var, len, |ctx| {
+            ctx.disk_read_charge(var, offset, len)
+        })?;
+        let rank = self.ctx.rank();
+        Ok(f(self.ctx.disk.view(var, offset, len, rank)?))
+    }
+
+    /// [`Comm::file_read_with`] for an update in place: `f` may change
+    /// the lent elements, which are on disk as soon as it returns. The
+    /// caller then charges its compute and the write of the same range
+    /// with [`Comm::file_write_back`], so read → compute → write stays
+    /// the order of virtual charges. The bytes are where a copying
+    /// read, compute and [`Comm::file_write`] would leave them, failed
+    /// write attempts included, since that stores before its fault draw.
+    pub fn file_update_with<T>(
+        &mut self,
+        var: VarId,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut [f64]) -> T,
+    ) -> SimResult<T> {
+        self.ctx.crash_check_time()?;
+        self.charged_io(OpKind::FileRead, var, len, |ctx| {
+            ctx.disk_read_charge(var, offset, len)
+        })?;
+        let rank = self.ctx.rank();
+        Ok(f(self.ctx.disk.view_mut(var, offset, len, rank)?))
+    }
+
+    /// Synchronously write `data` to `var` at `offset` on the local
+    /// disk: a copy, then [`Comm::file_write_back`]'s charge.
     pub fn file_write(&mut self, var: VarId, offset: usize, data: &[f64]) -> SimResult<()> {
         self.ctx.crash_check_time()?;
-        let start = self.ctx.now();
-        self.io_with_retry(OpKind::FileWrite, var, |ctx| {
-            ctx.disk_write(var, offset, data)
+        let rank = self.ctx.rank();
+        self.ctx.disk.write(var, offset, data, rank)?;
+        self.charged_io(OpKind::FileWrite, var, data.len(), |ctx| {
+            ctx.disk_write_charge(var, offset, data.len())
+        })
+    }
+
+    /// Charge the write of `len` elements of `var` at `offset` that a
+    /// [`Comm::file_update_with`] already left on disk, as
+    /// [`Comm::file_write`] charges it; no byte moves.
+    pub fn file_write_back(&mut self, var: VarId, offset: usize, len: usize) -> SimResult<()> {
+        self.ctx.crash_check_time()?;
+        self.charged_io(OpKind::FileWrite, var, len, |ctx| {
+            ctx.disk_write_charge(var, offset, len)
+        })
+    }
+
+    /// The compulsory load of a whole variable: charge a read of its
+    /// whole extent, as [`Comm::file_read`] would, then move its data
+    /// off the disk and hand it over. The variable is gone afterwards
+    /// (a later read is [`SimError::UnknownVariable`]), so take only a
+    /// variable that nothing reads again.
+    pub fn file_take(&mut self, var: VarId) -> SimResult<Vec<f64>> {
+        self.ctx.crash_check_time()?;
+        let rank = self.ctx.rank();
+        let len = self.ctx.disk.extent(var, rank)?;
+        self.charged_io(OpKind::FileRead, var, len, |ctx| {
+            ctx.disk_read_charge(var, 0, len)
         })?;
-        self.op_event(
-            OpInfo {
-                kind: OpKind::FileWrite,
-                var: Some(var),
-                peer: None,
-                bytes: (data.len() * 8) as u64,
-                elems: data.len(),
-                scope: self.scope,
-                blocked: SimDur::ZERO,
-            },
-            start,
-        );
-        Ok(())
+        let data = self.ctx.disk.remove(var);
+        Ok(data.expect("a charged variable is on disk"))
     }
 
     /// Issue an asynchronous read (prefetch). In instrumented mode this
@@ -387,11 +458,11 @@ impl<'a, R: Recorder> Comm<'a, R> {
                 })?)
             }
             ExecMode::Instrument => {
-                let mut buf = vec![0.0; len];
                 self.io_with_retry(OpKind::PrefetchIssue, var, |ctx| {
-                    ctx.disk_read(var, offset, &mut buf)
+                    ctx.disk_read_charge(var, offset, len)
                 })?;
-                TokenInner::Completed(buf)
+                let rank = self.ctx.rank();
+                TokenInner::Completed(self.ctx.disk.view(var, offset, len, rank)?.to_vec())
             }
         };
         self.op_event(
@@ -439,7 +510,7 @@ impl<'a, R: Recorder> Comm<'a, R> {
 mod tests {
     use super::*;
     use crate::hooks::VecRecorder;
-    use mheta_sim::{run_cluster, ClusterSpec};
+    use mheta_sim::{run_cluster, ClusterSpec, Event, SimTime};
 
     fn quiet(n: usize) -> ClusterSpec {
         let mut s = ClusterSpec::homogeneous(n);
@@ -705,5 +776,201 @@ mod tests {
             Ok(())
         })
         .unwrap();
+    }
+
+    /// The variable the lending twins below read and write.
+    const LENT: VarId = 4;
+
+    /// `LENT`'s extent, and the chunk the twins move at a time.
+    const EXTENT: usize = 96;
+    const CHUNK: usize = 16;
+
+    /// A noisy one-rank spec whose disk faults the three attempts
+    /// absorb: the twins below retry on it and never run out of
+    /// attempts (`lending_twins_retry_on_the_faulty_spec`).
+    fn faulty() -> ClusterSpec {
+        let mut s = ClusterSpec::homogeneous(1);
+        s.faults.disk_read_fault_rate = 0.15;
+        s.faults.disk_write_fault_rate = 0.15;
+        s.seed = 7;
+        s
+    }
+
+    /// What a program leaves behind that lending must not change: its
+    /// value, the rank's clock and trace, the hook events and the disk.
+    #[derive(Debug, PartialEq)]
+    struct Outcome<T> {
+        value: T,
+        now: SimTime,
+        trace: Vec<Event>,
+        hooks: Vec<HookEvent>,
+        /// `LENT`'s final contents; `None` once it has been taken.
+        disk: Option<Vec<f64>>,
+    }
+
+    /// Run `body` on one traced rank of `spec` with `LENT` on disk.
+    fn outcome<T: Send>(
+        spec: &ClusterSpec,
+        body: impl Fn(&mut Comm<'_, VecRecorder>) -> SimResult<T> + Sync,
+    ) -> Outcome<T> {
+        let mut run = run_cluster(spec, true, |ctx| {
+            ctx.disk
+                .store(LENT, (0..EXTENT).map(|i| i as f64 * 0.5).collect());
+            let mut rec = VecRecorder::default();
+            let mut comm = Comm::new(ctx, &mut rec, ExecMode::Normal);
+            let value = body(&mut comm)?;
+            let now = comm.ctx_ref().now();
+            let disk = ctx.disk.view(LENT, 0, EXTENT, 0).ok().map(<[f64]>::to_vec);
+            Ok((value, now, rec.events, disk))
+        })
+        .unwrap();
+        let (value, now, hooks, disk) = run.results.pop().unwrap();
+        Outcome {
+            value,
+            now,
+            trace: run.traces.pop().unwrap().events,
+            hooks,
+            disk,
+        }
+    }
+
+    /// Three passes over `LENT` in chunks, each chunk's sum lent or
+    /// copied out and its compute charged after the read.
+    fn read_passes(comm: &mut Comm<'_, VecRecorder>, lend: bool) -> SimResult<Vec<f64>> {
+        let mut sums = Vec::new();
+        let mut buf = [0.0; CHUNK];
+        for _ in 0..3 {
+            for at in (0..EXTENT).step_by(CHUNK) {
+                sums.push(if lend {
+                    comm.file_read_with(LENT, at, CHUNK, |d| d.iter().sum())?
+                } else {
+                    comm.file_read(LENT, at, &mut buf)?;
+                    buf.iter().sum()
+                });
+                comm.compute(CHUNK as f64, (CHUNK * 8) as u64);
+            }
+        }
+        Ok(sums)
+    }
+
+    /// Three read → compute → write passes over `LENT` in chunks,
+    /// updated in place or through a buffer.
+    fn update_passes(comm: &mut Comm<'_, VecRecorder>, lend: bool) -> SimResult<()> {
+        let step = |d: &mut [f64]| d.iter_mut().for_each(|x| *x = *x * 0.75 + 1.0);
+        let mut buf = [0.0; CHUNK];
+        for _ in 0..3 {
+            for at in (0..EXTENT).step_by(CHUNK) {
+                if lend {
+                    comm.file_update_with(LENT, at, CHUNK, step)?;
+                } else {
+                    comm.file_read(LENT, at, &mut buf)?;
+                    step(&mut buf);
+                }
+                comm.compute(CHUNK as f64, (CHUNK * 8) as u64);
+                if lend {
+                    comm.file_write_back(LENT, at, CHUNK)?;
+                } else {
+                    comm.file_write(LENT, at, &buf)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn lending_twins_retry_on_the_faulty_spec() {
+        let retried = |hooks: &[HookEvent], kind| {
+            hooks
+                .iter()
+                .any(|e| matches!(e, HookEvent::Retry { kind: k, .. } if *k == kind))
+        };
+        let reads = outcome(&faulty(), |comm| read_passes(comm, false));
+        assert!(retried(&reads.hooks, OpKind::FileRead));
+        let updates = outcome(&faulty(), |comm| update_passes(comm, false));
+        assert!(retried(&updates.hooks, OpKind::FileRead));
+        assert!(retried(&updates.hooks, OpKind::FileWrite));
+    }
+
+    #[test]
+    fn a_lent_read_is_the_copying_read() {
+        let copied = outcome(&faulty(), |comm| read_passes(comm, false));
+        let lent = outcome(&faulty(), |comm| read_passes(comm, true));
+        assert_eq!(lent, copied);
+    }
+
+    #[test]
+    fn an_update_in_place_is_the_copying_read_and_write() {
+        let copied = outcome(&faulty(), |comm| update_passes(comm, false));
+        let lent = outcome(&faulty(), |comm| update_passes(comm, true));
+        assert_ne!(copied.disk.as_deref(), Some(&[0.0; EXTENT][..]));
+        assert_eq!(lent, copied);
+    }
+
+    #[test]
+    fn a_take_is_the_copying_whole_read_and_leaves_nothing() {
+        // A pass of chunk reads first, so the whole read is warm.
+        let copied = outcome(&faulty(), |comm| {
+            read_passes(comm, false)?;
+            let mut all = vec![0.0; EXTENT];
+            comm.file_read(LENT, 0, &mut all)?;
+            Ok(all)
+        });
+        let taken = outcome(&faulty(), |comm| {
+            read_passes(comm, true)?;
+            let all = comm.file_take(LENT)?;
+            let gone = comm.file_read(LENT, 0, &mut [0.0]).unwrap_err();
+            assert_eq!(gone, SimError::UnknownVariable { var: LENT, rank: 0 });
+            Ok(all)
+        });
+        assert_eq!(taken.disk, None);
+        assert_eq!(
+            Outcome {
+                disk: copied.disk.clone(),
+                ..taken
+            },
+            copied
+        );
+    }
+
+    #[test]
+    fn an_out_of_range_lend_fails_as_the_copy_does_and_charges_nothing() {
+        let errors = outcome(&faulty(), |comm| {
+            let mut lent = false;
+            let (at, mut buf) = (EXTENT - CHUNK / 2, [0.0; CHUNK]);
+            let pairs = [
+                (
+                    comm.file_read(LENT, at, &mut buf),
+                    comm.file_read_with(LENT, at, CHUNK, |_| lent = true),
+                ),
+                (
+                    comm.file_read(LENT, at, &mut buf),
+                    comm.file_update_with(LENT, at, CHUNK, |_| lent = true),
+                ),
+                (
+                    comm.file_write(LENT, at, &buf),
+                    comm.file_write_back(LENT, at, CHUNK),
+                ),
+                (
+                    comm.file_read(LENT + 1, 0, &mut buf),
+                    comm.file_take(LENT + 1).map(drop),
+                ),
+            ];
+            assert!(!lent, "a failed lend lends nothing");
+            Ok(pairs.map(|(copy, lend)| (copy.unwrap_err(), lend.unwrap_err())))
+        });
+        for (copy, lend) in &errors.value {
+            assert_eq!(lend, copy);
+        }
+        assert!(matches!(errors.value[0].0, SimError::OutOfBounds { .. }));
+        assert!(matches!(
+            errors.value[3].0,
+            SimError::UnknownVariable { .. }
+        ));
+        assert_eq!(errors.now, SimTime::ZERO);
+        assert!(errors.trace.is_empty() && errors.hooks.is_empty());
+        assert_eq!(
+            errors.disk,
+            Some((0..EXTENT).map(|i| i as f64 * 0.5).collect())
+        );
     }
 }

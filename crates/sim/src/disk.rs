@@ -4,8 +4,11 @@
 //! [`DiskStore`] is the *functional* side: it actually holds the
 //! out-of-core local arrays (OCLAs) as `f64` vectors so applications
 //! compute real results. The *timing* side (seek overheads, per-byte
-//! latencies) is charged by the rank context in `engine`, which calls
-//! into this store for the data movement itself.
+//! latencies) is charged by the rank context in `engine` from each
+//! operation's range alone. The bytes themselves are lent in place
+//! ([`DiskStore::view`], [`DiskStore::view_mut`]) or moved out whole
+//! ([`DiskStore::remove`]); only a caller that needs a buffer of its
+//! own copies them ([`DiskStore::read`], [`DiskStore::write`]).
 
 use std::collections::HashMap;
 
@@ -59,20 +62,7 @@ impl DiskStore {
 
     /// Copy `out.len()` elements starting at `offset` into `out`.
     pub fn read(&self, var: VarId, offset: usize, out: &mut [f64], rank: usize) -> SimResult<()> {
-        let data = self
-            .vars
-            .get(&var)
-            .ok_or(SimError::UnknownVariable { var, rank })?;
-        let end = offset
-            .checked_add(out.len())
-            .filter(|&e| e <= data.len())
-            .ok_or(SimError::OutOfBounds {
-                var,
-                offset,
-                len: out.len(),
-                extent: data.len(),
-            })?;
-        out.copy_from_slice(&data[offset..end]);
+        out.copy_from_slice(self.view(var, offset, out.len(), rank)?);
         Ok(())
     }
 
@@ -84,31 +74,56 @@ impl DiskStore {
         input: &[f64],
         rank: usize,
     ) -> SimResult<()> {
+        self.view_mut(var, offset, input.len(), rank)?
+            .copy_from_slice(input);
+        Ok(())
+    }
+
+    /// Lend `len` elements of `var` starting at `offset` in place. The
+    /// store charges nothing: the caller pays for the access through
+    /// the rank context (`RankCtx::disk_read_charge`).
+    pub fn view(&self, var: VarId, offset: usize, len: usize, rank: usize) -> SimResult<&[f64]> {
+        let data = self
+            .vars
+            .get(&var)
+            .ok_or(SimError::UnknownVariable { var, rank })?;
+        Ok(&data[Self::range(var, offset, len, data.len())?])
+    }
+
+    /// Lend `len` elements of `var` starting at `offset` for update in
+    /// place; like [`DiskStore::view`], it charges nothing.
+    pub fn view_mut(
+        &mut self,
+        var: VarId,
+        offset: usize,
+        len: usize,
+        rank: usize,
+    ) -> SimResult<&mut [f64]> {
         let data = self
             .vars
             .get_mut(&var)
             .ok_or(SimError::UnknownVariable { var, rank })?;
-        let extent = data.len();
-        let end = offset
-            .checked_add(input.len())
-            .filter(|&e| e <= extent)
+        let range = Self::range(var, offset, len, data.len())?;
+        Ok(&mut data[range])
+    }
+
+    /// `offset..offset + len`, if it lies within `extent` elements.
+    fn range(
+        var: VarId,
+        offset: usize,
+        len: usize,
+        extent: usize,
+    ) -> SimResult<std::ops::Range<usize>> {
+        offset
+            .checked_add(len)
+            .filter(|&end| end <= extent)
+            .map(|end| offset..end)
             .ok_or(SimError::OutOfBounds {
                 var,
                 offset,
-                len: input.len(),
+                len,
                 extent,
-            })?;
-        data[offset..end].copy_from_slice(input);
-        Ok(())
-    }
-
-    /// Immutable view of a whole variable (test/verification helper; a
-    /// real disk would never hand out a zero-cost view).
-    pub fn view(&self, var: VarId, rank: usize) -> SimResult<&[f64]> {
-        self.vars
-            .get(&var)
-            .map(Vec::as_slice)
-            .ok_or(SimError::UnknownVariable { var, rank })
+            })
     }
 }
 
@@ -223,6 +238,26 @@ mod tests {
         d.create(1, 4);
         let mut buf = [0.0; 2];
         assert!(d.read(1, usize::MAX - 1, &mut buf, 0).is_err());
+    }
+
+    #[test]
+    fn views_lend_the_range_that_read_and_write_copy() {
+        let mut d = DiskStore::new();
+        d.store(1, (0..8).map(f64::from).collect());
+        d.view_mut(1, 2, 3, 0).unwrap().fill(-1.0);
+        let mut buf = [0.0; 4];
+        d.read(1, 1, &mut buf, 0).unwrap();
+        assert_eq!(d.view(1, 1, 4, 0).unwrap(), buf);
+        assert_eq!(buf, [1.0, -1.0, -1.0, -1.0]);
+        let mut past_end = [0.0; 3];
+        assert_eq!(
+            d.view(1, 6, 3, 0).unwrap_err(),
+            d.read(1, 6, &mut past_end, 0).unwrap_err()
+        );
+        assert_eq!(
+            d.view_mut(2, 0, 1, 4).unwrap_err(),
+            SimError::UnknownVariable { var: 2, rank: 4 }
+        );
     }
 
     #[test]

@@ -463,11 +463,22 @@ impl RankCtx {
         }
     }
 
-    /// Synchronous disk read: seek + per-byte latency, then the data.
-    /// Returns the charged duration.
+    /// Synchronous disk read into `out`: the data, copied, then
+    /// [`RankCtx::disk_read_charge`]'s charge. Returns the charged
+    /// duration.
     pub fn disk_read(&mut self, var: VarId, offset: usize, out: &mut [f64]) -> SimResult<SimDur> {
-        let start = self.now;
         self.disk.read(var, offset, out, self.rank)?;
+        self.disk_read_charge(var, offset, out.len())
+    }
+
+    /// Charge a synchronous read of `len` elements of `var` at
+    /// `offset` (seek + per-byte latency) without moving a byte: the
+    /// caller takes them in place from [`DiskStore::view`]. The range
+    /// is checked first, then the fault draw, then warmth, the noise
+    /// draw and the trace events. Returns the charged duration.
+    pub fn disk_read_charge(&mut self, var: VarId, offset: usize, len: usize) -> SimResult<SimDur> {
+        let start = self.now;
+        self.disk.view(var, offset, len, self.rank)?;
         if let Some(attempt) = self.faults.read_attempt(var) {
             return Err(self.fail_disk_attempt(
                 start,
@@ -476,7 +487,7 @@ impl RankCtx {
                 attempt,
             ));
         }
-        let bytes = (out.len() * 8) as u64;
+        let bytes = (len * 8) as u64;
         let warmth = self.read_warmth(var, bytes);
         let node = &self.kernel.spec.nodes[self.rank];
         let cost = node.io_read_seek_ns + bytes as f64 * node.io_read_ns_per_byte * warmth;
@@ -516,10 +527,28 @@ impl RankCtx {
         }
     }
 
-    /// Synchronous disk write. Returns the charged duration.
+    /// Synchronous disk write of `input`: the data, stored, then
+    /// [`RankCtx::disk_write_charge`]'s charge. The bytes land before
+    /// the fault draw, so a failed attempt leaves them on disk too.
+    /// Returns the charged duration.
     pub fn disk_write(&mut self, var: VarId, offset: usize, input: &[f64]) -> SimResult<SimDur> {
-        let start = self.now;
         self.disk.write(var, offset, input, self.rank)?;
+        self.disk_write_charge(var, offset, input.len())
+    }
+
+    /// Charge a synchronous write of `len` elements of `var` at
+    /// `offset` whose bytes are already on disk, updated in place
+    /// through [`DiskStore::view_mut`]. The range is checked first,
+    /// then the fault draw, then the noise draw and the trace events.
+    /// Returns the charged duration.
+    pub fn disk_write_charge(
+        &mut self,
+        var: VarId,
+        offset: usize,
+        len: usize,
+    ) -> SimResult<SimDur> {
+        let start = self.now;
+        self.disk.view(var, offset, len, self.rank)?;
         if let Some(attempt) = self.faults.write_attempt(var) {
             return Err(self.fail_disk_attempt(
                 start,
@@ -528,7 +557,7 @@ impl RankCtx {
                 attempt,
             ));
         }
-        let bytes = (input.len() * 8) as u64;
+        let bytes = (len * 8) as u64;
         let node = &self.kernel.spec.nodes[self.rank];
         let cost = node.io_write_seek_ns + bytes as f64 * node.io_write_ns_per_byte;
         let d = SimDur::from_nanos_f64(self.noise.perturb(cost));
@@ -547,8 +576,7 @@ impl RankCtx {
     /// reconciled by [`RankCtx::prefetch_wait`] (Figure 4 of the paper).
     pub fn prefetch_issue(&mut self, var: VarId, offset: usize, len: usize) -> SimResult<Prefetch> {
         let start = self.now;
-        let mut data = vec![0.0; len];
-        self.disk.read(var, offset, &mut data, self.rank)?;
+        let data = self.disk.view(var, offset, len, self.rank)?.to_vec();
         if let Some(attempt) = self.faults.read_attempt(var) {
             return Err(self.fail_disk_attempt(
                 start,
