@@ -58,6 +58,11 @@ pub struct Cg {
     pub fill: f64,
     /// Data seed.
     pub seed: u64,
+    /// XORed into the seeds of the values but not into the fill
+    /// pattern's, so that a test can change every value and keep the
+    /// shape.
+    #[cfg(test)]
+    pub(crate) value_salt: u64,
 }
 
 impl Default for Cg {
@@ -67,6 +72,8 @@ impl Default for Cg {
             band: 96,
             fill: 0.33,
             seed: 0xC6,
+            #[cfg(test)]
+            value_salt: 0,
         }
     }
 }
@@ -79,8 +86,18 @@ impl Cg {
             n: 96,
             band: 12,
             fill: 0.4,
-            seed: 0xC6,
+            ..Cg::default()
         }
+    }
+
+    /// The seeds of the off-diagonal values and of the diagonal's own
+    /// term; the fill pattern hashes `seed` itself.
+    fn value_seeds(&self) -> (u64, u64) {
+        #[cfg(not(test))]
+        let salt = 0;
+        #[cfg(test)]
+        let salt = self.value_salt;
+        (self.seed ^ 0x57 ^ salt, self.seed ^ 0x99 ^ salt)
     }
 
     /// One row of the matrix: `(column, value)` pairs, column-sorted,
@@ -125,6 +142,7 @@ impl Cg {
         }
         flat.truncate(end);
 
+        let (off_seed, diag_seed) = self.value_seeds();
         let mut offdiag_sum = 0.0;
         let mut diag_slot = start + 1;
         for k in (start..end).step_by(2) {
@@ -133,11 +151,11 @@ impl Cg {
                 diag_slot = k + 1;
                 continue;
             }
-            let v = -hash01(self.seed ^ 0x57, r.min(c) as u64, r.max(c) as u64);
+            let v = -hash01(off_seed, r.min(c) as u64, r.max(c) as u64);
             flat[k + 1] = v;
             offdiag_sum += v.abs();
         }
-        flat[diag_slot] = offdiag_sum + 1.0 + hash01(self.seed ^ 0x99, r as u64, r as u64);
+        flat[diag_slot] = offdiag_sum + 1.0 + hash01(diag_seed, r as u64, r as u64);
         flat[start..].chunks_exact(2).map(|e| e[1]).sum()
     }
 
@@ -155,6 +173,7 @@ impl Cg {
     /// and `b` fold exactly as in `emit_row`.
     pub(crate) fn share(&self, offset: usize, m: usize) -> (Vec<f64>, Vec<usize>, Vec<f64>) {
         let seed = self.seed;
+        let (off_seed, diag_seed) = self.value_seeds();
         // Sized from the pattern's expected density plus the widest row,
         // so the data is written once in place instead of being regrown
         // and moved.
@@ -204,7 +223,7 @@ impl Cg {
             let (diag, upper) = rest.split_at_mut(2);
             let mut offdiag_sum = 0.0;
             for (&c, e) in below.iter().zip(hashed.chunks_exact_mut(2)) {
-                let v = -hash01(seed ^ 0x57, c as u64, r as u64);
+                let v = -hash01(off_seed, c as u64, r as u64);
                 (e[0], e[1]) = (col_field(c), v);
                 offdiag_sum += v.abs();
             }
@@ -214,12 +233,12 @@ impl Cg {
                 offdiag_sum += e[1].abs();
             }
             for (&c, e) in above.iter().zip(upper.chunks_exact_mut(2)) {
-                let v = -hash01(seed ^ 0x57, r as u64, c as u64);
+                let v = -hash01(off_seed, r as u64, c as u64);
                 (e[0], e[1]) = (col_field(c), v);
                 offdiag_sum += v.abs();
             }
             diag[0] = col_field(r);
-            diag[1] = offdiag_sum + 1.0 + hash01(seed ^ 0x99, r as u64, r as u64);
+            diag[1] = offdiag_sum + 1.0 + hash01(diag_seed, r as u64, r as u64);
             for (&c, e) in above.iter().zip(upper.chunks_exact(2)) {
                 if c < offset + m {
                     // Slot `(c - offset) % slots`, without the division:
@@ -234,6 +253,44 @@ impl Cg {
             offsets.push(end);
         }
         (flat, offsets, b_local)
+    }
+
+    /// The element offsets [`Cg::share`] gives rows `[offset, offset +
+    /// m)`, counted from the fill pattern alone: no value is hashed and
+    /// no entry is stored. Each in-band pair with a row in the share is
+    /// tested once, as in [`Cg::avg_elems_per_row`], and counted in each
+    /// of its rows that the share holds.
+    pub(crate) fn pattern(&self, offset: usize, m: usize) -> Vec<usize> {
+        let keep = Threshold::new(self.fill);
+        let kept =
+            |a: usize, b: usize| usize::from(keep.admits(hash_bits(self.seed, a as u64, b as u64)));
+        // Nonzeros per row, the diagonal included.
+        let mut count = vec![1; m];
+        let end = offset + m;
+        for r in offset..end {
+            let (lo, hi) = (r.saturating_sub(self.band), (r + self.band).min(self.n - 1));
+            let inside = (hi + 1).min(end);
+            // Columns below the share, then above the share: pairs that
+            // only row `r` holds.
+            let mut own: usize = (lo..offset.max(lo)).map(|c| kept(c, r)).sum();
+            own += (inside..hi + 1).map(|c| kept(r, c)).sum::<usize>();
+            // Columns above the diagonal inside the share: both rows
+            // hold the pair.
+            let (mine, later) = count.split_at_mut(r - offset + 1);
+            for (c, n) in (r + 1..inside).zip(later) {
+                let k = kept(r, c);
+                own += k;
+                *n += k;
+            }
+            mine[r - offset] += own;
+        }
+        let mut at = 0;
+        std::iter::once(0)
+            .chain(count.iter().map(|c| {
+                at += 2 * c;
+                at
+            }))
+            .collect()
     }
 
     /// Exact average interleaved elements per row (2 per nonzero).
@@ -310,7 +367,16 @@ impl Cg {
         let n = self.n;
 
         // ---- setup: my matrix rows, interleaved on disk -------------
-        let (flat, offsets, b_local) = self.share(offset, m);
+        // The instrumented iteration computes no values (DESIGN §5). The
+        // pattern sizes every read and mat-vec, so it is counted; the
+        // share is zeros of its length, and no mat-vec runs.
+        let values = !comm.force_ooc();
+        let (flat, offsets, b_local) = if values {
+            self.share(offset, m)
+        } else {
+            let offsets = self.pattern(offset, m);
+            (vec![0.0; offsets[m]], offsets, vec![0.0; m])
+        };
         comm.ctx().disk.store(VAR_A, flat);
 
         // The application plans with the same average-based heuristic
@@ -359,7 +425,12 @@ impl Cg {
                 for (s, l) in chunks(m, plan.icla_rows) {
                     let elems = offsets[s + l] - offsets[s];
                     let nnz = comm.file_read_with(VAR_A, offsets[s], elems, |a| {
-                        spmv(a, &offsets[s..=s + l], &p_full, &mut q[s..s + l])
+                        if values {
+                            spmv(a, &offsets[s..=s + l], &p_full, &mut q[s..s + l])
+                        } else {
+                            // What `spmv` returns: one nonzero per pair.
+                            elems / 2
+                        }
                     })?;
                     comm.compute(nnz as f64, (elems * 8) as u64);
                 }
@@ -592,7 +663,7 @@ mod tests {
                 n: 19,
                 band,
                 fill,
-                seed: 0xC6,
+                ..Cg::small()
             };
             assert_every_window_matches_emit_row(&cg, &every_window(cg.n));
         }
@@ -608,6 +679,37 @@ mod tests {
             );
         }
         assert_every_window_matches_emit_row(&cg, &windows);
+    }
+
+    /// `pattern` is `share`'s shape: the same offsets, element for
+    /// element, for the small and the paper-size matrix, for the first
+    /// share, the last, shares narrower than the band and single rows.
+    #[test]
+    fn pattern_is_the_shape_of_share() {
+        for cg in [Cg::small(), Cg::default()] {
+            let (n, band) = (cg.n, cg.band);
+            let last = GenBlock::block(n, 8);
+            let windows = [
+                (0, n),
+                (0, n / 8),
+                (last.offsets()[7], last.rows()[7]),
+                (0, band / 2),
+                (n / 2, band / 2),
+                (n - band / 3, band / 3),
+                (0, 1),
+                (band, 1),
+                (n - 1, 1),
+            ];
+            for (offset, m) in windows {
+                let want = cg.share(offset, m).1;
+                assert_eq!(
+                    cg.pattern(offset, m),
+                    want,
+                    "{cg:?} rows {offset}..{}",
+                    offset + m
+                );
+            }
+        }
     }
 
     #[test]
@@ -753,11 +855,12 @@ mod tests {
             first in any::<usize>(),
             len in any::<usize>(),
         ) {
-            let cg = Cg { n, band, fill, seed };
+            let cg = Cg { n, band, fill, seed, ..Cg::small() };
             let offset = first % n;
             let m = 1 + len % (n - offset);
             for (offset, m) in [(0, n), (offset, m)] {
                 let (flat, offsets, b_local) = cg.share(offset, m);
+                prop_assert_eq!(&cg.pattern(offset, m), &offsets);
                 prop_assert_eq!(offsets.len(), m + 1);
                 prop_assert_eq!(offsets[m], flat.len());
                 for i in 0..m {
@@ -786,7 +889,7 @@ mod tests {
             fill in prop_oneof![Just(0.0f64), Just(1.0f64), 0.0f64..1.0],
             seed in any::<u64>(),
         ) {
-            let cg = Cg { n, band, fill, seed };
+            let cg = Cg { n, band, fill, seed, ..Cg::small() };
             let total: usize = (0..n).map(|r| 2 * cg.row(r).len()).sum();
             let materialised = total as f64 / n as f64;
             prop_assert_eq!(cg.avg_elems_per_row().to_bits(), materialised.to_bits());

@@ -6,7 +6,8 @@
 //! 1. microbenchmark the architecture ([`mheta_core::measure_arch`]),
 //! 2. run **one instrumented iteration** under the Block distribution
 //!    with the MPI-Jack hooks attached and the §4.1.1 transformations
-//!    (forced I/O, prefetch-to-blocking),
+//!    (forced I/O, prefetch-to-blocking); it charges every operation
+//!    but computes no values, since the model reads only its costs,
 //! 3. build the profile and assemble the [`Mheta`] model,
 //! 4. for each candidate distribution: ask the model for a prediction
 //!    and run the application for its full iteration count to get the
@@ -125,7 +126,7 @@ impl Benchmark {
         matches!(self, Benchmark::Jacobi(_))
     }
 
-    fn dispatch<R: mheta_mpi::Recorder>(
+    pub(crate) fn dispatch<R: mheta_mpi::Recorder>(
         &self,
         comm: &mut mheta_mpi::Comm<'_, R>,
         structure: &ProgramStructure,

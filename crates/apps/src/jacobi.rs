@@ -153,10 +153,17 @@ impl Jacobi {
         let offset = dist.offsets()[rank];
 
         // ---- setup: place this rank's share on its local disk -------
-        let mut init = Vec::with_capacity(m * cols);
-        for r in 0..m {
-            init.extend(self.initial_row(offset + r, cols));
-        }
+        // The instrumented iteration computes no values (DESIGN §5): a
+        // zero grid of the share's shape, and no stencil.
+        let init = if comm.force_ooc() {
+            vec![0.0; m * cols]
+        } else {
+            let mut init = Vec::with_capacity(m * cols);
+            for r in 0..m {
+                init.extend(self.initial_row(offset + r, cols));
+            }
+            init
+        };
         let mut first_row = init[..cols].to_vec();
         let mut last_row = init[(m - 1) * cols..].to_vec();
         comm.ctx().disk.store(VAR_U, init);
@@ -213,17 +220,16 @@ impl Jacobi {
                 last_row.copy_from_slice(&u[(m - 1) * cols..]);
                 res
             } else {
-                let (res, first, last) = self.sweep_streaming(
+                self.sweep_streaming(
                     comm,
                     m,
                     plan.icla_rows,
                     &top_halo,
                     &bottom_halo,
+                    &mut first_row,
+                    &mut last_row,
                     prefetch,
-                )?;
-                first_row = first;
-                last_row = last;
-                res
+                )?
             };
             comm.end_stage(0);
             comm.end_section(1);
@@ -285,8 +291,12 @@ impl Jacobi {
 
     /// Streaming out-of-core sweep: a three-row window of old values
     /// trails the chunk reads; new rows are written back in place one
-    /// row behind the read front. Returns the local residual and the
-    /// new first/last rows (cached for the next boundary exchange).
+    /// row behind the read front. Returns the local residual; the new
+    /// first and last rows land in `first_new` and `last_new`, the
+    /// caller's buffers for the next boundary exchange. In the
+    /// instrumented iteration it charges the same operations in the same
+    /// order but reads, computes and writes no value.
+    #[allow(clippy::too_many_arguments)]
     fn sweep_streaming<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
@@ -294,8 +304,11 @@ impl Jacobi {
         icla_rows: usize,
         top_halo: &[f64],
         bottom_halo: &[f64],
+        first_new: &mut [f64],
+        last_new: &mut [f64],
         prefetch: bool,
-    ) -> SimResult<(f64, Vec<f64>, Vec<f64>)> {
+    ) -> SimResult<f64> {
+        let values = !comm.force_ooc();
         let cols = self.cols;
         let plan = chunks(m, icla_rows);
         let ws_bytes = (2 * icla_rows * cols * 8) as u64;
@@ -303,20 +316,28 @@ impl Jacobi {
         let mut state = SweepState {
             cols,
             ws_bytes,
+            values,
             res: 0.0,
             two_back: top_halo.to_vec(),
             one_back: vec![0.0; cols],
             pending_new: Vec::with_capacity((icla_rows + 1) * cols),
+            pending_rows: 0,
             flush_from: 0,
-            first_new: Vec::new(),
-            last_new: Vec::new(),
+            first_new,
+            last_new,
         };
 
         if prefetch {
             // Figure 6's unrolled loop: Read ICLA(1); for i in 2..:
             // Prefetch(i), Process(i-1), Wait(i), write(i-1).
             let (s0, l0) = plan[0];
-            let buf = comm.file_read_with(VAR_U, s0 * cols, l0 * cols, <[f64]>::to_vec)?;
+            let buf = comm.file_read_with(VAR_U, s0 * cols, l0 * cols, |chunk| {
+                if values {
+                    chunk.to_vec()
+                } else {
+                    Vec::new()
+                }
+            })?;
             let mut cur = (s0, l0, buf);
             for &(s, l) in &plan[1..] {
                 let tok = comm.prefetch(VAR_U, s * cols, l * cols)?;
@@ -347,31 +368,40 @@ impl Jacobi {
         comm.compute(cols as f64, ws_bytes);
         state.flush(comm)?;
         debug_assert_eq!(state.flush_from, m);
-        Ok((state.res, state.first_new, state.last_new))
+        Ok(state.res)
     }
 }
 
 /// Mutable state threaded through the streaming sweep.
-struct SweepState {
+struct SweepState<'a> {
     cols: usize,
     ws_bytes: u64,
+    /// False in the instrumented iteration: rows are counted, charged
+    /// and written back, but no value is read, computed or stored.
+    values: bool,
     res: f64,
     /// Old row `r - 2` relative to the next unread row.
     two_back: Vec<f64>,
     /// Old row `r - 1`.
     one_back: Vec<f64>,
-    /// New rows computed but not yet written back.
+    /// New rows computed but not yet written back (with `values`).
     pending_new: Vec<f64>,
+    /// How many rows `pending_new` stands for.
+    pending_rows: usize,
     /// Global (local-share) row index the next flush starts at.
     flush_from: usize,
-    first_new: Vec<f64>,
-    last_new: Vec<f64>,
+    first_new: &'a mut [f64],
+    last_new: &'a mut [f64],
 }
 
-impl SweepState {
+impl SweepState<'_> {
     /// Compute the new row whose old neighbors are the window and
     /// `below`, straight into the tail of `pending_new`.
     fn stencil_next(&mut self, below: &[f64]) {
+        self.pending_rows += 1;
+        if !self.values {
+            return;
+        }
         let at = self.pending_new.len();
         self.pending_new.resize(at + self.cols, 0.0);
         self.res += Jacobi::stencil_into(
@@ -385,7 +415,14 @@ impl SweepState {
     /// Slide the window over the `len` old rows in `buf`, the share's
     /// rows from `start` on, computing each new row it completes.
     /// Returns how many it computed; [`SweepState::charge`] pays for them.
+    /// Without `values` it only counts them, and `buf` is not read.
     fn absorb(&mut self, buf: &[f64], start: usize, len: usize) -> usize {
+        if !self.values {
+            // Every row but the share's first completes the one above.
+            let rows = len - usize::from(start == 0);
+            self.pending_rows += rows;
+            return rows;
+        }
         let cols = self.cols;
         let mut computed_rows = 0usize;
         for k in 0..len {
@@ -410,18 +447,28 @@ impl SweepState {
         }
     }
 
+    /// Write the pending rows back in place; with `values`, copy the
+    /// share's first new row (on the first flush) and its latest last
+    /// one into the caller's buffers.
     fn flush<R: Recorder>(&mut self, comm: &mut Comm<'_, R>) -> SimResult<()> {
-        let rows = self.pending_new.len() / self.cols;
+        let (cols, rows) = (self.cols, self.pending_rows);
         if rows == 0 {
             return Ok(());
         }
-        if self.flush_from == 0 {
-            self.first_new = self.pending_new[..self.cols].to_vec();
+        let at = self.flush_from * cols;
+        if self.values {
+            if self.flush_from == 0 {
+                self.first_new.copy_from_slice(&self.pending_new[..cols]);
+            }
+            self.last_new
+                .copy_from_slice(&self.pending_new[(rows - 1) * cols..]);
+            comm.file_write(VAR_U, at, &self.pending_new)?;
+            self.pending_new.clear();
+        } else {
+            comm.file_write_back(VAR_U, at, rows * cols)?;
         }
-        self.last_new = self.pending_new[(rows - 1) * self.cols..].to_vec();
-        comm.file_write(VAR_U, self.flush_from * self.cols, &self.pending_new)?;
         self.flush_from += rows;
-        self.pending_new.clear();
+        self.pending_rows = 0;
         Ok(())
     }
 }

@@ -128,13 +128,19 @@ impl Lanczos {
         let m = dist.rows()[rank];
         let offset = dist.offsets()[rank];
         let n = self.n;
+        // The instrumented iteration computes no values (DESIGN §5): a
+        // zero matrix of the share's shape, and no kernel.
+        let values = !comm.force_ooc();
 
         // ---- setup: my dense rows on disk -----------------------------
-        {
+        let flat = if values {
             let mut flat = Vec::with_capacity(m * n);
             self.rows_into(offset, m, &mut flat);
-            comm.ctx().disk.store(VAR_A, flat);
-        }
+            flat
+        } else {
+            vec![0.0; m * n]
+        };
+        comm.ctx().disk.store(VAR_A, flat);
 
         // All resident data is declared in the structure.
         let plans = rank_plans(comm, structure, m, 0.0, &[]);
@@ -171,7 +177,9 @@ impl Lanczos {
             } else {
                 for (s, l) in chunks(m, plan.icla_rows) {
                     comm.file_read_with(VAR_A, s * n, l * n, |a| {
-                        dot_rows(a, &v_full, &mut w[s..s + l]);
+                        if values {
+                            dot_rows(a, &v_full, &mut w[s..s + l]);
+                        }
                     })?;
                     comm.compute((l * n) as f64, (l * n * 8) as u64);
                 }

@@ -35,6 +35,8 @@ pub mod lanczos;
 pub mod multigrid;
 pub mod redistribute;
 pub mod rna;
+#[cfg(test)]
+mod value_blind;
 
 pub use adaptive::{
     new_checkpoint_store, AdaptiveCg, AdaptiveOutcome, Checkpoint, CheckpointStore, RebalanceEvent,

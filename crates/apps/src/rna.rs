@@ -166,7 +166,13 @@ impl Rna {
         // ---- setup: zero-initialized matrix, tile-major ---------------
         comm.ctx().disk.create(VAR_DP, m * self.cols);
         // Every cell's score, hashed once; the iterations only read it.
-        let scores = self.score_table(offset, m);
+        // The instrumented iteration computes no values (DESIGN §5): no
+        // score, and no wavefront.
+        let scores = if comm.force_ooc() {
+            vec![0; m * self.cols]
+        } else {
+            self.score_table(offset, m)
+        };
 
         // All resident data is declared in the structure.
         let plans = rank_plans(comm, structure, m, 0.0, &[]);
@@ -276,18 +282,21 @@ impl Rna {
             );
             comm.compute((m * tc) as f64, (2 * m * tc * 8) as u64);
         } else {
+            let values = !comm.force_ooc();
             for (s, l) in chunks(m, icla_rows) {
                 let disk_off = self.slice_offset(m, t, s);
                 comm.file_update_with(VAR_DP, disk_off, l * tc, |rows| {
-                    tile_rows(
-                        rows,
-                        tc,
-                        &scores[s * tc..(s + l) * tc],
-                        &mut above,
-                        &mut corner,
-                        &mut left_carry[s..s + l],
-                        &mut sum,
-                    );
+                    if values {
+                        tile_rows(
+                            rows,
+                            tc,
+                            &scores[s * tc..(s + l) * tc],
+                            &mut above,
+                            &mut corner,
+                            &mut left_carry[s..s + l],
+                            &mut sum,
+                        );
+                    }
                 })?;
                 comm.compute((l * tc) as f64, (2 * l * tc * 8) as u64);
                 comm.file_write_back(VAR_DP, disk_off, l * tc)?;

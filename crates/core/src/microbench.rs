@@ -6,6 +6,11 @@
 //! The measured values carry the simulator's noise, which is the point:
 //! MHETA's inputs are imperfect in the same way real measurements are.
 //!
+//! The probes measure clocks only, so they move no bytes: a disk probe
+//! charges its read and write on a fresh variable's range
+//! (`disk_read_charge`, `disk_write_charge`) as a copying access of
+//! that range is charged, and the fitted parameters are the same.
+//!
 //! No rank of a probe ever waits — rank 0 only sends, rank 1 receives
 //! only what rank 0 has posted, the disk probes never communicate — so
 //! the probes run in rank order on the caller's thread
@@ -101,7 +106,6 @@ pub fn measure_disk(spec: &ClusterSpec) -> SimResult<Vec<DiskParams>> {
     let run = run_in_rank_order(spec, false, |ctx| {
         let mut read = [0.0f64; 2];
         let mut write = [0.0f64; 2];
-        let mut buf = vec![0.0f64; LARGE_ELEMS];
         let mut probe_var = u32::MAX;
         for (si, elems) in [SMALL_ELEMS, LARGE_ELEMS].iter().enumerate() {
             for _ in 0..REPS {
@@ -109,10 +113,8 @@ pub fn measure_disk(spec: &ClusterSpec) -> SimResult<Vec<DiskParams>> {
                 // the microbenchmark characterizes the raw disk, not
                 // the OS cache.
                 ctx.disk.create(probe_var, *elems);
-                read[si] += ctx
-                    .disk_read(probe_var, 0, &mut buf[..*elems])?
-                    .as_nanos_f64();
-                write[si] += ctx.disk_write(probe_var, 0, &buf[..*elems])?.as_nanos_f64();
+                read[si] += ctx.disk_read_charge(probe_var, 0, *elems)?.as_nanos_f64();
+                write[si] += ctx.disk_write_charge(probe_var, 0, *elems)?.as_nanos_f64();
                 ctx.disk.remove(probe_var);
                 probe_var -= 1;
             }

@@ -46,7 +46,11 @@ pub enum ExecMode {
     /// The instrumented iteration of §4.1.1: prefetch issues become
     /// blocking reads and waits become no-ops (Figure 5), and
     /// applications treat every distributed variable as out of core so
-    /// I/O costs exist for all of them.
+    /// I/O costs exist for all of them. The model reads only the costs
+    /// of this iteration, so it computes no values: applications store
+    /// zero shares of their data's shape, run no kernel, and charge
+    /// every operation with the arguments and in the order of a normal
+    /// run's.
     Instrument,
 }
 
@@ -136,7 +140,7 @@ impl<'a, R: Recorder> Comm<'a, R> {
     }
 
     /// True when applications must treat distributed variables as out
-    /// of core (instrumented iteration, §4.1.1).
+    /// of core and compute no values (instrumented iteration, §4.1.1).
     #[must_use]
     pub fn force_ooc(&self) -> bool {
         self.mode == ExecMode::Instrument
